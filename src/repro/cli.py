@@ -14,6 +14,7 @@ without writing a driver script::
     python -m repro kv --faults --recovery wal
     python -m repro kv --rebalance
     python -m repro kv --rebalance --transport tcp --replicas 6
+    python -m repro kv --rebalance --transport proc --replicas 5
     python -m repro kv --transport tcp --replicas 8 --keys 200
 
 Each run prints the same plain-text table the corresponding
@@ -26,6 +27,7 @@ against EXPERIMENTS.md.  ``--scale`` selects parameter presets: ``ci``
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import Callable, Dict, List, Optional, Sequence
@@ -49,6 +51,7 @@ from repro.experiments import (
     run_table1,
     run_table2,
 )
+from repro.driver import Stepped, deployment_from_flags
 from repro.kv import RECOVERY_POLICIES as _RECOVERY_POLICIES
 
 #: Micro-benchmark presets per scale: node count and update rounds.
@@ -260,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "execution model: barrier-stepped rounds (the paper's timeline) "
             "or free-running drifting per-replica timers with no quiescence "
-            "barrier (sim engine only; rejected with --transport tcp)"
+            "barrier (--transport sim only; a usage error otherwise)"
         ),
     )
     kv.add_argument(
@@ -384,9 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     lint = commands.add_parser(
         "lint",
         help=(
-            "run the invariant linter (determinism, registry "
-            "completeness, trace pairing, frozen-mutation allowlist, "
-            "async/exception hygiene) over source trees"
+            "run the invariant linter (determinism, event-registry "
+            "completeness, frozen-mutation allowlist, async/exception "
+            "hygiene, resource typestate) over source trees"
         ),
     )
     lint.add_argument(
@@ -495,10 +498,26 @@ def build_parser() -> argparse.ArgumentParser:
 def _kv_config(args: argparse.Namespace) -> KVConfig:
     """The sweep-cell config for one ``repro kv`` invocation.
 
-    ``KVConfig`` validates flag combinations (e.g. ``--execution free``
-    with ``--transport tcp``) in ``__post_init__``; the caller turns
-    that ``ValueError`` into a usage error.
+    ``--transport`` / ``--execution`` / ``--tick-jitter`` become one
+    :data:`~repro.driver.Deployment` here; a pair that names no
+    deployment (``--execution free`` off the simulator) or a ``--trace``
+    file where process clusters need a directory raises ``ValueError``,
+    which the caller turns into a usage error.
     """
+    deployment = deployment_from_flags(
+        args.transport, args.execution, args.tick_jitter
+    )
+    if (
+        deployment is Stepped.PROC
+        and args.trace is not None
+        and os.path.isfile(args.trace)
+    ):
+        # Per-process trace files cannot share one JSONL sink; process
+        # clusters write a *directory* of them per cell.
+        raise ValueError(
+            "--transport proc writes a trace directory (one file per "
+            f"replica process), but {args.trace!r} is an existing file"
+        )
     return KVConfig(
         replicas=args.replicas,
         keys=args.keys,
@@ -530,9 +549,7 @@ def _kv_config(args: argparse.Namespace) -> KVConfig:
         if args.repair_mode is not None
         else ("digest" if args.rebalance else "blanket"),
         repair_fanout=args.repair_fanout,
-        transport=args.transport,
-        execution=args.execution,
-        tick_jitter=args.tick_jitter,
+        deployment=deployment,
         # Outside --faults the flag directly sets the store's
         # lose-state policy; the fault comparison instead derives
         # per-row policies from the strategy labels below.
@@ -564,12 +581,8 @@ def _run_lint(args: argparse.Namespace, stream) -> int:
     from repro.lint.engine import load_project
 
     if args.list_rules:
-        from repro.lint import rule_aliases
-
         for rule_id, summary in sorted(rule_catalogue().items()):
             print(f"{rule_id}: {summary}", file=stream)
-        for alias, canonical in sorted(rule_aliases().items()):
-            print(f"{alias}: alias of {canonical}", file=stream)
         return 0
     try:
         project = load_project(args.paths)
@@ -674,6 +687,8 @@ def main(argv: Optional[List[str]] = None, stream=None) -> int:
     if args.command == "kv":
         from repro.experiments import KV_ALGORITHMS
 
+        # The scenarios that replay one inner protocol take the first.
+        inner = args.algorithms[0] if args.algorithms else "delta-based-bp-rr"
         if args.quorum:
             if args.faults or args.rebalance:
                 print(
@@ -684,9 +699,6 @@ def main(argv: Optional[List[str]] = None, stream=None) -> int:
                 return 2
             from repro.experiments import QuorumConfig, run_kv_quorum
 
-            inner = (
-                args.algorithms[0] if args.algorithms else "delta-based-bp-rr"
-            )
             config = QuorumConfig(
                 # The kv default (16) is sim-scale; an untouched default
                 # downshifts to 4 real processes.  Any explicit
@@ -764,7 +776,6 @@ def main(argv: Optional[List[str]] = None, stream=None) -> int:
         if args.rebalance:
             from repro.experiments import run_kv_rebalance
 
-            inner = args.algorithms[0] if args.algorithms else "delta-based-bp-rr"
             result = run_kv_rebalance(config, algorithm=inner)
         elif args.faults:
             # Each WAL strategy is compared against the rungs below it
@@ -781,7 +792,6 @@ def main(argv: Optional[List[str]] = None, stream=None) -> int:
                 for label, (_, policy) in _RECOVERY_STRATEGIES.items()
                 if _RECOVERY_POLICIES.index(policy) <= cutoff
             )
-            inner = args.algorithms[0] if args.algorithms else "delta-based-bp-rr"
             result = run_kv_repair_comparison(config, algorithm=inner, modes=strategies)
         else:
             result = run_kv_sweep(config, algorithms)

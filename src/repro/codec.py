@@ -35,7 +35,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from io import BytesIO
-from typing import Any, BinaryIO
+from typing import Any, BinaryIO, Callable, Dict, Tuple
 
 from repro.causal.atom import Atom
 from repro.causal.causal import Causal
@@ -476,30 +476,27 @@ class WireFrame:
         return len(self.data)
 
 
-#: Registry of wire kinds; the uvarint kind tag indexes this tuple, so
-#: the order is part of the format — append only.
-WIRE_KINDS = (
-    "state",  # state-based: full lattice state
-    "delta",  # delta-based: one δ-group
-    "keyed-delta",  # per-object delta-based: MapLattice of δ-groups
-    "digest",  # Scuttlebutt summary vector (± GC knowledge matrix)
-    "deltas",  # Scuttlebutt reply: versioned deltas
-    "ops",  # op-based: causally-tagged operation envelopes
-    "delta-seq",  # acked delta-based: δ-group + covered seqs
-    "delta-ack",  # acked delta-based: acknowledged seqs
-    "mt-node",  # Merkle descent: (prefix, digest) nodes
-    "mt-leaves",  # Merkle bucket ship (expects complement reply)
-    "mt-leaves-final",  # Merkle bucket ship (final leg)
-    "kv-digest",  # store repair: root-hash divergence probe
-    "kv-diff",  # store repair: fingerprint-digest escalation
-    "kv-repair",  # store repair: (delta, echo digest | None)
-    "kv-shard",  # store framing: one (shard, message)
-    "kv-batch",  # store framing: bundled (shard, message) pairs
-    "kv-handoff-offer",  # rebalance: shard handoff announcement (root, size hint)
-    "kv-handoff-segment",  # rebalance: compacted WAL segment (encoded delta records)
-    "kv-handoff-ack",  # rebalance: receiver verdict (complete flag, replayed root)
-)
-_WIRE_KIND_INDEX = {kind: index for index, kind in enumerate(WIRE_KINDS)}
+#: kind → (tag, writer, reader), filled by :func:`wire_kind` as the
+#: readers below are defined.  The uvarint tag is part of the format —
+#: never renumber one; a new kind takes the next unused tag.
+_WIRE_REGISTRY: Dict[str, Tuple[int, Callable, Callable]] = {}
+
+
+def wire_kind(kind: str, *, tag: int, writer: Callable) -> Callable:
+    """Register the decorated reader and ``writer`` as ``kind``'s codec.
+
+    One registration carries everything a kind needs — name, wire tag,
+    both directions — so a kind that encodes but cannot decode (or the
+    reverse) has no spelling.
+    """
+
+    def register(reader: Callable) -> Callable:
+        if kind in _WIRE_REGISTRY:
+            raise ValueError(f"wire kind {kind!r} registered twice")
+        _WIRE_REGISTRY[kind] = (tag, writer, reader)
+        return reader
+
+    return register
 
 
 def _write_wire_vector(out: BinaryIO, vector: dict) -> None:
@@ -523,6 +520,12 @@ def _write_state(payload, payload_out: BinaryIO, meta_out: BinaryIO) -> None:
     _write_lattice(payload_out, payload)
 
 
+# state-based: full lattice state
+@wire_kind("state", tag=0, writer=_write_state)
+# delta-based: one δ-group
+@wire_kind("delta", tag=1, writer=_write_state)
+# per-object delta-based: MapLattice of δ-groups
+@wire_kind("keyed-delta", tag=2, writer=_write_state)
 def _read_state(payload_in: BinaryIO, meta_in: BinaryIO):
     return _read_lattice(payload_in)
 
@@ -542,6 +545,8 @@ def _write_digest(payload, payload_out: BinaryIO, meta_out: BinaryIO) -> None:
         _write_wire_vector(meta_out, payload)
 
 
+# Scuttlebutt summary vector (± GC knowledge matrix)
+@wire_kind("digest", tag=3, writer=_write_digest)
 def _read_digest(payload_in: BinaryIO, meta_in: BinaryIO):
     variant = _read_exact(meta_in, 1)[0]
     vector = _read_wire_vector(meta_in)
@@ -562,6 +567,8 @@ def _write_versioned_deltas(payload, payload_out: BinaryIO, meta_out: BinaryIO) 
         _write_lattice(payload_out, delta)
 
 
+# Scuttlebutt reply: versioned deltas
+@wire_kind("deltas", tag=4, writer=_write_versioned_deltas)
 def _read_versioned_deltas(payload_in: BinaryIO, meta_in: BinaryIO):
     pairs = []
     for _ in range(read_uvarint(meta_in)):
@@ -580,6 +587,8 @@ def _write_ops(payload, payload_out: BinaryIO, meta_out: BinaryIO) -> None:
         _write_lattice(payload_out, envelope.payload)
 
 
+# op-based: causally-tagged operation envelopes
+@wire_kind("ops", tag=5, writer=_write_ops)
 def _read_ops(payload_in: BinaryIO, meta_in: BinaryIO):
     # Imported lazily: repro.sync pulls this module in through the
     # Merkle baseline, so a module-level import would be circular.
@@ -612,6 +621,8 @@ def _write_delta_seq(payload, payload_out: BinaryIO, meta_out: BinaryIO) -> None
     _write_seqs(meta_out, covered)
 
 
+# acked delta-based: δ-group + covered seqs
+@wire_kind("delta-seq", tag=6, writer=_write_delta_seq)
 def _read_delta_seq(payload_in: BinaryIO, meta_in: BinaryIO):
     group = _read_lattice(payload_in)
     return (group, _read_seqs(meta_in))
@@ -621,6 +632,8 @@ def _write_delta_ack(payload, payload_out: BinaryIO, meta_out: BinaryIO) -> None
     _write_seqs(meta_out, payload)
 
 
+# acked delta-based: acknowledged seqs
+@wire_kind("delta-ack", tag=7, writer=_write_delta_ack)
 def _read_delta_ack(payload_in: BinaryIO, meta_in: BinaryIO):
     return _read_seqs(meta_in)
 
@@ -632,6 +645,8 @@ def _write_trie_nodes(payload, payload_out: BinaryIO, meta_out: BinaryIO) -> Non
         write_atom(meta_out, node_digest)
 
 
+# Merkle descent: (prefix, digest) nodes
+@wire_kind("mt-node", tag=8, writer=_write_trie_nodes)
 def _read_trie_nodes(payload_in: BinaryIO, meta_in: BinaryIO):
     return tuple(
         (read_atom(meta_in), read_atom(meta_in)) for _ in range(read_uvarint(meta_in))
@@ -651,6 +666,10 @@ def _write_trie_leaves(payload, payload_out: BinaryIO, meta_out: BinaryIO) -> No
             payload_out.write(blob)
 
 
+# Merkle bucket ship (expects complement reply)
+@wire_kind("mt-leaves", tag=9, writer=_write_trie_leaves)
+# Merkle bucket ship (final leg)
+@wire_kind("mt-leaves-final", tag=10, writer=_write_trie_leaves)
 def _read_trie_leaves(payload_in: BinaryIO, meta_in: BinaryIO):
     buckets = []
     for _ in range(read_uvarint(meta_in)):
@@ -668,6 +687,8 @@ def _write_kv_digest(payload, payload_out: BinaryIO, meta_out: BinaryIO) -> None
     write_atom(meta_out, payload)
 
 
+# store repair: root-hash divergence probe
+@wire_kind("kv-digest", tag=11, writer=_write_kv_digest)
 def _read_kv_digest(payload_in: BinaryIO, meta_in: BinaryIO):
     return read_atom(meta_in)
 
@@ -686,6 +707,8 @@ def _write_kv_diff(payload, payload_out: BinaryIO, meta_out: BinaryIO) -> None:
     _write_fingerprints(meta_out, payload)
 
 
+# store repair: fingerprint-digest escalation
+@wire_kind("kv-diff", tag=12, writer=_write_kv_diff)
 def _read_kv_diff(payload_in: BinaryIO, meta_in: BinaryIO):
     return _read_fingerprints(meta_in)
 
@@ -700,6 +723,8 @@ def _write_kv_repair(payload, payload_out: BinaryIO, meta_out: BinaryIO) -> None
     _write_lattice(payload_out, delta)
 
 
+# store repair: (delta, echo digest | None)
+@wire_kind("kv-repair", tag=13, writer=_write_kv_repair)
 def _read_kv_repair(payload_in: BinaryIO, meta_in: BinaryIO):
     has_echo = _read_exact(meta_in, 1)[0]
     echo = _read_fingerprints(meta_in) if has_echo else None
@@ -712,6 +737,8 @@ def _write_kv_shard(payload, payload_out: BinaryIO, meta_out: BinaryIO) -> None:
     _write_message(inner, payload_out, meta_out)
 
 
+# store framing: one (shard, message)
+@wire_kind("kv-shard", tag=14, writer=_write_kv_shard)
 def _read_kv_shard(payload_in: BinaryIO, meta_in: BinaryIO):
     shard = read_uvarint(meta_in)
     return (shard, _read_message(payload_in, meta_in))
@@ -724,6 +751,8 @@ def _write_kv_batch(payload, payload_out: BinaryIO, meta_out: BinaryIO) -> None:
         _write_message(inner, payload_out, meta_out)
 
 
+# store framing: bundled (shard, message) pairs
+@wire_kind("kv-batch", tag=15, writer=_write_kv_batch)
 def _read_kv_batch(payload_in: BinaryIO, meta_in: BinaryIO):
     entries = []
     for _ in range(read_uvarint(meta_in)):
@@ -738,6 +767,8 @@ def _write_kv_handoff_offer(payload, payload_out: BinaryIO, meta_out: BinaryIO) 
     write_uvarint(meta_out, size_hint)
 
 
+# rebalance: shard handoff announcement (root, size hint)
+@wire_kind("kv-handoff-offer", tag=16, writer=_write_kv_handoff_offer)
 def _read_kv_handoff_offer(payload_in: BinaryIO, meta_in: BinaryIO):
     root = read_atom(meta_in)
     return (root, read_uvarint(meta_in))
@@ -752,6 +783,8 @@ def _write_kv_handoff_segment(payload, payload_out: BinaryIO, meta_out: BinaryIO
         payload_out.write(body)
 
 
+# rebalance: compacted WAL segment (encoded delta records)
+@wire_kind("kv-handoff-segment", tag=17, writer=_write_kv_handoff_segment)
 def _read_kv_handoff_segment(payload_in: BinaryIO, meta_in: BinaryIO):
     return tuple(
         _read_exact(payload_in, read_uvarint(meta_in))
@@ -769,6 +802,8 @@ def _write_kv_handoff_ack(payload, payload_out: BinaryIO, meta_out: BinaryIO) ->
         write_atom(meta_out, root)
 
 
+# rebalance: receiver verdict (complete flag, replayed root)
+@wire_kind("kv-handoff-ack", tag=18, writer=_write_kv_handoff_ack)
 def _read_kv_handoff_ack(payload_in: BinaryIO, meta_in: BinaryIO):
     complete = bool(_read_exact(meta_in, 1)[0])
     has_root = _read_exact(meta_in, 1)[0]
@@ -776,26 +811,15 @@ def _read_kv_handoff_ack(payload_in: BinaryIO, meta_in: BinaryIO):
     return (complete, root)
 
 
+#: Registry of wire kinds, in tag order: the uvarint kind tag indexes
+#: this tuple.  Complete by construction — every entry came with both
+#: codec directions — and dense by the check below.
+WIRE_KINDS = tuple(sorted(_WIRE_REGISTRY, key=lambda kind: _WIRE_REGISTRY[kind][0]))
+if [_WIRE_REGISTRY[kind][0] for kind in WIRE_KINDS] != list(range(len(WIRE_KINDS))):
+    raise ImportError("wire tags must be exactly 0..n-1, one kind each")
+_WIRE_KIND_INDEX = {kind: index for index, kind in enumerate(WIRE_KINDS)}
 _WIRE_CODECS = {
-    "state": (_write_state, _read_state),
-    "delta": (_write_state, _read_state),
-    "keyed-delta": (_write_state, _read_state),
-    "digest": (_write_digest, _read_digest),
-    "deltas": (_write_versioned_deltas, _read_versioned_deltas),
-    "ops": (_write_ops, _read_ops),
-    "delta-seq": (_write_delta_seq, _read_delta_seq),
-    "delta-ack": (_write_delta_ack, _read_delta_ack),
-    "mt-node": (_write_trie_nodes, _read_trie_nodes),
-    "mt-leaves": (_write_trie_leaves, _read_trie_leaves),
-    "mt-leaves-final": (_write_trie_leaves, _read_trie_leaves),
-    "kv-digest": (_write_kv_digest, _read_kv_digest),
-    "kv-diff": (_write_kv_diff, _read_kv_diff),
-    "kv-repair": (_write_kv_repair, _read_kv_repair),
-    "kv-shard": (_write_kv_shard, _read_kv_shard),
-    "kv-batch": (_write_kv_batch, _read_kv_batch),
-    "kv-handoff-offer": (_write_kv_handoff_offer, _read_kv_handoff_offer),
-    "kv-handoff-segment": (_write_kv_handoff_segment, _read_kv_handoff_segment),
-    "kv-handoff-ack": (_write_kv_handoff_ack, _read_kv_handoff_ack),
+    kind: (writer, reader) for kind, (_, writer, reader) in _WIRE_REGISTRY.items()
 }
 
 

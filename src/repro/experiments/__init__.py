@@ -34,6 +34,7 @@ from repro.experiments.table1 import Table1Result, run_table1
 from repro.experiments.table2 import Table2Result, run_table2
 from repro.experiments.grid import ALL_ALGORITHMS, BASELINE, run_grid
 from repro.experiments.retwis_sweep import RetwisConfig, run_retwis_sweep
+from repro.serve.deploy import build_cluster
 from repro.experiments.kv_sweep import (
     DEFAULT_ALGORITHMS,
     DEFAULT_STRATEGIES,
@@ -57,7 +58,6 @@ from repro.experiments.kv_serve import (
     KVQuorumResult,
     QuorumCell,
     QuorumConfig,
-    build_process_cluster,
     run_kv_quorum,
     run_kv_quorum_cell,
 )
@@ -97,7 +97,7 @@ __all__ = [
     "KVQuorumResult",
     "QuorumCell",
     "QuorumConfig",
-    "build_process_cluster",
+    "build_cluster",
     "run_kv_quorum",
     "run_kv_quorum_cell",
     "RetwisConfig",

@@ -22,9 +22,11 @@ fills the new owner from every co-owner independently).  The consistent
 ring keeps the movement itself minimal (``~replication/n`` of shards),
 which the report also verifies against the observed moved fraction.
 
-Both transports run the identical schedule: ``transport="sim"`` counts
-size-model bytes, ``transport="tcp"`` measured wire bytes of the
-:mod:`repro.codec` envelopes.
+Every deployment runs the identical schedule through the same lines:
+the simulator counts size-model bytes, TCP and the process cluster
+measured wire bytes of the :mod:`repro.codec` envelopes (the process
+controller sees root hashes, not states, so its naive baseline reads 0),
+and a free-running deployment really runs free.
 """
 
 from __future__ import annotations
@@ -32,17 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from repro.experiments.kv_sweep import (
-    KV_ALGORITHMS,
-    KVConfig,
-    _cell_span,
-    _open_tracer,
-)
+from repro.driver import describe
+from repro.experiments.kv_sweep import KVConfig, _check_algorithms, measured_cell
 from repro.experiments.report import format_table, human_bytes
-from repro.kv.cluster import KVCluster, RebalanceReport
+from repro.kv.driver import KVDriver, RebalanceReport
 from repro.kv.ring import HashRing
-from repro.sim.network import ClusterConfig
-from repro.sim.topology import full_mesh
 
 #: Handoff counters snapshotted between phases (scheduler stats keys).
 _HANDOFF_KEYS = (
@@ -120,8 +116,7 @@ class KVRebalanceResult:
             f"{self.total_updates} updates with traffic flowing, "
             f"recovery {config.recovery}, seed {config.seed}"
         )
-        if config.transport != "sim":
-            header += f", transport {config.transport} (measured wire bytes)"
+        header += describe(config.deployment)
         rows = []
         for phase in self.phases:
             rows.append(
@@ -135,7 +130,9 @@ class KVRebalanceResult:
                     human_bytes(phase.handoff_payload_bytes),
                     human_bytes(phase.handoff_bytes),
                     human_bytes(phase.naive_fullstate_bytes),
-                    f"{phase.vs_naive:.2f}x",
+                    # A backend that cannot size remote copies reports
+                    # no baseline (see RebalanceReport.naive_fullstate_bytes).
+                    f"{phase.vs_naive:.2f}x" if phase.naive_fullstate_bytes else "n/a",
                 )
             )
         footer = (
@@ -161,7 +158,7 @@ class KVRebalanceResult:
         return f"{table}\n{footer}"
 
 
-def _handoff_snapshot(cluster: KVCluster) -> Dict[str, int]:
+def _handoff_snapshot(cluster: KVDriver) -> Dict[str, int]:
     stats = cluster.scheduler_stats()
     return {key: stats.get(key, 0) for key in _HANDOFF_KEYS}
 
@@ -210,17 +207,14 @@ def run_kv_rebalance(
     """One deterministic replay: traffic → add → traffic → decommission →
     traffic → drain, with every shard movement shipped by handoff.
 
-    The topology has ``config.replicas`` nodes but the initial ring
+    The cluster has ``config.replicas`` seats but the initial ring
     covers only the first ``replicas - 1`` — the spare seat is what
-    :meth:`~repro.kv.cluster.KVCluster.add_replica` fills mid-run.
+    :meth:`~repro.kv.driver.KVDriver.add_replica` fills mid-run.
     Requires ``config.repair_interval >= 1`` (the rebalance safety net)
     and at least ``replication + 1`` initial members so the later
     decommission stays above the replication factor.
     """
-    if algorithm not in KV_ALGORITHMS:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r} (known: {sorted(KV_ALGORITHMS)})"
-        )
+    _check_algorithms([algorithm])
     if config.repair_interval < 1:
         raise ValueError(
             "live rebalancing requires the repair path: set "
@@ -238,32 +232,24 @@ def run_kv_rebalance(
     workload = config.make_workload(ring)
     joiner = config.replicas - 1
     leaver = 0
-    tracer = _open_tracer(config)
-    cluster = KVCluster(
-        ring,
-        KV_ALGORITHMS[algorithm],
-        config=ClusterConfig(topology=full_mesh(config.replicas)),
-        antientropy=config.antientropy(),
-        transport=config.transport,
-        recovery=config.recovery,
-        wal_config=config.wal_config() if config.recovery != "repair" else None,
-        trace=tracer,
-    )
-    end_cell = _cell_span(
-        cluster, tracer, f"rebalance {algorithm}", {"workload": workload.name}
-    )
+    with measured_cell(
+        config,
+        algorithm,
+        f"rebalance {algorithm}",
+        {"workload": workload.name},
+        ring=ring,
+    ) as cluster:
 
-    def run_traffic(first: int, last: int) -> None:
-        # Smart-client routing against the *current* ring: the schedule
-        # was drawn against the initial placement, but mid-run the key's
-        # owner group may have moved, so ops route by key, not by node.
-        for round_index in range(first, last):
-            for node in range(config.replicas):
-                for op in workload.updates_for(round_index, node):
-                    cluster.update(op.key, op.op, *op.args)
-            cluster.run_round(updates=None)
+        def run_traffic(first: int, last: int) -> None:
+            # Smart-client routing against the *current* ring: the schedule
+            # was drawn against the initial placement, but mid-run the key's
+            # owner group may have moved, so ops route by key, not by node.
+            for round_index in range(first, last):
+                for node in range(config.replicas):
+                    for op in workload.updates_for(round_index, node):
+                        cluster.update(op.key, op.op, *op.args)
+                cluster.run_round(updates=None)
 
-    try:
         phase = max(1, workload.rounds // 3)
         run_traffic(0, phase)
         before_add = _handoff_snapshot(cluster)
@@ -278,7 +264,6 @@ def run_kv_rebalance(
         run_traffic(2 * phase, workload.rounds)
         drain_rounds += cluster.drain()
         after_decom = _handoff_snapshot(cluster)
-        end_cell()
         phases = (
             _phase_measurement(
                 f"add {joiner}",
@@ -303,9 +288,5 @@ def run_kv_rebalance(
             phases=phases,
             converged=cluster.converged(),
             drain_rounds=drain_rounds,
-            decommissioned_empty=not cluster.nodes[leaver].shards,
+            decommissioned_empty=not cluster.hosted_shards(leaver),
         )
-    finally:
-        cluster.close()
-        if tracer is not None:
-            tracer.sink.close()

@@ -1,29 +1,21 @@
-"""Serving-cluster experiments: the proc transport and quorum reads.
+"""The serving-cluster experiment: quorum reads as a client sees them.
 
-Two entry points:
+:func:`run_kv_quorum` is the client's-eye experiment the in-process
+harness cannot run: a :class:`~repro.serve.loadgen.LoadGenerator`
+drives a :class:`~repro.serve.client.KVClient` against a live process
+cluster under different read/write quorum settings, and the table
+reports what changed *for the client* — latency percentiles (each extra
+quorum member is another synchronous round trip) against observed
+staleness (``r = 1`` reads routed randomly across owners lose session
+monotonicity; a majority read quorum with ``r + w > rf`` restores it).
+Read-repair traffic is counted separately on both sides: the client
+counts the joins it pushed, the replicas' ``scheduler.read_repairs`` /
+``scheduler.read_repair_payload_bytes`` counters what they absorbed —
+so repair cost is attributable, not smeared into anti-entropy totals.
 
-* :func:`build_process_cluster` adapts a :class:`~repro.experiments.
-  kv_sweep.KVConfig` cell to a :class:`~repro.serve.cluster.
-  ProcessCluster`, which exposes the same driver surface as
-  :class:`~repro.kv.cluster.KVCluster` — this is what lets
-  ``transport="proc"`` slot into :func:`~repro.experiments.kv_sweep.
-  run_kv_cell` and the fault replay unchanged: the identical workload
-  schedule and fault script, but every replica a real OS process and
-  every byte a measured wire byte.
-
-* :func:`run_kv_quorum` is the client's-eye experiment the in-process
-  harness cannot run: a :class:`~repro.serve.loadgen.LoadGenerator`
-  drives a :class:`~repro.serve.client.KVClient` against a live
-  process cluster under different read/write quorum settings, and the
-  table reports what changed *for the client* — latency percentiles
-  (each extra quorum member is another synchronous round trip) against
-  observed staleness (``r = 1`` reads routed randomly across owners
-  lose session monotonicity; a majority read quorum with ``r + w >
-  rf`` restores it).  Read-repair traffic is counted separately on
-  both sides: the client counts the joins it pushed, the replicas'
-  ``scheduler.read_repairs`` / ``scheduler.read_repair_payload_bytes``
-  counters what they absorbed — so repair cost is attributable, not
-  smeared into anti-entropy totals.
+(The sweep, the fault replay and the rebalance replay reach process
+clusters like any other deployment, through
+:func:`repro.serve.deploy.build_cluster`.)
 """
 
 from __future__ import annotations
@@ -32,45 +24,10 @@ import os
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from repro.experiments.kv_sweep import KVConfig
 from repro.experiments.report import format_table, human_bytes
-from repro.kv.antientropy import AntiEntropyConfig
-
-
-def build_process_cluster(
-    config: KVConfig,
-    algorithm: str,
-    *,
-    antientropy: Optional[AntiEntropyConfig] = None,
-    recovery: Optional[str] = None,
-    trace_label: Optional[str] = None,
-    run_dir: Optional[str] = None,
-):
-    """A :class:`ProcessCluster` shaped like one sweep cell.
-
-    ``antientropy`` / ``recovery`` override the config's own (the fault
-    replay derives them per strategy row).  With tracing on, each cell
-    gets its own subdirectory of ``config.trace`` (per-process trace
-    files cannot share one file the way in-process cells share one
-    sink), named by ``trace_label``; render one with
-    ``repro trace report <trace>/<label>``.
-    """
-    from repro.serve.cluster import ProcessCluster
-
-    trace_dir = None
-    if config.trace is not None:
-        trace_dir = os.path.join(config.trace, trace_label or algorithm)
-    return ProcessCluster(
-        config.replicas,
-        shards=config.shards,
-        replication=config.replication,
-        algorithm=algorithm,
-        antientropy=antientropy if antientropy is not None else config.antientropy(),
-        recovery=recovery if recovery is not None else config.recovery,
-        wal_compact_bytes=config.wal_compact_bytes,
-        run_dir=run_dir,
-        trace_dir=trace_dir,
-    )
+from repro.serve.client import KVClient
+from repro.serve.cluster import ProcessCluster
+from repro.serve.loadgen import LoadGenerator
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +156,6 @@ def run_kv_quorum_cell(
     config: QuorumConfig, label: str, r: int, w: int, route: str
 ) -> QuorumCell:
     """One setting: fresh cluster, identical seeded load, full teardown."""
-    from repro.serve.client import KVClient
-    from repro.serve.cluster import ProcessCluster
-    from repro.serve.loadgen import LoadGenerator
-
     trace_dir = (
         os.path.join(config.trace, label) if config.trace is not None else None
     )

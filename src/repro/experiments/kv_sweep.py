@@ -36,27 +36,18 @@ equal per-shard convergence.  The strategy ladder
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
+from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
+from repro.driver import Deployment, Stepped, describe
 from repro.experiments.report import format_table, human_bytes
 from repro.kv.antientropy import AntiEntropyConfig
-from repro.kv.cluster import KVCluster
+from repro.kv.driver import KV_ALGORITHMS, KVDriver
 from repro.kv.ring import HashRing
-from repro.sync import StateBased, keyed_bp_rr, keyed_classic
-from repro.sync.merkle import MerkleSync
+from repro.serve.deploy import build_cluster, open_tracer
 from repro.wal import WalConfig
 from repro.workloads.kv import KVRetwisWorkload, KVZipfWorkload
-
-#: Protocols compared at store scale.  Delta-based variants run the
-#: per-object (keyed) algorithm, matching the paper's Retwis deployment.
-KV_ALGORITHMS = {
-    "state-based": StateBased,
-    "delta-based": keyed_classic,
-    "delta-based-bp-rr": keyed_bp_rr,
-    "merkle": MerkleSync,
-}
 
 DEFAULT_ALGORITHMS: Tuple[str, ...] = (
     "state-based",
@@ -96,28 +87,11 @@ class KVConfig:
     repair_fanout: int = 1
     repair_mode: str = "blanket"
     batch: bool = True
-    #: ``"sim"`` replays on the deterministic simulator (size-model
-    #: bytes); ``"tcp"`` runs the same replay over localhost asyncio
-    #: TCP sockets (measured wire bytes of the envelope codec);
-    #: ``"proc"`` spawns one OS process per replica
-    #: (:class:`~repro.serve.cluster.ProcessCluster`) — same wire
-    #: format as ``"tcp"``, plus real process isolation, advisory-
-    #: locked WAL directories, and SIGKILL crashes.
-    transport: str = "sim"
-    #: Execution model: ``"rounds"`` steps barrier-synchronized
-    #: intervals (every figure in the paper); ``"free"`` drops the
-    #: barrier and runs each replica on its own drifting timer
-    #: (:class:`~repro.net.freerun.FreeRunTransport`), making
-    #: convergence lag a measurement.  Free-running requires the
-    #: event-driven engine — combining it with ``transport="tcp"`` is
-    #: rejected at construction rather than left to hang the socket
-    #: round loop.
-    execution: str = "rounds"
-    #: Free-running only: per-replica timer period skew (fraction of
-    #: the synchronization interval) and the seed drawing each
-    #: replica's phase/period.
-    tick_jitter: float = 0.05
-    tick_seed: int = 0
+    #: Where the replicas run and what steps them — the simulator,
+    #: the simulator running free (:class:`~repro.driver.FreeRun`),
+    #: localhost TCP sockets, or one OS process per replica.  A closed
+    #: value: every spelling is a deployment that runs.
+    deployment: Deployment = Stepped.SIM
     #: Lose-state recovery policy (``repair`` | ``wal`` | ``wal+repair``).
     #: The WAL policies give every store a durable per-shard delta log.
     recovery: str = "repair"
@@ -129,61 +103,6 @@ class KVConfig:
     #: renders one table per cell and the byte totals of the tables can
     #: be re-derived from the trace alone.
     trace: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.execution not in ("rounds", "free"):
-            raise ValueError(
-                f"unknown execution model {self.execution!r} (rounds | free)"
-            )
-        if self.execution == "free" and self.transport == "tcp":
-            raise ValueError(
-                'execution="free" needs the deterministic event engine and '
-                'cannot run over transport="tcp": the TCP round loop settles '
-                "(waits for the network to quiesce) after every round, which "
-                "is exactly the barrier free-running removes. Use "
-                'transport="sim" with execution="free", or drop to '
-                'execution="rounds" for TCP.'
-            )
-        if self.execution == "free" and self.transport == "proc":
-            raise ValueError(
-                'execution="free" cannot run over transport="proc": replica '
-                "processes deliberately have no timers of their own (the "
-                "controller's TICK is the only anti-entropy trigger, keeping "
-                'process runs round-comparable).  Use transport="sim" for '
-                "free-running."
-            )
-        if self.transport == "proc" and self.trace is not None:
-            # Per-process trace files cannot share one JSONL sink; the
-            # proc transport writes a *directory* of them per cell.
-            if os.path.isfile(self.trace):
-                raise ValueError(
-                    'transport="proc" writes a trace directory (one file '
-                    f"per replica process), but {self.trace!r} is an "
-                    "existing file"
-                )
-
-    def resolved_transport(self) -> str:
-        """The transport name the cluster should actually run on."""
-        return "free" if self.execution == "free" else self.transport
-
-    def cluster_config(self):
-        """Cluster knobs derived from this cell (``None`` = defaults).
-
-        Only free-running cells need a non-default config (the timer
-        drift parameters); round-stepped cells return ``None`` so the
-        cluster builds its usual default, keeping those code paths
-        byte-identical to the pre-knob harness.
-        """
-        if self.execution != "free":
-            return None
-        from repro.sim.network import ClusterConfig
-        from repro.sim.topology import full_mesh
-
-        return ClusterConfig(
-            topology=full_mesh(self.replicas),
-            tick_jitter=self.tick_jitter,
-            tick_seed=self.tick_seed,
-        )
 
     def ring(self) -> HashRing:
         return HashRing(
@@ -284,13 +203,7 @@ class KVSweepResult:
         )
         if config.budget_bytes is not None:
             header += f", budget {human_bytes(config.budget_bytes)}/tick"
-        if config.transport != "sim":
-            header += f", transport {config.transport} (measured wire bytes)"
-        if config.execution == "free":
-            header += (
-                f", free-running (jitter {config.tick_jitter:g}, "
-                f"tick seed {config.tick_seed})"
-            )
+        header += describe(config.deployment)
         rows = []
         baseline = self.cells.get("delta-based-bp-rr")
         for label, cell in self.cells.items():
@@ -331,34 +244,38 @@ class KVSweepResult:
         )
 
 
-def _open_tracer(config: KVConfig):
-    """The driver-owned tracer for ``config.trace`` (or ``None``).
+@contextmanager
+def measured_cell(
+    config: KVConfig, algorithm: str, label: str, extra: dict, tracer=None, **build
+) -> Iterator[KVDriver]:
+    """One cell's cluster: built, bracketed in the trace, torn down.
 
-    The proc transport gets no driver tracer: each replica process
-    writes its own file into a per-cell directory and the controller
-    contributes ``controller.jsonl`` (cell markers included), merged at
-    read time by :func:`repro.obs.read_trace_dir`.
+    ``tracer`` is a run-wide tracer shared across cells; without one the
+    cell honours ``config.trace`` itself.  ``build`` goes to
+    :func:`~repro.serve.deploy.build_cluster`.  The ``cell-start`` /
+    ``cell-end`` markers (with the hot-path timer snapshot between
+    them) go through ``cluster.tracer`` — the shared tracer in process,
+    the controller's own on a process cluster — and the end marker is
+    written only when the body finished.
     """
-    if config.trace is None or config.resolved_transport() == "proc":
-        return None
-    from repro.obs.trace import FileTraceSink, Tracer
-
-    return Tracer(FileTraceSink(config.trace))
-
-
-def _cell_span(cluster: KVCluster, tracer, label: str, extra: dict):
-    """Bracket one cell in the trace: start marker now, end at call."""
-    if tracer is not None:
-        tracer.emit("cell-start", label=label, extra=extra)
-
-    def end() -> None:
-        if tracer is None:
-            return
-        if cluster.timers is not None:
-            tracer.emit("timing", label=label, extra=cluster.timers.snapshot())
-        tracer.emit("cell-end", label=label)
-
-    return end
+    own_tracer = tracer is None
+    if own_tracer:
+        tracer = open_tracer(config)
+    cluster = build_cluster(config, algorithm, tracer=tracer, label=label, **build)
+    try:
+        if cluster.tracer is not None:
+            cluster.tracer.emit("cell-start", label=label, extra=extra)
+        yield cluster
+        if cluster.tracer is not None:
+            if cluster.timers is not None:
+                cluster.tracer.emit(
+                    "timing", label=label, extra=cluster.timers.snapshot()
+                )
+            cluster.tracer.emit("cell-end", label=label)
+    finally:
+        cluster.close()
+        if own_tracer and tracer is not None:
+            tracer.sink.close()
 
 
 def run_kv_cell(
@@ -368,48 +285,18 @@ def run_kv_cell(
 
     ``workload`` lets a sweep share one pre-generated schedule across
     cells; schedules are immutable after construction, so replays stay
-    identical either way.  ``tracer`` is a sweep-owned tracer shared
-    across cells; a standalone call honours ``config.trace`` itself.
+    identical either way.
     """
-    ring = config.ring()
     if workload is None:
-        workload = config.make_workload(ring)
-    proc = config.resolved_transport() == "proc"
-    own_tracer = tracer is None and config.trace is not None and not proc
-    if own_tracer:
-        tracer = _open_tracer(config)
-    if proc:
-        from repro.experiments.kv_serve import build_process_cluster
-
-        cluster = build_process_cluster(config, algorithm)
-        cell_tracer = cluster.tracer
-    else:
-        cluster = KVCluster(
-            ring,
-            KV_ALGORITHMS[algorithm],
-            antientropy=config.antientropy(),
-            config=config.cluster_config(),
-            transport=config.resolved_transport(),
-            recovery=config.recovery,
-            wal_config=config.wal_config() if config.recovery != "repair" else None,
-            trace=tracer,
-        )
-        cell_tracer = tracer
-    end_cell = _cell_span(
-        cluster, cell_tracer, algorithm, {"workload": workload.name}
-    )
-    try:
+        workload = config.make_workload(config.ring())
+    with measured_cell(
+        config, algorithm, algorithm, {"workload": workload.name}, tracer
+    ) as cluster:
         cluster.run_rounds(workload.rounds, workload.updates_for)
-        drain_rounds = cluster.drain()
-        end_cell()
-        return _measure_cell(cluster, algorithm, drain_rounds)
-    finally:
-        cluster.close()
-        if own_tracer:
-            tracer.sink.close()
+        return _measure_cell(cluster, algorithm, cluster.drain())
 
 
-def _measure_cell(cluster: KVCluster, algorithm: str, drain_rounds: int) -> KVCell:
+def _measure_cell(cluster: KVDriver, algorithm: str, drain_rounds: int) -> KVCell:
     stats = cluster.scheduler_stats()
     wal = cluster.wal_stats()
     return KVCell(
@@ -454,8 +341,7 @@ class KVRepairComparison:
             f"{config.replication}, partition + heal + crash(lose_state), "
             f"repair interval {config.repair_interval}, seed {config.seed}"
         )
-        if config.transport != "sim":
-            header += f", transport {config.transport} (measured wire bytes)"
+        header += describe(config.deployment)
         rows = []
         for mode, cell in self.cells.items():
             rows.append(
@@ -517,47 +403,17 @@ def run_kv_repair_cell(
             f"unknown recovery strategy {mode!r} "
             f"(known: {', '.join(RECOVERY_STRATEGIES)})"
         ) from None
-    ring = config.ring()
     if workload is None:
-        workload = config.make_workload(ring)
-    antientropy = AntiEntropyConfig(
-        budget_bytes=config.budget_bytes,
-        repair_interval=config.repair_interval,
-        repair_fanout=config.repair_fanout,
-        repair_mode=repair_mode,
-        batch=config.batch,
-    )
-    proc = config.resolved_transport() == "proc"
-    own_tracer = tracer is None and config.trace is not None and not proc
-    if own_tracer:
-        tracer = _open_tracer(config)
-    if proc:
-        from repro.experiments.kv_serve import build_process_cluster
-
-        cluster = build_process_cluster(
-            config,
-            algorithm,
-            antientropy=antientropy,
-            recovery=recovery,
-            trace_label=mode,
-        )
-        cell_tracer = cluster.tracer
-    else:
-        cluster = KVCluster(
-            ring,
-            KV_ALGORITHMS[algorithm],
-            antientropy=antientropy,
-            config=config.cluster_config(),
-            transport=config.resolved_transport(),
-            recovery=recovery,
-            wal_config=config.wal_config() if recovery != "repair" else None,
-            trace=tracer,
-        )
-        cell_tracer = tracer
-    end_cell = _cell_span(
-        cluster, cell_tracer, mode, {"algorithm": algorithm, "recovery": recovery}
-    )
-    try:
+        workload = config.make_workload(config.ring())
+    with measured_cell(
+        config,
+        algorithm,
+        mode,
+        {"algorithm": algorithm, "recovery": recovery},
+        tracer,
+        antientropy=replace(config.antientropy(), repair_mode=repair_mode),
+        recovery=recovery,
+    ) as cluster:
         phase = max(1, workload.rounds // 3)
         updates = workload.updates_for
         # Healthy traffic, then a partition that keeps absorbing writes on
@@ -574,13 +430,29 @@ def run_kv_repair_cell(
         for round_index in range(2 * phase, workload.rounds):
             cluster.run_round(lambda node, r=round_index: updates(r, node))
         cluster.recover(victim)
-        drain_rounds = cluster.drain()
-        end_cell()
-        return _measure_cell(cluster, algorithm, drain_rounds)
+        return _measure_cell(cluster, algorithm, cluster.drain())
+
+
+def _run_cells(config: KVConfig, labels: Sequence[str], run_one) -> Tuple[Any, Dict[str, KVCell]]:
+    """``run_one(label, workload, tracer)`` per label, on one shared
+    workload schedule and one run-wide tracer."""
+    workload = config.make_workload(config.ring())
+    tracer = open_tracer(config)
+    try:
+        return workload, {
+            label: run_one(label, workload, tracer) for label in labels
+        }
     finally:
-        cluster.close()
-        if own_tracer:
+        if tracer is not None:
             tracer.sink.close()
+
+
+def _check_algorithms(algorithms: Sequence[str]) -> None:
+    unknown = [a for a in algorithms if a not in KV_ALGORITHMS]
+    if unknown:
+        raise ValueError(
+            f"unknown algorithms {unknown} (known: {sorted(KV_ALGORITHMS)})"
+        )
 
 
 def run_kv_repair_comparison(
@@ -589,21 +461,14 @@ def run_kv_repair_comparison(
     modes: Sequence[str] = DEFAULT_STRATEGIES,
 ) -> KVRepairComparison:
     """Replay the identical fault schedule under each recovery strategy."""
-    if algorithm not in KV_ALGORITHMS:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r} (known: {sorted(KV_ALGORITHMS)})"
-        )
-    workload = config.make_workload(config.ring())
-    tracer = _open_tracer(config)
-    cells: Dict[str, KVCell] = {}
-    try:
-        for mode in modes:
-            cells[mode] = run_kv_repair_cell(
-                config, algorithm, mode, workload, tracer=tracer
-            )
-    finally:
-        if tracer is not None:
-            tracer.sink.close()
+    _check_algorithms([algorithm])
+    workload, cells = _run_cells(
+        config,
+        modes,
+        lambda mode, workload, tracer: run_kv_repair_cell(
+            config, algorithm, mode, workload, tracer=tracer
+        ),
+    )
     return KVRepairComparison(
         config=config,
         algorithm=algorithm,
@@ -618,22 +483,14 @@ def run_kv_sweep(
     algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
 ) -> KVSweepResult:
     """Sweep protocols over identical workload replays on one ring."""
-    unknown = [a for a in algorithms if a not in KV_ALGORITHMS]
-    if unknown:
-        raise ValueError(
-            f"unknown algorithms {unknown} (known: {sorted(KV_ALGORITHMS)})"
-        )
-    workload = config.make_workload(config.ring())
-    tracer = _open_tracer(config)
-    cells: Dict[str, KVCell] = {}
-    try:
-        for algorithm in algorithms:
-            cells[algorithm] = run_kv_cell(
-                config, algorithm, workload, tracer=tracer
-            )
-    finally:
-        if tracer is not None:
-            tracer.sink.close()
+    _check_algorithms(algorithms)
+    workload, cells = _run_cells(
+        config,
+        algorithms,
+        lambda algorithm, workload, tracer: run_kv_cell(
+            config, algorithm, workload, tracer=tracer
+        ),
+    )
     return KVSweepResult(
         config=config,
         workload=workload.name,

@@ -18,22 +18,28 @@ reconciliation):
 * :mod:`repro.kv.store` — the per-replica engine, itself a
   :class:`~repro.sync.protocol.Synchronizer`, running any inner
   protocol per shard;
-* :mod:`repro.kv.cluster` — the store on the simulated network with
+* :mod:`repro.kv.driver` — the cluster driver every backend shares:
   smart-client routing, per-shard convergence, partition/crash
   recovery under a pluggable recovery policy (bottom restart + remote
   repair, or local :mod:`repro.wal` replay with repair covering only
   the remainder), and **live membership changes**:
   ``add_replica``/``decommission_replica`` swap the ring mid-run and
   ship every moved shard as a compacted WAL segment through the
-  ``kv-handoff-*`` protocol, fencing the old owner's log on completion.
+  ``kv-handoff-*`` protocol, fencing the old owner's log on completion;
+* :mod:`repro.kv.cluster` — that driver's in-process backend (replica
+  runtimes on the simulator or localhost TCP); the multi-process
+  backend is :class:`repro.serve.ProcessCluster`.
 """
 
 from repro.kv.antientropy import REPAIR_MODES, AntiEntropyConfig, AntiEntropyScheduler
-from repro.kv.cluster import (
+from repro.kv.cluster import KVCluster
+from repro.kv.driver import (
+    KV_ALGORITHMS,
     RECOVERY_POLICIES,
-    KVCluster,
+    KVDriver,
     RebalanceReport,
     Unavailable,
+    plan_rebalance,
 )
 from repro.kv.ring import HashRing, stable_hash
 from repro.kv.store import (
@@ -61,6 +67,8 @@ __all__ = [
     "HashRing",
     "RebalanceReport",
     "KVCluster",
+    "KVDriver",
+    "KV_ALGORITHMS",
     "KVRoutingError",
     "KVStore",
     "KVTypeError",
@@ -72,6 +80,7 @@ __all__ = [
     "TypeSpec",
     "Unavailable",
     "kv_store_factory",
+    "plan_rebalance",
     "register_type",
     "stable_hash",
     "type_spec",

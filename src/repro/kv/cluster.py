@@ -1,11 +1,17 @@
-"""The replicated store on the cluster harness, faults included.
+"""The replicated store on the in-process cluster harness.
 
-:class:`KVCluster` specializes :class:`repro.sim.network.Cluster` for
-the sharded store: every node runs a :class:`~repro.kv.store.KVStore`
-process, client requests are routed to a live owner of the key's shard
-(a smart client with a copy of the ring), and convergence is judged
-**per shard** — each replica group must agree on its shard's keyspace,
-while replicas that do not own a shard hold nothing for it.
+:class:`KVCluster` is the in-process backend of the store's cluster
+driver (:class:`~repro.kv.driver.KVDriver`): every node of a
+:class:`repro.sim.network.Cluster` runs a :class:`~repro.kv.store.
+KVStore`, and this class supplies only what living in one process makes
+particular — building the stores with WALs and metrics registries that
+outlive rebuilds, WAL replay as the lose-state restore step, delivering
+ring changes and handoff nominations by direct call, the overlay
+reachability check, state-object comparison tokens, and the
+convergence-lag probe.  Routing, per-shard convergence, the membership
+flow and its transfer planner, the counter sums, and stepping/draining
+are the shared driver's, identical on
+:class:`~repro.serve.cluster.ProcessCluster`.
 
 All of the base cluster's machinery applies unchanged: the pluggable
 transport (deterministic event-driven simulation by default, real
@@ -19,41 +25,19 @@ digest probes that ship only the missing join decomposition — this is
 the partition/recovery harness: sever a replica group, keep writing on
 both sides, heal, drain, and the group converges for any inner
 synchronization protocol.
-
-What a replica rebuilt by ``crash(lose_state=True)`` comes back holding
-is the cluster's **recovery policy** (:data:`RECOVERY_POLICIES`):
-
-* ``"repair"`` — no durability layer; the rebuilt replica restarts from
-  bottom and anti-entropy repair rebuilds everything over the network
-  (the pre-WAL behaviour, and the baseline the others are measured
-  against);
-* ``"wal"`` — every store writes a per-shard
-  :class:`~repro.wal.ReplicaWal` of its encoded deltas; the rebuilt
-  replica replays that log locally and repair covers only the
-  divergence accrued while it was down (plus the log's torn tail);
-* ``"wal+repair"`` — replay as above, then mark every δ-path suspect so
-  the recovered replica immediately root-probes its co-owners to
-  *verify* the replay instead of trusting it.
-
-Membership is live: :meth:`KVCluster.add_replica` and
-:meth:`KVCluster.decommission_replica` swap the consistent-hash ring
-mid-run and drive one shard handoff per moved (shard, gaining-owner)
-pair — the old owner ships a compacted WAL segment, the gaining owner
-replays it, and the leaver fences its logs — while client requests
-route against the new placement throughout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Set, Union
 
 from repro.codec import encode
 from repro.net.transport import Transport
 
 from repro.kv.antientropy import AntiEntropyConfig
+from repro.kv.driver import KVDriver, ShardCopy, check_recovery
 from repro.kv.ring import HashRing
-from repro.kv.store import KVRoutingError, KVStore, KVUpdate, kv_store_factory
+from repro.kv.store import kv_store_factory
 from repro.kv.types import Schema
 from repro.lattice.base import Lattice
 from repro.lattice.map_lattice import MapLattice
@@ -63,63 +47,9 @@ from repro.sim.network import Cluster, ClusterConfig, _normalize_trace
 from repro.sim.topology import Topology, full_mesh
 from repro.wal import ReplicaWal, Storage, WalConfig
 
-#: Valid lose-state recovery policies (see the module docstring).
-RECOVERY_POLICIES = ("repair", "wal", "wal+repair")
 
-
-class Unavailable(RuntimeError):
-    """No live owner of the key's shard is reachable."""
-
-
-@dataclass(frozen=True)
-class RebalanceReport:
-    """What one live membership change planned.
-
-    The handoff protocol itself runs asynchronously over the following
-    rounds (drive the cluster and :meth:`KVCluster.converged` judges
-    completion); this report captures the *placement* consequence —
-    which shards moved, who ships what to whom — plus the byte cost a
-    naive scheme would have paid, for the handoff-vs-blanket comparison.
-
-    Attributes:
-        added: The joining replica (``None`` for a decommission).
-        removed: The leaving replica (``None`` for an add).
-        old_replicas: Ring membership before the change.
-        new_replicas: Ring membership after it.
-        n_shards: The ring's shard count (for ``moved_fraction``).
-        moved_shards: Shards whose owner group changed.
-        transfers: Planned handoffs ``(shard, source, gaining)``.
-        unsourced: ``(shard, gaining)`` pairs with no live old owner to
-            ship from — the shard starts *empty* at its new owners.
-            The crashed old owners' WALs are left unfenced (see
-            :meth:`KVCluster.decommission_replica`), so the content is
-            recoverable by an operator, but nothing re-ships it
-            automatically; a non-empty ``unsourced`` is a signal to
-            recover owners first and rebalance again.
-        naive_fullstate_bytes: What shipping a live state object from
-            *every* live old owner to every gaining owner would cost
-            (encoded bytes) — the blanket-transfer baseline the
-            WAL-segment handoff is measured against.
-    """
-
-    added: Optional[int]
-    removed: Optional[int]
-    old_replicas: Tuple[int, ...]
-    new_replicas: Tuple[int, ...]
-    n_shards: int
-    moved_shards: Tuple[int, ...]
-    transfers: Tuple[Tuple[int, int, int], ...]
-    unsourced: Tuple[Tuple[int, int], ...]
-    naive_fullstate_bytes: int
-
-    @property
-    def moved_fraction(self) -> float:
-        """Fraction of shards that changed owners (~replication/n)."""
-        return len(self.moved_shards) / self.n_shards
-
-
-class KVCluster(Cluster):
-    """A simulated cluster of sharded store replicas.
+class KVCluster(KVDriver, Cluster):
+    """An in-process cluster of sharded store replicas.
 
     Args:
         ring: Placement of shards onto the cluster's node indices; its
@@ -138,8 +68,9 @@ class KVCluster(Cluster):
         transport: ``"sim"`` (default), ``"tcp"``, or a constructed
             :class:`~repro.net.transport.Transport`.
         recovery: Lose-state recovery policy, one of
-            :data:`RECOVERY_POLICIES`; the WAL policies give every
-            store a durable per-shard delta log that survives rebuilds.
+            :data:`~repro.kv.driver.RECOVERY_POLICIES`; the WAL policies
+            give every store a durable per-shard delta log that survives
+            rebuilds.
         wal_storage: ``replica index → Storage`` factory for the WAL
             backends (defaults to one in-memory store per replica, so
             the simulator stays deterministic and fast; inject
@@ -181,11 +112,9 @@ class KVCluster(Cluster):
                 "the ring must place shards on the topology's node indices "
                 f"0..{config.topology.n - 1}, got out-of-range {out_of_range}"
             )
-        if recovery not in RECOVERY_POLICIES:
-            raise ValueError(
-                f"recovery must be one of {RECOVERY_POLICIES}, got {recovery!r}"
-            )
-        if recovery == "repair" and (wal_storage is not None or wal_config is not None):
+        if check_recovery(recovery) == "repair" and (
+            wal_storage is not None or wal_config is not None
+        ):
             # Silently accepting the storage would let a caller believe
             # their writes are durable while no log is ever created.
             raise ValueError(
@@ -194,7 +123,7 @@ class KVCluster(Cluster):
             )
         self.ring = ring
         self.recovery = recovery
-        self._antientropy = (
+        self.antientropy = (
             antientropy if antientropy is not None else AntiEntropyConfig()
         )
         #: The durable log of each replica, keyed by index.  Created
@@ -241,112 +170,45 @@ class KVCluster(Cluster):
         )
 
     def _registry_for(self, replica: int) -> MetricsRegistry:
-        registry = self._registries.get(replica)
-        if registry is None:
-            registry = MetricsRegistry()
-            self._registries[replica] = registry
-        return registry
+        if replica not in self._registries:
+            self._registries[replica] = MetricsRegistry()
+        return self._registries[replica]
 
     def _wal_for(self, replica: int) -> ReplicaWal:
-        wal = self._wals.get(replica)
-        if wal is None:
+        if replica not in self._wals:
             storage = (
                 self._wal_storage(replica) if self._wal_storage is not None else None
             )
-            wal = ReplicaWal(
+            self._wals[replica] = ReplicaWal(
                 replica,
                 storage=storage,
                 config=self._wal_config,
                 tracer=self.tracer,
             )
-            self._wals[replica] = wal
-        return wal
+        return self._wals[replica]
 
     def _restore_for(self, node: int):
         """WAL recovery: replay the surviving log into the fresh store."""
-        wal = self._wals.get(node)
-        if wal is None:
+        if node not in self._wals:
             return None
         verify = self.recovery == "wal+repair"
-
-        def restore(store) -> None:
-            assert isinstance(store, KVStore)
-            # replay_wal enforces the group-commit crash boundary
-            # itself (staged-but-uncommitted records are discarded).
-            store.replay_wal(verify=verify)
-
-        return restore
+        # replay_wal enforces the group-commit crash boundary itself
+        # (staged-but-uncommitted records are discarded).
+        return lambda store: store.replay_wal(verify=verify)
 
     # ------------------------------------------------------------------
-    # Live membership changes: ring rebalancing with shard handoff.
+    # Membership hooks: ring changes are delivered by direct call.
     # ------------------------------------------------------------------
 
-    def add_replica(self, node: int) -> RebalanceReport:
-        """Bring topology node ``node`` into the ring mid-run.
-
-        Placement shifts minimally (:meth:`~repro.kv.ring.HashRing.
-        with_replica`); for every moved shard an old owner ships the
-        gaining replica a compacted WAL segment through the handoff
-        protocol over the following rounds, while client traffic keeps
-        flowing against the new ring.
-        """
+    def _seat(self, node: int) -> None:
         if not 0 <= node < self.topology.n:
             raise ValueError(
                 f"no topology node {node} to add (nodes: 0..{self.topology.n - 1})"
             )
-        if node in self.down:
-            raise ValueError(f"cannot add crashed node {node}; recover it first")
-        return self._rebalance(self.ring.with_replica(node), added=node)
 
-    def decommission_replica(self, node: int) -> RebalanceReport:
-        """Retire ``node`` from the ring mid-run.
-
-        The leaver sources one handoff per shard it held; once the
-        gaining owners acknowledge, it fences and truncates its shard
-        logs and ends empty (the node itself stays in the topology and
-        may be re-added later).
-
-        Decommissioning a *crashed* replica is allowed — the dead-node
-        removal every ring-based store needs — but it cannot source
-        handoffs: surviving co-owners ship the moved shards instead,
-        any shard with no live owner is reported ``unsourced`` (it
-        starts empty at its new owners), and the dead node's WAL is
-        deliberately left unfenced so an operator can still recover it
-        and re-add it.  Prefer ``recover`` + decommission when the
-        node's disk is intact.
-        """
-        return self._rebalance(self.ring.without_replica(node), removed=node)
-
-    def _rebalance(
-        self,
-        new_ring: HashRing,
-        *,
-        added: Optional[int] = None,
-        removed: Optional[int] = None,
-    ) -> RebalanceReport:
-        """Swap the ring everywhere and plan the shard handoffs.
-
-        Repair must be enabled: handoff covers the moved content, but
-        the δ-buffers discarded when surviving owners rebuild their
-        shard synchronizers — and any handoff abandoned to a crash —
-        re-converge through the repair path, so a rebalance without one
-        could silently strand novelty.
-        """
-        if self._antientropy.repair_interval < 1:
-            raise ValueError(
-                "live rebalancing requires repair: construct the cluster "
-                "with AntiEntropyConfig(repair_interval >= 1) so handoff "
-                "gaps (discarded δ-buffers, lost frames, crashes) are "
-                "re-converged"
-            )
-        old_ring = self.ring
-        moved = tuple(old_ring.moved_shards(new_ring))
-        # Validate the new placement against the overlay *before* any
-        # state changes: apply_ring below runs per node, and a
-        # connectivity error surfacing mid-loop would leave the cluster
-        # half-rebalanced (some stores on the new ring, some on the
-        # old).  Only moved shards need checking — unmoved groups were
-        # valid under the old ring and neighbourhoods don't change.
+    def _check_placement(self, new_ring: HashRing, moved: Sequence[int]) -> None:
+        # Only moved shards need checking — unmoved groups were valid
+        # under the old ring and neighbourhoods don't change.
         for shard in moved:
             group = new_ring.shard_owners(shard)
             for member in group:
@@ -359,80 +221,25 @@ class KVCluster(Cluster):
                         f"{missing}; the topology must connect every "
                         "replica group"
                     )
-        transfers: List[Tuple[int, int, int]] = []
-        unsourced: List[Tuple[int, int]] = []
-        naive_bytes = 0
-        def shard_copy(node, shard):
-            store = self.nodes[node]
-            assert isinstance(store, KVStore)
-            return store.shards.get(shard) or store._fencing.get(shard)
 
-        def has_content(node, shard):
-            inner = shard_copy(node, shard)
-            return inner is not None and not inner.state.is_bottom
+    def _holders(self, shards: Sequence[int]) -> Dict[int, Dict[int, ShardCopy]]:
+        held: Dict[int, Dict[int, ShardCopy]] = {}
+        for node, store in enumerate(self.nodes):
+            if node in self.down:
+                continue
+            copies = held[node] = {}
+            for shard in shards:
+                inner = store.shards.get(shard) or store._fencing.get(shard)
+                if inner is not None:
+                    copies[shard] = ShardCopy(
+                        not inner.state.is_bottom, len(encode(inner.state))
+                    )
+        return held
 
-        for shard in moved:
-            old_owners = old_ring.shard_owners(shard)
-            new_owners = set(new_ring.shard_owners(shard))
-            gaining = sorted(r for r in new_owners if r not in old_owners)
-            if not gaining:
-                continue
-            live_old = [o for o in old_owners if o not in self.down]
-            # A source from an *earlier* overlapping rebalance may still
-            # hold the shard in its fencing set — possibly the only
-            # replica with the content when its own segment never
-            # shipped (the current ring's owner is still empty).
-            retained = [
-                node
-                for node in range(self.topology.n)
-                if node not in self.down
-                and node not in old_owners
-                and shard in self.nodes[node]._fencing
-            ]
-            live_losing = [o for o in live_old if o not in new_owners]
-            remaining = [o for o in live_old if o in new_owners]
-            # Preference order: the leaving owner (shipping is its exit
-            # path and its segment carries novelty only it held), then a
-            # retained earlier source, then an owner staying put — but a
-            # candidate that actually holds content always beats an
-            # empty one, whatever its category.
-            ordered = live_losing + retained + remaining
-            if not ordered:
-                unsourced.extend((shard, g) for g in gaining)
-                continue
-            sources = [c for c in ordered if has_content(c, shard)] or ordered
-            # The baseline a naive transfer pays: every content-capable
-            # old holder pushes its full state object to every gaining
-            # owner.
-            per_gaining = sum(
-                len(encode(shard_copy(o, shard).state))
-                for o in (live_old or retained)
-            )
-            for index, g in enumerate(gaining):
-                transfers.append((shard, sources[index % len(sources)], g))
-                naive_bytes += per_gaining
-        # A source keeps serving a shard it no longer owns until the
-        # gaining owner acknowledges; everyone else fences immediately.
-        retain: Dict[int, set] = {}
-        for shard, source, _ in transfers:
-            if source not in new_ring.shard_owners(shard):
-                retain.setdefault(source, set()).add(shard)
-        self.ring = new_ring
-        if self.tracer is not None:
-            self.tracer.emit(
-                "ring-change",
-                extra={
-                    "added": added,
-                    "removed": removed,
-                    "moved_shards": len(moved),
-                    "transfers": len(transfers),
-                    "unsourced": len(unsourced),
-                    "replicas": sorted(new_ring.replicas),
-                },
-            )
+    def _apply_ring(self, ring: HashRing, retain: Mapping[int, Set[int]]) -> None:
         for node in range(self.topology.n):
             self.runtimes[node].apply_ring(
-                new_ring,
+                ring,
                 retain=frozenset(retain.get(node, ())),
                 # A crashed replica may hold the only durable copy of a
                 # shard no live owner can source (``unsourced``):
@@ -440,21 +247,9 @@ class KVCluster(Cluster):
                 # operator can still recover the node and re-add it.
                 fence=node not in self.down,
             )
-        for shard, source, gaining in transfers:
-            store = self.nodes[source]
-            assert isinstance(store, KVStore)
-            store.begin_handoff(shard, gaining)
-        return RebalanceReport(
-            added=added,
-            removed=removed,
-            old_replicas=old_ring.replicas,
-            new_replicas=new_ring.replicas,
-            n_shards=new_ring.n_shards,
-            moved_shards=moved,
-            transfers=tuple(transfers),
-            unsourced=tuple(unsourced),
-            naive_fullstate_bytes=naive_bytes,
-        )
+
+    def _begin_handoff(self, shard: int, source: int, gaining: int) -> None:
+        self.nodes[source].begin_handoff(shard, gaining)
 
     def pending_handoffs(self) -> int:
         """Handoffs still in flight at live replicas.
@@ -462,42 +257,15 @@ class KVCluster(Cluster):
         Down replicas are excluded: they cannot make progress until
         recovered, and their queues resume then.
         """
-        total = 0
-        for index, node in enumerate(self.nodes):
-            if index in self.down:
-                continue
-            assert isinstance(node, KVStore)
-            total += node.scheduler.pending_handoffs()
-        return total
+        return sum(
+            node.scheduler.pending_handoffs()
+            for index, node in enumerate(self.nodes)
+            if index not in self.down
+        )
 
-    def drain(self) -> int:
-        """Drain to convergence *and* let outstanding handoffs settle.
-
-        State convergence can precede protocol completion: digest
-        repair may fill a gaining owner before its segment ships, while
-        the source still awaits the acknowledgement that lets it fence
-        its log.  And a late segment can carry novelty the gaining
-        owner drains rather than propagates, breaking the convergence
-        the first pass established — so the two conditions are
-        re-checked together until both hold in the same round.
-        """
-        rounds = super().drain()
-        for _ in range(self.config.max_drain_rounds):
-            if not self.pending_handoffs() and self.converged():
-                break
-            self.run_round(updates=None)
-            rounds += 1
-        if self.pending_handoffs():
-            raise RuntimeError(
-                f"{self.pending_handoffs()} shard handoffs failed to settle "
-                f"within {self.config.max_drain_rounds} extra drain rounds"
-            )
-        if not self.converged():
-            raise RuntimeError(
-                "no post-handoff convergence within "
-                f"{self.config.max_drain_rounds} extra drain rounds"
-            )
-        return rounds
+    def hosted_shards(self, replica: int) -> int:
+        """How many shards ``replica`` currently hosts."""
+        return len(self.nodes[replica].shards)
 
     def run_round(self, updates=None) -> None:
         super().run_round(updates)
@@ -515,16 +283,13 @@ class KVCluster(Cluster):
         cache, so a quiescent shard costs one identity check per owner
         per round instead of a full decomposition.
         """
-        agreement: Dict[int, bool] = {}
-        for shard in range(self.ring.n_shards):
-            roots = set()
-            for owner in self.ring.shard_owners(shard):
-                if owner in self.down:
-                    continue
-                root = self.nodes[owner].shard_root(shard)
-                if root is not None:
-                    roots.add(root)
-            agreement[shard] = len(roots) <= 1
+        nodes = self.nodes
+        agreement = {
+            shard: self.shard_converged(
+                shard, lambda owner, owned: nodes[owner].shard_root(owned)
+            )
+            for shard in range(self.ring.n_shards)
+        }
         round_index = self.rounds_run - 1
         for shard, lag in self._lag_probe.observe(round_index, agreement):
             self.tracer.emit(
@@ -532,85 +297,21 @@ class KVCluster(Cluster):
             )
 
     # ------------------------------------------------------------------
-    # Smart-client request routing.
+    # Driver hooks: reads, comparison tokens, registries.
     # ------------------------------------------------------------------
-
-    def live_owners(self, key: Hashable) -> Tuple[int, ...]:
-        """The key's owner group with crashed replicas filtered out."""
-        return tuple(o for o in self.ring.owners(key) if o not in self.down)
-
-    def _coordinator(self, key: Hashable) -> int:
-        owners = self.live_owners(key)
-        if not owners:
-            raise Unavailable(
-                f"all owners {self.ring.owners(key)} of key {key!r} are down"
-            )
-        return owners[0]
-
-    def update(self, key: Hashable, op: str, *args) -> Lattice:
-        """Apply a typed write at the first live owner; return the δ."""
-        return self.apply_update(
-            self._coordinator(key), KVUpdate(key, op, tuple(args))
-        )
 
     def remove(self, key: Hashable) -> Lattice:
         """Remove ``key`` at the first live owner (observed-remove types)."""
-        node = self.nodes[self._coordinator(key)]
-        assert isinstance(node, KVStore)
-        return node.remove(key)
+        return self.nodes[self._coordinator(key)].remove(key)
 
-    def value(self, key: Hashable, *, read_replica: Optional[int] = None) -> Any:
-        """Read the typed value of ``key`` from one replica.
+    def _read(self, owner: int, key: Hashable):
+        return self.nodes[owner].get(key)
 
-        Args:
-            key: The key to read.
-            read_replica: Which owner answers.  ``None`` (default)
-                routes like a smart client: the key's first *live*
-                owner.  An explicit replica index must be a live owner
-                of the key's shard — anything else raises
-                :class:`~repro.kv.store.KVRoutingError` (not an owner)
-                or :class:`Unavailable` (owner, but down).
-
-        **Staleness contract.**  Every read is served from a single
-        replica's local state with no quorum or read-repair, so it is
-        *eventually consistent*: it reflects all writes that replica has
-        locally applied — its own coordinated writes, plus whatever
-        anti-entropy has delivered — and may miss writes coordinated
-        elsewhere that are still in flight.  Under round-stepped
-        execution a read taken between rounds is at most one
-        synchronization interval stale on a healthy cluster, because
-        every round settles to quiescence.  Under free-running
-        execution (``transport="free"``) there is **no settling**:
-        replicas sync on drifting timers and a read may trail a remote
-        write by several intervals — the convergence-lag probe measures
-        exactly this window.  Reads from different replicas (or the
-        same replica across partitions/crashes) may disagree until
-        anti-entropy converges; what never happens is a *rollback* —
-        per replica, successive reads of a CRDT value only move up the
-        lattice order.  Pin ``read_replica`` to observe one replica's
-        monotone timeline; leave it ``None`` for availability.
-        """
-        if read_replica is None:
-            owner = self._coordinator(key)
-        else:
-            owners = self.ring.owners(key)
-            if read_replica not in owners:
-                raise KVRoutingError(
-                    f"replica {read_replica} does not own key {key!r} "
-                    f"(owners: {list(owners)})"
-                )
-            if read_replica in self.down:
-                raise Unavailable(
-                    f"read replica {read_replica} of key {key!r} is down"
-                )
-            owner = read_replica
-        node = self.nodes[owner]
-        assert isinstance(node, KVStore)
-        return node.get(key)
-
-    # ------------------------------------------------------------------
-    # Per-shard convergence.
-    # ------------------------------------------------------------------
+    def _shard_tokens(self):
+        # State objects, not root hashes: comparing what the owners
+        # already hold costs no digest refresh.
+        nodes = self.nodes
+        return lambda owner, shard: nodes[owner].shards[shard].state
 
     def shard_states(self, shard: int) -> List[Lattice]:
         """The shard's keyspace as held by each live owner."""
@@ -620,60 +321,16 @@ class KVCluster(Cluster):
             if owner not in self.down
         ]
 
-    def shard_converged(self, shard: int) -> bool:
-        """True when every live owner of ``shard`` agrees on it."""
-        states = self.shard_states(shard)
-        return all(state == states[0] for state in states[1:])
-
-    def converged(self) -> bool:
-        """Per-shard agreement across every replica group (live members)."""
-        return all(
-            self.shard_converged(shard) for shard in range(self.ring.n_shards)
-        )
-
-    def key_converged(self, key: Hashable) -> bool:
-        """True when the key's replica group agrees on its value."""
-        return self.shard_converged(self.ring.shard_of(key))
-
-    def scheduler_stats(self) -> dict:
-        """Cluster-wide sums of every store's scheduler counters.
-
-        Includes the repair-byte accounting (``repair_payload_bytes``,
-        ``repair_metadata_bytes``, ``probes``, ``repairs``) that the
-        repair-mode comparisons measure.  A thin adapter over the
-        per-replica metrics registries: the registries — like the WALs
-        — survive ``crash(lose_state=True)`` rebuilds, so the sums
-        cover the whole run across store incarnations with no retired-
-        counter bookkeeping.
-        """
-        totals: dict = {}
-        prefix = "scheduler."
-        for registry in self._registries.values():
-            for name, value in registry.snapshot().items():
-                if name.startswith(prefix):
-                    key = name[len(prefix):]
-                    totals[key] = totals.get(key, 0) + value
-        return totals
-
-    def wal_stats(self) -> dict:
-        """Cluster-wide sums of the per-replica WAL counters.
-
-        Empty under the ``"repair"`` policy (no logs exist).  The log
-        objects survive rebuilds, so — unlike the scheduler counters —
-        nothing needs retiring at crash time.
-        """
-        totals: dict = {}
-        for wal in self._wals.values():
-            for key, value in wal.stats().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
+    def _registry_snapshots(self):
+        # The registries — like the WALs, whose counters they expose as
+        # ``wal.*`` views — survive ``crash(lose_state=True)`` rebuilds,
+        # so the sums need no retired-counter bookkeeping.
+        return [registry.snapshot() for registry in self._registries.values()]
 
     def merged_keyspace(self) -> MapLattice:
         """The join of every live replica's keyspace — the global view."""
         merged = MapLattice()
         for index, node in enumerate(self.nodes):
-            if index in self.down:
-                continue
-            assert isinstance(node, KVStore)
-            merged = merged.join(node.state)
+            if index not in self.down:
+                merged = merged.join(node.state)
         return merged

@@ -3,11 +3,10 @@
 The system's correctness rests on invariants no runtime test states
 directly: byte-identical sim fingerprints require that the
 deterministic core never reads wall clocks or unseeded RNGs, every
-:data:`~repro.codec.WIRE_KINDS` entry needs an encode *and* a decode
-branch, every transport ``record_message`` site must emit a paired
-``send`` trace event with identical byte arguments, and the frozen
+traced event type must be catalogued, and the frozen
 :class:`~repro.sync.protocol.Message` may be mutated only at sanctioned
-memo sites.  ``repro.lint`` turns those conventions into checked rules:
+memo sites.  (Conventions a structure can enforce are not rules: the
+wire-kind and verb registries are complete by construction.)  ``repro.lint`` turns those conventions into checked rules:
 an AST-visitor rule engine (:mod:`repro.lint.engine`), the rule
 catalogue (:mod:`repro.lint.rules`), a content-fingerprinted baseline
 for accepted legacy findings (:mod:`repro.lint.baseline`), and text /
@@ -44,7 +43,6 @@ from repro.lint.report import render_json, render_text, rule_stats
 from repro.lint.rules import (
     ALL_RULES,
     PROFILES,
-    rule_aliases,
     rule_catalogue,
     rules_for_profile,
 )
@@ -71,7 +69,6 @@ __all__ = [
     "render_dot",
     "render_json",
     "render_text",
-    "rule_aliases",
     "rule_catalogue",
     "rule_stats",
     "rules_for_profile",

@@ -14,7 +14,7 @@ Resolution is deliberately static and deliberately honest about what
 it gives up:
 
 * **names** resolve through local scopes and the import-alias map
-  (``from repro.serve import frames; frames.send_frame(...)``);
+  (``from repro.net import framing; framing.send_frame(...)``);
 * **self/cls method calls** resolve through the project MRO *plus all
   project subclass overrides* — dynamic dispatch is modelled as
   may-call over the subtree;

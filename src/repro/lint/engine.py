@@ -63,15 +63,8 @@ class Suppression:
     reason: str
     covers: Tuple[int, ...]
 
-    def shields(
-        self,
-        finding: Finding,
-        alias_of: Optional[Dict[str, str]] = None,
-    ) -> bool:
-        rules = self.rules
-        if alias_of:
-            rules = tuple(alias_of.get(rule, rule) for rule in rules)
-        return finding.line in self.covers and finding.rule in rules
+    def shields(self, finding: Finding) -> bool:
+        return finding.line in self.covers and finding.rule in self.rules
 
 
 @dataclass
@@ -129,16 +122,12 @@ class Rule:
     Subclasses set ``id`` (the suppression/baseline key), ``severity``,
     and a one-line ``summary`` for ``lint --list-rules``, and implement
     :meth:`check` over the whole project — single-file rules just loop
-    ``project.modules``.  ``aliases`` are retired ids this rule
-    subsumes: a ``lint-ok`` naming an alias shields the canonical
-    rule's findings, so demoting a rule never invalidates existing
-    suppressions.
+    ``project.modules``.
     """
 
     id: str = ""
     severity: str = "error"
     summary: str = ""
-    aliases: Tuple[str, ...] = ()
 
     def check(self, project: Project) -> Iterator[Finding]:
         raise NotImplementedError
@@ -285,15 +274,12 @@ def _suppression_findings(
     project: Project,
     known_rules: Iterable[str],
     raw_findings: Sequence[Finding],
-    alias_of: Optional[Dict[str, str]] = None,
 ) -> List[Finding]:
     """The engine's own rule: every ``lint-ok`` must be well-formed
     (non-empty rule list, known ids, a stated reason) and must still
     shield at least one finding — otherwise it is stale and reported.
-    Rule aliases are valid ids (they canonicalize before matching);
-    anything else — including a typoed alias — is unknown.
     """
-    known = set(known_rules) | set(ENGINE_RULE_IDS) | set(alias_of or ())
+    known = set(known_rules) | set(ENGINE_RULE_IDS)
     findings: List[Finding] = []
     for module in project.modules:
         for suppression in module.suppressions:
@@ -319,9 +305,7 @@ def _suppression_findings(
                     )
                 )
                 continue
-            if not any(
-                suppression.shields(f, alias_of) for f in raw_findings
-            ):
+            if not any(suppression.shields(f) for f in raw_findings):
                 findings.append(
                     Finding(
                         rule="suppression",
@@ -351,27 +335,17 @@ def run_rules(project: Project, rules: Sequence[Rule]) -> LintResult:
     raw: List[Finding] = []
     for rule in rules:
         raw.extend(rule.check(project))
-    alias_of = {
-        alias: rule.id for rule in rules for alias in rule.aliases
-    }
     suppressions = [
         s for module in project.modules for s in module.suppressions
     ]
     live: List[Finding] = []
     shielded: List[Finding] = []
     for finding in raw:
-        if any(
-            s.path == finding.path and s.shields(finding, alias_of)
-            for s in suppressions
-        ):
+        if any(s.path == finding.path and s.shields(finding) for s in suppressions):
             shielded.append(finding)
         else:
             live.append(finding)
-    live.extend(
-        _suppression_findings(
-            project, (r.id for r in rules), raw, alias_of
-        )
-    )
+    live.extend(_suppression_findings(project, (r.id for r in rules), raw))
     live.extend(project.parse_failures)
     live.sort(key=Finding.sort_key)
     shielded.sort(key=Finding.sort_key)

@@ -2,10 +2,9 @@
 
 Rules are instantiated fresh per pass (they are stateless, but the
 list is cheap and a future configurable rule may not be).  The ids
-here — plus the engine's own ``parse-error`` and ``suppression``, plus
-any :attr:`~repro.lint.engine.Rule.aliases` — are the valid targets of
-``# repro: lint-ok[rule-id] reason`` comments and the keys of baseline
-entries.
+here — plus the engine's own ``parse-error`` and ``suppression`` — are
+the valid targets of ``# repro: lint-ok[rule-id] reason`` comments and
+the keys of baseline entries.
 
 Two profiles exist: ``full`` (the CI gate on ``src``) and ``relaxed``
 for ``tests/`` and ``benchmarks/`` — there only seeded-RNG discipline
@@ -28,21 +27,13 @@ from repro.lint.rules.interproc import (
     ResourceTypestateRule,
     TransitiveBlockingRule,
 )
-from repro.lint.rules.pairing import TracePairingRule
-from repro.lint.rules.registries import (
-    EventRegistryRule,
-    VerbRegistryRule,
-    WireRegistryRule,
-)
+from repro.lint.rules.registries import EventRegistryRule
 
 RULE_CLASSES = (
     GlobalRngRule,
     WallClockRule,
     DetTaintRule,
-    WireRegistryRule,
-    VerbRegistryRule,
     EventRegistryRule,
-    TracePairingRule,
     FrozenMutationRule,
     TransitiveBlockingRule,
     ResourceTypestateRule,
@@ -71,15 +62,6 @@ def rules_for_profile(profile: str = "full") -> List[Rule]:
             f"choose from {', '.join(sorted(PROFILES))}"
         ) from None
     return [rule_class() for rule_class in classes]
-
-
-def rule_aliases() -> Dict[str, str]:
-    """retired id → canonical id, across the full catalogue."""
-    return {
-        alias: rule_class.id
-        for rule_class in RULE_CLASSES
-        for alias in rule_class.aliases
-    }
 
 
 def rule_catalogue() -> Dict[str, str]:

@@ -28,7 +28,7 @@ import ast
 from typing import Iterator
 
 from repro.lint.engine import Finding, Module, Project, Rule
-from repro.lint.rules.common import import_aliases, qualified_name
+from repro.lint.astutil import import_aliases, qualified_name
 
 #: Module-level functions of :mod:`random` that draw from the shared
 #: process-global stream.

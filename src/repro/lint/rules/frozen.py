@@ -24,7 +24,7 @@ import ast
 from typing import Iterator, Optional, Set
 
 from repro.lint.engine import Finding, Project, Rule
-from repro.lint.rules.common import FunctionNode, walk_with_function
+from repro.lint.astutil import FunctionNode, walk_with_function
 
 CONSTRUCTOR_NAMES = frozenset(("__init__", "__post_init__", "__new__"))
 

@@ -1,14 +1,10 @@
 """Exception hygiene, plus the blocking-call surface shared with the
 interprocedural rules.
 
-The direct-call ``async-blocking`` rule PR 9 shipped lives on only as
-the :data:`BLOCKING_CALLS`/:data:`BLOCKING_CALLEE_NAMES` tables below
-and as an *alias* of
-:class:`repro.lint.rules.interproc.TransitiveBlockingRule`, which
-subsumes it: the blocking effect now propagates through the call
-graph, so wrapping ``flock`` in a helper no longer hides it from the
-gate.  Suppressions written against ``async-blocking`` keep working
-through the alias.
+The :data:`BLOCKING_CALLS`/:data:`BLOCKING_CALLEE_NAMES` tables below
+seed :class:`repro.lint.rules.interproc.TransitiveBlockingRule`, which
+propagates the blocking effect through the call graph, so wrapping
+``flock`` in a helper does not hide it from the gate.
 
 ``broad-except``
     ``except Exception`` (or broader) that silently swallows is how a

@@ -13,8 +13,7 @@ was enough to hide each violation class this module closes:
     ``await`` sites (calling an async function merely creates the
     coroutine), and findings report the frontier — the async function
     whose call site reaches a blocking *sync* chain — with the chain
-    spelled out.  The rule subsumes PR 9's ``async-blocking`` (now an
-    alias, so existing suppressions keep working).
+    spelled out.
 
 ``det-taint``
     Values sourced from wall clocks, OS entropy, or ``os.environ``
@@ -55,7 +54,7 @@ from repro.lint.callgraph import (
     propagate_effect,
 )
 from repro.lint.flow import CfgNode, build_cfg, solve_forward
-from repro.lint.rules.common import FunctionNode, import_aliases, qualified_name
+from repro.lint.astutil import FunctionNode, import_aliases, qualified_name
 from repro.lint.rules.determinism import IMPURE_CALLS, in_deterministic_core
 from repro.lint.rules.hygiene import BLOCKING_CALLS, BLOCKING_CALLEE_NAMES
 
@@ -105,11 +104,10 @@ def _blocking_edge_admits(
 
 class TransitiveBlockingRule(Rule):
     id = "async-blocking-transitive"
-    aliases = ("async-blocking",)
     summary = (
         "no blocking calls (time.sleep, flock, send_frame/recv_frame, "
         "sendall, subprocess) inside async def, directly or through "
-        "any reachable helper (alias: async-blocking)"
+        "any reachable helper"
     )
 
     def check(self, project: Project) -> Iterator[Finding]:

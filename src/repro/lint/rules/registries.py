@@ -1,22 +1,9 @@
-"""Registry-completeness rules.
+"""The registry-completeness rule that no structure can replace.
 
-Three registries drive runtime dispatch by data, so a new entry that
-misses its handler fails deep inside a run — a ``KeyError`` three
-layers under a TCP settle loop, or a ``Tracer.emit`` rejection halfway
-through a fault schedule.  These rules move that failure to lint time:
-
-``wire-registry``
-    Every :data:`WIRE_KINDS` entry must have a ``(writer, reader)``
-    pair in ``_WIRE_CODECS`` — the one table both ``encode_message``
-    and ``decode_message`` dispatch through — and the table must not
-    carry kinds missing from the wire registry (their uvarint tag
-    would be unassigned).
-
-``verb-registry``
-    Every verb in ``serve.frames._VERB_NAMES`` must appear in an
-    equality dispatch somewhere in the scanned tree (the replica's
-    ``verb == frames.X`` chain).  A verb with a frame codec but no
-    handler answers every request with ``ERR_BAD_REQUEST``.
+Trace events are emitted by literal ``.emit("type", ...)`` calls spread
+over every layer, so unlike the wire-kind and verb registries (built by
+decorators, complete by construction) the event catalogue can only be
+policed from outside:
 
 ``event-registry``
     Every literal ``.emit("type", ...)`` must name a catalogued
@@ -29,10 +16,10 @@ through a fault schedule.  These rules move that failure to lint time:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, Optional, Set, Tuple
 
 from repro.lint.engine import Finding, Module, Project, Rule
-from repro.lint.rules.common import (
+from repro.lint.astutil import (
     call_argument_strings,
     emit_call_type,
     string_tuple_assignment,
@@ -48,138 +35,6 @@ def _find_string_tuple(
             texts, elements = decoded
             return module, node, texts, elements
     return None
-
-
-class WireRegistryRule(Rule):
-    id = "wire-registry"
-    summary = (
-        "every WIRE_KINDS entry has a (writer, reader) pair in "
-        "_WIRE_CODECS and vice versa"
-    )
-
-    def check(self, project: Project) -> Iterator[Finding]:
-        kinds = _find_string_tuple(project, "WIRE_KINDS")
-        if kinds is None:
-            return
-        module, kinds_node, kind_names, kind_elements = kinds
-        codecs = self._codec_table(module)
-        if codecs is None:
-            yield self.finding(
-                module,
-                kinds_node,
-                "WIRE_KINDS is defined but no _WIRE_CODECS dispatch "
-                "table was found in the same module",
-            )
-            return
-        entries, table_keys = codecs
-        for name, element in zip(kind_names, kind_elements):
-            if name not in entries:
-                yield self.finding(
-                    module,
-                    element,
-                    f"wire kind {name!r} has no (writer, reader) entry "
-                    "in _WIRE_CODECS: it cannot be encoded or decoded",
-                )
-                continue
-            value = entries[name]
-            if not (
-                isinstance(value, (ast.Tuple, ast.List))
-                and len(value.elts) == 2
-            ):
-                yield self.finding(
-                    module,
-                    value,
-                    f"wire kind {name!r} must map to a (writer, reader) "
-                    "pair so both encode and decode dispatch reach it",
-                )
-        for name, key_node in table_keys:
-            if name not in kind_names:
-                yield self.finding(
-                    module,
-                    key_node,
-                    f"_WIRE_CODECS entry {name!r} is not in WIRE_KINDS: "
-                    "it has no uvarint tag and can never be dispatched",
-                )
-
-    def _codec_table(
-        self, module: Module
-    ) -> Optional[Tuple[Dict[str, ast.AST], List[Tuple[str, ast.AST]]]]:
-        for node in module.tree.body:
-            if not (
-                isinstance(node, ast.Assign)
-                and any(
-                    isinstance(t, ast.Name) and t.id == "_WIRE_CODECS"
-                    for t in node.targets
-                )
-                and isinstance(node.value, ast.Dict)
-            ):
-                continue
-            entries: Dict[str, ast.AST] = {}
-            keys: List[Tuple[str, ast.AST]] = []
-            for key, value in zip(node.value.keys, node.value.values):
-                if isinstance(key, ast.Constant) and isinstance(
-                    key.value, str
-                ):
-                    entries[key.value] = value
-                    keys.append((key.value, key))
-            return entries, keys
-        return None
-
-
-class VerbRegistryRule(Rule):
-    id = "verb-registry"
-    summary = (
-        "every serve.frames verb (the _VERB_NAMES keys) appears in an "
-        "equality dispatch somewhere in the scanned tree"
-    )
-
-    def check(self, project: Project) -> Iterator[Finding]:
-        table = self._verb_table(project)
-        if table is None:
-            return
-        module, node, verbs = table
-        compared = self._compared_names(project)
-        # Gate: if *no* verb is dispatched anywhere, the handler module
-        # is outside the scan (e.g. linting frames.py alone) and the
-        # rule has nothing sound to say.
-        if not (verbs & compared):
-            return
-        for verb in sorted(verbs - compared):
-            yield self.finding(
-                module,
-                node,
-                f"verb {verb} has a frame name but no `== frames.{verb}` "
-                "dispatch anywhere in the scanned tree: requests with it "
-                "die as ERR_BAD_REQUEST",
-            )
-
-    def _verb_table(
-        self, project: Project
-    ) -> Optional[Tuple[Module, ast.Assign, Set[str]]]:
-        for module, node in project.assignments("_VERB_NAMES"):
-            if not isinstance(node.value, ast.Dict):
-                continue
-            verbs = {
-                key.id
-                for key in node.value.keys
-                if isinstance(key, ast.Name)
-            }
-            if verbs:
-                return module, node, verbs
-        return None
-
-    def _compared_names(self, project: Project) -> Set[str]:
-        names: Set[str] = set()
-        for module in project.modules:
-            for node in ast.walk(module.tree):
-                if not isinstance(node, ast.Compare):
-                    continue
-                for side in [node.left] + list(node.comparators):
-                    if isinstance(side, ast.Attribute):
-                        names.add(side.attr)
-                    elif isinstance(side, ast.Name):
-                        names.add(side.id)
-        return names
 
 
 class EventRegistryRule(Rule):

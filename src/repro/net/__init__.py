@@ -33,9 +33,10 @@ reproduces the barrier-stepped round timeline bit-identically, and
 with per-replica phase and skew.
 
 ``repro.sim.network.Cluster`` (and therefore ``repro.kv.KVCluster``)
-is a thin facade over these layers: same constructors, same public
-methods, plus ``transport="tcp"`` to run any synchronizer over real
-sockets.
+is these layers assembled — one runtime per node on one transport,
+stepped and drained by the shared :class:`repro.driver.ClusterDriver` —
+and ``transport="tcp"`` runs any synchronizer over real sockets.  The
+length-prefixed framing every socket speaks is :mod:`repro.net.framing`.
 """
 
 # Import order matters: runtime only type-checks against the transport

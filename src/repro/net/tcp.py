@@ -36,7 +36,7 @@ coin flips: the k-th flip on an edge is a pure function of
 the traffic — repeated TCP runs, and the simulator against TCP, drop
 the same frames even though the event loop chooses callback order.
 
-Wire format per connection::
+Wire format per connection (:mod:`repro.net.framing`)::
 
     frame     := u32be(length) body
     body[0]   := uvarint(sender replica index)      # handshake, once
@@ -47,20 +47,17 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import struct
 import time
 import warnings
 from collections import deque
-from io import BytesIO
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.codec import decode_message, frame_message, read_uvarint, write_uvarint
+from repro.codec import decode_message, frame_message
+from repro.net import framing
+from repro.net.framing import LENGTH_PREFIX_BYTES
 from repro.net.transport import Transport, TransportStalled
 from repro.sim.metrics import MetricsCollector
 from repro.sync.protocol import Send
-
-#: Bytes of the per-frame length prefix, counted as framing metadata.
-LENGTH_PREFIX_BYTES = 4
 
 
 class AsyncTcpTransport(Transport):
@@ -118,10 +115,7 @@ class AsyncTcpTransport(Transport):
         for node in range(self.topology.n):
             self._writers[node] = {}
             for peer in self.topology.neighbors(node):
-                _, writer = await asyncio.open_connection(self.HOST, self._ports[peer])
-                hello = BytesIO()
-                write_uvarint(hello, node)
-                writer.write(struct.pack(">I", len(hello.getvalue())) + hello.getvalue())
+                writer = await framing.dial(self.HOST, self._ports[peer], node)
                 await writer.drain()
                 self._writers[node][peer] = writer
 
@@ -129,12 +123,12 @@ class AsyncTcpTransport(Transport):
         """Serve one inbound connection: handshake, then frames."""
         self._reader_tasks.append(asyncio.current_task())
         try:
-            handshake = await self._read_frame(reader)
+            handshake = await framing.read_frame(reader)
             if handshake is None:
                 return
-            src = read_uvarint(BytesIO(handshake))
+            src = framing.read_hello(handshake)
             while True:
-                data = await self._read_frame(reader)
+                data = await framing.read_frame(reader)
                 if data is None:
                     return
                 self._deliver_frame(src, dst, data)
@@ -146,15 +140,6 @@ class AsyncTcpTransport(Transport):
             writer.close()
             if self._progress is not None:
                 self._progress.set()
-
-    @staticmethod
-    async def _read_frame(reader) -> Optional[bytes]:
-        try:
-            header = await reader.readexactly(LENGTH_PREFIX_BYTES)
-            (length,) = struct.unpack(">I", header)
-            return await reader.readexactly(length)
-        except (asyncio.IncompleteReadError, ConnectionResetError):
-            return None  # peer closed; normal at shutdown
 
     def _deliver_frame(self, src: int, dst: int, data: bytes) -> None:
         try:
@@ -257,7 +242,7 @@ class AsyncTcpTransport(Transport):
             while self._outbox:
                 src, dst, data = self._outbox.popleft()
                 writer = self._writers[src][dst]
-                writer.write(struct.pack(">I", len(data)) + data)
+                writer.write(framing.frame(data))
                 touched.add(writer)
             for writer in touched:
                 await writer.drain()

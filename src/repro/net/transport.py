@@ -47,6 +47,7 @@ from typing import (
     Tuple,
 )
 
+from repro.driver import partition_groups
 from repro.sim.metrics import MemorySample, MessageRecord, MetricsCollector
 from repro.sync.protocol import DeltaMutator, Send
 
@@ -181,19 +182,7 @@ class Transport(ABC):
         Nodes not named in any group form one implicit extra group, so
         ``partition([0, 1])`` isolates nodes 0-1 from everyone else.
         """
-        explicit = [frozenset(group) for group in groups]
-        seen: set = set()
-        for group in explicit:
-            out_of_range = [n for n in group if not 0 <= n < self.topology.n]
-            if out_of_range:
-                raise ValueError(f"no such nodes {sorted(out_of_range)}")
-            if group & seen:
-                raise ValueError("partition groups must be disjoint")
-            seen |= group
-        rest = frozenset(range(self.topology.n)) - seen
-        if rest:
-            explicit.append(rest)
-        self._groups = tuple(explicit)
+        self._groups = partition_groups(groups, range(self.topology.n))
         if self.tracer is not None:
             self.tracer.emit(
                 "partition",

@@ -5,8 +5,10 @@ store runs as its own OS process (:mod:`~repro.serve.replica`) serving
 two sockets — a peer plane speaking the in-process TCP transport's
 exact wire format, and a client/control plane speaking
 :mod:`~repro.serve.frames`.  A :class:`ProcessCluster` spawns, wires,
-crashes (SIGKILL), and respawns those processes and drives the same
-round/drain schedule as the in-process harnesses; a :class:`KVClient`
+crashes (SIGKILL), and respawns those processes as the multi-process
+backend of the cluster driver the in-process harness shares
+(:class:`repro.kv.driver.KVDriver`); :func:`~repro.serve.deploy.
+build_cluster` maps a deployment to either backend; a :class:`KVClient`
 is the quorum-aware front end (``r``/``w`` knobs, read repair); the
 :class:`LoadGenerator` measures what clients actually see — latency
 percentiles and session staleness.

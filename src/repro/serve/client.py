@@ -40,7 +40,7 @@ import random
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.codec import decode, encode
-from repro.kv.cluster import Unavailable
+from repro.kv.driver import Unavailable
 from repro.kv.ring import HashRing
 from repro.kv.types import Schema
 from repro.lattice.base import Lattice

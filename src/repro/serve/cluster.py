@@ -1,13 +1,14 @@
 """The controller: spawn, wire, drive, and kill replica processes.
 
-:class:`ProcessCluster` is the multi-process counterpart of
-:class:`~repro.kv.cluster.KVCluster` — same driver surface
-(``run_rounds`` / ``run_round`` / ``drain`` / ``converged`` /
-``partition`` / ``heal`` / ``crash`` / ``recover`` /
-``scheduler_stats`` / ``wal_stats``), but every replica is a real OS
-process started with ``python -m repro serve-replica`` and everything
-the controller knows arrives over the control plane of
-:mod:`repro.serve.frames`.
+:class:`ProcessCluster` is the multi-process backend of the store's
+cluster driver (:class:`~repro.kv.driver.KVDriver`; the in-process one
+is :class:`~repro.kv.cluster.KVCluster`).  Routing, per-shard
+convergence, the membership flow with its transfer planner, the counter
+sums and the drain loop are the driver's, run here unmodified; this
+module holds what a process boundary makes particular — every replica
+is a real OS process started with ``python -m repro serve-replica``,
+and everything the controller knows or does arrives over the control
+plane of :mod:`repro.serve.frames`.
 
 Coordination protocol, in the order a round runs:
 
@@ -28,11 +29,12 @@ Crash is SIGKILL — no goodbye, no flush; memory and staged WAL records
 are genuinely gone, which is precisely the failure model
 ``crash(lose_state=True)`` simulates.  Recovery is a respawn over the
 surviving WAL directory: the fresh process replays its shard logs
-locally before serving (PR 4's recovery path, now with a real process
-boundary), and a WIRE carrying the current round realigns its repair
-scheduler.  Membership changes reuse PR 5's handoff protocol: the
-controller swaps rings with APPLY_RING and nominates handoff sources
-with HANDOFF, and the compacted WAL segments travel the peer plane.
+locally before serving, and a WIRE carrying the current round realigns
+its repair scheduler.  Membership changes are the driver's plan
+delivered by verb: APPLY_RING swaps rings, HANDOFF nominates the
+planned sources, and the compacted WAL segments travel the peer plane;
+the planner's view of who holds content comes from the same ROOTS sweep
+convergence is judged by (the root of an empty shard is a constant).
 """
 
 from __future__ import annotations
@@ -47,15 +49,34 @@ import sys
 import tempfile
 import time
 import warnings
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from collections import Counter
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
+from repro.codec import decode
+from repro.driver import partition_groups
 from repro.kv.antientropy import AntiEntropyConfig
+from repro.kv.driver import KVDriver, ShardCopy, check_recovery
 from repro.kv.ring import HashRing
 from repro.kv.store import KVRoutingError, KVUpdate
+from repro.kv.types import Schema
+from repro.net import framing
 from repro.net.transport import TransportStalled
 from repro.serve import frames
 from repro.serve.frames import FrameError, Request, Response
 from repro.serve.replica import HOST, portfile_path
+from repro.sync.digest import root_of
 
 #: Seconds between COUNTERS polls while settling a round.
 _POLL_INTERVAL_S = 0.01
@@ -63,6 +84,12 @@ _POLL_INTERVAL_S = 0.01
 _STABLE_POLLS = 2
 #: Stable-but-unequal polls after which the gap is declared severed.
 _SEVERED_POLLS = 20
+#: STAT totals that must outlive the process that counted them.
+_FOLDED_STATS = ("messages", "payload_bytes", "metadata_bytes", "client_ops")
+#: Key typing for controller-side reads (the prefix conventions).
+_SCHEMA = Schema()
+#: What ROOTS reports for a shard nobody has written (hex, as on the wire).
+_EMPTY_ROOT = root_of(frozenset()).hex()
 
 
 class ReplicaDied(RuntimeError):
@@ -103,8 +130,8 @@ class ControlClient:
         request = Request(next(self._ids), verb, **fields)
         sock = self._connection()
         try:
-            frames.send_frame(sock, frames.encode_request(request))
-            response = frames.decode_response(frames.recv_frame(sock))
+            framing.send_frame(sock, frames.encode_request(request))
+            response = frames.decode_response(framing.recv_frame(sock))
         except (ConnectionError, socket.timeout, OSError):
             self.close()
             raise
@@ -141,7 +168,7 @@ class _ProcMetrics:
         return sum(samples) / len(samples) if samples else 0.0
 
 
-class ProcessCluster:
+class ProcessCluster(KVDriver):
     """A cluster of one-replica OS processes behind the control plane."""
 
     def __init__(
@@ -160,13 +187,11 @@ class ProcessCluster:
         settle_timeout_s: float = 30.0,
         max_drain_rounds: int = 64,
     ) -> None:
-        if recovery not in ("repair", "wal", "wal+repair"):
-            raise ValueError(f"unknown recovery policy {recovery!r}")
         self.shards = shards
         self.replication = replication
         self.algorithm = algorithm
         self.antientropy = antientropy if antientropy is not None else AntiEntropyConfig()
-        self.recovery = recovery
+        self.recovery = check_recovery(recovery)
         self.wal_compact_bytes = wal_compact_bytes
         self.spawn_timeout_s = spawn_timeout_s
         self.settle_timeout_s = settle_timeout_s
@@ -214,9 +239,9 @@ class ProcessCluster:
         #: base accumulators when the process is killed).
         self._last_counters: Dict[int, Dict[str, int]] = {}
         self._last_stats: Dict[int, Dict[str, Any]] = {}
-        self._base_counters: Dict[str, int] = {"sent": 0, "delivered": 0, "blocked": 0}
-        self._base_stats: Dict[str, int] = {}
-        self._base_registry: Dict[str, float] = {}
+        self._base_counters: Counter = Counter()
+        self._base_stats: Counter = Counter()
+        self._base_registry: Counter = Counter()
         #: Frames written to the wire that can never be delivered (the
         #: receiver was SIGKILLed with them in flight) — the settled
         #: remainder the quiescence check accepts.
@@ -260,8 +285,12 @@ class ProcessCluster:
             "serve-replica",
             "--replica",
             str(replica),
+            # The *ring's* members, not every running process: a seat
+            # outside the ring (a joiner about to be added, a drained
+            # leaver respawned) must boot owning nothing and learn its
+            # shards from APPLY_RING like everyone else.
             "--replica-set",
-            ",".join(str(r) for r in self.replicas),
+            ",".join(str(r) for r in self.ring.replicas),
             "--run-dir",
             self.run_dir,
             "--shards",
@@ -304,27 +333,23 @@ class ProcessCluster:
 
     def _await_portfiles(self, replicas: Sequence[int]) -> None:
         deadline = time.monotonic() + self.spawn_timeout_s
-        pending = list(replicas)
-        while pending:
-            replica = pending[0]
+        for replica in replicas:
             path = portfile_path(self.run_dir, replica)
-            if os.path.exists(path):
-                with open(path, "r", encoding="utf-8") as handle:
-                    self._ports[replica] = json.load(handle)
-                pending.pop(0)
-                continue
-            proc = self._procs.get(replica)
-            if proc is not None and proc.poll() is not None:
-                raise ReplicaDied(
-                    f"replica {replica} exited with {proc.returncode} before "
-                    f"publishing its ports; see {self.run_dir}/r{replica:03d}.log"
-                )
-            if time.monotonic() > deadline:
-                raise TransportStalled(
-                    f"replica {replica} did not publish ports within "
-                    f"{self.spawn_timeout_s}s"
-                )
-            time.sleep(0.01)
+            while not os.path.exists(path):
+                proc = self._procs[replica]
+                if proc.poll() is not None:
+                    raise ReplicaDied(
+                        f"replica {replica} exited with {proc.returncode} before "
+                        f"publishing its ports; see {self.run_dir}/r{replica:03d}.log"
+                    )
+                if time.monotonic() > deadline:
+                    raise TransportStalled(
+                        f"replica {replica} did not publish ports within "
+                        f"{self.spawn_timeout_s}s"
+                    )
+                time.sleep(0.01)
+            with open(path, "r", encoding="utf-8") as handle:
+                self._ports[replica] = json.load(handle)
 
     def _connect(self, replica: int) -> None:
         ports = self._ports[replica]
@@ -356,9 +381,7 @@ class ProcessCluster:
     # ------------------------------------------------------------------
 
     def _blocked_for(self, replica: int) -> List[int]:
-        if self._groups is None:
-            return []
-        for group in self._groups:
+        for group in self._groups or ():
             if replica in group:
                 return sorted(set(self.replicas) - group)
         return []
@@ -383,11 +406,12 @@ class ProcessCluster:
     # Driving rounds.
     # ------------------------------------------------------------------
 
-    def apply_update(self, node: int, update: KVUpdate) -> None:
-        """Apply one pre-routed typed write at its owner replica."""
-        self._control(node).request(
+    def apply_update(self, node: int, update: KVUpdate):
+        """Apply one pre-routed typed write at its owner; return the δ."""
+        response = self._control(node).request(
             frames.PUT, key=update.key, op=update.op, args=tuple(update.args)
         )
+        return decode(response.blob)
 
     def run_round(
         self, updates: Optional[Callable[[int], Sequence[KVUpdate]]] = None
@@ -410,17 +434,6 @@ class ProcessCluster:
         self._sample()
         if self.tracer is not None:
             self.tracer.emit("round", round=self.rounds_run - 1)
-
-    def run_rounds(
-        self, rounds: int, updates_for: Optional[Callable] = None
-    ) -> None:
-        for round_index in range(rounds):
-            if updates_for is None:
-                self.run_round(None)
-            else:
-                self.run_round(
-                    lambda node, r=round_index: updates_for(r, node)
-                )
 
     def _counters(self, replica: int) -> Dict[str, int]:
         body = self._control(replica).request(frames.COUNTERS).body
@@ -473,9 +486,9 @@ class ProcessCluster:
     def _sample(self) -> None:
         """Refresh per-replica STAT snapshots; sample memory."""
         for replica in self.live:
-            stat = self._control(replica).request(frames.STAT).body
-            self._last_stats[replica] = stat
-            self._memory_samples.append(float(stat.get("memory_bytes", 0)))
+            self._memory_samples.append(
+                float(self.stat(replica).get("memory_bytes", 0))
+            )
 
     # ------------------------------------------------------------------
     # Faults.
@@ -504,9 +517,7 @@ class ProcessCluster:
         self._fold_dead(node)
         proc.send_signal(signal.SIGKILL)
         proc.wait()
-        control = self._controls.pop(node, None)
-        if control is not None:
-            control.close()
+        self._controls.pop(node).close()
         self.down.add(node)
         if self.tracer is not None:
             self.tracer.emit("crash", replica=node)
@@ -533,19 +544,7 @@ class ProcessCluster:
         self._wire_all(reconnect=[node])
 
     def partition(self, *groups: Iterable[int]) -> None:
-        explicit = [frozenset(group) for group in groups]
-        seen: Set[int] = set()
-        for group in explicit:
-            unknown = [n for n in group if n not in self.replicas]
-            if unknown:
-                raise ValueError(f"no such replicas {sorted(unknown)}")
-            if group & seen:
-                raise ValueError("partition groups must be disjoint")
-            seen |= group
-        rest = frozenset(self.replicas) - seen
-        if rest:
-            explicit.append(rest)
-        self._groups = tuple(explicit)
+        self._groups = partition_groups(groups, self.replicas)
         if self.tracer is not None:
             self.tracer.emit(
                 "partition",
@@ -560,161 +559,70 @@ class ProcessCluster:
         self._wire_all()
 
     # ------------------------------------------------------------------
-    # Membership changes (PR 5's handoff protocol over the peer plane).
+    # Driver hooks: membership delivery, tokens, reads (see KVDriver).
     # ------------------------------------------------------------------
 
-    def add_replica(self, node: int) -> None:
-        """Grow the ring; moved shards hand off as compacted segments."""
-        if node in self.replicas:
-            raise ValueError(f"replica {node} is already a member")
-        self._require_repair("membership changes")
-        old_ring = self.ring
-        self.replicas = sorted(set(self.replicas) | {node})
-        new_ring = HashRing(
-            self.replicas, n_shards=self.shards, replication=self.replication
-        )
+    def _seat(self, node: int) -> None:
+        if node in self._procs:
+            return  # a drained leaver's process is still running: reuse it
+        self.replicas = sorted(self.replicas + [node])
         self._spawn(node)
         self._await_portfiles([node])
         self._connect(node)
         self._wire_all(reconnect=[node])
-        self._swap_ring(old_ring, new_ring, skip=(node,))
 
-    def decommission_replica(self, node: int) -> None:
-        """Shrink the ring; the leaving replica sources its shards out."""
-        if node not in self.replicas or node in self.down:
-            raise ValueError(f"replica {node} is not a live member")
-        if len(self.replicas) - 1 < self.replication:
-            raise ValueError(
-                "cannot decommission below the replication factor"
-            )
-        self._require_repair("membership changes")
-        old_ring = self.ring
-        remaining = [r for r in self.replicas if r != node]
-        new_ring = HashRing(
-            remaining, n_shards=self.shards, replication=self.replication
-        )
-        self._swap_ring(old_ring, new_ring, skip=())
-        # The leaving process keeps running as a handoff source until
-        # drained; the ring (and the clients) already exclude it.
+    def _roots(self) -> Dict[int, Dict[str, Dict[str, Optional[str]]]]:
+        return {
+            replica: self._control(replica).request(frames.ROOTS).body
+            for replica in self.live
+        }
 
-    def _require_repair(self, what: str) -> None:
-        if self.antientropy.repair_interval < 1:
-            raise ValueError(
-                f"{what} require repair: construct the cluster with "
-                "AntiEntropyConfig(repair_interval >= 1)"
-            )
+    def _holders(self, shards: Sequence[int]) -> Dict[int, Dict[int, ShardCopy]]:
+        return {
+            replica: {
+                int(shard): ShardCopy(root not in (None, _EMPTY_ROOT))
+                for shard, root in {**body["roots"], **body["retained"]}.items()
+            }
+            for replica, body in self._roots().items()
+        }
 
-    def _swap_ring(
-        self, old_ring: HashRing, new_ring: HashRing, *, skip: Sequence[int]
-    ) -> None:
-        """APPLY_RING everywhere, then nominate handoff sources.
-
-        The transfer plan is the in-process one minus content
-        inspection (the controller cannot cheaply see shard states):
-        for each moved shard the preferred source is a live owner that
-        is *leaving* the group (shipping is its exit path), falling
-        back to an owner staying put.
-        """
-        moved = tuple(old_ring.moved_shards(new_ring))
-        transfers: List[Tuple[int, int, int]] = []
-        retain: Dict[int, Set[int]] = {}
-        for shard in moved:
-            old_owners = old_ring.shard_owners(shard)
-            new_owners = set(new_ring.shard_owners(shard))
-            gaining = sorted(r for r in new_owners if r not in old_owners)
-            if not gaining:
-                continue
-            live_old = [o for o in old_owners if o not in self.down]
-            live_losing = [o for o in live_old if o not in new_owners]
-            remaining = [o for o in live_old if o in new_owners]
-            ordered = live_losing + remaining
-            if not ordered:
-                continue  # unsourced: digest repair is the backstop
-            source = ordered[0]
-            if source not in new_owners:
-                retain.setdefault(source, set()).add(shard)
-            for dst in gaining:
-                transfers.append((shard, source, dst))
-        self.ring = new_ring
-        replicas_body = [int(r) for r in new_ring.replicas]
+    def _apply_ring(self, ring: HashRing, retain: Mapping[int, Set[int]]) -> None:
+        # Live processes only: a crashed replica is beyond reach, which
+        # leaves its WAL directory unfenced on disk — the same outcome
+        # the in-process backend reaches with ``fence=False``.
         for replica in self.live:
-            if replica in skip:
-                continue
             self._control(replica).request(
                 frames.APPLY_RING,
                 body={
-                    "replicas": replicas_body,
+                    "replicas": [int(r) for r in ring.replicas],
                     "retain": sorted(retain.get(replica, ())),
                     "fence": True,
                 },
             )
-        if self.tracer is not None:
-            self.tracer.emit(
-                "ring-change",
-                extra={
-                    "replicas": replicas_body,
-                    "moved_shards": list(moved),
-                    "transfers": [list(t) for t in transfers],
-                },
-            )
-        for shard, source, dst in transfers:
-            self._control(source).request(
-                frames.HANDOFF, body={"shard": shard, "dst": dst}
-            )
 
-    # ------------------------------------------------------------------
-    # Convergence and draining.
-    # ------------------------------------------------------------------
+    def _begin_handoff(self, shard: int, source: int, gaining: int) -> None:
+        self._control(source).request(
+            frames.HANDOFF, body={"shard": shard, "dst": gaining}
+        )
 
-    def _roots(self) -> Dict[int, Dict[str, Optional[str]]]:
-        return {
-            replica: self._control(replica).request(frames.ROOTS).body["roots"]
-            for replica in self.live
-        }
-
-    def converged(self) -> bool:
-        """Per-shard root-hash agreement across every live owner group."""
+    def _shard_tokens(self):
+        """One ROOTS sweep; agreement is per-shard root-hash equality."""
         roots = self._roots()
-        for shard in range(self.ring.n_shards):
-            seen = set()
-            for owner in self.ring.shard_owners(shard):
-                if owner in self.down:
-                    continue
-                seen.add(roots.get(owner, {}).get(str(shard)))
-            if len(seen) > 1:
-                return False
-        return True
+        return lambda owner, shard: roots[owner]["roots"].get(str(shard))
+
+    def _read(self, owner: int, key: Hashable) -> Any:
+        blob = self._control(owner).request(frames.GET, key=key).blob
+        spec = _SCHEMA.spec_for(key)
+        return spec.read(decode(blob) if blob else spec.bottom())
 
     def pending_handoffs(self) -> int:
-        total = 0
-        for replica in self.live:
-            stat = self._last_stats.get(replica)
-            if stat is None:
-                stat = self._control(replica).request(frames.STAT).body
-                self._last_stats[replica] = stat
-            total += int(stat.get("pending_handoffs", 0))
-        return total
+        """Handoffs in flight at live replicas, read fresh: nominations
+        land between rounds, after the last round's STAT sample."""
+        return sum(int(self.stat(r).get("pending_handoffs", 0)) for r in self.live)
 
-    def drain(self) -> int:
-        """Rounds (no updates) until converged and handoffs settled."""
-        rounds = 0
-        for _ in range(self.max_drain_rounds):
-            self._sample()  # refresh pending_handoffs views
-            if self.converged() and self.pending_handoffs() == 0:
-                return rounds
-            self.run_round(None)
-            rounds += 1
-        self._sample()
-        if self.pending_handoffs():
-            raise RuntimeError(
-                f"{self.pending_handoffs()} shard handoffs failed to settle "
-                f"within {self.max_drain_rounds} drain rounds"
-            )
-        if not self.converged():
-            raise RuntimeError(
-                f"no convergence within {self.max_drain_rounds} drain rounds"
-            )
-        return rounds
+    def hosted_shards(self, replica: int) -> int:
+        """How many shards ``replica`` currently hosts."""
+        return int(self.stat(replica)["shards"])
 
     # ------------------------------------------------------------------
     # Aggregated stats (the `_measure_cell` surface).
@@ -727,53 +635,23 @@ class ProcessCluster:
         ``_sample`` refreshed the caches, so the fold loses at most the
         (empty) activity since the last quiescent poll.
         """
-        counters = self._last_counters.pop(replica, None)
-        if counters is not None:
-            for key, value in counters.items():
-                self._base_counters[key] = self._base_counters.get(key, 0) + value
-        stat = self._last_stats.pop(replica, None)
-        if stat is not None:
-            for key in ("messages", "payload_bytes", "metadata_bytes", "client_ops"):
-                self._base_stats[key] = self._base_stats.get(key, 0) + int(
-                    stat.get(key, 0)
-                )
-            for name, value in stat.get("registry", {}).items():
-                self._base_registry[name] = self._base_registry.get(name, 0) + value
+        self._base_counters.update(self._last_counters.pop(replica, {}))
+        stat = self._last_stats.pop(replica, {})
+        self._base_stats.update(
+            {key: int(stat.get(key, 0)) for key in _FOLDED_STATS}
+        )
+        self._base_registry.update(stat.get("registry", {}))
 
     def _sum_stat(self, key: str) -> int:
-        total = self._base_stats.get(key, 0)
-        for replica in self.live:
-            stat = self._last_stats.get(replica)
-            if stat is not None:
-                total += int(stat.get(key, 0))
-        return total
+        return self._base_stats[key] + sum(
+            int(self._last_stats.get(replica, {}).get(key, 0))
+            for replica in self.live
+        )
 
-    def _registry_totals(self) -> Dict[str, float]:
-        totals = dict(self._base_registry)
-        for replica in self.live:
-            stat = self._last_stats.get(replica)
-            if stat is None:
-                stat = self._control(replica).request(frames.STAT).body
-                self._last_stats[replica] = stat
-            for name, value in stat.get("registry", {}).items():
-                totals[name] = totals.get(name, 0) + value
-        return totals
-
-    def scheduler_stats(self) -> dict:
-        prefix = "scheduler."
-        return {
-            name[len(prefix):]: value
-            for name, value in self._registry_totals().items()
-            if name.startswith(prefix)
-        }
-
-    def wal_stats(self) -> dict:
-        prefix = "wal."
-        return {
-            name[len(prefix):]: value
-            for name, value in self._registry_totals().items()
-            if name.startswith(prefix)
-        }
+    def _registry_snapshots(self) -> List[Mapping[str, Any]]:
+        return [self._base_registry] + [
+            self.stat(replica).get("registry", {}) for replica in self.live
+        ]
 
     def stat(self, replica: int) -> Dict[str, Any]:
         """One live replica's full STAT report (fresh)."""

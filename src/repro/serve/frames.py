@@ -1,7 +1,8 @@
 """The client/control wire protocol of the serving layer.
 
-One frame per request and one per response, the same length-prefixed
-framing as the peer plane (:mod:`repro.net.tcp`):
+One frame per request and one per response, in the length-prefixed
+framing every socket in the tree shares (:mod:`repro.net.framing` —
+this module only encodes and decodes the frame *bodies*):
 
 ``frame := u32be(length) body``
 
@@ -31,19 +32,12 @@ changes, SHUTDOWN exits cleanly.
 from __future__ import annotations
 
 import json
-import socket
-import struct
 from dataclasses import dataclass, field
 from io import BytesIO
 from typing import Any, Dict, Optional, Tuple
 
 from repro.codec import CodecError, read_atom, read_uvarint, write_atom, write_uvarint
-
-#: Length prefix of every frame, matching the peer plane's framing.
-LENGTH_PREFIX_BYTES = 4
-
-#: Refuse absurd frames instead of allocating on a corrupt prefix.
-MAX_FRAME_BYTES = 64 * 1024 * 1024
+from repro.net.framing import FrameError
 
 # Data-plane verbs (the KVClient).
 GET = 0x01
@@ -61,7 +55,7 @@ APPLY_RING = 0x16
 HANDOFF = 0x17
 SHUTDOWN = 0x18
 
-_VERB_NAMES = {
+VERB_NAMES = {
     GET: "get",
     PUT: "put",
     REMOVE: "remove",
@@ -90,11 +84,7 @@ _JSON_FLAG = 0x02
 
 def verb_name(verb: int) -> str:
     """Human name of a verb byte (for traces and error messages)."""
-    return _VERB_NAMES.get(verb, f"verb-0x{verb:02x}")
-
-
-class FrameError(CodecError):
-    """A frame that does not parse; the connection should be dropped."""
+    return VERB_NAMES.get(verb, f"verb-0x{verb:02x}")
 
 
 @dataclass(frozen=True)
@@ -127,6 +117,23 @@ class Response:
         return self.status == OK
 
 
+def _write_sized(out: BytesIO, data: bytes) -> None:
+    write_uvarint(out, len(data))
+    out.write(data)
+
+
+def _read_sized(buf: BytesIO, what: str) -> bytes:
+    length = read_uvarint(buf)
+    data = buf.read(length)
+    if len(data) != length:
+        raise FrameError(f"truncated {what}")
+    return data
+
+
+def _json_bytes(body: Dict[str, Any]) -> bytes:
+    return json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
 def encode_request(request: Request) -> bytes:
     out = BytesIO()
     write_uvarint(out, request.id)
@@ -138,13 +145,9 @@ def encode_request(request: Request) -> bytes:
         write_atom(out, request.op)
         write_atom(out, tuple(request.args))
     elif request.verb == REPAIR:
-        write_uvarint(out, len(request.blob))
-        out.write(request.blob)
+        _write_sized(out, request.blob)
     elif request.verb in (WIRE, APPLY_RING, HANDOFF):
-        payload = json.dumps(request.body, sort_keys=True, separators=(",", ":"))
-        encoded = payload.encode("utf-8")
-        write_uvarint(out, len(encoded))
-        out.write(encoded)
+        _write_sized(out, _json_bytes(request.body))
     return out.getvalue()
 
 
@@ -166,21 +169,13 @@ def decode_request(data: bytes) -> Request:
                 raise FrameError("malformed put request")
             return Request(request_id, verb, key=key, op=op, args=args)
         if verb == REPAIR:
-            length = read_uvarint(buf)
-            blob = buf.read(length)
-            if len(blob) != length:
-                raise FrameError("truncated repair blob")
-            return Request(request_id, verb, blob=blob)
+            return Request(request_id, verb, blob=_read_sized(buf, "repair blob"))
         if verb in (WIRE, APPLY_RING, HANDOFF):
-            length = read_uvarint(buf)
-            raw = buf.read(length)
-            if len(raw) != length:
-                raise FrameError("truncated control body")
-            body = json.loads(raw.decode("utf-8"))
+            body = json.loads(_read_sized(buf, "control body").decode("utf-8"))
             if not isinstance(body, dict):
                 raise FrameError("control body must be a JSON object")
             return Request(request_id, verb, body=body)
-        if verb in _VERB_NAMES:
+        if verb in VERB_NAMES:
             return Request(request_id, verb)
         raise FrameError(f"unknown verb 0x{verb:02x}")
     except FrameError:
@@ -203,13 +198,9 @@ def encode_response(response: Response) -> bytes:
         flags |= _JSON_FLAG
     out.write(bytes((flags,)))
     if response.blob is not None:
-        write_uvarint(out, len(response.blob))
-        out.write(response.blob)
+        _write_sized(out, response.blob)
     if response.body:
-        payload = json.dumps(response.body, sort_keys=True, separators=(",", ":"))
-        encoded = payload.encode("utf-8")
-        write_uvarint(out, len(encoded))
-        out.write(encoded)
+        _write_sized(out, _json_bytes(response.body))
     return out.getvalue()
 
 
@@ -233,55 +224,11 @@ def decode_response(data: bytes) -> Response:
         blob: Optional[bytes] = None
         body: Dict[str, Any] = {}
         if flags & _BLOB_FLAG:
-            length = read_uvarint(buf)
-            blob = buf.read(length)
-            if len(blob) != length:
-                raise FrameError("truncated response blob")
+            blob = _read_sized(buf, "response blob")
         if flags & _JSON_FLAG:
-            length = read_uvarint(buf)
-            raw = buf.read(length)
-            if len(raw) != length:
-                raise FrameError("truncated response body")
-            body = json.loads(raw.decode("utf-8"))
+            body = json.loads(_read_sized(buf, "response body").decode("utf-8"))
         return Response(request_id, status, blob=blob, body=body)
     except FrameError:
         raise
     except (CodecError, ValueError, EOFError) as exc:
         raise FrameError(f"bad response frame: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# Framing over blocking sockets (the controller and client are plain
-# synchronous callers; only the replica process runs an event loop).
-# ---------------------------------------------------------------------------
-
-
-def frame(body: bytes) -> bytes:
-    """Prefix a body with its big-endian length."""
-    if len(body) > MAX_FRAME_BYTES:
-        raise FrameError(f"frame too large: {len(body)} bytes")
-    return struct.pack(">I", len(body)) + body
-
-
-def send_frame(sock: socket.socket, body: bytes) -> None:
-    sock.sendall(frame(body))
-
-
-def _recv_exact(sock: socket.socket, length: int) -> bytes:
-    chunks = []
-    remaining = length
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise ConnectionError("peer closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def recv_frame(sock: socket.socket) -> bytes:
-    header = _recv_exact(sock, LENGTH_PREFIX_BYTES)
-    (length,) = struct.unpack(">I", header)
-    if length > MAX_FRAME_BYTES:
-        raise FrameError(f"frame too large: {length} bytes")
-    return _recv_exact(sock, length) if length else b""

@@ -8,10 +8,11 @@ process with its own event loop, its own WAL directory (advisory-locked
 sockets:
 
 * the **peer plane** speaks exactly the wire format of the in-process
-  TCP transport — ``u32be(length)`` frames of :func:`repro.codec.
-  frame_message` envelopes, one uvarint handshake naming the dialing
-  replica — so the synchronizers, the repair escalation, and the
-  handoff protocol run unmodified over genuinely separate processes;
+  TCP transport (:mod:`repro.net.framing`) — ``u32be(length)`` frames
+  of :func:`repro.codec.frame_message` envelopes, one uvarint handshake
+  naming the dialing replica — so the synchronizers, the repair
+  escalation, and the handoff protocol run unmodified over genuinely
+  separate processes;
 * the **client/control plane** speaks :mod:`repro.serve.frames` — the
   get/put/remove/repair data verbs a :class:`~repro.serve.client.
   KVClient` uses and the wire/tick/counters/roots control verbs the
@@ -40,27 +41,20 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-import struct
 import time
 from dataclasses import dataclass
-from io import BytesIO
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.codec import (
-    decode,
-    decode_message,
-    encode,
-    frame_message,
-    read_uvarint,
-    write_uvarint,
-)
+from repro.codec import decode, decode_message, encode, frame_message
 from repro.kv.antientropy import AntiEntropyConfig
+from repro.kv.driver import KV_ALGORITHMS
 from repro.kv.ring import HashRing
 from repro.kv.store import KVRoutingError, KVStore
 from repro.kv.types import Schema
 from repro.lattice.map_lattice import MapLattice
+from repro.net import framing
 from repro.serve import frames
-from repro.serve.frames import Request, Response
+from repro.serve.frames import FrameError, Request, Response
 from repro.sync.protocol import Send
 from repro.wal import FileStorage, ReplicaWal, WalConfig
 
@@ -120,6 +114,26 @@ class ReplicaOptions:
         )
 
 
+#: verb → handler, filled by :func:`_handles` as the class body runs.
+_HANDLERS: Dict[int, Callable[["ReplicaProcess", Request], Any]] = {}
+
+
+def _handles(*verbs: int):
+    """Register the decorated method as the handler of ``verbs``."""
+
+    def register(handler):
+        for verb in verbs:
+            _HANDLERS[verb] = handler
+        return handler
+
+    return register
+
+
+def _bad_request(exc: FrameError) -> Response:
+    """The typed reply to a frame that does not parse (no request id)."""
+    return Response(0, frames.ERR_BAD_REQUEST, error=str(exc))
+
+
 def portfile_path(run_dir: str, replica: int) -> str:
     """Where replica ``replica`` publishes its bound ports."""
     return os.path.join(run_dir, f"r{replica:03d}.ports.json")
@@ -171,8 +185,6 @@ class ReplicaProcess:
                 config=WalConfig(compact_bytes=options.wal_compact_bytes),
                 tracer=self.tracer,
             )
-
-        from repro.experiments.kv_sweep import KV_ALGORITHMS
 
         ring = options.ring()
         neighbors = tuple(r for r in options.replicas if r != options.replica)
@@ -254,30 +266,23 @@ class ReplicaProcess:
 
     async def _accept_peer(self, reader, writer) -> None:
         try:
-            handshake = await self._read_raw_frame(reader)
+            handshake = await framing.read_frame(reader)
             if handshake is None:
                 return
-            src = read_uvarint(BytesIO(handshake))
+            src = framing.read_hello(handshake)
             while True:
-                data = await self._read_raw_frame(reader)
+                data = await framing.read_frame(reader)
                 if data is None:
                     return
                 await self._deliver_peer_frame(src, data)
         except asyncio.CancelledError:
             raise
-        except ConnectionError:
+        except (ConnectionError, FrameError):
+            # A refused length prefix cannot be resynchronised past;
+            # the peer plane has no error frame, so just hang up.
             pass
         finally:
             writer.close()
-
-    @staticmethod
-    async def _read_raw_frame(reader) -> Optional[bytes]:
-        try:
-            header = await reader.readexactly(frames.LENGTH_PREFIX_BYTES)
-            (length,) = struct.unpack(">I", header)
-            return await reader.readexactly(length)
-        except (asyncio.IncompleteReadError, ConnectionResetError):
-            return None
 
     async def _deliver_peer_frame(self, src: int, data: bytes) -> None:
         message = decode_message(data)
@@ -301,19 +306,12 @@ class ReplicaProcess:
     async def _dispatch_sends(self, sends: Sequence[Send]) -> None:
         for send in sends:
             dst = send.dst
-            if dst in self.down or dst in self.blocked:
-                self.sends_blocked += 1
-                self.store.note_send_blocked(dst)
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        "send-blocked",
-                        replica=self.replica,
-                        peer=dst,
-                        kind=send.message.kind,
-                    )
-                continue
-            writer = await self._peer_writer(dst)
+            refused = dst in self.down or dst in self.blocked
+            writer = None if refused else await self._peer_writer(dst)
             if writer is None:
+                # Refused by the fault state, or no route to the peer:
+                # nothing crossed the wire, but the store learns the
+                # peer is unreachable (suspicion feeds digest repair).
                 self.sends_blocked += 1
                 self.store.note_send_blocked(dst)
                 if self.tracer is not None:
@@ -326,7 +324,7 @@ class ReplicaProcess:
                 continue
             frame = frame_message(send.message)
             payload = frame.payload_bytes
-            metadata = frame.metadata_bytes + frames.LENGTH_PREFIX_BYTES
+            metadata = frame.metadata_bytes + framing.LENGTH_PREFIX_BYTES
             self.messages += 1
             self.payload_bytes += payload
             self.metadata_bytes += metadata
@@ -341,7 +339,7 @@ class ReplicaProcess:
                     payload_units=send.message.payload_units,
                     metadata_units=send.message.metadata_units,
                 )
-            writer.write(struct.pack(">I", len(frame.data)) + frame.data)
+            writer.write(framing.frame(frame.data))
             try:
                 await writer.drain()
                 self.frames_sent += 1
@@ -360,14 +358,9 @@ class ReplicaProcess:
         if addr is None:
             return None
         try:
-            _, writer = await asyncio.open_connection(addr[0], addr[1])
+            writer = await framing.dial(addr[0], addr[1], self.replica)
         except OSError:
             return None
-        hello = BytesIO()
-        write_uvarint(hello, self.replica)
-        writer.write(
-            struct.pack(">I", len(hello.getvalue())) + hello.getvalue()
-        )
         self._peer_writers[dst] = writer
         return writer
 
@@ -383,7 +376,13 @@ class ReplicaProcess:
     async def _accept_client(self, reader, writer) -> None:
         try:
             while True:
-                data = await self._read_raw_frame(reader)
+                try:
+                    data = await framing.read_frame(reader)
+                except FrameError as exc:
+                    # A refused length prefix: the stream cannot be
+                    # resynchronised, so say why and hang up.
+                    await self._reply(writer, _bad_request(exc))
+                    return
                 if data is None:
                     return
                 stop = await self._serve_request(data, writer)
@@ -396,102 +395,111 @@ class ReplicaProcess:
         finally:
             writer.close()
 
+    @staticmethod
+    async def _reply(writer, response: Response) -> None:
+        writer.write(framing.frame(frames.encode_response(response)))
+        await writer.drain()
+
     async def _serve_request(self, data: bytes, writer) -> bool:
         """Handle one framed request; returns True on SHUTDOWN."""
         try:
             request = frames.decode_request(data)
-        except frames.FrameError as exc:
-            body = frames.encode_response(
-                Response(0, frames.ERR_BAD_REQUEST, error=str(exc))
-            )
-            writer.write(frames.frame(body))
-            await writer.drain()
+        except FrameError as exc:
+            await self._reply(writer, _bad_request(exc))
             return False
         try:
-            response = await self._handle_request(request)
+            response = _HANDLERS[request.verb](self, request)
+            if asyncio.iscoroutine(response):
+                response = await response
         except KVRoutingError as exc:
             response = Response(request.id, frames.ERR_ROUTING, error=str(exc))
         except (TypeError, ValueError, KeyError) as exc:
             response = Response(request.id, frames.ERR_TYPE, error=str(exc))
         except Exception as exc:  # anything else: report, keep serving
             response = Response(request.id, frames.ERR_INTERNAL, error=repr(exc))
-        writer.write(frames.frame(frames.encode_response(response)))
-        await writer.drain()
+        await self._reply(writer, response)
         if request.verb == frames.SHUTDOWN and response.ok:
             await asyncio.sleep(_SHUTDOWN_GRACE_S)
             self._shutdown.set()
             return True
         return False
 
-    async def _handle_request(self, request: Request) -> Response:
-        verb = request.verb
-        if verb == frames.GET:
-            return self._handle_get(request)
-        if verb == frames.PUT:
-            self.client_ops += 1
-            self._trace_client_op("put", request.key)
-            delta = self.store.update(request.key, request.op, *request.args)
-            return Response(request.id, blob=encode(delta))
-        if verb == frames.REMOVE:
-            self.client_ops += 1
-            self._trace_client_op("remove", request.key)
-            delta = self.store.remove(request.key)
-            return Response(request.id, blob=encode(delta))
-        if verb == frames.REPAIR:
-            fragment = decode(request.blob)
-            if not isinstance(fragment, MapLattice):
-                raise ValueError("repair fragment must be a keyspace MapLattice")
-            absorbed = self.store.absorb_client_state(
-                fragment, payload_bytes=len(request.blob)
-            )
-            return Response(
-                request.id, body={"absorbed": not absorbed.is_bottom}
-            )
-        if verb == frames.PING:
-            return Response(request.id, body={"replica": self.replica})
-        if verb == frames.WIRE:
-            return self._handle_wire(request)
-        if verb == frames.TICK:
-            sends = self.store.sync_messages()
-            await self._dispatch_sends(sends)
-            self.round += 1
-            if self.tracer is not None:
-                self.tracer.emit("round", round=self.round - 1)
-            return Response(request.id, body={"round": self.round})
-        if verb == frames.COUNTERS:
-            return Response(
-                request.id,
-                body={
-                    "sent": self.frames_sent,
-                    "delivered": self.frames_delivered,
-                    "blocked": self.sends_blocked,
-                },
-            )
-        if verb == frames.ROOTS:
-            roots = {
-                str(shard): (
-                    root.hex() if (root := self.store.shard_root(shard)) else None
-                )
-                for shard in sorted(self.store.shards)
-            }
-            return Response(request.id, body={"roots": roots})
-        if verb == frames.STAT:
-            return Response(request.id, body=self._stat())
-        if verb == frames.APPLY_RING:
-            return self._handle_apply_ring(request)
-        if verb == frames.HANDOFF:
-            self.store.begin_handoff(
-                int(request.body["shard"]), int(request.body["dst"])
-            )
-            return Response(request.id)
-        if verb == frames.SHUTDOWN:
-            return Response(request.id, body={"replica": self.replica})
+    @_handles(frames.PUT)
+    def _handle_put(self, request: Request) -> Response:
+        self.client_ops += 1
+        self._trace_client_op("put", request.key)
+        delta = self.store.update(request.key, request.op, *request.args)
+        return Response(request.id, blob=encode(delta))
+
+    @_handles(frames.REMOVE)
+    def _handle_remove(self, request: Request) -> Response:
+        self.client_ops += 1
+        self._trace_client_op("remove", request.key)
+        delta = self.store.remove(request.key)
+        return Response(request.id, blob=encode(delta))
+
+    @_handles(frames.REPAIR)
+    def _handle_repair(self, request: Request) -> Response:
+        fragment = decode(request.blob)
+        if not isinstance(fragment, MapLattice):
+            raise ValueError("repair fragment must be a keyspace MapLattice")
+        absorbed = self.store.absorb_client_state(
+            fragment, payload_bytes=len(request.blob)
+        )
+        return Response(request.id, body={"absorbed": not absorbed.is_bottom})
+
+    @_handles(frames.PING, frames.SHUTDOWN)
+    def _handle_ping(self, request: Request) -> Response:
+        return Response(request.id, body={"replica": self.replica})
+
+    @_handles(frames.TICK)
+    async def _handle_tick(self, request: Request) -> Response:
+        sends = self.store.sync_messages()
+        await self._dispatch_sends(sends)
+        self.round += 1
+        if self.tracer is not None:
+            self.tracer.emit("round", round=self.round - 1)
+        return Response(request.id, body={"round": self.round})
+
+    @_handles(frames.COUNTERS)
+    def _handle_counters(self, request: Request) -> Response:
         return Response(
             request.id,
-            frames.ERR_BAD_REQUEST,
-            error=f"unhandled verb {frames.verb_name(verb)}",
+            body={
+                "sent": self.frames_sent,
+                "delivered": self.frames_delivered,
+                "blocked": self.sends_blocked,
+            },
         )
 
+    @_handles(frames.ROOTS)
+    def _handle_roots(self, request: Request) -> Response:
+        store = self.store
+        # Hosted shards by their cached roots; shards this replica only
+        # still sources a pending handoff from are listed apart, so the
+        # controller's planner can see a retained copy as a candidate.
+        roots = {
+            str(shard): root.hex() if (root := store.shard_root(shard)) else None
+            for shard in sorted(store.shards)
+        }
+        retained = {
+            str(shard): store._shard_digest(shard).root(inner.state).hex()
+            for shard, inner in sorted(store._fencing.items())
+        }
+        return Response(request.id, body={"roots": roots, "retained": retained})
+
+    @_handles(frames.STAT)
+    def _handle_stat(self, request: Request) -> Response:
+        return Response(request.id, body=self._stat())
+
+    @_handles(frames.HANDOFF)
+    def _handle_handoff(self, request: Request) -> Response:
+        self.store.begin_handoff(
+            int(request.body["shard"]), int(request.body["dst"])
+        )
+        return Response(request.id)
+
+    @_handles(frames.GET)
     def _handle_get(self, request: Request) -> Response:
         self.client_ops += 1
         self._trace_client_op("get", request.key)
@@ -512,30 +520,22 @@ class ReplicaProcess:
                 label=str(key),
             )
 
+    @_handles(frames.WIRE)
     def _handle_wire(self, request: Request) -> Response:
         body = request.body
-        if "addresses" in body:
-            self.peer_addrs = {
-                int(replica): (str(host), int(port))
-                for replica, (host, port) in body["addresses"].items()
-                if int(replica) != self.replica
-            }
-            # Re-dial lazily: stale writers to respawned peers are
-            # dropped here and reopened at the next send.
-            for dst in list(self._peer_writers):
-                if dst not in self.peer_addrs:
-                    self._drop_peer_writer(dst)
-        if "down" in body:
-            self.down = {int(r) for r in body["down"]}
-            for dst in self.down:
-                self._drop_peer_writer(dst)
-        if "blocked" in body:
-            self.blocked = {int(r) for r in body["blocked"]}
-        if "reconnect" in body:
-            # A respawned peer has a fresh socket: drop cached writers
-            # so the next send dials the published address.
-            for dst in (int(r) for r in body["reconnect"]):
-                self._drop_peer_writer(dst)
+        self.peer_addrs = {
+            int(replica): (str(host), int(port))
+            for replica, (host, port) in body["addresses"].items()
+            if int(replica) != self.replica
+        }
+        self.down = {int(r) for r in body["down"]}
+        self.blocked = {int(r) for r in body["blocked"]}
+        # Re-dial lazily: writers to peers that left the address map,
+        # died, or respawned on a fresh socket are dropped here and
+        # reopened at the next send.
+        stale = (set(self._peer_writers) - set(self.peer_addrs)) | self.down
+        for dst in stale.union(int(r) for r in body["reconnect"]):
+            self._drop_peer_writer(dst)
         round_value = int(body.get("round", 0))
         if round_value > self.round:
             # A respawned process joining mid-run: realign the repair
@@ -545,6 +545,7 @@ class ReplicaProcess:
             self.store.restore_clock(round_value)
         return Response(request.id, body={"round": self.round})
 
+    @_handles(frames.APPLY_RING)
     def _handle_apply_ring(self, request: Request) -> Response:
         body = request.body
         replicas = tuple(int(r) for r in body["replicas"])
@@ -590,3 +591,12 @@ class ReplicaProcess:
             "shards": len(self.store.shards),
             "registry": snapshot,
         }
+
+
+# Complete by construction: a verb the frame codec knows but no method
+# handles (or the reverse) stops the module from importing at all.
+if set(_HANDLERS) != set(frames.VERB_NAMES):
+    raise ImportError(
+        "verb handlers out of step with the frame codec: "
+        f"{sorted(set(_HANDLERS) ^ set(frames.VERB_NAMES))}"
+    )

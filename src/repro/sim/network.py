@@ -8,10 +8,12 @@ finish, the cluster keeps running synchronization-only *drain* rounds
 until every replica holds the same state (global convergence), which is
 the cross-algorithm comparison point for total transmission.
 
-Since the :mod:`repro.net` seam, :class:`Cluster` is a thin facade: it
-builds one :class:`~repro.net.runtime.ReplicaRuntime` per node (each
-owning one :class:`~repro.sync.protocol.Synchronizer`) and wires them
-to a :class:`~repro.net.transport.Transport`:
+A :class:`Cluster` is one :class:`~repro.net.runtime.ReplicaRuntime`
+per node (each owning one :class:`~repro.sync.protocol.Synchronizer`)
+wired to a :class:`~repro.net.transport.Transport`; stepping rounds and
+draining to convergence are the shared
+:class:`~repro.driver.ClusterDriver` loop, the same one the store
+clusters run:
 
 * ``transport="sim"`` (default) — :class:`~repro.net.sim.SimTransport`,
   the deterministic discrete-event engine: staggered timers, per-link
@@ -25,9 +27,6 @@ to a :class:`~repro.net.transport.Transport`:
   the same event engine running free: per-replica drifting timers
   (:class:`~repro.net.clock.DriftClock`), no per-round quiescence
   barrier, convergence lag measured instead of assumed.
-
-The constructor and every public method predate the seam, so existing
-experiments, tests, and drivers run unchanged.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, Union
 
+from repro.driver import ClusterDriver
 from repro.lattice.base import Lattice
 from repro.sim.metrics import MetricsCollector
 from repro.sizes import SizeModel, DEFAULT_SIZE_MODEL
@@ -52,10 +52,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class _SynchronizerView(SequenceABC):
     """A live, indexable view of the runtimes' protocol instances.
 
-    ``cluster.nodes[i]`` predates the runtime seam and sits on hot
-    paths (per-shard convergence checks, request routing), so it must
-    stay O(1) per access and track replica rebuilds — hence a view over
-    the runtimes rather than a list materialized per property read.
+    ``cluster.nodes[i]`` sits on hot paths (per-shard convergence
+    checks, request routing), so it must stay O(1) per access and track
+    replica rebuilds — hence a view over the runtimes rather than a
+    list materialized per property read.
     """
 
     __slots__ = ("_runtimes",)
@@ -79,8 +79,8 @@ def transport_registry() -> dict:
     """Named transport constructors selectable via ``Cluster(transport=...)``.
 
     Imported lazily: :mod:`repro.net` and :mod:`repro.sim` reference
-    each other (the transports use the event queue and metrics, this
-    facade builds the transports), and deferring the lookup keeps both
+    each other (the transports use the event queue and metrics, the
+    cluster builds the transports), and deferring the lookup keeps both
     packages importable in either order.
     """
     from repro.net.freerun import FreeRunTransport
@@ -157,7 +157,7 @@ class ClusterConfig:
             )
 
 
-class Cluster:
+class Cluster(ClusterDriver):
     """A set of replicas synchronizing over a topology.
 
     Args:
@@ -299,6 +299,10 @@ class Cluster:
         return self.transport.rounds_run
 
     @property
+    def max_drain_rounds(self) -> int:
+        return self.config.max_drain_rounds
+
+    @property
     def now(self) -> float:
         return self.transport.now
 
@@ -320,33 +324,6 @@ class Cluster:
         round (``None`` for a synchronization-only drain round).
         """
         self.transport.run_round(updates)
-
-    def run_rounds(
-        self,
-        rounds: int,
-        updates_for: Callable[[int, int], Sequence[DeltaMutator]],
-    ) -> None:
-        """Run ``rounds`` update rounds; ``updates_for(round, node)``."""
-        for round_index in range(rounds):
-            self.run_round(lambda node, r=round_index: updates_for(r, node))
-
-    def drain(self) -> int:
-        """Run sync-only rounds until global convergence; return count.
-
-        Raises ``RuntimeError`` if convergence is not reached within the
-        configured cap — that would indicate a protocol bug, and hiding
-        it would corrupt every downstream measurement.
-        """
-        for extra in range(self.config.max_drain_rounds):
-            if self.converged():
-                return extra
-            self.run_round(updates=None)
-        if not self.converged():
-            raise RuntimeError(
-                f"no convergence after {self.config.max_drain_rounds} drain rounds "
-                f"({type(self.nodes[0]).__name__})"
-            )
-        return self.config.max_drain_rounds
 
     def converged(self) -> bool:
         """True when every live replica holds the same lattice state."""

@@ -1,0 +1,213 @@
+"""One driver contract, three backends.
+
+The same script — healthy rounds → partition with writes on both sides
+→ heal → ``crash(lose_state=True)`` → recover → drain → ``add_replica``
+→ drain → ``decommission_replica`` → drain — runs against the simulator,
+localhost TCP, and a process cluster, all built through
+:func:`~repro.serve.deploy.build_cluster` and driven through nothing but
+the shared :class:`~repro.kv.driver.KVDriver` surface.  What must hold
+is the same everywhere: converged, no handoff pending, every written
+key readable with the schedule's joined value, the same counter names —
+and, because both membership changes start from a drained cluster, the
+*same transfer plan*, whichever backend fed the planner.
+"""
+
+import signal
+
+import pytest
+
+from repro.driver import Stepped
+from repro.experiments import KVConfig, build_cluster
+from repro.kv import HashRing, KVUpdate, RebalanceReport, plan_rebalance
+from repro.kv.driver import ShardCopy
+
+SEATS, SHARDS, REPLICATION = 5, 8, 2
+BACKENDS = (Stepped.SIM, Stepped.TCP, Stepped.PROC)
+
+
+def config_for(deployment):
+    return KVConfig(
+        replicas=SEATS,
+        shards=SHARDS,
+        replication=REPLICATION,
+        repair_interval=2,
+        repair_fanout=SHARDS,
+        repair_mode="digest",
+        recovery="wal",
+        deployment=deployment,
+    )
+
+
+class Script:
+    """Drives one cluster through the schedule, tracking ground truth."""
+
+    def __init__(self, cluster):
+        self.cluster = cluster
+        self.sets = {}
+        self.counters = {}
+        self.reports = []
+
+    def add(self, key, element, owner=None):
+        self.sets.setdefault(key, set()).add(element)
+        if owner is None:
+            self.cluster.update(key, "add", element)
+        else:
+            self.cluster.apply_update(owner, KVUpdate(key, "add", (element,)))
+
+    def bump(self, key, amount):
+        self.counters[key] = self.counters.get(key, 0) + amount
+        self.cluster.update(key, "increment", amount)
+
+    def traffic(self, tag, rounds=2):
+        for r in range(rounds):
+            for i in range(6):
+                self.add(f"set:{(r * 6 + i) % 10}", f"{tag}-{r}-{i}")
+            self.bump(f"gct:{r % 3}", r + 1)
+            self.cluster.run_round(None)
+
+    def run(self):
+        cluster = self.cluster
+        self.traffic("healthy")
+        with pytest.raises(ValueError, match="no such nodes"):
+            cluster.partition([0, 99])
+        cluster.partition(range(SEATS // 2))
+        for key in ("set:cut-a", "set:cut-b"):
+            for owner in cluster.ring.owners(key):  # both sides of the cut
+                self.add(key, f"from-{owner}", owner=owner)
+        cluster.run_round(None)
+        cluster.heal()
+        victim = 3
+        cluster.crash(victim, lose_state=True)
+        self.traffic("victim-down")
+        cluster.recover(victim)
+        cluster.drain()
+        self.reports.append(cluster.add_replica(SEATS - 1))
+        self.traffic("joined")
+        cluster.drain()
+        self.reports.append(cluster.decommission_replica(0))
+        self.traffic("left")
+        cluster.drain()
+        return self
+
+
+@pytest.fixture(scope="module")
+def outcomes():
+    """Run the script once per backend; keep what the tests compare."""
+
+    def on_alarm(signum, frame):
+        raise TimeoutError("cluster contract run exceeded 240s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(240)
+    results = {}
+    try:
+        for deployment in BACKENDS:
+            ring = HashRing(range(SEATS - 1), n_shards=SHARDS, replication=REPLICATION)
+            cluster = build_cluster(config_for(deployment), "delta-based-bp-rr", ring=ring)
+            try:
+                script = Script(cluster).run()
+                results[deployment] = {
+                    "converged": cluster.converged(),
+                    "pending": cluster.pending_handoffs(),
+                    "ring": cluster.ring.replicas,
+                    "reads": {
+                        key: cluster.value(key)
+                        for key in (*script.sets, *script.counters)
+                    },
+                    "expected": {**script.sets, **script.counters},
+                    "leaver_shards": cluster.hosted_shards(0),
+                    "scheduler": cluster.scheduler_stats(),
+                    "wal": cluster.wal_stats(),
+                    "messages": cluster.metrics.message_count,
+                    "payload_bytes": cluster.metrics.total_payload_bytes(),
+                    "reports": script.reports,
+                }
+            finally:
+                cluster.close()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    return results
+
+
+@pytest.mark.parametrize("deployment", BACKENDS, ids=lambda d: d.value)
+class TestSharedContract:
+    def test_converged_and_settled(self, outcomes, deployment):
+        outcome = outcomes[deployment]
+        assert outcome["converged"]
+        assert outcome["pending"] == 0
+        assert outcome["ring"] == (1, 2, 3, 4)
+        assert outcome["leaver_shards"] == 0
+
+    def test_every_written_key_reads_its_joined_value(self, outcomes, deployment):
+        outcome = outcomes[deployment]
+        assert outcome["reads"] == outcome["expected"]
+        # The partition really took writes on both sides of the cut.
+        assert len(outcome["expected"]["set:cut-a"]) == REPLICATION
+
+    def test_membership_changes_return_the_planners_report(self, outcomes, deployment):
+        added, removed = outcomes[deployment]["reports"]
+        assert isinstance(added, RebalanceReport) and added.added == SEATS - 1
+        assert isinstance(removed, RebalanceReport) and removed.removed == 0
+        assert added.transfers and removed.transfers
+        planned = len(added.transfers) + len(removed.transfers)
+        scheduler = outcomes[deployment]["scheduler"]
+        assert scheduler["handoffs_completed"] >= planned
+        assert scheduler["handoff_segments"] > 0
+        assert scheduler["handoff_payload_bytes"] > 0
+
+    def test_traffic_was_real_and_durable(self, outcomes, deployment):
+        outcome = outcomes[deployment]
+        assert outcome["messages"] > 0
+        assert outcome["payload_bytes"] > 0
+        assert outcome["wal"]["wal_committed_bytes"] > 0
+        # The lose-state victim came back from its log, not the network.
+        assert outcome["wal"]["wal_replayed_bytes"] > 0
+
+
+def test_backends_agree_on_counter_names_and_transfer_plans(outcomes):
+    sim = outcomes[Stepped.SIM]
+    for deployment in (Stepped.TCP, Stepped.PROC):
+        other = outcomes[deployment]
+        assert set(other["scheduler"]) == set(sim["scheduler"])
+        assert set(other["wal"]) == set(sim["wal"])
+        for ours, theirs in zip(sim["reports"], other["reports"]):
+            assert theirs.moved_shards == ours.moved_shards
+            assert theirs.transfers == ours.transfers
+            assert theirs.unsourced == ours.unsourced
+
+
+class TestPlanner:
+    """`plan_rebalance` is pure: rings, the down set and holders in, report out."""
+
+    OLD = HashRing(range(4), n_shards=SHARDS, replication=1)
+    NEW = OLD.without_replica(3)
+
+    def holders(self, live, content=True):
+        return {
+            node: {s: ShardCopy(content, 10) for s in self.OLD.shards_owned_by(node)}
+            for node in live
+        }
+
+    def test_dead_sole_owner_is_reported_unsourced_not_skipped(self):
+        report = plan_rebalance(self.OLD, self.NEW, {3}, self.holders([0, 1, 2]), removed=3)
+        assert report.moved_shards == self.OLD.shards_owned_by(3)
+        assert not report.transfers
+        assert {shard for shard, _ in report.unsourced} == set(report.moved_shards)
+        assert report.naive_fullstate_bytes == 0
+
+    def test_live_leaver_sources_every_shard_it_held(self):
+        report = plan_rebalance(self.OLD, self.NEW, set(), self.holders(range(4)), removed=3)
+        assert not report.unsourced
+        assert {(shard, src) for shard, src, _ in report.transfers} == {
+            (shard, 3) for shard in report.moved_shards
+        }
+        assert report.naive_fullstate_bytes == 10 * len(report.transfers)
+
+    def test_a_retained_copy_with_content_beats_an_empty_owner(self):
+        shard = self.OLD.shards_owned_by(3)[0]
+        holders = self.holders([0, 1, 2, 3], content=False)
+        outsider = next(n for n in (0, 1, 2) if shard not in holders[n])
+        holders[outsider][shard] = ShardCopy(True, 10)  # still fencing it
+        report = plan_rebalance(self.OLD, self.NEW, set(), holders, removed=3)
+        assert (shard, outsider) in {(s, src) for s, src, _ in report.transfers}

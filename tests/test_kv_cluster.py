@@ -197,14 +197,6 @@ class TestFaultBookkeeping:
         )
         assert cluster.updates_skipped == 1
 
-    def test_partition_rejects_unknown_nodes(self):
-        import pytest
-
-        ring = HashRing(range(4), n_shards=4, replication=2)
-        cluster = KVCluster(ring, keyed_bp_rr)
-        with pytest.raises(ValueError, match="no such nodes"):
-            cluster.partition([0, 99])
-
 
 class TestRouting:
     def test_updates_route_to_live_owners(self):

@@ -3,8 +3,9 @@
 Covers the membership-change machinery end to end:
 
 * cluster level — mid-run ``add_replica`` / ``decommission_replica``
-  converge with client traffic flowing, on the simulator and over real
-  TCP sockets, for WAL-backed and log-less recovery policies;
+  converge with client traffic flowing, for WAL-backed and log-less
+  recovery policies (the same flow over TCP sockets and replica
+  processes is ``tests/test_cluster_contract.py``);
 * the handoff protocol — offers, segments, completion acks, the
   root-match short-circuit, retry under message loss, and pacing under
   a send budget;
@@ -45,7 +46,7 @@ REPAIR = AntiEntropyConfig(
 )
 
 
-def make_cluster(n_topology, n_ring, *, recovery="wal", transport="sim",
+def make_cluster(n_topology, n_ring, *, recovery="wal",
                  antientropy=REPAIR, replication=2, shards=16, loss_rate=0.0):
     ring = HashRing(range(n_ring), n_shards=shards, replication=replication)
     return KVCluster(
@@ -54,7 +55,6 @@ def make_cluster(n_topology, n_ring, *, recovery="wal", transport="sim",
         config=ClusterConfig(topology=full_mesh(n_topology), loss_rate=loss_rate),
         antientropy=antientropy,
         recovery=recovery,
-        transport=transport,
     )
 
 
@@ -552,25 +552,3 @@ class TestShardLogFencing:
         log.commit()
         log.fence()
         assert log.export_records() == []
-
-
-class TestRebalanceOverTcp:
-    def test_add_and_decommission_converge_over_sockets(self):
-        cluster = make_cluster(5, 4, transport="tcp", shards=8)
-        try:
-            pump(cluster, 2, seed=20, writes=6)
-            cluster.add_replica(4)
-            pump(cluster, 3, seed=21, writes=6)
-            cluster.drain()
-            assert cluster.converged()
-            cluster.decommission_replica(0)
-            pump(cluster, 3, seed=22, writes=6)
-            cluster.drain()
-            assert cluster.converged()
-            assert cluster.pending_handoffs() == 0
-            assert not cluster.nodes[0].shards
-            stats = cluster.scheduler_stats()
-            assert stats["handoff_segments"] > 0
-            assert stats["handoff_payload_bytes"] > 0
-        finally:
-            cluster.close()

@@ -21,6 +21,7 @@ over the network.  These tests pin the policy ladder down:
 
 import pytest
 
+from repro.driver import Stepped
 from repro.experiments.kv_sweep import KVConfig, run_kv_repair_cell
 from repro.kv import (
     AntiEntropyConfig,
@@ -266,7 +267,7 @@ class TestFileBackedAndTcp:
             replication=2,
             repair_interval=2,
             repair_fanout=8,
-            transport="tcp",
+            deployment=Stepped.TCP,
         )
         workload = config.make_workload(config.ring())
         digest = run_kv_repair_cell(config, "delta-based-bp-rr", "digest", workload)

@@ -323,17 +323,14 @@ class TestCli:
             "det-rng",
             "det-clock",
             "det-taint",
-            "wire-registry",
-            "verb-registry",
             "event-registry",
-            "trace-pairing",
             "frozen-mutation",
             "async-blocking-transitive",
             "resource-typestate",
             "broad-except",
         ):
             assert rule_id in out
-        assert "async-blocking: alias of async-blocking-transitive" in out
+        assert len(out.strip().splitlines()) == 8
 
     def test_missing_path_is_usage_error(self, capsys):
         assert main(["lint", "no/such/tree"]) == 2
@@ -405,57 +402,6 @@ class TestProfilesStatsGraph:
         assert text.startswith("digraph")
         assert "caller" in text and "callee" in text
         assert "->" in text
-
-
-class TestRuleAliases:
-    """``async-blocking`` lives on as an alias of the transitive rule."""
-
-    def test_alias_suppression_shields_canonical_finding(self):
-        source = (
-            "import time\n"
-            "async def handler():\n"
-            "    # repro: lint-ok[async-blocking] fixture keeps old name\n"
-            "    time.sleep(1)\n"
-        )
-        result = lint_sources({"mod.py": source})
-        assert result.clean
-        assert [f.rule for f in result.suppressed] == [
-            "async-blocking-transitive"
-        ]
-
-    def test_canonical_suppression_still_works(self):
-        source = (
-            "import time\n"
-            "async def handler():\n"
-            "    # repro: lint-ok[async-blocking-transitive] fixture\n"
-            "    time.sleep(1)\n"
-        )
-        result = lint_sources({"mod.py": source})
-        assert result.clean
-
-    def test_malformed_alias_suppression_is_still_a_finding(self):
-        # A reason-less suppression is malformed whether it names the
-        # canonical id or the legacy alias: the alias migration must
-        # not launder bad grammar.
-        source = (
-            "import time\n"
-            "async def handler():\n"
-            "    # repro: lint-ok[async-blocking]\n"
-            "    time.sleep(1)\n"
-        )
-        result = lint_sources({"mod.py": source})
-        assert any(
-            f.rule == "suppression" and "no reason" in f.message
-            for f in result.findings
-        )
-
-    def test_alias_does_not_shield_other_rules(self):
-        source = (
-            "import random\n"
-            "x = random.random()  # repro: lint-ok[async-blocking] wrong rule\n"
-        )
-        result = lint_sources({"mod.py": source})
-        assert any(f.rule == "det-rng" for f in result.findings)
 
 
 class TestRepositoryStatus:

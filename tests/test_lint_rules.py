@@ -82,86 +82,6 @@ class TestDetClock:
         assert not in_deterministic_core("src/repro/serve/cluster.py")
 
 
-class TestWireRegistry:
-    def test_kind_without_codec_entry_triggers(self):
-        source = (
-            'WIRE_KINDS = ("alpha", "beta")\n'
-            "_WIRE_CODECS = {\n"
-            '    "alpha": (1, 2),\n'
-            "}\n"
-        )
-        result = lint_sources({"codec.py": source})
-        (finding,) = result.findings
-        assert finding.rule == "wire-registry"
-        assert "'beta'" in finding.message
-
-    def test_codec_entry_without_kind_triggers(self):
-        source = (
-            'WIRE_KINDS = ("alpha",)\n'
-            '_WIRE_CODECS = {"alpha": (1, 2), "ghost": (3, 4)}\n'
-        )
-        result = lint_sources({"codec.py": source})
-        (finding,) = result.findings
-        assert "'ghost'" in finding.message
-
-    def test_non_pair_value_triggers(self):
-        source = (
-            'WIRE_KINDS = ("alpha",)\n_WIRE_CODECS = {"alpha": (1,)}\n'
-        )
-        assert rules_hit({"codec.py": source}) == ["wire-registry"]
-
-    def test_complete_table_is_clean(self):
-        source = (
-            'WIRE_KINDS = ("alpha", "beta")\n'
-            '_WIRE_CODECS = {"alpha": (1, 2), "beta": (3, 4)}\n'
-        )
-        assert rules_hit({"codec.py": source}) == []
-
-    def test_kinds_without_any_table_triggers(self):
-        assert rules_hit({"codec.py": 'WIRE_KINDS = ("alpha",)\n'}) == [
-            "wire-registry"
-        ]
-
-
-class TestVerbRegistry:
-    FRAMES = (
-        "GET = 1\nPUT = 2\n"
-        '_VERB_NAMES = {GET: "get", PUT: "put"}\n'
-    )
-
-    def test_undispatched_verb_triggers(self):
-        handler = (
-            "import frames\n"
-            "def handle(verb):\n"
-            "    if verb == frames.GET:\n"
-            "        return 'get'\n"
-        )
-        result = lint_sources(
-            {"frames.py": self.FRAMES, "replica.py": handler}
-        )
-        (finding,) = result.findings
-        assert finding.rule == "verb-registry"
-        assert "PUT" in finding.message
-
-    def test_fully_dispatched_verbs_are_clean(self):
-        handler = (
-            "import frames\n"
-            "def handle(verb):\n"
-            "    if verb == frames.GET:\n"
-            "        return 'get'\n"
-            "    if verb == frames.PUT:\n"
-            "        return 'put'\n"
-        )
-        assert (
-            rules_hit({"frames.py": self.FRAMES, "replica.py": handler})
-            == []
-        )
-
-    def test_rule_gated_off_without_any_dispatch_in_scan(self):
-        # Linting frames.py alone must not claim every verb is dead.
-        assert rules_hit({"frames.py": self.FRAMES}) == []
-
-
 class TestEventRegistry:
     def test_uncatalogued_emit_triggers(self):
         catalogue = 'EVENT_TYPES = ("send",)\n'
@@ -219,71 +139,6 @@ class TestEventRegistry:
             '    observer("wal-commit", 3)\n'
         )
         assert rules_hit({"trace.py": catalogue, "t.py": emitter}) == []
-
-
-class TestTracePairing:
-    def test_unpaired_record_message_triggers(self):
-        source = (
-            "def transmit(self, message, payload, metadata):\n"
-            "    self.metrics.record_message(MessageRecord(\n"
-            "        payload_bytes=payload,\n"
-            "        metadata_bytes=metadata,\n"
-            "        payload_units=1,\n"
-            "        metadata_units=2,\n"
-            "    ))\n"
-        )
-        result = lint_sources({"transport.py": source})
-        (finding,) = result.findings
-        assert finding.rule == "trace-pairing"
-        assert "no" in finding.message
-
-    def test_mismatched_byte_expression_triggers(self):
-        source = (
-            "def transmit(self, message, payload, metadata):\n"
-            "    self.metrics.record_message(MessageRecord(\n"
-            "        payload_bytes=payload,\n"
-            "        metadata_bytes=metadata,\n"
-            "        payload_units=1,\n"
-            "        metadata_units=2,\n"
-            "    ))\n"
-            '    self.tracer.emit("send",\n'
-            "        payload_bytes=payload + 1,\n"
-            "        metadata_bytes=metadata,\n"
-            "        payload_units=1,\n"
-            "        metadata_units=2,\n"
-            "    )\n"
-        )
-        result = lint_sources({"transport.py": source})
-        (finding,) = result.findings
-        assert "payload_bytes" in finding.message
-
-    def test_identical_expressions_are_clean(self):
-        source = (
-            "def transmit(self, message, payload, metadata):\n"
-            "    self.metrics.record_message(MessageRecord(\n"
-            "        payload_bytes=payload,\n"
-            "        metadata_bytes=metadata,\n"
-            "        payload_units=size_units(message),\n"
-            "        metadata_units=2,\n"
-            "    ))\n"
-            '    self.tracer.emit("send",\n'
-            "        payload_bytes=payload,\n"
-            "        metadata_bytes=metadata,\n"
-            "        payload_units=size_units(message),\n"
-            "        metadata_units=2,\n"
-            "    )\n"
-        )
-        assert rules_hit({"transport.py": source}) == []
-
-    def test_forwarding_an_existing_record_is_out_of_scope(self):
-        # TeeCollector passes the record object along; it constructs
-        # nothing, so there is nothing to pair.
-        source = (
-            "def record_message(self, record):\n"
-            "    for sink in self.sinks:\n"
-            "        sink.record_message(record)\n"
-        )
-        assert rules_hit({"obs.py": source}) == []
 
 
 class TestFrozenMutation:
@@ -475,10 +330,7 @@ class TestCorpusSanity:
             "det-rng",
             "det-clock",
             "det-taint",
-            "wire-registry",
-            "verb-registry",
             "event-registry",
-            "trace-pairing",
             "frozen-mutation",
             "async-blocking-transitive",
             "resource-typestate",

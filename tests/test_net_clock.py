@@ -14,7 +14,8 @@ import asyncio
 
 import pytest
 
-from repro.experiments.kv_sweep import KVConfig
+from repro.driver import FreeRun, Stepped, deployment_from_flags
+from repro.experiments.kv_sweep import KVConfig, build_cluster
 from repro.lattice import SetLattice
 from repro.net import (
     AsyncTcpTransport,
@@ -155,27 +156,45 @@ class TestFreeRunTransport:
         assert cluster.converged()
 
 
-class TestExecutionModelGating:
-    def test_free_over_tcp_is_a_usage_error(self):
+class TestDeploymentIsClosed:
+    """The four deployments are the only spellings; the CLI's flag pair
+    maps onto them in one place, which is where a bad pair fails."""
+
+    @pytest.mark.parametrize("transport", ["tcp", "proc"])
+    def test_free_off_the_simulator_is_a_usage_error(self, transport):
         with pytest.raises(ValueError, match="cannot run over"):
-            KVConfig(replicas=4, keys=16, rounds=2, execution="free", transport="tcp")
+            deployment_from_flags(transport, "free")
 
     def test_unknown_execution_model_is_rejected(self):
         with pytest.raises(ValueError, match="unknown execution model"):
-            KVConfig(replicas=4, keys=16, rounds=2, execution="fast")
+            deployment_from_flags("sim", "fast")
 
-    def test_free_resolves_to_the_freerun_transport(self):
-        config = KVConfig(replicas=4, keys=16, rounds=2, execution="free")
-        assert config.resolved_transport() == "free"
-        assert config.cluster_config() is not None
-        assert config.cluster_config().tick_jitter == config.tick_jitter
+    def test_flag_pairs_map_to_the_four_deployments(self):
+        assert deployment_from_flags("sim") is Stepped.SIM
+        assert deployment_from_flags("tcp") is Stepped.TCP
+        assert deployment_from_flags("proc") is Stepped.PROC
+        assert deployment_from_flags("sim", "free", 0.1) == FreeRun(jitter=0.1)
+        with pytest.raises(ValueError):
+            Stepped("free")  # free-running is not a transport name
 
-    def test_rounds_keeps_the_default_cluster_config(self):
+    def test_free_run_builds_the_freerun_transport_with_its_drift(self):
+        config = KVConfig(
+            replicas=4, keys=16, rounds=2, deployment=FreeRun(jitter=0.1, seed=9)
+        )
+        cluster = build_cluster(config, "delta-based-bp-rr")
+        assert isinstance(cluster.transport, FreeRunTransport)
+        assert cluster.config.tick_jitter == 0.1
+        assert cluster.config.tick_seed == 9
+
+    def test_stepped_sim_keeps_the_default_cluster_config(self):
         """No ClusterConfig override in round mode: the sweep keeps the
         exact defaults the byte-identity fingerprints were pinned on."""
-        config = KVConfig(replicas=4, keys=16, rounds=2)
-        assert config.resolved_transport() == "sim"
-        assert config.cluster_config() is None
+        cluster = build_cluster(
+            KVConfig(replicas=4, keys=16, rounds=2), "delta-based-bp-rr"
+        )
+        assert type(cluster.transport).__name__ == "SimTransport"
+        assert cluster.config == ClusterConfig(cluster.config.topology)
+        assert cluster.config.topology.n == 4
 
 
 class TestTransportStalledDiagnostics:

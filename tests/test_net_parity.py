@@ -23,6 +23,7 @@ is transport-independent:
 
 import pytest
 
+from repro.driver import Stepped
 from repro.kv.antientropy import AntiEntropyConfig
 from repro.kv.cluster import KVCluster
 from repro.kv.ring import HashRing
@@ -162,7 +163,7 @@ def test_tcp_survives_the_fault_schedule():
         replication=2,
         repair_interval=2,
         repair_fanout=8,
-        transport="tcp",
+        deployment=Stepped.TCP,
     )
     cell = run_kv_repair_cell(config, "delta-based-bp-rr", "digest")
     assert cell.converged

@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from repro.driver import Stepped
 from repro.cli import main
 from repro.experiments.kv_sweep import KVConfig, run_kv_repair_cell
 from repro.kv.antientropy import AntiEntropyConfig
@@ -43,7 +44,7 @@ SMALL = KVConfig(
 def traced_fault_cell(tmp_path, transport):
     path = str(tmp_path / f"trace_{transport}.jsonl")
     config = KVConfig(
-        **{**SMALL.__dict__, "transport": transport, "trace": path}
+        **{**SMALL.__dict__, "deployment": Stepped(transport), "trace": path}
     )
     cell = run_kv_repair_cell(config, "delta-based-bp-rr", "wal")
     return cell, read_trace(path)

@@ -7,11 +7,13 @@ the blocking send/recv path end to end.
 
 from __future__ import annotations
 
+import asyncio
 import socket
 import struct
 
 import pytest
 
+from repro.net import framing
 from repro.serve import frames
 from repro.serve.frames import (
     FrameError,
@@ -160,31 +162,48 @@ class TestResponseRoundtrip:
 
 class TestFraming:
     def test_frame_prefixes_big_endian_length(self):
-        framed = frames.frame(b"body")
+        framed = framing.frame(b"body")
         assert framed == struct.pack(">I", 4) + b"body"
 
     def test_oversized_frame_refused(self):
         with pytest.raises(FrameError, match="too large"):
-            frames.frame(b"x" * (frames.MAX_FRAME_BYTES + 1))
+            framing.frame(b"x" * (framing.MAX_FRAME_BYTES + 1))
 
     def test_oversized_length_prefix_refused_before_allocation(self):
         a, b = socket.socketpair()
         try:
-            a.sendall(struct.pack(">I", frames.MAX_FRAME_BYTES + 1))
+            a.sendall(struct.pack(">I", framing.MAX_FRAME_BYTES + 1))
             with pytest.raises(FrameError, match="too large"):
-                frames.recv_frame(b)
+                framing.recv_frame(b)
         finally:
             a.close()
             b.close()
+
+    def test_asyncio_reader_refuses_oversized_length_without_reading_a_body(self):
+        """The stream reader every server-side plane uses (replica peer
+        and client planes, the in-process TCP transport) applies the
+        same cap: the refusal comes from the 4-byte prefix alone."""
+
+        async def read_hostile_prefix():
+            reader = asyncio.StreamReader()
+            reader.feed_data(struct.pack(">I", 0xFFFFFFFF))
+            await asyncio.wait_for(framing.read_frame(reader), timeout=2.0)
+
+        with pytest.raises(FrameError, match="too large"):
+            asyncio.run(read_hostile_prefix())
+
+    def test_hello_is_a_framed_uvarint_and_round_trips(self):
+        assert framing.hello(5) == struct.pack(">I", 1) + b"\x05"
+        assert framing.read_hello(framing.hello(300)[4:]) == 300
 
     def test_send_recv_roundtrip_over_socketpair(self):
         a, b = socket.socketpair()
         try:
             body = encode_request(Request(3, frames.GET, key="gct:00001"))
-            frames.send_frame(a, body)
-            frames.send_frame(a, b"")
-            assert frames.recv_frame(b) == body
-            assert frames.recv_frame(b) == b""
+            framing.send_frame(a, body)
+            framing.send_frame(a, b"")
+            assert framing.recv_frame(b) == body
+            assert framing.recv_frame(b) == b""
         finally:
             a.close()
             b.close()
@@ -195,7 +214,7 @@ class TestFraming:
             a.sendall(struct.pack(">I", 10) + b"half")
             a.close()
             with pytest.raises(ConnectionError):
-                frames.recv_frame(b)
+                framing.recv_frame(b)
         finally:
             b.close()
 
