@@ -487,7 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--repair", type=int, default=0)
     serve.add_argument("--repair-mode", choices=("blanket", "digest"), default="blanket")
     serve.add_argument("--repair-fanout", type=int, default=1)
-    serve.add_argument("--no-batch", action="store_true")
     serve.add_argument(
         "--trace-dir", type=str, default=None,
         help="directory for this process's r###.jsonl trace file",
@@ -661,7 +660,6 @@ def main(argv: Optional[List[str]] = None, stream=None) -> int:
             repair_interval=args.repair,
             repair_fanout=args.repair_fanout,
             repair_mode=args.repair_mode,
-            batch=not args.no_batch,
             trace_dir=args.trace_dir,
         )
         ReplicaProcess(options).run()

@@ -450,7 +450,7 @@ def _read_store(data: BinaryIO) -> DotStore:
 #                               uvarint(payload_units)
 #                               uvarint(metadata_units)
 #
-# Store-level framing (``kv-shard``/``kv-batch``) nests recursively:
+# Store-level framing (``kv-batch``) nests recursively:
 # inner messages append to the same two sections, so the outer
 # envelope's payload bytes are exactly the sum of the bundled lattice
 # content.
@@ -477,8 +477,13 @@ class WireFrame:
 
 
 #: kind → (tag, writer, reader), filled by :func:`wire_kind` as the
-#: readers below are defined.  The uvarint tag is part of the format —
-#: never renumber one; a new kind takes the next unused tag.
+#: readers below are defined.  The uvarint tag is part of the *envelope*
+#: format, and envelopes only ever live on the wire between replicas of
+#: one build — nothing persists them — so tags may be renumbered when a
+#: kind is retired, as long as they stay dense.  What is stable across
+#: builds is the *lattice* encoding (``encode``/``decode``): WAL records
+#: and handoff segment bodies are ``encode(lattice)``, and the golden
+#: vectors in ``tests/test_codec_golden.py`` pin those bytes.
 _WIRE_REGISTRY: Dict[str, Tuple[int, Callable, Callable]] = {}
 
 
@@ -731,19 +736,6 @@ def _read_kv_repair(payload_in: BinaryIO, meta_in: BinaryIO):
     return (_read_lattice(payload_in), echo)
 
 
-def _write_kv_shard(payload, payload_out: BinaryIO, meta_out: BinaryIO) -> None:
-    shard, inner = payload
-    write_uvarint(meta_out, shard)
-    _write_message(inner, payload_out, meta_out)
-
-
-# store framing: one (shard, message)
-@wire_kind("kv-shard", tag=14, writer=_write_kv_shard)
-def _read_kv_shard(payload_in: BinaryIO, meta_in: BinaryIO):
-    shard = read_uvarint(meta_in)
-    return (shard, _read_message(payload_in, meta_in))
-
-
 def _write_kv_batch(payload, payload_out: BinaryIO, meta_out: BinaryIO) -> None:
     write_uvarint(meta_out, len(payload))
     for shard, inner in payload:
@@ -752,7 +744,7 @@ def _write_kv_batch(payload, payload_out: BinaryIO, meta_out: BinaryIO) -> None:
 
 
 # store framing: bundled (shard, message) pairs
-@wire_kind("kv-batch", tag=15, writer=_write_kv_batch)
+@wire_kind("kv-batch", tag=14, writer=_write_kv_batch)
 def _read_kv_batch(payload_in: BinaryIO, meta_in: BinaryIO):
     entries = []
     for _ in range(read_uvarint(meta_in)):
@@ -768,7 +760,7 @@ def _write_kv_handoff_offer(payload, payload_out: BinaryIO, meta_out: BinaryIO) 
 
 
 # rebalance: shard handoff announcement (root, size hint)
-@wire_kind("kv-handoff-offer", tag=16, writer=_write_kv_handoff_offer)
+@wire_kind("kv-handoff-offer", tag=15, writer=_write_kv_handoff_offer)
 def _read_kv_handoff_offer(payload_in: BinaryIO, meta_in: BinaryIO):
     root = read_atom(meta_in)
     return (root, read_uvarint(meta_in))
@@ -784,7 +776,7 @@ def _write_kv_handoff_segment(payload, payload_out: BinaryIO, meta_out: BinaryIO
 
 
 # rebalance: compacted WAL segment (encoded delta records)
-@wire_kind("kv-handoff-segment", tag=17, writer=_write_kv_handoff_segment)
+@wire_kind("kv-handoff-segment", tag=16, writer=_write_kv_handoff_segment)
 def _read_kv_handoff_segment(payload_in: BinaryIO, meta_in: BinaryIO):
     return tuple(
         _read_exact(payload_in, read_uvarint(meta_in))
@@ -803,7 +795,7 @@ def _write_kv_handoff_ack(payload, payload_out: BinaryIO, meta_out: BinaryIO) ->
 
 
 # rebalance: receiver verdict (complete flag, replayed root)
-@wire_kind("kv-handoff-ack", tag=18, writer=_write_kv_handoff_ack)
+@wire_kind("kv-handoff-ack", tag=17, writer=_write_kv_handoff_ack)
 def _read_kv_handoff_ack(payload_in: BinaryIO, meta_in: BinaryIO):
     complete = bool(_read_exact(meta_in, 1)[0])
     has_root = _read_exact(meta_in, 1)[0]

@@ -86,7 +86,6 @@ class KVConfig:
     repair_interval: int = 0
     repair_fanout: int = 1
     repair_mode: str = "blanket"
-    batch: bool = True
     #: Where the replicas run and what steps them — the simulator,
     #: the simulator running free (:class:`~repro.driver.FreeRun`),
     #: localhost TCP sockets, or one OS process per replica.  A closed
@@ -136,7 +135,6 @@ class KVConfig:
             repair_interval=self.repair_interval,
             repair_fanout=self.repair_fanout,
             repair_mode=self.repair_mode,
-            batch=self.batch,
         )
 
     def wal_config(self) -> WalConfig:

@@ -10,14 +10,24 @@ reconciliation):
   write funnelled through an optimal δ-mutator;
 * :mod:`repro.kv.ring` — consistent-hash placement of shards onto
   replica groups with a configurable replication factor;
+* :mod:`repro.kv.shard` — one hosted copy of a shard (inner
+  synchronizer + digest + log handle), whose ``write`` / ``deliver`` /
+  ``absorb`` are the only code that can inflate it, each staging the
+  inflation to the WAL;
 * :mod:`repro.kv.antientropy` — per-shard synchronization scheduling:
-  round-robin fairness, a per-tick send budget with delta-batching
-  backpressure, and repair in two modes — blanket full-state pushes on
-  a timer, or divergence-driven digest probes over cold δ-paths that
-  escalate to shipping only the missing join decomposition;
+  round-robin fairness and a per-tick send budget with delta-batching
+  backpressure;
+* :mod:`repro.kv.repair` — the repair exchange, whole: blanket
+  full-state pushes on a timer, or divergence-driven digest probes over
+  cold δ-paths that escalate to shipping only the missing join
+  decomposition (``kv-digest`` / ``kv-diff`` / ``kv-repair``);
+* :mod:`repro.kv.handoff` — the rebalance handoff exchange, whole: the
+  offer → segment → ack state machine, retained source shards and
+  log fencing (``kv-handoff-*``);
 * :mod:`repro.kv.store` — the per-replica engine, itself a
   :class:`~repro.sync.protocol.Synchronizer`, running any inner
-  protocol per shard;
+  protocol per shard: routing, the typed API, wire packaging and
+  ``apply_ring``;
 * :mod:`repro.kv.driver` — the cluster driver every backend shares:
   smart-client routing, per-shard convergence, partition/crash
   recovery under a pluggable recovery policy (bottom restart + remote
@@ -42,8 +52,8 @@ from repro.kv.driver import (
     plan_rebalance,
 )
 from repro.kv.ring import HashRing, stable_hash
+from repro.kv.shard import Shard
 from repro.kv.store import (
-    HANDOFF_KINDS,
     KVRoutingError,
     KVStore,
     KVUpdate,
@@ -63,7 +73,6 @@ __all__ = [
     "AntiEntropyConfig",
     "AntiEntropyScheduler",
     "DEFAULT_PREFIXES",
-    "HANDOFF_KINDS",
     "HashRing",
     "RebalanceReport",
     "KVCluster",
@@ -76,6 +85,7 @@ __all__ = [
     "RECOVERY_POLICIES",
     "REPAIR_MODES",
     "Schema",
+    "Shard",
     "TYPE_REGISTRY",
     "TypeSpec",
     "Unavailable",

@@ -1,44 +1,24 @@
-"""Per-shard anti-entropy scheduling: budget, backpressure, and repair.
+"""Per-shard anti-entropy scheduling: the send budget and its cursor.
 
 A replica of the sharded store runs one synchronizer instance per owned
 shard.  Left alone, every shard would flush its δ-buffer on every tick;
 under heavy multi-key traffic that can exceed what the replica's uplink
-should spend per interval.  The scheduler imposes the store's
-operational knobs:
+should spend per interval.  The scheduler imposes the **send budget** —
+an upper bound on synchronization bytes planned per tick.  Shards are
+visited round-robin from a rotating cursor; once the budget is spent
+the remaining shards are *deferred*: their synchronizers are not asked
+for messages, so their δ-buffers keep accumulating and the next tick
+ships one larger, better-compressed δ-group per neighbour.  That is
+delta-batching as backpressure — the same mechanism the paper exploits
+by synchronizing once per interval rather than per update, extended
+across a keyspace.
 
-* **send budget** — an upper bound on synchronization bytes planned per
-  tick.  Shards are visited round-robin from a rotating cursor; once
-  the budget is spent the remaining shards are *deferred*: their
-  synchronizers are not asked for messages, so their δ-buffers keep
-  accumulating and the next tick ships one larger, better-compressed
-  δ-group per neighbour.  That is delta-batching as backpressure — the
-  same mechanism the paper exploits by synchronizing once per interval
-  rather than per update, extended across a keyspace.
-
-* **repair** — Algorithm 1 clears δ-buffers on send, so a δ-group lost
-  to a crashed peer or a severed link is gone; repair restores
-  convergence after partitions and crash-recovery the way Dynamo-style
-  stores run background anti-entropy next to the fast delta path.  Two
-  modes:
-
-  - ``"blanket"``: every ``repair_interval`` ticks the next
-    ``repair_fanout`` shards (round-robin) push their full shard state
-    to the other owners — simple, correct, and exactly the redundant
-    transmission the paper exists to eliminate;
-  - ``"digest"`` (divergence-driven): the scheduler tracks, per
-    (shard, peer) pair, how many ticks have passed since that δ-path
-    last shipped or absorbed a delta, plus *suspicion* raised when a
-    send to the peer was refused (crash / severed link).  A δ-path that
-    stays cold for ``repair_interval`` ticks triggers a **digest
-    probe** — one root hash over the shard's irreducible-set digest
-    (:func:`repro.sync.digest.root_of`), O(hash) to compare — instead
-    of a state push.  Matching roots end the exchange; a mismatch
-    escalates to a fingerprint-digest diff that ships only the
-    inflating join decomposition (the ConflictSync shape: Gomes et
-    al., PAPERS.md).
-    The store reports arriving repair traffic back through
-    :meth:`AntiEntropyScheduler.note_repair_traffic`, so repair-byte
-    budgets are observable per replica (and refused sends never count).
+The scheduler also owns the replica's protocol clock (:attr:`tick`),
+which the two exchanges that ride next to the inner protocols read:
+repair (:mod:`repro.kv.repair` — δ-path coldness, blanket pushes,
+digest probes) and rebalance handoff (:mod:`repro.kv.handoff` —
+retransmission and segment pacing).  :class:`AntiEntropyConfig` is the
+one set of knobs all three share.
 
 The scheduler is deliberately deterministic — cursors, not randomness —
 so simulated runs replay identically for every algorithm under test.
@@ -47,13 +27,31 @@ so simulated runs replay identically for every algorithm under test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.obs.metrics import MetricsRegistry
-from repro.sync.protocol import Send, Synchronizer
+from repro.obs.metrics import Counter, MetricsRegistry
+from repro.sync.protocol import Send
 
 #: Valid values of :attr:`AntiEntropyConfig.repair_mode`.
 REPAIR_MODES = ("blanket", "digest")
+
+#: Registry namespace of every counter the scheduler, the repair plane
+#: and the handoff plane keep (``KVDriver.scheduler_stats`` sums it).
+COUNTER_PREFIX = "scheduler."
+
+
+def declare_counters(
+    registry: MetricsRegistry, names: Sequence[str]
+) -> Dict[str, Counter]:
+    """Get-or-create ``scheduler.<name>`` for each name, eagerly.
+
+    Each owner declares its counters as one tuple of names; creating
+    them at construction means a snapshot (or the cluster's stats sum)
+    sees every key from tick zero, and on a registry that outlives
+    store rebuilds the counts of a ``crash(lose_state=True)``
+    incarnation carry over.
+    """
+    return {name: registry.counter(COUNTER_PREFIX + name) for name in names}
 
 
 @dataclass(frozen=True)
@@ -75,23 +73,17 @@ class AntiEntropyConfig:
             crash recovery when the inner protocol clears buffers on
             send.
         repair_fanout: Shards repaired (blanket) or probed (digest) per
-            tick, round-robin.
+            tick, round-robin; also the cap on handoff segments shipped
+            per tick.
         repair_mode: ``"blanket"`` (full-state push on a timer) or
-            ``"digest"`` (divergence-driven probes; see module doc).
-        batch: Bundle all same-destination shard messages of a tick
-            into one wire message (per-message framing is paid once).
-        handoff_retry_interval: Ticks a rebalance handoff waits for the
-            peer's acknowledgement before retransmitting its current
-            phase (offer or segment) — the recovery path when loss or a
-            transient fault eats a handoff frame.
+            ``"digest"`` (divergence-driven probes; see
+            :mod:`repro.kv.repair`).
     """
 
     budget_bytes: Optional[int] = None
     repair_interval: int = 0
     repair_fanout: int = 1
     repair_mode: str = "blanket"
-    batch: bool = True
-    handoff_retry_interval: int = 4
 
     def __post_init__(self) -> None:
         if self.budget_bytes is not None and self.budget_bytes < 1:
@@ -104,8 +96,6 @@ class AntiEntropyConfig:
             raise ValueError(
                 f"repair_mode must be one of {REPAIR_MODES}, got {self.repair_mode!r}"
             )
-        if self.handoff_retry_interval < 1:
-            raise ValueError("handoff_retry_interval must be at least 1")
 
 
 class AntiEntropyScheduler:
@@ -113,508 +103,86 @@ class AntiEntropyScheduler:
 
     Args:
         config: The scheduling knobs.
-        shard_ids: The shards this replica owns.
-        shard_peers: For each owned shard, the co-owner replicas —
-            required for digest-mode repair (coldness is tracked per
-            (shard, peer) δ-path); optional otherwise.
-        replica: This replica's own index.  When given, *coldness*
-            probes use a pair tiebreak — only the lower-id side of a
-            replica pair initiates — because the exchange repairs both
-            directions, and symmetric divergence would otherwise make
-            both sides probe in the same tick and ship every delta
-            twice.  Suspicion overrides the tiebreak: a blocked send is
-            evidence only its observer holds, and ongoing traffic from
-            the peer can keep the other side's coldness clock warm
-            forever, so the suspecting replica must probe regardless of
-            id order.
-        registry: The replica's metrics registry the scheduler counters
-            live in (one is created privately when omitted).  A cluster
-            passes a registry that *outlives* store rebuilds, so the
-            counters of a ``crash(lose_state=True)`` incarnation carry
-            over instead of needing retirement bookkeeping.
+        shard_ids: The shards this replica hosts.
+        registry: The replica's metrics registry the ``scheduler.*``
+            counters live in (one is created privately when omitted).
+            A cluster passes a registry that *outlives* store rebuilds.
     """
+
+    #: ticks — planning ticks run (across store incarnations);
+    #: synced — shard syncs actually planned;
+    #: deferred — shard-sync opportunities skipped for lack of budget.
+    COUNTERS = ("ticks", "synced", "deferred")
 
     def __init__(
         self,
         config: AntiEntropyConfig,
         shard_ids: Sequence[int],
-        shard_peers: Optional[Mapping[int, Sequence[int]]] = None,
         *,
-        replica: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.config = config
-        self.replica = replica
         self.registry = registry if registry is not None else MetricsRegistry()
         self.shard_ids: Tuple[int, ...] = tuple(sorted(shard_ids))
-        self.shard_peers: Dict[int, Tuple[int, ...]] = {
-            shard: tuple(shard_peers.get(shard, ())) if shard_peers else ()
-            for shard in self.shard_ids
-        }
-        #: Reverse index ``peer → shards shared with it``, precomputed
-        #: so suspicion marking and rebuild-time probe planning touch
-        #: only the peer's own δ-paths.  A partitioned replica takes one
-        #: refused send per peer per tick; without the index each
-        #: refusal re-scanned every owned shard.
-        reverse: Dict[int, List[int]] = {}
-        for shard in self.shard_ids:
-            for peer in self.shard_peers[shard]:
-                reverse.setdefault(peer, []).append(shard)
-        self._peer_shards: Dict[int, Tuple[int, ...]] = {
-            peer: tuple(shards) for peer, shards in reverse.items()
-        }
         self._cursor = 0
-        self._repair_cursor = 0
+        #: The protocol clock: planning ticks since the cluster started
+        #: (a rebuilt store re-aligns it, ``KVStore.restore_clock``).
         self.tick = 0
-        #: (shard, peer) → tick the δ-path last shipped/absorbed a delta.
-        self._last_delta: Dict[Tuple[int, int], int] = {}
-        #: (shard, peer) → tick of the last digest probe we initiated.
-        self._last_probe: Dict[Tuple[int, int], int] = {}
-        #: δ-paths whose peer refused a send (crash / severed link).
-        self._suspect: Set[Tuple[int, int]] = set()
-        #: Rebalance handoffs this replica is sourcing:
-        #: (shard, dst) → {"phase": "offer" | "segment", "sent": tick | None}.
-        self._handoffs: Dict[Tuple[int, int], Dict] = {}
         #: Bytes planned by the last :meth:`plan` call (handoff pacing
         #: reads it to honour the same per-tick budget).
-        self._spent = 0
-        # All counters live in the registry under ``scheduler.*`` —
-        # created eagerly so a snapshot (or the cluster's stats adapter)
-        # sees every key from tick zero.  The attribute-style names the
-        # rest of the codebase reads (``scheduler.repairs``, …) are
-        # thin properties over these.
-        counter = self.registry.counter
-        #: Planning ticks run (plan() calls across store incarnations).
-        self._c_ticks = counter("scheduler.ticks")
-        #: Shard-sync opportunities skipped because the budget ran out.
-        self._c_deferred = counter("scheduler.deferred")
-        #: Shard syncs actually planned.
-        self._c_synced = counter("scheduler.synced")
-        # Repair traffic is counted where it *arrives*: a push or probe
-        # refused by a down peer or severed link never crossed the wire
-        # and must not inflate the repair-byte comparison.
-        #: Repair payloads absorbed (blanket pushes + digest-diff deltas).
-        self._c_repairs = counter("scheduler.repairs")
-        #: Digest probes received.
-        self._c_probes = counter("scheduler.probes")
-        #: Repair-path payload bytes that reached this replica.
-        self._c_repair_payload = counter("scheduler.repair_payload_bytes")
-        #: Repair-path metadata bytes that reached it (roots, digests).
-        self._c_repair_metadata = counter("scheduler.repair_metadata_bytes")
-        # Handoff accounting.  Traffic counters follow the repair rule —
-        # counted where they *arrive* — while start/finish counters are
-        # the source's lifecycle view.
-        self._c_handoffs_started = counter("scheduler.handoffs_started")
-        self._c_handoffs_completed = counter("scheduler.handoffs_completed")
-        self._c_handoffs_abandoned = counter("scheduler.handoffs_abandoned")
-        self._c_handoff_offers = counter("scheduler.handoff_offers")
-        self._c_handoff_segments = counter("scheduler.handoff_segments")
-        self._c_handoff_payload = counter("scheduler.handoff_payload_bytes")
-        self._c_handoff_metadata = counter("scheduler.handoff_metadata_bytes")
-        # Client-pushed read repair (the ``repro.serve`` quorum path).
-        # Kept apart from the digest-repair counters so the quorum
-        # experiment can report read-repair traffic separately.
-        self._c_read_repairs = counter("scheduler.read_repairs")
-        self._c_read_repair_payload = counter("scheduler.read_repair_payload_bytes")
+        self.spent = 0
+        self._count = declare_counters(self.registry, self.COUNTERS)
 
-    # ------------------------------------------------------------------
-    # Counter views (the names the stores, tests, and reports read).
-    # ------------------------------------------------------------------
-
-    @property
-    def deferred(self) -> int:
-        return self._c_deferred.value
-
-    @property
-    def synced(self) -> int:
-        return self._c_synced.value
-
-    @property
-    def repairs(self) -> int:
-        return self._c_repairs.value
-
-    @property
-    def probes(self) -> int:
-        return self._c_probes.value
-
-    @property
-    def repair_payload_bytes(self) -> int:
-        return self._c_repair_payload.value
-
-    @property
-    def repair_metadata_bytes(self) -> int:
-        return self._c_repair_metadata.value
-
-    @property
-    def handoffs_started(self) -> int:
-        return self._c_handoffs_started.value
-
-    @property
-    def handoffs_completed(self) -> int:
-        return self._c_handoffs_completed.value
-
-    @property
-    def handoffs_abandoned(self) -> int:
-        return self._c_handoffs_abandoned.value
-
-    @property
-    def handoff_offers(self) -> int:
-        return self._c_handoff_offers.value
-
-    @property
-    def handoff_segments(self) -> int:
-        return self._c_handoff_segments.value
-
-    @property
-    def handoff_payload_bytes(self) -> int:
-        return self._c_handoff_payload.value
-
-    @property
-    def handoff_metadata_bytes(self) -> int:
-        return self._c_handoff_metadata.value
-
-    @property
-    def read_repairs(self) -> int:
-        return self._c_read_repairs.value
-
-    @property
-    def read_repair_payload_bytes(self) -> int:
-        return self._c_read_repair_payload.value
-
-    # ------------------------------------------------------------------
-    # Signals from the store: δ-path activity and peer reachability.
-    # ------------------------------------------------------------------
-
-    def note_delta_activity(self, shard: int, peer: int) -> None:
-        """A delta was shipped to — or absorbed from — ``peer`` for ``shard``."""
-        self._last_delta[(shard, peer)] = self.tick
-        self._suspect.discard((shard, peer))
-
-    def note_peer_unreachable(self, peer: int) -> None:
-        """A send to ``peer`` was refused; suspect every shared δ-path.
-
-        O(shards shared with the peer) via the precomputed reverse
-        index — this fires once per peer per tick for as long as a
-        partition lasts, so it must not rescan the whole shard map.
-        """
-        for shard in self._peer_shards.get(peer, ()):
-            self._suspect.add((shard, peer))
-
-    def suspect_all_paths(self) -> None:
-        """Mark every δ-path suspect (the ``wal+repair`` recovery policy).
-
-        A store rebuilt from its WAL can *believe* its replay but not
-        prove the peers agree; suspicion makes the next planning tick
-        root-probe every co-owner regardless of the pair tiebreak, so
-        any divergence the log could not cover (its torn tail, writes
-        absorbed elsewhere during the downtime) surfaces immediately.
-        """
-        for peer, shards in self._peer_shards.items():
-            for shard in shards:
-                self._suspect.add((shard, peer))
-
-    def note_repair_traffic(
-        self, payload_bytes: int, metadata_bytes: int, *, with_payload: bool = False
-    ) -> None:
-        """Account repair-path traffic that arrived at this replica."""
-        self._c_repair_payload.inc(payload_bytes)
-        self._c_repair_metadata.inc(metadata_bytes)
-        if with_payload:
-            self._c_repairs.inc()
-
-    def note_probe(self, n: int = 1) -> None:
-        self._c_probes.inc(n)
-
-    def note_read_repair(self, payload_bytes: int) -> None:
-        """Account client-pushed repair state absorbed at this replica."""
-        self._c_read_repairs.inc()
-        self._c_read_repair_payload.inc(payload_bytes)
-
-    def restore_clock(self, ticks: int) -> None:
-        """Re-align the tick counter after a rebuild (crash with state loss).
-
-        A rebuilt replica starts from ``tick == 0``, silently
-        desynchronizing its repair cadence from the co-owners that kept
-        their clocks; carrying the cluster round in keeps blanket repair
-        phases and coldness thresholds aligned across the group.
-        """
-        self.tick = ticks
-
-    # ------------------------------------------------------------------
-    # Membership changes: ring rebalancing.
-    # ------------------------------------------------------------------
-
-    def apply_membership(
-        self,
-        shard_ids: Sequence[int],
-        shard_peers: Mapping[int, Sequence[int]],
-        *,
-        suspect_paths: Sequence[Tuple[int, int]] = (),
-    ) -> None:
-        """Swap the owned-shard set after a ring rebalance.
-
-        δ-path clocks survive for every (shard, peer) pair that exists
-        on both sides of the change; paths that appear — a gained shard,
-        or a moved shard's new co-owner — start *warm* (as if a delta
-        had just flowed), giving the handoff protocol one full coldness
-        interval to ship its segment before digest probes escalate and
-        re-ship the same content as repair deltas.  ``suspect_paths``
-        overrides warmth for the pairs the store knows diverged — the
-        surviving co-owner pairs of a rebuilt shard synchronizer, whose
-        pending δ-buffers the rebuild discarded.
-        """
-        old_paths = {
-            (shard, peer)
-            for shard, peers in self.shard_peers.items()
-            for peer in peers
-        }
+    def apply_membership(self, shard_ids: Sequence[int]) -> None:
+        """Swap the hosted-shard set after a ring rebalance."""
         self.shard_ids = tuple(sorted(shard_ids))
-        self.shard_peers = {
-            shard: tuple(shard_peers.get(shard, ())) for shard in self.shard_ids
-        }
-        reverse: Dict[int, List[int]] = {}
-        for shard in self.shard_ids:
-            for peer in self.shard_peers[shard]:
-                reverse.setdefault(peer, []).append(shard)
-        self._peer_shards = {
-            peer: tuple(shards) for peer, shards in reverse.items()
-        }
-        live_paths = {
-            (shard, peer)
-            for shard, peers in self.shard_peers.items()
-            for peer in peers
-        }
-        self._last_delta = {
-            path: tick for path, tick in self._last_delta.items() if path in live_paths
-        }
-        self._last_probe = {
-            path: tick for path, tick in self._last_probe.items() if path in live_paths
-        }
-        self._suspect = {path for path in self._suspect if path in live_paths}
-        for path in live_paths - old_paths:
-            self._last_delta[path] = self.tick
-        for path in suspect_paths:
-            if path in live_paths:
-                self._suspect.add(path)
-        if self.shard_ids:
-            self._cursor %= len(self.shard_ids)
-            self._repair_cursor %= len(self.shard_ids)
-        else:
-            self._cursor = self._repair_cursor = 0
+        self._cursor = self._cursor % len(self.shard_ids) if self.shard_ids else 0
 
-    # ------------------------------------------------------------------
-    # Shard handoff scheduling (the source side of a rebalance).
-    # ------------------------------------------------------------------
+    def plan(self, shards: Mapping[int, Any]) -> List[Tuple[int, Send]]:
+        """One tick's ``(shard, send)`` pairs, budget- and fairness-limited.
 
-    def enqueue_handoff(self, shard: int, dst: int) -> None:
-        """Begin sourcing a shard handoff to ``dst`` (offer goes first)."""
-        key = (shard, dst)
-        if key not in self._handoffs:
-            self._c_handoffs_started.inc()
-        self._handoffs[key] = {"phase": "offer", "sent": None}
-
-    def note_handoff_wanted(self, shard: int, dst: int) -> None:
-        """The receiver acknowledged the offer and wants the segment."""
-        entry = self._handoffs.get((shard, dst))
-        if entry is not None:
-            entry["phase"] = "segment"
-            entry["sent"] = None
-
-    def finish_handoff(self, shard: int, dst: int) -> bool:
-        """The receiver acknowledged this handoff complete."""
-        if self._handoffs.pop((shard, dst), None) is not None:
-            self._c_handoffs_completed.inc()
-            return True
-        return False
-
-    def abandon_handoff(self, shard: int, dst: int) -> bool:
-        """Drop a handoff that transferred nothing.
-
-        Two ways here: the source lost the shard's state (lose-state
-        rebuild mid-handoff), or the receiver *declined* because the
-        ring moved again and it is no longer the gaining owner.  Kept
-        separate from :meth:`finish_handoff` so the completion counter
-        only ever means "a receiver confirmed it holds the shard";
-        abandonments are the failure signal an operator reads.
-        """
-        if self._handoffs.pop((shard, dst), None) is not None:
-            self._c_handoffs_abandoned.inc()
-            return True
-        return False
-
-    def pending_handoffs(self, shard: Optional[int] = None) -> int:
-        """Handoffs still in flight (for ``shard`` when given)."""
-        if shard is None:
-            return len(self._handoffs)
-        return sum(1 for s, _ in self._handoffs if s == shard)
-
-    def plan_handoffs(self) -> List[Tuple[int, int, str]]:
-        """Handoff transmissions due this tick: ``(shard, dst, phase)``.
-
-        Call once per tick, after :meth:`plan`.  Offers are metadata-
-        sized and all go out immediately; segments carry shard-sized
-        payloads and are paced — at most ``repair_fanout`` per tick,
-        throttled to one when :meth:`plan` already spent the tick's
-        send budget, so a rebalance rides *within* the same budget that
-        backpressures normal synchronization instead of spiking past
-        it.  An unacknowledged phase retransmits after
-        ``handoff_retry_interval`` ticks (loss / transient faults).
-        """
-        due: List[Tuple[int, int, str]] = []
-        retry = self.config.handoff_retry_interval
-        budget = self.config.budget_bytes
-        segment_cap = self.config.repair_fanout
-        if budget is not None and self._spent >= budget:
-            segment_cap = 1
-        segments_served = 0
-        for (shard, dst), entry in sorted(self._handoffs.items()):
-            sent = entry["sent"]
-            if sent is not None and self.tick - sent < retry:
-                continue
-            if entry["phase"] == "segment":
-                if segments_served >= segment_cap:
-                    continue
-                segments_served += 1
-            entry["sent"] = self.tick
-            due.append((shard, dst, entry["phase"]))
-        return due
-
-    def note_handoff_traffic(
-        self, payload_bytes: int, metadata_bytes: int, *, kind: str
-    ) -> None:
-        """Account handoff-path traffic that arrived at this replica."""
-        self._c_handoff_payload.inc(payload_bytes)
-        self._c_handoff_metadata.inc(metadata_bytes)
-        if kind == "kv-handoff-offer":
-            self._c_handoff_offers.inc()
-        elif kind == "kv-handoff-segment":
-            self._c_handoff_segments.inc()
-
-    # ------------------------------------------------------------------
-    # The per-tick plan.
-    # ------------------------------------------------------------------
-
-    def plan(
-        self, shards: Mapping[int, Synchronizer]
-    ) -> Tuple[List[Tuple[int, Send]], List[int], List[Tuple[int, Tuple[int, ...]]]]:
-        """One tick's plan: planned sends, blanket repairs, digest probes.
-
-        Returns ``(planned, blanket_due, probes_due)``:
-
-        * ``planned`` — ``(shard, send)`` pairs from the inner
-          synchronizers, budget- and fairness-limited.  Calling a
-          synchronizer's ``sync_messages`` flushes its buffers, so
-          deferred shards are never asked — their deltas survive to the
-          next tick.
-        * ``blanket_due`` — shards that must push full state to every
-          co-owner (``repair_mode == "blanket"`` only).
-        * ``probes_due`` — ``(shard, peers)`` digest probes for δ-paths
-          gone cold or suspect (``repair_mode == "digest"`` only).
+        ``shards`` maps each hosted shard id to its copy (anything with
+        ``sync_messages()``).  Calling that flushes the inner buffers,
+        so deferred shards are never asked — their deltas survive to the
+        next tick.
         """
         self.tick += 1
-        self._c_ticks.inc()
-        self._spent = 0
+        self._count["ticks"].inc()
+        self.spent = 0
         planned: List[Tuple[int, Send]] = []
         if not self.shard_ids:
-            return planned, [], []
-
-        order = [
-            self.shard_ids[(self._cursor + i) % len(self.shard_ids)]
-            for i in range(len(self.shard_ids))
-        ]
+            return planned
+        n = len(self.shard_ids)
         budget = self.config.budget_bytes
         spent = 0
         served = 0
-        for shard in order:
+        for offset in range(n):
             if budget is not None and served > 0 and spent >= budget:
-                self._c_deferred.inc(len(order) - served)
+                self._count["deferred"].inc(n - served)
                 break
+            shard = self.shard_ids[(self._cursor + offset) % n]
             sends = shards[shard].sync_messages()
             served += 1
-            self._c_synced.inc()
+            self._count["synced"].inc()
             for send in sends:
                 spent += send.message.total_bytes
                 planned.append((shard, send))
-        self._cursor = (self._cursor + served) % len(self.shard_ids)
-        self._spent = spent
-
-        interval = self.config.repair_interval
-        if not interval:
-            return planned, [], []
-        if self.config.repair_mode == "blanket":
-            return planned, self._blanket_due(interval), []
-        return planned, [], self._probes_due(interval)
-
-    def _blanket_due(self, interval: int) -> List[int]:
-        """Timer-driven: every ``interval`` ticks, the next fanout shards."""
-        if self.tick % interval != 0:
-            return []
-        due: List[int] = []
-        for _ in range(min(self.config.repair_fanout, len(self.shard_ids))):
-            due.append(self.shard_ids[self._repair_cursor % len(self.shard_ids)])
-            self._repair_cursor += 1
-        return due
-
-    def _probes_due(self, interval: int) -> List[Tuple[int, Tuple[int, ...]]]:
-        """Divergence-driven: probe δ-paths cold or suspect for ≥ interval.
-
-        A probe is itself rate-limited to one per δ-path per interval,
-        so an already-synchronized shard costs one root digest per
-        interval and nothing more.  Fanout caps probed shards per tick,
-        rotating a cursor so every cold shard eventually gets its turn.
-        """
-        due: List[Tuple[int, Tuple[int, ...]]] = []
-        n = len(self.shard_ids)
-        scanned = 0
-        picked = 0
-        while scanned < n and picked < self.config.repair_fanout:
-            shard = self.shard_ids[(self._repair_cursor + scanned) % n]
-            scanned += 1
-            cold_peers = []
-            for peer in self.shard_peers.get(shard, ()):
-                path = (shard, peer)
-                suspect = path in self._suspect
-                if (
-                    not suspect
-                    and self.replica is not None
-                    and peer < self.replica
-                ):
-                    continue  # cold probes: the lower-id side initiates
-                if self.tick - self._last_probe.get(path, -interval) < interval:
-                    continue  # probed recently; give the exchange time
-                cold = self.tick - self._last_delta.get(path, 0) >= interval
-                if cold or suspect:
-                    cold_peers.append(peer)
-                    self._last_probe[path] = self.tick
-                    self._suspect.discard(path)
-            if cold_peers:
-                due.append((shard, tuple(cold_peers)))
-                picked += 1
-        self._repair_cursor = (self._repair_cursor + scanned) % n
-        return due
+        self._cursor = (self._cursor + served) % n
+        self.spent = spent
+        return planned
 
     def stats(self) -> Dict[str, int]:
-        """Counters for reports: ticks, syncs, deferrals, repair traffic.
+        """This replica's whole ``scheduler.*`` namespace, prefix stripped.
 
-        Reads the registry counters, so on a shared (cluster-owned)
-        registry the values span every store incarnation of the
-        replica.  ``ticks`` counts planning ticks actually run — unlike
-        :attr:`tick`, the protocol clock, which a rebuild re-aligns to
-        the cluster round via :meth:`restore_clock`.
+        Reads the registry, so it reports the repair and handoff
+        counters next to the scheduler's own, and on a shared
+        (cluster-owned) registry the values span every store
+        incarnation of the replica.  ``ticks`` counts planning ticks
+        actually run — unlike :attr:`tick`, the protocol clock, which a
+        rebuild re-aligns to the cluster round.
         """
         return {
-            "ticks": self._c_ticks.value,
-            "synced": self.synced,
-            "deferred": self.deferred,
-            "repairs": self.repairs,
-            "probes": self.probes,
-            "repair_payload_bytes": self.repair_payload_bytes,
-            "repair_metadata_bytes": self.repair_metadata_bytes,
-            "handoffs_started": self.handoffs_started,
-            "handoffs_completed": self.handoffs_completed,
-            "handoffs_abandoned": self.handoffs_abandoned,
-            "handoff_offers": self.handoff_offers,
-            "handoff_segments": self.handoff_segments,
-            "handoff_payload_bytes": self.handoff_payload_bytes,
-            "handoff_metadata_bytes": self.handoff_metadata_bytes,
+            name[len(COUNTER_PREFIX):]: self.registry.counter(name).value
+            for name in self.registry.names()
+            if name.startswith(COUNTER_PREFIX)
         }

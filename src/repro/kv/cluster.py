@@ -227,13 +227,14 @@ class KVCluster(KVDriver, Cluster):
         for node, store in enumerate(self.nodes):
             if node in self.down:
                 continue
-            copies = held[node] = {}
-            for shard in shards:
-                inner = store.shards.get(shard) or store._fencing.get(shard)
-                if inner is not None:
-                    copies[shard] = ShardCopy(
-                        not inner.state.is_bottom, len(encode(inner.state))
-                    )
+            copies = store.copies()
+            held[node] = {
+                shard: ShardCopy(
+                    not copies[shard].state.is_bottom, len(encode(copies[shard].state))
+                )
+                for shard in shards
+                if shard in copies
+            }
         return held
 
     def _apply_ring(self, ring: HashRing, retain: Mapping[int, Set[int]]) -> None:
@@ -249,7 +250,7 @@ class KVCluster(KVDriver, Cluster):
             )
 
     def _begin_handoff(self, shard: int, source: int, gaining: int) -> None:
-        self.nodes[source].begin_handoff(shard, gaining)
+        self.nodes[source].handoff.begin(shard, gaining)
 
     def pending_handoffs(self) -> int:
         """Handoffs still in flight at live replicas.
@@ -258,7 +259,7 @@ class KVCluster(KVDriver, Cluster):
         recovered, and their queues resume then.
         """
         return sum(
-            node.scheduler.pending_handoffs()
+            node.handoff.pending()
             for index, node in enumerate(self.nodes)
             if index not in self.down
         )

@@ -1,143 +1,77 @@
 """The per-replica engine of the sharded CRDT key-value store.
 
 :class:`KVStore` is one replica's store process.  It owns a slice of
-the keyspace — one :class:`~repro.lattice.map_lattice.MapLattice` of
-``key → CRDT state`` per shard the ring places here — and runs one
-inner synchronizer per shard, built from any
+the keyspace — one :class:`~repro.kv.shard.Shard` (a
+:class:`~repro.lattice.map_lattice.MapLattice` of ``key → CRDT state``
+behind an inner synchronizer, with its digest and log) per shard the
+ring places here.  The inner synchronizer is built from any
 :class:`~repro.sync.protocol.Synchronizer` factory: state-based,
 delta-based with BP/RR, Scuttlebutt, keyed, or Merkle-digest.  Each
 inner instance's neighbourhood is the shard's *replica group*, so
 anti-entropy traffic flows only between co-owners, not the whole
 cluster.
 
-Outwardly the store is itself a :class:`Synchronizer`, which is what
-lets one :class:`~repro.net.runtime.ReplicaRuntime` host it unmodified
-over any :class:`~repro.net.transport.Transport` — the deterministic
-simulator or real asyncio TCP sockets:
+The store itself does four jobs and delegates the rest:
 
-* ``local_update`` consumes a :class:`KVUpdate` — a typed operation on
-  one key — resolves the key's type through the :class:`~repro.kv.
-  types.Schema`, computes the optimal δ of the mutation against the
-  key's current value, and hands the one-key keyspace delta to the
-  owning shard's synchronizer;
-* ``sync_messages`` asks the :class:`~repro.kv.antientropy.
-  AntiEntropyScheduler` which shards to serve this tick (send budget,
-  round-robin fairness, repair scheduling) and packages the result onto
-  the wire, optionally batching all same-destination shard messages
-  into one framed message;
-* ``handle_message`` demultiplexes arriving wire messages back to the
-  shard instances and re-packages any immediate replies.
+* **routing** — key → shard → :class:`Shard`, or
+  :class:`KVRoutingError`;
+* **the typed API** — ``update`` / ``remove`` / ``get`` resolve the
+  key's type through the :class:`~repro.kv.types.Schema`, compute the
+  optimal δ of the mutation against the key's current value, and hand
+  the one-key keyspace delta to :meth:`Shard.write`;
+* **wire packaging** — outwardly the store is itself a
+  :class:`Synchronizer`, which is what lets one
+  :class:`~repro.net.runtime.ReplicaRuntime` host it unmodified over
+  any :class:`~repro.net.transport.Transport`.  ``sync_messages`` asks
+  the :class:`~repro.kv.antientropy.AntiEntropyScheduler` which shards
+  to serve this tick, collects what the repair and handoff planes have
+  due, and bundles everything per destination into one ``kv-batch``
+  message; ``handle_message`` demultiplexes a batch back to the shards
+  (inner-protocol kinds) or, through one ``kind → handler`` table, to
+  the plane that owns the kind;
+* **membership** — :meth:`KVStore.apply_ring` reshapes the hosted-shard
+  set when the cluster swaps the ring.
 
-Repair rides alongside the inner protocols on three wire kinds:
-
-* ``kv-digest`` — a divergence probe: one root hash over the shard's
-  irreducible-set digest (:func:`repro.sync.digest.root_of`,
-  ``ROOT_BYTES``).  A receiver whose root matches stays silent; the
-  exchange cost O(hash).
-* ``kv-diff`` — the mismatch escalation: the responder's irreducible-set
-  digest (8-byte fingerprints, :mod:`repro.sync.digest`), from which
-  the initiator computes exactly the decomposition the responder lacks.
-* ``kv-repair`` — repair content: ``(delta, echo-digest | None)``.  The
-  initiator ships the missing delta plus its own digest so the
-  responder can answer with the reverse delta; blanket-mode repair uses
-  the same kind with the full shard state and no echo.  Absorption goes
-  through :meth:`repro.sync.protocol.Synchronizer.absorb_state`, so
-  every inner protocol's bookkeeping (δ-buffers, Scuttlebutt versions)
-  stays truthful about repaired content.
-
-Ring rebalancing adds three more kinds (:data:`HANDOFF_KINDS`):
-``kv-handoff-offer`` announces a moved shard with a root hash,
-``kv-handoff-segment`` ships the shard as its compacted WAL records
-(the canonical encoded join decomposition), and ``kv-handoff-ack``
-completes the exchange — at which point a source that no longer owns
-the shard fences and truncates its log.  :meth:`KVStore.apply_ring` is
-the membership-swap entry point the cluster drives.
+Two exchanges ride alongside the inner protocols, each behind one
+module: repair (:mod:`repro.kv.repair`, ``kv-digest`` / ``kv-diff`` /
+``kv-repair``) and rebalance handoff (:mod:`repro.kv.handoff`,
+``kv-handoff-*``).
 
 Wire framing adds one shard tag per bundled shard message; payload and
 metadata accounting of the inner protocols is preserved unchanged, so
 cross-algorithm byte comparisons measured through the store remain as
 meaningful as the paper's single-object ones.
 
-When constructed with a :class:`~repro.wal.ReplicaWal`, the store is
-also the WAL's write path: every delta that inflates a shard — a local
-typed write, the novelty absorbed from a peer's sync message, a repair
-absorption — is appended to that shard's log and group-committed once
-per tick, and :meth:`KVStore.replay_wal` is the recovery path that
-rebuilds a reset replica from its own disk before digest repair covers
-the post-crash remainder.
+When constructed with a :class:`~repro.wal.ReplicaWal`, every delta
+that inflates a shard is staged to that shard's log by the
+:class:`Shard` itself and group-committed once per tick here, and
+:meth:`KVStore.replay_wal` is the recovery path that rebuilds a reset
+replica from its own disk before digest repair covers the post-crash
+remainder.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.codec import decode, encode
 from repro.kv.antientropy import AntiEntropyConfig, AntiEntropyScheduler
+from repro.kv.handoff import HandoffPlane
+from repro.kv.repair import RepairPlane
 from repro.kv.ring import HashRing
-from repro.kv.types import Schema, TypeSpec
+from repro.kv.shard import Shard
+from repro.kv.types import Schema
 from repro.lattice.base import Lattice
 from repro.lattice.map_lattice import MapLattice
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.sizes import SizeModel, DEFAULT_SIZE_MODEL
-from repro.sync.digest import (
-    FINGERPRINT_BYTES,
-    ROOT_BYTES,
-    IncrementalDigest,
-    delta_against_digest,
-    digest_and_missing,
-)
 from repro.sync.protocol import Message, Send, Synchronizer
 from repro.wal import ReplicaWal
-
-#: Wire kinds of the shard-handoff protocol (ring rebalancing).  The
-#: exchange per (shard, gaining replica) pair, ``S`` the source (an old
-#: owner) and ``G`` the gaining owner:
-#:
-#:   1. S → G  kv-handoff-offer    (root(S), size hint)   — O(hash)
-#:   2. G → S  kv-handoff-ack      (complete?, root)      — roots match ⇒ done
-#:   3. S → G  kv-handoff-segment  (compacted WAL records) — the shard
-#:   4. G → S  kv-handoff-ack      (complete=True, root(G))
-#:
-#: On the final ack the source — if it no longer owns the shard —
-#: fences and truncates its shard log, so a later re-add cannot replay
-#: stale ownership.
-HANDOFF_KINDS = ("kv-handoff-offer", "kv-handoff-segment", "kv-handoff-ack")
 
 
 class KVRoutingError(LookupError):
     """The key is not owned by this replica (ask the ring for owners)."""
-
-
-def _keyspace_novelty(before: MapLattice, after: MapLattice) -> MapLattice:
-    """The optimal delta ``∆(after, before)`` of one shard keyspace.
-
-    ``MapLattice.join`` copies its entry dict but *reuses* the value
-    objects of untouched keys, so a post-delivery state shares those
-    objects with the pre-delivery one.  Exploiting that, the scan costs
-    one identity check per key plus per-value ``∆`` work only where the
-    message actually landed — instead of decomposing the whole shard
-    state per delivered message, which would put O(shard) work on the
-    hot path of every WAL-enabled run.
-    """
-    if after is before:
-        return after.bottom_like()
-    previous = before.entries
-    changed: Dict = {}
-    for key, value in after.entries.items():
-        mine = previous.get(key)
-        if mine is value:
-            continue
-        if mine is None:
-            changed[key] = value
-            continue
-        delta = value.delta(mine)
-        if not delta.is_bottom:
-            changed[key] = delta
-    if not changed:
-        return after.bottom_like()
-    return MapLattice(changed)
 
 
 @dataclass(frozen=True)
@@ -193,18 +127,9 @@ class KVStore(Synchronizer):
         #: δ-paths restored by :meth:`replay_wal`, consumed by
         #: :meth:`restore_clock` once the cluster round is known.
         self._replayed_paths: Tuple[Tuple[int, int], ...] = ()
-        #: Shards this replica stopped owning but still sources a
-        #: pending handoff from: shard id → the retired synchronizer.
-        #: Fenced and dropped once the gaining owner acknowledges.
-        self._fencing: Dict[int, Synchronizer] = {}
         #: Wire messages that arrived for a shard the current ring does
         #: not place here — in-flight traffic outrun by a rebalance.
         self.stale_shard_messages = 0
-        #: Per-shard incremental digest/root caches.  Identity-based
-        #: refresh makes them self-correcting, so they survive ring
-        #: swaps and synchronizer replacement without invalidation
-        #: hooks; :meth:`apply_ring` merely prunes shards that left.
-        self._digests: Dict[int, IncrementalDigest] = {}
         self.schema = schema if schema is not None else Schema()
         #: This replica's metrics registry — the single observability
         #: namespace the runtime's ``metrics`` view exposes.  A cluster
@@ -213,27 +138,30 @@ class KVStore(Synchronizer):
         self.registry = registry if registry is not None else MetricsRegistry()
         #: Structured trace destination (``None`` = tracing off).
         self.tracer = tracer
-        config = antientropy if antientropy is not None else AntiEntropyConfig()
-        owned = ring.shards_owned_by(replica)
-        #: shard id → this replica's synchronizer for that shard.
-        self.shards: Dict[int, Synchronizer] = {}
-        shard_peers: Dict[int, Tuple[int, ...]] = {}
-        for shard in owned:
-            peers = self._shard_peers_checked(shard, ring)
-            self.shards[shard] = self._make_inner(peers)
-            shard_peers[shard] = peers
+        #: shard id → this replica's hosted copy of that shard.
+        self.shards: Dict[int, Shard] = {
+            shard: Shard(shard, self._make_inner(self._peers(shard)), wal)
+            for shard in ring.shards_owned_by(replica)
+        }
         self.scheduler = AntiEntropyScheduler(
-            config, owned, shard_peers, replica=replica, registry=self.registry
+            antientropy if antientropy is not None else AntiEntropyConfig(),
+            self.shards,
+            registry=self.registry,
         )
+        self.repair = RepairPlane(self)
+        self.handoff = HandoffPlane(self)
+        #: inner wire kind → handler for the kinds that are not the
+        #: inner protocol's own (those go to :meth:`Shard.deliver`).
+        self._exchanges = {**self.repair.handlers, **self.handoff.handlers}
         if self.wal is not None:
             # Read-through: wal counters surface in registry snapshots
             # under ``wal.*`` without being double-kept (re-registering
             # after a rebuild just re-binds the same surviving log).
             self.registry.register_view("wal", self.wal.stats)
 
-    def _shard_peers_checked(self, shard: int, ring: HashRing) -> Tuple[int, ...]:
+    def _peers(self, shard: int) -> Tuple[int, ...]:
         """The shard's co-owners, verified reachable over the overlay."""
-        group = ring.shard_owners(shard)
+        group = self.ring.shard_owners(shard)
         reachable = set(self.neighbors) | {self.replica}
         missing = [peer for peer in group if peer not in reachable]
         if missing:
@@ -254,34 +182,70 @@ class KVStore(Synchronizer):
             size_model=self.size_model,
         )
 
-    def _shard_digest(self, shard: int) -> IncrementalDigest:
-        """The shard's incremental digest cache (created on first use)."""
-        cache = self._digests.get(shard)
-        if cache is None:
-            cache = IncrementalDigest()
-            self._digests[shard] = cache
-        return cache
-
     def shard_root(self, shard: int) -> Optional[bytes]:
-        """The root hash of an owned shard's state, incrementally kept.
+        """The root hash of a hosted shard's state (``None`` if not hosted).
 
-        Equal to ``root_of(digest_of(state))`` by construction; ``None``
-        when this replica does not hold the shard.  This is the probe
-        the repair plane and the convergence-lag sampler compare — the
-        cache makes asking every round O(1) for quiescent shards.
+        Equal to ``root_of(digest_of(state))`` by construction, and
+        O(1) for a quiescent shard (:meth:`Shard.root`).
         """
-        inner = self.shards.get(shard)
-        if inner is None:
-            return None
-        return self._shard_digest(shard).root(inner.state)
+        copy = self.shards.get(shard)
+        return copy.root() if copy is not None else None
+
+    def copies(self) -> Dict[int, Shard]:
+        """Every shard copy this replica holds, by shard id.
+
+        The hosted shards plus the ones it no longer owns but retains
+        as the source of a pending handoff — what a rebalance planner
+        may source from.
+        """
+        return {**self.handoff.retained, **self.shards}
+
+    def trace(self, event: str, **fields) -> None:
+        """Emit one structured trace event from this replica, if tracing."""
+        if self.tracer is not None:
+            self.tracer.emit(event, replica=self.replica, **fields)
 
     # ------------------------------------------------------------------
-    # Typed client API.
+    # Routing.
     # ------------------------------------------------------------------
 
     def owns(self, key: Hashable) -> bool:
         """True when this replica holds a copy of ``key``'s shard."""
         return self.ring.shard_of(key) in self.shards
+
+    def _route(self, key: Hashable) -> Shard:
+        """Resolve a key to its hosted shard in one hash."""
+        shard = self.ring.shard_of(key)
+        copy = self.shards.get(shard)
+        if copy is None:
+            raise KVRoutingError(
+                f"replica {self.replica} does not own key {key!r} "
+                f"(shard {shard}, owners {self.ring.shard_owners(shard)})"
+            )
+        return copy
+
+    def hosted(self, shard: int) -> Optional[Shard]:
+        """The hosted shard a wire message addresses, or ``None`` if stale.
+
+        ``None`` means in-flight traffic outrun by a rebalance — the
+        sender addressed an owner group this replica has left — which
+        is counted and dropped.  Traffic for a shard the ring *does*
+        place here but the store does not host is an inconsistency and
+        raises.
+        """
+        copy = self.shards.get(shard)
+        if copy is None:
+            if self.replica in self.ring.shard_owners(shard):
+                raise KVRoutingError(
+                    f"replica {self.replica} received traffic for unowned "
+                    f"shard {shard}"
+                )
+            self.stale_shard_messages += 1
+        return copy
+
+    # ------------------------------------------------------------------
+    # Typed client API.
+    # ------------------------------------------------------------------
 
     def update(self, key: Hashable, op: str, *args) -> Lattice:
         """Apply a typed write locally; return the keyspace delta."""
@@ -289,31 +253,39 @@ class KVStore(Synchronizer):
 
     def remove(self, key: Hashable) -> Lattice:
         """Remove ``key``'s observed content (observed-remove types only)."""
-        shard, shard_sync = self._route(key)
+        return self._write(
+            key,
+            lambda spec, current: (
+                spec.remove_delta(self.replica, current) if current is not None else None
+            ),
+        )
+
+    def _write(self, key: Hashable, key_delta) -> Lattice:
+        """The one write path: a per-key δ lifted to the owning shard.
+
+        ``key_delta(spec, current)`` returns the key's delta against
+        its current value (``None`` or bottom for a no-op).
+        """
+        copy = self._route(key)
         spec = self.schema.spec_for(key)
 
         def mutator(keyspace: MapLattice) -> MapLattice:
-            current = keyspace.get(key)
-            if current is None:
-                return keyspace.bottom_like()
-            delta = spec.remove_delta(self.replica, current)
-            if delta.is_bottom:
+            delta = key_delta(spec, keyspace.get(key))
+            if delta is None or delta.is_bottom:
                 return keyspace.bottom_like()
             return MapLattice({key: delta})
 
-        delta = shard_sync.local_update(mutator)
-        self._wal_append(shard, delta)
-        return delta
+        return copy.write(mutator)
 
     def get(self, key: Hashable) -> Any:
         """The typed query-side value of ``key`` at this replica."""
         spec = self.schema.spec_for(key)
-        current = self._shard_for(key).state.get(key)
+        current = self._route(key).state.get(key)
         return spec.read(current if current is not None else spec.bottom())
 
     def value_lattice(self, key: Hashable) -> Optional[Lattice]:
         """The raw lattice value of ``key`` (``None`` when unwritten)."""
-        return self._shard_for(key).state.get(key)
+        return self._route(key).state.get(key)
 
     def keys(self) -> Iterator[Hashable]:
         """Every key with a non-bottom value on this replica."""
@@ -331,9 +303,9 @@ class KVStore(Synchronizer):
         *delta* it already holds instead of re-applying the typed
         operation (which would double-count non-idempotent ops like
         counter increments; the lattice join is idempotent, the op is
-        not).  Keys are grouped per owning shard and flow through
-        ``absorb_state`` so every inner protocol's bookkeeping stays
-        truthful, then into the WAL like any other absorbed novelty.
+        not).  Keys are grouped per owning shard and absorbed drained:
+        the client pushes the same fragment to the other owners itself,
+        and anti-entropy covers stragglers.
 
         Returns the join of what the fragment actually taught this
         replica (bottom when everything was already known).  Raises
@@ -341,30 +313,23 @@ class KVStore(Synchronizer):
         """
         by_shard: Dict[int, Dict[Hashable, Lattice]] = {}
         for key, value in fragment.entries.items():
-            shard, _ = self._route(key)
-            by_shard.setdefault(shard, {})[key] = value
+            by_shard.setdefault(self._route(key).id, {})[key] = value
         if payload_bytes is None:
-            _, payload_bytes = self._payload_sizes(fragment)
-        self.scheduler.note_read_repair(payload_bytes)
+            payload_bytes = fragment.size_bytes(self.size_model)
+        self.repair.note_read_repair(payload_bytes)
         absorbed_all = fragment.bottom_like()
         for shard in sorted(by_shard):
-            inner = self.shards[shard]
             piece = MapLattice(by_shard[shard])
-            absorbed = inner.absorb_state(piece, None)
-            # Drain, never send: the client pushes the same fragment to
-            # the other owners itself; anti-entropy covers stragglers.
-            inner.sync_messages()
+            absorbed = self.shards[shard].absorb(piece, None, drain=True)
             if not absorbed.is_bottom:
-                self._wal_append(shard, absorbed)
                 absorbed_all = absorbed_all.join(absorbed)
             if self.tracer is not None:
-                units, piece_bytes = self._payload_sizes(piece)
                 self.tracer.emit(
                     "read-repair",
                     replica=self.replica,
                     shard=shard,
-                    payload_bytes=piece_bytes,
-                    payload_units=units,
+                    payload_bytes=piece.size_bytes(self.size_model),
+                    payload_units=piece.size_units(),
                     extra={
                         "keys": len(piece.entries),
                         "absorbed": not absorbed.is_bottom,
@@ -372,27 +337,13 @@ class KVStore(Synchronizer):
                 )
         return absorbed_all
 
-    def _route(self, key: Hashable) -> Tuple[int, Synchronizer]:
-        """Resolve a key to its shard id and synchronizer in one hash."""
-        shard = self.ring.shard_of(key)
-        sync = self.shards.get(shard)
-        if sync is None:
-            raise KVRoutingError(
-                f"replica {self.replica} does not own key {key!r} "
-                f"(shard {shard}, owners {self.ring.shard_owners(shard)})"
-            )
-        return shard, sync
-
-    def _shard_for(self, key: Hashable) -> Synchronizer:
-        return self._route(key)[1]
-
     # ------------------------------------------------------------------
     # Synchronizer protocol: the store on the simulated cluster.
     # ------------------------------------------------------------------
 
     @property
     def state(self) -> MapLattice:
-        """This replica's merged keyspace view (all owned shards)."""
+        """This replica's merged keyspace view (all hosted shards)."""
         merged = self.bottom
         for shard in sorted(self.shards):
             merged = merged.join(self.shards[shard].state)
@@ -406,19 +357,10 @@ class KVStore(Synchronizer):
                 "use store.update(key, op, *args)"
             )
         op = delta_mutator
-        shard, shard_sync = self._route(op.key)
-        spec = self.schema.spec_for(op.key)
         replica = self.replica
-
-        def mutator(keyspace: MapLattice) -> MapLattice:
-            delta = spec.apply(replica, keyspace.get(op.key), op.op, *op.args)
-            if delta.is_bottom:
-                return keyspace.bottom_like()
-            return MapLattice({op.key: delta})
-
-        delta = shard_sync.local_update(mutator)
-        self._wal_append(shard, delta)
-        return delta
+        return self._write(
+            op.key, lambda spec, current: spec.apply(replica, current, op.op, *op.args)
+        )
 
     def sync_messages(self) -> List[Send]:
         if self.wal is not None:
@@ -428,525 +370,182 @@ class KVStore(Synchronizer):
             # between ticks loses only the records staged after this
             # point, which is the WAL's documented durability boundary.
             self.wal.commit()
-        planned, blanket_due, probes_due = self.scheduler.plan(self.shards)
+        planned = self.scheduler.plan(self.shards)
+        # Coldness is judged on the δ-path clocks as the tick found
+        # them, before this tick's own sends warm them.
+        repairs = self.repair.due()
         wire: List[Tuple[int, int, Message]] = []
         for shard, send in planned:
             if send.message.payload_bytes:
-                self.scheduler.note_delta_activity(shard, send.dst)
+                self.repair.note_delta_activity(shard, send.dst)
             wire.append((send.dst, shard, send.message))
-        for shard in blanket_due:
-            inner = self.shards[shard]
-            if inner.state.is_bottom:
-                continue
-            units, payload_bytes = self._payload_sizes(inner.state)
-            repair = Message(
-                kind="kv-repair",
-                payload=(inner.state, None),
-                payload_units=units,
-                payload_bytes=payload_bytes,
-                metadata_bytes=0,
-            )
-            for dst in inner.neighbors:
-                wire.append((dst, shard, repair))
-        for shard, peers in probes_due:
-            inner = self.shards[shard]
-            root = self._shard_digest(shard).root(inner.state)
-            probe = Message(
-                kind="kv-digest",
-                payload=root,
-                payload_units=0,
-                payload_bytes=0,
-                metadata_bytes=ROOT_BYTES,
-                metadata_units=1,
-            )
-            for dst in peers:
-                wire.append((dst, shard, probe))
-        for shard, dst, phase in self.scheduler.plan_handoffs():
-            inner = self.shards.get(shard)
-            if inner is None:
-                inner = self._fencing.get(shard)
-            if inner is None:
-                # The shard's state is gone (e.g. a lose-state rebuild
-                # mid-handoff); abandon — the gaining owner's coldness
-                # probes will repair it from the surviving co-owners.
-                self.scheduler.abandon_handoff(shard, dst)
-                self._maybe_finalize_fence(shard)
-                continue
-            if phase == "offer":
-                wire.append((dst, shard, self._handoff_offer(shard, inner)))
-            else:
-                wire.append((dst, shard, self._handoff_segment_message(shard, inner)))
+        wire.extend(repairs)
+        wire.extend(self.handoff.due())
         return self._package(wire)
 
     def handle_message(self, src: int, message: Message) -> List[Send]:
-        if message.kind == "kv-batch":
-            entries = message.payload
-        elif message.kind == "kv-shard":
-            entries = (message.payload,)
-        else:
+        if message.kind != "kv-batch":
             raise ValueError(f"unexpected wire message kind {message.kind!r}")
         wire: List[Tuple[int, int, Message]] = []
-        for shard, inner_message in entries:
-            if inner_message.kind in HANDOFF_KINDS:
-                reply = self._handle_handoff(src, shard, inner_message)
+        for shard, inner_message in message.payload:
+            exchange = self._exchanges.get(inner_message.kind)
+            if exchange is not None:
+                reply = exchange(src, shard, inner_message)
                 if reply is not None:
                     wire.append((src, shard, reply))
                 continue
-            inner = self.shards.get(shard)
-            if inner is None:
-                if self.replica in self.ring.shard_owners(shard):
-                    raise KVRoutingError(
-                        f"replica {self.replica} received traffic for unowned "
-                        f"shard {shard}"
-                    )
-                # In-flight traffic outrun by a rebalance: the sender
-                # addressed an owner group this replica has left.
-                self.stale_shard_messages += 1
-                continue
-            if inner_message.kind in ("kv-repair", "kv-digest", "kv-diff"):
-                reply = self._handle_repair(src, shard, inner, inner_message)
-                if reply is not None:
-                    wire.append((src, shard, reply))
+            copy = self.hosted(shard)
+            if copy is None:
                 continue
             if inner_message.payload_bytes:
-                self.scheduler.note_delta_activity(shard, src)
-            before = inner.state if self.wal is not None else None
-            for reply in inner.handle_message(src, inner_message):
+                self.repair.note_delta_activity(shard, src)
+            for reply in copy.deliver(src, inner_message):
                 if reply.message.payload_bytes:
-                    self.scheduler.note_delta_activity(shard, reply.dst)
+                    self.repair.note_delta_activity(shard, reply.dst)
                 wire.append((reply.dst, shard, reply.message))
-            if before is not None:
-                # What this message actually taught the shard, as an
-                # optimal delta against the pre-delivery state.  Logging
-                # the inflation (instead of the raw payload) keeps the
-                # WAL redundancy-free regardless of the inner protocol's
-                # own redundancy behaviour.
-                self._wal_append(shard, _keyspace_novelty(before, inner.state))
         return self._package(wire)
 
-    # ------------------------------------------------------------------
-    # The repair path: blanket absorption and the digest exchange.
-    #
-    # Digest-mode repair is a two-round-trip exchange per divergent
-    # (shard, peer) δ-path; A is the probing replica, B the peer:
-    #
-    #   1. A → B  kv-digest  root(A)            — O(hash); match ⇒ done
-    #   2. B → A  kv-diff    digest(B)          — fingerprints only
-    #   3. A → B  kv-repair  (Δ_B, digest(A))   — what B misses, + echo
-    #   4. B → A  kv-repair  (Δ_A, None)        — what A misses
-    #
-    # Both deltas are inflating join decompositions computed against the
-    # other side's digest; no message ever carries redundant state.
-    #
-    # Repair traffic is accounted by its *receiver*: a message that was
-    # refused in transit never reaches a handler and never counts, so
-    # the repair-byte comparison reflects what actually crossed the
-    # wire.
-    # ------------------------------------------------------------------
+    def _package(self, wire: List[Tuple[int, int, Message]]) -> List[Send]:
+        """Frame shard messages for the wire, one batch per destination.
 
-    def _handle_repair(
-        self, src: int, shard: int, inner: Synchronizer, message: Message
-    ) -> Optional[Message]:
-        if message.kind == "kv-repair":
-            delta, echo = message.payload
-            # "Did this repair ship content?" is judged on the lattice,
-            # not on payload_bytes: over TCP a bottom delta still
-            # measures a couple of encoded bytes, and counting it as a
-            # repair would make the sim/tcp repair comparison diverge.
-            self.scheduler.note_repair_traffic(
-                message.payload_bytes,
-                message.metadata_bytes,
-                with_payload=not delta.is_bottom,
+        Each framed shard message costs one shard tag
+        (``int_bytes``/one entry) on top of the inner accounting.
+        """
+        tag_bytes = self.size_model.int_bytes
+        grouped: Dict[int, List[Tuple[int, Message]]] = {}
+        for dst, shard, inner in wire:
+            grouped.setdefault(dst, []).append((shard, inner))
+        return [
+            Send(
+                dst=dst,
+                message=Message(
+                    kind="kv-batch",
+                    payload=tuple(entries),
+                    payload_units=sum(m.payload_units for _, m in entries),
+                    payload_bytes=sum(m.payload_bytes for _, m in entries),
+                    metadata_bytes=sum(m.metadata_bytes for _, m in entries)
+                    + tag_bytes * len(entries),
+                    metadata_units=sum(m.metadata_units for _, m in entries)
+                    + len(entries),
+                ),
             )
-            absorbed = inner.absorb_state(delta, src)
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "repair-absorb",
-                    replica=self.replica,
-                    shard=shard,
-                    peer=src,
-                    payload_bytes=message.payload_bytes,
-                    metadata_bytes=message.metadata_bytes,
-                    payload_units=message.payload_units,
-                    extra={
-                        "absorbed": not absorbed.is_bottom,
-                        "echo": echo is not None,
-                    },
-                )
-            if not absorbed.is_bottom:
-                self.scheduler.note_delta_activity(shard, src)
-                self._wal_append(shard, absorbed)
-            if echo is None:
-                return None
-            back = delta_against_digest(inner.state, echo)
-            if back.is_bottom:
-                return None
-            return self._repair_message(shard, src, back, echo=None)
-        if message.kind == "kv-digest":
-            self.scheduler.note_probe()
-            self.scheduler.note_repair_traffic(0, message.metadata_bytes)
-            cache = self._shard_digest(shard)
-            match = cache.root(inner.state) == message.payload
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "repair-probe",
-                    replica=self.replica,
-                    shard=shard,
-                    peer=src,
-                    metadata_bytes=message.metadata_bytes,
-                    extra={"match": match},
-                )
-            if match:
-                # In sync with the prober: refresh the δ-path clock so
-                # we do not immediately counter-probe a healthy pair.
-                self.scheduler.note_delta_activity(shard, src)
-                return None
-            digest = cache.digest(inner.state)
-            return Message(
-                kind="kv-diff",
-                payload=digest,
-                payload_units=0,
-                payload_bytes=0,
-                metadata_bytes=len(digest) * FINGERPRINT_BYTES,
-                metadata_units=len(digest),
-            )
-        # kv-diff: the peer diverges; ship what it misses plus our own
-        # digest so it can answer with the reverse delta.  One
-        # decomposition pass computes both.
-        self.scheduler.note_repair_traffic(0, message.metadata_bytes)
-        if self.tracer is not None:
-            self.tracer.emit(
-                "repair-diff",
-                replica=self.replica,
-                shard=shard,
-                peer=src,
-                metadata_bytes=message.metadata_bytes,
-                metadata_units=message.metadata_units,
-            )
-        echo, delta = digest_and_missing(inner.state, message.payload)
-        return self._repair_message(shard, src, delta, echo=echo)
-
-    def _repair_message(
-        self, shard: int, dst: int, delta: Lattice, echo
-    ) -> Message:
-        units, payload_bytes = self._payload_sizes(delta)
-        metadata = len(echo) * FINGERPRINT_BYTES if echo is not None else 0
-        if payload_bytes:
-            self.scheduler.note_delta_activity(shard, dst)
-        return Message(
-            kind="kv-repair",
-            payload=(delta, echo),
-            payload_units=units,
-            payload_bytes=payload_bytes,
-            metadata_bytes=metadata,
-            metadata_units=len(echo) if echo is not None else 0,
-        )
+            for dst, entries in grouped.items()
+        ]
 
     # ------------------------------------------------------------------
-    # Ring rebalancing: membership swap and the shard-handoff protocol.
+    # Membership: the ring swap of a rebalance.
     # ------------------------------------------------------------------
 
     def apply_ring(
-        self, ring: HashRing, *, retain=frozenset(), fence: bool = True
+        self,
+        ring: HashRing,
+        *,
+        retain=frozenset(),
+        fence: bool = True,
+        neighbors: Optional[Sequence[int]] = None,
     ) -> None:
-        """Swap to a new ring mid-run, reshaping the owned-shard set.
+        """Swap to a new ring mid-run, reshaping the hosted-shard set.
+
+        ``neighbors`` is the new overlay when the membership change
+        moved it too (a deployment whose overlay is the full replica
+        set); the vector-sizing ``n_nodes`` grows to cover it.
 
         Three shard transitions, all while traffic keeps flowing:
 
-        * **gained** — a fresh (empty) inner synchronizer over the new
-          replica group; content arrives through the handoff protocol
-          (or, failing that, through digest repair).  A fenced WAL log
-          from a previous ownership is reopened — it was truncated at
-          fence time, so nothing stale can replay.
+        * **gained** — a fresh (empty) shard over the new replica
+          group; content arrives through the handoff exchange (or,
+          failing that, through digest repair).  A fenced WAL log from
+          a previous ownership is reopened — it was truncated at fence
+          time, so nothing stale can replay.  A shard regained while
+          this replica still retains it as a handoff source keeps the
+          retained content instead of starting empty.
         * **lost** — the shard leaves :attr:`shards`.  A shard named in
-          ``retain`` sticks around in the fencing set because this
-          replica is the designated handoff source; everything else is
-          fenced immediately (log truncated, state dropped).  With
-          ``fence=False`` — a *crashed* replica being reshaped by the
-          cluster — logs are left untouched instead: the down replica
-          may hold the only durable copy of a shard no live owner can
-          source, and truncating it here would turn a membership change
-          into data loss.  CRDT join makes the preserved content safe:
-          if the replica later regains the shard, old records join
-          below the handed-off state instead of resurrecting it.
-        * **kept with a changed group** — the inner synchronizer is
-          rebuilt over the new peer set (per-neighbour protocol state —
-          sequence numbers, ack maps — is peer-shaped and cannot be
-          mutated in place), seeded through ``absorb_state`` and
-          drained: the content is restoration, not news.  The paths to
-          *surviving* co-owners are marked suspect, because the rebuild
-          discarded δ-buffers that may have held unshipped novelty;
-          paths to new co-owners start warm so the handoff gets one
-          coldness interval to land before probes re-ship the shard.
+          ``retain`` moves to the handoff plane's retained set because
+          this replica is the designated handoff source; everything
+          else is fenced immediately (log truncated, state dropped).
+          With ``fence=False`` — a *crashed* replica being reshaped by
+          the cluster — logs are left untouched instead: the down
+          replica may hold the only durable copy of a shard no live
+          owner can source, and truncating it here would turn a
+          membership change into data loss.  CRDT join makes the
+          preserved content safe: if the replica later regains the
+          shard, old records join below the handed-off state instead of
+          resurrecting it.
+        * **kept with a changed group** — the shard is regrouped
+          (:meth:`Shard.regroup`).  The paths to *surviving* co-owners
+          are marked suspect, because the regroup discarded δ-buffers
+          that may have held unshipped novelty; paths to new co-owners
+          start warm so the handoff gets one coldness interval to land
+          before probes re-ship the shard.
         """
-        old_owned = set(self.shards)
-        old_peers = {
-            shard: tuple(inner.neighbors) for shard, inner in self.shards.items()
-        }
+        if neighbors is not None:
+            self.neighbors = tuple(neighbors)
+            self.n_nodes = max(self.n_nodes, max(self.neighbors, default=-1) + 1)
         self.ring = ring
+        old_owned = set(self.shards)
         new_owned = set(ring.shards_owned_by(self.replica))
         suspect: List[Tuple[int, int]] = []
         for shard in sorted(new_owned - old_owned):
-            peers = self._shard_peers_checked(shard, ring)
-            retired = self._fencing.pop(shard, None)
-            if retired is not None:
-                # Regained before the old handoff finished: keep the
-                # retired instance's content instead of starting empty.
-                fresh = self._make_inner(peers)
-                fresh.absorb_state(retired.state, None)
-                fresh.sync_messages()  # drain: restoration, not news
-                self.shards[shard] = fresh
+            inner = self._make_inner(self._peers(shard))
+            copy = self.handoff.retained.pop(shard, None)
+            if copy is None:
+                copy = Shard(shard, inner, self.wal)
             else:
-                self.shards[shard] = self._make_inner(peers)
-            if self.wal is not None:
-                self.wal.unfence(shard)
+                copy.regroup(inner)
+            copy.unfence()
+            self.shards[shard] = copy
         for shard in sorted(old_owned - new_owned):
-            inner = self.shards.pop(shard)
+            copy = self.shards.pop(shard)
             if shard in retain:
-                self._fencing[shard] = inner
+                self.handoff.retained[shard] = copy
             elif fence:
-                self._fence_now(shard)
+                self.handoff.fence(copy)
         for shard in sorted(new_owned & old_owned):
-            peers = self._shard_peers_checked(shard, ring)
-            if set(peers) == set(old_peers[shard]):
+            copy = self.shards[shard]
+            old_peers = set(copy.neighbors)
+            peers = self._peers(shard)
+            if set(peers) == old_peers:
                 continue
-            old_inner = self.shards[shard]
-            fresh = self._make_inner(peers)
-            fresh.absorb_state(old_inner.state, None)
-            fresh.sync_messages()  # drain: restoration, not news
-            self.shards[shard] = fresh
-            survivors = set(peers) & set(old_peers[shard])
-            suspect.extend((shard, peer) for peer in survivors)
-        self.scheduler.apply_membership(
-            sorted(self.shards),
-            {
-                shard: tuple(inner.neighbors)
-                for shard, inner in self.shards.items()
-            },
-            suspect_paths=suspect,
-        )
-        # Digest caches are identity-refreshed, so correctness needs no
-        # invalidation here — only drop the ones whose shard left, so
-        # they stop pinning a departed shard's state.
-        self._digests = {
-            shard: cache
-            for shard, cache in self._digests.items()
-            if shard in self.shards or shard in self._fencing
-        }
-
-    def begin_handoff(self, shard: int, dst: int) -> None:
-        """Start sourcing ``shard`` to its gaining owner ``dst``."""
-        self.scheduler.enqueue_handoff(shard, dst)
-
-    def _handoff_offer(self, shard: int, inner: Synchronizer) -> Message:
-        """Phase 1: announce the handoff with the source's root hash."""
-        root = self._shard_digest(shard).root(inner.state)
-        return Message(
-            kind="kv-handoff-offer",
-            payload=(root, inner.state.size_bytes(self.size_model)),
-            payload_units=0,
-            payload_bytes=0,
-            metadata_bytes=ROOT_BYTES + self.size_model.int_bytes,
-            metadata_units=1,
-        )
-
-    def _handoff_segment_records(
-        self, shard: int, inner: Synchronizer
-    ) -> List[bytes]:
-        """The segment body: the shard's compacted log, or its state.
-
-        With a WAL the segment *is* the log — staged records are
-        group-committed first so the export covers this tick's writes,
-        then the log compacts to the single record of its join.  A
-        store without a log (the ``"repair"`` recovery policy) ships
-        the encoded join decomposition of the live state: the same
-        canonical bytes the log would have compacted to.
-        """
-        if self.wal is not None:
-            records = self.wal.export_segment(shard)
-            if records:
-                return records
-        return [encode(inner.state)]
-
-    def _handoff_segment_message(self, shard: int, inner: Synchronizer) -> Message:
-        records = tuple(self._handoff_segment_records(shard, inner))
-        tag = self.size_model.int_bytes
-        return Message(
-            kind="kv-handoff-segment",
-            payload=records,
-            payload_units=inner.state.size_units(),
-            payload_bytes=sum(len(body) for body in records),
-            metadata_bytes=tag * (1 + len(records)),
-            metadata_units=len(records),
-        )
-
-    def _handoff_ack(self, complete: bool, root) -> Message:
-        return Message(
-            kind="kv-handoff-ack",
-            payload=(complete, root),
-            payload_units=0,
-            payload_bytes=0,
-            metadata_bytes=2 + (ROOT_BYTES if root is not None else 0),
-            metadata_units=1,
-        )
-
-    def _handle_handoff(
-        self, src: int, shard: int, message: Message
-    ) -> Optional[Message]:
-        if message.kind == "kv-handoff-ack":
-            complete, root = message.payload
-            self.scheduler.note_handoff_traffic(
-                0, message.metadata_bytes, kind=message.kind
-            )
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "handoff-ack",
-                    replica=self.replica,
-                    shard=shard,
-                    peer=src,
-                    metadata_bytes=message.metadata_bytes,
-                    extra={"complete": complete, "rooted": root is not None},
-                )
-            if complete:
-                # Fence only on an ack that carries the receiver's root
-                # — proof a replica now durably holds the content.  A
-                # rootless completion is a *declination* (the ring moved
-                # again and the peer is no longer the gaining owner):
-                # this replica may still hold the only copy, so the
-                # retained shard and its log stay until a later
-                # rebalance re-sources or regains the shard — and the
-                # declination counts as an abandonment, not a receiver-
-                # confirmed completion.
-                if root is not None:
-                    self.scheduler.finish_handoff(shard, src)
-                    self._maybe_finalize_fence(shard)
-                else:
-                    self.scheduler.abandon_handoff(shard, src)
-            else:
-                self.scheduler.note_handoff_wanted(shard, src)
-            return None
-        inner = self.shards.get(shard)
-        if message.kind == "kv-handoff-offer":
-            root, _hint = message.payload
-            self.scheduler.note_handoff_traffic(
-                0, message.metadata_bytes, kind=message.kind
-            )
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "handoff-offer",
-                    replica=self.replica,
-                    shard=shard,
-                    peer=src,
-                    metadata_bytes=message.metadata_bytes,
-                    extra={"gaining": inner is not None},
-                )
-            if inner is None:
-                # The ring moved again and this replica is no longer
-                # the gaining owner; complete so the source can fence.
-                self.stale_shard_messages += 1
-                return self._handoff_ack(True, None)
-            mine = self._shard_digest(shard).root(inner.state)
-            if mine == root:
-                # Already holding the offered content (a retried offer,
-                # or repair beat the handoff): skip the segment bytes.
-                self.scheduler.note_delta_activity(shard, src)
-                return self._handoff_ack(True, mine)
-            return self._handoff_ack(False, None)
-        # kv-handoff-segment: replay the shipped log records.
-        self.scheduler.note_handoff_traffic(
-            message.payload_bytes, message.metadata_bytes, kind=message.kind
-        )
-        if self.tracer is not None:
-            self.tracer.emit(
-                "handoff-segment",
-                replica=self.replica,
-                shard=shard,
-                peer=src,
-                payload_bytes=message.payload_bytes,
-                metadata_bytes=message.metadata_bytes,
-                payload_units=message.payload_units,
-                extra={"records": len(message.payload), "gaining": inner is not None},
-            )
-        if inner is None:
-            self.stale_shard_messages += 1
-            return self._handoff_ack(True, None)
-        state: Optional[Lattice] = None
-        for body in message.payload:
-            delta = decode(body)
-            state = delta if state is None else state.join(delta)
-        if state is not None and not state.is_bottom:
-            absorbed = inner.absorb_state(state, src)
-            # Drain, never send: every surviving co-owner already holds
-            # (almost all of) this content; the δ-paths' coldness probes
-            # cover the true divergence for a digest's worth of bytes.
-            inner.sync_messages()
-            if not absorbed.is_bottom:
-                self._wal_append(shard, absorbed)
-            self.scheduler.note_delta_activity(shard, src)
-        return self._handoff_ack(True, self._shard_digest(shard).root(inner.state))
-
-    def _fence_now(self, shard: int) -> None:
-        """Seal a disowned shard's log so a re-add cannot resurrect it."""
-        if self.tracer is not None:
-            self.tracer.emit("handoff-fence", replica=self.replica, shard=shard)
-        if self.wal is not None:
-            self.wal.fence(shard)
-
-    def _maybe_finalize_fence(self, shard: int) -> None:
-        """Fence a retained source shard once its last handoff settles."""
-        if shard in self._fencing and not self.scheduler.pending_handoffs(shard):
-            del self._fencing[shard]
-            if shard not in self.shards:
-                self._digests.pop(shard, None)
-            self._fence_now(shard)
+            copy.regroup(self._make_inner(peers))
+            suspect.extend((shard, peer) for peer in old_peers.intersection(peers))
+        self.scheduler.apply_membership(self.shards)
+        self.repair.apply_membership(suspect_paths=suspect)
 
     # ------------------------------------------------------------------
     # Fault signals from the transport and rebuild alignment.
     # ------------------------------------------------------------------
 
     def note_send_blocked(self, dst: int) -> None:
-        """The transport refused a send to ``dst`` (down peer / cut link).
-
-        Suspicion marks every δ-path shared with the peer, so digest
-        probes fire as soon as the link heals instead of waiting out the
-        full coldness threshold.
-        """
-        self.scheduler.note_peer_unreachable(dst)
+        """The transport refused a send to ``dst`` (down peer / cut link)."""
+        self.repair.note_peer_unreachable(dst)
 
     def restore_clock(self, ticks: int) -> None:
-        """Carry the cluster round into a rebuilt store's scheduler.
+        """Carry the cluster round into a rebuilt store's protocol clock.
+
+        A rebuilt replica starts from ``tick == 0``, silently
+        desynchronizing its repair cadence from the co-owners that kept
+        their clocks; carrying the cluster round in keeps blanket repair
+        phases and coldness thresholds aligned across the group.
 
         δ-paths restored by a WAL replay are marked active *here* —
         after the tick counter has jumped to the cluster round — so the
         replay counts as fresh activity instead of being instantly
         re-frozen by the clock realignment.
         """
-        self.scheduler.restore_clock(ticks)
+        self.scheduler.tick = ticks
         replayed, self._replayed_paths = self._replayed_paths, ()
         for shard, peer in replayed:
-            self.scheduler.note_delta_activity(shard, peer)
-
-    # ------------------------------------------------------------------
-    # Write-ahead logging and local recovery.
-    # ------------------------------------------------------------------
-
-    def _wal_append(self, shard: int, delta: Lattice) -> None:
-        if self.wal is not None and not delta.is_bottom:
-            self.wal.append(shard, delta)
+            self.repair.note_delta_activity(shard, peer)
 
     def replay_wal(self, *, verify: bool = False) -> int:
         """Rebuild shard states from the durable log; return shards restored.
 
         The recovery path of ``crash(lose_state=True)`` under a WAL
-        recovery policy: each owned shard's log replays to the join of
+        recovery policy: each hosted shard's log replays to the join of
         every delta the previous incarnations committed, and the result
-        flows through :meth:`~repro.sync.protocol.Synchronizer.
-        absorb_state` so the fresh synchronizer's bookkeeping (version
-        vectors, Scuttlebutt stores) covers the restored content.  The
-        propagation buffers the absorb hook fills are drained and
-        discarded — replayed content is *restoration*, not news: every
-        surviving co-owner already held it before the crash, and digest
-        repair covers the genuinely divergent remainder.
+        is *restored* (:meth:`Shard.restore`) — the fresh synchronizer's
+        bookkeeping covers it, but it is neither logged again nor
+        propagated.
 
         With ``verify`` (the ``wal+repair`` policy) every δ-path is
         additionally marked suspect, so the rebuilt replica immediately
@@ -966,87 +565,39 @@ class KVStore(Synchronizer):
         restored = 0
         warm: List[Tuple[int, int]] = []
         for shard in sorted(self.shards):
-            state = self.wal.replay(shard)
-            if state is None or state.is_bottom:
-                continue
-            inner = self.shards[shard]
-            inner.absorb_state(state, None)
-            inner.sync_messages()  # drain, never sent: see docstring
-            restored += 1
-            warm.extend((shard, peer) for peer in inner.neighbors)
+            copy = self.shards[shard]
+            if copy.replay():
+                restored += 1
+                warm.extend((shard, peer) for peer in copy.neighbors)
         if verify:
-            self.scheduler.suspect_all_paths()
+            self.repair.suspect_all_paths()
         else:
             self._replayed_paths = tuple(warm)
         return restored
-
-    def _package(self, wire: List[Tuple[int, int, Message]]) -> List[Send]:
-        """Frame shard messages for the wire, batching per destination.
-
-        Each framed shard message costs one shard tag
-        (``int_bytes``/one entry) on top of the inner accounting.
-        """
-        if not wire:
-            return []
-        tag_bytes = self.size_model.int_bytes
-        if not self.scheduler.config.batch:
-            return [
-                Send(
-                    dst=dst,
-                    message=Message(
-                        kind="kv-shard",
-                        payload=(shard, inner),
-                        payload_units=inner.payload_units,
-                        payload_bytes=inner.payload_bytes,
-                        metadata_bytes=inner.metadata_bytes + tag_bytes,
-                        metadata_units=inner.metadata_units + 1,
-                    ),
-                )
-                for dst, shard, inner in wire
-            ]
-        grouped: Dict[int, List[Tuple[int, Message]]] = {}
-        for dst, shard, inner in wire:
-            grouped.setdefault(dst, []).append((shard, inner))
-        sends: List[Send] = []
-        for dst, entries in grouped.items():
-            sends.append(
-                Send(
-                    dst=dst,
-                    message=Message(
-                        kind="kv-batch",
-                        payload=tuple(entries),
-                        payload_units=sum(m.payload_units for _, m in entries),
-                        payload_bytes=sum(m.payload_bytes for _, m in entries),
-                        metadata_bytes=sum(m.metadata_bytes for _, m in entries)
-                        + tag_bytes * len(entries),
-                        metadata_units=sum(m.metadata_units for _, m in entries)
-                        + len(entries),
-                    ),
-                )
-            )
-        return sends
 
     # ------------------------------------------------------------------
     # Memory accounting: sums over the shard instances.
     # ------------------------------------------------------------------
 
     def state_units(self) -> int:
-        return sum(sync.state.size_units() for sync in self.shards.values())
+        return sum(copy.state.size_units() for copy in self.shards.values())
 
     def state_bytes(self) -> int:
-        return sum(sync.state.size_bytes(self.size_model) for sync in self.shards.values())
+        return sum(
+            copy.state.size_bytes(self.size_model) for copy in self.shards.values()
+        )
 
     def buffer_units(self) -> int:
-        return sum(sync.buffer_units() for sync in self.shards.values())
+        return sum(copy.inner.buffer_units() for copy in self.shards.values())
 
     def buffer_bytes(self) -> int:
-        return sum(sync.buffer_bytes() for sync in self.shards.values())
+        return sum(copy.inner.buffer_bytes() for copy in self.shards.values())
 
     def metadata_bytes(self) -> int:
-        return sum(sync.metadata_bytes() for sync in self.shards.values())
+        return sum(copy.inner.metadata_bytes() for copy in self.shards.values())
 
     def metadata_units(self) -> int:
-        return sum(sync.metadata_units() for sync in self.shards.values())
+        return sum(copy.inner.metadata_units() for copy in self.shards.values())
 
     def __repr__(self) -> str:
         return (

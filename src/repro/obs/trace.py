@@ -91,7 +91,7 @@ class TraceEvent:
         shard: The shard involved, for store/WAL/handoff events.
         peer: The other replica of a pairwise event (the destination
             for wire events, the source for absorb/handoff events).
-        kind: The wire kind (``"kv-batch"``, ``"kv-digest"``, …) for
+        kind: The wire kind (``"kv-batch"``, ``"delta"``, …) for
             message events.
         payload_bytes / metadata_bytes: Byte accounting, same split as
             :class:`repro.sync.protocol.Message`.

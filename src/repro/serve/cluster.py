@@ -314,8 +314,6 @@ class ProcessCluster(KVDriver):
                 cmd += ["--wal-compact-bytes", str(self.wal_compact_bytes)]
         if self.antientropy.budget_bytes is not None:
             cmd += ["--budget", str(self.antientropy.budget_bytes)]
-        if not self.antientropy.batch:
-            cmd += ["--no-batch"]
         if self.trace_dir is not None:
             cmd += ["--trace-dir", self.trace_dir]
         env = dict(os.environ)

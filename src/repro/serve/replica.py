@@ -93,7 +93,6 @@ class ReplicaOptions:
     repair_interval: int = 0
     repair_fanout: int = 1
     repair_mode: str = "blanket"
-    batch: bool = True
     #: Directory for this process's trace file (``None`` = off); the
     #: file is named ``r{replica:03d}.jsonl`` and stamped with
     #: ``origin=replica`` so a directory of them merges offline.
@@ -105,7 +104,6 @@ class ReplicaOptions:
             repair_interval=self.repair_interval,
             repair_fanout=self.repair_fanout,
             repair_mode=self.repair_mode,
-            batch=self.batch,
         )
 
     def ring(self) -> HashRing:
@@ -474,18 +472,14 @@ class ReplicaProcess:
 
     @_handles(frames.ROOTS)
     def _handle_roots(self, request: Request) -> Response:
-        store = self.store
         # Hosted shards by their cached roots; shards this replica only
         # still sources a pending handoff from are listed apart, so the
         # controller's planner can see a retained copy as a candidate.
-        roots = {
-            str(shard): root.hex() if (root := store.shard_root(shard)) else None
-            for shard in sorted(store.shards)
-        }
-        retained = {
-            str(shard): store._shard_digest(shard).root(inner.state).hex()
-            for shard, inner in sorted(store._fencing.items())
-        }
+        roots: Dict[str, str] = {}
+        retained: Dict[str, str] = {}
+        for shard, copy in sorted(self.store.copies().items()):
+            held = roots if shard in self.store.shards else retained
+            held[str(shard)] = copy.root().hex()
         return Response(request.id, body={"roots": roots, "retained": retained})
 
     @_handles(frames.STAT)
@@ -494,7 +488,7 @@ class ReplicaProcess:
 
     @_handles(frames.HANDOFF)
     def _handle_handoff(self, request: Request) -> Response:
-        self.store.begin_handoff(
+        self.store.handoff.begin(
             int(request.body["shard"]), int(request.body["dst"])
         )
         return Response(request.id)
@@ -507,7 +501,6 @@ class ReplicaProcess:
         if value is None:
             # Owned but unwritten: OK with no blob (blob=None encodes
             # as "absent", distinct from an encoded bottom).
-            self.store._route(request.key)  # raises KVRoutingError if unowned
             return Response(request.id)
         return Response(request.id, blob=encode(value))
 
@@ -554,16 +547,13 @@ class ReplicaProcess:
             n_shards=self.options.shards,
             replication=self.options.replication,
         )
-        # Membership grew or shrank: the overlay is always the full
-        # replica set, so refresh the reachability view first.
-        self.store.neighbors = tuple(r for r in replicas if r != self.replica)
-        self.store.n_nodes = max(
-            self.store.n_nodes, max(replicas) + 1 if replicas else 0
-        )
         self.store.apply_ring(
             ring,
             retain=frozenset(int(s) for s in body.get("retain", ())),
             fence=bool(body.get("fence", True)),
+            # Membership grew or shrank, and the overlay is always the
+            # full replica set.
+            neighbors=tuple(r for r in replicas if r != self.replica),
         )
         return Response(request.id, body={"shards": sorted(self.store.shards)})
 
@@ -582,7 +572,7 @@ class ReplicaProcess:
             "metadata_bytes": self.metadata_bytes,
             "blocked": self.sends_blocked,
             "client_ops": self.client_ops,
-            "pending_handoffs": self.store.scheduler.pending_handoffs(),
+            "pending_handoffs": self.store.handoff.pending(),
             "replayed_shards": self.replayed_shards,
             "state_bytes": self.store.state_bytes(),
             "memory_bytes": self.store.state_bytes()

@@ -116,7 +116,7 @@ class IncrementalDigest:
     * :meth:`MapLattice.join` / ``with_entry`` reuse the value objects
       of untouched keys, so after an inflation only the touched keys'
       bindings are new objects (the same reuse
-      ``repro.kv.store._keyspace_novelty`` builds on).
+      ``repro.kv.shard._keyspace_novelty`` builds on).
 
     ``refresh`` walks the map's bindings once, comparing identity
     against the last-seen value per key, and re-fingerprints only the

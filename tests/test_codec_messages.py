@@ -96,7 +96,6 @@ REPRESENTATIVES = {
     "kv-digest": b"r" * 16,
     "kv-diff": frozenset({_fp("one"), _fp("two")}),
     "kv-repair": (MapLattice({"k": MaxInt(2)}), frozenset({_fp("echo")})),
-    "kv-shard": (3, _INNER_STATE),
     "kv-batch": ((1, _INNER_STATE), (5, _INNER_DELTA)),
     "kv-handoff-offer": (b"r" * 16, 512),
     "kv-handoff-segment": (encode(SetLattice({"a"})), encode(MaxInt(7))),
@@ -116,17 +115,14 @@ class TestEveryKindRoundTrips:
         message = make_message(kind, REPRESENTATIVES[kind])
         decoded = roundtrip(message)
         assert decoded.kind == kind
-        if kind in ("kv-shard", "kv-batch"):
+        if kind == "kv-batch":
             # Nested messages come back with *measured* byte fields, so
             # compare the semantic content (shard routing, inner kind,
             # inner payload, units), not dataclass equality.
-            entries = (
-                [decoded.payload] if kind == "kv-shard" else list(decoded.payload)
-            )
-            originals = (
-                [message.payload] if kind == "kv-shard" else list(message.payload)
-            )
-            for (shard, inner), (want_shard, want_inner) in zip(entries, originals):
+            assert len(decoded.payload) == len(message.payload)
+            for (shard, inner), (want_shard, want_inner) in zip(
+                decoded.payload, message.payload
+            ):
                 assert shard == want_shard
                 assert inner.kind == want_inner.kind
                 assert inner.payload == want_inner.payload
@@ -261,9 +257,7 @@ class CodecRoundtripTransport(SimTransport):
 
     def _note_kinds(self, message):
         self.kinds_seen.add(message.kind)
-        if message.kind in ("kv-shard",):
-            self.kinds_seen.add(message.payload[1].kind)
-        if message.kind in ("kv-batch",):
+        if message.kind == "kv-batch":
             for _, inner in message.payload:
                 self.kinds_seen.add(inner.kind)
 
@@ -338,4 +332,4 @@ def test_kv_store_converges_through_the_codec(repair_mode):
     assert "kv-repair" in wired.kinds_seen
     if repair_mode == "digest":
         assert {"kv-digest", "kv-diff"} <= wired.kinds_seen
-    assert {"kv-batch"} <= wired.kinds_seen or {"kv-shard"} <= wired.kinds_seen
+    assert "kv-batch" in wired.kinds_seen

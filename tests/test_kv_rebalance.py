@@ -24,7 +24,6 @@ import pytest
 
 from repro.kv import (
     AntiEntropyConfig,
-    AntiEntropyScheduler,
     HashRing,
     KVCluster,
     KVRoutingError,
@@ -39,11 +38,50 @@ from repro.sync.protocol import Message
 from repro.wal import MemoryStorage, ShardLog, WalFencedError
 from repro.lattice.set_lattice import SetLattice
 from repro.codec import encode
+from repro.kv.handoff import HANDOFF_RETRY_TICKS, _ack_message, _offer_message
 
 
 REPAIR = AntiEntropyConfig(
     repair_interval=3, repair_fanout=8, repair_mode="digest"
 )
+
+
+def make_store(replica=0, n=3, *, ring_nodes=None, shards=8, replication=2,
+               antientropy=REPAIR, inner_factory=keyed_bp_rr):
+    """One standalone store on an ``n``-node full mesh."""
+    ring = HashRing(
+        ring_nodes if ring_nodes is not None else range(n),
+        n_shards=shards,
+        replication=replication,
+    )
+    return KVStore(
+        replica=replica,
+        neighbors=tuple(r for r in range(n) if r != replica),
+        bottom=MapLattice(),
+        n_nodes=n,
+        ring=ring,
+        inner_factory=inner_factory,
+        antientropy=antientropy,
+    )
+
+
+def batch(*entries):
+    """The wire frame carrying ``(shard, inner message)`` entries."""
+    return Message(
+        kind="kv-batch",
+        payload=entries,
+        payload_units=0,
+        payload_bytes=0,
+        metadata_bytes=0,
+        metadata_units=0,
+    )
+
+
+def only_reply(sends):
+    """The single inner message a store answered with."""
+    ((_, reply),) = sends[0].message.payload
+    assert len(sends) == 1
+    return reply
 
 
 def make_cluster(n_topology, n_ring, *, recovery="wal",
@@ -151,7 +189,7 @@ class TestLiveDecommission:
         cluster.drain()
         assert cluster.converged()
         assert not cluster.nodes[0].shards
-        assert not cluster.nodes[0]._fencing
+        assert not cluster.nodes[0].handoff.retained
         for key, want in expected_union([(7, range(3)), (8, range(4))]).items():
             assert cluster.value(key) == want
 
@@ -266,48 +304,21 @@ class TestHandoffProtocol:
     def test_offer_root_match_short_circuits_the_segment(self):
         """A receiver already holding the content acks the offer
         complete — no segment bytes cross the wire."""
-        ring = HashRing(range(3), n_shards=4, replication=2)
-        store = KVStore(
-            replica=0,
-            neighbors=(1, 2),
-            bottom=MapLattice(),
-            n_nodes=3,
-            ring=ring,
-            inner_factory=keyed_bp_rr,
-            antientropy=REPAIR,
-        )
+        store = make_store(shards=4)
         shard = next(iter(store.shards))
-        offer = store._handoff_offer(shard, store.shards[shard])
-        reply = store._handle_handoff(1, shard, offer)
+        offer = _offer_message(store.shards[shard], store.size_model)
+        reply = only_reply(store.handle_message(1, batch((shard, offer))))
         assert reply.kind == "kv-handoff-ack"
         complete, root = reply.payload
         assert complete and root is not None
 
     def test_segment_replay_acks_complete(self):
-        ring = HashRing(range(3), n_shards=4, replication=2)
-
-        def store_for(replica):
-            group = next(
-                (s, ring.shard_owners(s))
-                for s in range(4)
-                if replica in ring.shard_owners(s)
-            )
-            return KVStore(
-                replica=replica,
-                neighbors=tuple(r for r in range(3) if r != replica),
-                bottom=MapLattice(),
-                n_nodes=3,
-                ring=ring,
-                inner_factory=keyed_bp_rr,
-                antientropy=REPAIR,
-            )
-
-        sender, receiver = store_for(0), store_for(1)
+        sender, receiver = make_store(0, shards=4), make_store(1, shards=4)
         shared = sorted(set(sender.shards) & set(receiver.shards))
         assert shared, "rings this small always share a shard"
         shard = shared[0]
         delta = MapLattice({"set:x": SetLattice({"a", "b"})})
-        sender.shards[shard].absorb_state(delta, None)
+        sender.shards[shard].absorb(delta, None, drain=True)
         segment = Message(
             kind="kv-handoff-segment",
             payload=(encode(sender.shards[shard].state),),
@@ -316,11 +327,11 @@ class TestHandoffProtocol:
             metadata_bytes=8,
             metadata_units=1,
         )
-        reply = receiver._handle_handoff(0, shard, segment)
+        reply = only_reply(receiver.handle_message(0, batch((shard, segment))))
         complete, root = reply.payload
         assert complete
         assert receiver.shards[shard].state == sender.shards[shard].state
-        assert receiver.scheduler.handoff_segments == 1
+        assert receiver.scheduler.stats()["handoff_segments"] == 1
 
 
 class TestRebalancePreflight:
@@ -383,7 +394,7 @@ class TestOverlappingRebalances:
             )
         # Once every handoff settled, nothing lingers in fencing sets.
         for node in cluster.nodes:
-            assert not node._fencing
+            assert not node.handoff.retained
         # Declinations (receivers the second change outran) are counted
         # as abandonments, never as receiver-confirmed completions.
         stats = cluster.scheduler_stats()
@@ -395,123 +406,125 @@ class TestOverlappingRebalances:
 
 class TestStaleTraffic:
     def test_stale_shard_traffic_is_counted_not_fatal(self):
-        ring = HashRing(range(3), n_shards=8, replication=2)
-        store = KVStore(
-            replica=0,
-            neighbors=(1, 2),
-            bottom=MapLattice(),
-            n_nodes=3,
-            ring=ring,
-            inner_factory=keyed_bp_rr,
-            antientropy=REPAIR,
-        )
+        store = make_store()
         victim = next(iter(store.shards))
         # Move every shard off replica 0, then deliver traffic for one.
         store.apply_ring(HashRing([1, 2], n_shards=8, replication=2))
         assert not store.shards
-        stale = Message(
-            kind="kv-shard",
-            payload=(victim, Message("state", MapLattice(), 0, 0, 0)),
-            payload_units=0,
-            payload_bytes=0,
-            metadata_bytes=0,
-            metadata_units=0,
-        )
+        stale = batch((victim, Message("state", MapLattice(), 0, 0, 0)))
         assert store.handle_message(1, stale) == []
         assert store.stale_shard_messages == 1
 
-    def test_traffic_for_a_shard_we_should_own_still_fails_loudly(self):
-        ring = HashRing(range(3), n_shards=8, replication=3)
-        store = KVStore(
-            replica=0,
-            neighbors=(1, 2),
-            bottom=MapLattice(),
-            n_nodes=3,
-            ring=ring,
-            inner_factory=keyed_bp_rr,
-            antientropy=REPAIR,
-        )
+    @pytest.mark.parametrize(
+        "inner",
+        [
+            Message("state", MapLattice(), 0, 0, 0),
+            Message("kv-digest", b"r" * 16, 0, 0, 16),
+            Message("kv-diff", frozenset(), 0, 0, 0),
+            Message("kv-repair", (MapLattice(), None), 0, 0, 0),
+        ],
+        ids=lambda message: message.kind,
+    )
+    def test_traffic_for_a_shard_we_should_own_still_fails_loudly(self, inner):
+        store = make_store(replication=3)
         shard = next(iter(store.shards))
         del store.shards[shard]  # simulate an internal inconsistency
-        broken = Message(
-            kind="kv-shard",
-            payload=(shard, Message("state", MapLattice(), 0, 0, 0)),
-            payload_units=0,
-            payload_bytes=0,
-            metadata_bytes=0,
-            metadata_units=0,
-        )
         with pytest.raises(KVRoutingError):
-            store.handle_message(1, broken)
+            store.handle_message(1, batch((shard, inner)))
+
+    def test_unknown_inner_kind_is_the_inner_protocols_error(self):
+        """A kind no exchange claims goes to the shard's synchronizer,
+        which rejects what it does not speak."""
+        store = make_store(inner_factory=Scuttlebutt)
+        shard = next(iter(store.shards))
+        peer = store.shards[shard].neighbors[0]
+        with pytest.raises(ValueError, match="unexpected message kind 'mystery'"):
+            store.handle_message(
+                peer, batch((shard, Message("mystery", MapLattice(), 0, 0, 0)))
+            )
 
 
-class TestSchedulerMembership:
-    def make(self, **kwargs):
-        config = AntiEntropyConfig(
-            repair_interval=4, repair_mode="digest", **kwargs
-        )
-        return AntiEntropyScheduler(
-            config, [0, 1], {0: (1, 2), 1: (2,)}, replica=0
-        )
+class TestMembershipAndHandoffUnits:
+    def test_apply_ring_keeps_surviving_path_clocks_and_suspects_them(self):
+        # rf 3: every shard's group goes {0, 1, 2} -> {0, 1, 3}.
+        store = make_store(0, 4, ring_nodes=range(3), replication=3)
+        shards = tuple(sorted(store.shards))
+        store.scheduler.tick = 7
+        for shard in shards:
+            store.repair.note_delta_activity(shard, 1)
+        store.scheduler.tick = 9
+        store.apply_ring(HashRing([0, 1, 3], n_shards=8, replication=3))
+        for shard in shards:
+            # Surviving path keeps its clock; the new path starts warm.
+            assert store.repair._last_delta[(shard, 1)] == 7
+            assert store.repair._last_delta[(shard, 3)] == 9
+            # Paths to dropped peers are gone.
+            assert (shard, 2) not in store.repair._last_delta
+            # The regroup discarded δ-buffers towards the survivor only.
+            assert (shard, 1) in store.repair._suspect
+            assert (shard, 3) not in store.repair._suspect
+        assert store.repair._peer_shards == {1: shards, 3: shards}
 
-    def test_apply_membership_preserves_surviving_path_clocks(self):
-        scheduler = self.make()
-        scheduler.tick = 7
-        scheduler.note_delta_activity(0, 1)
-        scheduler.apply_membership([0, 2], {0: (1, 3), 2: (3,)})
-        # Surviving path keeps its clock; new paths start warm at `tick`.
-        assert scheduler._last_delta[(0, 1)] == 7
-        assert scheduler._last_delta[(0, 3)] == 7
-        assert scheduler._last_delta[(2, 3)] == 7
-        # Paths to dropped shards/peers are gone.
-        assert (1, 2) not in scheduler._last_delta
-        assert scheduler._peer_shards == {1: (0,), 3: (0, 2)}
+    def test_apply_membership_ignores_suspects_off_the_ring(self):
+        store = make_store()
+        shard = next(iter(store.shards))
+        peer = store.shards[shard].neighbors[0]
+        store.repair.apply_membership(suspect_paths=[(shard, peer), (99, 9)])
+        assert store.repair._suspect == {(shard, peer)}
 
-    def test_apply_membership_suspects_requested_paths(self):
-        scheduler = self.make()
-        scheduler.apply_membership(
-            [0], {0: (1, 2)}, suspect_paths=[(0, 1), (9, 9)]
-        )
-        assert (0, 1) in scheduler._suspect
-        assert (9, 9) not in scheduler._suspect
+    @staticmethod
+    def due(store):
+        return [(shard, dst, m.kind) for dst, shard, m in store.handoff.due()]
 
     def test_handoff_lifecycle_offer_segment_done(self):
-        scheduler = self.make()
-        scheduler.tick = 1
-        scheduler.enqueue_handoff(5, 3)
-        assert scheduler.pending_handoffs() == 1
-        assert scheduler.plan_handoffs() == [(5, 3, "offer")]
+        store = make_store()
+        shard = next(iter(store.shards))
+        store.scheduler.tick = 1
+        store.handoff.begin(shard, 1)
+        assert store.handoff.pending() == 1
+        assert self.due(store) == [(shard, 1, "kv-handoff-offer")]
         # Unacknowledged: nothing re-fires before the retry interval.
-        assert scheduler.plan_handoffs() == []
-        scheduler.note_handoff_wanted(5, 3)
-        assert scheduler.plan_handoffs() == [(5, 3, "segment")]
-        assert scheduler.finish_handoff(5, 3)
-        assert scheduler.pending_handoffs() == 0
-        assert scheduler.handoffs_started == 1
-        assert scheduler.handoffs_completed == 1
+        assert self.due(store) == []
+        assert store.handle_message(1, batch((shard, _ack_message(False, None)))) == []
+        assert self.due(store) == [(shard, 1, "kv-handoff-segment")]
+        done = _ack_message(True, store.shard_root(shard))
+        assert store.handle_message(1, batch((shard, done))) == []
+        assert store.handoff.pending() == 0
+        assert store.scheduler.stats()["handoffs_started"] == 1
+        assert store.scheduler.stats()["handoffs_completed"] == 1
 
     def test_unacked_phases_retry_after_the_interval(self):
-        scheduler = self.make(handoff_retry_interval=2)
-        scheduler.tick = 1
-        scheduler.enqueue_handoff(0, 2)
-        assert scheduler.plan_handoffs() == [(0, 2, "offer")]
-        scheduler.tick += 1
-        assert scheduler.plan_handoffs() == []
-        scheduler.tick += 1
-        assert scheduler.plan_handoffs() == [(0, 2, "offer")]
+        store = make_store()
+        shard = next(iter(store.shards))
+        store.scheduler.tick = 1
+        store.handoff.begin(shard, 2)
+        assert self.due(store) == [(shard, 2, "kv-handoff-offer")]
+        store.scheduler.tick += HANDOFF_RETRY_TICKS - 1
+        assert self.due(store) == []
+        store.scheduler.tick += 1
+        assert self.due(store) == [(shard, 2, "kv-handoff-offer")]
 
     def test_budget_exhaustion_paces_segments_to_one(self):
-        scheduler = self.make(budget_bytes=64, repair_fanout=4)
-        scheduler.tick = 1
-        for shard in (0, 1):
-            for dst in (3, 4):
-                scheduler.enqueue_handoff(shard, dst)
-                scheduler.note_handoff_wanted(shard, dst)
-        scheduler._spent = 999  # the tick's plan() already blew the budget
-        assert len(scheduler.plan_handoffs()) == 1
-        scheduler._spent = 0
-        scheduler.tick += 1  # budget clears; the three never-sent fire
-        assert len(scheduler.plan_handoffs()) == 3
+        store = make_store(
+            antientropy=AntiEntropyConfig(budget_bytes=64, repair_fanout=4)
+        )
+        store.scheduler.tick = 1
+        for shard in sorted(store.shards)[:2]:
+            for dst in (1, 2):
+                store.handoff.begin(shard, dst)
+                store.handle_message(dst, batch((shard, _ack_message(False, None))))
+        store.scheduler.spent = 999  # the tick's plan() already blew the budget
+        assert len(self.due(store)) == 1
+        store.scheduler.spent = 0
+        store.scheduler.tick += 1  # budget clears; the three never-sent fire
+        assert len(self.due(store)) == 3
+
+    def test_a_handoff_whose_copy_is_gone_is_abandoned(self):
+        store = make_store()
+        store.handoff.begin(99, 1)  # neither hosted nor retained
+        assert self.due(store) == []
+        assert store.handoff.pending() == 0
+        assert store.scheduler.stats()["handoffs_abandoned"] == 1
 
 
 class TestShardLogFencing:

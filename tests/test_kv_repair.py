@@ -16,7 +16,6 @@ import pytest
 
 from repro.kv import (
     AntiEntropyConfig,
-    AntiEntropyScheduler,
     HashRing,
     KVCluster,
     KVStore,
@@ -59,7 +58,8 @@ def scuttlebutt_bookkeeping_consistent(cluster: KVCluster) -> None:
     """
     for node in cluster.nodes:
         assert isinstance(node, KVStore)
-        for shard, sync in node.shards.items():
+        for shard, copy in node.shards.items():
+            sync = copy.inner
             if not isinstance(sync, Scuttlebutt):
                 continue
             for (origin, seq) in sync.store:
@@ -213,89 +213,90 @@ class TestSchedulerPhase:
 
 
 class TestColdnessScheduling:
-    def config(self, **kwargs):
-        defaults = dict(repair_interval=3, repair_fanout=8, repair_mode="digest")
-        defaults.update(kwargs)
-        return AntiEntropyConfig(**defaults)
+    """The repair plane's δ-path clocks, driven through small real stores."""
+
+    def store(self, replica=0, members=range(3), *, shards=1, replication=3, **kwargs):
+        config = dict(repair_interval=3, repair_fanout=8, repair_mode="digest")
+        config.update(kwargs)
+        members = tuple(members)
+        return KVStore(
+            replica=replica,
+            neighbors=tuple(r for r in members if r != replica),
+            bottom=MapLattice(),
+            n_nodes=max(members) + 1,
+            ring=HashRing(members, n_shards=shards, replication=replication),
+            inner_factory=StateBased,
+            antientropy=AntiEntropyConfig(**config),
+        )
+
+    @staticmethod
+    def tick(store):
+        """One planning tick; the repair transmissions as (shard, dst, kind)."""
+        store.scheduler.plan(store.shards)
+        return [(shard, dst, m.kind) for dst, shard, m in store.repair.due()]
 
     def test_cold_paths_are_probed_once_per_interval(self):
-        scheduler = AntiEntropyScheduler(self.config(), [0], {0: (1, 2)})
-        probed = []
-        for _ in range(7):
-            _, blanket, probes = scheduler.plan({0: StateBased(0, [1, 2], MapLattice(), 3)})
-            assert blanket == []
-            probed.append(probes)
+        store = self.store()
+        probed = [self.tick(store) for _ in range(7)]
         # Cold from tick 3 on, re-probed every interval, never spammed.
+        both = [(0, 1, "kv-digest"), (0, 2, "kv-digest")]
         assert probed[:2] == [[], []]
-        assert probed[2] == [(0, (1, 2))]
+        assert probed[2] == both
         assert probed[3] == probed[4] == []
-        assert probed[5] == [(0, (1, 2))]
+        assert probed[5] == both
 
     def test_delta_activity_resets_the_clock(self):
-        scheduler = AntiEntropyScheduler(self.config(), [0], {0: (1,)})
-        inner = StateBased(0, [1], MapLattice(), 2)
+        store = self.store(members=range(2), replication=2)
         for _ in range(2):
-            scheduler.plan({0: inner})
-            scheduler.note_delta_activity(0, 1)
+            self.tick(store)
+            store.repair.note_delta_activity(0, 1)
         for _ in range(2):
-            _, _, probes = scheduler.plan({0: inner})
-            assert probes == []
+            assert self.tick(store) == []
         # Activity stopped two ticks ago; one more cold tick trips it.
-        _, _, probes = scheduler.plan({0: inner})
-        assert probes == [(0, (1,))]
+        assert self.tick(store) == [(0, 1, "kv-digest")]
 
     def test_suspicion_marks_shared_shards(self):
-        scheduler = AntiEntropyScheduler(
-            self.config(), [0, 1], {0: (1, 2), 1: (2,)}
-        )
-        inner = {0: StateBased(0, [1, 2], MapLattice(), 3),
-                 1: StateBased(0, [2], MapLattice(), 3)}
-        scheduler.plan(inner)
-        scheduler.note_delta_activity(0, 1)
-        scheduler.note_delta_activity(0, 2)
-        scheduler.note_delta_activity(1, 2)
-        scheduler.note_peer_unreachable(2)
+        store = self.store(shards=8, replication=2)
+        self.tick(store)
+        for shard, copy in store.shards.items():
+            for peer in copy.neighbors:
+                store.repair.note_delta_activity(shard, peer)
+        store.note_send_blocked(2)
         # Peer 2's δ-paths are suspect and probed on the very next tick
-        # even though they were just active; peer 1's path is not.
-        _, _, probes = scheduler.plan(inner)
-        assert probes == [(0, (2,)), (1, (2,))]
+        # even though they were just active; peer 1's paths are not.
+        shared = [s for s in sorted(store.shards) if 2 in store.shards[s].neighbors]
+        assert shared and len(shared) < len(store.shards)
+        assert self.tick(store) == [(shard, 2, "kv-digest") for shard in shared]
         # A probe is in flight: the rate limiter holds further probes.
-        _, _, probes = scheduler.plan(inner)
-        assert probes == []
+        assert self.tick(store) == []
 
     def test_cold_probes_respect_the_pair_tiebreak(self):
         """Only the lower-id side of a pair initiates coldness probes."""
-        low = AntiEntropyScheduler(self.config(), [0], {0: (5,)}, replica=2)
-        high = AntiEntropyScheduler(self.config(), [0], {0: (2,)}, replica=5)
-        inner_low = {0: StateBased(2, [5], MapLattice(), 6)}
-        inner_high = {0: StateBased(5, [2], MapLattice(), 6)}
+        low = self.store(2, (2, 5), replication=2)
+        high = self.store(5, (2, 5), replication=2)
         low_fired = []
         for _ in range(4):
-            low_fired.append(low.plan(inner_low)[2])
-            assert high.plan(inner_high)[2] == []
-        assert [(0, (5,))] in low_fired
+            low_fired.append(self.tick(low))
+            assert self.tick(high) == []
+        assert [(0, 5, "kv-digest")] in low_fired
 
     def test_suspicion_overrides_the_tiebreak(self):
         """A blocked send is evidence only its observer holds: the
         higher-id replica must probe a suspect lower-id peer, or lost
         δ-groups could stay unrepaired while ongoing traffic keeps the
         other side's coldness clock warm."""
-        scheduler = AntiEntropyScheduler(self.config(), [0], {0: (2,)}, replica=5)
-        inner = {0: StateBased(5, [2], MapLattice(), 6)}
-        scheduler.plan(inner)
-        scheduler.note_peer_unreachable(2)
-        _, _, probes = scheduler.plan(inner)
-        assert probes == [(0, (2,))]
+        store = self.store(5, (2, 5), replication=2)
+        self.tick(store)
+        store.note_send_blocked(2)
+        assert self.tick(store) == [(0, 2, "kv-digest")]
 
     def test_blanket_mode_never_probes(self):
-        scheduler = AntiEntropyScheduler(
-            self.config(repair_mode="blanket", repair_interval=2), [0], {0: (1,)}
+        store = self.store(
+            members=range(2), replication=2, repair_mode="blanket", repair_interval=2
         )
-        inner = {0: StateBased(0, [1], MapLattice(), 2)}
+        store.update("set:x", "add", "a")
         for tick in range(1, 5):
-            _, blanket, probes = scheduler.plan(inner)
-            assert probes == []
-            assert blanket == ([0] if tick % 2 == 0 else [])
+            assert self.tick(store) == ([(0, 1, "kv-repair")] if tick % 2 == 0 else [])
 
     def test_repair_mode_validated(self):
         with pytest.raises(ValueError, match="repair_mode"):

@@ -143,17 +143,6 @@ class TestWireFraming:
         # One batch per destination.
         assert len({send.dst for send in sends}) == len(sends)
 
-    def test_unbatched_frames_are_single_shard(self):
-        _, store = make_store(
-            replica=0, n=2, replication=2,
-            antientropy=AntiEntropyConfig(batch=False),
-        )
-        for i in range(12):
-            store.update(f"set:{i:03d}", "add", f"e{i}")
-        sends = store.sync_messages()
-        assert all(send.message.kind == "kv-shard" for send in sends)
-        assert len(sends) > 1
-
     def test_unexpected_wire_kind_rejected(self):
         from repro.sync.protocol import Message
 

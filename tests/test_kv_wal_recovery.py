@@ -20,6 +20,7 @@ over the network.  These tests pin the policy ladder down:
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.driver import Stepped
 from repro.experiments.kv_sweep import KVConfig, run_kv_repair_cell
@@ -28,8 +29,11 @@ from repro.kv import (
     HashRing,
     KVCluster,
     KVStore,
+    KV_ALGORITHMS,
     RECOVERY_POLICIES,
 )
+from repro.kv.shard import _keyspace_novelty
+from repro.sync.digest import digest_of, root_of
 from repro.sync import MerkleSync, Scuttlebutt, StateBased, keyed_bp_rr, keyed_classic
 from repro.wal import FileStorage
 
@@ -236,9 +240,9 @@ class TestDurabilityBoundary:
         assert rebuilt._replayed_paths == ()  # consumed by restore_clock
         round_now = cluster.rounds_run
         assert rebuilt.scheduler.tick == round_now
-        assert rebuilt.scheduler._last_delta
+        assert rebuilt.repair._last_delta
         assert all(
-            tick == round_now for tick in rebuilt.scheduler._last_delta.values()
+            tick == round_now for tick in rebuilt.repair._last_delta.values()
         )
 
 
@@ -347,11 +351,130 @@ class TestWalResurrectsLostWrites:
         assert run("wal+repair") == frozenset({"partition-era"})
 
 
+class TestEveryInflationReachesTheLog:
+    """The structural invariant of :class:`repro.kv.Shard`: whatever
+    path content takes into a shard — a typed write, a remove, a peer's
+    sync message, a digest-repair delta, a client-pushed fragment, a
+    handoff segment — after the next group commit the shard's log
+    replays to exactly the shard's state, and the cached root is the
+    root of that state."""
+
+    KEYS = ("aws:a", "aws:b", "gct:c", "set:d")
+    N_SHARDS = 4
+
+    replicas = st.sampled_from((0, 1))
+    ops = st.lists(
+        st.one_of(
+            st.tuples(st.just("write"), replicas, st.sampled_from(KEYS),
+                      st.sampled_from("xyz")),
+            st.tuples(st.just("remove"), replicas, st.sampled_from(KEYS[:2])),
+            st.tuples(st.just("tick"), replicas),
+            st.tuples(st.just("deliver"), replicas),
+            st.tuples(st.just("drop"), replicas),
+            st.tuples(st.just("client"), replicas, st.sampled_from(KEYS)),
+            st.tuples(st.just("handoff"), replicas, st.integers(0, N_SHARDS - 1)),
+        ),
+        max_size=40,
+    )
+
+    def pair(self, algorithm):
+        from repro.lattice import MapLattice
+        from repro.wal import MemoryStorage, ReplicaWal
+
+        ring = HashRing(range(2), n_shards=self.N_SHARDS, replication=2)
+        return [
+            KVStore(
+                replica=replica,
+                neighbors=(1 - replica,),
+                bottom=MapLattice(),
+                n_nodes=2,
+                ring=ring,
+                inner_factory=KV_ALGORITHMS[algorithm],
+                antientropy=AntiEntropyConfig(
+                    repair_interval=1, repair_fanout=8, repair_mode="digest"
+                ),
+                wal=ReplicaWal(replica, MemoryStorage()),
+            )
+            for replica in range(2)
+        ]
+
+    @staticmethod
+    def check(store):
+        store.wal.commit()
+        for shard, copy in store.shards.items():
+            logged = store.wal.replay(shard)
+            if copy.state.is_bottom:
+                assert logged is None or logged.is_bottom
+            else:
+                assert logged == copy.state, (store.replica, shard)
+            assert store.shard_root(shard) == root_of(digest_of(copy.state))
+
+    @pytest.mark.parametrize("algorithm", sorted(KV_ALGORITHMS))
+    @settings(max_examples=25, deadline=None)
+    @given(ops=ops)
+    def test_log_replays_to_state_under_any_interleaving(self, algorithm, ops):
+        from repro.lattice import MapLattice
+
+        stores = self.pair(algorithm)
+        mail = {0: [], 1: []}  # destination → messages in flight
+
+        def tick(replica):
+            for send in stores[replica].sync_messages():
+                mail[send.dst].append(send.message)
+
+        def deliver(replica):
+            pending, mail[replica] = mail[replica], []
+            for message in pending:
+                for reply in stores[replica].handle_message(1 - replica, message):
+                    mail[reply.dst].append(reply.message)
+
+        for op, replica, *args in ops:
+            store = stores[replica]
+            if op == "write":
+                key, element = args
+                if key.startswith("gct:"):
+                    store.update(key, "increment")
+                else:
+                    store.update(key, "add", element)
+            elif op == "remove":
+                store.remove(args[0])
+            elif op == "tick":
+                tick(replica)
+                self.check(store)
+            elif op == "deliver":
+                deliver(replica)
+            elif op == "drop":
+                mail[replica].clear()  # lost frames: repair's reason to exist
+            elif op == "client":
+                value = stores[1 - replica].value_lattice(args[0])
+                if value is not None:
+                    store.absorb_client_state(MapLattice({args[0]: value}))
+            else:
+                store.handoff.begin(args[0], 1 - replica)
+        # Epilogue: one write whose sync frame is lost, then every
+        # shard is handed 0 → 1 and the pair runs until quiet, so each
+        # example also covers the offer → segment → ack and the probe →
+        # diff → repair exchanges end to end.
+        stores[0].update("set:d", "add", "lost-in-flight")
+        tick(0)
+        mail[1].clear()
+        for shard in range(self.N_SHARDS):
+            stores[0].handoff.begin(shard, 1)
+        for _ in range(12):
+            for replica in (0, 1):
+                tick(replica)
+                deliver(1 - replica)
+                deliver(replica)
+        for store in stores:
+            self.check(store)
+            assert store.handoff.pending() == 0
+        assert stores[0].state == stores[1].state
+
+
 class TestKeyspaceNovelty:
     """The WAL's per-message diff exploits join's structure sharing."""
 
     def test_novelty_is_the_optimal_keyed_delta(self):
-        from repro.kv.store import _keyspace_novelty
         from repro.lattice import MapLattice, SetLattice
 
         before = MapLattice({"a": SetLattice({"x"}), "b": SetLattice({"y"})})
@@ -364,7 +487,6 @@ class TestKeyspaceNovelty:
         )
 
     def test_redundant_delivery_yields_bottom(self):
-        from repro.kv.store import _keyspace_novelty
         from repro.lattice import MapLattice, SetLattice
 
         before = MapLattice({"a": SetLattice({"x"})})
@@ -374,7 +496,6 @@ class TestKeyspaceNovelty:
         assert _keyspace_novelty(before, after).is_bottom
 
     def test_unchanged_keys_are_skipped_by_identity(self):
-        from repro.kv.store import _keyspace_novelty
         from repro.lattice import MapLattice, SetLattice
 
         class Tripwire(SetLattice):
@@ -388,31 +509,42 @@ class TestKeyspaceNovelty:
 
 
 class TestSchedulerRebuildSupport:
-    def test_reverse_index_maps_peers_to_shared_shards(self):
-        from repro.kv import AntiEntropyScheduler
+    @staticmethod
+    def store():
+        from repro.lattice import MapLattice
 
-        scheduler = AntiEntropyScheduler(
-            AntiEntropyConfig(repair_interval=3, repair_mode="digest"),
-            [0, 1, 2],
-            {0: (1, 2), 1: (2,), 2: ()},
+        return KVStore(
+            replica=0,
+            neighbors=(1, 2),
+            bottom=MapLattice(),
+            n_nodes=3,
+            ring=HashRing(range(3), n_shards=8, replication=2),
+            inner_factory=keyed_bp_rr,
+            antientropy=DIGEST_REPAIR,
         )
-        assert scheduler._peer_shards == {1: (0,), 2: (0, 1)}
-        scheduler.note_peer_unreachable(2)
-        assert scheduler._suspect == {(0, 2), (1, 2)}
+
+    def test_reverse_index_maps_peers_to_shared_shards(self):
+        store = self.store()
+        shared = {
+            peer: tuple(s for s in sorted(store.shards) if peer in store.shards[s].neighbors)
+            for peer in (1, 2)
+        }
+        assert shared[1] and shared[2]
+        assert store.repair._peer_shards == shared
+        store.note_send_blocked(2)
+        assert store.repair._suspect == {(shard, 2) for shard in shared[2]}
         # A peer sharing nothing marks nothing.
-        scheduler.note_peer_unreachable(9)
-        assert scheduler._suspect == {(0, 2), (1, 2)}
+        store.note_send_blocked(9)
+        assert store.repair._suspect == {(shard, 2) for shard in shared[2]}
 
     def test_suspect_all_paths_covers_every_delta_path(self):
-        from repro.kv import AntiEntropyScheduler
-
-        scheduler = AntiEntropyScheduler(
-            AntiEntropyConfig(repair_interval=3, repair_mode="digest"),
-            [0, 1],
-            {0: (1, 2), 1: (2,)},
-        )
-        scheduler.suspect_all_paths()
-        assert scheduler._suspect == {(0, 1), (0, 2), (1, 2)}
+        store = self.store()
+        store.repair.suspect_all_paths()
+        assert store.repair._suspect == {
+            (shard, peer)
+            for shard, copy in store.shards.items()
+            for peer in copy.neighbors
+        }
 
 
 class TestRuntimeRestoreHook:

@@ -64,42 +64,57 @@ class TestRegistry:
 
 
 class TestSchedulerAdapter:
-    """scheduler.stats() and the attribute adapters read the registry."""
+    """scheduler.stats() is the replica's ``scheduler.*`` registry namespace."""
 
-    def make_scheduler(self, registry=None):
-        from repro.kv.antientropy import AntiEntropyConfig, AntiEntropyScheduler
+    def make_store(self, registry=None):
+        from repro.kv import AntiEntropyConfig, HashRing, KVStore
+        from repro.lattice import MapLattice
+        from repro.sync import keyed_bp_rr
 
-        return AntiEntropyScheduler(
-            AntiEntropyConfig(repair_interval=2, repair_mode="digest"),
-            shard_ids=(0, 1),
-            shard_peers={0: (1,), 1: (1,)},
+        return KVStore(
             replica=0,
+            neighbors=(1,),
+            bottom=MapLattice(),
+            n_nodes=2,
+            ring=HashRing(range(2), n_shards=2, replication=2),
+            inner_factory=keyed_bp_rr,
+            antientropy=AntiEntropyConfig(repair_interval=2, repair_mode="digest"),
             registry=registry,
         )
 
+    @staticmethod
+    def probe(store, metadata_bytes):
+        from repro.sync.protocol import Message
+
+        probe = Message("kv-digest", store.shard_root(0), 0, 0, metadata_bytes)
+        store.handle_message(1, Message("kv-batch", ((0, probe),), 0, 0, 0))
+
     def test_stats_reads_registry_counters(self):
         registry = MetricsRegistry()
-        scheduler = self.make_scheduler(registry)
-        scheduler.note_probe(3)
-        scheduler.note_repair_traffic(100, 16)
-        stats = scheduler.stats()
+        store = self.make_store(registry)
+        for _ in range(3):
+            self.probe(store, 16)
+        stats = store.scheduler.stats()
         assert stats["probes"] == 3
-        assert stats["repair_payload_bytes"] == 100
-        assert stats["repair_metadata_bytes"] == 16
+        assert stats["repair_metadata_bytes"] == 48
         assert registry.snapshot()["scheduler.probes"] == 3
-        # The attribute adapters mirror the registry values.
-        assert scheduler.probes == 3
-        assert scheduler.repair_payload_bytes == 100
+        # Every owner's counters — the scheduler's, the repair plane's
+        # (read repair included) and the handoff plane's — and nothing
+        # else: what the cluster-level scheduler_stats() sums.
+        assert {f"scheduler.{name}" for name in stats} == {
+            name for name in registry.names() if name.startswith("scheduler.")
+        }
+        assert {"ticks", "read_repairs", "read_repair_payload_bytes",
+                "handoff_segments"} <= set(stats)
 
-    def test_counters_survive_a_scheduler_rebuild(self):
+    def test_counters_survive_a_store_rebuild(self):
         registry = MetricsRegistry()
-        first = self.make_scheduler(registry)
-        first.note_repair_traffic(64, 0)
-        # A lose-state rebuild constructs a fresh scheduler on the same
+        self.probe(self.make_store(registry), 64)
+        # A lose-state rebuild constructs a fresh store on the same
         # (surviving) registry: counts continue, nothing retires.
-        second = self.make_scheduler(registry)
-        second.note_repair_traffic(36, 0)
-        assert second.stats()["repair_payload_bytes"] == 100
+        second = self.make_store(registry)
+        self.probe(second, 36)
+        assert second.scheduler.stats()["repair_metadata_bytes"] == 100
 
 
 class TestSeriesHelpers:
