@@ -26,9 +26,9 @@ per-tick work proportional to *what changed* instead of *what exists*:
 Every cell asserts a minimum speedup ratio — a machine-independent
 regression gate that fails if either cache stops working — and the
 combined report (ops/sec, ratios, timer breakdown) lands in
-``benchmarks/results/hotpath.txt``.  CI additionally records the
-pytest-benchmark JSON and compares it against the stored baseline in
-``benchmarks/results/hotpath_baseline.json``.
+``benchmarks/results/hotpath.txt``.  Absolute times are not gated
+here: ``BENCHMARK.json``'s bounded workloads compare a change with its
+parent on the same machine.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """The client-side load generator: latency percentiles and staleness.
 
 Drives one :class:`~repro.serve.client.KVClient` with a seeded
-Zipf-skewed open loop of typed operations (the same key-prefix → CRDT
+Zipf-skewed closed loop of typed operations (the same key-prefix → CRDT
 type cycle as :class:`~repro.workloads.kv.KVZipfWorkload`, so the
 serving keyspace looks like the sweep keyspace) and measures what a
 *client* sees — which the round-level byte accounting cannot:
@@ -94,7 +94,11 @@ class LoadReport:
 
 
 class LoadGenerator:
-    """A seeded open-loop client workload.
+    """A seeded closed-loop client workload: one request in flight.
+
+    ``run_op`` blocks on every reply before issuing the next operation,
+    so a slow system receives less load; there is no arrival schedule
+    and no queueing delay in the reported latencies.
 
     Args:
         client: The (already wired) :class:`KVClient` to drive.

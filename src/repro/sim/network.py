@@ -137,7 +137,7 @@ class ClusterConfig:
     max_drain_rounds: int = 200
     #: Probability that any message is silently dropped in transit.
     #: The paper's Algorithm 1 assumes 0; the acked variant
-    #: (:class:`repro.sync.reliable.DeltaBasedAcked`) tolerates > 0.
+    #: (:class:`repro.sync.deltabased.DeltaBasedAcked`) tolerates > 0.
     loss_rate: float = 0.0
     #: Seed for the (deterministic) loss coin flips.
     loss_seed: int = 0

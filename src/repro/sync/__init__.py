@@ -7,7 +7,9 @@ interface so the simulator and benchmark harness can swap them freely:
 * ``state-based`` — periodic full-state push (Section II);
 * ``delta-based`` — Algorithm 1: the classic algorithm plus the BP
   (avoid back-propagation) and RR (remove redundant state) optimizations
-  in any combination (Section IV);
+  in any combination (Section IV), plus its per-object instantiation
+  (Section V-C) and its lossy-channel extension with sequence numbers
+  and acks — all three in :mod:`repro.sync.deltabased`;
 * ``scuttlebutt`` / ``scuttlebutt-gc`` — anti-entropy reconciliation
   over a versioned delta store, with and without the safe-delete
   knowledge matrix (Section V-B);
@@ -22,18 +24,23 @@ interface so the simulator and benchmark harness can swap them freely:
 
 from repro.sync.protocol import Message, Send, Synchronizer, SynchronizerFactory
 from repro.sync.statebased import StateBased
-from repro.sync.deltabased import DeltaBased, classic, delta_bp, delta_bp_rr, delta_rr
-from repro.sync.scuttlebutt import Scuttlebutt, ScuttlebuttGC
-from repro.sync.opbased import OpBased
-from repro.sync.keyed import (
+from repro.sync.deltabased import (
+    DeltaBased,
+    DeltaBasedAcked,
     KeyedDeltaBased,
+    classic,
+    delta_acked_factory,
+    delta_bp,
+    delta_bp_rr,
+    delta_rr,
     keyed_bp,
     keyed_bp_rr,
     keyed_classic,
     keyed_rr,
 )
+from repro.sync.scuttlebutt import Scuttlebutt, ScuttlebuttGC
+from repro.sync.opbased import OpBased
 from repro.sync.merkle import MerkleSync
-from repro.sync.reliable import DeltaBasedAcked, delta_acked_factory
 from repro.sync.digest import (
     DigestExchange,
     digest_driven_sync,

@@ -1,4 +1,4 @@
-"""Delta-based synchronization — Algorithm 1 of the paper, all variants.
+"""Delta-based synchronization — Algorithm 1 of the paper, written once.
 
 The classic algorithm (Almeida et al. 2015/2018) keeps a δ-buffer of
 deltas produced locally or received from neighbours; each sync step
@@ -23,21 +23,123 @@ The two optimizations (Section IV), each independently toggleable:
   what rescues topologies with cycles, where the same state reaches a
   node along multiple paths.
 
-Following the paper's presentation, channels are assumed reliable (no
-drops; duplication and reordering are fine), so the buffer is cleared
-after each synchronization step.  The sequence-number-and-ack extension
-for lossy channels is discussed in the paper's Section IV and accounted
-for here as one sequence number of metadata per message.
+Where each line of Algorithm 1 lives (:class:`DeltaBased`; every
+variant below executes these same definitions):
+
+========  ==========================================================
+line 5    ``DeltaBased.buffer`` — the δ-buffer ``Bᵢ``, a
+          :class:`DeltaBuffer`
+6–8       :meth:`DeltaBased.local_update` — ``on operationᵢ(mδ)``
+9–13      :meth:`DeltaBased.sync_messages` — the periodic step: the
+          BP filter of line 11 is :meth:`DeltaBuffer.pending`, the
+          join of line 11 is ``_group_message`` over
+          :meth:`DeltaBuffer.joined`, line 13 (clear the buffer) is
+          ``_retire_sent``
+14–17     ``DeltaBased._receive`` — ``on receiveⱼ,ᵢ(d)``: line 15 is
+          RR's ``∆(d, xᵢ)``, line 16 is either RR's ``d ≠ ⊥`` or the
+          classic ``d ⋢ xᵢ``; :meth:`DeltaBased.handle_message` and
+          :meth:`DeltaBased.absorb_state` both run it
+18–20     ``DeltaBased._store`` — ``store(s, o)``
+========  ==========================================================
+
+The paper varies Algorithm 1 along two further axes, and each is one
+subclass that states *only* that axis:
+
+* **Granularity (Section V-C)** — :class:`KeyedDeltaBased`.  The Retwis
+  deployment runs one instance of Algorithm 1 per object of a
+  ``MapLattice`` store.  The three hooks ``_split`` (how a δ divides
+  into parts), ``_local`` (what a part is compared against) and
+  ``_assemble`` (how parts re-form one lattice value) say so; the base
+  class treats the whole state as a single part under the key ``None``.
+
+* **Channel (Section IV, last paragraph)** — :class:`DeltaBasedAcked`.
+  Algorithm 1 assumes reliable channels "for simplicity of
+  presentation"; the assumption is removed "by simply tagging each
+  entry in the δ-buffer with a unique sequence number, and by
+  exchanging acks between replicas", as originally proposed by Almeida
+  et al.  The hooks ``_settled`` (which entries a neighbour no longer
+  needs), ``_envelope`` (the payload and sequence numbers around a
+  δ-group), ``_retire_sent`` (whether sending retires entries) and
+  ``_channel_units`` (the channel's resident sequence state) say so;
+  the base class retires on send and accounts one sequence number per
+  neighbour for the extension.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Collection, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.lattice.base import Lattice
+from repro.lattice.map_lattice import MapLattice
 from repro.sizes import SizeModel, DEFAULT_SIZE_MODEL
 from repro.sync.protocol import DeltaMutator, Message, Send, Synchronizer
+
+
+class DeltaBuffer:
+    """The δ-buffer ``Bᵢ``: sequence-numbered ``(key, δ, origin)`` entries.
+
+    ``key`` names the part of the state the δ belongs to (``None`` when
+    the state is synchronized as a whole), ``origin`` is the replica
+    the δ came from (BP's tag), and the sequence number is what a
+    lossy-channel ack refers to.  Iterating yields the entries in
+    insertion order; sizes are summed when read, never kept as running
+    totals.
+    """
+
+    __slots__ = ("entries", "_next_seq")
+
+    def __init__(self) -> None:
+        self.entries: Dict[int, Tuple[Hashable, Lattice, int]] = {}
+        self._next_seq = 0
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __iter__(self):
+        return iter(self.entries.values())
+
+    def add(self, key: Hashable, delta: Lattice, origin: int) -> None:
+        self.entries[self._next_seq] = (key, delta, origin)
+        self._next_seq += 1
+
+    def pending(
+        self, exclude: Optional[int], settled: Collection[int]
+    ) -> Tuple[int, ...]:
+        """Sequence numbers still owed to one neighbour, in order.
+
+        Skips entries whose origin is ``exclude`` (BP; ``None`` excludes
+        nothing) and entries in ``settled`` (already acknowledged).
+        """
+        return tuple(
+            [
+                seq
+                for seq, (_, _, origin) in self.entries.items()
+                if origin != exclude and seq not in settled
+            ]
+        )
+
+    def joined(self, seqs: Iterable[int]) -> Dict[Hashable, Lattice]:
+        """The entries ``seqs`` joined per key — one δ-group per part."""
+        parts: Dict[Hashable, Lattice] = {}
+        for seq in seqs:
+            key, delta, _ = self.entries[seq]
+            current = parts.get(key)
+            parts[key] = delta if current is None else current.join(delta)
+        return parts
+
+    def retire(self, seqs: Iterable[int]) -> None:
+        for seq in seqs:
+            del self.entries[seq]
+
+    def clear(self) -> None:
+        self.entries.clear()
+
+    def units(self) -> int:
+        return sum(delta.size_units() for _, delta, _ in self)
+
+    def bytes(self, model: SizeModel) -> int:
+        """Buffered δs plus the keys they are filed under (``None`` is free)."""
+        return sum(model.sizeof(key) + delta.size_bytes(model) for key, delta, _ in self)
 
 
 class DeltaBased(Synchronizer):
@@ -54,6 +156,8 @@ class DeltaBased(Synchronizer):
     """
 
     name = "delta-based"
+    #: Wire kind of one δ-group message.
+    kind = "delta"
 
     def __init__(
         self,
@@ -69,14 +173,9 @@ class DeltaBased(Synchronizer):
         super().__init__(replica, neighbors, bottom, n_nodes, size_model)
         self.bp = bp
         self.rr = rr
-        #: The δ-buffer ``Bᵢ``: (δ-group, origin) pairs — Algorithm 1 line 5.
-        #: Classic mode simply ignores the origin tag when sending.
-        self.buffer: List[Tuple[Lattice, int]] = []
-        #: Per-neighbour sequence counters for the lossy-channel
-        #: extension (Section IV): each channel numbers its own
-        #: δ-groups, which is the model ``metadata_bytes`` documents —
-        #: one sequence number per neighbour, not one shared counter.
-        self._sequences: Dict[int, int] = {}
+        #: Algorithm 1 line 5.  Classic mode simply ignores the origin
+        #: tags when sending.
+        self.buffer = DeltaBuffer()
 
     # ------------------------------------------------------------------
     # Algorithm 1, line 6-8: on operationᵢ(mδ).
@@ -93,55 +192,47 @@ class DeltaBased(Synchronizer):
     # ------------------------------------------------------------------
 
     def sync_messages(self) -> List[Send]:
-        """Join the buffer into one δ-group per neighbour and clear it.
+        """Join the pending entries into one δ-group per neighbour.
 
         With BP enabled, entries tagged with the destination are
         filtered out (line 11, right-hand variant); classic joins the
         whole buffer for everyone.
 
-        Every neighbour without a BP-excluded buffer entry receives the
-        *same* δ-group — the join of the whole buffer, in buffer order —
-        so those destinations share one frozen message object, sized
-        once and (on a real transport) encoded once; see
-        :func:`repro.codec.frame_message`.  Only neighbours that
-        actually tagged a buffer entry get a private filtered group.
+        Neighbours owed the *same* entries receive the same δ-group, so
+        they share one frozen message object, sized once and (on a real
+        transport) encoded once; see :func:`repro.codec.frame_message`.
+        Only a neighbour whose pending set differs — it tagged an entry
+        (BP), or its acks differ — gets a private group.
         """
         if not self.buffer:
             return []
         sends: List[Send] = []
-        tagged = {origin for _, origin in self.buffer} if self.bp else frozenset()
-        shared: Optional[Message] = None
+        built: Dict[Tuple[int, ...], Message] = {}
         for neighbor in self.neighbors:
-            if neighbor in tagged:
-                group = self.bottom
-                for delta, origin in self.buffer:
-                    if origin == neighbor:
-                        continue
-                    group = group.join(delta)
-                if group.is_bottom:
-                    continue
-                message = self._group_message(group)
-            else:
-                if shared is None:
-                    group = self.bottom
-                    for delta, _ in self.buffer:
-                        group = group.join(delta)
-                    shared = self._group_message(group)
-                message = shared
-            self._sequences[neighbor] = self._sequences.get(neighbor, 0) + 1
+            covered = self.buffer.pending(
+                neighbor if self.bp else None, self._settled(neighbor)
+            )
+            if not covered:
+                continue
+            message = built.get(covered)
+            if message is None:
+                message = built[covered] = self._group_message(covered)
             sends.append(Send(dst=neighbor, message=message))
-        self.buffer.clear()
+        self._retire_sent()
         return sends
 
-    def _group_message(self, group: Lattice) -> Message:
+    def _group_message(self, covered: Tuple[int, ...]) -> Message:
+        """Line 11's join of the entries ``covered``, in its envelope."""
+        group = self._assemble(self.buffer.joined(covered))
+        payload, seqs = self._envelope(group, covered)
         units, payload_bytes = self._payload_sizes(group)
         return Message(
-            kind="delta",
-            payload=group,
+            kind=self.kind,
+            payload=payload,
             payload_units=units,
             payload_bytes=payload_bytes,
-            metadata_bytes=self.size_model.int_bytes,
-            metadata_units=1,
+            metadata_bytes=seqs * self.size_model.int_bytes,
+            metadata_units=seqs,
         )
 
     # ------------------------------------------------------------------
@@ -149,17 +240,7 @@ class DeltaBased(Synchronizer):
     # ------------------------------------------------------------------
 
     def handle_message(self, src: int, message: Message) -> List[Send]:
-        received: Lattice = message.payload
-        if self.rr:
-            # Line 15: d = ∆(d, xᵢ) — keep only what strictly inflates.
-            extracted = received.delta(self.state)
-            # Line 16 (RR): if d ≠ ⊥.
-            if not extracted.is_bottom:
-                self._store(extracted, src)
-        else:
-            # Line 16 (classic): if d ⋢ xᵢ — the naive inflation check.
-            if received.inflates(self.state):
-                self._store(received, src)
+        self._receive(message.payload, src, self.rr)
         return []
 
     def absorb_state(self, state: Lattice, src: Optional[int] = None) -> Lattice:
@@ -170,10 +251,30 @@ class DeltaBased(Synchronizer):
         repaired content ride the normal δ-path to other neighbours
         instead of silently bypassing the buffer.
         """
-        extracted = state.delta(self.state)
-        if not extracted.is_bottom:
-            self._store(extracted, self.replica if src is None else src)
-        return extracted
+        return self._receive(state, self.replica if src is None else src, True)
+
+    def _receive(self, received: Lattice, origin: int, rr: bool) -> Lattice:
+        """Lines 14–17, part by part; returns what was stored (or ⊥)."""
+        novel: Dict[Hashable, Lattice] = {}
+        for key, part in self._split(received):
+            local = self._local(key)
+            if local is None:
+                # A part this replica has never seen is new as a whole.
+                novel[key] = part
+            elif rr:
+                # Line 15: d = ∆(d, xᵢ) — keep only what strictly inflates.
+                extracted = part.delta(local)
+                # Line 16 (RR): if d ≠ ⊥.
+                if not extracted.is_bottom:
+                    novel[key] = extracted
+            elif part.inflates(local):
+                # Line 16 (classic): if d ⋢ xᵢ — the naive inflation
+                # check; the whole part is kept, redundancy included.
+                novel[key] = part
+        delta = self._assemble(novel)
+        if not delta.is_bottom:
+            self._store(delta, origin)
+        return delta
 
     # ------------------------------------------------------------------
     # Algorithm 1, line 18-20: store(s, o).
@@ -181,55 +282,232 @@ class DeltaBased(Synchronizer):
 
     def _store(self, delta: Lattice, origin: int) -> None:
         self.state = self.state.join(delta)
-        self.buffer.append((delta, origin))
+        for key, part in self._split(delta):
+            self.buffer.add(key, part, origin)
+
+    # ------------------------------------------------------------------
+    # Granularity: the whole state is one part (KeyedDeltaBased differs).
+    # ------------------------------------------------------------------
+
+    def _split(self, delta: Lattice) -> Iterable[Tuple[Hashable, Lattice]]:
+        """The ``(key, part)`` pieces Algorithm 1 handles separately."""
+        return ((None, delta),)
+
+    def _local(self, key: Hashable) -> Optional[Lattice]:
+        """What a received part under ``key`` is compared against."""
+        return self.state
+
+    def _assemble(self, parts: Dict[Hashable, Lattice]) -> Lattice:
+        """Parts back into one lattice value (``⊥`` when there are none)."""
+        return parts.get(None, self.bottom)
+
+    # ------------------------------------------------------------------
+    # Channel: reliable, so sending retires (DeltaBasedAcked differs).
+    # ------------------------------------------------------------------
+
+    def _settled(self, neighbor: int) -> Collection[int]:
+        """Sequence numbers ``neighbor`` no longer needs to be sent."""
+        return ()
+
+    def _envelope(self, group: Lattice, covered: Tuple[int, ...]) -> Tuple[Any, int]:
+        """The message payload around ``group`` and how many sequence
+        numbers of metadata it carries: the bare δ-group, accounted one
+        sequence number for the lossy-channel extension."""
+        return group, 1
+
+    def _retire_sent(self) -> None:
+        """Line 13: channels do not drop, so a sent entry is done."""
+        self.buffer.clear()
+
+    def _channel_units(self) -> int:
+        """Resident channel state: one sequence number per neighbour."""
+        return len(self.neighbors)
 
     # ------------------------------------------------------------------
     # Memory accounting.
     # ------------------------------------------------------------------
 
     def buffer_units(self) -> int:
-        return sum(delta.size_units() for delta, _ in self.buffer)
+        return self.buffer.units()
 
     def buffer_bytes(self) -> int:
-        return sum(delta.size_bytes(self.size_model) for delta, _ in self.buffer)
+        return self.buffer.bytes(self.size_model)
 
     def metadata_bytes(self) -> int:
-        """Origin tags on buffer entries (BP) plus one seq per neighbour."""
+        """Origin tags on buffer entries (BP) plus the channel's integers."""
         tags = len(self.buffer) * self.size_model.id_bytes if self.bp else 0
-        acks = len(self.neighbors) * self.size_model.int_bytes
-        return tags + acks
+        return tags + self._channel_units() * self.size_model.int_bytes
 
     def metadata_units(self) -> int:
-        """One entry per origin tag (BP) plus one seq per neighbour."""
+        """One entry per origin tag (BP) plus one per channel integer."""
         tags = len(self.buffer) if self.bp else 0
-        return tags + len(self.neighbors)
+        return tags + self._channel_units()
 
 
-def _make(label: str, bp: bool, rr: bool):
-    """Build a named factory with the flags bound, for the registry."""
+class KeyedDeltaBased(DeltaBased):
+    """Algorithm 1 instantiated per object of a replicated store.
 
-    def factory(
+    The Retwis deployment (Section V-C) replicates 30 000 independent
+    CRDT objects; every object runs its own instance of Algorithm 1 and
+    the per-round packets between neighbours bundle the per-object
+    δ-groups.  The granularity matters enormously for the *classic*
+    algorithm: its naive inflation check (line 16) operates per object,
+    so a δ-group for a cold object that is entirely dominated gets
+    dropped, and only objects with concurrent updates between
+    synchronization rounds trigger the redundant re-buffering the paper
+    measures.  That is why classic is "almost optimal" at Zipf 0.5 and
+    collapses at 1.5 — and modelling the whole store as one composed
+    CRDT would erase exactly that effect.
+
+    The replicated state must be a :class:`MapLattice` from object keys
+    to object lattice states (the Retwis store maps object identifiers
+    to followers/wall/timeline CRDTs).  With RR enabled the extraction
+    uses the value lattice's ``∆``, which also removes redundancy
+    *inside* one object's δ-group; BP is unchanged (origin tags travel
+    with each buffered entry).
+    """
+
+    name = "keyed-delta-based"
+    kind = "keyed-delta"
+
+    def __init__(
+        self,
         replica: int,
         neighbors: Sequence[int],
         bottom: Lattice,
         n_nodes: int,
         size_model: SizeModel = DEFAULT_SIZE_MODEL,
-    ) -> DeltaBased:
-        synchronizer = DeltaBased(
-            replica, neighbors, bottom, n_nodes, size_model, bp=bp, rr=rr
-        )
-        return synchronizer
+        *,
+        bp: bool = False,
+        rr: bool = False,
+    ) -> None:
+        if not isinstance(bottom, MapLattice):
+            raise TypeError("KeyedDeltaBased replicates a MapLattice object store")
+        super().__init__(replica, neighbors, bottom, n_nodes, size_model, bp=bp, rr=rr)
 
-    factory.__name__ = label.replace("-", "_")
-    factory.name = label  # type: ignore[attr-defined]
-    return factory
+    def _split(self, delta: Lattice) -> Iterable[Tuple[Hashable, Lattice]]:
+        return delta.items()
+
+    def _local(self, key: Hashable) -> Optional[Lattice]:
+        return self.state.get(key)
+
+    def _assemble(self, parts: Dict[Hashable, Lattice]) -> Lattice:
+        return MapLattice(parts)
 
 
-#: Classic delta-based synchronization (no optimizations).
-classic = _make("delta-based", bp=False, rr=False)
-#: Delta-based with avoid-back-propagation only.
-delta_bp = _make("delta-based-bp", bp=True, rr=False)
-#: Delta-based with remove-redundant-state only.
-delta_rr = _make("delta-based-rr", bp=False, rr=True)
-#: Delta-based with both optimizations — the paper's best configuration.
-delta_bp_rr = _make("delta-based-bp-rr", bp=True, rr=True)
+class DeltaBasedAcked(DeltaBased):
+    """Algorithm 1 over lossy channels: the acknowledgement-pruned buffer.
+
+    Always BP+RR — no site ever configured it otherwise.
+
+    * The δ-group sent to neighbour ``j`` joins the entries ``j`` has
+      not acknowledged and lists the sequence numbers it covers
+      (``delta-seq``);
+    * the receiver runs the ordinary receive rule, then acknowledges
+      the covered sequence numbers (``delta-ack``);
+    * an entry leaves the buffer once every neighbour that needs it has
+      acknowledged it, instead of when it is sent.
+
+    Losing a message merely delays convergence: the unacknowledged
+    entries ride along with the next synchronization step.  Duplicates
+    are harmless (joins are idempotent; acks are set unions).
+    """
+
+    name = "delta-based-acked"
+    kind = "delta-seq"
+
+    def __init__(
+        self,
+        replica: int,
+        neighbors: Sequence[int],
+        bottom: Lattice,
+        n_nodes: int,
+        size_model: SizeModel = DEFAULT_SIZE_MODEL,
+    ) -> None:
+        super().__init__(replica, neighbors, bottom, n_nodes, size_model, bp=True, rr=True)
+        #: Per-neighbour acknowledged sequence numbers.
+        self.acked: Dict[int, Set[int]] = {j: set() for j in self.neighbors}
+
+    def handle_message(self, src: int, message: Message) -> List[Send]:
+        if message.kind == self.kind:
+            group, covered = message.payload
+            self._receive(group, src, self.rr)
+            ack = Message(
+                kind="delta-ack",
+                payload=tuple(covered),
+                payload_units=0,
+                payload_bytes=0,
+                metadata_bytes=len(covered) * self.size_model.int_bytes,
+                metadata_units=len(covered),
+            )
+            return [Send(dst=src, message=ack)]
+        if message.kind == "delta-ack":
+            self._acknowledge(src, message.payload)
+            return []
+        raise ValueError(f"unexpected message kind {message.kind!r}")
+
+    def _acknowledge(self, neighbor: int, seqs: Sequence[int]) -> None:
+        """Record the acks; drop entries every relevant neighbour has acked.
+
+        The entry's origin neighbour never needs to ack — BP never
+        sends the entry back to it.
+        """
+        self.acked[neighbor].update(seqs)
+        done = [
+            seq
+            for seq, (_, _, origin) in self.buffer.entries.items()
+            if all(seq in self.acked[j] for j in self.neighbors if j != origin)
+        ]
+        self.buffer.retire(done)
+        for acks in self.acked.values():
+            acks.difference_update(done)
+
+    def _settled(self, neighbor: int) -> Collection[int]:
+        return self.acked[neighbor]
+
+    def _envelope(self, group: Lattice, covered: Tuple[int, ...]) -> Tuple[Any, int]:
+        return (group, covered), len(covered)
+
+    def _retire_sent(self) -> None:
+        """Sending proves nothing on a lossy channel; acks retire."""
+
+    def _channel_units(self) -> int:
+        """A sequence number per entry plus every recorded ack."""
+        return len(self.buffer) + sum(len(acks) for acks in self.acked.values())
+
+
+#: The paper's plot labels for Algorithm 1's four configurations → (bp, rr).
+VARIANTS = {
+    "delta-based": (False, False),
+    "delta-based-bp": (True, False),
+    "delta-based-rr": (False, True),
+    "delta-based-bp-rr": (True, True),
+}
+
+
+def _factories(cls):
+    """One named factory per :data:`VARIANTS` label, for the registries."""
+
+    def bind(label: str, bp: bool, rr: bool):
+        def factory(
+            replica: int,
+            neighbors: Sequence[int],
+            bottom: Lattice,
+            n_nodes: int,
+            size_model: SizeModel = DEFAULT_SIZE_MODEL,
+        ):
+            return cls(replica, neighbors, bottom, n_nodes, size_model, bp=bp, rr=rr)
+
+        factory.__name__ = label.replace("-", "_")
+        factory.name = label  # type: ignore[attr-defined]
+        return factory
+
+    return [bind(label, bp, rr) for label, (bp, rr) in VARIANTS.items()]
+
+
+#: Classic, BP only, RR only, and both — the paper's best configuration.
+classic, delta_bp, delta_rr, delta_bp_rr = _factories(DeltaBased)
+#: The same four, per object of a ``MapLattice`` store.
+keyed_classic, keyed_bp, keyed_rr, keyed_bp_rr = _factories(KeyedDeltaBased)
+#: The acked variant takes no flags, so the class is its own factory.
+delta_acked_factory = DeltaBasedAcked

@@ -19,7 +19,7 @@ from repro.causal import (
 from repro.sim.network import Cluster, ClusterConfig
 from repro.sim.topology import partial_mesh, tree
 from repro.sync import ALGORITHMS
-from repro.sync.reliable import DeltaBasedAcked
+from repro.sync import DeltaBasedAcked
 
 
 def ormap_cluster(factory, topology, rounds=6, seed=29, loss_rate=0.0):

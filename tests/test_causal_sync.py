@@ -16,7 +16,7 @@ from repro.causal import AWSet, Causal, CCounter, EWFlag
 from repro.sim.network import Cluster, ClusterConfig
 from repro.sim.topology import full_mesh, partial_mesh, tree
 from repro.sync import ALGORITHMS
-from repro.sync.reliable import DeltaBasedAcked
+from repro.sync import DeltaBasedAcked
 
 PROTOCOLS = sorted(ALGORITHMS)
 

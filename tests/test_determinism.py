@@ -12,7 +12,7 @@ from repro.sim.network import Cluster, ClusterConfig
 from repro.sim.runner import run_experiment
 from repro.sim.topology import partial_mesh
 from repro.sync import ALGORITHMS
-from repro.sync.reliable import delta_acked_factory
+from repro.sync import delta_acked_factory
 from repro.workloads import AWSetChurnWorkload, GSetWorkload
 
 

@@ -10,7 +10,7 @@ verify the tolerance claims and the boundary:
   or re-derive everything on every exchange);
 * classic clear-the-buffer delta-based genuinely loses updates under
   loss — and the paper's suggested fix (sequence numbers + acks,
-  :class:`~repro.sync.reliable.DeltaBasedAcked`) restores convergence.
+  :class:`~repro.sync.deltabased.DeltaBasedAcked`) restores convergence.
 """
 
 import pytest
@@ -169,6 +169,10 @@ class TestLoss:
 
 
 class TestAckedMechanics:
+    """The ack exchange itself; the Algorithm 1 mechanics the acked
+    class shares with the other two are in
+    ``test_sync_delta_contract.py``."""
+
     def test_buffer_retained_until_acked(self):
         node = DeltaBasedAcked(0, [1, 2], SetLattice(), 3, MODEL)
         node.local_update(gset_add("x"))
@@ -184,10 +188,14 @@ class TestAckedMechanics:
         node.handle_message(
             1, Message("delta-seq", (SetLattice({"y"}), (41,)), 1, 1, 8, 1)
         )
-        # The entry came from neighbour 1; only neighbour 2 must ack it.
-        [seq] = list(node.buffer)
-        node.handle_message(2, Message("delta-ack", (seq,), 0, 0, 8, 1))
+        # The entry came from neighbour 1, so only neighbour 2 is sent
+        # it — and only neighbour 2 must ack it.
+        [send] = node.sync_messages()
+        assert send.dst == 2
+        _group, covered = send.message.payload
+        node.handle_message(2, Message("delta-ack", covered, 0, 0, 8, 1))
         assert not node.buffer
+        assert node.sync_messages() == []
 
     def test_receiver_acks_covered_seqs(self):
         node = DeltaBasedAcked(0, [1], SetLattice(), 2, MODEL)
@@ -202,4 +210,21 @@ class TestAckedMechanics:
         node.local_update(gset_add("x"))
         first = node.sync_messages()
         second = node.sync_messages()  # no ack arrived: resend
-        assert first[0].message.payload[0] == second[0].message.payload[0]
+        assert first[0].message.payload == second[0].message.payload
+
+    def test_acks_for_retired_or_unknown_entries_are_harmless(self):
+        node = DeltaBasedAcked(0, [1], SetLattice(), 2, MODEL)
+        node.local_update(gset_add("x"))
+        [send] = node.sync_messages()
+        ack = Message("delta-ack", send.message.payload[1], 0, 0, 8, 1)
+        node.handle_message(1, ack)
+        node.handle_message(1, ack)  # duplicate ack of a retired entry
+        assert not node.buffer
+        node.local_update(gset_add("y"))
+        [resend] = node.sync_messages()
+        assert resend.message.payload[0] == SetLattice({"y"})
+
+    def test_unexpected_kind_is_a_typed_error(self):
+        node = DeltaBasedAcked(0, [1], SetLattice(), 2, MODEL)
+        with pytest.raises(ValueError, match="unexpected message kind"):
+            node.handle_message(1, Message("delta", SetLattice({"x"}), 1, 1, 8, 1))

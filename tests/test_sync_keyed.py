@@ -6,7 +6,7 @@ from repro.lattice import MapLattice, SetLattice
 from repro.sim.runner import run_experiment, run_suite
 from repro.sim.topology import partial_mesh
 from repro.sizes import SizeModel
-from repro.sync.keyed import (
+from repro.sync import (
     KeyedDeltaBased,
     keyed_bp,
     keyed_bp_rr,
@@ -50,7 +50,11 @@ def bundle(entries):
     )
 
 
-class TestKeyedMechanics:
+class TestKeyedGranularity:
+    """What only the keyed class says: one instance of Algorithm 1 per
+    object.  The mechanics all three classes share (within one object,
+    too) are in ``test_sync_delta_contract.py``."""
+
     def test_requires_map_state(self):
         with pytest.raises(TypeError):
             KeyedDeltaBased(0, [1], SetLattice(), 2, MODEL)
@@ -70,64 +74,47 @@ class TestKeyedMechanics:
         node.local_update(store_add("a", "x"))
         node.local_update(store_add("b", "y"))
         [send] = node.sync_messages()
+        assert send.message.kind == "keyed-delta"
         assert send.message.payload == MapLattice(
             {"a": SetLattice({"x"}), "b": SetLattice({"y"})}
         )
         assert not node.buffer
 
     def test_classic_check_is_per_object(self):
-        """A dominated object is dropped even when others inflate."""
-        node = make(0, [1])
+        """A dominated object is dropped even when others inflate: only
+        the hot object is forwarded, though one bundle carried both."""
+        node = make(0, [1, 2])
         node.local_update(store_add("cold", "x"))
         node.sync_messages()
         incoming = bundle(
             {"cold": SetLattice({"x"}), "hot": SetLattice({"new"})}
         )
         node.handle_message(1, incoming)
-        assert len(node.buffer) == 1
-        key, delta, origin = node.buffer[0]
-        assert key == "hot"
-        assert origin == 1
+        by_dst = {send.dst: send.message.payload for send in node.sync_messages()}
+        assert by_dst[2] == MapLattice({"hot": SetLattice({"new"})})
 
-    def test_classic_keeps_whole_object_group(self):
-        """Within one object the classic check is still all-or-nothing."""
-        node = make(0, [1])
-        node.local_update(store_add("obj", "x"))
+    def test_rr_extracts_per_object_against_that_object(self):
+        """∆ is taken against the local copy of the same object, and an
+        object this replica never held is new as a whole."""
+        node = make(0, [1, 2], rr=True)
+        node.local_update(store_add("held", "x"))
         node.sync_messages()
-        node.handle_message(1, bundle({"obj": SetLattice({"x", "y"})}))
-        _, delta, _ = node.buffer[0]
-        assert delta == SetLattice({"x", "y"})  # x re-buffered redundantly
-
-    def test_rr_extracts_within_object(self):
-        node = make(0, [1], rr=True)
-        node.local_update(store_add("obj", "x"))
-        node.sync_messages()
-        node.handle_message(1, bundle({"obj": SetLattice({"x", "y"})}))
-        _, delta, _ = node.buffer[0]
-        assert delta == SetLattice({"y"})
-
-    def test_bp_filters_origin(self):
-        node = make(0, [1, 2], bp=True)
-        node.handle_message(1, bundle({"obj": SetLattice({"x"})}))
-        sends = node.sync_messages()
-        assert {send.dst for send in sends} == {2}
-
-    def test_factories(self):
-        for factory, bp, rr in (
-            (keyed_classic, False, False),
-            (keyed_bp, True, False),
-            (keyed_rr, False, True),
-            (keyed_bp_rr, True, True),
-        ):
-            node = factory(0, [1], MapLattice(), 2, MODEL)
-            assert (node.bp, node.rr) == (bp, rr)
+        incoming = bundle(
+            {"held": SetLattice({"x", "y"}), "fresh": SetLattice({"x"})}
+        )
+        node.handle_message(1, incoming)
+        by_dst = {send.dst: send.message.payload for send in node.sync_messages()}
+        assert by_dst[2] == MapLattice(
+            {"held": SetLattice({"y"}), "fresh": SetLattice({"x"})}
+        )
 
     def test_memory_accounting_counts_keys(self):
         node = make(0, [1], bp=True)
         node.local_update(store_add("obj", "abcd"))
-        assert node.buffer_units() == 1
-        assert node.buffer_bytes() == 3 + 4  # "obj" + "abcd"
-        assert node.metadata_units() == 1 + 1
+        node.local_update(store_add("other", "ef"))
+        assert node.buffer_units() == 2
+        assert node.buffer_bytes() == (3 + 4) + (5 + 2)  # key + element, twice
+        assert node.metadata_units() == 2 + 1  # two origin tags, one neighbour
 
 
 class MultiObjectWorkload(Workload):
