@@ -13,11 +13,43 @@ value lattice's bottom.  Following Appendix C, the decomposition is
 and the optimal delta recurses per key, dropping keys whose delta is
 bottom.  Bottom-valued bindings are never stored, so two maps are equal
 exactly when their stored bindings are equal.
+
+Size lineage
+------------
+``size_units`` / ``size_bytes`` are memoised per frozen value, but every
+inflation makes a fresh value, and re-summing a 1000-entry state after
+a 7-key δ is O(|state|) where the paper's cost model promises O(|Δ|).
+So a value produced by ``join`` from a parent whose size is known (or
+itself owed) remembers, instead of nothing:
+
+* the parent's ``(units, model, bytes)``, and
+* for each key the join *touched* — bound anew, or bound to a value that
+  is not the parent's own object — the parent's old value, ``None`` when
+  the key was absent.  A redundant binding (``mine ⊔ theirs is mine``)
+  touches nothing, so a state-sized δ-group that teaches three keys
+  leaves a three-key lineage.
+
+The first size read settles it: parent total plus, per touched key,
+``size(new) − size(old)`` (plus ``sizeof(key)`` when the key is new),
+then caches the total and drops the lineage.  The rule is per touched
+key because ``size(a ⊔ b) = size(b) + size(∆(a, b))`` holds only in
+powerset lattices: ``{k ↦ 1} ⊔ {k ↦ 2}`` is one unit, not two.
+
+Lineage is a memo, never state.  A chain of unsized joins carries the
+touched map forward by *copy* — the parent's is never written, so an
+unsized parent joined twice stays correct on both branches — and the
+oldest value per key wins.  It is dropped, back to the full sum, once
+the touched keys outnumber half the entries (where the sum is no
+dearer), and it is no help when bytes are asked under a different
+model.  Only old *values* are retained, each of which the
+parent's map would have kept alive anyway until the parent itself is
+released; a reference to the parent or to its ``entries`` dict would pin
+a whole second copy of every hot state.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, Iterator, Mapping, Tuple
+from typing import TYPE_CHECKING, Hashable, Iterator, Mapping, Optional, Tuple
 
 from repro.lattice.base import Lattice
 
@@ -38,16 +70,17 @@ class MapLattice(Lattice):
     canonical-form invariant.
     """
 
-    __slots__ = ("entries", "_units_cache", "_bytes_cache")
+    #: ``_size`` is ``(units, model, bytes, touched)``.  With ``touched``
+    #: ``None`` the totals are this value's own, each ``None`` while
+    #: unknown; otherwise they are the sized ancestor's and ``touched``
+    #: maps every key joined since to the ancestor's value (see *Size
+    #: lineage* in the module docstring).
+    __slots__ = ("entries", "_size")
 
-    def __init__(self, entries: Mapping[Hashable, Lattice] | None = None) -> None:
-        if entries:
-            cleaned = {k: v for k, v in entries.items() if not v.is_bottom}
-        else:
-            cleaned = {}
-        object.__setattr__(self, "entries", cleaned)
-        object.__setattr__(self, "_units_cache", None)
-        object.__setattr__(self, "_bytes_cache", None)
+    def __new__(cls, entries: Mapping[Hashable, Lattice] | None = None) -> "MapLattice":
+        if not entries:
+            return _fresh({})
+        return _fresh({k: v for k, v in entries.items() if not v.is_bottom})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -57,19 +90,34 @@ class MapLattice(Lattice):
     # ------------------------------------------------------------------
 
     def join(self, other: "MapLattice") -> "MapLattice":
-        if not other.entries:
+        theirs = other.entries
+        if not theirs:
             return self
-        if not self.entries:
+        mine = self.entries
+        if not mine:
             return other
-        merged = dict(self.entries)
-        for key, value in other.entries.items():
-            mine = merged.get(key)
-            merged[key] = value if mine is None else mine.join(value)
-        result = MapLattice.__new__(MapLattice)
-        object.__setattr__(result, "entries", merged)
-        object.__setattr__(result, "_units_cache", None)
-        object.__setattr__(result, "_bytes_cache", None)
-        return result
+        merged = dict(mine)
+        size = self._size
+        # Old values are owed only to a parent whose size is known or owed.
+        touched = {} if size is not _UNSIZED else None
+        for key, value in theirs.items():
+            current = merged.get(key)
+            if current is not None:
+                value = current.join(value)
+                if value is current:
+                    continue
+            merged[key] = value
+            if touched is not None:
+                touched[key] = current
+        if touched is None:
+            return _fresh(merged)
+        units, model, nbytes, earlier = size
+        if earlier:
+            # The sized ancestor's values, not an unsized parent's, are owed.
+            touched.update(earlier)
+        if 2 * len(touched) > len(merged):
+            return _fresh(merged)
+        return _fresh(merged, (units, model, nbytes, touched))
 
     def leq(self, other: "MapLattice") -> bool:
         if len(self.entries) > len(other.entries):
@@ -93,43 +141,66 @@ class MapLattice(Lattice):
                 yield MapLattice({key: irreducible})
 
     def delta(self, other: "MapLattice") -> "MapLattice":
+        theirs = other.entries
         out: dict[Hashable, Lattice] = {}
+        filtered = False
         for key, value in self.entries.items():
-            theirs = other.entries.get(key)
-            if theirs is None:
-                out[key] = value
-            else:
-                diff = value.delta(theirs)
-                if not diff.is_bottom:
-                    out[key] = diff
-        if not out:
-            return _EMPTY
-        result = MapLattice.__new__(MapLattice)
-        object.__setattr__(result, "entries", out)
-        object.__setattr__(result, "_units_cache", None)
-        object.__setattr__(result, "_bytes_cache", None)
-        return result
+            known = theirs.get(key)
+            if known is not None:
+                diff = value.delta(known)
+                if diff is not value:
+                    filtered = True
+                    if diff.is_bottom:
+                        continue
+                    value = diff
+            out[key] = value
+        if not filtered:
+            # Wholly novel: the same value, its size memo still warm.
+            return self
+        return _fresh(out) if out else _EMPTY
 
     def size_units(self) -> int:
-        # Values are immutable, so the count is computed at most once.
-        cached = self._units_cache
-        if cached is None:
-            cached = sum(value.size_units() for value in self.entries.values())
-            # repro: lint-ok[frozen-mutation] sanctioned memo: unit count is a pure function of the frozen entries
-            object.__setattr__(self, "_units_cache", cached)
-        return cached
+        size = self._size
+        if size[3] is not None:
+            size = self._settle(size)
+        units = size[0]
+        if units is None:
+            units = sum(value.size_units() for value in self.entries.values())
+            self._remember(units, size[1], size[2])
+        return units
 
     def size_bytes(self, model: "SizeModel") -> int:
-        # Memoized per (instance, model); experiments use one model.
-        cached = self._bytes_cache
-        if cached is not None and cached[0] is model:
-            return cached[1]
-        total = 0
+        # One model at a time; experiments use one model.
+        size = self._size
+        if size[3] is not None:
+            size = self._settle(size)
+        if size[1] is model:
+            return size[2]
+        nbytes = 0
         for key, value in self.entries.items():
-            total += model.sizeof(key) + value.size_bytes(model)
-        # repro: lint-ok[frozen-mutation] sanctioned memo: byte size is a pure function of (frozen entries, model)
-        object.__setattr__(self, "_bytes_cache", (model, total))
-        return total
+            nbytes += model.sizeof(key) + value.size_bytes(model)
+        self._remember(size[0], model, nbytes)
+        return nbytes
+
+    def _settle(self, size: "_Size") -> "_Size":
+        """Spend the lineage: the ancestor's totals moved by each touched key."""
+        units, model, nbytes, touched = size
+        entries = self.entries
+        for key, old in touched.items():
+            new = entries[key]
+            if units is not None:
+                units += new.size_units() - (0 if old is None else old.size_units())
+            if model is not None:
+                nbytes += new.size_bytes(model) - (
+                    -model.sizeof(key) if old is None else old.size_bytes(model)
+                )
+        return self._remember(units, model, nbytes)
+
+    def _remember(self, units: int | None, model: "SizeModel | None", nbytes: int | None) -> "_Size":
+        size = (units, model, nbytes, None)
+        # repro: lint-ok[frozen-mutation] sanctioned memo: the sizes are a pure function of (frozen entries, model)
+        object.__setattr__(self, "_size", size)
+        return size
 
     # ------------------------------------------------------------------
     # Map conveniences.
@@ -138,22 +209,6 @@ class MapLattice(Lattice):
     def get(self, key: Hashable, default: Lattice | None = None) -> Lattice | None:
         """Return the binding for ``key`` or ``default`` when absent."""
         return self.entries.get(key, default)
-
-    def with_entry(self, key: Hashable, value: Lattice) -> "MapLattice":
-        """Return a copy with ``key`` bound to ``value`` (``p{k ↦ v}``)."""
-        if value.is_bottom:
-            if key not in self.entries:
-                return self
-            remaining = dict(self.entries)
-            del remaining[key]
-            return MapLattice(remaining)
-        updated = dict(self.entries)
-        updated[key] = value
-        result = MapLattice.__new__(MapLattice)
-        object.__setattr__(result, "entries", updated)
-        object.__setattr__(result, "_units_cache", None)
-        object.__setattr__(result, "_bytes_cache", None)
-        return result
 
     def keys(self) -> Iterator[Hashable]:
         return iter(self.entries.keys())
@@ -178,6 +233,22 @@ class MapLattice(Lattice):
             f"{key!r}: {value!r}" for key, value in sorted(self.entries.items(), key=lambda kv: repr(kv[0]))
         )
         return f"MapLattice({{{inner}}})"
+
+
+#: ``(units, model, bytes, touched)``; see ``MapLattice._size``.
+_Size = Tuple[Optional[int], Optional["SizeModel"], Optional[int], Optional[dict]]
+_UNSIZED: _Size = (None, None, None, None)
+
+
+def _fresh(entries: dict, size: _Size = _UNSIZED) -> MapLattice:
+    """The one place a ``MapLattice`` is put together.
+
+    ``entries`` must hold no bottom value and is owned by the result.
+    """
+    result = object.__new__(MapLattice)
+    object.__setattr__(result, "entries", entries)
+    object.__setattr__(result, "_size", size)
+    return result
 
 
 _EMPTY = MapLattice()

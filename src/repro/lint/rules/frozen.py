@@ -8,9 +8,10 @@ is the one escape hatch, legitimate in exactly two shapes:
 * **construction** — ``__init__`` / ``__post_init__`` writing ``self``
   before the instance escapes, and methods writing a *fresh* instance
   they just made with ``SomeClass.__new__(...)`` (the allocation idiom
-  of ``MapLattice.join``);
+  of ``map_lattice._fresh``);
 * **sanctioned memo sites** — lazy caches of pure functions of the
-  frozen value (``_bytes_cache``, ``Message._frame_memo``), which must
+  frozen value (``MapLattice._size``, ``_bytes_cache``,
+  ``Message._frame_memo``), which must
   each carry a ``# repro: lint-ok[frozen-mutation] reason`` so the
   full allowlist is greppable and every entry explains itself.
 

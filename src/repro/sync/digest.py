@@ -113,8 +113,8 @@ class IncrementalDigest:
 
     * lattice values are immutable, so an object-identity check is a
       sound staleness signal, and
-    * :meth:`MapLattice.join` / ``with_entry`` reuse the value objects
-      of untouched keys, so after an inflation only the touched keys'
+    * :meth:`MapLattice.join` reuses the value objects of untouched
+      keys, so after an inflation only the touched keys'
       bindings are new objects (the same reuse
       ``repro.kv.shard._keyspace_novelty`` builds on).
 

@@ -106,17 +106,6 @@ class TestMapLattice:
         big = MapLattice({"x": MaxInt(2)})
         assert small.delta(big).is_bottom
 
-    def test_with_entry(self):
-        m = MapLattice({"x": MaxInt(1)})
-        m2 = m.with_entry("y", MaxInt(2))
-        assert m2.get("y") == MaxInt(2)
-        assert m.get("y") is None  # original untouched
-
-    def test_with_entry_bottom_removes(self):
-        m = MapLattice({"x": MaxInt(1)})
-        assert m.with_entry("x", MaxInt(0)) == MapLattice()
-        assert m.with_entry("absent", MaxInt(0)) is m
-
     def test_size_units_counts_leaf_entries(self):
         m = MapLattice({"x": MaxInt(1), "y": MaxInt(2)})
         assert m.size_units() == 2

@@ -432,7 +432,7 @@ class TestRepositoryStatus:
         assert sites == [
             ("src/repro/causal/dots.py", "frozen-mutation"),
             ("src/repro/codec.py", "frozen-mutation"),
-            ("src/repro/lattice/map_lattice.py", "frozen-mutation"),
+            # One site: units, bytes and lineage share one ``_size`` memo.
             ("src/repro/lattice/map_lattice.py", "frozen-mutation"),
             ("src/repro/lattice/primitives.py", "frozen-mutation"),
             ("src/repro/lattice/set_lattice.py", "frozen-mutation"),
