@@ -22,6 +22,7 @@ Custom types register through :func:`register_type`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Callable, Dict, FrozenSet, Hashable, Mapping, Optional
 
 from repro.causal import AWSet, CausalMVRegister, CCounter, EWFlag, RWSet
@@ -41,6 +42,24 @@ class KVTypeError(TypeError):
     """Unknown type, unknown operation, or unsupported removal."""
 
 
+@lru_cache(maxsize=None)
+def _delta_only(client: type) -> type:
+    """``client`` with the join cut out of its mutator funnel.
+
+    Every mutator ends by handing its δ to :meth:`Crdt.apply_delta`,
+    which joins it into the client's own state.  The clients
+    :meth:`TypeSpec.apply` builds are thrown away as soon as the δ is
+    out, and the shard joins that same δ right after — so for them, and
+    only for them, the funnel returns the δ unjoined.  One subclass per
+    client class, built on first use.
+    """
+    return type(
+        client.__name__,
+        (client,),
+        {"__slots__": (), "apply_delta": lambda self, delta: delta},
+    )
+
+
 @dataclass(frozen=True)
 class TypeSpec:
     """One storable CRDT type: its client class and permitted mutators.
@@ -50,6 +69,8 @@ class TypeSpec:
         client: The :class:`~repro.crdt.base.Crdt` subclass wrapped for
             each call; its constructor must accept ``(replica, state)``.
         mutators: Method names clients may invoke as write operations.
+            Each must compute its δ from the state it was constructed
+            with and pass it to ``apply_delta`` as its last step.
         reader: Maps a client holding the current state to the
             query-side value (:meth:`read`).
         remove_op: Mutator implementing key removal (``"clear"`` for
@@ -72,14 +93,14 @@ class TypeSpec:
 
         An ephemeral client is constructed per call; lattice values are
         immutable, so the caller's ``state`` is never modified — only
-        the delta travels back.
+        the delta travels back, and joining it is the caller's job.
         """
         if op not in self.mutators:
             raise KVTypeError(
                 f"type {self.name!r} has no operation {op!r} "
                 f"(available: {sorted(self.mutators)})"
             )
-        return getattr(self.client(replica, state), op)(*args)
+        return getattr(_delta_only(self.client)(replica, state), op)(*args)
 
     def read(self, state: Lattice) -> Any:
         """The query-side value of ``state``."""
@@ -89,7 +110,7 @@ class TypeSpec:
         """The δ removing the whole value, for types that support it."""
         if self.remove_op is None:
             raise KVTypeError(f"type {self.name!r} is grow-only: keys cannot be removed")
-        return getattr(self.client(replica, state), self.remove_op)()
+        return getattr(_delta_only(self.client)(replica, state), self.remove_op)()
 
 
 #: The built-in storable types.

@@ -21,10 +21,9 @@ from __future__ import annotations
 import asyncio
 import socket
 import struct
-from io import BytesIO
 from typing import Optional
 
-from repro.codec import CodecError, read_uvarint, write_uvarint
+from repro.codec import CodecError, Cursor, read_uvarint, write_uvarint
 
 #: Bytes of the per-frame length prefix, counted as framing metadata.
 LENGTH_PREFIX_BYTES = 4
@@ -55,14 +54,14 @@ def _declared_length(header: bytes) -> int:
 
 def hello(replica: int) -> bytes:
     """The framed handshake a dialing replica opens a peer link with."""
-    out = BytesIO()
-    write_uvarint(out, replica)
-    return frame(out.getvalue())
+    body = bytearray()
+    write_uvarint(body, replica)
+    return frame(bytes(body))
 
 
 def read_hello(body: bytes) -> int:
     """The sender index a :func:`hello` frame's body names."""
-    return read_uvarint(BytesIO(body))
+    return read_uvarint(Cursor(body))
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from io import BytesIO
 from typing import Any, Dict, Optional, Tuple
 
-from repro.codec import CodecError, read_atom, read_uvarint, write_atom, write_uvarint
+from repro.codec import CodecError, Cursor, read_atom, read_uvarint, write_atom, write_uvarint
 from repro.net.framing import FrameError
 
 # Data-plane verbs (the KVClient).
@@ -117,17 +116,16 @@ class Response:
         return self.status == OK
 
 
-def _write_sized(out: BytesIO, data: bytes) -> None:
+def _write_sized(out: bytearray, data: bytes) -> None:
     write_uvarint(out, len(data))
-    out.write(data)
+    out += data
 
 
-def _read_sized(buf: BytesIO, what: str) -> bytes:
-    length = read_uvarint(buf)
-    data = buf.read(length)
-    if len(data) != length:
+def _read_sized(cur: Cursor, what: str) -> bytes:
+    length = read_uvarint(cur)
+    if length > cur.remaining:
         raise FrameError(f"truncated {what}")
-    return data
+    return cur.take(length)
 
 
 def _json_bytes(body: Dict[str, Any]) -> bytes:
@@ -135,9 +133,9 @@ def _json_bytes(body: Dict[str, Any]) -> bytes:
 
 
 def encode_request(request: Request) -> bytes:
-    out = BytesIO()
+    out = bytearray()
     write_uvarint(out, request.id)
-    out.write(bytes((request.verb,)))
+    out.append(request.verb)
     if request.verb in (GET, REMOVE):
         write_atom(out, request.key)
     elif request.verb == PUT:
@@ -148,17 +146,16 @@ def encode_request(request: Request) -> bytes:
         _write_sized(out, request.blob)
     elif request.verb in (WIRE, APPLY_RING, HANDOFF):
         _write_sized(out, _json_bytes(request.body))
-    return out.getvalue()
+    return bytes(out)
 
 
 def decode_request(data: bytes) -> Request:
     try:
-        buf = BytesIO(data)
+        buf = Cursor(data)
         request_id = read_uvarint(buf)
-        verb_chunk = buf.read(1)
-        if not verb_chunk:
+        if not buf.remaining:
             raise FrameError("truncated request: missing verb")
-        verb = verb_chunk[0]
+        verb = buf.byte()
         if verb in (GET, REMOVE):
             return Request(request_id, verb, key=read_atom(buf))
         if verb == PUT:
@@ -185,42 +182,40 @@ def decode_request(data: bytes) -> Request:
 
 
 def encode_response(response: Response) -> bytes:
-    out = BytesIO()
+    out = bytearray()
     write_uvarint(out, response.id)
-    out.write(bytes((response.status,)))
+    out.append(response.status)
     if response.status != OK:
         write_atom(out, response.error or "")
-        return out.getvalue()
+        return bytes(out)
     flags = 0
     if response.blob is not None:
         flags |= _BLOB_FLAG
     if response.body:
         flags |= _JSON_FLAG
-    out.write(bytes((flags,)))
+    out.append(flags)
     if response.blob is not None:
         _write_sized(out, response.blob)
     if response.body:
         _write_sized(out, _json_bytes(response.body))
-    return out.getvalue()
+    return bytes(out)
 
 
 def decode_response(data: bytes) -> Response:
     try:
-        buf = BytesIO(data)
+        buf = Cursor(data)
         request_id = read_uvarint(buf)
-        status_chunk = buf.read(1)
-        if not status_chunk:
+        if not buf.remaining:
             raise FrameError("truncated response: missing status")
-        status = status_chunk[0]
+        status = buf.byte()
         if status != OK:
             error = read_atom(buf)
             if not isinstance(error, str):
                 raise FrameError("error message must be a string")
             return Response(request_id, status, error=error)
-        flags_chunk = buf.read(1)
-        if not flags_chunk:
+        if not buf.remaining:
             raise FrameError("truncated response: missing flags")
-        flags = flags_chunk[0]
+        flags = buf.byte()
         blob: Optional[bytes] = None
         body: Dict[str, Any] = {}
         if flags & _BLOB_FLAG:

@@ -36,13 +36,12 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from io import BytesIO
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import Tracer
 
-from repro.codec import CodecError, decode, encode, read_uvarint, write_uvarint
+from repro.codec import CodecError, Cursor, decode, encode, read_uvarint, write_uvarint
 from repro.lattice.base import Lattice
 from repro.wal.storage import MemoryStorage, Storage
 
@@ -56,33 +55,29 @@ class WalFencedError(RuntimeError):
 
 def pack_record(body: bytes) -> bytes:
     """Frame one encoded delta as a self-delimiting, checksummed record."""
-    out = BytesIO()
+    out = bytearray()
     write_uvarint(out, len(body))
-    out.write(body)
-    out.write(struct.pack(">I", zlib.crc32(body)))
-    return out.getvalue()
+    out += body
+    out += struct.pack(">I", zlib.crc32(body))
+    return bytes(out)
 
 
 def _parse_records(data: bytes) -> Tuple[List[Tuple[bytes, int]], int, bool]:
     """``([(body, end_offset), ...], clean_length, corrupt)`` of an image."""
     records: List[Tuple[bytes, int]] = []
-    stream = BytesIO(data)
+    cur = Cursor(data)
     clean = 0
-    while True:
-        if stream.tell() == len(data):
-            return records, clean, False
+    while cur.remaining:
         try:
-            length = read_uvarint(stream)
+            body = cur.take(read_uvarint(cur))
+            trailer = cur.take(CRC_BYTES)
         except CodecError:
-            return records, clean, True
-        body = stream.read(length)
-        trailer = stream.read(CRC_BYTES)
-        if len(body) != length or len(trailer) != CRC_BYTES:
             return records, clean, True
         if struct.unpack(">I", trailer)[0] != zlib.crc32(body):
             return records, clean, True
-        clean = stream.tell()
+        clean = cur.pos
         records.append((body, clean))
+    return records, clean, False
 
 
 def unpack_records(data: bytes) -> Tuple[List[bytes], int, bool]:

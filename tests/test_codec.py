@@ -11,14 +11,13 @@ Three layers of guarantee:
   :class:`~repro.codec.CodecError`, never return garbage values.
 """
 
-import io
-
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.causal import Atom, AWSet, CausalMVRegister, CCounter, Dot, CausalContext
 from repro.codec import (
     CodecError,
+    Cursor,
     UnsupportedType,
     decode,
     encode,
@@ -47,21 +46,21 @@ serializable_values = st.sampled_from(SERIALIZABLE_FAMILIES).flatmap(
 
 @given(st.integers(min_value=0, max_value=2**80))
 def test_uvarint_roundtrip(value):
-    out = io.BytesIO()
+    out = bytearray()
     write_uvarint(out, value)
-    assert read_uvarint(io.BytesIO(out.getvalue())) == value
+    assert read_uvarint(Cursor(bytes(out))) == value
 
 
 @given(st.integers(min_value=-(2**70), max_value=2**70))
 def test_svarint_roundtrip(value):
-    out = io.BytesIO()
+    out = bytearray()
     write_svarint(out, value)
-    assert read_svarint(io.BytesIO(out.getvalue())) == value
+    assert read_svarint(Cursor(bytes(out))) == value
 
 
 def test_uvarint_rejects_negative():
     with pytest.raises(CodecError):
-        write_uvarint(io.BytesIO(), -1)
+        write_uvarint(bytearray(), -1)
 
 
 atoms = st.recursive(
@@ -80,14 +79,14 @@ atoms = st.recursive(
 
 @given(atoms)
 def test_atom_roundtrip(value):
-    out = io.BytesIO()
+    out = bytearray()
     write_atom(out, value)
-    assert read_atom(io.BytesIO(out.getvalue())) == value
+    assert read_atom(Cursor(bytes(out))) == value
 
 
 def test_atom_rejects_unsupported_payloads():
     with pytest.raises(UnsupportedType):
-        write_atom(io.BytesIO(), object())
+        write_atom(bytearray(), object())
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +240,7 @@ def test_truncation_never_returns_a_value(value, cut):
 
 def test_overlong_varint_is_rejected():
     with pytest.raises(CodecError, match="too long"):
-        read_uvarint(io.BytesIO(b"\x80" * 30))
+        read_uvarint(Cursor(b"\x80" * 30))
 
 
 @given(st.binary(max_size=64))

@@ -14,7 +14,8 @@ from repro.kv import (
     kv_store_factory,
     type_spec,
 )
-from repro.lattice import MapLattice
+from repro.kv.types import DEFAULT_PREFIXES, TYPE_REGISTRY
+from repro.lattice import MapLattice, MaxInt
 from repro.sizes import SizeModel
 from repro.sync import StateBased, keyed_bp_rr
 
@@ -68,6 +69,64 @@ class TestTypeSpecs:
         delta = spec.apply("A", state, "increment", 3)
         assert state.is_bottom
         assert spec.read(delta) == 3
+
+
+#: type → (the write seeding a value, {mutator: arguments that inflate it}).
+WRITES = {
+    "gcounter": (("increment", 1), {"increment": (2,)}),
+    "pncounter": (("increment", 1), {"increment": (2,), "decrement": (1,)}),
+    "gset": (("add", "a"), {"add": ("b",)}),
+    "twopset": (("add", "a"), {"add": ("b",), "remove": ("a",)}),
+    "gmap": (
+        ("bump", "k"),
+        {"put": ("k", MaxInt(9)), "put_chain": ("body", "text"), "bump": ("k",)},
+    ),
+    "awset": (("add", "a"), {"add": ("b",), "remove": ("a",), "clear": ()}),
+    "rwset": (("add", "a"), {"add": ("b",), "remove": ("a",)}),
+    "ccounter": (("increment", 1), {"increment": (2,), "reset": ()}),
+    "lwwregister": (("write", "v1"), {"write": ("v2",)}),
+    "mvregister": (("write", "v1"), {"write": ("v2",)}),
+    "ewflag": (("enable",), {"enable": (), "disable": ()}),
+}
+
+
+class TestAWriteJoinsItsDeltaOnce:
+    """``TypeSpec.apply`` hands the δ back unjoined; the shard joins it.
+
+    Counted, not clocked: joins of the key's own value object.
+    """
+
+    def test_every_registered_mutator_is_covered(self):
+        assert {name: set(ops) for name, (_, ops) in WRITES.items()} == {
+            name: set(spec.mutators) for name, spec in TYPE_REGISTRY.items()
+        }
+
+    @pytest.mark.parametrize(
+        "name,op", [(name, op) for name, (_, ops) in WRITES.items() for op in sorted(ops)]
+    )
+    def test_one_join_and_the_same_delta(self, name, op, monkeypatch):
+        seed, ops = WRITES[name]
+        key = next(p for p, bound in DEFAULT_PREFIXES.items() if bound == name) + ":k"
+        _, store = make_store(replica=0, n=2, replication=2)
+        store.update(key, *seed)
+        current = store.value_lattice(key)
+        # The δ as the type's own client computes it, join funnel and all.
+        expected = getattr(type_spec(name).client(0, current), op)(*ops[op])
+        assert not expected.is_bottom
+
+        joins = []
+        join = type(current).join
+
+        def counted(self, other):
+            if self is current:
+                joins.append(other)
+            return join(self, other)
+
+        monkeypatch.setattr(type(current), "join", counted)
+        delta = store.update(key, op, *ops[op])
+        assert delta == MapLattice({key: expected})
+        assert joins == [expected]
+        assert store.value_lattice(key) == current.join(expected)
 
 
 class TestTypedApi:

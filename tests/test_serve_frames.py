@@ -101,18 +101,17 @@ class TestRequestErrors:
 
     def test_control_body_must_be_an_object(self):
         import json
-        from io import BytesIO
 
         from repro.codec import write_uvarint
 
-        out = BytesIO()
+        out = bytearray()
         write_uvarint(out, 1)
-        out.write(bytes((frames.WIRE,)))
+        out.append(frames.WIRE)
         payload = json.dumps([1, 2]).encode("utf-8")
         write_uvarint(out, len(payload))
-        out.write(payload)
+        out += payload
         with pytest.raises(FrameError, match="JSON object"):
-            decode_request(out.getvalue())
+            decode_request(bytes(out))
 
 
 class TestResponseRoundtrip:
