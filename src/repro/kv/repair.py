@@ -42,7 +42,15 @@ Digest-mode repair is a two-round-trip exchange per divergent δ-path;
   same kind with the full shard state and no echo.
 
 Both deltas are inflating join decompositions computed against the
-other side's digest; no message ever carries redundant state.
+other side's digest; no message ever carries redundant state.  Every
+step on either side is a read of the shard's one fingerprint index
+(:class:`repro.sync.digest.IncrementalDigest`, behind
+:meth:`~repro.kv.shard.Shard.root`, :meth:`~repro.kv.shard.Shard.
+fingerprints` and :meth:`~repro.kv.shard.Shard.missing`): the probe
+that starts an exchange has already warmed it, so steps 2–4 fingerprint
+nothing, skip a key the peer fully holds for one set look-up per
+fingerprint, ship a key the peer wholly lacks as the value object it
+is, and decompose only values the peer holds part of.
 Absorption goes through :meth:`repro.kv.shard.Shard.absorb`, so every
 inner protocol's bookkeeping stays truthful about repaired content and
 the inflation reaches the log.
@@ -60,12 +68,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 from repro.kv.antientropy import declare_counters
 from repro.lattice.base import Lattice
 from repro.sizes import SizeModel
-from repro.sync.digest import (
-    FINGERPRINT_BYTES,
-    ROOT_BYTES,
-    delta_against_digest,
-    digest_and_missing,
-)
+from repro.sync.digest import FINGERPRINT_BYTES, ROOT_BYTES
 from repro.sync.protocol import Message
 
 if TYPE_CHECKING:
@@ -344,8 +347,9 @@ class RepairPlane:
 
     def _on_diff(self, src: int, shard_id: int, message: Message) -> Optional[Message]:
         """Step 2 → 3: the peer diverges; ship what it misses plus our
-        own digest so it can answer with the reverse delta.  One
-        decomposition pass computes both."""
+        own digest so it can answer with the reverse delta.  Both are
+        reads of the shard's fingerprint index: no decomposition pass
+        on a warm one."""
         shard = self.store.hosted(shard_id)
         if shard is None:
             return None
@@ -357,7 +361,7 @@ class RepairPlane:
             metadata_bytes=message.metadata_bytes,
             metadata_units=message.metadata_units,
         )
-        echo, delta = digest_and_missing(shard.state, message.payload)
+        echo, delta = shard.fingerprints(), shard.missing(message.payload)
         return self._delta_reply(shard_id, src, delta, echo)
 
     def _on_repair(self, src: int, shard_id: int, message: Message) -> Optional[Message]:
@@ -387,7 +391,7 @@ class RepairPlane:
             self.note_delta_activity(shard_id, src)
         if echo is None:
             return None
-        back = delta_against_digest(shard.state, echo)
+        back = shard.missing(echo)
         if back.is_bottom:
             return None
         return self._delta_reply(shard_id, src, back, None)

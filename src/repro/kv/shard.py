@@ -1,9 +1,11 @@
 """One hosted copy of a shard: the only code that can inflate it.
 
 A :class:`Shard` bundles what a replica keeps per shard copy — the
-inner synchronizer over the shard's replica group, the incremental
-digest cache the repair and handoff exchanges compare roots through,
-and the handle on the shard's write-ahead log.  Bundling them is what
+inner synchronizer over the shard's replica group, the fingerprint
+index the repair and handoff exchanges read three ways (:meth:`Shard.
+root` to probe, :meth:`Shard.fingerprints` to announce,
+:meth:`Shard.missing` to ship exactly what a peer's digest lacks), and
+the handle on the shard's write-ahead log.  Bundling them is what
 turns two store invariants from conventions into structure:
 
 * **every inflation reaches the log** — :meth:`Shard.write` (a local
@@ -110,6 +112,16 @@ class Shard:
     def fingerprints(self) -> FrozenSet:
         """The state's irreducible-set digest (``digest_of(state)``)."""
         return self._digest.digest(self.inner.state)
+
+    def missing(self, remote_digest: FrozenSet) -> Lattice:
+        """What a peer holding ``remote_digest`` lacks of this shard.
+
+        ``delta_against_digest(state, remote_digest)`` read off the same
+        index as :meth:`root` and :meth:`fingerprints`: no irreducible
+        is fingerprinted again, and only values the peer holds *part*
+        of are decomposed.
+        """
+        return self._digest.missing(self.inner.state, remote_digest)
 
     def sync_messages(self) -> List[Send]:
         """The inner protocol's periodic step (flushes its buffers)."""

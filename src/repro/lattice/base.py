@@ -96,6 +96,14 @@ class Lattice(ABC):
         the others.  Bottom decomposes into the empty iterator (it is the
         join over the empty set and is never join-irreducible).
 
+        ``⇓self`` is a set, but the *order* it is yielded in is part of
+        the contract: one value object yields its irreducibles in the
+        same order every time it is asked (values are immutable and no
+        implementation consults anything but the value).  Two equal but
+        distinct objects may differ.  ``repro.sync.digest.
+        IncrementalDigest`` pairs a value's irreducibles with the
+        fingerprints it cached from an earlier pass by position.
+
         The decomposition rules per lattice construct follow Appendix C
         of the paper.
         """

@@ -31,9 +31,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from repro.lattice.base import Lattice
+from repro.lattice.base import Lattice, join_all
 from repro.lattice.map_lattice import MapLattice
 from repro.sizes import SizeModel, DEFAULT_SIZE_MODEL
 
@@ -103,13 +104,17 @@ def digest_and_missing(
 
 
 class IncrementalDigest:
-    """An incrementally maintained digest/root of one evolving state.
+    """The fingerprint index of one evolving state, with three reads.
 
     The sharded store needs ``root_of(digest_of(state))`` on every
-    digest probe, handoff round-trip, and convergence-lag sample — a
-    full decomposition plus one BLAKE2b per irreducible each time, even
-    when nothing changed since the last ask.  This cache exploits two
-    library-wide invariants instead:
+    digest probe, handoff round-trip, and convergence-lag sample, and
+    ``digest_of`` / ``delta_against_digest`` on every escalated repair —
+    a full decomposition plus one BLAKE2b per irreducible each time,
+    even when nothing changed since the last ask.  This index keeps a
+    ``key → (value, fingerprints)`` table instead and answers all three
+    from it: :meth:`root` (the probe), :meth:`digest` (the ``kv-diff``
+    and the echo) and :meth:`missing` (both repair deltas).  It
+    exploits two library-wide invariants:
 
     * lattice values are immutable, so an object-identity check is a
       sound staleness signal, and
@@ -133,9 +138,13 @@ class IncrementalDigest:
     The cached values are definitionally equal to ``digest_of(state)``
     and ``root_of(digest_of(state))``: the per-key fingerprints hash
     exactly the ``MapLattice({key: irreducible})`` singletons that
-    :meth:`MapLattice.decompose` yields.  The property-test suite
-    asserts this equality after arbitrary mutation sequences across
-    every lattice family.
+    :meth:`MapLattice.decompose` yields, in the order the value's own
+    ``decompose()`` yields them — an order :meth:`Lattice.decompose`
+    promises is the same every time one value object is asked, which
+    is what lets :meth:`missing` pair a value's irreducibles with its
+    cached fingerprints instead of hashing them again.  The
+    property-test suite asserts all three equalities after arbitrary
+    mutation sequences across every lattice family.
     """
 
     __slots__ = ("_state", "_values", "_counts", "_digest", "_root")
@@ -163,6 +172,34 @@ class IncrementalDigest:
         if self._root is None:
             self._root = root_of(self.digest(state))
         return self._root
+
+    def missing(self, state: Lattice, remote_digest: FrozenSet[bytes]) -> Lattice:
+        """``delta_against_digest(state, remote_digest)``, nothing re-hashed.
+
+        Per key: fingerprints the remote all holds cost one set look-up
+        each; a value the remote wholly lacks is shipped as the object
+        it is (the join of ``⇓v`` is ``v``); only a *partly* lacking
+        value is decomposed, its irreducibles paired by position with
+        the cached fingerprints.  Keys are visited in the state's own
+        order, so the delta is laid out as the generic function lays
+        it out.
+        """
+        if not isinstance(state, MapLattice):
+            return delta_against_digest(state, remote_digest)
+        self._refresh(state)
+        values = self._values
+        lacking: Dict = {}
+        for key in state.entries:
+            value, fps = values[key]
+            absent = [fp not in remote_digest for fp in fps]
+            if True not in absent:
+                continue
+            if False in absent:
+                value = join_all(
+                    compress(value.decompose(), absent), value.bottom_like()
+                )
+            lacking[key] = value
+        return MapLattice(lacking)
 
     def _forget(self, fps: Tuple[bytes, ...]) -> None:
         counts = self._counts
@@ -265,9 +302,9 @@ def digest_driven_sync(
     # Message 1: A → B, digest of A.
     digest_a = digest_of(state_a)
     first = len(digest_a) * FINGERPRINT_BYTES
-    # Message 2: B → A, the delta A misses plus B's digest.
-    delta_for_a = delta_against_digest(state_b, digest_a)
-    digest_b = digest_of(state_b)
+    # Message 2: B → A, B's digest plus the delta A misses, from one
+    # pass over B's decomposition.
+    digest_b, delta_for_a = digest_and_missing(state_b, digest_a)
     second = delta_for_a.size_bytes(model) + len(digest_b) * FINGERPRINT_BYTES
     a_after = state_a.join(delta_for_a)
     # Message 3: A → B, the delta B misses.

@@ -192,6 +192,12 @@ def test_bottom_decomposes_to_nothing(x):
     assert list(x.bottom_like().decompose()) == []
 
 
+@given(causal_states())
+def test_one_object_decomposes_in_one_order(x):
+    """The ordering promise of ``Lattice.decompose``, over dot stores."""
+    assert list(x.decompose()) == list(x.decompose())
+
+
 # ---------------------------------------------------------------------------
 # Optimal deltas.
 # ---------------------------------------------------------------------------

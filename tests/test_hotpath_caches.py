@@ -4,10 +4,11 @@ Both caches exist purely for speed, so their whole contract is
 observational equivalence with the code they replaced:
 
 * :class:`~repro.sync.digest.IncrementalDigest` must return exactly
-  ``digest_of(state)`` / ``root_of(digest_of(state))`` for *any*
-  sequence of states it is shown — monotone join growth (the normal
-  store lifecycle), arbitrary replacement (handoff installs, WAL
-  rebuilds), key removal, and non-``MapLattice`` fallbacks alike.
+  ``digest_of(state)`` / ``root_of(digest_of(state))`` — and, against
+  any remote digest, ``delta_against_digest(state, remote)`` — for
+  *any* sequence of states it is shown — monotone join growth (the
+  normal store lifecycle), arbitrary replacement (handoff installs,
+  WAL rebuilds), key removal, and non-``MapLattice`` fallbacks alike.
 * The :func:`~repro.codec.frame_message` memo must never serve bytes
   that differ from a fresh encode of an equal message — across local
   updates, receptions, and repair absorptions, every frame leaving a
@@ -27,7 +28,12 @@ from repro.codec import decode_message, frame_message
 from repro.lattice import MapLattice, SetLattice
 from repro.sizes import SizeModel
 from repro.sync import DeltaBased, DeltaBasedAcked, KeyedDeltaBased
-from repro.sync.digest import IncrementalDigest, digest_of, root_of
+from repro.sync.digest import (
+    IncrementalDigest,
+    delta_against_digest,
+    digest_of,
+    root_of,
+)
 from repro.sync.protocol import Message
 
 from conftest import ALL_LATTICE_STRATEGIES
@@ -99,6 +105,81 @@ def test_incremental_digest_sees_unshared_key_changes():
     assert b.entries.keys() == a.entries.keys()
     assert cache.root(b) == root_of(digest_of(b))
     assert root_of(digest_of(b)) != root_of(digest_of(a))  # a real change
+
+
+# ---------------------------------------------------------------------------
+# IncrementalDigest.missing ≡ delta_against_digest, whatever the remote holds.
+# ---------------------------------------------------------------------------
+
+#: Fingerprints no state of these families produces.
+FOREIGN = [bytes([i]) * 8 for i in range(3)]
+
+
+def assert_missing_matches(cache, state, remote):
+    assert cache.missing(state, remote) == delta_against_digest(state, remote)
+
+
+def check_missing(cache, state, data):
+    """``missing`` against the explicit corner digests and a drawn one."""
+    own = sorted(digest_of(state))
+    assert_missing_matches(cache, state, frozenset())
+    assert_missing_matches(cache, state, frozenset(own))
+    for fp in own:  # the remote is one irreducible short
+        assert_missing_matches(cache, state, frozenset(own) - {fp})
+    held = data.draw(st.frozensets(st.sampled_from(own))) if own else frozenset()
+    foreign = data.draw(st.frozensets(st.sampled_from(FOREIGN)))
+    assert_missing_matches(cache, state, held | foreign)
+    # The third read leaves the other two truthful.
+    assert cache.digest(state) == frozenset(own)
+    assert cache.root(state) == root_of(frozenset(own))
+
+
+@given(family_and_values, st.data())
+def test_missing_tracks_monotone_growth(case, data):
+    _, deltas = case
+    cache = IncrementalDigest()
+    state = deltas[0].bottom_like()
+    check_missing(cache, state, data)
+    for delta in deltas:
+        state = state.join(delta)
+        check_missing(cache, state, data)
+
+
+@given(family_and_values, st.data())
+def test_missing_tracks_arbitrary_replacement(case, data):
+    """Keys may vanish and values go down between two asks."""
+    _, states = case
+    cache = IncrementalDigest()
+    for state in states:
+        check_missing(cache, state, data)
+
+
+@given(
+    st.sampled_from(["MapLattice[MaxInt]", "MapLattice[Set]"]).flatmap(
+        lambda fam: ALL_LATTICE_STRATEGIES[fam]
+    ),
+    st.data(),
+)
+def test_missing_forgets_removed_keys(state, data):
+    """A key dropped from the state is dropped from every later delta."""
+    cache = IncrementalDigest()
+    check_missing(cache, state, data)
+    for key in state.entries:
+        shrunk = MapLattice({k: v for k, v in state.entries.items() if k != key})
+        check_missing(cache, shrunk, data)
+        assert key not in cache.missing(shrunk, frozenset()).entries
+    check_missing(cache, state, data)
+
+
+def test_missing_ships_a_wholly_lacking_value_as_it_stands():
+    """The join of ``⇓v`` is ``v``: no copy, no decomposition."""
+    held = SetLattice({"a", "b"})
+    lacked = SetLattice({"c", "d"})
+    state = MapLattice({"held": held, "lacked": lacked, "partly": SetLattice({"e", "f"})})
+    remote = digest_of(MapLattice({"held": held, "partly": SetLattice({"e"})}))
+    delta = IncrementalDigest().missing(state, remote)
+    assert delta == MapLattice({"lacked": lacked, "partly": SetLattice({"f"})})
+    assert delta.entries["lacked"] is lacked
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from repro.kv import (
     KVStore,
     KVUpdate,
 )
-from repro.lattice import MapLattice
+from repro.lattice import MapLattice, SetLattice
 from repro.sync import (
     MerkleSync,
     Scuttlebutt,
@@ -31,6 +31,15 @@ from repro.sync import (
     delta_bp_rr,
     keyed_bp_rr,
 )
+from repro.sync import digest as digest_module
+from repro.sync.digest import (
+    FINGERPRINT_BYTES,
+    ROOT_BYTES,
+    delta_against_digest,
+    digest_of,
+    root_of,
+)
+from repro.sync.protocol import Message
 
 #: Every inner protocol the store supports, including both Scuttlebutt
 #: variants — each must survive the fault schedule under repair.
@@ -45,6 +54,45 @@ INNER = {
 }
 
 REPAIR = dict(repair_interval=2, repair_fanout=8)
+
+
+def digest_store(replica=0, members=range(3), *, shards=1, replication=3, **kwargs):
+    """One small real store in digest-repair mode."""
+    config = dict(repair_interval=3, repair_fanout=8, repair_mode="digest")
+    config.update(kwargs)
+    members = tuple(members)
+    return KVStore(
+        replica=replica,
+        neighbors=tuple(r for r in members if r != replica),
+        bottom=MapLattice(),
+        n_nodes=max(members) + 1,
+        ring=HashRing(members, n_shards=shards, replication=replication),
+        inner_factory=StateBased,
+        antientropy=AntiEntropyConfig(**config),
+    )
+
+
+def repair_tick(store):
+    """One planning tick; the repair transmissions as (dst, shard, message)."""
+    store.scheduler.plan(store.shards)
+    return store.repair.due()
+
+
+def batch(shard, inner):
+    """The wire frame carrying one ``(shard, inner message)`` entry."""
+    return Message("kv-batch", ((shard, inner),), 0, 0, 0)
+
+
+def exchange_step(store, src, inner):
+    """Deliver one repair-exchange message; the inner reply, if any."""
+    sends = store.handle_message(src, batch(0, inner))
+    if not sends:
+        return None
+    (send,) = sends
+    assert send.dst == src
+    ((shard, reply),) = send.message.payload
+    assert shard == 0
+    return reply
 
 
 def scuttlebutt_bookkeeping_consistent(cluster: KVCluster) -> None:
@@ -215,25 +263,12 @@ class TestSchedulerPhase:
 class TestColdnessScheduling:
     """The repair plane's δ-path clocks, driven through small real stores."""
 
-    def store(self, replica=0, members=range(3), *, shards=1, replication=3, **kwargs):
-        config = dict(repair_interval=3, repair_fanout=8, repair_mode="digest")
-        config.update(kwargs)
-        members = tuple(members)
-        return KVStore(
-            replica=replica,
-            neighbors=tuple(r for r in members if r != replica),
-            bottom=MapLattice(),
-            n_nodes=max(members) + 1,
-            ring=HashRing(members, n_shards=shards, replication=replication),
-            inner_factory=StateBased,
-            antientropy=AntiEntropyConfig(**config),
-        )
+    store = staticmethod(digest_store)
 
     @staticmethod
     def tick(store):
         """One planning tick; the repair transmissions as (shard, dst, kind)."""
-        store.scheduler.plan(store.shards)
-        return [(shard, dst, m.kind) for dst, shard, m in store.repair.due()]
+        return [(shard, dst, m.kind) for dst, shard, m in repair_tick(store)]
 
     def test_cold_paths_are_probed_once_per_interval(self):
         store = self.store()
@@ -369,3 +404,130 @@ class TestRepairByteAccounting:
         after = cluster.scheduler_stats()
         assert after["repair_payload_bytes"] == before["repair_payload_bytes"]
         assert after["repairs"] == before["repairs"]
+
+
+class TestDigestExchangeReadsTheIndex:
+    """Steps 1–4 are reads of each shard's one fingerprint index: the
+    messages are what ``digest_of`` / ``delta_against_digest`` build from
+    the raw states, and a warm index answers them without re-hashing."""
+
+    @staticmethod
+    def pair():
+        return digest_store(0, (0, 1), replication=2), digest_store(1, (0, 1), replication=2)
+
+    @staticmethod
+    def probe_from(store):
+        """Tick until the store's coldness clock fires its one probe."""
+        for _ in range(4):
+            due = repair_tick(store)
+            if due:
+                ((dst, shard, probe),) = due
+                assert (dst, shard) == (1, 0)
+                return probe
+        raise AssertionError("no probe within one repair interval")
+
+    def test_each_message_is_what_the_raw_states_define(self):
+        a, b = self.pair()
+        for store in (a, b):  # common ground, held by both
+            store.update("set:k", "add", "s1")
+            store.update("set:both", "add", "z")
+        b.shards[0].absorb(a.update("aws:w", "add", "x"), 0, drain=True)
+        a.update("set:k", "add", "a1")  # B holds part of this value
+        a.update("set:a-only", "add", "q")  # B holds none of this one
+        a.update("aws:w", "add", "ya")
+        b.update("set:k", "add", "b1")
+        b.update("set:b-only", "add", "r")
+        b.remove("aws:w")
+        b.update("aws:w", "add", "yb")
+        state_a, state_b = a.shards[0].state, b.shards[0].state
+        digest_a, digest_b = digest_of(state_a), digest_of(state_b)
+        model = a.size_model
+
+        probe = self.probe_from(a)
+        assert (probe.kind, probe.payload) == ("kv-digest", root_of(digest_a))
+        assert probe.metadata_bytes == ROOT_BYTES
+
+        diff = exchange_step(b, 0, probe)
+        assert (diff.kind, diff.payload) == ("kv-diff", digest_b)
+        assert diff.metadata_bytes == len(digest_b) * FINGERPRINT_BYTES
+
+        repair = exchange_step(a, 1, diff)
+        for_b = delta_against_digest(state_a, digest_b)
+        assert (repair.kind, repair.payload) == ("kv-repair", (for_b, digest_a))
+        assert repair.payload_bytes == for_b.size_bytes(model)
+        assert repair.payload_units == for_b.size_units()
+        assert repair.metadata_bytes == len(digest_a) * FINGERPRINT_BYTES
+        # A wholly lacking value travels as the object the shard holds.
+        assert repair.payload[0].entries["set:a-only"] is state_a.entries["set:a-only"]
+
+        back = exchange_step(b, 0, repair)
+        for_a = delta_against_digest(state_b.join(for_b), digest_a)
+        assert (back.kind, back.payload) == ("kv-repair", (for_a, None))
+        assert back.payload_bytes == for_a.size_bytes(model)
+        assert back.metadata_bytes == 0
+
+        assert exchange_step(a, 1, back) is None
+        assert a.shards[0].state == b.shards[0].state == state_a.join(state_b)
+        assert a.shards[0].root() == b.shards[0].root()
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Count ``fingerprint`` calls and the values asked to decompose."""
+        calls = {"fingerprint": 0, "decomposed": []}
+        fingerprint, decompose = digest_module.fingerprint, SetLattice.decompose
+
+        def counting_fingerprint(irreducible):
+            calls["fingerprint"] += 1
+            return fingerprint(irreducible)
+
+        def counting_decompose(value):
+            calls["decomposed"].append(value)
+            return decompose(value)
+
+        monkeypatch.setattr(digest_module, "fingerprint", counting_fingerprint)
+        monkeypatch.setattr(SetLattice, "decompose", counting_decompose)
+        return calls
+
+    @staticmethod
+    def reset(calls):
+        calls["fingerprint"] = 0
+        calls["decomposed"].clear()
+
+    def wide_pair(self, extra_at):
+        """Two 200-key shards; ``extra_at`` holds one irreducible more."""
+        a, b = self.pair()
+        for store in (a, b):
+            for i in range(200):
+                store.update(f"set:{i:03d}", "add", "x")
+                store.update(f"set:{i:03d}", "add", "y")
+        (a, b)[extra_at].update("set:117", "add", "extra")
+        return a, b
+
+    def test_a_peer_one_irreducible_short_costs_one_decomposition(self, counted):
+        a, b = self.wide_pair(extra_at=0)
+        diff = exchange_step(b, 0, self.probe_from(a))  # both roots asked once
+        self.reset(counted)
+        repair = exchange_step(a, 1, diff)
+        delta, _ = repair.payload
+        assert delta == MapLattice({"set:117": SetLattice({"extra"})})
+        assert counted["fingerprint"] == 0
+        (decomposed,) = counted["decomposed"]  # one value, not 200
+        assert decomposed is a.shards[0].state.entries["set:117"]
+        # Absorbing re-fingerprints the one value that grew, nothing else.
+        self.reset(counted)
+        assert exchange_step(b, 0, repair) is None
+        assert counted["fingerprint"] == 3
+        assert a.shards[0].root() == b.shards[0].root()
+
+    def test_the_echo_leg_reads_a_warm_index(self, counted):
+        a, b = self.wide_pair(extra_at=1)
+        diff = exchange_step(b, 0, self.probe_from(a))
+        self.reset(counted)
+        repair = exchange_step(a, 1, diff)
+        assert repair.payload[0].is_bottom  # A holds nothing B lacks
+        assert counted == {"fingerprint": 0, "decomposed": []}
+        back = exchange_step(b, 0, repair)
+        assert back.payload == (MapLattice({"set:117": SetLattice({"extra"})}), None)
+        assert counted["fingerprint"] == 0
+        (decomposed,) = counted["decomposed"]
+        assert decomposed is b.shards[0].state.entries["set:117"]

@@ -141,6 +141,15 @@ def test_decomposition_parts_below_state(case):
         assert part.leq(x)
 
 
+@given(family_and_value)
+def test_one_object_decomposes_in_one_order(case):
+    """``Lattice.decompose``'s ordering promise: asked twice, one value
+    object yields its irreducibles in the same positions — what lets
+    ``IncrementalDigest.missing`` pair them with cached fingerprints."""
+    _, x = case
+    assert list(x.decompose()) == list(x.decompose())
+
+
 # ---------------------------------------------------------------------------
 # Optimal delta properties (Section III-B).
 # ---------------------------------------------------------------------------
