@@ -45,6 +45,33 @@ model.  Only old *values* are retained, each of which the
 parent's map would have kept alive anyway until the parent itself is
 released; a reference to the parent or to its ``entries`` dict would pin
 a whole second copy of every hot state.
+
+Disjoint operands.  When the operands share no key, no binding of
+``self`` is rebound and ``∆(other, self)`` is ``other`` itself.  A state
+meeting only new keys is such a join, and so are the joins that build a
+δ-group (Algorithm 1, line 11) whenever the buffered δs are key-disjoint
+— RR buffers only ``∆(d, xᵢ)``, so they are disjoint in irreducibles,
+and on Table I's GMap, where a key is refreshed once a round, in keys.
+That is the one case in which the powerset rule above does hold,
+``size(a ⊔ b) = size(a) + size(b)``, keys included, and the join is a
+dict union.  ``join`` probes for it first, with ``keys().isdisjoint``,
+which walks the smaller side at C speed and stops at the first shared
+key — but only after one look-up of ``other``'s first key, where a δ on
+bound keys and a state-sized message already fail, and never for a
+one-entry ``other``: every KV write is one, the pointwise loop costs it
+no more than a probe would, and it leaves the same one-key lineage.
+Then:
+
+* ``other`` settled and knowing every total ``self``'s memo carries
+  (bytes under the same model) — the totals add.  If ``self`` is itself
+  owed, its touched map is carried over as it stands (it is never
+  written): those keys are still bound in the union to the values they
+  were owed for, so the union owes exactly what ``self`` owed.  A group
+  of sized key-disjoint parts is therefore born sized (owing one key
+  per one-entry part).
+* otherwise — ``other`` unsized, owed, or settled under another model —
+  the ordinary lineage with every key of ``other`` touched and absent
+  before.  ``other``'s own memo is read, never settled.
 """
 
 from __future__ import annotations
@@ -98,19 +125,44 @@ class MapLattice(Lattice):
             return other
         merged = dict(mine)
         size = self._size
-        # Old values are owed only to a parent whose size is known or owed.
-        touched = {} if size is not _UNSIZED else None
-        for key, value in theirs.items():
-            current = merged.get(key)
-            if current is not None:
-                value = current.join(value)
-                if value is current:
-                    continue
-            merged[key] = value
-            if touched is not None:
-                touched[key] = current
-        if touched is None:
-            return _fresh(merged)
+        if (
+            # A one-entry δ (every KV write) is never probed, and a δ on
+            # bound keys fails the probe at its first key.
+            len(theirs) > 1
+            and next(iter(theirs)) not in mine
+            and mine.keys().isdisjoint(theirs.keys())
+        ):
+            # A union (see *Disjoint operands*): no value of mine is rebound.
+            merged.update(theirs)
+            if size is _UNSIZED:
+                return _fresh(merged)
+            units, model, nbytes, touched = size
+            their_units, their_model, their_bytes, owed = other._size
+            if (
+                owed is None
+                and (units is None or their_units is not None)
+                and (model is None or their_model is model)
+            ):
+                if units is not None:
+                    units += their_units
+                if model is not None:
+                    nbytes += their_bytes
+                return _fresh(merged, (units, model, nbytes, touched))
+            touched = dict.fromkeys(theirs)
+        else:
+            # Old values are owed only to a parent whose size is known or owed.
+            touched = {} if size is not _UNSIZED else None
+            for key, value in theirs.items():
+                current = merged.get(key)
+                if current is not None:
+                    value = current.join(value)
+                    if value is current:
+                        continue
+                merged[key] = value
+                if touched is not None:
+                    touched[key] = current
+            if touched is None:
+                return _fresh(merged)
         units, model, nbytes, earlier = size
         if earlier:
             # The sized ancestor's values, not an unsized parent's, are owed.

@@ -52,6 +52,9 @@ class SizeModel:
         of their ``repr``, which keeps accounting total rather than
         raising deep inside a simulation run.
         """
+        if type(value) is str:
+            # The common atom (map keys), with no encoded copy when ASCII.
+            return len(value) if value.isascii() else len(value.encode("utf-8"))
         if value is None:
             return 0
         if isinstance(value, bool):

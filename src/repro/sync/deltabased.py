@@ -34,7 +34,11 @@ line 5    ``DeltaBased.buffer`` — the δ-buffer ``Bᵢ``, a
           BP filter of line 11 is :meth:`DeltaBuffer.pending`, the
           join of line 11 is ``_group_message`` over
           :meth:`DeltaBuffer.joined`, line 13 (clear the buffer) is
-          ``_retire_sent``
+          ``_retire_sent``.  Each buffered δ is sized once in its
+          life and a δ-group by adding its parts: under RR the parts
+          are disjoint in irreducibles, and a join of key-disjoint
+          maps is a union (``lattice/map_lattice.py``, *Disjoint
+          operands*)
 14–17     ``DeltaBased._receive`` — ``on receiveⱼ,ᵢ(d)``: line 15 is
           RR's ``∆(d, xᵢ)``, line 16 is either RR's ``d ≠ ⊥`` or the
           classic ``d ⋢ xᵢ``; :meth:`DeltaBased.handle_message` and
@@ -222,7 +226,14 @@ class DeltaBased(Synchronizer):
         return sends
 
     def _group_message(self, covered: Tuple[int, ...]) -> Message:
-        """Line 11's join of the entries ``covered``, in its envelope."""
+        """Line 11's join of the entries ``covered``, in its envelope.
+
+        Each entry is sized before the join: a memo hit for any δ that
+        sat through a memory sample or is owed to an earlier group, and
+        key-disjoint sized parts join into a group that is born sized.
+        """
+        for seq in covered:
+            self._payload_sizes(self.buffer.entries[seq][1])
         group = self._assemble(self.buffer.joined(covered))
         payload, seqs = self._envelope(group, covered)
         units, payload_bytes = self._payload_sizes(group)

@@ -224,14 +224,6 @@ class IncrementalDigest:
         values = self._values
         counts = self._counts
         changed = False
-        if values:
-            # Keys only vanish when the tracked state was replaced
-            # outright (rebuild, shard swap) rather than inflated.
-            stale = [key for key in values if key not in entries]
-            for key in stale:
-                _, fps = values.pop(key)
-                self._forget(fps)
-                changed = True
         for key, value in entries.items():
             known = values.get(key)
             if known is not None and known[0] is value:
@@ -245,6 +237,13 @@ class IncrementalDigest:
             values[key] = (value, fps)
             for fp in fps:
                 counts[fp] = counts.get(fp, 0) + 1
+            changed = True
+        if len(values) > len(entries):
+            # The table now covers every key of the state, so it is
+            # longer only if keys vanished: the tracked state was
+            # replaced outright (rebuild, shard swap), not inflated.
+            for key in [key for key in values if key not in entries]:
+                self._forget(values.pop(key)[1])
             changed = True
         if changed:
             self._digest = None

@@ -6,24 +6,30 @@ parent's total and the keys the join touched (``lattice/map_lattice.py``,
 ``size_units`` / ``size_bytes`` methods:
 
 * exactness — random interleavings of joins, size reads and forks always
-  agree with a cold rebuild of the same entries;
+  agree with a cold rebuild of the same entries, whether the operands
+  share keys (the pointwise loop) or not (the union, whose sizes add);
 * the counter-example to ``size(a ⊔ b) = size(b) + size(∆(a, b))``;
 * cost — counted in ``SizeModel.sizeof`` calls, never in seconds.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from hypothesis import given, settings, strategies as st
 
 from repro.causal import AWSet
-from repro.lattice import MapLattice, MaxInt, SetLattice
+from repro.lattice import MapLattice, MaxInt, SetLattice, join_all
 from repro.lattice.base import Lattice
 from repro.sizes import SizeModel
+from repro.sync import DeltaBased
 
 MODELS = (SizeModel(), SizeModel(int_bytes=4, id_bytes=16))
 
 #: Strings, integers and tuples, so ``sizeof(key)`` differs per key.
 KEYS = ["k0", "key-one", "k2", "κλειδί", 4, 5, ("shard", 6), ("shard", 7), "k8", "k9", "k10", "k11"]
+#: Room beside a wide base state for parts that share no key with it.
+KEYS += [f"spare-{index}" for index in range(8)]
 
 
 def cold(value: Lattice) -> Lattice:
@@ -31,6 +37,15 @@ def cold(value: Lattice) -> Lattice:
     if isinstance(value, MapLattice):
         return MapLattice({key: cold(inner) for key, inner in value.entries.items()})
     return value
+
+
+def loop_join(a: MapLattice, b: MapLattice) -> dict:
+    """The pointwise join as a plain loop: the reference for entries and order."""
+    merged = dict(a.entries)
+    for key, value in b.entries.items():
+        current = merged.get(key)
+        merged[key] = value if current is None else current.join(value)
+    return merged
 
 
 def assert_sizes_exact(value: MapLattice) -> None:
@@ -64,14 +79,26 @@ FAMILIES = {"maxint": _max_ints, "set": _sets, "nested-map": _inner_maps, "causa
 
 @st.composite
 def scripts(draw):
-    """A wide base state plus steps over a growing pool of values.
+    """A wide base state, key-disjoint parts beside it, and steps over a
+    growing pool of values.
 
-    ``("join", i, δ)`` appends ``pool[i] ⊔ δ`` — naming one ``i`` twice is
-    a fork, of a sized or an unsized parent; ``("units", i)`` and
-    ``("bytes", i, m)`` are the size reads that settle a lineage.
+    ``("join", i, δ)`` appends ``pool[i] ⊔ δ`` with a fresh, unsized δ;
+    ``("merge", i, j)`` appends ``pool[i] ⊔ pool[j]``, so either operand
+    may be settled (under either model), owed or unsized — and, while
+    both are still the parts the pool opened with, key-disjoint.  Naming
+    one ``i`` twice is a fork, of a sized or an unsized parent;
+    ``("units", i)`` and ``("bytes", i, m)`` are the size reads that
+    settle a lineage.
     """
     values = FAMILIES[draw(st.sampled_from(sorted(FAMILIES)))]
-    base = draw(st.dictionaries(st.sampled_from(KEYS), values, min_size=8))
+    base = draw(st.dictionaries(st.sampled_from(KEYS), values, min_size=8, max_size=14))
+    # What a δ-buffer under RR holds: maps that share no key.
+    parts = draw(st.lists(st.dictionaries(st.sampled_from(KEYS), values, max_size=4), max_size=4))
+    taken = set(base)
+    for part in parts:
+        for key in taken.intersection(part):
+            del part[key]
+        taken.update(part)
     # Mostly narrow δs (lineage kept), sometimes wide ones (lineage dropped).
     deltas = st.dictionaries(st.sampled_from(KEYS), values, min_size=1, max_size=draw(st.sampled_from([2, 3, 9])))
     index = st.integers(min_value=0, max_value=40)
@@ -79,32 +106,89 @@ def scripts(draw):
         st.lists(
             st.one_of(
                 st.tuples(st.just("join"), index, deltas),
+                st.tuples(st.just("merge"), index, index),
                 st.tuples(st.just("units"), index),
                 st.tuples(st.just("bytes"), index, st.sampled_from(MODELS)),
             ),
             max_size=25,
         )
     )
-    return base, steps
+    return base, [part for part in parts if part], steps
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(scripts(), st.booleans())
 def test_sizes_equal_a_cold_rebuild_after_every_step(script, base_is_sized):
-    base, steps = script
-    pool = [MapLattice(base)]
+    base, parts, steps = script
+    pool = [MapLattice(base)] + [MapLattice(part) for part in parts]
     if base_is_sized:
         pool[0].size_bytes(MODELS[0])
     for step in steps:
         target = pool[step[1] % len(pool)]
-        if step[0] == "join":
-            pool.append(target.join(MapLattice(step[2])))
+        if step[0] in ("join", "merge"):
+            other = MapLattice(step[2]) if step[0] == "join" else pool[step[2] % len(pool)]
+            joined = target.join(other)
+            assert list(joined.entries.items()) == list(loop_join(target, other).items())
+            pool.append(joined)
         elif step[0] == "units":
             assert target.size_units() == cold(target).size_units()
         else:
             assert target.size_bytes(step[2]) == cold(target).size_bytes(step[2])
     for value in pool:
         assert_sizes_exact(value)
+
+
+#: What a part may know of its own size when it is joined.
+KNOWLEDGE = ("nothing", "units", "bytes-0", "bytes-1", "both", "owed")
+
+
+def _knowing(entries: dict, knows: str) -> MapLattice:
+    if knows == "owed":
+        # A sized ancestor joined with one more key: a lineage of one.
+        last = next(reversed(entries))
+        ancestor = MapLattice({key: value for key, value in entries.items() if key != last})
+        ancestor.size_units(), ancestor.size_bytes(MODELS[0])
+        return ancestor.join(MapLattice({last: entries[last]}))
+    value = MapLattice(entries)
+    if knows in ("units", "both"):
+        value.size_units()
+    if knows in ("bytes-0", "bytes-1", "both"):
+        value.size_bytes(MODELS[knows == "bytes-1"])
+    return value
+
+
+def test_a_union_of_disjoint_parts_is_exact_whatever_each_part_knows():
+    """Three key-disjoint parts folded left to right, under every
+    combination of what each knows of its own size."""
+    parts = [
+        {"k0": SetLattice({"a"}), ("shard", 6): MaxInt(2), "κλειδί": SetLattice({"bb", "d"})},
+        {4: MaxInt(1), "key-one": SetLattice({"ccc"}), "k2": MaxInt(5), "k8": MaxInt(1)},
+        {"k9": MaxInt(3), 5: SetLattice({"a", "d"})},
+    ]
+    for knowledge in itertools.product(KNOWLEDGE, repeat=3):
+        first, second, third = [_knowing(part, knows) for part, knows in zip(parts, knowledge)]
+        fork = first.join(third)
+        group = first.join(second).join(third)
+        assert_sizes_exact(group)
+        assert_sizes_exact(fork)
+        # Joining read each operand's memo and left it as it was.
+        for operand in (first, second, third):
+            assert_sizes_exact(operand)
+
+
+def test_a_union_keeps_the_order_the_loop_produced():
+    """Entries and ``decompose()`` come out as the pointwise loop laid
+    them: mine first, then theirs in their own order."""
+    mine = MapLattice({"m2": MaxInt(1), "m1": SetLattice({"a", "b"})})
+    one = MapLattice({"t0": MaxInt(4)})
+    many = MapLattice({"t9": MaxInt(2), "t1": SetLattice({"c"}), "t5": MaxInt(3)})
+    overlapping = MapLattice({"t9": MaxInt(1), "m1": SetLattice({"z"}), "t0": MaxInt(1)})
+    for a, b in [(mine, one), (one, mine), (mine, many), (many, mine), (mine, overlapping), (one, overlapping)]:
+        joined = a.join(b)
+        reference = loop_join(a, b)
+        assert list(joined.entries.items()) == list(reference.items())
+        assert list(joined.decompose()) == list(MapLattice(reference).decompose())
+    assert list(mine.join(many).entries) == ["m2", "m1", "t9", "t1", "t5"]
 
 
 def test_overwriting_join_is_not_the_sum_of_state_and_delta():
@@ -202,3 +286,80 @@ def test_a_wide_join_falls_back_to_the_full_sum_and_stays_exact():
     assert _counted(lambda: joined.size_bytes(model)) == 120
     assert joined.size_bytes(model) == cold(joined).size_bytes(model)
     assert joined.size_units() == 120
+
+
+# ---------------------------------------------------------------------------
+# Disjoint operands: a δ-group is sized by adding its parts.
+# ---------------------------------------------------------------------------
+
+
+def _part(first: int, count: int, value: int = 1) -> MapLattice:
+    return MapLattice({f"key-{index:04d}": MaxInt(value) for index in range(first, first + count)})
+
+
+def _sizes(value: MapLattice, model: SizeModel) -> tuple:
+    return value.size_units(), value.size_bytes(model)
+
+
+def test_a_group_of_sized_disjoint_parts_is_born_sized():
+    model = CountingModel()
+    parts = [_part(0, 2), _part(2, 19), _part(21, 30), _part(51, 23)]
+    assert _counted(lambda: [_sizes(part, model) for part in parts]) == 74
+    group = join_all(parts, MapLattice())
+    assert _counted(lambda: _sizes(group, model)) == 0
+    assert _sizes(group, model) == _sizes(cold(group), model) == (74, 74 * (8 + 8))
+
+
+def test_a_one_entry_part_is_not_probed_and_owes_its_one_key():
+    """A one-entry ``other`` takes the pointwise loop, as every KV write
+    must at no extra cost; the group owes that key through later unions."""
+    model = CountingModel()
+    parts = [_part(0, 19), _part(19, 1), _part(20, 30), _part(50, 1), _part(51, 23)]
+    for part in parts:
+        _sizes(part, model)
+    group = join_all(parts, MapLattice())
+    assert _counted(lambda: _sizes(group, model)) == 2
+    assert _sizes(group, model) == _sizes(cold(group), model)
+
+
+def test_an_unsized_part_costs_its_own_keys_and_no_one_elses():
+    model = CountingModel()
+    sized, unsized, last = _part(0, 40), _part(40, 5), _part(45, 20)
+    _sizes(sized, model), _sizes(last, model)
+    group = sized.join(unsized).join(last)
+    assert _counted(lambda: _sizes(group, model)) == 5
+    assert _sizes(group, model) == _sizes(cold(group), model)
+    # Joining settled nothing behind the operand's back.
+    assert _counted(lambda: _sizes(unsized, model)) == 5
+
+
+def test_a_state_joined_with_novel_keys_carries_what_it_already_owed():
+    model = CountingModel()
+    state = _state()
+    _sizes(state, model)
+    owed = state.join(_part(500, 3, value=2))  # three overwrites, still owed
+    novel = _part(2000, 4)
+    _sizes(novel, model)
+    grown = owed.join(novel)  # a union: totals add, the three stay owed
+    assert _counted(lambda: _sizes(grown, model)) == 0  # overwrites cost no ``sizeof``
+    assert _sizes(grown, model) == _sizes(cold(grown), model)
+    assert grown.size_units() == 1004
+    assert _sizes(owed, model) == _sizes(cold(owed), model)
+
+
+def test_a_local_delta_joined_into_four_groups_is_walked_once():
+    """BP gives each of four neighbours a private group (everything but
+    its own δ); the local δ is in all four and sized for the first."""
+    model = CountingModel()
+    node = DeltaBased(0, [1, 2, 3, 4], MapLattice(), n_nodes=5, size_model=model, bp=True, rr=True)
+    for neighbor in node.neighbors:
+        node.absorb_state(_part(100 * neighbor, 19), src=neighbor)
+    node.memory_bytes()  # the sample every received δ sits through
+    local = node.local_update(lambda state: _part(900, 6))
+    sends = []
+    assert _counted(lambda: sends.extend(node.sync_messages())) == len(local)
+    assert len({id(send.message) for send in sends}) == 4
+    for send in sends:
+        group = send.message.payload
+        assert len(group) == 3 * 19 + 6
+        assert (send.message.payload_units, send.message.payload_bytes) == _sizes(cold(group), model)

@@ -30,6 +30,18 @@ class TestSizeModel:
         assert model.sizeof("abc") == 3
         assert model.sizeof("héllo") == 6  # é is two bytes
 
+    def test_every_string_is_its_utf8_length_subclasses_included(self):
+        """ASCII strings are sized without an encoded copy; the answer
+        is the encoded length for every string all the same."""
+        model = SizeModel()
+
+        class Label(str):
+            pass
+
+        for text in ["", "key-0001", "κλειδί", "a\u00e9\u20ac\U0001f600", "\x7f\x80"]:
+            assert model.sizeof(text) == len(text.encode("utf-8"))
+            assert model.sizeof(Label(text)) == len(text.encode("utf-8"))
+
     def test_scalar_sizes(self):
         model = SizeModel()
         assert model.sizeof(None) == 0

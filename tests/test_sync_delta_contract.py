@@ -6,7 +6,10 @@ only in granularity (one part vs one part per object) and channel
 (retire on send vs retire on ack).  Every test here is written against
 *behaviour* — what the next ``sync_messages()`` ships, and to whom —
 through a small harness per class that says how that class spells a
-set of elements, an inbound δ-group and a settled channel.
+set of elements, an inbound δ-group and a settled channel.  ``DeltaBased``
+runs twice, over a grow-only set and over Table I's GMap, whose δ-groups
+are the key-disjoint unions ``MapLattice.join`` assembles and sizes by
+addition.
 
 Class-specific behaviour stays with its class: the paper's Figure 4/5
 executions in ``test_sync_deltabased.py``, per-object granularity in
@@ -16,7 +19,8 @@ executions in ``test_sync_deltabased.py``, per-object granularity in
 
 import pytest
 
-from repro.lattice import MapLattice, SetLattice
+from repro import codec
+from repro.lattice import MapLattice, MaxInt, SetLattice
 from repro.sizes import SizeModel
 from repro.sync import (
     DeltaBased,
@@ -40,7 +44,8 @@ class Plain:
     """``DeltaBased`` over a grow-only set."""
 
     label = "plain"
-    key_bytes = 0
+    #: Bytes a buffered one-element δ takes beside the element itself.
+    wrapping_bytes = 0
 
     def make(self, replica, neighbors, *, bp, rr):
         return DeltaBased(
@@ -77,7 +82,7 @@ class Keyed(Plain):
     """``KeyedDeltaBased`` over a store with one set object, ``"obj"``."""
 
     label = "keyed"
-    key_bytes = 3  # "obj"
+    wrapping_bytes = 3  # "obj"
 
     def make(self, replica, neighbors, *, bp, rr):
         return KeyedDeltaBased(
@@ -102,6 +107,30 @@ class Keyed(Plain):
             "keyed-delta", payload, payload.size_units(), payload.size_bytes(MODEL),
             MODEL.int_bytes, 1,
         )
+
+
+class Gmap(Plain):
+    """``DeltaBased`` over Table I's GMap: an element is a key bound to 1,
+    so the δs RR buffers are key-disjoint maps."""
+
+    label = "gmap"
+    wrapping_bytes = MODEL.int_bytes
+
+    def make(self, replica, neighbors, *, bp, rr):
+        return DeltaBased(
+            replica, neighbors, MapLattice(), n_nodes=4, size_model=MODEL, bp=bp, rr=rr
+        )
+
+    def content(self, *elements):
+        return MapLattice({element: MaxInt(1) for element in elements})
+
+    def add(self, element):
+        def mutator(state):
+            if element in state:
+                return state.bottom_like()
+            return MapLattice({element: MaxInt(1)})
+
+        return mutator
 
 
 class Acked(Plain):
@@ -135,7 +164,7 @@ class Acked(Plain):
 
 
 FLAGS = [(False, False), (True, False), (False, True), (True, True)]
-CASES = [(harness, bp, rr) for harness in (Plain(), Keyed()) for bp, rr in FLAGS]
+CASES = [(harness, bp, rr) for harness in (Plain(), Keyed(), Gmap()) for bp, rr in FLAGS]
 CASES.append((Acked(), True, True))
 
 
@@ -213,6 +242,49 @@ def test_updates_between_two_steps_travel_as_one_group(harness, bp, rr):
     node.local_update(harness.add("y"))
     [send] = node.sync_messages()
     assert harness.shipped(send.message) == harness.content("x", "y")
+
+
+def assert_sized_as_a_cold_rebuild(harness, sends):
+    """Every δ-group is accounted at what a receiver decoding it would count."""
+    assert sends
+    for send in sends:
+        message = send.message
+        rebuilt = codec.decode(codec.encode(harness.shipped(message)))
+        assert message.payload_units == rebuilt.size_units()
+        assert message.payload_bytes == rebuilt.size_bytes(MODEL)
+
+
+@cases()
+def test_every_group_is_sized_as_a_cold_rebuild_of_it(harness, bp, rr):
+    """Groups are sized by adding their parts' memos where the parts
+    are disjoint, so drive every way a part gets (or lacks) one: a
+    local δ no one has sized opens the buffer, two received groups
+    overlap it and each other, a memory sample sizes what is buffered,
+    and one more local δ arrives after the sample."""
+    node = harness.make(0, [1, 2, 3], bp=bp, rr=rr)
+    node.local_update(harness.add("mine"))
+    node.handle_message(1, harness.inbound("mine", "from-1", "shared"))
+    node.handle_message(2, harness.inbound("shared", "from-2"))
+    node.memory_bytes()
+    node.local_update(harness.add("late"))
+    sends = flush(harness, node)
+    assert_sized_as_a_cold_rebuild(harness, sends)
+    assert {send.dst for send in sends} == {1, 2, 3}
+    assert shipped_to(harness, sends, 3) == harness.content(
+        "mine", "from-1", "shared", "from-2", "late"
+    )
+    # The next step's groups are built from fresh entries only.
+    node.handle_message(3, harness.inbound("from-3", "late"))
+    node.local_update(harness.add("last"))
+    assert_sized_as_a_cold_rebuild(harness, flush(harness, node))
+
+
+@cases()
+def test_a_buffer_of_one_unsized_local_delta_ships_at_its_cold_size(harness, bp, rr):
+    """No sample, no earlier group: the step itself sizes the δ."""
+    node = harness.make(0, [1, 2], bp=bp, rr=rr)
+    node.local_update(harness.add("only"))
+    assert_sized_as_a_cold_rebuild(harness, flush(harness, node))
 
 
 # ----------------------------------------------------------------------
@@ -324,7 +396,7 @@ def test_memory_accounting(harness, bp, rr):
     node = harness.make(0, [1], bp=bp, rr=rr)
     node.local_update(harness.add("abcd"))
     assert node.buffer_units() == 1
-    assert node.buffer_bytes() == harness.key_bytes + 4
+    assert node.buffer_bytes() == harness.wrapping_bytes + 4
     assert node.metadata_bytes() > 0
     # 1 origin tag (BP) + 1 sequence number (per neighbour on a reliable
     # channel, per entry on an acked one).
