@@ -19,8 +19,8 @@ Run with::
 """
 
 from repro import (
+    CausalMVRegister,
     LWWRegister,
-    MVRegister,
     MapLattice,
     PNCounter,
     TwoPSet,
@@ -84,7 +84,11 @@ class CartWorkload(Workload):
                 note = LWWRegister(device, state=current) if current else LWWRegister(device)
                 delta = note.write(edit[1])
             elif kind == "choose":
-                pay = MVRegister(device, state=current) if current else MVRegister(device)
+                pay = (
+                    CausalMVRegister(device, state=current)
+                    if current
+                    else CausalMVRegister(device)
+                )
                 delta = pay.write(edit[1])
             else:  # pragma: no cover - script is fixed
                 raise ValueError(kind)
@@ -108,7 +112,7 @@ def main() -> None:
     drone = TwoPSet("reader", state=state.get("wish:drone"))
     lego = TwoPSet("reader", state=state.get("wish:lego"))
     note = LWWRegister("reader", state=state.get("note"))
-    pay = MVRegister("reader", state=state.get("pay"))
+    pay = CausalMVRegister("reader", state=state.get("pay"))
 
     print("=== converged cart (read from any device) ===")
     print(f"milk: {milk.value}   (2 + 1 added, 1 removed)")
@@ -116,7 +120,7 @@ def main() -> None:
     print(f"wishlist drone: {'drone' in drone}  (added, then dismissed for good)")
     print(f"wishlist lego:  {'lego' in lego}")
     print(f"delivery note: {note.value!r} (last writer wins)")
-    print(f"payment method: {pay.values} — concurrent choices kept for the app")
+    print(f"payment method: {sorted(pay.values)} — concurrent choices kept for the app")
 
 
 if __name__ == "__main__":

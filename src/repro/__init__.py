@@ -6,7 +6,7 @@ Leitão, *Efficient Synchronization of State-based CRDTs* (ICDE 2019):
 * :mod:`repro.lattice` — join-semilattices, composition constructs,
   irredundant join decompositions ``⇓x``, and optimal deltas ``∆(a, b)``;
 * :mod:`repro.crdt` — GCounter, GSet, GMap, PNCounter, LWWRegister,
-  2P-Set, MVRegister, and BCounter built on the lattice substrate;
+  2P-Set, and BCounter built on the lattice substrate;
 * :mod:`repro.causal` — the observed-remove family (AWSet, RWSet,
   EWFlag, DWFlag, multi-value registers, resettable counters, OR-maps)
   over dot stores and causal contexts, with the same optimal deltas;
@@ -58,7 +58,6 @@ from repro.crdt import (
     GMap,
     GSet,
     LWWRegister,
-    MVRegister,
     PNCounter,
     TwoPSet,
     optimal_delta_mutator,
@@ -116,7 +115,6 @@ __all__ = [
     "GMap",
     "GSet",
     "LWWRegister",
-    "MVRegister",
     "PNCounter",
     "TwoPSet",
     "optimal_delta_mutator",

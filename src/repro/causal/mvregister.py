@@ -6,11 +6,9 @@ a new write covers every value the writer has observed.  This is the
 register semantics of Riak and of the original Shapiro et al. MVRegister,
 expressed in the causal framework so it composes with every
 synchronizer in the library and decomposes into optimal deltas (one
-dot-value pair per write, plus the covered dots as context).
-
-The sibling :mod:`repro.crdt.mvregister` implements the same data type
-with version-vector antichains; this one demonstrates the dot-store
-construction and is the one to nest inside OR-maps.
+dot-value pair per write, plus the covered dots as context).  It is
+the library's only multi-value register, and the one to nest inside
+OR-maps.
 """
 
 from __future__ import annotations

@@ -405,20 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format (default: text)",
     )
     lint.add_argument(
-        "--baseline",
-        type=str,
-        default="lint-baseline.json",
-        help=(
-            "accepted-findings baseline file; a missing file is an "
-            "empty baseline (default: lint-baseline.json)"
-        ),
-    )
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="accept the current findings into the baseline and exit 0",
-    )
-    lint.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
@@ -436,18 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats",
         action="store_true",
         help=(
-            "append a per-rule findings/suppressions/baselined table "
+            "append a per-rule findings/suppressions table "
             "to the report (text and JSON)"
-        ),
-    )
-    lint.add_argument(
-        "--graph",
-        type=str,
-        default=None,
-        metavar="DOT",
-        help=(
-            "write the project call graph as GraphViz DOT to this "
-            "path (debug aid for the interprocedural rules)"
         ),
     )
 
@@ -563,21 +539,17 @@ def _kv_config(args: argparse.Namespace) -> KVConfig:
 def _run_lint(args: argparse.Namespace, stream) -> int:
     """The ``repro lint`` subcommand; returns a process exit code.
 
-    0 = clean (every finding fixed, suppressed in place, or baselined),
-    1 = new findings, 2 = usage problems (bad paths, unreadable
-    baseline).  ``--write-baseline`` accepts the current findings and
-    exits 0 so the gate can be introduced before the debt is paid.
+    0 = clean (every finding fixed or suppressed in place with a
+    reason), 1 = findings, 2 = usage problems (bad paths).
     """
     from repro.lint import (
-        read_baseline,
+        load_project,
         render_json,
         render_text,
         rule_catalogue,
         rules_for_profile,
         run_rules,
-        write_baseline,
     )
-    from repro.lint.engine import load_project
 
     if args.list_rules:
         for rule_id, summary in sorted(rule_catalogue().items()):
@@ -590,45 +562,14 @@ def _run_lint(args: argparse.Namespace, stream) -> int:
         return 2
     rules = rules_for_profile(args.profile)
     result = run_rules(project, rules)
-    if args.graph:
-        from repro.lint.callgraph import project_analysis, render_dot
-
-        with open(args.graph, "w", encoding="utf-8") as handle:
-            handle.write(render_dot(project_analysis(project)) + "\n")
-    if args.write_baseline:
-        write_baseline(args.baseline, result.findings, project)
-        print(
-            f"accepted {len(result.findings)} finding(s) into "
-            f"{args.baseline}",
-            file=stream,
-        )
-        return 0
-    try:
-        baseline = read_baseline(args.baseline)
-    except (OSError, ValueError) as exc:
-        print(
-            f"repro lint: cannot read baseline {args.baseline}: {exc}",
-            file=sys.stderr,
-        )
-        return 2
-    new, baselined, stale = baseline.split(result.findings, project)
     render = render_json if args.format == "json" else render_text
     stats_rules = (
         [rule.id for rule in rules] + ["parse-error", "suppression"]
         if args.stats
         else None
     )
-    print(
-        render(
-            result,
-            baselined=baselined,
-            stale_baseline=stale,
-            new_findings=new,
-            stats_rules=stats_rules,
-        ),
-        file=stream,
-    )
-    return 1 if new else 0
+    print(render(result, stats_rules=stats_rules), file=stream)
+    return 0 if result.clean else 1
 
 
 def _emit(text: str, out_path: Optional[str], stream) -> None:

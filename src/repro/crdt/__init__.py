@@ -12,9 +12,8 @@ The types mirror the paper's catalogue:
 * :class:`~repro.crdt.gmap.GMap` — the grow-only map of Table I;
 * :class:`~repro.crdt.pncounter.PNCounter` — the Appendix C example;
 * :class:`~repro.crdt.lwwregister.LWWRegister`,
-  :class:`~repro.crdt.twopset.TwoPSet`,
-  :class:`~repro.crdt.mvregister.MVRegister` — composition-construct
-  show-cases (lexicographic product, cartesian product, maximals);
+  :class:`~repro.crdt.twopset.TwoPSet` — composition-construct
+  show-cases (lexicographic product, cartesian product);
 * :class:`~repro.crdt.bcounter.BCounter` — a non-negative counter with
   locally-checked decrement rights (numeric-invariant extension).
 """
@@ -27,7 +26,6 @@ from repro.crdt.gmap import GMap
 from repro.crdt.pncounter import PNCounter
 from repro.crdt.lwwregister import LWWRegister
 from repro.crdt.twopset import TwoPSet
-from repro.crdt.mvregister import MVRegister
 
 __all__ = [
     "BCounter",
@@ -40,5 +38,4 @@ __all__ = [
     "PNCounter",
     "LWWRegister",
     "TwoPSet",
-    "MVRegister",
 ]

@@ -12,7 +12,7 @@ AST linter.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
@@ -76,6 +76,21 @@ def walk_with_function(
             yield from visit(child, inner)
 
     yield from visit(tree, None)
+
+
+def direct_statements(node: FunctionNode) -> Iterator[ast.AST]:
+    """Walk a function body without descending into nested defs."""
+
+    def visit(current: ast.AST) -> Iterator[ast.AST]:
+        for child in ast.iter_child_nodes(current):
+            if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                continue
+            yield child
+            yield from visit(child)
+
+    yield from visit(node)
 
 
 def string_tuple_assignment(

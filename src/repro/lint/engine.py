@@ -76,14 +76,6 @@ class Module:
     tree: ast.Module
     suppressions: List[Suppression] = field(default_factory=list)
 
-    @property
-    def lines(self) -> List[str]:
-        return self.source.splitlines()
-
-    def line_text(self, line: int) -> str:
-        lines = self.lines
-        return lines[line - 1] if 1 <= line <= len(lines) else ""
-
 
 @dataclass
 class Project:
@@ -91,19 +83,6 @@ class Project:
 
     modules: List[Module]
     parse_failures: List[Finding] = field(default_factory=list)
-    #: Scratch space for the project-analysis phase: expensive
-    #: whole-project structures (the call graph) are built once per
-    #: pass and shared by every interprocedural rule.  Keyed by
-    #: analysis name; see :func:`repro.lint.callgraph.project_analysis`.
-    _analysis_cache: Dict[str, object] = field(default_factory=dict)
-
-    def module_named(self, suffix: str) -> Optional[Module]:
-        """The module whose normalized path ends with ``suffix``."""
-        normalized = suffix.replace(os.sep, "/")
-        for module in self.modules:
-            if module.path.replace(os.sep, "/").endswith(normalized):
-                return module
-        return None
 
     def assignments(self, name: str) -> Iterator[Tuple[Module, ast.Assign]]:
         """Module-level ``name = ...`` assignments across the project."""
@@ -119,7 +98,7 @@ class Project:
 class Rule:
     """Base class for one invariant check.
 
-    Subclasses set ``id`` (the suppression/baseline key), ``severity``,
+    Subclasses set ``id`` (the suppression key), ``severity``,
     and a one-line ``summary`` for ``lint --list-rules``, and implement
     :meth:`check` over the whole project — single-file rules just loop
     ``project.modules``.
@@ -147,7 +126,7 @@ class Rule:
 
 @dataclass
 class LintResult:
-    """What one pass produced, before baseline filtering.
+    """What one pass produced.
 
     ``findings`` are the live ones; ``suppressed`` kept for reporting
     (the text reporter prints counts, the JSON reporter the full list).
@@ -329,8 +308,7 @@ def run_rules(project: Project, rules: Sequence[Rule]) -> LintResult:
 
     Suppressions shield rule findings; ``suppression`` findings (stale
     or malformed pragmas) and ``parse-error`` findings cannot be
-    suppressed in place — they indicate the armour itself is broken —
-    but both can be baselined by the caller.
+    suppressed in place — they indicate the armour itself is broken.
     """
     raw: List[Finding] = []
     for rule in rules:

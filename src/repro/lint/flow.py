@@ -1,10 +1,9 @@
 """Intraprocedural control-flow graphs and a small dataflow engine.
 
-The interprocedural rules (:mod:`repro.lint.rules.interproc`) need more
-than "does this name appear somewhere in the function" — the
-``resource-typestate`` rule asks *"is there a path from this
-``fence()`` to a function exit that skips the ``unfence()``?"*, and
-error paths are exactly where lexical matching goes blind.  This
+The ``resource-typestate`` rule (:mod:`repro.lint.rules.typestate`)
+needs more than "does this name appear somewhere in the function" — it
+asks *"is there a path from this ``fence()`` to a function exit that
+skips the ``unfence()``?"*, and error paths are exactly where lexical matching goes blind.  This
 module builds a conservative CFG per function and solves forward
 dataflow problems over it:
 

@@ -1,12 +1,12 @@
 """Reporters: human-readable text and machine-readable JSON.
 
-Both render the same partitioned view — new findings (the gate), then
-counts of baselined and suppressed ones, then stale baseline entries —
-so a CI log and a tooling consumer see the identical verdict.  With
-``stats_rules`` (the ``--stats`` flag), both append a per-rule table of
-finding/suppression/baseline counts, with zero rows for every rule in
-the active profile so coverage — including the exact number of active
-reasoned suppressions per rule — is visible at a glance in the CI log.
+Both render the same view — live findings (the gate), then the count
+of findings suppressed in place — so a CI log and a tooling consumer
+see the identical verdict.  With ``stats_rules`` (the ``--stats``
+flag), both append a per-rule table of finding/suppression counts,
+with zero rows for every rule in the active profile so coverage —
+including the exact number of active reasoned suppressions per rule —
+is visible at a glance in the CI log.
 """
 
 from __future__ import annotations
@@ -25,102 +25,64 @@ def _format_finding(finding: Finding) -> str:
 
 
 def rule_stats(
-    result: LintResult,
-    baselined: Sequence[Finding],
-    findings: Sequence[Finding],
-    stats_rules: Sequence[str],
+    result: LintResult, stats_rules: Sequence[str]
 ) -> Dict[str, Dict[str, int]]:
-    """Per-rule counts over the pass: findings, suppressed, baselined.
+    """Per-rule counts over the pass: findings and suppressed.
 
     Every rule in ``stats_rules`` gets a row (zero counts included);
     rules that produced output without being listed (the engine's
     ``parse-error``/``suppression``) get rows appended.
     """
     stats: Dict[str, Dict[str, int]] = {
-        rule: {"findings": 0, "suppressed": 0, "baselined": 0}
-        for rule in stats_rules
+        rule: {"findings": 0, "suppressed": 0} for rule in stats_rules
     }
-
-    def bump(rule: str, bucket: str) -> None:
-        row = stats.setdefault(
-            rule, {"findings": 0, "suppressed": 0, "baselined": 0}
-        )
-        row[bucket] += 1
-
-    for finding in findings:
-        bump(finding.rule, "findings")
-    for finding in result.suppressed:
-        bump(finding.rule, "suppressed")
-    for finding in baselined:
-        bump(finding.rule, "baselined")
+    for bucket, findings in (
+        ("findings", result.findings),
+        ("suppressed", result.suppressed),
+    ):
+        for finding in findings:
+            row = stats.setdefault(
+                finding.rule, {"findings": 0, "suppressed": 0}
+            )
+            row[bucket] += 1
     return stats
 
 
 def _stats_table(stats: Dict[str, Dict[str, int]]) -> List[str]:
     width = max(len("rule"), *(len(rule) for rule in stats))
-    header = (
-        f"{'rule':<{width}}  findings  suppressed  baselined"
-    )
+    header = f"{'rule':<{width}}  findings  suppressed"
     lines = ["", "per-rule stats:", header, "-" * len(header)]
     for rule in sorted(stats):
         row = stats[rule]
         lines.append(
             f"{rule:<{width}}  {row['findings']:>8}  "
-            f"{row['suppressed']:>10}  {row['baselined']:>9}"
+            f"{row['suppressed']:>10}"
         )
     return lines
 
 
 def render_text(
-    result: LintResult,
-    baselined: Sequence[Finding] = (),
-    stale_baseline: Sequence[str] = (),
-    new_findings: Optional[Sequence[Finding]] = None,
-    stats_rules: Optional[Sequence[str]] = None,
+    result: LintResult, stats_rules: Optional[Sequence[str]] = None
 ) -> str:
     """The terminal/CI report; one line per finding plus a summary."""
-    findings = (
-        list(new_findings) if new_findings is not None else result.findings
-    )
+    findings = result.findings
     lines: List[str] = [_format_finding(f) for f in findings]
     summary = (
         f"{len(findings)} finding{'s' if len(findings) != 1 else ''} "
         f"in {result.files} file{'s' if result.files != 1 else ''}"
     )
-    details = []
-    if baselined:
-        details.append(f"{len(baselined)} baselined")
     if result.suppressed:
-        details.append(f"{len(result.suppressed)} suppressed in place")
-    if details:
-        summary += " (" + ", ".join(details) + ")"
+        summary += f" ({len(result.suppressed)} suppressed in place)"
     lines.append(summary)
-    if stale_baseline:
-        lines.append(
-            f"note: {len(stale_baseline)} stale baseline entr"
-            f"{'ies' if len(stale_baseline) != 1 else 'y'} no longer "
-            "match; refresh with --write-baseline"
-        )
     if stats_rules is not None:
-        lines.extend(
-            _stats_table(
-                rule_stats(result, baselined, findings, stats_rules)
-            )
-        )
+        lines.extend(_stats_table(rule_stats(result, stats_rules)))
     return "\n".join(lines)
 
 
 def render_json(
-    result: LintResult,
-    baselined: Sequence[Finding] = (),
-    stale_baseline: Sequence[str] = (),
-    new_findings: Optional[Sequence[Finding]] = None,
-    stats_rules: Optional[Sequence[str]] = None,
+    result: LintResult, stats_rules: Optional[Sequence[str]] = None
 ) -> str:
     """Stable-keyed JSON for tooling; findings sorted like the text."""
-    findings = (
-        list(new_findings) if new_findings is not None else result.findings
-    )
 
     def encode(finding: Finding) -> dict:
         return {
@@ -133,19 +95,14 @@ def render_json(
         }
 
     payload = {
-        "findings": [encode(f) for f in findings],
-        "baselined": [encode(f) for f in baselined],
+        "findings": [encode(f) for f in result.findings],
         "suppressed": [encode(f) for f in result.suppressed],
-        "stale_baseline": list(stale_baseline),
         "summary": {
             "files": result.files,
-            "findings": len(findings),
-            "baselined": len(baselined),
+            "findings": len(result.findings),
             "suppressed": len(result.suppressed),
         },
     }
     if stats_rules is not None:
-        payload["stats"] = rule_stats(
-            result, baselined, findings, stats_rules
-        )
+        payload["stats"] = rule_stats(result, stats_rules)
     return json.dumps(payload, indent=2, sort_keys=True)

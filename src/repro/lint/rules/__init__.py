@@ -3,8 +3,10 @@
 Rules are instantiated fresh per pass (they are stateless, but the
 list is cheap and a future configurable rule may not be).  The ids
 here — plus the engine's own ``parse-error`` and ``suppression`` — are
-the valid targets of ``# repro: lint-ok[rule-id] reason`` comments and
-the keys of baseline entries.
+the valid targets of ``# repro: lint-ok[rule-id] reason`` comments.
+Every rule reads one module (or one registry and its use sites) at a
+time; only ``resource-typestate`` looks past the line, along one
+function's CFG.  None builds a call graph.
 
 Two profiles exist: ``full`` (the CI gate on ``src``) and ``relaxed``
 for ``tests/`` and ``benchmarks/`` — there only seeded-RNG discipline
@@ -21,21 +23,16 @@ from typing import Dict, List
 from repro.lint.engine import Rule
 from repro.lint.rules.determinism import GlobalRngRule, WallClockRule
 from repro.lint.rules.frozen import FrozenMutationRule
-from repro.lint.rules.hygiene import BroadExceptRule
-from repro.lint.rules.interproc import (
-    DetTaintRule,
-    ResourceTypestateRule,
-    TransitiveBlockingRule,
-)
+from repro.lint.rules.hygiene import AsyncBlockingRule, BroadExceptRule
 from repro.lint.rules.registries import EventRegistryRule
+from repro.lint.rules.typestate import ResourceTypestateRule
 
 RULE_CLASSES = (
     GlobalRngRule,
     WallClockRule,
-    DetTaintRule,
     EventRegistryRule,
     FrozenMutationRule,
-    TransitiveBlockingRule,
+    AsyncBlockingRule,
     ResourceTypestateRule,
     BroadExceptRule,
 )

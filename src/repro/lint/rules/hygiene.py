@@ -1,10 +1,13 @@
-"""Exception hygiene, plus the blocking-call surface shared with the
-interprocedural rules.
+"""Hygiene rules: the event loop and exception handlers.
 
-The :data:`BLOCKING_CALLS`/:data:`BLOCKING_CALLEE_NAMES` tables below
-seed :class:`repro.lint.rules.interproc.TransitiveBlockingRule`, which
-propagates the blocking effect through the call graph, so wrapping
-``flock`` in a helper does not hide it from the gate.
+``async-blocking``
+    A call written directly inside an ``async def`` body that resolves
+    to a known-blocking callable (``time.sleep``, ``flock``,
+    ``send_frame``/``recv_frame``, ``sendall``, subprocess) stalls the
+    event loop and every peer connection with it.  Nested ``def`` and
+    ``class`` bodies are skipped: a sync helper defined inside the
+    coroutine runs wherever it is called, usually off-loop.  The check
+    is lexical; a blocking call hidden behind a helper is out of scope.
 
 ``broad-except``
     ``except Exception`` (or broader) that silently swallows is how a
@@ -19,8 +22,13 @@ propagates the blocking effect through the call graph, so wrapping
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Dict, Iterator, Optional
 
+from repro.lint.astutil import (
+    direct_statements,
+    import_aliases,
+    qualified_name,
+)
 from repro.lint.engine import Finding, Project, Rule
 
 #: Known-blocking callables by qualified name.
@@ -59,6 +67,49 @@ def _is_broad(handler_type: Optional[ast.expr]) -> bool:
     if isinstance(handler_type, ast.Tuple):
         return any(_is_broad(element) for element in handler_type.elts)
     return False
+
+
+def _blocking_label(
+    call: ast.Call, aliases: Dict[str, str]
+) -> Optional[str]:
+    """The blocking callable ``call`` resolves to, or ``None``."""
+    name = qualified_name(call.func, aliases)
+    if name in BLOCKING_CALLS:
+        return name
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        bare: Optional[str] = func.attr
+    else:
+        bare = func.id if isinstance(func, ast.Name) else None
+    return bare if bare in BLOCKING_CALLEE_NAMES else None
+
+
+class AsyncBlockingRule(Rule):
+    id = "async-blocking"
+    summary = (
+        "no blocking calls (time.sleep, flock, send_frame/recv_frame, "
+        "sendall, subprocess) directly inside an async def body"
+    )
+
+    def check(self, project: Project) -> Iterator[Finding]:
+        for module in project.modules:
+            aliases = import_aliases(module.tree)
+            for fn in ast.walk(module.tree):
+                if not isinstance(fn, ast.AsyncFunctionDef):
+                    continue
+                for node in direct_statements(fn):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    label = _blocking_label(node, aliases)
+                    if label is not None:
+                        yield self.finding(
+                            module,
+                            node,
+                            f"blocking call {label}() inside async def "
+                            f"{fn.name}: it stalls the event loop and every "
+                            "peer connection with it; use the asyncio "
+                            "equivalent or move it off-loop",
+                        )
 
 
 class BroadExceptRule(Rule):

@@ -226,7 +226,6 @@ class AsyncTcpTransport(Transport):
                 continue
             self.runtimes[node].tick()
         self._loop.run_until_complete(self._settle())
-        # repro: lint-ok[det-taint] tcp's time axis is real wall time by design; memory samples are diagnostics keyed to it, never fingerprinted
         self.sample_memory(self.now)
         self._round += 1
         if self.tracer is not None:

@@ -236,7 +236,6 @@ class ReplicaProcess:
             if self.tracer is not None:
                 self.tracer.close()
             if self.storage is not None:
-                # repro: lint-ok[async-blocking-transitive] shutdown-only path after both servers closed; LOCK_UN on a lock we hold returns without waiting
                 self.storage.release_lock()
 
     def _write_portfile(self, peer_port: int, client_port: int) -> None:

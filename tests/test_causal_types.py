@@ -274,6 +274,23 @@ class TestCausalMVRegister:
         r.write(None)
         assert r.values == {None}
 
+    def test_sequential_writes_keep_one_dot(self):
+        r = CausalMVRegister("A")
+        r.write("one")
+        r.write("two")
+        r.write("three")
+        assert r.values == {"three"}
+        assert len(r.state.store) == 1
+
+    def test_three_way_exchange_converges(self):
+        a, b, c = (CausalMVRegister(name) for name in "ABC")
+        a.write("x")
+        b.write("y")
+        c.write("z")
+        sync(a, b, c)
+        assert a.state == b.state == c.state
+        assert a.values == {"x", "y", "z"}
+
 
 class TestAtom:
     def test_join_of_equal_atoms(self):

@@ -1,8 +1,8 @@
-"""Unit tests for GSet, GMap, TwoPSet, LWWRegister, and MVRegister."""
+"""Unit tests for GSet, GMap, TwoPSet, and LWWRegister."""
 
 import pytest
 
-from repro.crdt import GMap, GSet, LWWRegister, MVRegister, TwoPSet, optimal_delta_mutator
+from repro.crdt import GMap, GSet, LWWRegister, TwoPSet, optimal_delta_mutator
 from repro.lattice import Chain, MapLattice, MaxInt, SetLattice
 
 
@@ -150,34 +150,3 @@ class TestLWWRegister:
         assert a.state == b.state
         assert a.value == max("from-a", "from-b")  # value-chain tiebreak
 
-
-class TestMVRegister:
-    def test_concurrent_writes_both_visible(self):
-        a, b = MVRegister("A"), MVRegister("B")
-        a.write("from-a"); b.write("from-b")
-        a.merge(b)
-        assert a.values == ["from-a", "from-b"]
-
-    def test_subsequent_write_dominates(self):
-        a, b = MVRegister("A"), MVRegister("B")
-        a.write("from-a"); b.write("from-b")
-        a.merge(b)
-        a.write("resolved")
-        assert a.values == ["resolved"]
-        b.merge(a)
-        assert b.values == ["resolved"]
-
-    def test_sequential_writes_collapse(self):
-        r = MVRegister("A")
-        r.write("one"); r.write("two"); r.write("three")
-        assert r.values == ["three"]
-        assert len(r) == 1
-
-    def test_convergence_under_exchange(self):
-        a, b, c = MVRegister("A"), MVRegister("B"), MVRegister("C")
-        a.write("x"); b.write("y"); c.write("z")
-        for left in (a, b, c):
-            for right in (a, b, c):
-                left.merge(right)
-        assert a.state == b.state == c.state
-        assert len(a.values) == 3

@@ -1,10 +1,10 @@
-"""Engine mechanics: suppressions, baseline round-trips, reporters, CLI.
+"""Engine mechanics: suppressions, reporters, CLI.
 
-The golden rule corpus lives in ``test_lint_rules.py``; this file pins
-the machinery around the rules — the ``lint-ok`` grammar, the
-content-fingerprinted baseline (including its stability under line
-drift), both reporters, the exit-code contract of ``repro lint``, and
-the repository's own lint-clean status with its exact sanctioned
+The golden rule corpus lives in ``test_lint_rules.py`` and
+``test_lint_typestate.py``; this file pins the machinery around the
+rules — the ``lint-ok`` grammar (the only way to accept a finding),
+both reporters, the exit-code contract of ``repro lint``, and the
+repository's own lint-clean status with its exact sanctioned
 suppression set.
 """
 
@@ -16,18 +16,12 @@ import pytest
 from repro.cli import main
 from repro.lint import (
     ALL_RULES,
-    finding_fingerprint,
     lint_paths,
-    load_project,
-    read_baseline,
     render_json,
     render_text,
     run_rules,
-    write_baseline,
 )
 from repro.lint.engine import (
-    Finding,
-    Module,
     Project,
     discover_files,
     load_module,
@@ -117,6 +111,28 @@ class TestSuppressionParsing:
         result = lint_sources({"repro/sim/mod.py": source})
         assert any(f.rule == "det-rng" for f in result.findings)
 
+    def test_async_blocking_accepted_in_place(self):
+        source = (
+            "import fcntl\n"
+            "async def stop(fh):\n"
+            "    fcntl.flock(fh, fcntl.LOCK_UN)  # repro: lint-ok[async-blocking] unlock never waits\n"
+        )
+        result = lint_sources({"repro/serve/replica.py": source})
+        assert result.clean
+        assert [f.rule for f in result.suppressed] == ["async-blocking"]
+
+    def test_resource_typestate_accepted_at_the_acquire_site(self):
+        source = (
+            "def copy(step):\n"
+            "    # repro: lint-ok[resource-typestate] step cannot raise\n"
+            "    handle = open('wal.log')\n"
+            "    step(handle)\n"
+            "    handle.close()\n"
+        )
+        result = lint_sources({"repro/serve/app.py": source})
+        assert result.clean
+        assert [f.rule for f in result.suppressed] == ["resource-typestate"]
+
 
 class TestParseErrors:
     def test_unparseable_file_is_reported_not_fatal(self, tmp_path):
@@ -153,83 +169,6 @@ class TestDiscovery:
             discover_files(["no/such/path"])
 
 
-class TestBaseline:
-    def _project_with_violation(self, tmp_path, prefix=""):
-        target = tmp_path / "mod.py"
-        target.write_text(prefix + VIOLATION)
-        project = load_project([str(tmp_path)])
-        return target, project
-
-    def test_round_trip_accepts_findings(self, tmp_path):
-        _, project = self._project_with_violation(tmp_path)
-        result = run_rules(project, ALL_RULES())
-        assert result.findings
-        baseline_path = str(tmp_path / "baseline.json")
-        write_baseline(baseline_path, result.findings, project)
-        baseline = read_baseline(baseline_path)
-        new, baselined, stale = baseline.split(result.findings, project)
-        assert new == []
-        assert len(baselined) == len(result.findings)
-        assert stale == []
-
-    def test_fingerprint_survives_line_drift(self, tmp_path):
-        target, project = self._project_with_violation(tmp_path)
-        result = run_rules(project, ALL_RULES())
-        baseline_path = str(tmp_path / "baseline.json")
-        write_baseline(baseline_path, result.findings, project)
-        # Insert lines above the violation: the line number moves, the
-        # content fingerprint must not.
-        target.write_text("# a comment\n# another\n" + VIOLATION)
-        drifted_project = load_project([str(tmp_path)])
-        drifted = run_rules(drifted_project, ALL_RULES())
-        assert drifted.findings[0].line != result.findings[0].line
-        baseline = read_baseline(baseline_path)
-        new, baselined, stale = baseline.split(
-            drifted.findings, drifted_project
-        )
-        assert new == []
-        assert len(baselined) == len(drifted.findings)
-
-    def test_fixed_finding_reported_stale(self, tmp_path):
-        target, project = self._project_with_violation(tmp_path)
-        result = run_rules(project, ALL_RULES())
-        baseline_path = str(tmp_path / "baseline.json")
-        write_baseline(baseline_path, result.findings, project)
-        target.write_text("x = 1\n")
-        clean_project = load_project([str(tmp_path)])
-        clean = run_rules(clean_project, ALL_RULES())
-        baseline = read_baseline(baseline_path)
-        new, baselined, stale = baseline.split(clean.findings, clean_project)
-        assert new == [] and baselined == []
-        assert len(stale) == len(result.findings)
-
-    def test_missing_baseline_file_is_empty(self, tmp_path):
-        baseline = read_baseline(str(tmp_path / "nope.json"))
-        assert baseline.empty
-
-    def test_malformed_baseline_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"not": "a baseline"}')
-        with pytest.raises(ValueError):
-            read_baseline(str(path))
-
-    def test_fingerprint_depends_on_rule_path_and_content(self):
-        finding = Finding(
-            rule="det-rng", path="a.py", line=3, col=0, message="m"
-        )
-        base = finding_fingerprint(finding, "x = random.random()")
-        assert base != finding_fingerprint(finding, "y = random.random()")
-        other_rule = Finding(
-            rule="det-clock", path="a.py", line=3, col=0, message="m"
-        )
-        assert base != finding_fingerprint(other_rule, "x = random.random()")
-        # Line numbers are deliberately not part of the key.
-        moved = Finding(
-            rule="det-rng", path="a.py", line=99, col=0, message="m"
-        )
-        assert base == finding_fingerprint(moved, "x = random.random()")
-
-
 class TestReporters:
     def _result(self):
         return lint_sources({"mod.py": VIOLATION})
@@ -240,17 +179,13 @@ class TestReporters:
         assert "error[det-rng]" in text
         assert "1 finding in 1 file" in text
 
-    def test_text_report_counts_baselined_and_stale(self):
-        result = self._result()
-        text = render_text(
-            result,
-            baselined=result.findings,
-            stale_baseline=["deadbeef"],
-            new_findings=[],
+    def test_text_report_counts_suppressed(self):
+        source = (
+            "import random\n"
+            "x = random.random()  # repro: lint-ok[det-rng] fixture\n"
         )
-        assert "0 findings" in text
-        assert "1 baselined" in text
-        assert "stale baseline entry" in text
+        text = render_text(lint_sources({"mod.py": source}))
+        assert "0 findings in 1 file (1 suppressed in place)" in text
 
     def test_json_report_shape(self):
         payload = json.loads(render_json(self._result()))
@@ -259,8 +194,8 @@ class TestReporters:
         assert finding["rule"] == "det-rng"
         assert finding["path"] == "mod.py"
         assert finding["line"] == 3
-        assert payload["baselined"] == []
-        assert payload["stale_baseline"] == []
+        assert payload["suppressed"] == []
+        assert set(payload) == {"findings", "suppressed", "summary"}
 
 
 class TestCli:
@@ -271,47 +206,13 @@ class TestCli:
 
     def test_seeded_violation_fails(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text(VIOLATION)
-        exit_code = main(
-            ["lint", str(tmp_path), "--baseline", str(tmp_path / "b.json")]
-        )
+        exit_code = main(["lint", str(tmp_path)])
         assert exit_code == 1
         assert "det-rng" in capsys.readouterr().out
 
-    def test_write_baseline_then_clean(self, tmp_path, capsys):
-        (tmp_path / "bad.py").write_text(VIOLATION)
-        baseline = str(tmp_path / "baseline.json")
-        assert (
-            main(
-                [
-                    "lint",
-                    str(tmp_path),
-                    "--baseline",
-                    baseline,
-                    "--write-baseline",
-                ]
-            )
-            == 0
-        )
-        assert os.path.exists(baseline)
-        assert main(["lint", str(tmp_path), "--baseline", baseline]) == 0
-        out = capsys.readouterr().out
-        assert "1 baselined" in out
-        # A *new* violation still gates red over the baseline.
-        (tmp_path / "worse.py").write_text(VIOLATION)
-        assert main(["lint", str(tmp_path), "--baseline", baseline]) == 1
-
     def test_json_format(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text(VIOLATION)
-        exit_code = main(
-            [
-                "lint",
-                str(tmp_path),
-                "--format",
-                "json",
-                "--baseline",
-                str(tmp_path / "b.json"),
-            ]
-        )
+        exit_code = main(["lint", str(tmp_path), "--format", "json"])
         assert exit_code == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["findings"] == 1
@@ -322,37 +223,36 @@ class TestCli:
         for rule_id in (
             "det-rng",
             "det-clock",
-            "det-taint",
             "event-registry",
             "frozen-mutation",
-            "async-blocking-transitive",
+            "async-blocking",
             "resource-typestate",
             "broad-except",
         ):
             assert rule_id in out
-        assert len(out.strip().splitlines()) == 8
+        assert len(out.strip().splitlines()) == 7
 
     def test_missing_path_is_usage_error(self, capsys):
         assert main(["lint", "no/such/tree"]) == 2
 
-    def test_malformed_baseline_is_usage_error(self, tmp_path, capsys):
-        (tmp_path / "mod.py").write_text("x = 1\n")
-        bad = tmp_path / "bad.json"
-        bad.write_text("[1, 2, 3]")
-        assert (
-            main(["lint", str(tmp_path), "--baseline", str(bad)]) == 2
-        )
+    @pytest.mark.parametrize(
+        "option", ["--baseline=b.json", "--write-baseline", "--graph=g.dot"]
+    )
+    def test_retired_options_are_usage_errors(self, option, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", "--list-rules", option])
+        assert exc.value.code == 2
 
 
-#: A snippet whose only finding is interprocedural: an ``async def``
-#: body that blocks the event loop (the chain of length one).
+#: A snippet whose only finding is outside the relaxed profile: an
+#: ``async def`` body that blocks the event loop.
 ASYNC_VIOLATION = "import time\n\nasync def handler():\n    time.sleep(1)\n"
 
 
-class TestProfilesStatsGraph:
-    """PR 10 CLI surface: ``--profile``, ``--stats``, ``--graph``."""
+class TestProfilesStats:
+    """CLI surface beyond the gate itself: ``--profile``, ``--stats``."""
 
-    def test_relaxed_profile_skips_interprocedural_rules(self, tmp_path):
+    def test_relaxed_profile_skips_async_blocking(self, tmp_path):
         (tmp_path / "mod.py").write_text(ASYNC_VIOLATION)
         assert main(["lint", str(tmp_path)]) == 1
         assert main(["lint", str(tmp_path), "--profile", "relaxed"]) == 0
@@ -392,32 +292,14 @@ class TestProfilesStatsGraph:
         payload = json.loads(capsys.readouterr().out)
         assert "stats" not in payload
 
-    def test_graph_exports_dot(self, tmp_path, capsys):
-        (tmp_path / "mod.py").write_text(
-            "def callee():\n    return 1\n\ndef caller():\n    return callee()\n"
-        )
-        dot = tmp_path / "graph.dot"
-        assert main(["lint", str(tmp_path), "--graph", str(dot)]) == 0
-        text = dot.read_text()
-        assert text.startswith("digraph")
-        assert "caller" in text and "callee" in text
-        assert "->" in text
-
 
 class TestRepositoryStatus:
     """The repo's own lint verdict, pinned.
 
-    These are the acceptance criteria of the linter PR itself: a clean
-    tree with an *empty* checked-in baseline, and a closed allowlist of
-    sanctioned ``frozen-mutation`` memo sites.  A new suppression
-    anywhere in ``src/`` must be added here deliberately.
+    A clean tree, and a closed allowlist of sanctioned
+    ``frozen-mutation`` memo sites.  A new suppression anywhere in
+    ``src/`` must be added here deliberately.
     """
-
-    def test_checked_in_baseline_is_empty(self):
-        baseline = read_baseline(
-            os.path.join(REPO_ROOT, "lint-baseline.json")
-        )
-        assert baseline.empty
 
     def test_sanctioned_suppressions_are_exactly_the_memo_sites(self):
         result = lint_paths([SRC], ALL_RULES())
@@ -436,9 +318,4 @@ class TestRepositoryStatus:
             ("src/repro/lattice/map_lattice.py", "frozen-mutation"),
             ("src/repro/lattice/primitives.py", "frozen-mutation"),
             ("src/repro/lattice/set_lattice.py", "frozen-mutation"),
-            # PR 10 interprocedural rules: the serving stack touches
-            # real time and real locks by design, at exactly these
-            # two sanctioned sites.
-            ("src/repro/net/tcp.py", "det-taint"),
-            ("src/repro/serve/replica.py", "async-blocking-transitive"),
         ]

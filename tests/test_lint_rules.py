@@ -10,9 +10,12 @@ to exercise path-scoped rules (``repro/sim/...`` is deterministic core,
 
 import ast
 
+import pytest
+
 from repro.lint import ALL_RULES, run_rules
 from repro.lint.engine import Project, load_module
 from repro.lint.rules.determinism import in_deterministic_core
+from repro.lint.rules.hygiene import BLOCKING_CALLEE_NAMES, BLOCKING_CALLS
 
 
 def lint_sources(sources):
@@ -192,14 +195,7 @@ class TestFrozenMutation:
 
 
 class TestAsyncBlocking:
-    """Direct-call corpus for the transitive rule's base case.
-
-    ``async-blocking`` grew into ``async-blocking-transitive`` in PR 10;
-    a blocking call written directly inside an ``async def`` is the
-    chain of length one, so the original golden corpus carries over
-    under the canonical id.  The multi-hop chains live in
-    ``test_lint_interproc.py``.
-    """
+    """Lexical: a blocking call written directly in an ``async def``."""
 
     def test_time_sleep_in_async_def_triggers(self):
         source = (
@@ -207,29 +203,62 @@ class TestAsyncBlocking:
             "async def pump(self):\n"
             "    time.sleep(0.1)\n"
         )
-        assert rules_hit({"tcp.py": source}) == ["async-blocking-transitive"]
+        assert rules_hit({"tcp.py": source}) == ["async-blocking"]
+
+    def test_aliased_flock_triggers(self):
+        source = (
+            "from fcntl import flock as hold\n"
+            "import fcntl as locks\n"
+            "async def guard(fh):\n"
+            "    hold(fh, 2)\n"
+            "    locks.flock(fh, 8)\n"
+        )
+        findings = lint_sources({"replica.py": source}).findings
+        assert [(f.rule, f.line) for f in findings] == [
+            ("async-blocking", 4),
+            ("async-blocking", 5),
+        ]
+        assert all("fcntl.flock()" in f.message for f in findings)
+
+    def test_sock_sendall_triggers(self):
+        source = (
+            "async def push(sock, payload):\n"
+            "    sock.sendall(payload)\n"
+        )
+        assert rules_hit({"tcp.py": source}) == ["async-blocking"]
 
     def test_send_frame_in_async_def_triggers(self):
         source = (
             "async def answer(self, sock, frame):\n"
             "    send_frame(sock, frame)\n"
         )
-        assert rules_hit({"serve.py": source}) == ["async-blocking-transitive"]
+        assert rules_hit({"serve.py": source}) == ["async-blocking"]
 
-    def test_flock_in_nested_async_triggers(self):
+    def test_flock_in_async_method_triggers(self):
         source = (
             "import fcntl\n"
             "class T:\n"
             "    async def lock(self, fh):\n"
             "        fcntl.flock(fh, 2)\n"
         )
-        assert rules_hit({"tcp.py": source}) == ["async-blocking-transitive"]
+        assert rules_hit({"tcp.py": source}) == ["async-blocking"]
 
     def test_await_asyncio_sleep_is_clean(self):
         source = (
             "import asyncio\n"
             "async def pump(self):\n"
             "    await asyncio.sleep(0.1)\n"
+        )
+        assert rules_hit({"tcp.py": source}) == []
+
+    def test_blocking_call_in_nested_sync_def_is_clean(self):
+        # The helper runs wherever it is called (here: an executor).
+        source = (
+            "import time\n"
+            "async def pump(loop):\n"
+            "    def nap():\n"
+            "        time.sleep(0.1)\n"
+            "    await loop.run_in_executor(None, nap)\n"
         )
         assert rules_hit({"tcp.py": source}) == []
 
@@ -242,6 +271,126 @@ class TestAsyncBlocking:
             "    send_frame(self.sock, b'x')\n"
         )
         assert rules_hit({"cluster.py": source}) == []
+
+
+    @pytest.mark.parametrize("qualified", sorted(BLOCKING_CALLS))
+    def test_every_qualified_blocking_call_triggers(self, qualified):
+        module, attr = qualified.rsplit(".", 1)
+        source = (
+            f"import {module}\n"
+            "async def step(arg):\n"
+            f"    {module}.{attr}(arg)\n"
+        )
+        (finding,) = lint_sources({"tcp.py": source}).findings
+        assert (finding.rule, finding.line) == ("async-blocking", 3)
+        assert f"{qualified}()" in finding.message
+
+    @pytest.mark.parametrize("qualified", sorted(BLOCKING_CALLS))
+    def test_from_imported_blocking_call_triggers(self, qualified):
+        module, attr = qualified.rsplit(".", 1)
+        source = (
+            f"from {module} import {attr}\n"
+            "async def step(arg):\n"
+            f"    {attr}(arg)\n"
+        )
+        (finding,) = lint_sources({"tcp.py": source}).findings
+        assert finding.rule == "async-blocking"
+        assert f"{qualified}()" in finding.message
+
+    @pytest.mark.parametrize("name", sorted(BLOCKING_CALLEE_NAMES))
+    def test_blocking_callee_name_as_bare_call_triggers(self, name):
+        source = f"async def step(sock, data):\n    {name}(sock, data)\n"
+        (finding,) = lint_sources({"serve.py": source}).findings
+        assert finding.rule == "async-blocking"
+        assert f"{name}()" in finding.message
+
+    @pytest.mark.parametrize("name", sorted(BLOCKING_CALLEE_NAMES))
+    def test_blocking_callee_name_as_method_triggers(self, name):
+        source = f"async def step(self, data):\n    self.peer.{name}(data)\n"
+        assert rules_hit({"serve.py": source}) == ["async-blocking"]
+
+    def test_message_names_the_coroutine(self):
+        source = (
+            "import time\n"
+            "async def drain_peers(self):\n"
+            "    time.sleep(1)\n"
+        )
+        (finding,) = lint_sources({"tcp.py": source}).findings
+        assert "async def drain_peers" in finding.message
+
+    def test_blocking_call_nested_in_an_expression_triggers(self):
+        source = (
+            "import subprocess\n"
+            "async def probe(cmd):\n"
+            "    if subprocess.call(cmd) != 0:\n"
+            "        return None\n"
+        )
+        (finding,) = lint_sources({"ops.py": source}).findings
+        assert (finding.rule, finding.line) == ("async-blocking", 3)
+
+    def test_async_def_nested_in_sync_def_triggers(self):
+        source = (
+            "import time\n"
+            "def make():\n"
+            "    async def tick():\n"
+            "        time.sleep(1)\n"
+            "    return tick\n"
+        )
+        (finding,) = lint_sources({"tcp.py": source}).findings
+        assert "async def tick" in finding.message
+
+    def test_inner_coroutine_is_reported_once_under_its_own_name(self):
+        source = (
+            "import time\n"
+            "async def outer():\n"
+            "    async def inner():\n"
+            "        time.sleep(1)\n"
+            "    await inner()\n"
+        )
+        (finding,) = lint_sources({"tcp.py": source}).findings
+        assert "async def inner" in finding.message
+
+    def test_blocking_callable_passed_off_loop_is_clean(self):
+        # A reference handed to an executor is not a call on the loop.
+        source = (
+            "import asyncio\n"
+            "import time\n"
+            "async def nap(loop):\n"
+            "    await asyncio.to_thread(time.sleep, 1)\n"
+            "    await loop.run_in_executor(None, time.sleep, 1)\n"
+        )
+        assert rules_hit({"tcp.py": source}) == []
+
+    def test_asyncio_sleep_imported_bare_is_clean(self):
+        source = (
+            "from asyncio import sleep\n"
+            "async def pump():\n"
+            "    await sleep(0.1)\n"
+        )
+        assert rules_hit({"tcp.py": source}) == []
+
+    def test_unrelated_sleep_method_is_clean(self):
+        # ``self.clock.sleep`` does not resolve to ``time.sleep``.
+        source = (
+            "async def pump(self):\n"
+            "    await self.clock.sleep(0.1)\n"
+            "    self.writer.write(b'x')\n"
+        )
+        assert rules_hit({"tcp.py": source}) == []
+
+    def test_blocking_call_in_nested_class_body_is_clean(self):
+        source = (
+            "import time\n"
+            "async def build():\n"
+            "    class Slow:\n"
+            "        def wait(self):\n"
+            "            time.sleep(1)\n"
+            "    return Slow\n"
+        )
+        assert rules_hit({"tcp.py": source}) == []
+
+    def test_module_level_blocking_call_is_clean(self):
+        assert rules_hit({"tcp.py": "import time\ntime.sleep(0)\n"}) == []
 
 
 class TestBroadExcept:
@@ -324,15 +473,15 @@ class TestBroadExcept:
 
 class TestCorpusSanity:
     def test_every_rule_has_trigger_and_near_miss_coverage(self):
-        # The corpus above must exercise the full registered rule set;
-        # a new rule without golden tests fails here by construction.
+        # The corpus above (and test_lint_typestate.py for the CFG
+        # rule) must exercise the full registered rule set; a new rule
+        # without golden tests fails here by construction.
         covered = {
             "det-rng",
             "det-clock",
-            "det-taint",
             "event-registry",
             "frozen-mutation",
-            "async-blocking-transitive",
+            "async-blocking",
             "resource-typestate",
             "broad-except",
         }
