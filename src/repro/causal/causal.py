@@ -106,10 +106,10 @@ class Causal(Lattice):
         empty_store = self.store.bottom_like()
         live: Set[Dot] = self.store.dots()
         for fragment, dot in self.store.irreducibles():
-            yield Causal(fragment, CausalContext.from_dots((dot,)))
+            yield Causal(fragment, CausalContext(None, (dot,)))
         for dot in self.context.dots():
             if dot not in live:
-                yield Causal(empty_store, CausalContext.from_dots((dot,)))
+                yield Causal(empty_store, CausalContext(None, (dot,)))
 
     def delta(self, other: "Causal") -> "Causal":
         """Optimal ``∆(self, other)`` without materializing ``⇓self``.

@@ -67,25 +67,34 @@ class CausalContext:
         compact: Mapping[Hashable, int] | None = None,
         cloud: Iterable[Dot] = (),
     ) -> None:
-        vector: Dict[Hashable, int] = {
-            replica: top for replica, top in (compact or {}).items() if top > 0
-        }
-        pending: Set[Dot] = set(cloud)
-        # Absorb cloud dots contiguous with the vector so the compact
-        # part is the maximal contiguous prefix (canonical form).
-        changed = True
-        while changed and pending:
-            changed = False
-            for dot in sorted(pending):
-                if dot.counter == vector.get(dot.replica, 0) + 1:
-                    vector[dot.replica] = dot.counter
-                    pending.discard(dot)
-                    changed = True
-                elif dot.counter <= vector.get(dot.replica, 0):
-                    pending.discard(dot)
-                    changed = True
+        vector: Dict[Hashable, int]
+        kept: Iterable[Dot]
+        if not compact and type(cloud) is tuple and len(cloud) == 1:
+            # One dot, the context of every piece of a decomposition:
+            # canonical as it stands unless it is its replica's first
+            # event (the vector entry 1) or no event at all.
+            (dot,) = cloud
+            vector = {dot.replica: 1} if dot.counter == 1 else {}
+            kept = cloud if dot.counter > 1 else ()
+        else:
+            vector = {replica: top for replica, top in (compact or {}).items() if top > 0}
+            pending: Set[Dot] = set(cloud)
+            # Absorb cloud dots contiguous with the vector so the compact
+            # part is the maximal contiguous prefix (canonical form).
+            changed = True
+            while changed and pending:
+                changed = False
+                for dot in sorted(pending):
+                    if dot.counter == vector.get(dot.replica, 0) + 1:
+                        vector[dot.replica] = dot.counter
+                        pending.discard(dot)
+                        changed = True
+                    elif dot.counter <= vector.get(dot.replica, 0):
+                        pending.discard(dot)
+                        changed = True
+            kept = pending
         object.__setattr__(self, "compact", vector)
-        object.__setattr__(self, "cloud", frozenset(pending))
+        object.__setattr__(self, "cloud", frozenset(kept))
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -213,6 +222,14 @@ class CausalContext:
         return cached
 
     def __repr__(self) -> str:
+        # A one-entry vector or a one-dot cloud (every decomposition
+        # piece) prints without sorting.
+        if not self.cloud and len(self.compact) == 1:
+            ((replica, top),) = self.compact.items()
+            return f"CausalContext({{{replica!r}:{top}}})"
+        if not self.compact and len(self.cloud) == 1:
+            ((replica, counter),) = self.cloud
+            return f"CausalContext(+{{{replica!r}.{counter}}})"
         vector = ", ".join(
             f"{replica!r}:{top}" for replica, top in sorted(self.compact.items(), key=lambda kv: repr(kv[0]))
         )

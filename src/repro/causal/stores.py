@@ -144,7 +144,9 @@ class DotSet(DotStore):
 
     def irreducibles(self) -> Iterator[Tuple["DotSet", Dot]]:
         for dot in self._dots:
-            yield DotSet((dot,)), dot
+            fragment = DotSet.__new__(DotSet)
+            object.__setattr__(fragment, "_dots", frozenset((dot,)))
+            yield fragment, dot
 
     def delta_live(self, other: "DotSet", other_cc: CausalContext) -> "DotSet":
         return DotSet(d for d in self._dots if not other_cc.contains(d))
@@ -173,6 +175,10 @@ class DotSet(DotStore):
         return hash((DotSet, self._dots))
 
     def __repr__(self) -> str:
+        if len(self._dots) == 1:
+            # One dot (every irreducible): nothing to sort.
+            ((replica, counter),) = self._dots
+            return f"DotSet({{{replica!r}.{counter}}})"
         inner = ", ".join(
             f"{d.replica!r}.{d.counter}"
             for d in sorted(self._dots, key=lambda d: (repr(d.replica), d.counter))
@@ -285,6 +291,12 @@ class DotFun(DotStore):
         return hash((DotFun, frozenset(self.entries.items())))
 
     def __repr__(self) -> str:
+        if not self.entries:
+            return "DotFun({})"
+        if len(self.entries) == 1:
+            # One entry (every irreducible): nothing to sort.
+            (((replica, counter), value),) = self.entries.items()
+            return f"DotFun({{{replica!r}.{counter}: {value!r}}})"
         inner = ", ".join(
             f"{d.replica!r}.{d.counter}: {v!r}"
             for d, v in sorted(self.entries.items(), key=lambda kv: (repr(kv[0].replica), kv[0].counter))
@@ -346,7 +358,10 @@ class DotMap(DotStore):
     def irreducibles(self) -> Iterator[Tuple["DotMap", Dot]]:
         for key, sub in self.entries.items():
             for fragment, dot in sub.irreducibles():
-                yield DotMap({key: fragment}), dot
+                # A fragment holds its one dot: nothing to clean.
+                wrapped = DotMap.__new__(DotMap)
+                object.__setattr__(wrapped, "entries", {key: fragment})
+                yield wrapped, dot
 
     def delta_live(self, other: "DotMap", other_cc: CausalContext) -> "DotMap":
         out: Dict[Hashable, DotStore] = {}
@@ -400,6 +415,12 @@ class DotMap(DotStore):
         return hash((DotMap, frozenset(self.entries.items())))
 
     def __repr__(self) -> str:
+        if not self.entries:
+            return "DotMap({})"
+        if len(self.entries) == 1:
+            # One entry (every irreducible): nothing to sort.
+            ((key, sub),) = self.entries.items()
+            return f"DotMap({{{key!r}: {sub!r}}})"
         inner = ", ".join(
             f"{key!r}: {sub!r}"
             for key, sub in sorted(self.entries.items(), key=lambda kv: repr(kv[0]))

@@ -190,7 +190,7 @@ class MapLattice(Lattice):
     def decompose(self) -> Iterator["MapLattice"]:
         for key, value in self.entries.items():
             for irreducible in value.decompose():
-                yield MapLattice({key: irreducible})
+                yield _fresh({key: irreducible})
 
     def delta(self, other: "MapLattice") -> "MapLattice":
         theirs = other.entries
@@ -281,8 +281,13 @@ class MapLattice(Lattice):
         return hash((MapLattice, frozenset(self.entries.items())))
 
     def __repr__(self) -> str:
+        entries = self.entries
+        if len(entries) == 1:
+            # One binding (every irreducible): nothing to sort.
+            ((key, value),) = entries.items()
+            return f"MapLattice({{{key!r}: {value!r}}})"
         inner = ", ".join(
-            f"{key!r}: {value!r}" for key, value in sorted(self.entries.items(), key=lambda kv: repr(kv[0]))
+            f"{key!r}: {value!r}" for key, value in sorted(entries.items(), key=lambda kv: repr(kv[0]))
         )
         return f"MapLattice({{{inner}}})"
 

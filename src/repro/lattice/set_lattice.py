@@ -104,6 +104,10 @@ class SetLattice(Lattice):
         return hash((SetLattice, self.elements))
 
     def __repr__(self) -> str:
+        if len(self.elements) == 1:
+            # One element (every irreducible): nothing to sort.
+            (element,) = self.elements
+            return f"SetLattice({{{element!r}}})"
         inner = ", ".join(repr(e) for e in sorted(self.elements, key=repr))
         return f"SetLattice({{{inner}}})"
 

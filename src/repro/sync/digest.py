@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from itertools import compress
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, Optional, Tuple
 
 from repro.lattice.base import Lattice, join_all
 from repro.lattice.map_lattice import MapLattice
@@ -53,6 +53,21 @@ def fingerprint(irreducible: Lattice) -> bytes:
     string-hash randomization.
     """
     return hashlib.blake2b(repr(irreducible).encode("utf-8"), digest_size=FINGERPRINT_BYTES).digest()
+
+
+def key_fingerprints(key: Hashable, value: Lattice) -> Tuple[bytes, ...]:
+    """``fingerprint(MapLattice({key: r}))`` for each ``r`` of ``value.decompose()``.
+
+    In that order, and without the singleton maps: a one-binding map
+    prints as ``MapLattice({<key>: <r>})``, so the key's part of the
+    string is built once and each irreducible adds only its own ``repr``.
+    """
+    prefix = f"MapLattice({{{key!r}: "
+    blake2b = hashlib.blake2b
+    return tuple(
+        blake2b(f"{prefix}{irreducible!r}}})".encode("utf-8"), digest_size=FINGERPRINT_BYTES).digest()
+        for irreducible in value.decompose()
+    )
 
 
 def digest_of(state: Lattice) -> FrozenSet[bytes]:
@@ -142,9 +157,17 @@ class IncrementalDigest:
     ``decompose()`` yields them — an order :meth:`Lattice.decompose`
     promises is the same every time one value object is asked, which
     is what lets :meth:`missing` pair a value's irreducibles with its
-    cached fingerprints instead of hashing them again.  The
-    property-test suite asserts all three equalities after arbitrary
-    mutation sequences across every lattice family.
+    cached fingerprints instead of hashing them again.
+
+    They are hashed by :func:`key_fingerprints`, which never builds
+    those singletons: it prints the key's share of the string,
+    ``MapLattice({<key!r>: ``, once per changed key and appends each
+    irreducible's own ``repr``.  The bytes hashed are the same, so no
+    fingerprint, root or message moves.  :func:`fingerprint`,
+    :func:`digest_of` and :func:`delta_against_digest` keep building
+    the singletons: they are the definition the index is tested
+    against, and the property suite asserts all three equalities
+    after arbitrary mutation sequences across every lattice family.
     """
 
     __slots__ = ("_state", "_values", "_counts", "_digest", "_root")
@@ -230,10 +253,7 @@ class IncrementalDigest:
                 continue
             if known is not None:
                 self._forget(known[1])
-            fps = tuple(
-                fingerprint(MapLattice({key: irreducible}))
-                for irreducible in value.decompose()
-            )
+            fps = key_fingerprints(key, value)
             values[key] = (value, fps)
             for fp in fps:
                 counts[fp] = counts.get(fp, 0) + 1

@@ -40,6 +40,7 @@ from repro.sync.digest import (
     root_of,
 )
 from repro.sync.protocol import Message
+from repro.wal import ReplicaWal
 
 #: Every inner protocol the store supports, including both Scuttlebutt
 #: variants — each must survive the fault schedule under repair.
@@ -56,7 +57,7 @@ INNER = {
 REPAIR = dict(repair_interval=2, repair_fanout=8)
 
 
-def digest_store(replica=0, members=range(3), *, shards=1, replication=3, **kwargs):
+def digest_store(replica=0, members=range(3), *, shards=1, replication=3, wal=None, **kwargs):
     """One small real store in digest-repair mode."""
     config = dict(repair_interval=3, repair_fanout=8, repair_mode="digest")
     config.update(kwargs)
@@ -69,6 +70,7 @@ def digest_store(replica=0, members=range(3), *, shards=1, replication=3, **kwar
         ring=HashRing(members, n_shards=shards, replication=replication),
         inner_factory=StateBased,
         antientropy=AntiEntropyConfig(**config),
+        wal=wal,
     )
 
 
@@ -472,25 +474,37 @@ class TestDigestExchangeReadsTheIndex:
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        """Count ``fingerprint`` calls and the values asked to decompose."""
-        calls = {"fingerprint": 0, "decomposed": []}
+        """Count irreducibles hashed and the set values asked to decompose.
+
+        The index hashes through ``key_fingerprints``; the generic
+        ``fingerprint`` is counted too, so a read that fell back to the
+        reference functions would not pass as hashing nothing.
+        """
+        calls = {"hashed": 0, "decomposed": []}
+        key_fingerprints = digest_module.key_fingerprints
         fingerprint, decompose = digest_module.fingerprint, SetLattice.decompose
 
+        def counting_key_fingerprints(key, value):
+            fps = key_fingerprints(key, value)
+            calls["hashed"] += len(fps)
+            return fps
+
         def counting_fingerprint(irreducible):
-            calls["fingerprint"] += 1
+            calls["hashed"] += 1
             return fingerprint(irreducible)
 
         def counting_decompose(value):
             calls["decomposed"].append(value)
             return decompose(value)
 
+        monkeypatch.setattr(digest_module, "key_fingerprints", counting_key_fingerprints)
         monkeypatch.setattr(digest_module, "fingerprint", counting_fingerprint)
         monkeypatch.setattr(SetLattice, "decompose", counting_decompose)
         return calls
 
     @staticmethod
     def reset(calls):
-        calls["fingerprint"] = 0
+        calls["hashed"] = 0
         calls["decomposed"].clear()
 
     def wide_pair(self, extra_at):
@@ -510,13 +524,13 @@ class TestDigestExchangeReadsTheIndex:
         repair = exchange_step(a, 1, diff)
         delta, _ = repair.payload
         assert delta == MapLattice({"set:117": SetLattice({"extra"})})
-        assert counted["fingerprint"] == 0
+        assert counted["hashed"] == 0
         (decomposed,) = counted["decomposed"]  # one value, not 200
         assert decomposed is a.shards[0].state.entries["set:117"]
         # Absorbing re-fingerprints the one value that grew, nothing else.
         self.reset(counted)
         assert exchange_step(b, 0, repair) is None
-        assert counted["fingerprint"] == 3
+        assert counted["hashed"] == 3
         assert a.shards[0].root() == b.shards[0].root()
 
     def test_the_echo_leg_reads_a_warm_index(self, counted):
@@ -525,9 +539,42 @@ class TestDigestExchangeReadsTheIndex:
         self.reset(counted)
         repair = exchange_step(a, 1, diff)
         assert repair.payload[0].is_bottom  # A holds nothing B lacks
-        assert counted == {"fingerprint": 0, "decomposed": []}
+        assert counted == {"hashed": 0, "decomposed": []}
         back = exchange_step(b, 0, repair)
         assert back.payload == (MapLattice({"set:117": SetLattice({"extra"})}), None)
-        assert counted["fingerprint"] == 0
+        assert counted["hashed"] == 0
         (decomposed,) = counted["decomposed"]
         assert decomposed is b.shards[0].state.entries["set:117"]
+
+    def test_a_replayed_shard_hashes_each_irreducible_once(self, counted):
+        """A shard rebuilt from its log starts with a cold index: the
+        first read hashes every irreducible, and no later read of the
+        three hashes any of them again."""
+        wal = ReplicaWal(0)
+        store = digest_store(wal=wal)
+        for i in range(12):
+            store.update(f"set:{i}", "add", "x")
+            store.update(f"set:{i}", "add", f"y{i}")
+            store.update(f"aws:{i}", "add", "a")
+            store.update(f"aws:{i}", "add", "b")
+            store.update(f"cnt:{i}", "increment", i + 1)
+        store.remove("aws:3")
+        store.update("aws:4", "remove", "a")
+        store.sync_messages()  # tick: group commit
+        state = store.shards[0].state
+        irreducibles = sum(1 for _ in state.decompose())
+        digest = digest_of(state)
+        own = sorted(digest)
+        remotes = (frozenset(), digest, frozenset(own[::2]))
+        deltas = [delta_against_digest(state, remote) for remote in remotes]
+
+        shard = digest_store(wal=wal).shards[0]
+        self.reset(counted)
+        assert shard.replay()
+        assert shard.state == state
+        assert counted["hashed"] == 0  # replay itself hashes nothing
+        assert shard.root() == root_of(digest)
+        assert counted["hashed"] == irreducibles
+        assert shard.fingerprints() == digest
+        assert [shard.missing(remote) for remote in remotes] == deltas
+        assert counted["hashed"] == irreducibles

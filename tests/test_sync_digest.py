@@ -1,6 +1,7 @@
 """Tests for pairwise state-driven and digest-driven synchronization."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.causal import AWSet
 from repro.crdt import GCounter, GSet
@@ -13,8 +14,12 @@ from repro.sync.digest import (
     digest_of,
     fingerprint,
     full_state_sync,
+    key_fingerprints,
     state_driven_sync,
 )
+
+from conftest import ALL_LATTICE_STRATEGIES
+from test_causal_lattice import causal_states
 
 MODEL = SizeModel()
 
@@ -47,6 +52,31 @@ class TestFingerprints:
         x = MapLattice({"k": MaxInt(3)})
         y = MapLattice({"k": MaxInt(3)})
         assert fingerprint(x) == fingerprint(y)
+
+
+#: Store keys of every shape a fingerprint prints: ints, strings that
+#: need escaping, non-ASCII strings and tuples.
+KEYS = st.one_of(
+    st.integers(-3, 300),
+    st.sampled_from(["k", 'q"uote', "it's", "both'\"", "back\\slash", "ключ", "aws:0"]),
+    st.tuples(st.text(max_size=3), st.integers(0, 9)),
+)
+
+
+def reference_key_fingerprints(key, value):
+    return tuple(fingerprint(MapLattice({key: r})) for r in value.decompose())
+
+
+@given(KEYS, st.sampled_from(sorted(ALL_LATTICE_STRATEGIES)).flatmap(ALL_LATTICE_STRATEGIES.get))
+def test_key_fingerprints_is_the_singleton_map_reference(key, value):
+    """Same fingerprints as the singleton maps, in decomposition order."""
+    assert key_fingerprints(key, value) == reference_key_fingerprints(key, value)
+
+
+@given(KEYS, causal_states())
+def test_key_fingerprints_on_reachable_causal_states(key, value):
+    """AWSet/RWSet/EWFlag/MVReg/CCounter states, removes included."""
+    assert key_fingerprints(key, value) == reference_key_fingerprints(key, value)
 
 
 class TestPairwiseSync:
