@@ -56,9 +56,6 @@ class Atom(Lattice):
     def __init__(self, value: Hashable = _BOTTOM) -> None:
         object.__setattr__(self, "value", value)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
     def join(self, other: "Atom") -> "Atom":
         if self.is_bottom:
             return other

@@ -56,9 +56,6 @@ class Causal(Lattice):
         object.__setattr__(self, "store", store)
         object.__setattr__(self, "context", context)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
     # ------------------------------------------------------------------
     # Bottom constructors, one per store shape.
     # ------------------------------------------------------------------

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Hashable, Iterable, Iterator, Mapping, NamedTuple, Set
 
+from repro.lattice.base import Frozen
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sizes import SizeModel
 
@@ -46,7 +48,7 @@ class Dot(NamedTuple):
     counter: int
 
 
-class CausalContext:
+class CausalContext(Frozen):
     """An immutable, compactly-represented set of observed dots.
 
     The context is the pair of a version vector ``compact`` (replica →
@@ -96,9 +98,6 @@ class CausalContext:
         object.__setattr__(self, "compact", vector)
         object.__setattr__(self, "cloud", frozenset(kept))
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     # ------------------------------------------------------------------
     # Construction helpers.
@@ -217,7 +216,7 @@ class CausalContext:
         cached = self._hash
         if cached is None:
             cached = hash((frozenset(self.compact.items()), self.cloud))
-            # repro: lint-ok[frozen-mutation] sanctioned memo: the hash is a pure function of the frozen context
+            # A memo, not a mutation: the hash is a pure function of the frozen context.
             object.__setattr__(self, "_hash", cached)
         return cached
 

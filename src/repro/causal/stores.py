@@ -33,13 +33,13 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Dict, FrozenSet, Hashable, Iterable, Iterator, Mapping, Tuple
 
 from repro.causal.dots import CausalContext, Dot
-from repro.lattice.base import Lattice
+from repro.lattice.base import Frozen, Lattice
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sizes import SizeModel
 
 
-class DotStore(ABC):
+class DotStore(Frozen, ABC):
     """Common interface of the three dot-store shapes.
 
     Stores are immutable; every operation returns a new store.  They are
@@ -120,9 +120,6 @@ class DotSet(DotStore):
 
     def __init__(self, dots: Iterable[Dot] = ()) -> None:
         object.__setattr__(self, "_dots", frozenset(dots))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def dots(self) -> FrozenSet[Dot]:
         return self._dots
@@ -205,9 +202,6 @@ class DotFun(DotStore):
             if value.is_bottom:
                 raise ValueError(f"DotFun entry {dot} maps to bottom")
         object.__setattr__(self, "entries", items)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def dots(self) -> FrozenSet[Dot]:
         return frozenset(self.entries)
@@ -319,9 +313,6 @@ class DotMap(DotStore):
             key: sub for key, sub in (entries or {}).items() if not sub.is_empty
         }
         object.__setattr__(self, "entries", cleaned)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def dots(self) -> FrozenSet[Dot]:
         out: set[Dot] = set()

@@ -388,8 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help=(
             "run the invariant linter (determinism, event-registry "
-            "completeness, frozen-mutation allowlist, async/exception "
-            "hygiene, resource typestate) over source trees"
+            "completeness, async/exception hygiene) over source trees"
         ),
     )
     lint.add_argument(

@@ -1082,7 +1082,7 @@ def frame_message(message) -> WireFrame:
     )
     # ``Message`` is a frozen dataclass without ``__slots__``; the memo
     # rides on the instance, invisible to equality and dataclasses.
-    # repro: lint-ok[frozen-mutation] sanctioned memo: the frame is a pure function of the frozen message
+    # A memo, not a mutation: the frame is a pure function of the frozen message.
     object.__setattr__(message, "_frame_memo", frame)
     return frame
 

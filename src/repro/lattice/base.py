@@ -17,7 +17,15 @@ which is what makes the optimal deltas of Section III well defined.
 
 Values are immutable: every operation returns a new value.  This makes
 them safe to alias from delta buffers, message payloads, and replica
-states simultaneously, which the network simulator relies on.
+states simultaneously, which the network simulator relies on, and it
+lets the digest index pair a value's cached fingerprints with its
+``decompose()`` order by object identity.  Immutability is a property
+of the type: :class:`Frozen`, the base of :class:`Lattice`, of
+``repro.causal.DotStore`` and of ``repro.causal.CausalContext``,
+refuses every attribute write and delete, so a subclass is frozen with
+no code of its own.  Constructors fill their slots, and the few memos
+(a cached hash, size or byte count) fill theirs, with
+``object.__setattr__``, the one call that goes around it.
 """
 
 from __future__ import annotations
@@ -31,7 +39,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 L = TypeVar("L", bound="Lattice")
 
 
-class Lattice(ABC):
+class Frozen:
+    """Base of every immutable value: attribute writes and deletes raise."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Lattice(Frozen, ABC):
     """Abstract base class for immutable join-semilattice values.
 
     Subclasses must implement :meth:`join`, :meth:`bottom_like`,

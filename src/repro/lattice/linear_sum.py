@@ -49,9 +49,6 @@ class LinearSum(Lattice):
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "left_bottom", left_bottom)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
     @classmethod
     def left(cls, value: Lattice) -> "LinearSum":
         """Wrap a value of the lower lattice ``A``."""

@@ -109,9 +109,6 @@ class MapLattice(Lattice):
             return _fresh({})
         return _fresh({k: v for k, v in entries.items() if not v.is_bottom})
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
     # ------------------------------------------------------------------
     # Lattice protocol.
     # ------------------------------------------------------------------
@@ -250,7 +247,7 @@ class MapLattice(Lattice):
 
     def _remember(self, units: int | None, model: "SizeModel | None", nbytes: int | None) -> "_Size":
         size = (units, model, nbytes, None)
-        # repro: lint-ok[frozen-mutation] sanctioned memo: the sizes are a pure function of (frozen entries, model)
+        # A memo, not a mutation: the sizes are a pure function of (frozen entries, model).
         object.__setattr__(self, "_size", size)
         return size
 

@@ -59,9 +59,6 @@ class MaxElements(Lattice):
         object.__setattr__(self, "dominates", dominates)
         object.__setattr__(self, "elements", _maximals(elements, dominates))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
     # ------------------------------------------------------------------
     # Lattice protocol.
     # ------------------------------------------------------------------

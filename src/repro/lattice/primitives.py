@@ -39,9 +39,6 @@ class MaxInt(Lattice):
             raise ValueError(f"MaxInt is a lattice over naturals, got {value}")
         object.__setattr__(self, "value", value)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
     def join(self, other: "MaxInt") -> "MaxInt":
         return self if self.value >= other.value else other
 
@@ -108,9 +105,6 @@ class Chain(Lattice):
         if value < bottom:
             raise ValueError(f"chain value {value!r} below bottom {bottom!r}")
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
     def join(self, other: "Chain") -> "Chain":
         return self if other.value <= self.value else other
 
@@ -140,7 +134,7 @@ class Chain(Lattice):
         cached = self._bytes_cache
         if cached is None or cached[0] is not model:
             cached = (model, model.sizeof(self.value))
-            # repro: lint-ok[frozen-mutation] sanctioned memo: byte size is a pure function of (frozen value, model)
+            # A memo, not a mutation: byte size is a pure function of (frozen value, model).
             object.__setattr__(self, "_bytes_cache", cached)
         return cached[1]
 
@@ -165,9 +159,6 @@ class Bool(Lattice):
 
     def __init__(self, value: bool = False) -> None:
         object.__setattr__(self, "value", bool(value))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def join(self, other: "Bool") -> "Bool":
         return _BOOL_TRUE if (self.value or other.value) else _BOOL_FALSE

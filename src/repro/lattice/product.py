@@ -36,9 +36,6 @@ class PairLattice(Lattice):
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "second", second)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
     # ------------------------------------------------------------------
     # Lattice protocol.
     # ------------------------------------------------------------------

@@ -31,9 +31,6 @@ class SetLattice(Lattice):
         object.__setattr__(self, "elements", frozenset(elements))
         object.__setattr__(self, "_bytes_cache", None)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
     # ------------------------------------------------------------------
     # Lattice protocol.
     # ------------------------------------------------------------------
@@ -70,7 +67,7 @@ class SetLattice(Lattice):
         cached = self._bytes_cache
         if cached is None or cached[0] is not model:
             cached = (model, sum(model.sizeof(element) for element in self.elements))
-            # repro: lint-ok[frozen-mutation] sanctioned memo: byte size is a pure function of (frozen elements, model)
+            # A memo, not a mutation: byte size is a pure function of (frozen elements, model).
             object.__setattr__(self, "_bytes_cache", cached)
         return cached[1]
 

@@ -2,17 +2,15 @@
 
 The system's correctness rests on invariants no runtime test states
 directly: the deterministic core never reads wall clocks or unseeded
-RNGs, every traced event type must be catalogued, the frozen
-:class:`~repro.sync.protocol.Message` may be mutated only at sanctioned
-memo sites, coroutines never block the event loop, and an acquired
-lock or handle is released on every path.  (Conventions a structure
-can enforce are not rules: the wire-kind and verb registries are
-complete by construction, and the pinned sim fingerprints catch any
-wall-clock value that reaches simulation output.)  ``repro.lint``
+RNGs, every traced event type must be catalogued, coroutines never
+block the event loop, and a broad ``except`` never swallows a failure
+unseen.  (Conventions a structure can enforce are not rules: the
+wire-kind and verb registries are complete by construction, every value
+type is frozen by its base class, and the pinned sim fingerprints catch
+any wall-clock value that reaches simulation output.)  ``repro.lint``
 turns those conventions into checked rules: an AST-visitor rule engine
-(:mod:`repro.lint.engine`), the rule catalogue
-(:mod:`repro.lint.rules`), a per-function CFG and dataflow solver for
-the typestate rule (:mod:`repro.lint.flow`), and text / JSON reporters
+(:mod:`repro.lint.engine`), the rule catalogue of five single-pass
+lexical rules (:mod:`repro.lint.rules`), and text / JSON reporters
 (:mod:`repro.lint.report`).  ``python -m repro lint src`` is the CI
 gate; ``# repro: lint-ok[rule-id] reason`` accepts one finding in
 place, and is the only way to accept one.
@@ -29,7 +27,6 @@ from repro.lint.engine import (
     load_project,
     run_rules,
 )
-from repro.lint.flow import Cfg, build_cfg, solve_forward
 from repro.lint.report import render_json, render_text, rule_stats
 from repro.lint.rules import (
     ALL_RULES,
@@ -40,7 +37,6 @@ from repro.lint.rules import (
 
 __all__ = [
     "ALL_RULES",
-    "Cfg",
     "Finding",
     "LintResult",
     "Module",
@@ -48,7 +44,6 @@ __all__ = [
     "Project",
     "Rule",
     "Suppression",
-    "build_cfg",
     "lint_paths",
     "load_project",
     "render_json",
@@ -57,5 +52,4 @@ __all__ = [
     "rule_stats",
     "rules_for_profile",
     "run_rules",
-    "solve_forward",
 ]

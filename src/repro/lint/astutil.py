@@ -58,26 +58,6 @@ def qualified_name(
     return ".".join(reversed(parts))
 
 
-def walk_with_function(
-    tree: ast.Module,
-) -> Iterator[Tuple[ast.AST, Optional[FunctionNode]]]:
-    """Yield every node along with its innermost enclosing function."""
-
-    def visit(
-        node: ast.AST, function: Optional[FunctionNode]
-    ) -> Iterator[Tuple[ast.AST, Optional[FunctionNode]]]:
-        for child in ast.iter_child_nodes(node):
-            yield child, function
-            inner = (
-                child
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-                else function
-            )
-            yield from visit(child, inner)
-
-    yield from visit(tree, None)
-
-
 def direct_statements(node: FunctionNode) -> Iterator[ast.AST]:
     """Walk a function body without descending into nested defs."""
 

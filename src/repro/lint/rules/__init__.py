@@ -4,16 +4,15 @@ Rules are instantiated fresh per pass (they are stateless, but the
 list is cheap and a future configurable rule may not be).  The ids
 here — plus the engine's own ``parse-error`` and ``suppression`` — are
 the valid targets of ``# repro: lint-ok[rule-id] reason`` comments.
-Every rule reads one module (or one registry and its use sites) at a
-time; only ``resource-typestate`` looks past the line, along one
-function's CFG.  None builds a call graph.
+Every rule is one lexical pass over one module (or one registry and
+its use sites): none builds a control-flow graph or a call graph.
 
 Two profiles exist: ``full`` (the CI gate on ``src``) and ``relaxed``
 for ``tests/`` and ``benchmarks/`` — there only seeded-RNG discipline
 and broad-except hygiene apply, because test harnesses legitimately
-touch wall clocks, spawn subprocesses from sync code, and poke frozen
-objects, but an unseeded ``random.Random()`` in a test still silently
-breaks every seed-reproducibility claim the suite makes.
+touch wall clocks and spawn subprocesses from sync code, but an
+unseeded ``random.Random()`` in a test still silently breaks every
+seed-reproducibility claim the suite makes.
 """
 
 from __future__ import annotations
@@ -22,18 +21,14 @@ from typing import Dict, List
 
 from repro.lint.engine import Rule
 from repro.lint.rules.determinism import GlobalRngRule, WallClockRule
-from repro.lint.rules.frozen import FrozenMutationRule
 from repro.lint.rules.hygiene import AsyncBlockingRule, BroadExceptRule
 from repro.lint.rules.registries import EventRegistryRule
-from repro.lint.rules.typestate import ResourceTypestateRule
 
 RULE_CLASSES = (
     GlobalRngRule,
     WallClockRule,
     EventRegistryRule,
-    FrozenMutationRule,
     AsyncBlockingRule,
-    ResourceTypestateRule,
     BroadExceptRule,
 )
 

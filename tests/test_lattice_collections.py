@@ -1,7 +1,5 @@
 """Unit tests for SetLattice, MapLattice, and MaxElements."""
 
-import pytest
-
 from repro.lattice import MapLattice, MaxElements, MaxInt, SetLattice
 from repro.sizes import SizeModel
 
@@ -55,10 +53,6 @@ class TestSetLattice:
 
     def test_value_query(self):
         assert SetLattice({"a"}).value() == frozenset({"a"})
-
-    def test_immutability(self):
-        with pytest.raises(AttributeError):
-            SetLattice().elements = frozenset()
 
 
 class TestMapLattice:

@@ -48,11 +48,6 @@ class TestMaxInt:
         with pytest.raises(ValueError):
             MaxInt(3).increment(-1)
 
-    def test_immutability(self):
-        value = MaxInt(3)
-        with pytest.raises(AttributeError):
-            value.value = 10
-
     def test_size_units(self):
         assert MaxInt(0).size_units() == 0
         assert MaxInt(42).size_units() == 1
@@ -100,10 +95,6 @@ class TestChain:
     def test_size_bytes_uses_value(self, size_model):
         assert Chain("abcd", bottom="").size_bytes(size_model) == 4
         assert Chain("", bottom="").size_bytes(size_model) == 0
-
-    def test_immutability(self):
-        with pytest.raises(AttributeError):
-            Chain(1, bottom=0).value = 5
 
 
 class TestBool:

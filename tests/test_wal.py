@@ -20,6 +20,9 @@ lattice family:
   records.
 """
 
+import errno
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -34,6 +37,8 @@ from repro.wal import (
     pack_record,
     unpack_records,
 )
+from repro.wal import storage as wal_storage
+from repro.wal.storage import StorageLockError
 
 from conftest import ALL_LATTICE_STRATEGIES
 
@@ -377,6 +382,43 @@ class TestStorage:
     def test_missing_name_reads_empty(self, tmp_path):
         assert MemoryStorage().read("nope") == b""
         assert FileStorage(str(tmp_path)).read("nope.wal") == b""
+
+
+class TestStorageLock:
+    """``FileStorage(lock=True)``: one holder per directory, and a
+    construction that fails after taking the ``flock`` gives it back."""
+
+    def test_second_opener_fails_until_the_holder_releases(self, tmp_path):
+        holder = FileStorage(str(tmp_path), lock=True)
+        with pytest.raises(StorageLockError, match=f"pid {os.getpid()}"):
+            FileStorage(str(tmp_path), lock=True)
+        holder.release_lock()
+        successor = FileStorage(str(tmp_path), lock=True)
+        assert successor.locked
+        successor.release_lock()
+
+    def test_a_failed_pid_stamp_gives_the_lock_back(self, tmp_path, monkeypatch):
+        real_open = open
+
+        def open_on_a_full_disk(path, *args, **kwargs):
+            handle = real_open(path, *args, **kwargs)
+
+            def write(text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            handle.write = write
+            return handle
+
+        with monkeypatch.context() as patch:
+            patch.setattr(wal_storage, "open", open_on_a_full_disk, raising=False)
+            with pytest.raises(OSError) as failed:
+                FileStorage(str(tmp_path), lock=True)
+        assert failed.value.errno == errno.ENOSPC
+        # ``failed`` keeps the traceback, so the constructor's frame and
+        # its handle stay alive: only an explicit close drops the flock.
+        reopened = FileStorage(str(tmp_path), lock=True)
+        assert reopened.locked
+        reopened.release_lock()
 
 
 class TestConfig:
