@@ -89,9 +89,5 @@ class Crdt:
         """
         return self.state.delta(remote_state)
 
-    def converged_with(self, other: "Crdt") -> bool:
-        """True when both replicas hold identical states."""
-        return self.state == other.state
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(replica={self.replica!r}, state={self.state!r})"

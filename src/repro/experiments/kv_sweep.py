@@ -251,10 +251,9 @@ def measured_cell(
     ``tracer`` is a run-wide tracer shared across cells; without one the
     cell honours ``config.trace`` itself.  ``build`` goes to
     :func:`~repro.serve.deploy.build_cluster`.  The ``cell-start`` /
-    ``cell-end`` markers (with the hot-path timer snapshot between
-    them) go through ``cluster.tracer`` — the shared tracer in process,
-    the controller's own on a process cluster — and the end marker is
-    written only when the body finished.
+    ``cell-end`` markers go through ``cluster.tracer`` — the shared
+    tracer in process, the controller's own on a process cluster — and
+    the end marker is written only when the body finished.
     """
     own_tracer = tracer is None
     if own_tracer:
@@ -265,10 +264,6 @@ def measured_cell(
             cluster.tracer.emit("cell-start", label=label, extra=extra)
         yield cluster
         if cluster.tracer is not None:
-            if cluster.timers is not None:
-                cluster.tracer.emit(
-                    "timing", label=label, extra=cluster.timers.snapshot()
-                )
             cluster.tracer.emit("cell-end", label=label)
     finally:
         cluster.close()

@@ -48,14 +48,6 @@ def _cell(value: object) -> str:
     return str(value)
 
 
-def format_ratio_map(ratios: Mapping[str, float], baseline: str) -> str:
-    """One line per algorithm: its ratio against the baseline."""
-    lines = [f"(ratios w.r.t. {baseline})"]
-    for label in sorted(ratios, key=lambda k: ratios[k]):
-        lines.append(f"  {label:20s} {ratios[label]:8.3f}x")
-    return "\n".join(lines)
-
-
 def human_bytes(count: float) -> str:
     """1234567 → '1.18 MiB' — used in the Retwis bandwidth reports."""
     size = float(count)

@@ -29,7 +29,7 @@ synchronization protocol.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Set, Union
+from typing import Callable, Dict, Hashable, Mapping, Optional, Sequence, Set, Union
 
 from repro.codec import encode
 from repro.net.transport import Transport
@@ -80,7 +80,6 @@ class KVCluster(KVDriver, Cluster):
             Cluster`); here the tracer additionally reaches the stores
             (repair escalations, handoff protocol), the WALs
             (commit/compact/replay), and the convergence-lag probe.
-        timing: Hot-path timers; ``None`` follows ``trace``.
     """
 
     def __init__(
@@ -97,7 +96,6 @@ class KVCluster(KVDriver, Cluster):
         wal_storage: Optional[Callable[[int], Storage]] = None,
         wal_config: Optional[WalConfig] = None,
         trace=None,
-        timing: Optional[bool] = None,
     ) -> None:
         if config is None:
             if topology is None:
@@ -166,7 +164,6 @@ class KVCluster(KVDriver, Cluster):
             MapLattice(),
             transport=transport,
             trace=kv_tracer,
-            timing=timing,
         )
 
     def _registry_for(self, replica: int) -> MetricsRegistry:
@@ -313,14 +310,6 @@ class KVCluster(KVDriver, Cluster):
         # already hold costs no digest refresh.
         nodes = self.nodes
         return lambda owner, shard: nodes[owner].shards[shard].state
-
-    def shard_states(self, shard: int) -> List[Lattice]:
-        """The shard's keyspace as held by each live owner."""
-        return [
-            self.nodes[owner].shards[shard].state
-            for owner in self.ring.shard_owners(shard)
-            if owner not in self.down
-        ]
 
     def _registry_snapshots(self):
         # The registries — like the WALs, whose counters they expose as

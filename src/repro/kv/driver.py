@@ -321,10 +321,6 @@ class KVDriver(ClusterDriver):
             self.shard_converged(shard, token) for shard in range(self.ring.n_shards)
         )
 
-    def key_converged(self, key: Hashable) -> bool:
-        """True when the key's replica group agrees on its value."""
-        return self.shard_converged(self.ring.shard_of(key))
-
     # ------------------------------------------------------------------
     # Cluster-wide counters.
     # ------------------------------------------------------------------

@@ -117,9 +117,9 @@ class TypeSpec:
 TYPE_REGISTRY: Dict[str, TypeSpec] = {}
 
 
-def register_type(spec: TypeSpec, *, overwrite: bool = False) -> TypeSpec:
+def register_type(spec: TypeSpec) -> TypeSpec:
     """Add a type to the registry (application-defined CRDTs plug in here)."""
-    if spec.name in TYPE_REGISTRY and not overwrite:
+    if spec.name in TYPE_REGISTRY:
         raise KVTypeError(f"type {spec.name!r} is already registered")
     TYPE_REGISTRY[spec.name] = spec
     return spec

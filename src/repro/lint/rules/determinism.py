@@ -18,8 +18,9 @@ the discipline:
     Inside the deterministic core only (lattices, causal machinery,
     synchronizers, codec, kv store, simulator, WAL, and the sim-side
     transport seam): no wall clocks, no environment reads, no OS
-    entropy.  The serving stack, benchmarks, and hot-path timers are
-    real-time by design and exempt.
+    entropy.  The serving stack, the benchmarks, the TCP transport and
+    the runtime's processing-cost clock are real-time by design and
+    exempt.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ IMPURE_CALLS = frozenset(
 #: ``net/`` is split: the sim/clock/freerun/transport seam must stay
 #: pure (the round clock *is* simulated time), while ``net/tcp.py``
 #: and ``net/runtime.py`` legitimately touch real time (socket
-#: deadlines, hot-path wall timers).
+#: deadlines, the ``perf_counter`` spans of per-node processing cost).
 DETERMINISTIC_CORE = (
     "repro/lattice/",
     "repro/causal/",

@@ -7,9 +7,9 @@ into three layers:
 
 * :class:`~repro.net.runtime.ReplicaRuntime` — one replica's event
   loop: it owns one :class:`~repro.sync.protocol.Synchronizer` and
-  drives ``local_update`` / ``sync_messages`` / ``handle_message`` /
-  ``absorb_state`` identically over any transport, recording the
-  processing costs the paper measures;
+  drives ``local_update`` / ``sync_messages`` / ``handle_message``
+  identically over any transport, recording the processing costs the
+  paper measures;
 * :class:`~repro.net.transport.Transport` — the delivery substrate:
   outbound sends, the delivery callback into the runtimes, the round
   clock, peer addressing over a topology, and the loss/fault hooks

@@ -3,9 +3,9 @@
 :class:`ReplicaRuntime` is the piece that used to be implicit in the
 simulated cluster's event actions: it owns exactly one
 :class:`~repro.sync.protocol.Synchronizer` and translates transport
-events into the three protocol entry points (plus the repair hook),
-recording the processing costs the paper's Figures 1 and 12 measure.
-The runtime is transport-agnostic by construction — it only ever calls
+events into the three protocol entry points, recording the processing
+costs the paper's Figures 1 and 12 measure.  The runtime is
+transport-agnostic by construction — it only ever calls
 :meth:`~repro.net.transport.Transport.send` — which is what lets the
 identical protocol objects run on the deterministic simulator and on
 real asyncio TCP sockets.
@@ -29,7 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.clock import TickClock
     from repro.net.transport import Transport
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.timing import HotPathTimers
 
 
 class ReplicaRuntime:
@@ -49,9 +48,6 @@ class ReplicaRuntime:
         self.synchronizer = synchronizer
         self.collector = collector
         self.transport: Optional["Transport"] = None
-        #: Hot-path timers, attached by the cluster when timing is on;
-        #: ``None`` means off and costs one attribute check per event.
-        self.timers: Optional["HotPathTimers"] = None
         #: This replica's step policy (:class:`~repro.net.clock.
         #: TickClock`), attached by the transport at bind time.  The
         #: transport reads every timer target through this seam — when
@@ -90,7 +86,7 @@ class ReplicaRuntime:
         started = _time.perf_counter()
         delta = self.synchronizer.local_update(delta_mutator)
         elapsed = _time.perf_counter() - started
-        self._record("runtime.local_update", delta.size_units(), elapsed)
+        self._record(delta.size_units(), elapsed)
         return delta
 
     def tick(self) -> None:
@@ -99,7 +95,7 @@ class ReplicaRuntime:
         sends = self.synchronizer.sync_messages()
         elapsed = _time.perf_counter() - started
         produced = sum(send.message.payload_units for send in sends)
-        self._record("runtime.tick", produced, elapsed)
+        self._record(produced, elapsed)
         self._send(sends)
 
     def deliver(self, src: int, message: Message) -> None:
@@ -107,15 +103,8 @@ class ReplicaRuntime:
         started = _time.perf_counter()
         replies = self.synchronizer.handle_message(src, message)
         elapsed = _time.perf_counter() - started
-        self._record("runtime.deliver", message.payload_units, elapsed)
+        self._record(message.payload_units, elapsed)
         self._send(replies)
-
-    def absorb_state(self, state: Lattice, src: Optional[int] = None) -> Lattice:
-        """Route out-of-band repair content through the protocol hook."""
-        if self.timers is None:
-            return self.synchronizer.absorb_state(state, src)
-        with self.timers.span("runtime.absorb_state", units=state.size_units()):
-            return self.synchronizer.absorb_state(state, src)
 
     # ------------------------------------------------------------------
     # Fault signals and lifecycle.
@@ -184,14 +173,9 @@ class ReplicaRuntime:
             )
         self.transport.send(self.replica, sends)
 
-    def _record(self, name: str, units: int, seconds: float) -> None:
-        # One perf_counter span feeds both sinks: the collector's
-        # per-node processing aggregate and (when enabled) the named
-        # hot-path timer — enabling timers never adds a clock read.
+    def _record(self, units: int, seconds: float) -> None:
         if self.collector is not None:
             self.collector.record_processing(self.replica, units, seconds)
-        if self.timers is not None:
-            self.timers.record(name, units, seconds)
 
     def __repr__(self) -> str:
         return (

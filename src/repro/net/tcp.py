@@ -143,11 +143,7 @@ class AsyncTcpTransport(Transport):
 
     def _deliver_frame(self, src: int, dst: int, data: bytes) -> None:
         try:
-            if self.timers is not None:
-                with self.timers.span("tcp.decode"):
-                    message = decode_message(data)
-            else:
-                message = decode_message(data)
+            message = decode_message(data)
             if not self.link_up(src, dst):
                 # Defensive only: faults are injected between rounds
                 # and rounds settle to quiescence, so under the current
@@ -177,13 +173,7 @@ class AsyncTcpTransport(Transport):
         for send in sends:
             if not self._admit(src, send):
                 continue
-            if self.timers is not None:
-                with self.timers.span(
-                    "tcp.encode", units=send.message.total_units
-                ):
-                    frame = frame_message(send.message)
-            else:
-                frame = frame_message(send.message)
+            frame = frame_message(send.message)
             if not self._transmit(
                 src,
                 send,

@@ -53,7 +53,6 @@ from repro.sync.protocol import DeltaMutator, Send
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.net.runtime import ReplicaRuntime
-    from repro.obs.timing import HotPathTimers
     from repro.obs.trace import Tracer
     from repro.sim.network import ClusterConfig
 
@@ -97,9 +96,6 @@ class Transport(ABC):
         #: is enabled.  ``None`` (the default) must stay ``None`` — a
         #: single attribute check is the entire disabled-tracing cost.
         self.tracer: Optional["Tracer"] = None
-        #: Hot-path timers, attached alongside the tracer; same
-        #: ``None``-means-off contract.
-        self.timers: Optional["HotPathTimers"] = None
         #: Per-edge loss streams, created lazily by :meth:`_edge_rng`.
         #: The k-th flip on edge ``(src, dst)`` is a pure function of
         #: ``(loss_seed, src, dst, k)`` — never of the order the

@@ -1,4 +1,4 @@
-"""Observability for the replica stack: traces, metrics, timers, lag.
+"""Observability for the replica stack: traces, metrics, lag.
 
 Four pieces, all optional and all off by default:
 
@@ -7,8 +7,6 @@ Four pieces, all optional and all off by default:
 * :mod:`repro.obs.metrics` — the per-replica
   :class:`MetricsRegistry` of counters/gauges/histograms that the
   scheduler and WAL stats now live in;
-* :mod:`repro.obs.timing` — :class:`HotPathTimers` around
-  tick/encode/decode/absorb;
 * :mod:`repro.obs.lag` — the :class:`ConvergenceProbe` sampling
   per-shard root-hash agreement;
 * :mod:`repro.obs.report` — post-processing that re-derives the
@@ -24,7 +22,6 @@ from repro.obs.report import (
     split_cells,
     trace_totals,
 )
-from repro.obs.timing import HotPathTimers
 from repro.obs.trace import (
     EVENT_TYPES,
     FileTraceSink,
@@ -45,7 +42,6 @@ __all__ = [
     "FileTraceSink",
     "Gauge",
     "Histogram",
-    "HotPathTimers",
     "MemoryTraceSink",
     "MetricsRegistry",
     "TraceEvent",

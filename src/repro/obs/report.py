@@ -170,34 +170,6 @@ def _phase_row(label: str, events: List[TraceEvent]) -> List[object]:
     ]
 
 
-def _timing_lines(events: List[TraceEvent]) -> List[str]:
-    merged: Dict[str, Dict[str, float]] = {}
-    for event in events:
-        if event.type != "timing":
-            continue
-        for name, stats in event.extra.items():
-            if not isinstance(stats, dict):
-                continue
-            bucket = merged.setdefault(
-                name, {"calls": 0, "seconds": 0.0, "units": 0}
-            )
-            for key in ("calls", "seconds", "units"):
-                bucket[key] += stats.get(key, 0)
-    if not merged:
-        return []
-    format_table, _ = _table_helpers()
-    rows = [
-        [name, int(stats["calls"]), stats["seconds"] * 1000.0, int(stats["units"])]
-        for name, stats in sorted(merged.items())
-    ]
-    return [
-        "",
-        format_table(
-            ["hot path", "calls", "total ms", "units"], rows, title="timing"
-        ),
-    ]
-
-
 def _lag_lines(events: List[TraceEvent]) -> List[str]:
     lags = sorted(
         event.extra.get("rounds", 0) for event in events if event.type == "lag"
@@ -247,7 +219,6 @@ def render_report(events: List[TraceEvent]) -> str:
             f"{human_bytes(totals['metadata_bytes'])} metadata"
         )
         lines = [table, footer]
-        lines.extend(_timing_lines(cell_events))
         lines.extend(_lag_lines(cell_events))
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks)

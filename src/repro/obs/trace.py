@@ -65,7 +65,6 @@ EVENT_TYPES = (
     "lag",              # a shard's root-hash disagreement window closed
     "cell-start",       # an experiment cell began (label = algorithm/mode)
     "cell-end",
-    "timing",           # hot-path timer snapshot (extra = timer dict)
     # client front end (repro.serve)
     "client-op",        # a client request served (kind = get/put/remove/...)
     "read-repair",      # client-pushed repair state absorbed by a replica

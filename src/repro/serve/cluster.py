@@ -229,7 +229,6 @@ class ProcessCluster(KVDriver):
         self.updates_skipped = 0
         self.messages_dropped = 0  # no loss model on the real wire
         self.messages_severed = 0
-        self.timers = None  # the controller runs no in-process hot path
 
         self._procs: Dict[int, subprocess.Popen] = {}
         self._ports: Dict[int, Dict[str, int]] = {}

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 
 @dataclass(frozen=True, order=True)
@@ -106,10 +106,3 @@ class EventQueue:
             self.step()
             fired += 1
         return fired
-
-    def drain_iter(self) -> Iterator[Event]:
-        """Yield events in firing order without invoking their actions."""
-        while self._heap:
-            event = self.pop()
-            if event is not None:
-                yield event

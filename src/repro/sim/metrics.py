@@ -144,9 +144,6 @@ class MetricsCollector:
     def metadata_bytes_per_node(self) -> float:
         return self.total_metadata_bytes() / self.n_nodes
 
-    def payload_units_per_node(self) -> float:
-        return self.total_payload_units() / self.n_nodes
-
     def bytes_per_node(self) -> float:
         return self.total_bytes() / self.n_nodes
 

@@ -45,7 +45,6 @@ from repro.sync.protocol import DeltaMutator, Send, Synchronizer
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.runtime import ReplicaRuntime
     from repro.net.transport import Transport
-    from repro.obs.timing import HotPathTimers
     from repro.obs.trace import Tracer
 
 
@@ -174,9 +173,6 @@ class Cluster(ClusterDriver):
             :class:`~repro.obs.trace.FileTraceSink` is opened there).
             The tracer's clock is bound to the transport, and every
             layer that can see the tracer emits through it.
-        timing: Hot-path timers around tick/encode/decode/join paths.
-            ``None`` (default) follows ``trace`` — timing turns on
-            whenever tracing does; pass ``False``/``True`` to force.
     """
 
     def __init__(
@@ -187,7 +183,6 @@ class Cluster(ClusterDriver):
         transport: Union[str, Transport] = "sim",
         *,
         trace: Union[None, "Tracer", str, object] = None,
-        timing: Optional[bool] = None,
     ) -> None:
         from repro.net.runtime import ReplicaRuntime
 
@@ -218,20 +213,10 @@ class Cluster(ClusterDriver):
                 lambda: self.transport.now, lambda: self.transport.rounds_run
             )
             transport.tracer = self.tracer
-        timing_on = timing if timing is not None else self.tracer is not None
-        self.timers: Optional["HotPathTimers"] = None
-        if timing_on:
-            from repro.obs.timing import HotPathTimers
-
-            self.timers = HotPathTimers()
-            transport.timers = self.timers
         self.runtimes: List[ReplicaRuntime] = [
             ReplicaRuntime(self._build_synchronizer(node), self.metrics)
             for node in range(config.topology.n)
         ]
-        if self.timers is not None:
-            for runtime in self.runtimes:
-                runtime.timers = self.timers
         self._nodes_view = _SynchronizerView(self.runtimes)
         self.transport.bind(self.runtimes)
 

@@ -112,15 +112,6 @@ class Topology:
             best = max(best, max(dist.values()))
         return best
 
-    def to_networkx(self):  # pragma: no cover - convenience for notebooks
-        """Export to a ``networkx.Graph`` (requires networkx)."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.n))
-        graph.add_edges_from(self.edges())
-        return graph
-
 
 def partial_mesh(n: int = 15, degree: int = 4, name: str | None = None) -> Topology:
     """A ``degree``-regular circulant mesh on ``n`` nodes (Figure 6, left).

@@ -65,7 +65,7 @@ class TestDetClock:
         ]
 
     def test_same_code_outside_core_is_clean(self):
-        # The serving stack and hot-path timers are real-time by design.
+        # The serving stack and the TCP transport are real-time by design.
         assert rules_hit({"src/repro/serve/replica.py": self.CLOCK}) == []
         assert rules_hit({"src/repro/net/tcp.py": self.CLOCK}) == []
 

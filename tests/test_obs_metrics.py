@@ -1,10 +1,9 @@
-"""The metrics registry, series helpers, timers, and the lag probe."""
+"""The metrics registry, series helpers, and the lag probe."""
 
 import pytest
 
 from repro.obs.lag import ConvergenceProbe
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.timing import HotPathTimers
 from repro.sim.series import bucket_series, cumulative, partition_at
 
 
@@ -156,24 +155,6 @@ class TestSeriesHelpers:
         first, second = collector.split_at(100.0)
         assert first.message_count == 1
         assert second.message_count == 1
-
-
-class TestHotPathTimers:
-    def test_record_and_span_accumulate(self):
-        timers = HotPathTimers()
-        timers.record("runtime.tick", units=5, seconds=0.25)
-        timers.record("runtime.tick", units=2, seconds=0.5)
-        with timers.span("tcp.encode", units=3):
-            pass
-        snapshot = timers.snapshot()
-        assert snapshot["runtime.tick"] == {
-            "calls": 2,
-            "seconds": 0.75,
-            "units": 7,
-        }
-        assert snapshot["tcp.encode"]["calls"] == 1
-        assert snapshot["tcp.encode"]["units"] == 3
-        assert len(timers) == 2
 
 
 class TestConvergenceProbe:
