@@ -20,6 +20,16 @@ def make_sync(replica=0, neighbors=(1,), n=2):
     )
 
 
+class _Recorder:
+    """A transport stand-in that keeps every send it is handed."""
+
+    def __init__(self, sent):
+        self.sent = sent
+
+    def send(self, replica, sends):
+        self.sent.extend(sends)
+
+
 class TestReplicaRuntime:
     def test_records_processing_costs(self):
         metrics = MetricsCollector(2)
@@ -27,6 +37,35 @@ class TestReplicaRuntime:
         runtime.local_update(lambda state: SetLattice({"a"}))
         assert metrics.per_node[0].processing_units == 1
         assert metrics.per_node[0].processing_seconds > 0
+
+    def test_tick_records_the_payload_it_produces(self):
+        metrics = MetricsCollector(2)
+        runtime = ReplicaRuntime(make_sync(), metrics)
+        sent = []
+        runtime.attach(_Recorder(sent))
+        runtime.local_update(lambda state: SetLattice({"a", "b"}))
+        runtime.tick()
+        assert [send.dst for send in sent] == [1]
+        assert sent[0].message.payload_units == 2
+        # Two units for the update, two more for the state it shipped.
+        assert metrics.per_node[0].processing_units == 4
+        assert metrics.per_node[1].processing_units == 0
+
+    def test_deliver_records_on_the_receiver(self):
+        metrics = MetricsCollector(2)
+        sender = ReplicaRuntime(make_sync(), metrics)
+        receiver = ReplicaRuntime(make_sync(replica=1, neighbors=(0,)), metrics)
+        sent = []
+        sender.attach(_Recorder(sent))
+        sender.local_update(lambda state: SetLattice({"a", "b", "c"}))
+        sender.tick()
+        before = metrics.per_node[0].processing_units
+        seconds = metrics.per_node[1].processing_seconds
+        receiver.deliver(0, sent[0].message)
+        assert metrics.per_node[1].processing_units == 3
+        assert metrics.per_node[1].processing_seconds > seconds
+        assert metrics.per_node[0].processing_units == before
+        assert receiver.synchronizer.state == SetLattice({"a", "b", "c"})
 
     def test_tick_without_transport_is_an_error(self):
         runtime = ReplicaRuntime(make_sync())
