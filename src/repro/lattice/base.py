@@ -64,9 +64,20 @@ class Lattice(Frozen, ABC):
     * :meth:`leq` — the partial order ``⊑`` derived from the join;
     * :meth:`delta` — the optimal delta ``∆(self, other)`` of Section III,
       derived from the join decomposition.
+
+    :attr:`fixed_size` is a class-level promise about size accounting:
+    ``True`` means every non-bottom value of the class has the same
+    :meth:`size_units` and, under any one ``SizeModel``, the same
+    :meth:`size_bytes` (``MaxInt``, ``Bool``).  Rebinding a map key from
+    one such value to another then cannot change the map's size, which
+    ``MapLattice``'s size lineage relies on.
+    ``tests/test_lattice_shortcuts.py`` checks every class declaring it.
     """
 
     __slots__ = ()
+
+    #: Every non-bottom value has one size (see the class docstring).
+    fixed_size = False
 
     # ------------------------------------------------------------------
     # Core lattice structure.
@@ -173,14 +184,6 @@ class Lattice(Frozen, ABC):
     # ------------------------------------------------------------------
     # Convenience.
     # ------------------------------------------------------------------
-
-    def inflates(self: L, other: L) -> bool:
-        """True if joining ``self`` into ``other`` strictly inflates it.
-
-        This is the (insufficient) redundancy check of classic delta-based
-        synchronization — Algorithm 1, line 16 of the paper.
-        """
-        return not self.leq(other)
 
     def __repr__(self) -> str:  # pragma: no cover - overridden by subclasses
         return f"{type(self).__name__}()"

@@ -14,6 +14,16 @@ and the optimal delta recurses per key, dropping keys whose delta is
 bottom.  Bottom-valued bindings are never stored, so two maps are equal
 exactly when their stored bindings are equal.
 
+Aliased bindings.  Values are immutable and shared, and the simulator
+delivers the sender's own objects, so on a mesh the same δ reaches a
+replica along a second path holding the very value objects the replica
+already stores.  ``delta`` treats a binding both sides hold as one
+object as ⊥ — ``x ⊑ x`` in every lattice — without calling the value's
+``delta``.  Values decoded from the wire or a log never alias a
+replica's, so there the rule costs one ``is`` per key.  ``leq`` and
+``join`` carry no such test: the only callers meeting aliased pairs
+there are the baselines (classic's inflation check, state-based's join).
+
 Size lineage
 ------------
 ``size_units`` / ``size_bytes`` are memoised per frozen value, but every
@@ -27,7 +37,11 @@ itself owed) remembers, instead of nothing:
   is not the parent's own object — the parent's old value, ``None`` when
   the key was absent.  A redundant binding (``mine ⊔ theirs is mine``)
   touches nothing, so a state-sized δ-group that teaches three keys
-  leaves a three-key lineage.
+  leaves a three-key lineage.  Nor does rebinding a key whose old value
+  is ``fixed_size`` (``MaxInt``, ``Bool``: every non-bottom value has
+  one size, see ``Lattice``): the new value is of the same class and
+  not bottom, so neither total can move, and a join that only raises
+  counters owes just its new keys.
 
 The first size read settles it: parent total plus, per touched key,
 ``size(new) − size(old)`` (plus ``sizeof(key)`` when the key is new),
@@ -156,7 +170,7 @@ class MapLattice(Lattice):
                     if value is current:
                         continue
                 merged[key] = value
-                if touched is not None:
+                if touched is not None and (current is None or not current.fixed_size):
                     touched[key] = current
             if touched is None:
                 return _fresh(merged)
@@ -196,10 +210,10 @@ class MapLattice(Lattice):
         for key, value in self.entries.items():
             known = theirs.get(key)
             if known is not None:
-                diff = value.delta(known)
+                diff = None if known is value else value.delta(known)
                 if diff is not value:
                     filtered = True
-                    if diff.is_bottom:
+                    if diff is None or diff.is_bottom:
                         continue
                     value = diff
             out[key] = value

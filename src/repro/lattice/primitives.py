@@ -33,6 +33,7 @@ class MaxInt(Lattice):
     """
 
     __slots__ = ("value",)
+    fixed_size = True
 
     def __init__(self, value: int = 0) -> None:
         if value < 0:
@@ -156,6 +157,7 @@ class Bool(Lattice):
     """
 
     __slots__ = ("value",)
+    fixed_size = True
 
     def __init__(self, value: bool = False) -> None:
         object.__setattr__(self, "value", bool(value))

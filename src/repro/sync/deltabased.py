@@ -40,8 +40,11 @@ line 5    ``DeltaBased.buffer`` — the δ-buffer ``Bᵢ``, a
           maps is a union (``lattice/map_lattice.py``, *Disjoint
           operands*)
 14–17     ``DeltaBased._receive`` — ``on receiveⱼ,ᵢ(d)``: line 15 is
-          RR's ``∆(d, xᵢ)``, line 16 is either RR's ``d ≠ ⊥`` or the
-          classic ``d ⋢ xᵢ``; :meth:`DeltaBased.handle_message` and
+          RR's ``∆(d, xᵢ)`` (a binding the replica holds as the same
+          object costs one ``is``: ``lattice/map_lattice.py``,
+          *Aliased bindings*); line 16 is either RR's ``d ≠ ⊥`` or the
+          classic ``d ⋢ xᵢ``, written as the paper writes it:
+          ``not part.leq(local)``; :meth:`DeltaBased.handle_message` and
           :meth:`DeltaBased.absorb_state` both run it
 18–20     ``DeltaBased._store`` — ``store(s, o)``
 ========  ==========================================================
@@ -130,10 +133,6 @@ class DeltaBuffer:
             current = parts.get(key)
             parts[key] = delta if current is None else current.join(delta)
         return parts
-
-    def retire(self, seqs: Iterable[int]) -> None:
-        for seq in seqs:
-            del self.entries[seq]
 
     def clear(self) -> None:
         self.entries.clear()
@@ -278,7 +277,7 @@ class DeltaBased(Synchronizer):
                 # Line 16 (RR): if d ≠ ⊥.
                 if not extracted.is_bottom:
                     novel[key] = extracted
-            elif part.inflates(local):
+            elif not part.leq(local):
                 # Line 16 (classic): if d ⋢ xᵢ — the naive inflation
                 # check; the whole part is kept, redundancy included.
                 novel[key] = part
@@ -469,7 +468,8 @@ class DeltaBasedAcked(DeltaBased):
             for seq, (_, _, origin) in self.buffer.entries.items()
             if all(seq in self.acked[j] for j in self.neighbors if j != origin)
         ]
-        self.buffer.retire(done)
+        for seq in done:
+            del self.buffer.entries[seq]
         for acks in self.acked.values():
             acks.difference_update(done)
 

@@ -244,7 +244,8 @@ def test_a_small_join_is_sized_in_calls_proportional_to_the_delta():
     # Three overwrites, four new keys.
     delta = MapLattice({f"key-{index:04d}": MaxInt(2) for index in range(997, 1004)})
     joined = state.join(delta)
-    assert _counted(lambda: joined.size_bytes(model)) <= 7
+    # The overwrites rebind fixed-size ``MaxInt``s: only the new keys are owed.
+    assert _counted(lambda: joined.size_bytes(model)) == 4
     assert joined.size_bytes(model) == cold(joined).size_bytes(model)
     assert joined.size_units() == 1004
 
@@ -278,14 +279,29 @@ def test_chained_unsized_joins_settle_in_the_union_of_their_keys():
 
 
 def test_a_wide_join_falls_back_to_the_full_sum_and_stays_exact():
+    """Sets are not fixed-size, so every rebinding is touched; 60 of them
+    plus 20 new keys outnumber half of 120 entries."""
     model = CountingModel()
-    state = _state(100)
+    state = MapLattice({f"key-{index:04d}": SetLattice({"x"}) for index in range(100)})
     state.size_bytes(model)
-    wide = MapLattice({f"key-{index:04d}": MaxInt(2) for index in range(40, 120)})
+    wide = MapLattice({f"key-{index:04d}": SetLattice({"y"}) for index in range(40, 120)})
     joined = state.join(wide)
-    assert _counted(lambda: joined.size_bytes(model)) == 120
+    # The full sum: 120 keys, 60 fresh two-element sets, 20 fresh one-element sets.
+    assert _counted(lambda: joined.size_bytes(model)) == 120 + 60 * 2 + 20
     assert joined.size_bytes(model) == cold(joined).size_bytes(model)
-    assert joined.size_units() == 120
+    assert joined.size_units() == 60 * 2 + 60
+
+
+def test_rebinding_fixed_size_values_owes_nothing():
+    """A ``MaxInt`` rebound to a larger ``MaxInt`` keeps its size, so a
+    join that only raises counters leaves no lineage to walk."""
+    model = CountingModel()
+    state = _state()
+    _sizes(state, model)
+    # 600 rebindings would outnumber half the entries if they were touched.
+    joined = state.join(_part(200, 600, value=2))
+    assert _counted(lambda: _sizes(joined, model)) == 0
+    assert _sizes(joined, model) == _sizes(cold(joined), model) == (1000, 1000 * (8 + 8))
 
 
 # ---------------------------------------------------------------------------
