@@ -366,7 +366,8 @@ class KVStore(Synchronizer):
         if self.wal is not None:
             # Group commit: every delta staged since the previous tick —
             # local writes, absorbed sync novelty, repair absorptions —
-            # becomes durable in one batch per shard log.  A crash
+            # is encoded here and becomes durable in one batch per shard
+            # log, so the codec stays off the write path.  A crash
             # between ticks loses only the records staged after this
             # point, which is the WAL's documented durability boundary.
             self.wal.commit()

@@ -26,6 +26,7 @@ from functools import lru_cache
 from typing import Any, Callable, Dict, FrozenSet, Hashable, Mapping, Optional
 
 from repro.causal import AWSet, CausalMVRegister, CCounter, EWFlag, RWSet
+from repro.codec import UnsupportedType, encode
 from repro.crdt import (
     Crdt,
     GCounter,
@@ -118,9 +119,18 @@ TYPE_REGISTRY: Dict[str, TypeSpec] = {}
 
 
 def register_type(spec: TypeSpec) -> TypeSpec:
-    """Add a type to the registry (application-defined CRDTs plug in here)."""
+    """Add a type to the registry (application-defined CRDTs plug in here).
+
+    The type's bottom must encode: the write-ahead log encodes a write's
+    δ only at the next group commit, so a type without a wire format is
+    refused here rather than at the first tick after its first write.
+    """
     if spec.name in TYPE_REGISTRY:
         raise KVTypeError(f"type {spec.name!r} is already registered")
+    try:
+        encode(spec.bottom())
+    except UnsupportedType as exc:
+        raise KVTypeError(f"type {spec.name!r} has no wire format: {exc}") from exc
     TYPE_REGISTRY[spec.name] = spec
     return spec
 

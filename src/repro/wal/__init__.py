@@ -8,9 +8,9 @@ byte string.  So a *log of encoded deltas* is a complete, replayable
 representation of a replica's shard state:
 
 * **append** — every delta that crosses a shard (a local typed write,
-  a δ-group absorbed from a peer, a repair absorption) is staged and
-  group-committed once per synchronization tick, one CRC-guarded record
-  each (:class:`~repro.wal.log.ShardLog`);
+  a δ-group absorbed from a peer, a repair absorption) is staged as a
+  value, then encoded and group-committed once per synchronization
+  tick, one CRC-guarded record each (:class:`~repro.wal.log.ShardLog`);
 * **replay** — ``⊔ decode(record)`` over the log rebuilds the shard
   state exactly; order does not matter because join is associative,
   commutative, and idempotent;

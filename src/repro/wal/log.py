@@ -9,14 +9,18 @@ as garbage::
 
 Three operations define the log's semantics:
 
-* **stage/commit** — appends are *staged* in memory and persisted as
-  one batch per :meth:`ShardLog.commit` call (the store commits once
+* **stage/commit** — appends *stage* the delta value itself in memory
+  (lattice values are immutable, so holding the reference is holding
+  the delta); :meth:`ShardLog.commit` encodes the staged values in
+  staging order and persists them as one batch (the store commits once
   per synchronization tick).  That is group commit: one storage append
-  per shard per tick, however many deltas the tick produced.  A crash
-  loses whatever was staged and not yet committed — which is the honest
-  durability contract of any group-committing WAL, and exactly what the
-  recovery experiments measure (the lost tail is the divergence digest
-  repair must still cover).
+  per shard per tick, however many deltas the tick produced, and the
+  codec runs at the tick rather than on the write path — a batch a
+  crash discards is never encoded.  A crash loses whatever was staged
+  and not yet committed — which is the honest durability contract of
+  any group-committing WAL, and exactly what the recovery experiments
+  measure (the lost tail is the divergence digest repair must still
+  cover).
 * **replay** — decode every valid record and join them.  Join order is
   irrelevant (associativity/commutativity/idempotence of the lattice
   join), which is what makes a *log* a sufficient representation of a
@@ -53,12 +57,17 @@ class WalFencedError(RuntimeError):
     """An append reached a shard log fenced by a rebalance handoff."""
 
 
-def pack_record(body: bytes) -> bytes:
-    """Frame one encoded delta as a self-delimiting, checksummed record."""
+def pack_record(*bodies: bytes) -> bytes:
+    """Frame encoded deltas as self-delimiting, checksummed records.
+
+    One body gives one record; several give their records back to back,
+    framed straight into one buffer (a group commit's batch).
+    """
     out = bytearray()
-    write_uvarint(out, len(body))
-    out += body
-    out += struct.pack(">I", zlib.crc32(body))
+    for body in bodies:
+        write_uvarint(out, len(body))
+        out += body
+        out += struct.pack(">I", zlib.crc32(body))
     return bytes(out)
 
 
@@ -112,7 +121,7 @@ class WalConfig:
 
 
 class ShardLog:
-    """Append-only log of encoded deltas for one shard of one replica.
+    """Append-only log of deltas for one shard of one replica.
 
     ``observer`` is the log's hook into the structured trace: a
     callable ``(event_type, nbytes)`` invoked on each group commit
@@ -133,8 +142,9 @@ class ShardLog:
         self.name = name
         self.config = config
         self.observer = observer
-        #: Encoded deltas staged since the last group commit.
-        self._staged: List[bytes] = []
+        #: Delta values staged since the last group commit, in staging
+        #: order; :meth:`commit` encodes them.
+        self._staged: List[Lattice] = []
         #: Committed log size in bytes (lazily synced from storage, so
         #: a log reopened over existing content sizes itself correctly).
         self._size: Optional[int] = None
@@ -167,14 +177,19 @@ class ShardLog:
     # The write path: stage, group-commit, compact.
     # ------------------------------------------------------------------
 
-    def stage(self, encoded: bytes) -> None:
-        """Buffer one encoded delta for the next group commit."""
+    def stage(self, delta: Lattice) -> None:
+        """Buffer one delta value for the next group commit.
+
+        The value is encoded by :meth:`commit`, not here: a write pays
+        only for the append, and a batch a crash discards is never
+        encoded.  A fenced log refuses the value at once.
+        """
         if self.fenced:
             raise WalFencedError(
                 f"shard log {self.name!r} is fenced (ownership was handed "
                 "off); unfence on re-acquisition before appending"
             )
-        self._staged.append(encoded)
+        self._staged.append(delta)
 
     def discard_staged(self) -> int:
         """Drop staged-but-uncommitted records (what a crash loses)."""
@@ -194,23 +209,31 @@ class ShardLog:
         return self._size
 
     def commit(self) -> int:
-        """Persist the staged batch as one append; maybe compact.
+        """Encode the staged batch and persist it as one append; maybe compact.
+
+        Each staged value becomes one record, in staging order, framed
+        straight into a single batch buffer.  A value the codec rejects
+        raises :class:`~repro.codec.UnsupportedType` before storage is
+        touched, and the batch stays staged.
 
         Returns the number of bytes written for the batch.
         """
         if not self._staged:
             return 0
+        batch = pack_record(*map(encode, self._staged))
         if not self._tail_validated:
             # Reopening over an image a previous process tore: truncate
             # the junk *before* appending, or the new records would sit
-            # unreachable behind it.
-            self._validate_tail()
-        batch = b"".join(pack_record(body) for body in self._staged)
+            # unreachable behind it.  Replay's truncation boundary is
+            # the authoritative one — it requires records to *decode*,
+            # not merely frame and checksum — so a record replay would
+            # reject never ends up in front of freshly committed ones.
+            self.replay()
         self.storage.append(self.name, batch)
         self.records_committed += len(self._staged)
         self.commits += 1
         self.committed_bytes += len(batch)
-        # _validate_tail (via replay) always ran first, so _size is set.
+        # replay always ran first, so _size is set.
         self._size += len(batch)
         self._staged.clear()
         if self.observer is not None:
@@ -221,16 +244,6 @@ class ShardLog:
         ):
             self.compact()
         return len(batch)
-
-    def _validate_tail(self) -> None:
-        """Truncate an inherited torn/corrupt tail before first append.
-
-        Delegates to :meth:`replay`, whose truncation boundary is the
-        authoritative one — it requires records to *decode*, not merely
-        frame and checksum, so a record replay would reject can never
-        end up in front of freshly committed ones.
-        """
-        self.replay()
 
     def compact(self) -> bool:
         """Fold every record into the single record of their join.
@@ -333,10 +346,8 @@ class ShardLog:
             decoded_end = end
         if corrupt:
             self.storage.replace(self.name, data[:clean])
-            self._size = clean
             self.corrupt_tails_dropped += 1
-        else:
-            self._size = clean
+        self._size = clean
         self._tail_validated = True
         return state
 
@@ -409,8 +420,11 @@ class ReplicaWal:
     # ------------------------------------------------------------------
 
     def append(self, shard: int, delta: Lattice) -> None:
-        """Stage one delta for the shard's next group commit."""
-        self.log(shard).stage(encode(delta))
+        """Stage one delta value for the shard's next group commit.
+
+        The delta is encoded when :meth:`commit` runs, not here.
+        """
+        self.log(shard).stage(delta)
 
     def commit(self) -> int:
         """Group-commit every shard's staged batch; returns bytes written."""

@@ -207,7 +207,7 @@ class TestLiveDecommission:
             assert log.fenced
             assert log.size_bytes() == 0
             with pytest.raises(WalFencedError):
-                log.stage(b"stale")
+                log.stage(SetLattice({"stale"}))
         assert cluster.wal_stats()["wal_fences"] >= len(owned_before)
 
     def test_readd_after_decommission_cannot_resurrect_stale_state(self):
@@ -530,7 +530,7 @@ class TestMembershipAndHandoffUnits:
 class TestShardLogFencing:
     def test_fence_truncates_and_seals(self):
         log = ShardLog(MemoryStorage(), "s0.wal")
-        log.stage(encode(SetLattice({"a"})))
+        log.stage(SetLattice({"a"}))
         log.commit()
         assert log.size_bytes() > 0
         log.fence()
@@ -538,9 +538,9 @@ class TestShardLogFencing:
         assert log.size_bytes() == 0
         assert log.replay() is None
         with pytest.raises(WalFencedError):
-            log.stage(b"x")
+            log.stage(SetLattice({"x"}))
         log.unfence()
-        log.stage(encode(SetLattice({"b"})))
+        log.stage(SetLattice({"b"}))
         log.commit()
         assert log.replay() == SetLattice({"b"})
 
@@ -549,7 +549,7 @@ class TestShardLogFencing:
 
         log = ShardLog(MemoryStorage(), "s1.wal")
         for element in ("a", "b", "c"):
-            log.stage(encode(SetLattice({element})))
+            log.stage(SetLattice({element}))
         log.commit()
         bodies = log.export_records()
         assert bodies
@@ -561,7 +561,7 @@ class TestShardLogFencing:
 
     def test_fenced_log_exports_nothing(self):
         log = ShardLog(MemoryStorage(), "s2.wal")
-        log.stage(encode(SetLattice({"a"})))
+        log.stage(SetLattice({"a"}))
         log.commit()
         log.fence()
         assert log.export_records() == []

@@ -11,11 +11,14 @@ from repro.kv import (
     KVTypeError,
     KVUpdate,
     Schema,
+    TypeSpec,
     kv_store_factory,
+    register_type,
     type_spec,
 )
+from repro.crdt import Crdt
 from repro.kv.types import DEFAULT_PREFIXES, TYPE_REGISTRY
-from repro.lattice import MapLattice, MaxInt
+from repro.lattice import MapLattice, MaxElements, MaxInt
 from repro.sizes import SizeModel
 from repro.sync import StateBased, keyed_bp_rr
 
@@ -69,6 +72,24 @@ class TestTypeSpecs:
         delta = spec.apply("A", state, "increment", 3)
         assert state.is_bottom
         assert spec.read(delta) == 3
+
+    def test_a_type_without_a_wire_format_is_refused_at_registration(self):
+        """The WAL encodes a write's δ only at the next group commit, so
+        registration is where an unencodable type must fail."""
+
+        class Antichain(Crdt):
+            __slots__ = ()
+
+            def __init__(self, replica, state=None):
+                if state is None:
+                    state = MaxElements(dominates=lambda x, y: x % y == 0)
+                super().__init__(replica, state)
+
+        registered = dict(TYPE_REGISTRY)
+        spec = TypeSpec("antichain", Antichain, frozenset(), lambda c: c.state)
+        with pytest.raises(KVTypeError, match="no wire format"):
+            register_type(spec)
+        assert TYPE_REGISTRY == registered
 
 
 #: type → (the write seeding a value, {mutator: arguments that inflate it}).

@@ -26,8 +26,8 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.codec import encode
-from repro.lattice import MapLattice, SetLattice
+from repro.codec import UnsupportedType, encode
+from repro.lattice import MapLattice, MaxElements, SetLattice
 from repro.wal import (
     FileStorage,
     MemoryStorage,
@@ -37,6 +37,7 @@ from repro.wal import (
     pack_record,
     unpack_records,
 )
+from repro.wal import log as wal_log
 from repro.wal import storage as wal_storage
 from repro.wal.storage import StorageLockError
 
@@ -150,6 +151,59 @@ class TestGroupCommit:
         wal.commit()
         assert wal.replay(0) == SetLattice({"zero"})
         assert wal.replay(1) == SetLattice({"one"})
+
+
+# ---------------------------------------------------------------------------
+# Staged values: the log encodes at commit.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", SERIALIZABLE_FAMILIES)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_committed_image_is_the_records_of_the_staged_values(family, data):
+    """Staging values and committing writes exactly the records of
+    their encodings, in staging order — the record format of a log that
+    was fed encoded bytes."""
+    deltas = data.draw(delta_batches(family))
+    log = ShardLog(MemoryStorage(), "s.wal", WalConfig(compact_bytes=None))
+    for delta in deltas:
+        log.stage(delta)
+    expected = b"".join(pack_record(encode(delta)) for delta in deltas)
+    assert log.commit() == len(expected)
+    assert log.storage.read(log.name) == expected
+    assert (log.records_committed, log.committed_bytes) == (len(deltas), len(expected))
+    assert log.replay() == join_all(deltas)
+
+
+class TestEncodeAtCommit:
+    def test_an_unencodable_value_fails_the_commit_and_stays_staged(self):
+        log = ShardLog(MemoryStorage(), "s.wal")
+        log.stage(SetLattice({"durable"}))
+        log.commit()
+        image = log.storage.read(log.name)
+        log.stage(SetLattice({"fine"}))
+        log.stage(MaxElements({4}, dominates=lambda x, y: x % y == 0))
+        with pytest.raises(UnsupportedType):
+            log.commit()
+        assert log.storage.read(log.name) == image
+        assert (log.records_committed, log.commits) == (1, 1)
+        assert log.staged_records == 2
+        assert log.discard_staged() == 2
+        assert log.commit() == 0
+        assert log.replay() == SetLattice({"durable"})
+
+    def test_a_discarded_batch_is_never_encoded(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            wal_log, "encode", lambda value: (calls.append(value), encode(value))[1]
+        )
+        wal = ReplicaWal(0)
+        for element in ("a", "b", "c"):
+            wal.append(0, SetLattice({element}))
+        assert wal.discard_staged() == 3
+        assert wal.commit() == 0
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -19,17 +19,31 @@ BP+RR, the paper's best configuration (twenty rounds, then the drain):
 
 The transmitted bytes and the drain are pinned beside them: they are
 the paper's metric and must not move when the work does.
+
+A 4-replica keyed store under BP+RR with digest repair and
+``recovery="wal"``, through one partition and heal:
+
+* ``encode`` as the WAL calls it — once per committed record, at the
+  tick's group commit, and never inside ``KVStore.local_update``: a
+  write stages its δ and the codec stays off the write path
+  (``wal/log.py``, *stage/commit*).
+
+The committed records and bytes and the drain are pinned beside it.
 """
 
+import sys
 from collections import Counter
 
 import pytest
 
+from repro.kv import AntiEntropyConfig, HashRing, KVCluster, KVStore
 from repro.lattice import MaxInt
 from repro.sim.network import Cluster, ClusterConfig
 from repro.sim.topology import partial_mesh
 from repro.sizes import SizeModel
-from repro.sync import delta_bp_rr
+from repro.sync import delta_bp_rr, keyed_bp_rr
+from repro.wal import log as wal_log
+from repro.workloads.kv import KVZipfWorkload
 from repro.workloads.micro import GMapWorkload
 
 COUNTED = ("delta", "size_units", "size_bytes")
@@ -87,3 +101,57 @@ def test_gmap_10_under_bp_rr(counts):
         "MaxInt size reads": 89_200,
         "sizeof": 45_908,
     }
+
+
+@pytest.fixture
+def wal_encodes():
+    """Count the WAL's ``encode`` calls, and those made inside a write;
+    put the original back."""
+    tally = Counter()
+    original = wal_log.encode
+    write_path = KVStore.local_update.__code__
+
+    def counting(value):
+        tally["encode"] += 1
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code is write_path:
+                tally["inside local_update"] += 1
+                break
+            frame = frame.f_back
+        return original(value)
+
+    wal_log.encode = counting
+    try:
+        yield tally
+    finally:
+        wal_log.encode = original
+        assert wal_log.encode is original
+
+
+def test_keyed_store_through_partition_and_heal(wal_encodes):
+    ring = HashRing(range(4), n_shards=8, replication=3)
+    cluster = KVCluster(
+        ring,
+        keyed_bp_rr,
+        antientropy=AntiEntropyConfig(
+            repair_interval=2, repair_fanout=8, repair_mode="digest"
+        ),
+        recovery="wal",
+    )
+    workload = KVZipfWorkload(ring, 6, 4, keys=64, seed=5)
+
+    def run(rounds):
+        for r in rounds:
+            cluster.run_round(lambda node, r=r: workload.updates_for(r, node))
+
+    run(range(0, 2))
+    cluster.partition([0, 1])
+    run(range(2, 4))
+    cluster.heal()
+    run(range(4, 6))
+    drain = cluster.drain()
+    assert cluster.converged()
+    wal = cluster.wal_stats()
+    assert (drain, wal["wal_records"], wal["wal_committed_bytes"]) == (3, 208, 6_427)
+    assert (wal_encodes["encode"], wal_encodes["inside local_update"]) == (208, 0)
