@@ -16,7 +16,9 @@ from repro.kv import (
     register_type,
     type_spec,
 )
-from repro.crdt import Crdt
+from repro.causal import AWSet, Causal, DWFlag, ORMap
+from repro.codec import encode
+from repro.crdt import BCounter, Crdt
 from repro.kv.types import DEFAULT_PREFIXES, TYPE_REGISTRY
 from repro.lattice import MapLattice, MaxElements, MaxInt
 from repro.sizes import SizeModel
@@ -92,23 +94,157 @@ class TestTypeSpecs:
         assert TYPE_REGISTRY == registered
 
 
-#: type → (the write seeding a value, {mutator: arguments that inflate it}).
+#: type → (the write seeding a value, {mutator: (arguments that inflate
+#: it, ``encode(δ).hex()`` of the δ they produce at replica 0)}).
 WRITES = {
-    "gcounter": (("increment", 1), {"increment": (2,)}),
-    "pncounter": (("increment", 1), {"increment": (2,), "decrement": (1,)}),
-    "gset": (("add", "a"), {"add": ("b",)}),
-    "twopset": (("add", "a"), {"add": ("b",), "remove": ("a",)}),
+    "gcounter": (("increment", 1), {"increment": ((2,), "140103001003")}),
+    "pncounter": (
+        ("increment", 1),
+        {
+            "increment": ((2,), "140103001510031000"),
+            "decrement": ((1,), "140103001510001001"),
+        },
+    ),
+    "gset": (("add", "a"), {"add": (("b",), "1301050162")}),
+    "twopset": (
+        ("add", "a"),
+        {"add": (("b",), "1513010501621300"), "remove": (("a",), "1513001301050161")},
+    ),
     "gmap": (
         ("bump", "k"),
-        {"put": ("k", MaxInt(9)), "put_chain": ("body", "text"), "bump": ("k",)},
+        {
+            "put": (("k", MaxInt(9)), "140105016b1009"),
+            "put_chain": (("body", "text"), "14010504626f6479120504746578740500"),
+            "bump": (("k",), "140105016b1002"),
+        },
     ),
-    "awset": (("add", "a"), {"add": ("b",), "remove": ("a",), "clear": ()}),
-    "rwset": (("add", "a"), {"add": ("b",), "remove": ("a",)}),
-    "ccounter": (("increment", 1), {"increment": (2,), "reset": ()}),
-    "lwwregister": (("write", "v1"), {"write": ("v2",)}),
-    "mvregister": (("write", "v1"), {"write": ("v2",)}),
-    "ewflag": (("enable",), {"enable": (), "disable": ()}),
+    "awset": (
+        ("add", "a"),
+        {
+            "add": (("b",), "20030105016201010300020001030002"),
+            "remove": (("a",), "2003000103000100"),
+            "clear": ((), "2003000103000100"),
+        },
+    ),
+    "rwset": (
+        ("add", "a"),
+        {
+            "add": (("b",), "20030107020501620201010300020001030002"),
+            "remove": (("a",), "20030107020501610101010300020103000200"),
+        },
+    ),
+    "ccounter": (
+        ("increment", 1),
+        {
+            "increment": ((2,), "20020103000210030103000200"),
+            "reset": ((), "2002000103000100"),
+        },
+    ),
+    "lwwregister": (("write", "v1"), {"write": (("v2",), "16100212050276320500")}),
+    "mvregister": (
+        ("write", "v1"),
+        {"write": (("v2",), "2002010300022101050276320103000200")},
+    ),
+    "ewflag": (
+        ("enable",),
+        {
+            "enable": ((), "2001010300020103000200"),
+            "disable": ((), "2001000103000100"),
+        },
+    ),
 }
+
+REGISTERED_OPS = [(name, op) for name, (_, ops) in WRITES.items() for op in sorted(ops)]
+
+
+def seeded_value(name):
+    """A one-replica store's value for ``name``'s key after its seed write."""
+    seed, _ = WRITES[name]
+    key = next(p for p, bound in DEFAULT_PREFIXES.items() if bound == name) + ":k"
+    _, store = make_store(replica=0, n=2, replication=2)
+    store.update(key, *seed)
+    return key, store
+
+
+def _seeded(crdt, *writes):
+    """``crdt``'s state after the in-place ``writes`` (``(op, *args)``)."""
+    for op, *args in writes:
+        getattr(crdt, op)(*args)
+    return crdt.state
+
+
+def _bcounter():
+    return _seeded(BCounter("A"), ("increment", 10))
+
+
+def _dwflag():
+    return _seeded(DWFlag("A"), ("disable",))
+
+
+def _ormap(state=None):
+    return ORMap("A", value_bottom=Causal.map_bottom(), state=state)
+
+
+def _carts():
+    return _seeded(_ormap(), ("update", "cart", lambda view: AWSet("A").add_delta(view, "milk")))
+
+
+#: Mutators no registered type serves: label → (the δ at replica "A"
+#: against a seeded state, ``encode(δ).hex()``).
+UNREGISTERED = {
+    "bcounter.increment": (
+        lambda: BCounter("A", _bcounter()).increment(3),
+        "15140105014115100d10001400",
+    ),
+    "bcounter.decrement": (
+        lambda: BCounter("A", _bcounter()).decrement(4),
+        "15140105014115100010041400",
+    ),
+    "bcounter.transfer": (
+        lambda: BCounter("A", _bcounter()).transfer(5, "B"),
+        "151400140107020501410501421005",
+    ),
+    "dwflag.enable": (lambda: DWFlag("A", _dwflag()).enable(), "200100010501410100"),
+    "dwflag.disable": (
+        lambda: DWFlag("A", _dwflag()).disable(),
+        "20010105014102010501410200",
+    ),
+    "ormap.update": (
+        lambda: _ormap(_carts()).update(
+            "cart", lambda view: AWSet("A").add_delta(view, "eggs")
+        ),
+        "2003010504636172740301050465676773010105014102000105014102",
+    ),
+    "ormap.update-absent-key": (
+        lambda: _ormap(_carts()).update(
+            "list", lambda view: AWSet("A").add_delta(view, "x")
+        ),
+        "20030105046c6973740301050178010105014102000105014102",
+    ),
+    "ormap.remove": (lambda: _ormap(_carts()).remove("cart"), "200300010501410100"),
+    "ormap.clear": (lambda: _ormap(_carts()).clear(), "200300010501410100"),
+}
+
+
+class TestDeltaGolden:
+    """Every mutator's δ, byte for byte, against a seeded value.
+
+    Pinned so that changing how a type is declared or dispatched cannot
+    change what a write produces: the δ is what the WAL logs and the
+    wire carries.
+    """
+
+    @pytest.mark.parametrize("name,op", REGISTERED_OPS)
+    def test_registered_mutator(self, name, op):
+        key, store = seeded_value(name)
+        args, expected = WRITES[name][1][op]
+        delta = type_spec(name).apply(0, store.value_lattice(key), op, *args)
+        assert encode(delta).hex() == expected
+
+    @pytest.mark.parametrize("label", sorted(UNREGISTERED))
+    def test_unregistered_mutator(self, label):
+        compute, expected = UNREGISTERED[label]
+        assert encode(compute()).hex() == expected
 
 
 class TestAWriteJoinsItsDeltaOnce:
@@ -122,17 +258,13 @@ class TestAWriteJoinsItsDeltaOnce:
             name: set(spec.mutators) for name, spec in TYPE_REGISTRY.items()
         }
 
-    @pytest.mark.parametrize(
-        "name,op", [(name, op) for name, (_, ops) in WRITES.items() for op in sorted(ops)]
-    )
+    @pytest.mark.parametrize("name,op", REGISTERED_OPS)
     def test_one_join_and_the_same_delta(self, name, op, monkeypatch):
-        seed, ops = WRITES[name]
-        key = next(p for p, bound in DEFAULT_PREFIXES.items() if bound == name) + ":k"
-        _, store = make_store(replica=0, n=2, replication=2)
-        store.update(key, *seed)
+        key, store = seeded_value(name)
+        args, _ = WRITES[name][1][op]
         current = store.value_lattice(key)
         # The δ as the type's own client computes it, join funnel and all.
-        expected = getattr(type_spec(name).client(0, current), op)(*ops[op])
+        expected = getattr(type_spec(name).client(0, current), op)(*args)
         assert not expected.is_bottom
 
         joins = []
@@ -144,7 +276,7 @@ class TestAWriteJoinsItsDeltaOnce:
             return join(self, other)
 
         monkeypatch.setattr(type(current), "join", counted)
-        delta = store.update(key, op, *ops[op])
+        delta = store.update(key, op, *args)
         assert delta == MapLattice({key: expected})
         assert joins == [expected]
         assert store.value_lattice(key) == current.join(expected)
