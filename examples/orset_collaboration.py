@@ -18,7 +18,7 @@ Run with::
     python examples/orset_collaboration.py
 """
 
-from repro import AWSet, Causal, CausalMVRegister, ORMap
+from repro import AWSet, CausalMVRegister, ORMap
 
 
 def show(title, board):
@@ -27,7 +27,7 @@ def show(title, board):
 
 
 def labels_of(person, board, task):
-    view = AWSet(person.replica, board.value_view(task))
+    view = AWSet(person.replica, board.value_view(task, AWSet))
     return sorted(view.value)
 
 
@@ -50,27 +50,25 @@ def main() -> None:
     print(f"after exchange both see {sorted(ana.value)} — the concurrent add wins\n")
 
     print("=== Task board: OR-map of assignee registers ===")
-    board_ana = ORMap("ana", value_bottom=Causal.fun_bottom())
-    board_bo = ORMap("bo", value_bottom=Causal.fun_bottom())
-    reg_ana = CausalMVRegister("ana")
-    reg_bo = CausalMVRegister("bo")
+    board_ana = ORMap("ana")
+    board_bo = ORMap("bo")
 
-    board_ana.update("ship-v2", lambda view: reg_ana.write_delta(view, "ana"))
-    board_ana.update("fix-login", lambda view: reg_ana.write_delta(view, "bo"))
+    board_ana.update("ship-v2", CausalMVRegister, "write", "ana")
+    board_ana.update("fix-login", CausalMVRegister, "write", "bo")
     board_bo.merge(board_ana)
     show("initial board:", board_ana)
 
     # Bo closes 'fix-login'; concurrently Ana reassigns it to Cai.
     closing = board_bo.remove("fix-login")
-    board_ana.update("fix-login", lambda view: reg_ana.write_delta(view, "cai"))
+    board_ana.update("fix-login", CausalMVRegister, "write", "cai")
 
     board_ana.merge(closing)
     board_bo.merge(board_ana)
     assert board_ana.state == board_bo.state
     show("after concurrent close/edit:", board_ana)
-    assignees = {
-        atom.value for atom in board_ana.value_view("fix-login").store.values()
-    }
+    assignees = set(
+        CausalMVRegister.values(board_ana.value_view("fix-login", CausalMVRegister))
+    )
     print(f"'fix-login' survives with assignee {assignees} — only the observed "
           "edit was cancelled\n")
 

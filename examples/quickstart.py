@@ -68,9 +68,9 @@ def derived_delta_mutators() -> None:
 
     add_kiwi = optimal_delta_mutator(lambda s: s.add("kiwi"))
     fresh = SetLattice({"apple"})
-    print(f"adding 'kiwi' to {set(fresh.elements)} → delta {add_kiwi(fresh)}")
+    print(f"adding 'kiwi' to {sorted(fresh.elements)} → delta {add_kiwi(fresh)}")
     already = SetLattice({"kiwi", "apple"})
-    print(f"adding 'kiwi' to {set(already.elements)} → delta is bottom: "
+    print(f"adding 'kiwi' to {sorted(already.elements)} → delta is bottom: "
           f"{add_kiwi(already).is_bottom}")
 
 

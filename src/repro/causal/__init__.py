@@ -9,6 +9,15 @@ the partial order, unique irredundant join decompositions, and optimal
 deltas — so removals, flags, and registers synchronize through every
 protocol in :mod:`repro.sync` with no special-casing.
 
+Each type is a declaration in the style of :mod:`repro.crdt`: a
+``bottom``, ``@delta_mutator`` functions ``(replica, state, *args) → δ``
+and ``@query`` functions ``state → value``.  The δs several types share
+are written once in :mod:`repro.causal.causal`: ``cover_observed``
+(clearing a set or map, resetting a counter, lowering a flag) and
+``cover_key`` (removing one set element or map key).  A declared type
+registers with the key-value store through
+:func:`repro.kv.register_type`.
+
 Data types:
 
 =====================  ==========================  =======================

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from typing import FrozenSet, Hashable, Iterator, Set
 
-from repro.causal.causal import Causal
+from repro.causal.causal import Causal, cover_key, cover_observed
 from repro.causal.dots import CausalContext
 from repro.causal.stores import DotMap, DotSet
-from repro.crdt.base import Crdt
+from repro.crdt.base import Crdt, delta_mutator, query
 
 
 class AWSet(Crdt):
@@ -38,40 +38,16 @@ class AWSet(Crdt):
 
     __slots__ = ()
 
-    def __init__(self, replica: Hashable, state: Causal | None = None) -> None:
-        super().__init__(replica, state if state is not None else Causal.map_bottom())
+    bottom = staticmethod(Causal.map_bottom)
 
-    @staticmethod
-    def bottom() -> Causal:
-        """The empty set all replicas start from."""
-        return Causal.map_bottom()
-
-    # ------------------------------------------------------------------
-    # Mutators.
-    # ------------------------------------------------------------------
-
-    def add(self, element: Hashable) -> Causal:
-        """Add ``element``; returns the optimal delta."""
-        delta = self.add_delta(self.state, element)
-        return self.apply_delta(delta)
-
-    def remove(self, element: Hashable) -> Causal:
-        """Remove the observed instances of ``element``; optimal delta."""
-        delta = self.remove_delta(self.state, element)
-        return self.apply_delta(delta)
-
-    def clear(self) -> Causal:
-        """Remove every observed element; returns the optimal delta."""
-        delta = self.clear_delta(self.state)
-        return self.apply_delta(delta)
-
-    def add_delta(self, state: Causal, element: Hashable) -> Causal:
-        """δ-mutator: one fresh dot for ``element``, covering its old dots.
+    @delta_mutator
+    def add(replica: Hashable, state: Causal, element: Hashable) -> Causal:
+        """One fresh dot for ``element``, covering its old dots.
 
         Covering the element's observed dots lets the join retire them,
         so long-lived elements do not accumulate one dot per re-add.
         """
-        dot = state.context.next_dot(self.replica)
+        dot = state.context.next_dot(replica)
         existing = state.store.get(element)
         covered: Set = set(existing.dots()) if existing is not None else set()
         covered.add(dot)
@@ -79,37 +55,19 @@ class AWSet(Crdt):
             DotMap({element: DotSet((dot,))}), CausalContext.from_dots(covered)
         )
 
-    def remove_delta(self, state: Causal, element: Hashable) -> Causal:
-        """δ-mutator: no payload, just the element's observed dots.
+    #: No payload, just the element's observed dots.
+    remove = delta_mutator(cover_key)
+    #: Every live dot covered, no payload.
+    clear = delta_mutator(cover_observed)
 
-        Removing an element that is not present is a no-op (``⊥``),
-        mirroring the paper's optimal GSet ``addδ`` that returns bottom
-        for a duplicate add.
-        """
-        existing = state.store.get(element)
-        if existing is None:
-            return state.bottom_like()
-        return Causal(DotMap(), CausalContext.from_dots(existing.dots()))
-
-    def clear_delta(self, state: Causal) -> Causal:
-        """δ-mutator: cover every live dot, shipping no payload."""
-        dots = state.store.dots()
-        if not dots:
-            return state.bottom_like()
-        return Causal(DotMap(), CausalContext.from_dots(dots))
-
-    # ------------------------------------------------------------------
-    # Queries.
-    # ------------------------------------------------------------------
+    @query
+    def value(state: Causal) -> FrozenSet[Hashable]:
+        """The current set of elements."""
+        return frozenset(state.store.keys())
 
     def contains(self, element: Hashable) -> bool:
         """True while ``element`` holds at least one surviving add dot."""
         return element in self.state.store
-
-    @property
-    def value(self) -> FrozenSet[Hashable]:
-        """The current set of elements."""
-        return frozenset(self.state.store.keys())
 
     def __contains__(self, element: Hashable) -> bool:
         return self.contains(element)

@@ -31,7 +31,7 @@ during anti-entropy.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Set
+from typing import TYPE_CHECKING, Hashable, Iterator, Set
 
 from repro.causal.dots import CausalContext, Dot, EMPTY_CONTEXT
 from repro.causal.stores import DotFun, DotMap, DotSet, DotStore
@@ -170,3 +170,32 @@ class Causal(Lattice):
 _SET_BOTTOM = Causal(DotSet(), EMPTY_CONTEXT)
 _FUN_BOTTOM = Causal(DotFun(), EMPTY_CONTEXT)
 _MAP_BOTTOM = Causal(DotMap(), EMPTY_CONTEXT)
+
+
+# ----------------------------------------------------------------------
+# δ-mutators shared by the causal types (``fn(replica, state, *args)``).
+# ----------------------------------------------------------------------
+
+
+def cover_observed(replica: Hashable, state: Causal) -> Causal:
+    """δ-mutator: cover every observed dot, shipping no payload.
+
+    Clearing a set or map, resetting a counter, and lowering a flag
+    are all this one δ (``⊥`` when nothing is live).
+    """
+    dots = state.store.dots()
+    if not dots:
+        return state.bottom_like()
+    return Causal(state.store.bottom_like(), CausalContext.from_dots(dots))
+
+
+def cover_key(replica: Hashable, state: Causal, key: Hashable) -> Causal:
+    """δ-mutator: cover the observed dots under one key of a ``DotMap``.
+
+    Removing an absent key is a no-op (``⊥``), mirroring the paper's
+    optimal GSet ``addδ`` that returns bottom for a duplicate add.
+    """
+    sub = state.store.get(key)
+    if sub is None:
+        return state.bottom_like()
+    return Causal(DotMap(), CausalContext.from_dots(sub.dots()))

@@ -22,12 +22,13 @@ expected.
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Set
+from typing import Hashable, Set
 
-from repro.causal.causal import Causal
+from repro.causal.causal import Causal, cover_observed
 from repro.causal.dots import CausalContext, Dot
 from repro.causal.stores import DotFun
-from repro.crdt.base import Crdt
+from repro.crdt.base import Crdt, delta_mutator, query
+from repro.crdt.gcounter import positive
 from repro.lattice.primitives import MaxInt
 
 
@@ -46,64 +47,26 @@ class CCounter(Crdt):
 
     __slots__ = ()
 
-    def __init__(self, replica: Hashable, state: Causal | None = None) -> None:
-        super().__init__(replica, state if state is not None else Causal.fun_bottom())
+    bottom = staticmethod(Causal.fun_bottom)
 
-    @staticmethod
-    def bottom() -> Causal:
-        """The zero counter."""
-        return Causal.fun_bottom()
-
-    # ------------------------------------------------------------------
-    # Mutators.
-    # ------------------------------------------------------------------
-
-    def increment(self, by: int = 1) -> Causal:
-        """Count ``by`` more; returns the optimal delta."""
-        delta = self.increment_delta(self.state, by)
-        return self.apply_delta(delta)
-
-    def reset(self) -> Causal:
-        """Zero the observed count; returns the optimal delta."""
-        delta = self.reset_delta(self.state)
-        return self.apply_delta(delta)
-
-    def increment_delta(self, state: Causal, by: int = 1) -> Causal:
-        """δ-mutator: move this replica's tally onto a fresh dot."""
-        if by <= 0:
-            raise ValueError(f"increment must be positive, got {by}")
-        own = self._own_entry(state)
+    @delta_mutator
+    def increment(replica: Hashable, state: Causal, by: int = 1) -> Causal:
+        """Move this replica's tally, plus ``by``, onto a fresh dot."""
+        tally = positive(by, "increment")
         covered: Set[Dot] = set()
-        tally = by
-        if own is not None:
-            own_dot, own_value = own
-            covered.add(own_dot)
-            tally += own_value.value
-        dot = state.context.next_dot(self.replica)
+        for own_dot, own_value in state.store.items():
+            if own_dot.replica == replica:  # the replica's single live entry
+                covered.add(own_dot)
+                tally += own_value.value
+                break
+        dot = state.context.next_dot(replica)
         covered.add(dot)
         return Causal(DotFun({dot: MaxInt(tally)}), CausalContext.from_dots(covered))
 
-    def reset_delta(self, state: Causal) -> Causal:
-        """δ-mutator: cover every observed tally dot, shipping no payload."""
-        dots = state.store.dots()
-        if not dots:
-            return state.bottom_like()
-        return Causal(DotFun(), CausalContext.from_dots(dots))
+    #: Cover every observed tally dot, shipping no payload.
+    reset = delta_mutator(cover_observed)
 
-    def _own_entry(self, state: Causal) -> Optional[tuple]:
-        """This replica's single live (dot, tally) entry, if any."""
-        assert isinstance(state.store, DotFun)
-        for dot, value in state.store.items():
-            if dot.replica == self.replica:
-                return dot, value
-        return None
-
-    # ------------------------------------------------------------------
-    # Queries.
-    # ------------------------------------------------------------------
-
-    @property
-    def value(self) -> int:
+    @query
+    def value(state: Causal) -> int:
         """The sum of every surviving per-replica tally."""
-        assert isinstance(self.state.store, DotFun)
-        return sum(entry.value for entry in self.state.store.values())
+        return sum(entry.value for entry in state.store.values())

@@ -21,10 +21,18 @@ from __future__ import annotations
 
 from typing import Hashable
 
-from repro.causal.causal import Causal
+from repro.causal.causal import Causal, cover_observed
 from repro.causal.dots import CausalContext
 from repro.causal.stores import DotSet
-from repro.crdt.base import Crdt
+from repro.crdt.base import Crdt, delta_mutator, query
+
+
+def _fresh_dot(replica: Hashable, state: Causal) -> Causal:
+    """δ-mutator: one fresh dot, covering the observed ones."""
+    dot = state.context.next_dot(replica)
+    covered = set(state.store.dots())
+    covered.add(dot)
+    return Causal(DotSet((dot,)), CausalContext.from_dots(covered))
 
 
 class EWFlag(Crdt):
@@ -41,50 +49,14 @@ class EWFlag(Crdt):
 
     __slots__ = ()
 
-    def __init__(self, replica: Hashable, state: Causal | None = None) -> None:
-        super().__init__(replica, state if state is not None else Causal.set_bottom())
+    bottom = staticmethod(Causal.set_bottom)
 
-    @staticmethod
-    def bottom() -> Causal:
-        """The initial (disabled) state."""
-        return Causal.set_bottom()
-
-    # ------------------------------------------------------------------
-    # Mutators.
-    # ------------------------------------------------------------------
-
-    def enable(self) -> Causal:
-        """Set the flag; returns the optimal delta."""
-        delta = self.enable_delta(self.state)
-        return self.apply_delta(delta)
-
-    def disable(self) -> Causal:
-        """Clear the flag; returns the optimal delta."""
-        delta = self.disable_delta(self.state)
-        return self.apply_delta(delta)
-
-    def enable_delta(self, state: Causal) -> Causal:
-        """δ-mutator: one fresh dot, covering the observed enable dots."""
-        dot = state.context.next_dot(self.replica)
-        covered = set(state.store.dots())
-        covered.add(dot)
-        return Causal(DotSet((dot,)), CausalContext.from_dots(covered))
-
-    def disable_delta(self, state: Causal) -> Causal:
-        """δ-mutator: cover the observed enable dots (⊥ if already clear)."""
-        observed = state.store.dots()
-        if not observed:
-            return state.bottom_like()
-        return Causal(DotSet(), CausalContext.from_dots(observed))
-
-    # ------------------------------------------------------------------
-    # Queries.
-    # ------------------------------------------------------------------
-
-    @property
-    def enabled(self) -> bool:
-        """True while at least one enable dot survives."""
-        return not self.state.store.is_empty
+    #: A fresh enable dot, covering the observed ones.
+    enable = delta_mutator(_fresh_dot)
+    #: Cover the observed enable dots (⊥ if already clear).
+    disable = delta_mutator(cover_observed)
+    #: True while at least one enable dot survives.
+    enabled = query(lambda state: not state.store.is_empty)
 
 
 class DWFlag(Crdt):
@@ -101,47 +73,11 @@ class DWFlag(Crdt):
 
     __slots__ = ()
 
-    def __init__(self, replica: Hashable, state: Causal | None = None) -> None:
-        super().__init__(replica, state if state is not None else Causal.set_bottom())
+    bottom = staticmethod(Causal.set_bottom)
 
-    @staticmethod
-    def bottom() -> Causal:
-        """The initial (enabled) state."""
-        return Causal.set_bottom()
-
-    # ------------------------------------------------------------------
-    # Mutators.
-    # ------------------------------------------------------------------
-
-    def disable(self) -> Causal:
-        """Clear the flag; returns the optimal delta."""
-        delta = self.disable_delta(self.state)
-        return self.apply_delta(delta)
-
-    def enable(self) -> Causal:
-        """Set the flag; returns the optimal delta."""
-        delta = self.enable_delta(self.state)
-        return self.apply_delta(delta)
-
-    def disable_delta(self, state: Causal) -> Causal:
-        """δ-mutator: one fresh disable dot, covering the observed ones."""
-        dot = state.context.next_dot(self.replica)
-        covered = set(state.store.dots())
-        covered.add(dot)
-        return Causal(DotSet((dot,)), CausalContext.from_dots(covered))
-
-    def enable_delta(self, state: Causal) -> Causal:
-        """δ-mutator: cover the observed disable dots (⊥ if none)."""
-        observed = state.store.dots()
-        if not observed:
-            return state.bottom_like()
-        return Causal(DotSet(), CausalContext.from_dots(observed))
-
-    # ------------------------------------------------------------------
-    # Queries.
-    # ------------------------------------------------------------------
-
-    @property
-    def enabled(self) -> bool:
-        """True while no disable dot survives."""
-        return self.state.store.is_empty
+    #: A fresh disable dot, covering the observed ones.
+    disable = delta_mutator(_fresh_dot)
+    #: Cover the observed disable dots (⊥ if none).
+    enable = delta_mutator(cover_observed)
+    #: True while no disable dot survives.
+    enabled = query(lambda state: state.store.is_empty)

@@ -19,7 +19,7 @@ from repro.causal.atom import Atom
 from repro.causal.causal import Causal
 from repro.causal.dots import CausalContext
 from repro.causal.stores import DotFun
-from repro.crdt.base import Crdt
+from repro.crdt.base import Crdt, delta_mutator, query
 
 
 class CausalMVRegister(Crdt):
@@ -39,35 +39,17 @@ class CausalMVRegister(Crdt):
 
     __slots__ = ()
 
-    def __init__(self, replica: Hashable, state: Causal | None = None) -> None:
-        super().__init__(replica, state if state is not None else Causal.fun_bottom())
+    bottom = staticmethod(Causal.fun_bottom)
 
-    @staticmethod
-    def bottom() -> Causal:
-        """The unwritten register."""
-        return Causal.fun_bottom()
-
-    # ------------------------------------------------------------------
-    # Mutators.
-    # ------------------------------------------------------------------
-
-    def write(self, value: Hashable) -> Causal:
-        """Write ``value``, superseding every observed value."""
-        delta = self.write_delta(self.state, value)
-        return self.apply_delta(delta)
-
-    def write_delta(self, state: Causal, value: Hashable) -> Causal:
-        """δ-mutator: one fresh dot-value pair covering the observed dots."""
-        dot = state.context.next_dot(self.replica)
+    @delta_mutator
+    def write(replica: Hashable, state: Causal, value: Hashable) -> Causal:
+        """One fresh dot-value pair, superseding every observed value."""
+        dot = state.context.next_dot(replica)
         covered = set(state.store.dots())
         covered.add(dot)
         return Causal(DotFun({dot: Atom(value)}), CausalContext.from_dots(covered))
 
-    # ------------------------------------------------------------------
-    # Queries.
-    # ------------------------------------------------------------------
-
-    @property
-    def values(self) -> FrozenSet[Hashable]:
+    @query
+    def values(state: Causal) -> FrozenSet[Hashable]:
         """The surviving concurrently-written values (empty if unwritten)."""
-        return frozenset(atom.value for atom in self.state.store.values())
+        return frozenset(atom.value for atom in state.store.values())

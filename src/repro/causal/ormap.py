@@ -9,16 +9,16 @@ to arbitrary value types.
 
 All nested values share the single top-level causal context, which is
 what keeps an OR-map cheap: one context per map, not one per key.  A
-key update is expressed as a δ-mutator on the *value view* ``(value
-store, map context)``; the resulting value delta is wrapped back under
-the key with the same delta context.
+key update runs a δ-mutator of the value's type on the *value view*
+``(value store, map context)`` — an absent key's view starts from that
+type's bottom — and wraps the resulting value delta back under the key
+with the same delta context.
 
 >>> from repro.causal.mvregister import CausalMVRegister
->>> carts = ORMap("A", value_bottom=Causal.fun_bottom())
->>> reg = CausalMVRegister("A")
->>> _ = carts.update("alice", lambda view: reg.write_delta(view, "3 apples"))
->>> sorted(carts.value_view("alice").store.values(), key=repr)[0].value
-'3 apples'
+>>> carts = ORMap("A")
+>>> _ = carts.update("alice", CausalMVRegister, "write", "3 apples")
+>>> CausalMVRegister.values(carts.value_view("alice", CausalMVRegister))
+frozenset({'3 apples'})
 >>> _ = carts.remove("alice")
 >>> "alice" in carts.keys()
 False
@@ -26,116 +26,63 @@ False
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, Hashable, Iterator
+from typing import Any, FrozenSet, Hashable, Iterator
 
-from repro.causal.causal import Causal
-from repro.causal.dots import CausalContext
+from repro.causal.causal import Causal, cover_key, cover_observed
 from repro.causal.stores import DotMap
-from repro.crdt.base import Crdt
+from repro.crdt.base import Crdt, delta_mutator
 
-#: A δ-mutator over a value view ``(value store, map context)``.
-ValueMutator = Callable[[Causal], Causal]
+
+def _view(state: Causal, key: Hashable, value_type: type) -> Causal:
+    """The value under ``key`` as a causal state sharing the map context.
+
+    An absent key's view is ``value_type``'s bottom store paired with the
+    map's context, so fresh dots drawn by a value δ-mutator never collide
+    with dots used elsewhere in the map.
+    """
+    sub = state.store.get(key)
+    if sub is None:
+        sub = value_type.bottom().store
+    return Causal(sub, state.context)
 
 
 class ORMap(Crdt):
-    """A map from keys to nested causal CRDT values.
+    """A map from keys to nested causal CRDT values."""
 
-    Args:
-        replica: The local replica identifier.
-        value_bottom: A bottom causal value fixing the store shape of
-            the map's values (e.g. ``Causal.map_bottom()`` for AW-set
-            values, ``Causal.fun_bottom()`` for register values); used
-            to build the value view of a key that is not present yet.
-        state: Optional starting state (defaults to the empty map).
-    """
+    __slots__ = ()
 
-    __slots__ = ("value_bottom",)
+    bottom = staticmethod(Causal.map_bottom)
 
-    def __init__(
-        self,
+    @delta_mutator
+    def update(
         replica: Hashable,
-        value_bottom: Causal,
-        state: Causal | None = None,
-    ) -> None:
-        super().__init__(replica, state if state is not None else Causal.map_bottom())
-        self.value_bottom = value_bottom
-
-    @staticmethod
-    def bottom() -> Causal:
-        """The empty map all replicas start from."""
-        return Causal.map_bottom()
-
-    # ------------------------------------------------------------------
-    # Mutators.
-    # ------------------------------------------------------------------
-
-    def update(self, key: Hashable, mutate: ValueMutator) -> Causal:
-        """Apply a value δ-mutator under ``key``; returns the map delta."""
-        delta = self.update_delta(self.state, key, mutate)
-        return self.apply_delta(delta)
-
-    def remove(self, key: Hashable) -> Causal:
-        """Erase the observed value under ``key``; returns the map delta."""
-        delta = self.remove_delta(self.state, key)
-        return self.apply_delta(delta)
-
-    def update_delta(
-        self, state: Causal, key: Hashable, mutate: ValueMutator
+        state: Causal,
+        key: Hashable,
+        value_type: type,
+        op: str,
+        *args: Any,
     ) -> Causal:
-        """δ-mutator: run ``mutate`` on the key's value view and re-wrap.
-
-        The view pairs the key's current value store (bottom when the
-        key is absent) with the **map's** context, so fresh dots drawn
-        by the value mutator never collide with dots used elsewhere in
-        the map.
-        """
-        sub = state.store.get(key)
-        if sub is None:
-            sub = self.value_bottom.store
-        view = Causal(sub, state.context)
-        value_delta = mutate(view)
+        """Run ``value_type``'s δ-mutator ``op`` under ``key`` and re-wrap."""
+        value_delta = value_type.mutators[op](replica, _view(state, key, value_type), *args)
         if value_delta.is_bottom:
             return state.bottom_like()
         return Causal(DotMap({key: value_delta.store}), value_delta.context)
 
-    def remove_delta(self, state: Causal, key: Hashable) -> Causal:
-        """δ-mutator: cover the key's observed dots, shipping no payload."""
-        sub = state.store.get(key)
-        if sub is None:
-            return state.bottom_like()
-        return Causal(DotMap(), CausalContext.from_dots(sub.dots()))
-
-    def clear_delta(self, state: Causal) -> Causal:
-        """δ-mutator: cover every key's observed dots."""
-        dots = state.store.dots()
-        if not dots:
-            return state.bottom_like()
-        return Causal(DotMap(), CausalContext.from_dots(dots))
-
-    def clear(self) -> Causal:
-        """Erase every observed key; returns the map delta."""
-        delta = self.clear_delta(self.state)
-        return self.apply_delta(delta)
-
-    # ------------------------------------------------------------------
-    # Queries.
-    # ------------------------------------------------------------------
+    #: Cover the key's observed dots, shipping no payload.
+    remove = delta_mutator(cover_key)
+    #: Cover every key's observed dots.
+    clear = delta_mutator(cover_observed)
 
     def keys(self) -> FrozenSet[Hashable]:
         """Keys currently holding at least one live dot."""
         return frozenset(self.state.store.keys())
 
-    def value_view(self, key: Hashable) -> Causal:
-        """The value under ``key`` as a causal state sharing the map context.
+    def value_view(self, key: Hashable, value_type: type) -> Causal:
+        """The ``value_type`` value under ``key``, sharing the map context.
 
-        Queries on the nested CRDT type read from this view; for an
-        absent key the view is the configured value bottom paired with
-        the map's context.
+        Queries on the nested CRDT type read from this view.
         """
-        sub = self.state.store.get(key)
-        if sub is None:
-            sub = self.value_bottom.store
-        return Causal(sub, self.state.context)
+        return _view(self.state, key, value_type)
 
     def __contains__(self, key: Hashable) -> bool:
         return key in self.state.store

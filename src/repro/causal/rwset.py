@@ -11,16 +11,40 @@ fresher concurrent assertion its victory.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import FrozenSet, Hashable, Iterator, Set
 
 from repro.causal.causal import Causal
 from repro.causal.dots import CausalContext
 from repro.causal.stores import DotMap, DotSet
-from repro.crdt.base import Crdt
+from repro.crdt.base import Crdt, delta_mutator, query
 
 #: Tags distinguishing the two assertion sides of an element.
 _ADD = True
 _RMV = False
+
+
+def _assert(replica: Hashable, state: Causal, element: Hashable, side: bool) -> Causal:
+    """δ-mutator: one fresh dot on ``side``, covering both sides' observed dots."""
+    dot = state.context.next_dot(replica)
+    covered: Set = {dot}
+    for tag in (_ADD, _RMV):
+        existing = state.store.get((element, tag))
+        if existing is not None:
+            covered |= existing.dots()
+    return Causal(
+        DotMap({(element, side): DotSet((dot,))}),
+        CausalContext.from_dots(covered),
+    )
+
+
+def _members(state: Causal) -> FrozenSet[Hashable]:
+    """Elements with a surviving add assertion and no remove assertion."""
+    return frozenset(
+        element
+        for (element, tag) in state.store.keys()
+        if tag == _ADD and (element, _RMV) not in state.store
+    )
 
 
 class RWSet(Crdt):
@@ -38,52 +62,14 @@ class RWSet(Crdt):
 
     __slots__ = ()
 
-    def __init__(self, replica: Hashable, state: Causal | None = None) -> None:
-        super().__init__(replica, state if state is not None else Causal.map_bottom())
+    bottom = staticmethod(Causal.map_bottom)
 
-    @staticmethod
-    def bottom() -> Causal:
-        """The empty set all replicas start from."""
-        return Causal.map_bottom()
+    #: Assert membership of an element.
+    add = delta_mutator(partial(_assert, side=_ADD))
+    #: Assert removal of an element.
+    remove = delta_mutator(partial(_assert, side=_RMV))
 
-    # ------------------------------------------------------------------
-    # Mutators.
-    # ------------------------------------------------------------------
-
-    def add(self, element: Hashable) -> Causal:
-        """Assert membership of ``element``; returns the optimal delta."""
-        delta = self._assert_delta(self.state, element, _ADD)
-        return self.apply_delta(delta)
-
-    def remove(self, element: Hashable) -> Causal:
-        """Assert removal of ``element``; returns the optimal delta."""
-        delta = self._assert_delta(self.state, element, _RMV)
-        return self.apply_delta(delta)
-
-    def add_delta(self, state: Causal, element: Hashable) -> Causal:
-        """δ-mutator for :meth:`add` against an explicit state."""
-        return self._assert_delta(state, element, _ADD)
-
-    def remove_delta(self, state: Causal, element: Hashable) -> Causal:
-        """δ-mutator for :meth:`remove` against an explicit state."""
-        return self._assert_delta(state, element, _RMV)
-
-    def _assert_delta(self, state: Causal, element: Hashable, side: bool) -> Causal:
-        """One fresh dot on ``side``, covering both sides' observed dots."""
-        dot = state.context.next_dot(self.replica)
-        covered: Set = {dot}
-        for tag in (_ADD, _RMV):
-            existing = state.store.get((element, tag))
-            if existing is not None:
-                covered |= existing.dots()
-        return Causal(
-            DotMap({(element, side): DotSet((dot,))}),
-            CausalContext.from_dots(covered),
-        )
-
-    # ------------------------------------------------------------------
-    # Queries.
-    # ------------------------------------------------------------------
+    value = query(_members)
 
     def contains(self, element: Hashable) -> bool:
         """Membership: a surviving add assertion and no remove assertion."""
@@ -91,15 +77,6 @@ class RWSet(Crdt):
             element,
             _RMV,
         ) not in self.state.store
-
-    @property
-    def value(self) -> FrozenSet[Hashable]:
-        """The current set of elements."""
-        return frozenset(
-            element
-            for (element, tag) in self.state.store.keys()
-            if tag == _ADD and (element, _RMV) not in self.state.store
-        )
 
     def __contains__(self, element: Hashable) -> bool:
         return self.contains(element)

@@ -1,9 +1,15 @@
 """State-based CRDTs built from the lattice substrate.
 
-Each data type couples a lattice state with mutators and their optimal
-δ-mutators (Section III-B of the paper): for every mutator ``m`` the
-δ-mutator returns ``mδ(x) = ∆(m(x), x)``, the least state that joined
-with ``x`` produces ``m(x)``.
+Each data type is declared once, as three things (:mod:`repro.crdt.base`):
+its ``bottom``; its optimal δ-mutators (Section III-B of the paper),
+plain functions ``(replica, state, *args) → δ`` marked
+``@delta_mutator``, where for every mutator ``m`` the δ-mutator returns
+``mδ(x) = ∆(m(x), x)``, the least state that joined with ``x``
+produces ``m(x)``; and its queries, plain functions ``state → value``
+marked ``@query``.  ``GCounter.increment(replica, state)`` is the
+δ-function itself; ``GCounter("A").increment()`` joins its δ in place.
+A declared type plugs into the key-value store through
+:func:`repro.kv.register_type`.
 
 The types mirror the paper's catalogue:
 
@@ -18,7 +24,7 @@ The types mirror the paper's catalogue:
   locally-checked decrement rights (numeric-invariant extension).
 """
 
-from repro.crdt.base import Crdt, optimal_delta_mutator
+from repro.crdt.base import Crdt, delta_mutator, optimal_delta_mutator, query
 from repro.crdt.bcounter import BCounter, InsufficientRights
 from repro.crdt.gcounter import GCounter
 from repro.crdt.gset import GSet
@@ -31,7 +37,9 @@ __all__ = [
     "BCounter",
     "Crdt",
     "InsufficientRights",
+    "delta_mutator",
     "optimal_delta_mutator",
+    "query",
     "GCounter",
     "GSet",
     "GMap",

@@ -1,11 +1,23 @@
 """Common machinery for state-based CRDT objects.
 
-A :class:`Crdt` owns an immutable lattice value (its *state*) plus the
-replica identifier used by identity-keyed types (counters).  Mutators
-update the state in place (replacing the immutable value) and return the
-**delta** they produced, so callers can hand it to a delta-based
-synchronizer; standard state-based usage simply ignores the return
-value.
+A data type is a *declaration* over an immutable lattice state, written
+once, in three parts:
+
+* ``bottom`` — a zero-argument callable returning the value every
+  replica starts from;
+* its **δ-mutators** — plain functions ``fn(replica, state, *args) → δ``
+  decorated with :class:`delta_mutator`, each returning the optimal
+  delta ``mδ(x)`` of Section III-B (``m(x) = x ⊔ mδ(x)``);
+* its **queries** — plain functions ``fn(state) → value`` decorated
+  with :class:`query` (queries that take arguments stay methods).
+
+Read off the class, a declared member *is* the plain function:
+``AWSet.add(replica, state, "x")`` computes a δ and touches nothing,
+which is how the key-value store and the workloads drive a type.  Read
+off a :class:`Crdt` instance it is the in-place form: ``obj.add("x")``
+joins the δ into ``obj.state`` and returns it, and ``obj.value`` is the
+query's answer on the current state.  That one funnel is the only place
+a mutator joins.
 
 The module also exposes :func:`optimal_delta_mutator`, the paper's
 recipe (Section III-B) for deriving a minimal δ-mutator from any
@@ -16,7 +28,9 @@ mutator::
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, TypeVar
+from functools import wraps
+from types import MethodType
+from typing import Any, Callable, ClassVar, Dict, Hashable, TypeVar
 
 from repro.lattice.base import Lattice
 
@@ -46,6 +60,51 @@ def optimal_delta_mutator(mutator: Callable[[L], L]) -> Callable[[L], L]:
     return delta_mutator
 
 
+class delta_mutator:
+    """Declare ``fn(replica, state, *args) → δ`` as a type's δ-mutator.
+
+    On the class the attribute is ``fn`` itself; on an instance it is
+    the bound in-place mutator that joins ``fn``'s δ into the
+    instance's state and returns the δ.  The declaring class records
+    ``fn`` in its :attr:`Crdt.mutators` under the attribute's name.
+    """
+
+    __slots__ = ("fn", "in_place")
+
+    def __init__(self, fn: Callable[..., Lattice]) -> None:
+        self.fn = fn
+
+        @wraps(fn)
+        def in_place(crdt: "Crdt", *args: Any, **kwargs: Any) -> Lattice:
+            delta = fn(crdt.replica, crdt.state, *args, **kwargs)
+            crdt.state = crdt.state.join(delta)
+            return delta
+
+        self.in_place = in_place
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        owner.mutators = {**owner.mutators, name: self.fn}
+
+    def __get__(self, crdt: "Crdt | None", owner: type | None = None) -> Callable:
+        return self.fn if crdt is None else MethodType(self.in_place, crdt)
+
+
+class query:
+    """Declare ``fn(state) → value`` as a query of a type.
+
+    On the class the attribute is ``fn`` itself; on an instance it reads
+    like a property: ``fn`` applied to the instance's state.
+    """
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable[[Any], Any]) -> None:
+        self.fn = fn
+
+    def __get__(self, crdt: "Crdt | None", owner: type | None = None) -> Any:
+        return self.fn if crdt is None else self.fn(crdt.state)
+
+
 class Crdt:
     """Base class: a replica-local CRDT object over a lattice state.
 
@@ -54,27 +113,22 @@ class Crdt:
             state is keyed by replica identity.
         state: The current lattice value.  Always replaced, never
             mutated, so snapshots taken by synchronizers stay valid.
+            Defaults to the type's ``bottom()``.
+        mutators: The type's declared δ-mutators by name (class-level).
     """
 
     __slots__ = ("replica", "state")
 
-    def __init__(self, replica: Hashable, state: Lattice) -> None:
+    bottom: ClassVar[Callable[[], Lattice]]
+    mutators: ClassVar[Dict[str, Callable[..., Lattice]]] = {}
+
+    def __init__(self, replica: Hashable, state: Lattice | None = None) -> None:
         self.replica = replica
-        self.state = state
+        self.state = self.bottom() if state is None else state
 
     # ------------------------------------------------------------------
     # Synchronization-facing operations.
     # ------------------------------------------------------------------
-
-    def apply_delta(self, delta: Lattice) -> Lattice:
-        """Join ``delta`` into the local state and return it unchanged.
-
-        The single funnel through which every mutator updates the state;
-        keeping one code path makes the inflation invariant easy to
-        audit.
-        """
-        self.state = self.state.join(delta)
-        return delta
 
     def merge(self, other: "Crdt | Lattice") -> None:
         """Join a remote replica's state (or a raw lattice value)."""

@@ -26,9 +26,11 @@ same one Appendix B of the paper invokes for lexicographic counters.
 
 from __future__ import annotations
 
-from typing import Hashable, Tuple
+from typing import Hashable
 
-from repro.crdt.base import Crdt
+from repro.crdt.base import Crdt, delta_mutator, query
+from repro.crdt.gcounter import positive
+from repro.crdt.pncounter import net_total, tallies
 from repro.lattice.map_lattice import MapLattice
 from repro.lattice.primitives import MaxInt
 from repro.lattice.product import PairLattice
@@ -40,6 +42,29 @@ def _body_entry(inc: int, dec: int) -> PairLattice:
 
 class InsufficientRights(ValueError):
     """Raised when a decrement or transfer exceeds the local rights."""
+
+
+def _rights(state: PairLattice, replica: Hashable) -> int:
+    """Rights owned by ``replica`` under the view ``state``."""
+    inc, dec = tallies(state.first, replica)
+    inbound = outbound = 0
+    for (src, dst), ceded in state.second.items():
+        assert isinstance(ceded, MaxInt)
+        if dst == replica:
+            inbound += ceded.value
+        if src == replica:
+            outbound += ceded.value
+    return inc - dec + inbound - outbound
+
+
+def _spend(state: PairLattice, replica: Hashable, amount: int, what: str) -> int:
+    """``amount``, checked positive and covered by ``replica``'s rights."""
+    available = _rights(state, replica)
+    if positive(amount, what) > available:
+        raise InsufficientRights(
+            f"replica {replica!r} holds {available} rights, needs {amount}"
+        )
+    return amount
 
 
 class BCounter(Crdt):
@@ -59,30 +84,23 @@ class BCounter(Crdt):
 
     __slots__ = ()
 
-    def __init__(self, replica: Hashable, state: PairLattice | None = None) -> None:
-        super().__init__(replica, state if state is not None else BCounter.bottom())
-
-    @staticmethod
-    def bottom() -> PairLattice:
-        """An empty PNCounter body paired with an empty transfer matrix."""
-        return PairLattice(MapLattice(), MapLattice())
+    bottom = staticmethod(lambda: PairLattice(MapLattice(), MapLattice()))
 
     # ------------------------------------------------------------------
-    # Mutators (all return optimal deltas).
+    # δ-mutators (all return optimal deltas: one map entry).
     # ------------------------------------------------------------------
 
-    def increment(self, by: int = 1) -> PairLattice:
+    @delta_mutator
+    def increment(replica: Hashable, state: PairLattice, by: int = 1) -> PairLattice:
         """Add ``by`` to the counter, minting ``by`` local rights."""
-        if by <= 0:
-            raise ValueError(f"increment must be positive, got {by}")
-        inc, _ = self._tallies()
-        delta = PairLattice(
-            MapLattice({self.replica: _body_entry(inc + by, 0)}),
-            self._matrix().bottom_like(),
+        inc, _ = tallies(state.first, replica)
+        return PairLattice(
+            MapLattice({replica: _body_entry(inc + positive(by, "increment"), 0)}),
+            state.second.bottom_like(),
         )
-        return self.apply_delta(delta)
 
-    def decrement(self, by: int = 1) -> PairLattice:
+    @delta_mutator
+    def decrement(replica: Hashable, state: PairLattice, by: int = 1) -> PairLattice:
         """Subtract ``by``, if this replica owns enough rights.
 
         Raises :class:`InsufficientRights` otherwise — the caller must
@@ -90,60 +108,41 @@ class BCounter(Crdt):
         that local refusal is exactly what keeps the global value
         non-negative with no coordination.
         """
-        if by <= 0:
-            raise ValueError(f"decrement must be positive, got {by}")
-        available = self.rights
-        if by > available:
-            raise InsufficientRights(
-                f"replica {self.replica!r} holds {available} rights, needs {by}"
-            )
-        _, dec = self._tallies()
-        delta = PairLattice(
-            MapLattice({self.replica: _body_entry(0, dec + by)}),
-            self._matrix().bottom_like(),
+        _, dec = tallies(state.first, replica)
+        return PairLattice(
+            MapLattice({replica: _body_entry(0, dec + _spend(state, replica, by, "decrement"))}),
+            state.second.bottom_like(),
         )
-        return self.apply_delta(delta)
 
-    def transfer(self, amount: int, to: Hashable) -> PairLattice:
+    @delta_mutator
+    def transfer(
+        replica: Hashable, state: PairLattice, amount: int, to: Hashable
+    ) -> PairLattice:
         """Cede ``amount`` local rights to replica ``to``.
 
         The transfer is an entry in the grow-only matrix, so it commutes
         with every other operation; the recipient can spend the rights
         as soon as the delta reaches it.
         """
-        if amount <= 0:
-            raise ValueError(f"transfer must be positive, got {amount}")
-        if to == self.replica:
+        if to == replica:
             raise ValueError("cannot transfer rights to oneself")
-        available = self.rights
-        if amount > available:
-            raise InsufficientRights(
-                f"replica {self.replica!r} holds {available} rights, needs {amount}"
-            )
-        ceded = self._ceded(self.replica, to)
-        delta = PairLattice(
-            self._body().bottom_like(),
-            MapLattice({(self.replica, to): MaxInt(ceded + amount)}),
+        ceded = state.second.get((replica, to))
+        base = ceded.value if isinstance(ceded, MaxInt) else 0
+        return PairLattice(
+            state.first.bottom_like(),
+            MapLattice({(replica, to): MaxInt(base + _spend(state, replica, amount, "transfer"))}),
         )
-        return self.apply_delta(delta)
 
     # ------------------------------------------------------------------
     # Queries.
     # ------------------------------------------------------------------
 
-    @property
-    def value(self) -> int:
-        """Total increments minus total decrements (never negative)."""
-        total = 0
-        for _, pair in self._body().items():
-            assert isinstance(pair, PairLattice)
-            total += pair.first.value - pair.second.value
-        return total
+    value = query(lambda state: net_total(state.first))
 
     @property
     def rights(self) -> int:
         """Decrement rights currently owned by the local replica."""
-        return self.rights_of(self.replica)
+        return _rights(self.state, self.replica)
 
     def rights_of(self, replica: Hashable) -> int:
         """Rights owned by ``replica`` under the local view of the state.
@@ -154,36 +153,4 @@ class BCounter(Crdt):
         decrements and outbound transfers) are written only by that
         replica itself.
         """
-        entry = self._body().get(replica)
-        inc = entry.first.value if isinstance(entry, PairLattice) else 0
-        dec = entry.second.value if isinstance(entry, PairLattice) else 0
-        inbound = outbound = 0
-        for (src, dst), ceded in self._matrix().items():
-            assert isinstance(ceded, MaxInt)
-            if dst == replica:
-                inbound += ceded.value
-            if src == replica:
-                outbound += ceded.value
-        return inc - dec + inbound - outbound
-
-    # ------------------------------------------------------------------
-    # State access helpers.
-    # ------------------------------------------------------------------
-
-    def _body(self) -> MapLattice:
-        assert isinstance(self.state, PairLattice)
-        return self.state.first
-
-    def _matrix(self) -> MapLattice:
-        assert isinstance(self.state, PairLattice)
-        return self.state.second
-
-    def _tallies(self) -> Tuple[int, int]:
-        entry = self._body().get(self.replica)
-        if not isinstance(entry, PairLattice):
-            return (0, 0)
-        return (entry.first.value, entry.second.value)
-
-    def _ceded(self, src: Hashable, dst: Hashable) -> int:
-        entry = self._matrix().get((src, dst))
-        return entry.value if isinstance(entry, MaxInt) else 0
+        return _rights(self.state, replica)

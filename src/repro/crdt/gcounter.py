@@ -11,9 +11,16 @@ from __future__ import annotations
 
 from typing import Hashable
 
-from repro.crdt.base import Crdt
+from repro.crdt.base import Crdt, delta_mutator, query
 from repro.lattice.map_lattice import MapLattice
 from repro.lattice.primitives import MaxInt
+
+
+def positive(by: int, what: str) -> int:
+    """``by``, checked: a counting δ-mutator only ever adds."""
+    if by <= 0:
+        raise ValueError(f"{what} must be positive, got {by}")
+    return by
 
 
 class GCounter(Crdt):
@@ -24,51 +31,25 @@ class GCounter(Crdt):
     >>> a.merge(b)
     >>> a.value
     3
+    >>> GCounter.increment("A", a.state, 2)     # the δ alone, nothing joined
+    MapLattice({'A': MaxInt(3)})
     """
 
     __slots__ = ()
 
-    def __init__(self, replica: Hashable, state: MapLattice | None = None) -> None:
-        super().__init__(replica, state if state is not None else MapLattice())
+    bottom = MapLattice
 
-    @staticmethod
-    def bottom() -> MapLattice:
-        """The empty map ``⊥`` all replicas start from."""
-        return MapLattice()
-
-    # ------------------------------------------------------------------
-    # Mutators.
-    # ------------------------------------------------------------------
-
-    def increment(self, by: int = 1) -> MapLattice:
-        """Apply ``inc`` locally and return the optimal delta.
-
-        The delta is the single updated entry, exactly the paper's
-        ``incδ_i(p) = {i ↦ p(i) + 1}``.
-        """
-        if by <= 0:
-            raise ValueError(f"increment must be positive, got {by}")
-        delta = self.increment_delta(self.state, by)
-        return self.apply_delta(delta)
-
-    def increment_delta(self, state: MapLattice, by: int = 1) -> MapLattice:
-        """The δ-mutator ``incδ`` evaluated against an explicit state.
-
-        Exposed separately so synchronizers can generate deltas against
-        the state they manage.
-        """
-        current = state.get(self.replica)
+    @delta_mutator
+    def increment(replica: Hashable, state: MapLattice, by: int = 1) -> MapLattice:
+        """``incδ``: the single updated entry ``{i ↦ p(i) + by}``."""
+        current = state.get(replica)
         base = current.value if isinstance(current, MaxInt) else 0
-        return MapLattice({self.replica: MaxInt(base + by)})
+        return MapLattice({replica: MaxInt(base + positive(by, "increment"))})
 
-    # ------------------------------------------------------------------
-    # Queries.
-    # ------------------------------------------------------------------
-
-    @property
-    def value(self) -> int:
+    @query
+    def value(state: MapLattice) -> int:
         """``value(p) = Σ { v | k ↦ v ∈ p }``."""
-        return sum(entry.value for _, entry in self.state.items())
+        return sum(entry.value for _, entry in state.items())
 
     def entry(self, replica: Hashable) -> int:
         """The tally recorded for one replica (0 when absent)."""

@@ -14,12 +14,27 @@ immutable content registers.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable
+from typing import Any, Callable, Dict, Hashable
 
-from repro.crdt.base import Crdt
+from repro.crdt.base import Crdt, delta_mutator, query
 from repro.lattice.base import Lattice
 from repro.lattice.map_lattice import MapLattice
 from repro.lattice.primitives import Chain, MaxInt
+
+
+def put(replica: Hashable, state: MapLattice, key: Hashable, value: Lattice) -> MapLattice:
+    """Join ``value`` into the binding for ``key``.
+
+    The delta is the one-entry map ``{k ↦ ∆(value, current)}`` —
+    bottom when the write is already dominated.
+    """
+    current = state.get(key)
+    if current is None:
+        return MapLattice({key: value})
+    novel = value.delta(current)
+    if novel.is_bottom:
+        return state.bottom_like()
+    return MapLattice({key: novel})
 
 
 class GMap(Crdt):
@@ -34,36 +49,37 @@ class GMap(Crdt):
 
     __slots__ = ()
 
-    def __init__(self, replica: Hashable, state: MapLattice | None = None) -> None:
-        super().__init__(replica, state if state is not None else MapLattice())
+    bottom = MapLattice
 
-    @staticmethod
-    def bottom() -> MapLattice:
-        """The empty map ``⊥``."""
-        return MapLattice()
+    put = delta_mutator(put)
 
-    # ------------------------------------------------------------------
-    # Mutators.
-    # ------------------------------------------------------------------
+    @delta_mutator
+    def bump(replica: Hashable, state: MapLattice, key: Hashable) -> MapLattice:
+        """Increment a ``MaxInt``-valued binding — the Table I update.
 
-    def put(self, key: Hashable, value: Lattice) -> MapLattice:
-        """Join ``value`` into the binding for ``key``; return the delta.
-
-        The delta is the one-entry map ``{k ↦ ∆(value, current)}`` —
-        bottom when the write is already dominated.
+        "change the value of a key" in the micro-benchmark: each refresh
+        inflates the per-key counter by one, so every round produces a
+        genuinely new binding to disseminate.
         """
-        delta = self.put_delta(self.state, key, value)
-        return self.apply_delta(delta)
-
-    def put_delta(self, state: MapLattice, key: Hashable, value: Lattice) -> MapLattice:
-        """The δ-mutator for :meth:`put` against an explicit state."""
         current = state.get(key)
-        if current is None:
-            return MapLattice({key: value})
-        novel = value.delta(current)
-        if novel.is_bottom:
-            return state.bottom_like()
-        return MapLattice({key: novel})
+        base = current.value if isinstance(current, MaxInt) else 0
+        return put(replica, state, key, MaxInt(base + 1))
+
+    @delta_mutator
+    def put_chain(
+        replica: Hashable, state: MapLattice, key: Hashable, value: Any, bottom: Any = ""
+    ) -> MapLattice:
+        """Bind ``key`` to a :class:`Chain`-wrapped immutable value.
+
+        Convenience for write-once registers such as tweet bodies in the
+        Retwis workload.
+        """
+        return put(replica, state, key, Chain(value, bottom=bottom))
+
+    @query
+    def bindings(state: MapLattice) -> Dict[Hashable, Lattice]:
+        """Every binding, as a plain dict."""
+        return dict(state.items())
 
     def update(self, key: Hashable, fn: Callable[[Lattice | None], Lattice]) -> MapLattice:
         """Compute a new value for ``key`` from its current binding.
@@ -73,29 +89,6 @@ class GMap(Crdt):
         joined in and returned.
         """
         return self.put(key, fn(self.state.get(key)))
-
-    def bump(self, key: Hashable) -> MapLattice:
-        """Increment a ``MaxInt``-valued binding — the Table I update.
-
-        "change the value of a key" in the micro-benchmark: each refresh
-        inflates the per-key counter by one, so every round produces a
-        genuinely new binding to disseminate.
-        """
-        current = self.state.get(key)
-        base = current.value if isinstance(current, MaxInt) else 0
-        return self.put(key, MaxInt(base + 1))
-
-    def put_chain(self, key: Hashable, value, bottom="") -> MapLattice:
-        """Bind ``key`` to a :class:`Chain`-wrapped immutable value.
-
-        Convenience for write-once registers such as tweet bodies in the
-        Retwis workload.
-        """
-        return self.put(key, Chain(value, bottom=bottom))
-
-    # ------------------------------------------------------------------
-    # Queries.
-    # ------------------------------------------------------------------
 
     def get(self, key: Hashable) -> Lattice | None:
         """The binding for ``key`` (``None`` when unbound)."""

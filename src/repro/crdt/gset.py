@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import AbstractSet, Hashable
 
-from repro.crdt.base import Crdt
+from repro.crdt.base import Crdt, delta_mutator, query
 from repro.lattice.set_lattice import SetLattice
 
 
@@ -26,41 +26,19 @@ class GSet(Crdt):
 
     __slots__ = ()
 
-    def __init__(self, replica: Hashable, state: SetLattice | None = None) -> None:
-        super().__init__(replica, state if state is not None else SetLattice())
+    bottom = SetLattice
 
-    @staticmethod
-    def bottom() -> SetLattice:
-        """The empty set ``⊥``."""
-        return SetLattice()
-
-    # ------------------------------------------------------------------
-    # Mutators.
-    # ------------------------------------------------------------------
-
-    def add(self, element: Hashable) -> SetLattice:
-        """Apply ``add`` locally and return the optimal delta.
-
-        Implements the paper's optimal ``addδ``: the delta is ``{e}`` if
-        the element is new and ``⊥`` if it was already present.
-        """
-        delta = self.add_delta(self.state, element)
-        return self.apply_delta(delta)
-
-    def add_delta(self, state: SetLattice, element: Hashable) -> SetLattice:
-        """The δ-mutator ``addδ`` evaluated against an explicit state."""
+    @delta_mutator
+    def add(replica: Hashable, state: SetLattice, element: Hashable) -> SetLattice:
+        """The paper's optimal ``addδ``: ``{e}`` if new, ``⊥`` if present."""
         if element in state:
             return state.bottom_like()
         return SetLattice((element,))
 
-    # ------------------------------------------------------------------
-    # Queries.
-    # ------------------------------------------------------------------
-
-    @property
-    def value(self) -> AbstractSet[Hashable]:
+    @query
+    def value(state: SetLattice) -> AbstractSet[Hashable]:
         """``value(s) = s`` — the accumulated element set."""
-        return self.state.elements
+        return state.elements
 
     def __contains__(self, element: Hashable) -> bool:
         return element in self.state

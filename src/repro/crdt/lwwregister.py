@@ -13,9 +13,12 @@ from __future__ import annotations
 
 from typing import Any, Hashable
 
-from repro.crdt.base import Crdt
+from repro.crdt.base import Crdt, delta_mutator, query
 from repro.lattice.lexicographic import LexPair
 from repro.lattice.primitives import Chain, MaxInt
+
+#: The value of an unwritten register, and the bottom of its value chain.
+UNWRITTEN = ""
 
 
 class LWWRegister(Crdt):
@@ -28,59 +31,31 @@ class LWWRegister(Crdt):
     'second'
     """
 
-    __slots__ = ("_value_bottom",)
+    __slots__ = ()
 
-    def __init__(
-        self,
-        replica: Hashable,
-        state: LexPair | None = None,
-        value_bottom: Any = "",
-    ) -> None:
-        self._value_bottom = value_bottom
-        if state is None:
-            state = LexPair(MaxInt(0), Chain(value_bottom, bottom=value_bottom))
-        super().__init__(replica, state)
+    bottom = staticmethod(lambda: LexPair(MaxInt(0), Chain(UNWRITTEN, bottom=UNWRITTEN)))
 
-    def bottom(self) -> LexPair:
-        """The unwritten register: version 0, bottom value."""
-        return LexPair(MaxInt(0), Chain(self._value_bottom, bottom=self._value_bottom))
-
-    # ------------------------------------------------------------------
-    # Mutators.
-    # ------------------------------------------------------------------
-
-    def write(self, value: Any, timestamp: int | None = None) -> LexPair:
-        """Write ``value``, bumping the version chain; return the delta.
+    @delta_mutator
+    def write(
+        replica: Hashable, state: LexPair, value: Any, timestamp: int | None = None
+    ) -> LexPair:
+        """Write ``value``, bumping the version chain.
 
         When ``timestamp`` is omitted the current version plus one is
         used, which guarantees the write is visible locally.  Writes
         with stale timestamps lose against the current state and yield
         a bottom delta.
         """
-        assert isinstance(self.state, LexPair)
-        current_version = self.state.first
-        assert isinstance(current_version, MaxInt)
-        version = timestamp if timestamp is not None else current_version.value + 1
-        candidate = LexPair(MaxInt(version), Chain(value, bottom=self._value_bottom))
-        delta = candidate.delta(self.state)
-        return self.apply_delta(delta)
+        version = timestamp if timestamp is not None else state.first.value + 1
+        candidate = LexPair(MaxInt(version), Chain(value, bottom=UNWRITTEN))
+        return candidate.delta(state)
 
-    # ------------------------------------------------------------------
-    # Queries.
-    # ------------------------------------------------------------------
-
-    @property
-    def value(self) -> Any:
+    @query
+    def value(state: LexPair) -> Any:
         """The winning write's value."""
-        assert isinstance(self.state, LexPair)
-        chain = self.state.second
-        assert isinstance(chain, Chain)
-        return chain.value
+        return state.second.value
 
-    @property
-    def timestamp(self) -> int:
+    @query
+    def timestamp(state: LexPair) -> int:
         """The winning write's timestamp."""
-        assert isinstance(self.state, LexPair)
-        version = self.state.first
-        assert isinstance(version, MaxInt)
-        return version.value
+        return state.first.value

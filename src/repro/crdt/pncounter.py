@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from typing import Hashable, Tuple
 
-from repro.crdt.base import Crdt
+from repro.crdt.base import Crdt, delta_mutator, query
+from repro.crdt.gcounter import positive
 from repro.lattice.map_lattice import MapLattice
 from repro.lattice.primitives import MaxInt
 from repro.lattice.product import PairLattice
@@ -23,6 +24,23 @@ from repro.lattice.product import PairLattice
 
 def _entry(inc: int, dec: int) -> PairLattice:
     return PairLattice(MaxInt(inc), MaxInt(dec))
+
+
+def tallies(state: MapLattice, replica: Hashable) -> Tuple[int, int]:
+    """The ``(increments, decrements)`` ``state`` records for ``replica``."""
+    found = state.get(replica)
+    if not isinstance(found, PairLattice):
+        return (0, 0)
+    return (found.first.value, found.second.value)
+
+
+def net_total(state: MapLattice) -> int:
+    """Total increments minus total decrements, over all replicas."""
+    total = 0
+    for _, pair in state.items():
+        assert isinstance(pair, PairLattice)
+        total += pair.first.value - pair.second.value
+    return total
 
 
 class PNCounter(Crdt):
@@ -36,56 +54,22 @@ class PNCounter(Crdt):
 
     __slots__ = ()
 
-    def __init__(self, replica: Hashable, state: MapLattice | None = None) -> None:
-        super().__init__(replica, state if state is not None else MapLattice())
+    bottom = MapLattice
 
-    @staticmethod
-    def bottom() -> MapLattice:
-        """The empty map ``⊥``."""
-        return MapLattice()
+    @delta_mutator
+    def increment(replica: Hashable, state: MapLattice, by: int = 1) -> MapLattice:
+        """Raise the local increment tally: one entry, the new tally."""
+        inc, _ = tallies(state, replica)
+        return MapLattice({replica: _entry(inc + positive(by, "increment"), 0)})
 
-    # ------------------------------------------------------------------
-    # Mutators.
-    # ------------------------------------------------------------------
+    @delta_mutator
+    def decrement(replica: Hashable, state: MapLattice, by: int = 1) -> MapLattice:
+        """Raise the local decrement tally: one entry, the new tally."""
+        _, dec = tallies(state, replica)
+        return MapLattice({replica: _entry(0, dec + positive(by, "decrement"))})
 
-    def increment(self, by: int = 1) -> MapLattice:
-        """Raise the local increment tally; return the optimal delta."""
-        if by <= 0:
-            raise ValueError(f"increment must be positive, got {by}")
-        inc, dec = self._tallies(self.state)
-        delta = MapLattice({self.replica: _entry(inc + by, 0)})
-        return self.apply_delta(delta)
-
-    def decrement(self, by: int = 1) -> MapLattice:
-        """Raise the local decrement tally; return the optimal delta."""
-        if by <= 0:
-            raise ValueError(f"decrement must be positive, got {by}")
-        inc, dec = self._tallies(self.state)
-        delta = MapLattice({self.replica: _entry(0, dec + by)})
-        return self.apply_delta(delta)
-
-    # ------------------------------------------------------------------
-    # Queries.
-    # ------------------------------------------------------------------
-
-    @property
-    def value(self) -> int:
-        """Total increments minus total decrements, over all replicas."""
-        total = 0
-        for _, pair in self.state.items():
-            assert isinstance(pair, PairLattice)
-            total += pair.first.value - pair.second.value
-        return total
+    value = query(net_total)
 
     def tallies(self, replica: Hashable) -> Tuple[int, int]:
         """The ``(increments, decrements)`` recorded for a replica."""
-        found = self.state.get(replica)
-        if not isinstance(found, PairLattice):
-            return (0, 0)
-        return (found.first.value, found.second.value)
-
-    def _tallies(self, state: MapLattice) -> Tuple[int, int]:
-        found = state.get(self.replica)
-        if not isinstance(found, PairLattice):
-            return (0, 0)
-        return (found.first.value, found.second.value)
+        return tallies(self.state, replica)

@@ -11,13 +11,9 @@ from __future__ import annotations
 
 from typing import AbstractSet, Hashable
 
-from repro.crdt.base import Crdt
+from repro.crdt.base import Crdt, delta_mutator, query
 from repro.lattice.product import PairLattice
 from repro.lattice.set_lattice import SetLattice
-
-
-def _bottom() -> PairLattice:
-    return PairLattice(SetLattice(), SetLattice())
 
 
 class TwoPSet(Crdt):
@@ -33,57 +29,32 @@ class TwoPSet(Crdt):
 
     __slots__ = ()
 
-    def __init__(self, replica: Hashable, state: PairLattice | None = None) -> None:
-        super().__init__(replica, state if state is not None else _bottom())
+    bottom = staticmethod(lambda: PairLattice(SetLattice(), SetLattice()))
 
-    @staticmethod
-    def bottom() -> PairLattice:
-        """Two empty sets."""
-        return _bottom()
-
-    # ------------------------------------------------------------------
-    # Mutators.
-    # ------------------------------------------------------------------
-
-    def add(self, element: Hashable) -> PairLattice:
+    @delta_mutator
+    def add(replica: Hashable, state: PairLattice, element: Hashable) -> PairLattice:
         """Add ``element``; bottom delta if already added."""
-        assert isinstance(self.state, PairLattice)
-        adds = self.state.first
-        assert isinstance(adds, SetLattice)
-        if element in adds:
-            delta = self.state.bottom_like()
-        else:
-            delta = PairLattice(SetLattice((element,)), SetLattice())
-        return self.apply_delta(delta)
+        if element in state.first:
+            return state.bottom_like()
+        return PairLattice(SetLattice((element,)), SetLattice())
 
-    def remove(self, element: Hashable) -> PairLattice:
+    @delta_mutator
+    def remove(replica: Hashable, state: PairLattice, element: Hashable) -> PairLattice:
         """Tombstone ``element``; requires it to have been added.
 
         Removing a never-added element raises: 2P-set semantics only
         allow removing observed elements.
         """
-        assert isinstance(self.state, PairLattice)
-        adds, removes = self.state.first, self.state.second
-        assert isinstance(adds, SetLattice) and isinstance(removes, SetLattice)
-        if element not in adds:
+        if element not in state.first:
             raise KeyError(f"cannot remove {element!r}: never added")
-        if element in removes:
-            delta = self.state.bottom_like()
-        else:
-            delta = PairLattice(SetLattice(), SetLattice((element,)))
-        return self.apply_delta(delta)
+        if element in state.second:
+            return state.bottom_like()
+        return PairLattice(SetLattice(), SetLattice((element,)))
 
-    # ------------------------------------------------------------------
-    # Queries.
-    # ------------------------------------------------------------------
-
-    @property
-    def value(self) -> AbstractSet[Hashable]:
+    @query
+    def value(state: PairLattice) -> AbstractSet[Hashable]:
         """Added elements that are not tombstoned."""
-        assert isinstance(self.state, PairLattice)
-        adds, removes = self.state.first, self.state.second
-        assert isinstance(adds, SetLattice) and isinstance(removes, SetLattice)
-        return adds.elements - removes.elements
+        return state.first.elements - state.second.elements
 
     def __contains__(self, element: Hashable) -> bool:
         return element in self.value

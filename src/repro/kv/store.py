@@ -359,7 +359,10 @@ class KVStore(Synchronizer):
         op = delta_mutator
         replica = self.replica
         return self._write(
-            op.key, lambda spec, current: spec.apply(replica, current, op.op, *op.args)
+            op.key,
+            lambda spec, current: spec.apply(
+                replica, spec.bottom() if current is None else current, op.op, *op.args
+            ),
         )
 
     def sync_messages(self) -> List[Send]:

@@ -3,12 +3,13 @@
 A key-value store holds many keys, each bound to one CRDT type; clients
 speak in typed operations (``increment``, ``add``, ``write``) while the
 synchronization layer sees only lattice deltas.  :class:`TypeSpec`
-bridges the two: it wraps one of the library's CRDT classes
-(:mod:`repro.crdt` / :mod:`repro.causal`) and turns a named mutator
-invocation into the optimal δ of that mutation against the key's
-current lattice value — every write funnels through the paper's
-δ-mutator discipline (Section III-B), so any synchronizer in
-:mod:`repro.sync` can carry it.
+bridges the two.  It is built from a type's declaration in
+:mod:`repro.crdt` / :mod:`repro.causal` — its ``bottom``, its declared
+δ-mutators and the query a read answers with — and turns a named
+operation into a direct call of that δ-mutator on the key's current
+lattice value: every write funnels through the paper's δ-mutator
+discipline (Section III-B), no client object is built, and any
+synchronizer in :mod:`repro.sync` can carry the result.
 
 A :class:`Schema` decides which type a key holds.  The binding must be
 a pure function of the key (every replica resolves it identically
@@ -16,14 +17,17 @@ without coordination), so the default convention types keys by prefix:
 ``cnt:balance`` is a PNCounter, ``aws:cart`` an add-wins set, and the
 Retwis prefixes (``flw:``/``wal:``/``tln:``) map onto the store's
 set/map types so the paper's application workload runs unchanged.
-Custom types register through :func:`register_type`.
+Custom types register through :func:`register_type`, which takes a
+:class:`TypeSpec` naming a declared type: a :class:`~repro.crdt.base.Crdt`
+subclass with a ``bottom``, ``@delta_mutator`` functions
+``(replica, state, *args) → δ`` and an ``@query`` function
+``state → value``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Any, Callable, Dict, FrozenSet, Hashable, Mapping, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Hashable, Mapping, Optional, Type
 
 from repro.causal import AWSet, CausalMVRegister, CCounter, EWFlag, RWSet
 from repro.codec import UnsupportedType, encode
@@ -43,75 +47,50 @@ class KVTypeError(TypeError):
     """Unknown type, unknown operation, or unsupported removal."""
 
 
-@lru_cache(maxsize=None)
-def _delta_only(client: type) -> type:
-    """``client`` with the join cut out of its mutator funnel.
-
-    Every mutator ends by handing its δ to :meth:`Crdt.apply_delta`,
-    which joins it into the client's own state.  The clients
-    :meth:`TypeSpec.apply` builds are thrown away as soon as the δ is
-    out, and the shard joins that same δ right after — so for them, and
-    only for them, the funnel returns the δ unjoined.  One subclass per
-    client class, built on first use.
-    """
-    return type(
-        client.__name__,
-        (client,),
-        {"__slots__": (), "apply_delta": lambda self, delta: delta},
-    )
-
-
 @dataclass(frozen=True)
 class TypeSpec:
-    """One storable CRDT type: its client class and permitted mutators.
+    """One storable CRDT type, as its declaration defines it.
 
     Attributes:
         name: Registry identifier (``"gcounter"``, ``"awset"``, …).
-        client: The :class:`~repro.crdt.base.Crdt` subclass wrapped for
-            each call; its constructor must accept ``(replica, state)``.
-        mutators: Method names clients may invoke as write operations.
-            Each must compute its δ from the state it was constructed
-            with and pass it to ``apply_delta`` as its last step.
-        reader: Maps a client holding the current state to the
-            query-side value (:meth:`read`).
-        remove_op: Mutator implementing key removal (``"clear"`` for
-            observed-remove types), or ``None`` for grow-only types
-            that cannot forget.
+        crdt: The declaring :class:`~repro.crdt.base.Crdt` subclass;
+            its ``bottom`` starts every key and its declared
+            δ-mutators (``crdt.mutators``) are the write operations.
+        read: The declared query answering a read (``state → value``).
+        remove: The declared δ-mutator implementing key removal
+            (``AWSet.clear`` for observed-remove types), or ``None``
+            for grow-only types that cannot forget.
     """
 
     name: str
-    client: type
-    mutators: FrozenSet[str]
-    reader: Callable[[Crdt], Any]
-    remove_op: Optional[str] = None
+    crdt: Type[Crdt]
+    read: Callable[[Lattice], Any]
+    remove: Optional[Callable[[Hashable, Lattice], Lattice]] = None
 
     def bottom(self) -> Lattice:
         """The type's bottom lattice value (every key starts here)."""
-        return self.client("⊥").state
+        return self.crdt.bottom()
 
     def apply(self, replica: Hashable, state: Lattice, op: str, *args) -> Lattice:
-        """Run mutator ``op`` against ``state`` and return the optimal δ.
+        """Run δ-mutator ``op`` against ``state`` and return the optimal δ.
 
-        An ephemeral client is constructed per call; lattice values are
-        immutable, so the caller's ``state`` is never modified — only
-        the delta travels back, and joining it is the caller's job.
+        Lattice values are immutable, so the caller's ``state`` is never
+        modified — only the delta travels back, and joining it is the
+        caller's job.
         """
-        if op not in self.mutators:
+        mutator = self.crdt.mutators.get(op)
+        if mutator is None:
             raise KVTypeError(
                 f"type {self.name!r} has no operation {op!r} "
-                f"(available: {sorted(self.mutators)})"
+                f"(available: {sorted(self.crdt.mutators)})"
             )
-        return getattr(_delta_only(self.client)(replica, state), op)(*args)
-
-    def read(self, state: Lattice) -> Any:
-        """The query-side value of ``state``."""
-        return self.reader(self.client("⊥", state))
+        return mutator(replica, state, *args)
 
     def remove_delta(self, replica: Hashable, state: Lattice) -> Lattice:
         """The δ removing the whole value, for types that support it."""
-        if self.remove_op is None:
+        if self.remove is None:
             raise KVTypeError(f"type {self.name!r} is grow-only: keys cannot be removed")
-        return getattr(_delta_only(self.client)(replica, state), self.remove_op)()
+        return self.remove(replica, state)
 
 
 #: The built-in storable types.
@@ -145,40 +124,18 @@ def type_spec(name: str) -> TypeSpec:
         ) from None
 
 
-def _gmap_reader(client: GMap) -> Dict[Hashable, Lattice]:
-    return {key: value for key, value in client.state.items()}
-
-
 for _spec in (
-    TypeSpec("gcounter", GCounter, frozenset({"increment"}), lambda c: c.value),
-    TypeSpec(
-        "pncounter", PNCounter, frozenset({"increment", "decrement"}), lambda c: c.value
-    ),
-    TypeSpec("gset", GSet, frozenset({"add"}), lambda c: c.value),
-    TypeSpec(
-        "twopset", TwoPSet, frozenset({"add", "remove"}), lambda c: c.value
-    ),
-    TypeSpec("gmap", GMap, frozenset({"put", "put_chain", "bump"}), _gmap_reader),
-    TypeSpec(
-        "awset",
-        AWSet,
-        frozenset({"add", "remove", "clear"}),
-        lambda c: c.value,
-        remove_op="clear",
-    ),
-    TypeSpec("rwset", RWSet, frozenset({"add", "remove"}), lambda c: c.value),
-    TypeSpec(
-        "ccounter",
-        CCounter,
-        frozenset({"increment", "reset"}),
-        lambda c: c.value,
-        remove_op="reset",
-    ),
-    TypeSpec("lwwregister", LWWRegister, frozenset({"write"}), lambda c: c.value),
-    TypeSpec(
-        "mvregister", CausalMVRegister, frozenset({"write"}), lambda c: c.values
-    ),
-    TypeSpec("ewflag", EWFlag, frozenset({"enable", "disable"}), lambda c: c.enabled),
+    TypeSpec("gcounter", GCounter, GCounter.value),
+    TypeSpec("pncounter", PNCounter, PNCounter.value),
+    TypeSpec("gset", GSet, GSet.value),
+    TypeSpec("twopset", TwoPSet, TwoPSet.value),
+    TypeSpec("gmap", GMap, GMap.bindings),
+    TypeSpec("awset", AWSet, AWSet.value, AWSet.clear),
+    TypeSpec("rwset", RWSet, RWSet.value),
+    TypeSpec("ccounter", CCounter, CCounter.value, CCounter.reset),
+    TypeSpec("lwwregister", LWWRegister, LWWRegister.value),
+    TypeSpec("mvregister", CausalMVRegister, CausalMVRegister.values),
+    TypeSpec("ewflag", EWFlag, EWFlag.enabled),
 ):
     register_type(_spec)
 

@@ -69,15 +69,11 @@ class AWSetChurnWorkload(Workload):
             ]
             for _ in range(rounds)
         ]
-        #: One AWSet handle per node, used purely for δ-mutator derivation.
-        self._handles = [AWSet(node) for node in range(n_nodes)]
 
     def bottom(self) -> Lattice:
         return Causal.map_bottom()
 
     def updates_for(self, round_index: int, node: int) -> Sequence[DeltaMutator]:
         kind, element = self.schedule[round_index][node]
-        handle = self._handles[node]
-        if kind == "add":
-            return (lambda state, e=element, h=handle: h.add_delta(state, e),)
-        return (lambda state, e=element, h=handle: h.remove_delta(state, e),)
+        mutator = AWSet.mutators[kind]
+        return (lambda state: mutator(node, state, element),)

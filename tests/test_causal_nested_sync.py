@@ -26,34 +26,26 @@ def ormap_cluster(factory, topology, rounds=6, seed=29, loss_rate=0.0):
     """Each node edits a shared map of carts (ORMap of AW-sets)."""
     config = ClusterConfig(topology=topology, loss_rate=loss_rate, loss_seed=seed)
     cluster = Cluster(config, factory, Causal.map_bottom())
-    maps = [
-        ORMap(node, value_bottom=Causal.map_bottom())
-        for node in range(topology.n)
-    ]
-    sets = [AWSet(node) for node in range(topology.n)]
     rng = random.Random(seed)
     carts = ["alice", "bo", "cai"]
     items = [f"item-{i}" for i in range(6)]
 
     def updates_for(round_index, node):
-        ormap, awset = maps[node], sets[node]
         cart = rng.choice(carts)
         roll = rng.random()
         if roll < 0.6:
             item = rng.choice(items)
             return (
-                lambda state, c=cart, i=item, m=ormap, s=awset: m.update_delta(
-                    state, c, lambda view: s.add_delta(view, i)
-                ),
+                lambda state, c=cart, i=item: ORMap.update(node, state, c, AWSet, "add", i),
             )
         if roll < 0.8:
             item = rng.choice(items)
             return (
-                lambda state, c=cart, i=item, m=ormap, s=awset: m.update_delta(
-                    state, c, lambda view: s.remove_delta(view, i)
+                lambda state, c=cart, i=item: ORMap.update(
+                    node, state, c, AWSet, "remove", i
                 ),
             )
-        return (lambda state, c=cart, m=ormap: m.remove_delta(state, c),)
+        return (lambda state, c=cart: ORMap.remove(node, state, c),)
 
     cluster.run_rounds(rounds, updates_for)
     cluster.drain()
@@ -92,14 +84,10 @@ def test_ormap_of_registers_converges():
         ALGORITHMS["delta-based-bp-rr"],
         Causal.map_bottom(),
     )
-    maps = [ORMap(node, value_bottom=Causal.fun_bottom()) for node in range(6)]
-    regs = [CausalMVRegister(node) for node in range(6)]
-
     def updates_for(round_index, node):
-        ormap, reg = maps[node], regs[node]
         return (
-            lambda state, m=ormap, r=reg, v=f"v{round_index}-{node}": m.update_delta(
-                state, "profile", lambda view: r.write_delta(view, v)
+            lambda state, v=f"v{round_index}-{node}": ORMap.update(
+                node, state, "profile", CausalMVRegister, "write", v
             ),
         )
 

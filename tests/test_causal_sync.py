@@ -25,16 +25,14 @@ def run_awset_churn(factory, topology, rounds=6, seed=11, loss_rate=0.0):
     """Random adds/removes of a small element pool on every node."""
     config = ClusterConfig(topology=topology, loss_rate=loss_rate, loss_seed=seed)
     cluster = Cluster(config, factory, Causal.map_bottom())
-    handles = [AWSet(node) for node in range(topology.n)]
     rng = random.Random(seed)
     elements = [f"e{i}" for i in range(10)]
 
     def updates_for(round_index, node):
-        handle = handles[node]
         element = rng.choice(elements)
         if rng.random() < 0.65:
-            return (lambda state, e=element, h=handle: h.add_delta(state, e),)
-        return (lambda state, e=element, h=handle: h.remove_delta(state, e),)
+            return (lambda state, e=element: AWSet.add(node, state, e),)
+        return (lambda state, e=element: AWSet.remove(node, state, e),)
 
     cluster.run_rounds(rounds, updates_for)
     cluster.drain()
@@ -72,14 +70,12 @@ def test_ewflag_converges_under_toggling():
         ALGORITHMS["delta-based-bp-rr"],
         Causal.set_bottom(),
     )
-    handles = [EWFlag(node) for node in range(topology.n)]
     rng = random.Random(3)
 
     def updates_for(round_index, node):
-        handle = handles[node]
         if rng.random() < 0.5:
-            return (lambda state, h=handle: h.enable_delta(state),)
-        return (lambda state, h=handle: h.disable_delta(state),)
+            return (lambda state: EWFlag.enable(node, state),)
+        return (lambda state: EWFlag.disable(node, state),)
 
     cluster.run_rounds(6, updates_for)
     cluster.drain()
@@ -93,14 +89,12 @@ def test_ccounter_converges_with_resets():
         ALGORITHMS["delta-based-bp-rr"],
         Causal.fun_bottom(),
     )
-    handles = [CCounter(node) for node in range(topology.n)]
     rng = random.Random(5)
 
     def updates_for(round_index, node):
-        handle = handles[node]
         if rng.random() < 0.85:
-            return (lambda state, h=handle: h.increment_delta(state),)
-        return (lambda state, h=handle: h.reset_delta(state),)
+            return (lambda state: CCounter.increment(node, state),)
+        return (lambda state: CCounter.reset(node, state),)
 
     cluster.run_rounds(6, updates_for)
     cluster.drain()
@@ -128,17 +122,15 @@ def test_fully_propagated_removal_stays_removed(protocol):
     cluster = Cluster(
         ClusterConfig(topology=topology), ALGORITHMS[protocol], Causal.map_bottom()
     )
-    handles = [AWSet(node) for node in range(topology.n)]
-
     cluster.run_round(
-        lambda node: (lambda state, h=handles[node]: h.add_delta(state, "victim"),)
+        lambda node: (lambda state: AWSet.add(node, state, "victim"),)
     )
     cluster.drain()
     assert all("victim" in {k for k in node.state.store.keys()} for node in cluster.nodes)
 
     cluster.run_round(
         lambda node: (
-            (lambda state, h=handles[0]: h.remove_delta(state, "victim"),)
+            (lambda state: AWSet.remove(0, state, "victim"),)
             if node == 0
             else ()
         )

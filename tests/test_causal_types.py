@@ -67,13 +67,13 @@ class TestEWFlag:
     def test_disable_delta_is_context_only(self):
         flag = EWFlag("A")
         flag.enable()
-        delta = flag.disable_delta(flag.state)
+        delta = EWFlag.disable(flag.replica, flag.state)
         assert delta.store.is_empty
         assert not delta.context.is_empty
 
     def test_disable_on_clear_flag_is_noop(self):
         flag = EWFlag("A")
-        assert flag.disable_delta(flag.state).is_bottom
+        assert EWFlag.disable(flag.replica, flag.state).is_bottom
 
     def test_repeated_enables_keep_single_dot(self):
         """Each enable covers the previous one: no dot accumulation."""
@@ -135,19 +135,19 @@ class TestAWSet:
         """A removal shipped before seeing a concurrent add spares it."""
         a, b = AWSet("A"), AWSet("B")
         a.add("x")
-        removal = a.remove_delta(a.state, "x")  # observes only a's add
+        removal = AWSet.remove(a.replica, a.state, "x")  # observes only a's add
         b.add("x")  # concurrent
         b.merge(removal)
         assert "x" in b
 
     def test_remove_unknown_element_is_noop(self):
         s = AWSet("A")
-        assert s.remove_delta(s.state, "ghost").is_bottom
+        assert AWSet.remove(s.replica, s.state, "ghost").is_bottom
 
     def test_removal_delta_carries_no_payload(self):
         s = AWSet("A")
         s.add("x")
-        delta = s.remove_delta(s.state, "x")
+        delta = AWSet.remove(s.replica, s.state, "x")
         assert delta.store.is_empty
         assert not delta.context.is_empty
 
@@ -170,7 +170,7 @@ class TestAWSet:
         a, b = AWSet("A"), AWSet("B")
         a.add("x")
         b.merge(a)
-        clearing = b.clear_delta(b.state)
+        clearing = AWSet.clear(b.replica, b.state)
         a.add("y")  # concurrent with the clear
         a.merge(clearing)
         assert a.value == {"y"}
@@ -361,7 +361,7 @@ class TestCCounter:
 
     def test_reset_on_zero_counter_is_noop(self):
         c = CCounter("A")
-        assert c.reset_delta(c.state).is_bottom
+        assert CCounter.reset(c.replica, c.state).is_bottom
 
 
 # ---------------------------------------------------------------------------
@@ -372,73 +372,63 @@ class TestCCounter:
 class TestORMap:
     def _fresh(self, name):
         """An OR-map of AW-set values for replica ``name``."""
-        return ORMap(name, value_bottom=Causal.map_bottom())
+        return ORMap(name)
 
     def test_update_creates_key(self):
         m = self._fresh("A")
-        helper = AWSet("A")
-        m.update("cart", lambda view: helper.add_delta(view, "milk"))
+        m.update("cart", AWSet, "add", "milk")
         assert "cart" in m
-        view = AWSet("A", m.value_view("cart"))
+        view = AWSet("A", m.value_view("cart", AWSet))
         assert "milk" in view
 
     def test_remove_erases_observed_key(self):
         m = self._fresh("A")
-        helper = AWSet("A")
-        m.update("cart", lambda view: helper.add_delta(view, "milk"))
+        m.update("cart", AWSet, "add", "milk")
         m.remove("cart")
         assert "cart" not in m
 
     def test_remove_unknown_key_is_noop(self):
         m = self._fresh("A")
-        assert m.remove_delta(m.state, "ghost").is_bottom
+        assert ORMap.remove(m.replica, m.state, "ghost").is_bottom
 
     def test_concurrent_update_survives_key_removal(self):
         a, b = self._fresh("A"), self._fresh("B")
-        helper_a, helper_b = AWSet("A"), AWSet("B")
-        a.update("cart", lambda view: helper_a.add_delta(view, "milk"))
+        a.update("cart", AWSet, "add", "milk")
         b.merge(a)
-        removal = b.remove_delta(b.state, "cart")
-        a.update("cart", lambda view: helper_a.add_delta(view, "eggs"))
+        removal = ORMap.remove(b.replica, b.state, "cart")
+        a.update("cart", AWSet, "add", "eggs")
         a.merge(removal)
-        view = AWSet("A", a.value_view("cart"))
+        view = AWSet("A", a.value_view("cart", AWSet))
         assert view.value == {"eggs"}  # milk was observed by the removal
 
     def test_nested_register_values(self):
-        m = ORMap("A", value_bottom=Causal.fun_bottom())
-        reg = CausalMVRegister("A")
-        m.update("bio", lambda view: reg.write_delta(view, "hello"))
-        values = {atom.value for atom in m.value_view("bio").store.values()}
+        m = ORMap("A")
+        m.update("bio", CausalMVRegister, "write", "hello")
+        values = {atom.value for atom in m.value_view("bio", CausalMVRegister).store.values()}
         assert values == {"hello"}
 
     def test_clear_covers_every_key(self):
         m = self._fresh("A")
-        helper = AWSet("A")
         for key in ("one", "two"):
-            m.update(key, lambda view: helper.add_delta(view, "v"))
+            m.update(key, AWSet, "add", "v")
         m.clear()
         assert len(m) == 0
 
     def test_keys_iteration(self):
         m = self._fresh("A")
-        helper = AWSet("A")
-        m.update("k1", lambda view: helper.add_delta(view, "v"))
-        m.update("k2", lambda view: helper.add_delta(view, "v"))
+        m.update("k1", AWSet, "add", "v")
+        m.update("k2", AWSet, "add", "v")
         assert sorted(m) == ["k1", "k2"]
         assert m.keys() == {"k1", "k2"}
 
     def test_update_with_noop_mutator_is_bottom(self):
         m = self._fresh("A")
-        helper = AWSet("A")
-        delta = m.update_delta(
-            m.state, "cart", lambda view: helper.remove_delta(view, "ghost")
-        )
+        delta = ORMap.update(m.replica, m.state, "cart", AWSet, "remove", "ghost")
         assert delta.is_bottom
 
     def test_dot_namespaces_do_not_collide_across_keys(self):
         """Sequential updates on different keys draw distinct dots."""
         m = self._fresh("A")
-        helper = AWSet("A")
-        m.update("k1", lambda view: helper.add_delta(view, "v"))
-        m.update("k2", lambda view: helper.add_delta(view, "v"))
+        m.update("k1", AWSet, "add", "v")
+        m.update("k2", AWSet, "add", "v")
         assert len(m.state.store.dots()) == 2

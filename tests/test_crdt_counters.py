@@ -1,8 +1,11 @@
-"""Unit tests for GCounter and PNCounter."""
+"""Unit tests for GCounter and PNCounter, and the counting δ-mutators'
+shared argument check."""
 
 import pytest
 
-from repro.crdt import GCounter, PNCounter
+from repro.causal import CCounter
+from repro.crdt import BCounter, GCounter, PNCounter
+from repro.kv import TypeSpec
 from repro.lattice import MapLattice, MaxInt, PairLattice
 
 
@@ -75,7 +78,7 @@ class TestGCounter:
         counter = GCounter("A")
         counter.increment(); counter.increment()
         before = counter.state
-        delta = counter.increment_delta(before)
+        delta = GCounter.increment("A", before)
         assert before.join(delta) == MapLattice({"A": MaxInt(3)})
 
     def test_bottom(self):
@@ -138,3 +141,37 @@ class TestPNCounter:
         ba = PNCounter("Y", state=b.state)
         ba.merge(a)
         assert ab.state == ba.state
+
+
+#: Every counting δ-mutator: (type, op, extra arguments after the amount).
+COUNTING = [
+    (GCounter, "increment", ()),
+    (PNCounter, "increment", ()),
+    (PNCounter, "decrement", ()),
+    (CCounter, "increment", ()),
+    (BCounter, "increment", ()),
+    (BCounter, "decrement", ()),
+    (BCounter, "transfer", ("B",)),
+]
+
+
+@pytest.mark.parametrize("amount", [0, -1])
+@pytest.mark.parametrize(
+    "crdt,op,extra", COUNTING, ids=[f"{c.__name__}.{op}" for c, op, _ in COUNTING]
+)
+def test_counting_delta_mutators_reject_non_positive_amounts(crdt, op, extra, amount):
+    """A δ for ``by ≤ 0`` would be ⊥ or a dominated entry, never optimal.
+
+    The check lives in the δ-mutator itself, so it holds however the
+    δ-mutator is reached: called directly, or through ``TypeSpec.apply``
+    as the key-value store calls it.  The state already holds an entry
+    for the writer (and rights to spend), so a skipped check would
+    return a non-bottom δ instead of raising.
+    """
+    seeded = crdt("A")
+    seeded.increment(3)
+    with pytest.raises(ValueError, match="must be positive"):
+        getattr(crdt, op)("A", seeded.state, amount, *extra)
+    spec = TypeSpec(crdt.__name__.lower(), crdt, crdt.value)
+    with pytest.raises(ValueError, match="must be positive"):
+        spec.apply("A", seeded.state, op, amount, *extra)

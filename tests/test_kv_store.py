@@ -16,7 +16,7 @@ from repro.kv import (
     register_type,
     type_spec,
 )
-from repro.causal import AWSet, Causal, DWFlag, ORMap
+from repro.causal import AWSet, DWFlag, ORMap
 from repro.codec import encode
 from repro.crdt import BCounter, Crdt
 from repro.kv.types import DEFAULT_PREFIXES, TYPE_REGISTRY
@@ -81,14 +81,12 @@ class TestTypeSpecs:
 
         class Antichain(Crdt):
             __slots__ = ()
-
-            def __init__(self, replica, state=None):
-                if state is None:
-                    state = MaxElements(dominates=lambda x, y: x % y == 0)
-                super().__init__(replica, state)
+            bottom = staticmethod(
+                lambda: MaxElements(dominates=lambda x, y: x % y == 0)
+            )
 
         registered = dict(TYPE_REGISTRY)
-        spec = TypeSpec("antichain", Antichain, frozenset(), lambda c: c.state)
+        spec = TypeSpec("antichain", Antichain, lambda state: state)
         with pytest.raises(KVTypeError, match="no wire format"):
             register_type(spec)
         assert TYPE_REGISTRY == registered
@@ -181,48 +179,40 @@ def _dwflag():
     return _seeded(DWFlag("A"), ("disable",))
 
 
-def _ormap(state=None):
-    return ORMap("A", value_bottom=Causal.map_bottom(), state=state)
-
-
 def _carts():
-    return _seeded(_ormap(), ("update", "cart", lambda view: AWSet("A").add_delta(view, "milk")))
+    return _seeded(ORMap("A"), ("update", "cart", AWSet, "add", "milk"))
 
 
-#: Mutators no registered type serves: label → (the δ at replica "A"
-#: against a seeded state, ``encode(δ).hex()``).
+#: Mutators no registered type serves, called as δ-functions: label →
+#: (the δ at replica "A" against a seeded state, ``encode(δ).hex()``).
 UNREGISTERED = {
     "bcounter.increment": (
-        lambda: BCounter("A", _bcounter()).increment(3),
+        lambda: BCounter.increment("A", _bcounter(), 3),
         "15140105014115100d10001400",
     ),
     "bcounter.decrement": (
-        lambda: BCounter("A", _bcounter()).decrement(4),
+        lambda: BCounter.decrement("A", _bcounter(), 4),
         "15140105014115100010041400",
     ),
     "bcounter.transfer": (
-        lambda: BCounter("A", _bcounter()).transfer(5, "B"),
+        lambda: BCounter.transfer("A", _bcounter(), 5, "B"),
         "151400140107020501410501421005",
     ),
-    "dwflag.enable": (lambda: DWFlag("A", _dwflag()).enable(), "200100010501410100"),
+    "dwflag.enable": (lambda: DWFlag.enable("A", _dwflag()), "200100010501410100"),
     "dwflag.disable": (
-        lambda: DWFlag("A", _dwflag()).disable(),
+        lambda: DWFlag.disable("A", _dwflag()),
         "20010105014102010501410200",
     ),
     "ormap.update": (
-        lambda: _ormap(_carts()).update(
-            "cart", lambda view: AWSet("A").add_delta(view, "eggs")
-        ),
+        lambda: ORMap.update("A", _carts(), "cart", AWSet, "add", "eggs"),
         "2003010504636172740301050465676773010105014102000105014102",
     ),
     "ormap.update-absent-key": (
-        lambda: _ormap(_carts()).update(
-            "list", lambda view: AWSet("A").add_delta(view, "x")
-        ),
+        lambda: ORMap.update("A", _carts(), "list", AWSet, "add", "x"),
         "20030105046c6973740301050178010105014102000105014102",
     ),
-    "ormap.remove": (lambda: _ormap(_carts()).remove("cart"), "200300010501410100"),
-    "ormap.clear": (lambda: _ormap(_carts()).clear(), "200300010501410100"),
+    "ormap.remove": (lambda: ORMap.remove("A", _carts(), "cart"), "200300010501410100"),
+    "ormap.clear": (lambda: ORMap.clear("A", _carts()), "200300010501410100"),
 }
 
 
@@ -255,7 +245,7 @@ class TestAWriteJoinsItsDeltaOnce:
 
     def test_every_registered_mutator_is_covered(self):
         assert {name: set(ops) for name, (_, ops) in WRITES.items()} == {
-            name: set(spec.mutators) for name, spec in TYPE_REGISTRY.items()
+            name: set(spec.crdt.mutators) for name, spec in TYPE_REGISTRY.items()
         }
 
     @pytest.mark.parametrize("name,op", REGISTERED_OPS)
@@ -263,8 +253,8 @@ class TestAWriteJoinsItsDeltaOnce:
         key, store = seeded_value(name)
         args, _ = WRITES[name][1][op]
         current = store.value_lattice(key)
-        # The δ as the type's own client computes it, join funnel and all.
-        expected = getattr(type_spec(name).client(0, current), op)(*args)
+        # The δ as the type's declared δ-mutator computes it.
+        expected = getattr(type_spec(name).crdt, op)(0, current, *args)
         assert not expected.is_bottom
 
         joins = []

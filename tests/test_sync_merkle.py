@@ -72,16 +72,14 @@ def test_gcounter_converges():
 def test_awset_with_removals_converges():
     topology = partial_mesh(8, 4)
     cluster = merkle_cluster(topology, Causal.map_bottom())
-    handles = [AWSet(node) for node in range(topology.n)]
     rng = random.Random(17)
     pool = [f"e{i}" for i in range(8)]
 
     def updates_for(round_index, node):
-        handle = handles[node]
         element = rng.choice(pool)
         if rng.random() < 0.6:
-            return (lambda state, e=element, h=handle: h.add_delta(state, e),)
-        return (lambda state, e=element, h=handle: h.remove_delta(state, e),)
+            return (lambda state, e=element: AWSet.add(node, state, e),)
+        return (lambda state, e=element: AWSet.remove(node, state, e),)
 
     cluster.run_rounds(5, updates_for)
     cluster.drain()

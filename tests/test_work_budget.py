@@ -27,8 +27,11 @@ A 4-replica keyed store under BP+RR with digest repair and
   tick's group commit, and never inside ``KVStore.local_update``: a
   write stages its δ and the codec stays off the write path
   (``wal/log.py``, *stage/commit*).
+* ``TypeSpec.apply`` — one call per typed write — and ``Crdt.__init__``
+  over the whole run: a write calls its type's declared δ-mutator on
+  the key's value directly, so no CRDT object is ever built.
 
-The committed records and bytes and the drain are pinned beside it.
+The committed records and bytes and the drain are pinned beside them.
 """
 
 import sys
@@ -36,7 +39,8 @@ from collections import Counter
 
 import pytest
 
-from repro.kv import AntiEntropyConfig, HashRing, KVCluster, KVStore
+from repro.crdt import Crdt
+from repro.kv import AntiEntropyConfig, HashRing, KVCluster, KVStore, TypeSpec
 from repro.lattice import MaxInt
 from repro.sim.network import Cluster, ClusterConfig
 from repro.sim.topology import partial_mesh
@@ -129,7 +133,30 @@ def wal_encodes():
         assert wal_log.encode is original
 
 
-def test_keyed_store_through_partition_and_heal(wal_encodes):
+@pytest.fixture
+def write_dispatch():
+    """Count ``TypeSpec.apply`` calls and ``Crdt`` constructions; put the
+    originals back."""
+    tally = Counter()
+    apply, init = TypeSpec.apply, Crdt.__init__
+
+    def counting_apply(self, *args):
+        tally["TypeSpec.apply"] += 1
+        return apply(self, *args)
+
+    def counting_init(self, *args, **kwargs):
+        tally["Crdt.__init__"] += 1
+        init(self, *args, **kwargs)
+
+    TypeSpec.apply, Crdt.__init__ = counting_apply, counting_init
+    try:
+        yield tally
+    finally:
+        TypeSpec.apply, Crdt.__init__ = apply, init
+        assert TypeSpec.apply is apply and Crdt.__init__ is init
+
+
+def test_keyed_store_through_partition_and_heal(wal_encodes, write_dispatch):
     ring = HashRing(range(4), n_shards=8, replication=3)
     cluster = KVCluster(
         ring,
@@ -155,3 +182,4 @@ def test_keyed_store_through_partition_and_heal(wal_encodes):
     wal = cluster.wal_stats()
     assert (drain, wal["wal_records"], wal["wal_committed_bytes"]) == (3, 208, 6_427)
     assert (wal_encodes["encode"], wal_encodes["inside local_update"]) == (208, 0)
+    assert (write_dispatch["TypeSpec.apply"], write_dispatch["Crdt.__init__"]) == (96, 0)
