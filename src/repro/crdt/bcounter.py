@@ -30,14 +30,10 @@ from typing import Hashable
 
 from repro.crdt.base import Crdt, delta_mutator, query
 from repro.crdt.gcounter import positive
-from repro.crdt.pncounter import net_total, tallies
+from repro.crdt.pncounter import net_total, pn_entry, tallies
 from repro.lattice.map_lattice import MapLattice
 from repro.lattice.primitives import MaxInt
 from repro.lattice.product import PairLattice
-
-
-def _body_entry(inc: int, dec: int) -> PairLattice:
-    return PairLattice(MaxInt(inc), MaxInt(dec))
 
 
 class InsufficientRights(ValueError):
@@ -95,7 +91,7 @@ class BCounter(Crdt):
         """Add ``by`` to the counter, minting ``by`` local rights."""
         inc, _ = tallies(state.first, replica)
         return PairLattice(
-            MapLattice({replica: _body_entry(inc + positive(by, "increment"), 0)}),
+            MapLattice({replica: pn_entry(inc + positive(by, "increment"), 0)}),
             state.second.bottom_like(),
         )
 
@@ -109,9 +105,9 @@ class BCounter(Crdt):
         non-negative with no coordination.
         """
         _, dec = tallies(state.first, replica)
+        spent = _spend(state, replica, by, "decrement")
         return PairLattice(
-            MapLattice({replica: _body_entry(0, dec + _spend(state, replica, by, "decrement"))}),
-            state.second.bottom_like(),
+            MapLattice({replica: pn_entry(0, dec + spent)}), state.second.bottom_like()
         )
 
     @delta_mutator
@@ -128,9 +124,9 @@ class BCounter(Crdt):
             raise ValueError("cannot transfer rights to oneself")
         ceded = state.second.get((replica, to))
         base = ceded.value if isinstance(ceded, MaxInt) else 0
+        spent = _spend(state, replica, amount, "transfer")
         return PairLattice(
-            state.first.bottom_like(),
-            MapLattice({(replica, to): MaxInt(base + _spend(state, replica, amount, "transfer"))}),
+            state.first.bottom_like(), MapLattice({(replica, to): MaxInt(base + spent)})
         )
 
     # ------------------------------------------------------------------

@@ -22,21 +22,6 @@ from repro.lattice.map_lattice import MapLattice
 from repro.lattice.primitives import Chain, MaxInt
 
 
-def put(replica: Hashable, state: MapLattice, key: Hashable, value: Lattice) -> MapLattice:
-    """Join ``value`` into the binding for ``key``.
-
-    The delta is the one-entry map ``{k ↦ ∆(value, current)}`` —
-    bottom when the write is already dominated.
-    """
-    current = state.get(key)
-    if current is None:
-        return MapLattice({key: value})
-    novel = value.delta(current)
-    if novel.is_bottom:
-        return state.bottom_like()
-    return MapLattice({key: novel})
-
-
 class GMap(Crdt):
     """A map whose bindings only ever inflate.
 
@@ -51,7 +36,20 @@ class GMap(Crdt):
 
     bottom = MapLattice
 
-    put = delta_mutator(put)
+    @delta_mutator
+    def put(replica: Hashable, state: MapLattice, key: Hashable, value: Lattice) -> MapLattice:
+        """Join ``value`` into the binding for ``key``.
+
+        The delta is the one-entry map ``{k ↦ ∆(value, current)}`` —
+        bottom when the write is already dominated.
+        """
+        current = state.get(key)
+        if current is None:
+            return MapLattice({key: value})
+        novel = value.delta(current)
+        if novel.is_bottom:
+            return state.bottom_like()
+        return MapLattice({key: novel})
 
     @delta_mutator
     def bump(replica: Hashable, state: MapLattice, key: Hashable) -> MapLattice:
@@ -63,7 +61,7 @@ class GMap(Crdt):
         """
         current = state.get(key)
         base = current.value if isinstance(current, MaxInt) else 0
-        return put(replica, state, key, MaxInt(base + 1))
+        return GMap.put(replica, state, key, MaxInt(base + 1))
 
     @delta_mutator
     def put_chain(
@@ -74,7 +72,7 @@ class GMap(Crdt):
         Convenience for write-once registers such as tweet bodies in the
         Retwis workload.
         """
-        return put(replica, state, key, Chain(value, bottom=bottom))
+        return GMap.put(replica, state, key, Chain(value, bottom=bottom))
 
     @query
     def bindings(state: MapLattice) -> Dict[Hashable, Lattice]:

@@ -22,7 +22,8 @@ from repro.lattice.primitives import MaxInt
 from repro.lattice.product import PairLattice
 
 
-def _entry(inc: int, dec: int) -> PairLattice:
+def pn_entry(inc: int, dec: int) -> PairLattice:
+    """One replica's ``⟨increments, decrements⟩`` pair."""
     return PairLattice(MaxInt(inc), MaxInt(dec))
 
 
@@ -60,13 +61,13 @@ class PNCounter(Crdt):
     def increment(replica: Hashable, state: MapLattice, by: int = 1) -> MapLattice:
         """Raise the local increment tally: one entry, the new tally."""
         inc, _ = tallies(state, replica)
-        return MapLattice({replica: _entry(inc + positive(by, "increment"), 0)})
+        return MapLattice({replica: pn_entry(inc + positive(by, "increment"), 0)})
 
     @delta_mutator
     def decrement(replica: Hashable, state: MapLattice, by: int = 1) -> MapLattice:
         """Raise the local decrement tally: one entry, the new tally."""
         _, dec = tallies(state, replica)
-        return MapLattice({replica: _entry(0, dec + positive(by, "decrement"))})
+        return MapLattice({replica: pn_entry(0, dec + positive(by, "decrement"))})
 
     value = query(net_total)
 

@@ -98,7 +98,8 @@ TYPE_REGISTRY: Dict[str, TypeSpec] = {}
 
 
 def register_type(spec: TypeSpec) -> TypeSpec:
-    """Add a type to the registry (application-defined CRDTs plug in here).
+    """Add a declared type to the registry (application-defined CRDTs
+    plug in here).
 
     The type's bottom must encode: the write-ahead log encodes a write's
     δ only at the next group commit, so a type without a wire format is

@@ -13,7 +13,6 @@ import pytest
 from repro.causal import (
     AWSet,
     Atom,
-    Causal,
     CausalMVRegister,
     CCounter,
     DWFlag,
