@@ -38,15 +38,6 @@ def _assert(replica: Hashable, state: Causal, element: Hashable, side: bool) -> 
     )
 
 
-def _members(state: Causal) -> FrozenSet[Hashable]:
-    """Elements with a surviving add assertion and no remove assertion."""
-    return frozenset(
-        element
-        for (element, tag) in state.store.keys()
-        if tag == _ADD and (element, _RMV) not in state.store
-    )
-
-
 class RWSet(Crdt):
     """A remove-wins set with optimal assertion deltas.
 
@@ -69,7 +60,14 @@ class RWSet(Crdt):
     #: Assert removal of an element.
     remove = delta_mutator(partial(_assert, side=_RMV))
 
-    value = query(_members)
+    @query
+    def value(state: Causal) -> FrozenSet[Hashable]:
+        """Elements with a surviving add assertion and no remove assertion."""
+        return frozenset(
+            element
+            for (element, tag) in state.store.keys()
+            if tag == _ADD and (element, _RMV) not in state.store
+        )
 
     def contains(self, element: Hashable) -> bool:
         """Membership: a surviving add assertion and no remove assertion."""
