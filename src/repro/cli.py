@@ -433,38 +433,10 @@ def build_parser() -> argparse.ArgumentParser:
             "ProcessCluster controller; rarely invoked by hand)"
         ),
     )
-    serve.add_argument("--replica", type=int, required=True, help="this replica's id")
     serve.add_argument(
-        "--replica-set",
-        type=_parse_ints,
+        "--options",
         required=True,
-        help="comma-separated ids of the full ring membership",
-    )
-    serve.add_argument(
-        "--run-dir", type=str, required=True, help="portfile/log directory"
-    )
-    serve.add_argument("--shards", type=int, default=32)
-    serve.add_argument("--replication", type=int, default=3)
-    serve.add_argument(
-        "--algorithm", type=str, default="delta-based-bp-rr",
-        help="inner synchronizer (a KV_ALGORITHMS name)",
-    )
-    serve.add_argument(
-        "--recovery", choices=_RECOVERY_POLICIES, default="wal",
-        help="boot-time WAL policy (repair = no WAL)",
-    )
-    serve.add_argument(
-        "--wal-dir", type=str, default=None,
-        help="this replica's advisory-locked WAL directory",
-    )
-    serve.add_argument("--wal-compact-bytes", type=int, default=64 * 1024)
-    serve.add_argument("--budget", type=int, default=None)
-    serve.add_argument("--repair", type=int, default=0)
-    serve.add_argument("--repair-mode", choices=("blanket", "digest"), default="blanket")
-    serve.add_argument("--repair-fanout", type=int, default=1)
-    serve.add_argument(
-        "--trace-dir", type=str, default=None,
-        help="directory for this process's r###.jsonl trace file",
+        help="the replica's configuration: one ReplicaOptions value as JSON",
     )
     return parser
 
@@ -586,23 +558,9 @@ def main(argv: Optional[List[str]] = None, stream=None) -> int:
     if args.command == "serve-replica":
         from repro.serve.replica import ReplicaOptions, ReplicaProcess
 
-        options = ReplicaOptions(
-            replica=args.replica,
-            replicas=tuple(args.replica_set),
-            run_dir=args.run_dir,
-            shards=args.shards,
-            replication=args.replication,
-            algorithm=args.algorithm,
-            wal_dir=args.wal_dir,
-            recovery=args.recovery,
-            wal_compact_bytes=args.wal_compact_bytes,
-            budget_bytes=args.budget,
-            repair_interval=args.repair,
-            repair_fanout=args.repair_fanout,
-            repair_mode=args.repair_mode,
-            trace_dir=args.trace_dir,
-        )
-        ReplicaProcess(options).run()
+        # A malformed value raises here: the process exits non-zero with
+        # the reason on stderr, which the controller keeps as r###.log.
+        ReplicaProcess(ReplicaOptions.from_json(args.options)).run()
         return 0
 
     if args.command == "lint":

@@ -32,6 +32,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Hashable, Mapping, Optional, Sequence, Set, Union
 
 from repro.codec import encode
+from repro.driver import Deployment, Stepped
 from repro.net.transport import Transport
 
 from repro.kv.antientropy import AntiEntropyConfig
@@ -65,8 +66,10 @@ class KVCluster(KVDriver, Cluster):
         schema: Key typing; defaults to the prefix conventions.
         antientropy: Scheduler knobs (budget, batching, repair).
         config: Full simulation config; overrides ``topology``.
-        transport: ``"sim"`` (default), ``"tcp"``, or a constructed
-            :class:`~repro.net.transport.Transport`.
+        transport: The deployment (see :class:`~repro.sim.network.
+            Cluster`): ``Stepped.SIM`` (default), ``Stepped.TCP``, a
+            ``FreeRun``, their names ``"sim"``/``"tcp"``, or a
+            constructed :class:`~repro.net.transport.Transport`.
         recovery: Lose-state recovery policy, one of
             :data:`~repro.kv.driver.RECOVERY_POLICIES`; the WAL policies
             give every store a durable per-shard delta log that survives
@@ -91,7 +94,7 @@ class KVCluster(KVDriver, Cluster):
         schema: Optional[Schema] = None,
         antientropy: Optional[AntiEntropyConfig] = None,
         config: Optional[ClusterConfig] = None,
-        transport: Union[str, Transport] = "sim",
+        transport: Union[Deployment, str, Transport] = Stepped.SIM,
         recovery: str = "repair",
         wal_storage: Optional[Callable[[int], Storage]] = None,
         wal_config: Optional[WalConfig] = None,

@@ -25,7 +25,8 @@ crash and the replica resumes its own timeline on recovery, so a
 recovered node does not snap back into alignment with anyone else.
 
 Determinism is fully preserved — the timeline is a pure function of
-``(tick_seed, sync_interval_ms, tick_jitter)`` and the workload — so
+the :class:`~repro.driver.FreeRun` value's ``(seed, jitter)``, the
+``sync_interval_ms`` and the workload — so
 free-running experiments replay exactly, like everything else in the
 harness.
 """
@@ -34,7 +35,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Sequence
 
-from repro.net.clock import DriftClock, TickClock
+from repro.driver import FreeRun
+from repro.net.clock import DriftClock
 from repro.net.sim import SimTransport
 from repro.sim.metrics import MetricsCollector
 from repro.sync.protocol import DeltaMutator
@@ -43,18 +45,14 @@ from repro.sync.protocol import DeltaMutator
 class FreeRunTransport(SimTransport):
     """Event-driven delivery under free-running drifting timers."""
 
-    def __init__(self, config, metrics: MetricsCollector) -> None:
+    def __init__(self, config, metrics: MetricsCollector, drift: FreeRun) -> None:
         super().__init__(config, metrics)
+        self.clock = DriftClock(
+            config.sync_interval_ms, jitter=drift.jitter, seed=drift.seed
+        )
         #: Ticks fired so far per node (the next tick's index).
         self._ticks: Dict[int, int] = {}
         self._armed = False
-
-    def _make_clock(self) -> TickClock:
-        return DriftClock(
-            self.config.sync_interval_ms,
-            jitter=self.config.tick_jitter,
-            seed=self.config.tick_seed,
-        )
 
     # ------------------------------------------------------------------
     # Driving: one nominal interval per call, no settling.

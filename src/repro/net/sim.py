@@ -40,17 +40,14 @@ class SimTransport(Transport):
         self.queue = EventQueue()
         self._round = 0
         #: The step policy every bound runtime shares.  The base
-        #: transport drives barrier-stepped rounds; subclasses override
-        #: :meth:`_make_clock` to change the execution model without
-        #: touching the event engine.
-        self.clock: TickClock = self._make_clock()
-
-    def _make_clock(self) -> TickClock:
-        return RoundStepClock(self.config.sync_interval_ms)
+        #: transport drives barrier-stepped rounds; a subclass swaps in
+        #: another clock to change the execution model without touching
+        #: the event engine.
+        self.clock: TickClock = RoundStepClock(self.config.sync_interval_ms)
 
     def bind(self, runtimes) -> None:
         super().bind(runtimes)
-        for runtime in self.runtimes:
+        for runtime in self.runtimes.values():
             runtime.clock = self.clock
 
     # ------------------------------------------------------------------

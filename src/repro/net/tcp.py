@@ -1,4 +1,14 @@
-"""Real sockets: an asyncio localhost-TCP transport.
+"""Real sockets: the asyncio localhost-TCP peer plane.
+
+This module is the one socket peer plane of the repository: one accept
+loop (:meth:`AsyncTcpTransport._accept` — handshake, then frames) and
+one send sequence (:meth:`AsyncTcpTransport.send` — admit, frame,
+account, trace, queue).  :class:`AsyncTcpTransport` runs it with n
+endpoints in one private event loop; a replica process runs it with one
+endpoint whose peers are other processes
+(:class:`repro.serve.replica.PeerPlane`, which changes only where peers
+come from, how queued frames are flushed, and what a dead connection
+means).
 
 Every replica gets a listening socket on ``127.0.0.1`` and one
 outbound connection per overlay neighbour; protocol messages travel as
@@ -120,7 +130,14 @@ class AsyncTcpTransport(Transport):
                 self._writers[node][peer] = writer
 
     async def _accept(self, dst: int, reader, writer) -> None:
-        """Serve one inbound connection: handshake, then frames."""
+        """Serve one inbound peer connection: handshake, then frames.
+
+        The one accept loop of the socket peer plane, whether ``dst``
+        is one of this loop's n endpoints or a replica process's only
+        one.  A frame whose processing must finish asynchronously (a
+        process writing its replies) hands back the awaitable that
+        does; in-process delivery returns ``None`` and costs no await.
+        """
         self._reader_tasks.append(asyncio.current_task())
         try:
             handshake = await framing.read_frame(reader)
@@ -131,29 +148,25 @@ class AsyncTcpTransport(Transport):
                 data = await framing.read_frame(reader)
                 if data is None:
                     return
-                self._deliver_frame(src, dst, data)
+                settled = self._deliver_frame(src, dst, data)
+                if settled is not None:
+                    await settled
         except asyncio.CancelledError:
             raise
-        except BaseException as exc:  # surface in the driving coroutine
-            self._failure = exc
+        except BaseException as exc:
+            self._peer_failed(exc)
         finally:
             writer.close()
             if self._progress is not None:
                 self._progress.set()
 
+    def _peer_failed(self, exc: BaseException) -> None:
+        """A peer connection died: surface it in the driving coroutine."""
+        self._failure = exc
+
     def _deliver_frame(self, src: int, dst: int, data: bytes) -> None:
         try:
-            message = decode_message(data)
-            if not self.link_up(src, dst):
-                # Defensive only: faults are injected between rounds
-                # and rounds settle to quiescence, so under the current
-                # driver no frame is ever caught in flight (see module
-                # docstring).  Kept for a future free-running mode.
-                self.messages_severed += 1
-                self._trace_severed(src, dst, message.kind)
-            else:
-                self._trace_deliver(src, dst, message.kind)
-                self.runtimes[dst].deliver(src, message)
+            self._receive(src, dst, data)
         finally:
             self._pending -= 1
             remaining = self._pending_by_dst.get(dst, 0) - 1
@@ -164,30 +177,44 @@ class AsyncTcpTransport(Transport):
             if self._progress is not None:
                 self._progress.set()
 
+    def _receive(self, src: int, dst: int, data: bytes) -> None:
+        """Decode one frame and hand it to its runtime, link permitting."""
+        message = decode_message(data)
+        if not self.link_up(src, dst):
+            # Defensive only: faults are injected between rounds and
+            # rounds settle to quiescence, so under the current drivers
+            # no frame is ever caught in flight (see module docstring).
+            self.messages_severed += 1
+            self._trace_severed(src, dst, message.kind)
+        else:
+            self._trace_deliver(src, dst, message.kind)
+            self.runtimes[dst].deliver(src, message)
+
     # ------------------------------------------------------------------
     # The data plane.
     # ------------------------------------------------------------------
 
     def send(self, src: int, sends: Sequence[Send]) -> None:
-        """Encode, account (measured wire bytes), and queue frames."""
+        """Admit, encode, account (measured wire bytes), and queue frames."""
         for send in sends:
             if not self._admit(src, send):
                 continue
             frame = frame_message(send.message)
-            if not self._transmit(
+            if self._transmit(
                 src,
                 send,
                 frame.payload_bytes,
                 frame.metadata_bytes + LENGTH_PREFIX_BYTES,
             ):
-                continue
-            self._pending += 1
-            self._pending_by_dst[send.dst] = (
-                self._pending_by_dst.get(send.dst, 0) + 1
-            )
-            self._outbox.append((src, send.dst, frame.data))
-            if self._progress is not None:
-                self._progress.set()
+                self._enqueue(src, send.dst, frame.data)
+
+    def _enqueue(self, src: int, dst: int, data: bytes) -> None:
+        """Queue one accounted frame; it is in flight until processed."""
+        self._pending += 1
+        self._pending_by_dst[dst] = self._pending_by_dst.get(dst, 0) + 1
+        self._outbox.append((src, dst, data))
+        if self._progress is not None:
+            self._progress.set()
 
     # ------------------------------------------------------------------
     # Driving: one synchronization interval per round.

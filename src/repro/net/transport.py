@@ -6,8 +6,8 @@ destination, when the periodic synchronization timers fire, what the
 clock reads, and which failures the network injects.  The contract is
 deliberately small so the same :class:`~repro.net.runtime.
 ReplicaRuntime` — and therefore every synchronizer and the whole kv
-store — runs unchanged on the discrete-event simulator and on real
-asyncio TCP sockets:
+store — runs unchanged on the discrete-event simulator, on real
+asyncio TCP sockets, and in a replica process of its own:
 
 * **send** — :meth:`Transport.send` ships a batch of outbound messages
   produced by one replica; the transport validates addressing against
@@ -21,12 +21,17 @@ asyncio TCP sockets:
   in milliseconds and :meth:`Transport.run_round` advances one
   synchronization interval: workload updates, one timer tick per live
   replica, delivery until the round settles, then a memory sample.
-* **peer addressing** — replicas are indices ``0..n-1`` of the
-  configured :class:`~repro.sim.topology.Topology`; a send to a
-  non-neighbour is a hard error on every transport.
+* **peer addressing** — a transport carries its *local* runtimes,
+  keyed by replica id: every node ``0..n-1`` of the configured
+  :class:`~repro.sim.topology.Topology` for the in-process transports,
+  the one replica of a replica process on its
+  :class:`~repro.serve.replica.PeerPlane`.  A send to a replica outside
+  the sender's neighbour set is a hard error on every transport.
 * **loss / fault hooks** — :meth:`crash`, :meth:`recover`,
-  :meth:`partition`, and :meth:`heal` manipulate shared fault state;
-  :meth:`link_up` answers whether a message can currently travel, and
+  :meth:`partition`, and :meth:`heal` manipulate shared fault state (a
+  replica process receives the same down set and partition groups by
+  WIRE from its controller); :meth:`link_up` answers whether a message
+  can currently travel, and
   the four counters (``messages_dropped`` / ``messages_severed`` /
   ``messages_blocked`` / ``updates_skipped``) keep loss, fault kills,
   refused sends, and lost client operations separately observable.
@@ -39,9 +44,9 @@ from abc import ABC, abstractmethod
 from typing import (
     TYPE_CHECKING,
     Callable,
+    Dict,
     FrozenSet,
     Iterable,
-    List,
     Optional,
     Sequence,
     Tuple,
@@ -75,7 +80,8 @@ class Transport(ABC):
         self.config = config
         self.topology = config.topology
         self.metrics = metrics
-        self.runtimes: List["ReplicaRuntime"] = []
+        #: The replica runtimes hosted here, keyed by replica id.
+        self.runtimes: Dict[int, "ReplicaRuntime"] = {}
         #: Transmitted messages eaten by random network loss
         #: (``loss_rate`` coin flips) — actual packet loss.
         self.messages_dropped = 0
@@ -115,8 +121,8 @@ class Transport(ABC):
                 f"transport for a {self.topology.n}-node topology got "
                 f"{len(runtimes)} runtimes"
             )
-        self.runtimes = list(runtimes)
-        for runtime in self.runtimes:
+        self.runtimes = {runtime.replica: runtime for runtime in runtimes}
+        for runtime in runtimes:
             runtime.attach(self)
 
     # ------------------------------------------------------------------
@@ -336,7 +342,7 @@ class Transport(ABC):
 
     def sample_memory(self, at: float) -> None:
         """Record one resident-footprint sample per live replica."""
-        for index, runtime in enumerate(self.runtimes):
+        for index, runtime in self.runtimes.items():
             if index in self.down:
                 continue
             node = runtime.synchronizer

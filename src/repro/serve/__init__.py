@@ -1,9 +1,10 @@
 """repro.serve — the multi-process serving layer.
 
 The jump from harness to system: each replica of the sharded CRDT
-store runs as its own OS process (:mod:`~repro.serve.replica`) serving
-two sockets — a peer plane speaking the in-process TCP transport's
-exact wire format, and a client/control plane speaking
+store runs as its own OS process (:mod:`~repro.serve.replica`) hosting
+the in-process :class:`~repro.net.runtime.ReplicaRuntime` and serving
+two sockets — the in-process TCP transport's peer plane with this
+replica as its one endpoint, and a client/control plane speaking
 :mod:`~repro.serve.frames`.  A :class:`ProcessCluster` spawns, wires,
 crashes (SIGKILL), and respawns those processes as the multi-process
 backend of the cluster driver the in-process harness shares

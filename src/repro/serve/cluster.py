@@ -75,8 +75,9 @@ from repro.net import framing
 from repro.net.transport import TransportStalled
 from repro.serve import frames
 from repro.serve.frames import FrameError, Request, Response
-from repro.serve.replica import HOST, portfile_path
+from repro.serve.replica import HOST, ReplicaOptions, portfile_path
 from repro.sync.digest import root_of
+from repro.wal import WalConfig
 
 #: Seconds between COUNTERS polls while settling a round.
 _POLL_INTERVAL_S = 0.01
@@ -180,19 +181,17 @@ class ProcessCluster(KVDriver):
         algorithm: str = "delta-based-bp-rr",
         antientropy: Optional[AntiEntropyConfig] = None,
         recovery: str = "wal",
-        wal_compact_bytes: Optional[int] = 64 * 1024,
+        wal_config: Optional[WalConfig] = None,
         run_dir: Optional[str] = None,
         trace_dir: Optional[str] = None,
         spawn_timeout_s: float = 30.0,
         settle_timeout_s: float = 30.0,
         max_drain_rounds: int = 64,
     ) -> None:
-        self.shards = shards
-        self.replication = replication
         self.algorithm = algorithm
         self.antientropy = antientropy if antientropy is not None else AntiEntropyConfig()
         self.recovery = check_recovery(recovery)
-        self.wal_compact_bytes = wal_compact_bytes
+        self.wal_config = wal_config if wal_config is not None else WalConfig()
         self.spawn_timeout_s = spawn_timeout_s
         self.settle_timeout_s = settle_timeout_s
         self.max_drain_rounds = max_drain_rounds
@@ -268,53 +267,34 @@ class ProcessCluster(KVDriver):
     # Process lifecycle.
     # ------------------------------------------------------------------
 
-    def _wal_dir(self, replica: int) -> str:
-        # One directory per replica: the advisory lock is per-directory,
-        # and a respawn must find exactly its predecessor's logs.
-        return os.path.join(self.run_dir, "wal", f"r{replica:03d}")
-
     def _spawn(self, replica: int) -> None:
         port_path = portfile_path(self.run_dir, replica)
         if os.path.exists(port_path):
             os.remove(port_path)
+        options = ReplicaOptions(
+            replica=replica,
+            # The *ring's* members, not every running process: a seat
+            # outside the ring (a joiner about to be added, a drained
+            # leaver respawned) must boot owning nothing and learn its
+            # shards from APPLY_RING like everyone else.
+            replicas=tuple(self.ring.replicas),
+            run_dir=self.run_dir,
+            shards=self.ring.n_shards,
+            replication=self.ring.replication,
+            algorithm=self.algorithm,
+            antientropy=self.antientropy,
+            recovery=self.recovery,
+            wal=self.wal_config,
+            trace_dir=self.trace_dir,
+        )
         cmd = [
             sys.executable,
             "-m",
             "repro",
             "serve-replica",
-            "--replica",
-            str(replica),
-            # The *ring's* members, not every running process: a seat
-            # outside the ring (a joiner about to be added, a drained
-            # leaver respawned) must boot owning nothing and learn its
-            # shards from APPLY_RING like everyone else.
-            "--replica-set",
-            ",".join(str(r) for r in self.ring.replicas),
-            "--run-dir",
-            self.run_dir,
-            "--shards",
-            str(self.shards),
-            "--replication",
-            str(self.replication),
-            "--algorithm",
-            self.algorithm,
-            "--recovery",
-            self.recovery,
-            "--repair",
-            str(self.antientropy.repair_interval),
-            "--repair-mode",
-            self.antientropy.repair_mode,
-            "--repair-fanout",
-            str(self.antientropy.repair_fanout),
+            "--options",
+            options.to_json(),
         ]
-        if self.recovery != "repair":
-            cmd += ["--wal-dir", self._wal_dir(replica)]
-            if self.wal_compact_bytes is not None:
-                cmd += ["--wal-compact-bytes", str(self.wal_compact_bytes)]
-        if self.antientropy.budget_bytes is not None:
-            cmd += ["--budget", str(self.antientropy.budget_bytes)]
-        if self.trace_dir is not None:
-            cmd += ["--trace-dir", self.trace_dir]
         env = dict(os.environ)
         src_root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
         env["PYTHONPATH"] = src_root + (

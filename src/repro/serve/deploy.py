@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING, Optional
 
-from repro.driver import FreeRun, Stepped
+from repro.driver import Stepped
 from repro.kv.antientropy import AntiEntropyConfig
 from repro.kv.cluster import KVCluster
 from repro.kv.driver import KV_ALGORITHMS, KVDriver
@@ -65,8 +65,8 @@ def build_cluster(
     ring = ring if ring is not None else config.ring()
     antientropy = antientropy if antientropy is not None else config.antientropy()
     recovery = recovery if recovery is not None else config.recovery
-    deployment = config.deployment
-    if deployment is Stepped.PROC:
+    wal_config = config.wal_config() if recovery != "repair" else None
+    if config.deployment is Stepped.PROC:
         return ProcessCluster(
             len(ring.replicas),
             shards=ring.n_shards,
@@ -74,29 +74,20 @@ def build_cluster(
             algorithm=algorithm,
             antientropy=antientropy,
             recovery=recovery,
-            wal_compact_bytes=config.wal_compact_bytes,
+            wal_config=wal_config,
             trace_dir=(
                 os.path.join(config.trace, label or algorithm)
                 if config.trace is not None
                 else None
             ),
         )
-    topology = full_mesh(config.replicas)
-    if isinstance(deployment, FreeRun):
-        transport = "free"
-        cluster_config = ClusterConfig(
-            topology, tick_jitter=deployment.jitter, tick_seed=deployment.seed
-        )
-    else:
-        transport = deployment.value
-        cluster_config = ClusterConfig(topology)
     return KVCluster(
         ring,
         KV_ALGORITHMS[algorithm],
-        config=cluster_config,
+        config=ClusterConfig(full_mesh(config.replicas)),
         antientropy=antientropy,
-        transport=transport,
+        transport=config.deployment,
         recovery=recovery,
-        wal_config=config.wal_config() if recovery != "repair" else None,
+        wal_config=wal_config,
         trace=tracer,
     )

@@ -1,32 +1,33 @@
 """One OS process serving one replica of the sharded CRDT store.
 
-This is the jump from "harness that converges" to "system that
-serves": where :class:`~repro.net.tcp.AsyncTcpTransport` hosts every
-replica inside one asyncio loop, a :class:`ReplicaProcess` is a real
-process with its own event loop, its own WAL directory (advisory-locked
-— see :class:`~repro.wal.storage.FileStorage`), and two listening
-sockets:
+A replica process hosts the same stack an in-process replica runs on:
+one :class:`~repro.kv.store.KVStore` behind a :class:`~repro.net.
+runtime.ReplicaRuntime`, on the socket peer plane of :class:`~repro.
+net.tcp.AsyncTcpTransport`.  The accept loop, the admit → frame →
+account → trace send sequence and the ``tick``/``deliver`` entry points
+are that transport's and that runtime's; a :class:`PeerPlane` is the
+plane with this replica as its one endpoint, whose peers are other
+processes dialled lazily from the addresses WIRE delivers.  What the
+process adds is its own edge:
 
-* the **peer plane** speaks exactly the wire format of the in-process
-  TCP transport (:mod:`repro.net.framing`) — ``u32be(length)`` frames
-  of :func:`repro.codec.frame_message` envelopes, one uvarint handshake
-  naming the dialing replica — so the synchronizers, the repair
-  escalation, and the handoff protocol run unmodified over genuinely
-  separate processes;
-* the **client/control plane** speaks :mod:`repro.serve.frames` — the
-  get/put/remove/repair data verbs a :class:`~repro.serve.client.
-  KVClient` uses and the wire/tick/counters/roots control verbs the
-  :class:`~repro.serve.cluster.ProcessCluster` controller drives
-  rounds with.
+* its own event loop (the peer plane's), its own WAL directory
+  (advisory-locked — see :class:`~repro.wal.storage.FileStorage`), and
+  a second listening socket, the **client/control plane**, speaking
+  :mod:`repro.serve.frames` — the get/put/remove/repair data verbs a
+  :class:`~repro.serve.client.KVClient` uses and the
+  wire/tick/counters/roots control verbs the :class:`~repro.serve.
+  cluster.ProcessCluster` controller drives rounds with;
+* its configuration, one :class:`ReplicaOptions` value handed over as
+  JSON (``repro serve-replica --options JSON``) and rebuilt through the
+  dataclasses' own validation.
 
-Startup is the WAL-first recovery story of PR 4 run for real: the
-process opens (and locks) its ``FileStorage`` directory, replays every
-owned shard locally, and joins the cluster with only the genuinely
-divergent remainder left for digest repair.  On boot it binds both
-listeners on ephemeral ports and writes a small JSON *portfile* into
-the run directory; the controller collects these and distributes the
-address map with a WIRE command — replicas never guess each other's
-ports.
+Startup is WAL-first recovery run for real: the process opens (and
+locks) its ``FileStorage`` directory, replays every owned shard
+locally, and joins the cluster with only the genuinely divergent
+remainder left for digest repair.  On boot it binds both listeners on
+ephemeral ports and writes a small JSON *portfile* into the run
+directory; the controller collects these and distributes the address
+map with a WIRE command — replicas never guess each other's ports.
 
 The process deliberately has **no timers of its own**: anti-entropy
 runs when the controller says TICK, exactly like the round-stepped
@@ -39,26 +40,31 @@ locks.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import os
-import time
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from collections import deque
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.codec import decode, decode_message, encode, frame_message
+from repro.codec import decode, encode
 from repro.kv.antientropy import AntiEntropyConfig
-from repro.kv.driver import KV_ALGORITHMS
+from repro.kv.driver import KV_ALGORITHMS, check_recovery
 from repro.kv.ring import HashRing
 from repro.kv.store import KVRoutingError, KVStore
 from repro.kv.types import Schema
 from repro.lattice.map_lattice import MapLattice
 from repro.net import framing
+from repro.net.runtime import ReplicaRuntime
+from repro.net.tcp import AsyncTcpTransport
 from repro.serve import frames
 from repro.serve.frames import FrameError, Request, Response
-from repro.sync.protocol import Send
+from repro.sim.metrics import MetricsCollector
+from repro.sim.network import ClusterConfig
+from repro.sim.topology import Topology
 from repro.wal import FileStorage, ReplicaWal, WalConfig
 
-HOST = "127.0.0.1"
+HOST = AsyncTcpTransport.HOST
 
 #: Milliseconds the shutdown handler waits for the response frame to
 #: flush before tearing the loop down.
@@ -73,43 +79,144 @@ class ReplicaOptions:
     parameters (`replicas`, `shards`, `replication`), so each one
     reconstructs the *identical* :class:`~repro.kv.ring.HashRing`
     locally — placement is a pure function of those parameters, and
-    never travels over the wire.
+    never travels over the wire.  The controller spells every value
+    (and every default) once; :meth:`to_json` / :meth:`from_json` carry
+    the whole value across the process boundary.
     """
 
     replica: int
     replicas: Tuple[int, ...]
     run_dir: str
-    shards: int = 32
-    replication: int = 3
-    algorithm: str = "delta-based-bp-rr"
-    #: ``None`` disables the WAL (the ``repair`` recovery policy);
-    #: otherwise the directory this replica's logs live in.
-    wal_dir: Optional[str] = None
-    #: ``wal`` replays and trusts the log; ``wal+repair`` replays and
-    #: marks every δ-path suspect (immediate verification probes).
-    recovery: str = "wal"
-    wal_compact_bytes: Optional[int] = 64 * 1024
-    budget_bytes: Optional[int] = None
-    repair_interval: int = 0
-    repair_fanout: int = 1
-    repair_mode: str = "blanket"
+    shards: int
+    replication: int
+    algorithm: str
+    antientropy: AntiEntropyConfig
+    #: ``repair`` keeps no WAL; ``wal`` replays and trusts the log;
+    #: ``wal+repair`` replays and marks every δ-path suspect.
+    recovery: str
+    wal: WalConfig
     #: Directory for this process's trace file (``None`` = off); the
     #: file is named ``r{replica:03d}.jsonl`` and stamped with
     #: ``origin=replica`` so a directory of them merges offline.
-    trace_dir: Optional[str] = None
+    trace_dir: Optional[str]
 
-    def antientropy(self) -> AntiEntropyConfig:
-        return AntiEntropyConfig(
-            budget_bytes=self.budget_bytes,
-            repair_interval=self.repair_interval,
-            repair_fanout=self.repair_fanout,
-            repair_mode=self.repair_mode,
+    def __post_init__(self) -> None:
+        check_recovery(self.recovery)
+
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text: str) -> "ReplicaOptions":
+        fields = json.loads(text)
+        return cls(
+            **{
+                **fields,
+                "replicas": tuple(fields["replicas"]),
+                "antientropy": AntiEntropyConfig(**fields["antientropy"]),
+                "wal": WalConfig(**fields["wal"]),
+            }
         )
 
-    def ring(self) -> HashRing:
-        return HashRing(
-            self.replicas, n_shards=self.shards, replication=self.replication
+
+class PeerPlane(AsyncTcpTransport):
+    """The socket peer plane with this process's replica as its one endpoint.
+
+    Peers are other processes.  Their addresses, the down set and this
+    replica's side of a partition arrive by WIRE (:meth:`rewire`), so
+    :meth:`link_up` refuses exactly what the controller's fault state
+    says; a peer is dialled at its first frame.  Rounds are the
+    controller's (TICK), so the plane is driven step by step: whatever
+    a tick or a delivery queued goes out in :meth:`flush`.  Each frame
+    counts in ``frames_sent`` once its ``drain()`` succeeded, and an
+    inbound frame counts in ``frames_delivered`` only after its replies
+    did — the order the controller's quiescence double count needs.
+    """
+
+    def __init__(self, replica: int, config: ClusterConfig, metrics) -> None:
+        super().__init__(config, metrics)
+        self.replica = replica
+        self.addresses: Dict[int, Tuple[str, int]] = {}
+        #: This endpoint's outbound links, by peer.
+        self._links = self._writers[replica] = {}
+        # Until the first WIRE no peer has an address: none is reachable.
+        self._groups = (frozenset([replica]),)
+        self.frames_sent = 0
+        self.frames_delivered = 0
+
+    def run(self, main) -> None:
+        """Run ``main`` on this plane's loop, then tear the plane down."""
+        try:
+            self._loop.run_until_complete(main)
+        finally:
+            self.close()
+
+    async def _open_sockets(self) -> None:
+        """Open the replica's peer listener (peers are dialled later)."""
+        server = await asyncio.start_server(
+            functools.partial(self._accept, self.replica), self.HOST, 0
         )
+        self._servers.append(server)
+        #: The peer port this process publishes in its portfile.
+        self.port = server.sockets[0].getsockname()[1]
+
+    def rewire(self, addresses, down, blocked, reconnect) -> None:
+        """Adopt the controller's view of peers and faults."""
+        self.addresses = {r: a for r, a in addresses.items() if r != self.replica}
+        self.down = set(down)
+        # This replica's side of the cut and the far side; a replica
+        # with no address is on neither side of a live link.
+        near = frozenset(self.addresses).union([self.replica])
+        self._groups = (near - frozenset(blocked), frozenset(blocked))
+        # Links to peers that left the address map, died, or respawned
+        # on a fresh socket are dropped here and re-dialled at the next
+        # frame.
+        stale = (set(self._links) - set(self.addresses)) | self.down
+        for dst in stale.union(reconnect):
+            self._drop(dst)
+
+    def _drop(self, dst: int) -> None:
+        writer = self._links.pop(dst, None)
+        if writer is not None:
+            writer.close()
+
+    def _enqueue(self, src: int, dst: int, data: bytes) -> None:
+        self._outbox.append((src, dst, data))
+
+    async def flush(self) -> None:
+        """Write the frames queued since the last flush, one by one."""
+        batch, self._outbox = self._outbox, deque()
+        for src, dst, data in batch:
+            try:
+                writer = self._links.get(dst)
+                if writer is None or writer.is_closing():
+                    host, port = self.addresses[dst]
+                    writer = await framing.dial(host, port, src)
+                    self._links[dst] = writer
+                writer.write(framing.frame(data))
+                await writer.drain()
+            except OSError:
+                # The peer died with the frame in flight (or before the
+                # dial): it was never delivered, and counting it as sent
+                # would wedge the controller's quiescence check.
+                self._drop(dst)
+                self.runtimes[src].note_send_blocked(dst)
+            else:
+                self.frames_sent += 1
+
+    def _deliver_frame(self, src: int, dst: int, data: bytes):
+        self._receive(src, dst, data)
+        return self._delivered()
+
+    async def _delivered(self) -> None:
+        await self.flush()
+        self.frames_delivered += 1
+
+    def _peer_failed(self, exc: BaseException) -> None:
+        # A refused length prefix cannot be resynchronised past and the
+        # peer plane has no error frame: hang up, keep serving.
+        if not isinstance(exc, (ConnectionError, FrameError)):
+            raise exc
 
 
 #: verb → handler, filled by :func:`_handles` as the class body runs.
@@ -137,30 +244,29 @@ def portfile_path(run_dir: str, replica: int) -> str:
     return os.path.join(run_dir, f"r{replica:03d}.ports.json")
 
 
+def wal_path(run_dir: str, replica: int) -> str:
+    """Replica ``replica``'s WAL directory: one per replica, because the
+    advisory lock is per directory and a respawn must find exactly its
+    predecessor's logs."""
+    return os.path.join(run_dir, "wal", f"r{replica:03d}")
+
+
 class ReplicaProcess:
-    """The serving loop: one store, one peer listener, one client listener."""
+    """The serving loop: one runtime on the peer plane, one client listener."""
 
     def __init__(self, options: ReplicaOptions) -> None:
         self.options = options
         self.replica = options.replica
         self.round = 0
-        self._epoch = time.monotonic()
-        # Wiring state, updated by WIRE commands.
-        self.peer_addrs: Dict[int, Tuple[str, int]] = {}
-        self.down: set = set()
-        self.blocked: set = set()
-        # Counters the controller's termination detection polls.
-        self.frames_sent = 0
-        self.frames_delivered = 0
-        self.sends_blocked = 0
-        self.messages = 0
-        self.payload_bytes = 0
-        self.metadata_bytes = 0
         self.client_ops = 0
-        # Event-loop plumbing.
-        self._peer_writers: Dict[int, asyncio.StreamWriter] = {}
-        self._servers: List[asyncio.base_events.Server] = []
         self._shutdown = asyncio.Event()
+        seats = max(options.replicas) + 1
+        # One endpoint: the overlay is the store's neighbour set.
+        self.peers = PeerPlane(
+            options.replica,
+            ClusterConfig(Topology.from_edges("replica process", 1, ())),
+            MetricsCollector(seats),
+        )
 
         self.tracer = None
         if options.trace_dir is not None:
@@ -168,36 +274,43 @@ class ReplicaProcess:
 
             path = os.path.join(options.trace_dir, f"r{options.replica:03d}.jsonl")
             self.tracer = Tracer(FileTraceSink(path), origin=options.replica)
-            self.tracer.bind(self._now, lambda: self.round)
+            self.tracer.bind(lambda: self.peers.now, lambda: self.round)
+            self.peers.tracer = self.tracer
 
         self.storage: Optional[FileStorage] = None
         wal: Optional[ReplicaWal] = None
-        if options.wal_dir is not None:
+        if options.recovery != "repair":
             # The advisory lock is the whole point of serving from real
             # processes: a stale twin still holding this replica's
             # directory fails *here*, loudly, before any log is touched.
-            self.storage = FileStorage(options.wal_dir, lock=True)
+            self.storage = FileStorage(
+                wal_path(options.run_dir, options.replica), lock=True
+            )
             wal = ReplicaWal(
                 options.replica,
                 storage=self.storage,
-                config=WalConfig(compact_bytes=options.wal_compact_bytes),
+                config=options.wal,
                 tracer=self.tracer,
             )
 
-        ring = options.ring()
-        neighbors = tuple(r for r in options.replicas if r != options.replica)
         self.store = KVStore(
             replica=options.replica,
-            neighbors=neighbors,
+            neighbors=tuple(r for r in options.replicas if r != options.replica),
             bottom=MapLattice(),
-            n_nodes=max(options.replicas) + 1,
-            ring=ring,
+            n_nodes=seats,
+            ring=HashRing(
+                options.replicas,
+                n_shards=options.shards,
+                replication=options.replication,
+            ),
             inner_factory=KV_ALGORITHMS[options.algorithm],
             schema=Schema(),
-            antientropy=options.antientropy(),
+            antientropy=options.antientropy,
             wal=wal,
             tracer=self.tracer,
         )
+        self.runtime = ReplicaRuntime(self.store, self.peers.metrics)
+        self.peers.bind([self.runtime])
         #: Shards restored by the boot-time WAL replay (recovery proof
         #: the smoke test asserts on via STAT).
         self.replayed_shards = 0
@@ -210,33 +323,29 @@ class ReplicaProcess:
     # Lifecycle.
     # ------------------------------------------------------------------
 
-    def _now(self) -> float:
-        return (time.monotonic() - self._epoch) * 1000.0
-
     def run(self) -> None:
         """Serve until SHUTDOWN (the ``repro serve-replica`` entrypoint)."""
-        asyncio.run(self.serve())
-
-    async def serve(self) -> None:
-        peer_server = await asyncio.start_server(self._accept_peer, HOST, 0)
-        client_server = await asyncio.start_server(self._accept_client, HOST, 0)
-        self._servers = [peer_server, client_server]
-        peer_port = peer_server.sockets[0].getsockname()[1]
-        client_port = client_server.sockets[0].getsockname()[1]
-        self._write_portfile(peer_port, client_port)
         try:
-            await self._shutdown.wait()
+            self.peers.run(self.serve())
         finally:
-            for server in self._servers:
-                server.close()
-            for server in self._servers:
-                await server.wait_closed()
-            for writer in self._peer_writers.values():
-                writer.close()
             if self.tracer is not None:
                 self.tracer.close()
             if self.storage is not None:
                 self.storage.release_lock()
+
+    async def serve(self) -> None:
+        client_server = await asyncio.start_server(self._accept_client, HOST, 0)
+        client_port = client_server.sockets[0].getsockname()[1]
+        self._write_portfile(self.peers.port, client_port)
+        try:
+            await self._shutdown.wait()
+        finally:
+            client_server.close()
+            # End every connection still open, as asyncio.run would.
+            others = asyncio.all_tasks() - {asyncio.current_task()}
+            for task in others:
+                task.cancel()
+            await asyncio.gather(*others, return_exceptions=True)
 
     def _write_portfile(self, peer_port: int, client_port: int) -> None:
         os.makedirs(self.options.run_dir, exist_ok=True)
@@ -256,115 +365,6 @@ class ReplicaProcess:
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.write(payload)
         os.replace(tmp, path)
-
-    # ------------------------------------------------------------------
-    # Peer plane: the AsyncTcpTransport wire format, process-to-process.
-    # ------------------------------------------------------------------
-
-    async def _accept_peer(self, reader, writer) -> None:
-        try:
-            handshake = await framing.read_frame(reader)
-            if handshake is None:
-                return
-            src = framing.read_hello(handshake)
-            while True:
-                data = await framing.read_frame(reader)
-                if data is None:
-                    return
-                await self._deliver_peer_frame(src, data)
-        except asyncio.CancelledError:
-            raise
-        except (ConnectionError, FrameError):
-            # A refused length prefix cannot be resynchronised past;
-            # the peer plane has no error frame, so just hang up.
-            pass
-        finally:
-            writer.close()
-
-    async def _deliver_peer_frame(self, src: int, data: bytes) -> None:
-        message = decode_message(data)
-        if self.tracer is not None:
-            self.tracer.emit(
-                "deliver",
-                replica=src,
-                peer=self.replica,
-                kind=message.kind,
-                payload_bytes=message.payload_bytes,
-                metadata_bytes=message.metadata_bytes,
-            )
-        replies = self.store.handle_message(src, message)
-        await self._dispatch_sends(replies)
-        # Count delivery *after* replies are queued as sent: the
-        # controller's quiescence check (sent == delivered, stable)
-        # then never observes a state where this frame is consumed but
-        # its consequences are invisible.
-        self.frames_delivered += 1
-
-    async def _dispatch_sends(self, sends: Sequence[Send]) -> None:
-        for send in sends:
-            dst = send.dst
-            refused = dst in self.down or dst in self.blocked
-            writer = None if refused else await self._peer_writer(dst)
-            if writer is None:
-                # Refused by the fault state, or no route to the peer:
-                # nothing crossed the wire, but the store learns the
-                # peer is unreachable (suspicion feeds digest repair).
-                self.sends_blocked += 1
-                self.store.note_send_blocked(dst)
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        "send-blocked",
-                        replica=self.replica,
-                        peer=dst,
-                        kind=send.message.kind,
-                    )
-                continue
-            frame = frame_message(send.message)
-            payload = frame.payload_bytes
-            metadata = frame.metadata_bytes + framing.LENGTH_PREFIX_BYTES
-            self.messages += 1
-            self.payload_bytes += payload
-            self.metadata_bytes += metadata
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "send",
-                    replica=self.replica,
-                    peer=dst,
-                    kind=send.message.kind,
-                    payload_bytes=payload,
-                    metadata_bytes=metadata,
-                    payload_units=send.message.payload_units,
-                    metadata_units=send.message.metadata_units,
-                )
-            writer.write(framing.frame(frame.data))
-            try:
-                await writer.drain()
-                self.frames_sent += 1
-            except ConnectionError:
-                # The peer died with the frame in flight: it was never
-                # delivered, and counting it as sent would wedge the
-                # controller's quiescence check.
-                self._drop_peer_writer(dst)
-                self.store.note_send_blocked(dst)
-
-    async def _peer_writer(self, dst: int) -> Optional[asyncio.StreamWriter]:
-        writer = self._peer_writers.get(dst)
-        if writer is not None and not writer.is_closing():
-            return writer
-        addr = self.peer_addrs.get(dst)
-        if addr is None:
-            return None
-        try:
-            writer = await framing.dial(addr[0], addr[1], self.replica)
-        except OSError:
-            return None
-        self._peer_writers[dst] = writer
-        return writer
-
-    def _drop_peer_writer(self, dst: int) -> None:
-        writer = self._peer_writers.pop(dst, None)
-        if writer is not None:
-            writer.close()
 
     # ------------------------------------------------------------------
     # Client/control plane.
@@ -451,8 +451,8 @@ class ReplicaProcess:
 
     @_handles(frames.TICK)
     async def _handle_tick(self, request: Request) -> Response:
-        sends = self.store.sync_messages()
-        await self._dispatch_sends(sends)
+        self.runtime.tick()
+        await self.peers.flush()
         self.round += 1
         if self.tracer is not None:
             self.tracer.emit("round", round=self.round - 1)
@@ -463,9 +463,9 @@ class ReplicaProcess:
         return Response(
             request.id,
             body={
-                "sent": self.frames_sent,
-                "delivered": self.frames_delivered,
-                "blocked": self.sends_blocked,
+                "sent": self.peers.frames_sent,
+                "delivered": self.peers.frames_delivered,
+                "blocked": self.peers.messages_blocked,
             },
         )
 
@@ -515,44 +515,42 @@ class ReplicaProcess:
     @_handles(frames.WIRE)
     def _handle_wire(self, request: Request) -> Response:
         body = request.body
-        self.peer_addrs = {
-            int(replica): (str(host), int(port))
-            for replica, (host, port) in body["addresses"].items()
-            if int(replica) != self.replica
-        }
-        self.down = {int(r) for r in body["down"]}
-        self.blocked = {int(r) for r in body["blocked"]}
-        # Re-dial lazily: writers to peers that left the address map,
-        # died, or respawned on a fresh socket are dropped here and
-        # reopened at the next send.
-        stale = (set(self._peer_writers) - set(self.peer_addrs)) | self.down
-        for dst in stale.union(int(r) for r in body["reconnect"]):
-            self._drop_peer_writer(dst)
+        self.peers.rewire(
+            {
+                int(replica): (str(host), int(port))
+                for replica, (host, port) in body["addresses"].items()
+            },
+            down={int(r) for r in body["down"]},
+            blocked={int(r) for r in body["blocked"]},
+            reconnect={int(r) for r in body["reconnect"]},
+        )
         round_value = int(body.get("round", 0))
         if round_value > self.round:
             # A respawned process joining mid-run: realign the repair
             # scheduler with the cluster round so replayed δ-paths are
             # warm and coldness thresholds keep their meaning.
             self.round = round_value
-            self.store.restore_clock(round_value)
+            self.runtime.restore_clock(round_value)
         return Response(request.id, body={"round": self.round})
 
     @_handles(frames.APPLY_RING)
     def _handle_apply_ring(self, request: Request) -> Response:
         body = request.body
         replicas = tuple(int(r) for r in body["replicas"])
-        ring = HashRing(
-            replicas,
-            n_shards=self.options.shards,
-            replication=self.options.replication,
-        )
         self.store.apply_ring(
-            ring,
+            HashRing(
+                replicas,
+                n_shards=self.options.shards,
+                replication=self.options.replication,
+            ),
             retain=frozenset(int(s) for s in body.get("retain", ())),
             fence=bool(body.get("fence", True)),
-            # Membership grew or shrank, and the overlay is always the
-            # full replica set.
-            neighbors=tuple(r for r in replicas if r != self.replica),
+            # The overlay is every seat ever placed, like the in-process
+            # full mesh: a drained leaver still hears the acks of the
+            # owners it hands off to.
+            neighbors=tuple(
+                sorted(set(self.store.neighbors).union(replicas) - {self.replica})
+            ),
         )
         return Response(request.id, body={"shards": sorted(self.store.shards)})
 
@@ -566,17 +564,15 @@ class ReplicaProcess:
             "replica": self.replica,
             "pid": os.getpid(),
             "round": self.round,
-            "messages": self.messages,
-            "payload_bytes": self.payload_bytes,
-            "metadata_bytes": self.metadata_bytes,
-            "blocked": self.sends_blocked,
+            "messages": self.peers.metrics.message_count,
+            "payload_bytes": self.peers.metrics.total_payload_bytes(),
+            "metadata_bytes": self.peers.metrics.total_metadata_bytes(),
+            "blocked": self.peers.messages_blocked,
             "client_ops": self.client_ops,
             "pending_handoffs": self.store.handoff.pending(),
             "replayed_shards": self.replayed_shards,
             "state_bytes": self.store.state_bytes(),
-            "memory_bytes": self.store.state_bytes()
-            + self.store.buffer_bytes()
-            + self.store.metadata_bytes(),
+            "memory_bytes": self.store.memory_bytes(),
             "shards": len(self.store.shards),
             "registry": snapshot,
         }

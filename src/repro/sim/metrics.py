@@ -20,6 +20,7 @@ first/second-half split) without re-running simulations.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -86,7 +87,9 @@ class MetricsCollector:
         self.n_nodes = n_nodes
         self.messages: List[MessageRecord] = []
         self.memory: List[MemorySample] = []
-        self.per_node: List[NodeMetrics] = [NodeMetrics() for _ in range(n_nodes)]
+        #: Keyed by replica id, created at a node's first record: a
+        #: replica process learns of seats added after it booted.
+        self.per_node: Dict[int, NodeMetrics] = defaultdict(NodeMetrics)
 
     # ------------------------------------------------------------------
     # Recording.
@@ -220,7 +223,7 @@ class MetricsCollector:
     # ------------------------------------------------------------------
 
     def total_processing_units(self) -> int:
-        return sum(entry.processing_units for entry in self.per_node)
+        return sum(entry.processing_units for entry in self.per_node.values())
 
     def total_processing_seconds(self) -> float:
-        return sum(entry.processing_seconds for entry in self.per_node)
+        return sum(entry.processing_seconds for entry in self.per_node.values())

@@ -15,18 +15,19 @@ draining to convergence are the shared
 :class:`~repro.driver.ClusterDriver` loop, the same one the store
 clusters run:
 
-* ``transport="sim"`` (default) — :class:`~repro.net.sim.SimTransport`,
-  the deterministic discrete-event engine: staggered timers, per-link
-  FIFO delivery, seeded loss, severed-vs-dropped fault accounting.
-  Byte-for-byte identical to the pre-seam simulator.
-* ``transport="tcp"`` — :class:`~repro.net.tcp.AsyncTcpTransport`,
-  real localhost TCP sockets where the recorded ``payload_bytes`` /
-  ``metadata_bytes`` are measured wire bytes of the
+* ``transport=Stepped.SIM`` (default; also spelled ``"sim"``) —
+  :class:`~repro.net.sim.SimTransport`, the deterministic
+  discrete-event engine: staggered timers, per-link FIFO delivery,
+  seeded loss, severed-vs-dropped fault accounting.  Byte-for-byte
+  identical to the pre-seam simulator.
+* ``transport=Stepped.TCP`` (or ``"tcp"``) — :class:`~repro.net.tcp.
+  AsyncTcpTransport`, real localhost TCP sockets where the recorded
+  ``payload_bytes`` / ``metadata_bytes`` are measured wire bytes of the
   :func:`repro.codec.encode_message` envelopes.
-* ``transport="free"`` — :class:`~repro.net.freerun.FreeRunTransport`,
-  the same event engine running free: per-replica drifting timers
-  (:class:`~repro.net.clock.DriftClock`), no per-round quiescence
-  barrier, convergence lag measured instead of assumed.
+* ``transport=FreeRun(jitter, seed)`` — :class:`~repro.net.freerun.
+  FreeRunTransport`, the same event engine running free: per-replica
+  drifting timers (:class:`~repro.net.clock.DriftClock`), no per-round
+  quiescence barrier, convergence lag measured instead of assumed.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, Union
 
-from repro.driver import ClusterDriver
+from repro.driver import ClusterDriver, Deployment, FreeRun, Stepped
 from repro.lattice.base import Lattice
 from repro.sim.metrics import MetricsCollector
 from repro.sizes import SizeModel, DEFAULT_SIZE_MODEL
@@ -74,8 +75,8 @@ class _SynchronizerView(SequenceABC):
         return repr(list(self))
 
 
-def transport_registry() -> dict:
-    """Named transport constructors selectable via ``Cluster(transport=...)``.
+def _build_transport(deployment, config: "ClusterConfig") -> "Transport":
+    """The in-process transport a deployment (or its name) stands for.
 
     Imported lazily: :mod:`repro.net` and :mod:`repro.sim` reference
     each other (the transports use the event queue and metrics, the
@@ -86,7 +87,17 @@ def transport_registry() -> dict:
     from repro.net.sim import SimTransport
     from repro.net.tcp import AsyncTcpTransport
 
-    return {"sim": SimTransport, "tcp": AsyncTcpTransport, "free": FreeRunTransport}
+    metrics = MetricsCollector(config.topology.n)
+    if isinstance(deployment, FreeRun):
+        return FreeRunTransport(config, metrics, deployment)
+    if deployment in (Stepped.SIM, Stepped.SIM.value):
+        return SimTransport(config, metrics)
+    if deployment in (Stepped.TCP, Stepped.TCP.value):
+        return AsyncTcpTransport(config, metrics)
+    raise ValueError(
+        f"unknown transport {deployment!r} (choose from: Stepped.SIM or "
+        "'sim', Stepped.TCP or 'tcp', a FreeRun, or a Transport)"
+    )
 
 
 def _normalize_trace(trace) -> Optional["Tracer"]:
@@ -140,13 +151,6 @@ class ClusterConfig:
     loss_rate: float = 0.0
     #: Seed for the (deterministic) loss coin flips.
     loss_seed: int = 0
-    #: Free-running mode only (``transport="free"``): per-replica timer
-    #: drift as a fraction of the interval — replica timers run at
-    #: ``interval * (1 ± tick_jitter)`` — and the seed of the
-    #: per-replica phase/period draws.  Ignored by the barrier-stepped
-    #: transports.
-    tick_jitter: float = 0.05
-    tick_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.latency_ms * 2 >= self.sync_interval_ms:
@@ -165,8 +169,10 @@ class Cluster(ClusterDriver):
             (``replica=``, ``neighbors=``, ``bottom=``, ``n_nodes=``,
             ``size_model=``) for each node.
         bottom: The bottom element every replica starts from.
-        transport: ``"sim"`` (default), ``"tcp"``, or an already
-            constructed :class:`~repro.net.transport.Transport`.
+        transport: A :data:`~repro.driver.Deployment` other than
+            ``Stepped.PROC`` (default ``Stepped.SIM``; ``"sim"`` and
+            ``"tcp"`` name the stepped ones), or an already constructed
+            :class:`~repro.net.transport.Transport`.
         trace: Structured tracing: ``None`` (off, the default), a
             :class:`~repro.obs.trace.Tracer`, a
             :class:`~repro.obs.trace.TraceSink`, or a path string (a
@@ -180,7 +186,7 @@ class Cluster(ClusterDriver):
         config: ClusterConfig,
         factory: Callable[..., Synchronizer],
         bottom: Lattice,
-        transport: Union[str, Transport] = "sim",
+        transport: Union[Deployment, str, Transport] = Stepped.SIM,
         *,
         trace: Union[None, "Tracer", str, object] = None,
     ) -> None:
@@ -191,17 +197,8 @@ class Cluster(ClusterDriver):
         self._factory = factory
         self._bottom = bottom
         self.tracer = _normalize_trace(trace)
-        if isinstance(transport, str):
-            registry = transport_registry()
-            try:
-                transport = registry[transport](
-                    config, MetricsCollector(config.topology.n)
-                )
-            except KeyError:
-                raise ValueError(
-                    f"unknown transport {transport!r} "
-                    f"(choose from: {', '.join(sorted(registry))})"
-                ) from None
+        if isinstance(transport, (str, Stepped, FreeRun)):
+            transport = _build_transport(transport, config)
         self.transport = transport
         #: Shared collector: the transport records messages and memory
         #: samples, the runtimes record processing costs.

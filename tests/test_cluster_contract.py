@@ -211,3 +211,97 @@ class TestPlanner:
         holders[outsider][shard] = ShardCopy(True, 10)  # still fencing it
         report = plan_rebalance(self.OLD, self.NEW, set(), holders, removed=3)
         assert (shard, outsider) in {(s, src) for s, src, _ in report.transfers}
+
+
+# ----------------------------------------------------------------------
+# Every deployment hosts its replicas on the same runtime and peer plane,
+# so what the trace and the counters say means the same on each.
+# ----------------------------------------------------------------------
+
+
+def traffic(cluster, rounds=3):
+    """Writes on both sides of a partition, a heal, then a drain."""
+    for r in range(rounds):
+        for i in range(6):
+            cluster.update(f"set:{(r * 6 + i) % 10}", "add", f"e-{r}-{i}")
+        cluster.run_round(None)
+    cluster.partition(range(SEATS // 2))
+    cluster.update("set:cut", "add", "during")
+    cluster.run_round(None)
+    cluster.heal()
+    cluster.drain()
+
+
+@pytest.mark.parametrize(
+    "deployment", (Stepped.TCP, Stepped.PROC), ids=lambda d: d.value
+)
+def test_deliver_events_name_their_receiver(tmp_path, deployment):
+    from collections import Counter
+
+    from repro.obs import read_trace, trace_totals
+    from repro.serve.deploy import open_tracer
+
+    trace = str(tmp_path / "trace")
+    config = KVConfig(
+        replicas=SEATS,
+        shards=SHARDS,
+        replication=REPLICATION,
+        recovery="wal",
+        deployment=deployment,
+        trace=trace,
+    )
+    tracer = open_tracer(config)
+    cluster = build_cluster(config, "delta-based-bp-rr", tracer=tracer, label="cell")
+    try:
+        traffic(cluster)
+        totals = {
+            "messages": cluster.metrics.message_count,
+            "payload_bytes": cluster.metrics.total_payload_bytes(),
+            "metadata_bytes": cluster.metrics.total_metadata_bytes(),
+        }
+    finally:
+        cluster.close()
+        if tracer is not None:
+            tracer.close()
+    events = read_trace(trace if deployment is Stepped.TCP else f"{trace}/cell")
+    delivers = [e for e in events if e.type == "deliver"]
+    sends = [e for e in events if e.type == "send"]
+    assert delivers and sends
+    if deployment is Stepped.PROC:
+        # The receiving process wrote the event about itself.
+        assert all(e.replica == e.origin for e in delivers)
+    # deliver is (receiver, sender); send is (sender, receiver).
+    delivered = Counter((e.peer, e.replica, e.kind) for e in delivers)
+    sent = Counter((e.replica, e.peer, e.kind) for e in sends)
+    assert not delivered - sent
+    derived = trace_totals(events)
+    assert {key: derived[key] for key in totals} == totals
+
+
+@pytest.mark.parametrize(
+    "deployment", (Stepped.SIM, Stepped.PROC), ids=lambda d: d.value
+)
+@pytest.mark.parametrize("compact_bytes", (None, 16 * 1024), ids=("off", "16KiB"))
+def test_wal_compaction_follows_the_config(deployment, compact_bytes):
+    config = KVConfig(
+        replicas=2,
+        shards=1,
+        replication=1,
+        recovery="wal",
+        wal_compact_bytes=compact_bytes,
+        deployment=deployment,
+    )
+    cluster = build_cluster(config, "delta-based-bp-rr")
+    try:
+        for r in range(6):
+            for i in range(100):
+                cluster.update(f"set:{i % 7}", "add", f"{r:02d}-{i:03d}-" + "x" * 290)
+            cluster.run_round(None)
+        stats = cluster.wal_stats()
+    finally:
+        cluster.close()
+    assert stats["wal_committed_bytes"] > 64 * 1024
+    if compact_bytes is None:
+        assert stats["wal_compactions"] == 0
+    else:
+        assert stats["wal_compactions"] > 0

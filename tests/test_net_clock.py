@@ -99,7 +99,7 @@ class TestDriftClock:
 class TestFreeRunTransport:
     def test_converges_without_a_barrier(self):
         config = ClusterConfig(full_mesh(4))
-        cluster = Cluster(config, delta_bp_rr, SetLattice(), "free")
+        cluster = Cluster(config, delta_bp_rr, SetLattice(), FreeRun())
 
         def updates_for(round_index, node):
             return [lambda state, n=node, r=round_index: SetLattice({f"e{n}-{r}"})]
@@ -116,7 +116,7 @@ class TestFreeRunTransport:
         """A single free-running interval may end with work still queued
         — the defining difference from the barrier-stepped engine."""
         config = ClusterConfig(full_mesh(3))
-        cluster = Cluster(config, delta_bp_rr, SetLattice(), "free")
+        cluster = Cluster(config, delta_bp_rr, SetLattice(), FreeRun())
         transport = cluster.transport
         assert isinstance(transport, FreeRunTransport)
         cluster.run_round(lambda node: [lambda state: SetLattice({"x"})])
@@ -126,8 +126,10 @@ class TestFreeRunTransport:
 
     def test_replays_exactly(self):
         def run():
-            config = ClusterConfig(full_mesh(3), tick_jitter=0.05, tick_seed=9)
-            cluster = Cluster(config, delta_bp_rr, SetLattice(), "free")
+            config = ClusterConfig(full_mesh(3))
+            cluster = Cluster(
+                config, delta_bp_rr, SetLattice(), FreeRun(jitter=0.05, seed=9)
+            )
             cluster.run_rounds(
                 4,
                 lambda r, n: [lambda state: SetLattice({f"{n}:{r}"})],
@@ -142,7 +144,7 @@ class TestFreeRunTransport:
 
     def test_crashed_replica_keeps_its_own_timeline(self):
         config = ClusterConfig(full_mesh(3))
-        cluster = Cluster(config, delta_bp_rr, SetLattice(), "free")
+        cluster = Cluster(config, delta_bp_rr, SetLattice(), FreeRun())
         transport = cluster.transport
         cluster.run_round(lambda node: [lambda state: SetLattice({"a"})])
         transport.crash(2)
@@ -183,8 +185,8 @@ class TestDeploymentIsClosed:
         )
         cluster = build_cluster(config, "delta-based-bp-rr")
         assert isinstance(cluster.transport, FreeRunTransport)
-        assert cluster.config.tick_jitter == 0.1
-        assert cluster.config.tick_seed == 9
+        assert cluster.transport.clock.jitter == 0.1
+        assert cluster.transport.clock.seed == 9
 
     def test_stepped_sim_keeps_the_default_cluster_config(self):
         """No ClusterConfig override in round mode: the sweep keeps the

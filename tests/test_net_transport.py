@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.driver import Stepped
 from repro.lattice.set_lattice import SetLattice
 from repro.net import AsyncTcpTransport, ReplicaRuntime, SimTransport
 from repro.sim.metrics import MetricsCollector
@@ -105,6 +106,29 @@ class TestClusterFacade:
     def test_unknown_transport_name_is_rejected(self):
         with pytest.raises(ValueError, match="unknown transport"):
             Cluster(ClusterConfig(line(2)), StateBased, SetLattice(), "telegraph")
+
+    @pytest.mark.parametrize("name", ["free", "proc", Stepped.PROC])
+    def test_only_in_process_deployments_name_a_transport(self, name):
+        with pytest.raises(ValueError, match="unknown transport"):
+            Cluster(ClusterConfig(line(2)), StateBased, SetLattice(), name)
+
+    @pytest.mark.parametrize(
+        "deployment, expected",
+        [
+            (Stepped.SIM, SimTransport),
+            ("sim", SimTransport),
+            (Stepped.TCP, AsyncTcpTransport),
+            ("tcp", AsyncTcpTransport),
+        ],
+    )
+    def test_a_deployment_and_its_name_build_the_same_transport(
+        self, deployment, expected
+    ):
+        cluster = Cluster(ClusterConfig(line(2)), StateBased, SetLattice(), deployment)
+        try:
+            assert type(cluster.transport) is expected
+        finally:
+            cluster.close()
 
     def test_explicit_transport_instance_shares_metrics(self):
         config = ClusterConfig(line(2))

@@ -21,6 +21,7 @@ import pytest
 from repro.kv import KVRoutingError, Unavailable
 from repro.kv.antientropy import AntiEntropyConfig
 from repro.serve import KVClient, LoadGenerator, ProcessCluster
+from repro.serve.replica import wal_path
 from repro.wal.storage import FileStorage, StorageLockError
 
 SHARDS = 8
@@ -145,7 +146,7 @@ def test_sigkill_respawn_recovers_from_wal():
 
 def test_wal_dir_flock_excludes_second_opener():
     with make_cluster() as cluster:
-        wal_dir = cluster._wal_dir(0)
+        wal_dir = wal_path(cluster.run_dir, 0)
         assert os.path.isdir(wal_dir)
         live_pid = cluster._procs[0].pid
         with pytest.raises(StorageLockError) as excinfo:
@@ -258,3 +259,44 @@ def test_trace_dir_merges_per_process_files(tmp_path):
     # round k (events without a round sort first within their file).
     rounds = [e.round for e in events if e.round is not None]
     assert rounds == sorted(rounds)
+
+
+def test_replica_options_cross_the_process_boundary_whole():
+    from repro.serve import ReplicaOptions
+    from repro.wal import WalConfig
+
+    options = ReplicaOptions(
+        replica=2,
+        replicas=(0, 1, 2),
+        run_dir="/run",
+        shards=SHARDS,
+        replication=2,
+        algorithm="delta-based-bp-rr",
+        antientropy=REPAIR,
+        recovery="wal+repair",
+        wal=WalConfig(compact_bytes=None),
+        trace_dir=None,
+    )
+    assert ReplicaOptions.from_json(options.to_json()) == options
+    # Rebuilt through the dataclasses' own validation.
+    hostile = options.to_json().replace('"digest"', '"everything"')
+    with pytest.raises(ValueError, match="repair_mode"):
+        ReplicaOptions.from_json(hostile)
+
+
+def test_malformed_options_stop_the_replica_with_the_reason_logged(
+    tmp_path, monkeypatch
+):
+    from repro.serve import ReplicaDied, ReplicaOptions
+
+    honest = ReplicaOptions.to_json
+    monkeypatch.setattr(
+        ReplicaOptions,
+        "to_json",
+        lambda self: honest(self).replace('"recovery": "wal"', '"recovery": "tape"'),
+    )
+    run_dir = str(tmp_path)
+    with pytest.raises(ReplicaDied, match="exited with [1-9]"):
+        ProcessCluster(1, shards=4, replication=1, run_dir=run_dir)
+    with open(os.path.join(run_dir, "r000.log"), encoding="utf-8") as log:
+        assert "tape" in log.read()
