@@ -59,29 +59,6 @@ class FreeRun:
 Deployment = Union[Stepped, FreeRun]
 
 
-def deployment_from_flags(
-    transport: str, execution: str = "rounds", tick_jitter: float = 0.05
-) -> Deployment:
-    """Map the CLI's ``--transport`` / ``--execution`` pair to a value.
-
-    The only place a transport/execution combination can be wrong, and
-    therefore the only place that raises a usage error for one.
-    """
-    if execution == "rounds":
-        return Stepped(transport)
-    if execution != "free":
-        raise ValueError(f"unknown execution model {execution!r} (rounds | free)")
-    if transport != "sim":
-        raise ValueError(
-            "free-running execution needs the deterministic event engine "
-            f"and cannot run over --transport {transport}: the socket "
-            "round loop settles after every round (exactly the barrier "
-            "free-running removes) and replica processes have no timers "
-            "of their own. Use --transport sim with --execution free."
-        )
-    return FreeRun(jitter=tick_jitter)
-
-
 def describe(deployment: Deployment) -> str:
     """The report-header suffix naming a non-default deployment."""
     if isinstance(deployment, FreeRun):

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.driver import describe
-from repro.experiments.kv_sweep import KVConfig, _check_algorithms, measured_cell
+from repro.experiments.kv_sweep import KVConfig, check_algorithms, measured_cell
 from repro.experiments.report import format_table, human_bytes
 from repro.kv.driver import KVDriver, RebalanceReport
 from repro.kv.ring import HashRing
@@ -49,6 +49,48 @@ _HANDOFF_KEYS = (
     "handoff_payload_bytes",
     "handoff_metadata_bytes",
 )
+
+
+def check_rebalance(config: KVConfig, algorithm: str) -> None:
+    """``ValueError`` unless the rebalance replay can run ``algorithm``
+    under ``config``.
+
+    Handoff gaps re-converge through repair, and the handoff
+    warm-path/suspicion machinery expects digest probes; the initial
+    ring leaves one seat spare to add and still has a member to
+    decommission above the replication factor.
+    """
+    check_algorithms([algorithm])
+    if config.repair_interval < 1:
+        raise ValueError(
+            "live rebalancing requires the repair path: set "
+            "repair_interval >= 1 (0 disables repair entirely)"
+        )
+    if config.repair_mode != "digest":
+        raise ValueError(
+            "live rebalancing is divergence-driven end to end and requires "
+            f"repair_mode digest, got {config.repair_mode!r}"
+        )
+    if config.replicas - 1 < config.replication + 1:
+        raise ValueError(
+            f"need at least replication+2 = {config.replication + 2} topology "
+            f"nodes (one spare to add, one to decommission), got {config.replicas}"
+        )
+
+
+@dataclass(frozen=True)
+class KVRebalanceConfig(KVConfig):
+    """``repro run kv-rebalance``: the rebalance replay of ``algorithm``."""
+
+    repair_interval: int = 4
+    repair_fanout: int = 8
+    repair_mode: str = "digest"
+    recovery: str = "wal"
+    algorithm: str = "delta-based-bp-rr"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        check_rebalance(self, self.algorithm)
 
 
 @dataclass(frozen=True)
@@ -199,9 +241,7 @@ def _phase_measurement(
 
 
 def run_kv_rebalance(
-    config: KVConfig = KVConfig(
-        repair_interval=4, repair_fanout=8, repair_mode="digest", recovery="wal"
-    ),
+    config: KVConfig = KVRebalanceConfig(),
     algorithm: str = "delta-based-bp-rr",
 ) -> KVRebalanceResult:
     """One deterministic replay: traffic → add → traffic → decommission →
@@ -210,22 +250,10 @@ def run_kv_rebalance(
     The cluster has ``config.replicas`` seats but the initial ring
     covers only the first ``replicas - 1`` — the spare seat is what
     :meth:`~repro.kv.driver.KVDriver.add_replica` fills mid-run.
-    Requires ``config.repair_interval >= 1`` (the rebalance safety net)
-    and at least ``replication + 1`` initial members so the later
-    decommission stays above the replication factor.
+    ``config`` must pass :func:`check_rebalance`.
     """
-    _check_algorithms([algorithm])
-    if config.repair_interval < 1:
-        raise ValueError(
-            "live rebalancing requires the repair path: set "
-            "repair_interval >= 1 (0 disables repair entirely)"
-        )
+    check_rebalance(config, algorithm)
     initial = config.replicas - 1
-    if initial < config.replication + 1:
-        raise ValueError(
-            f"need at least replication+2 = {config.replication + 2} topology "
-            f"nodes (one spare to add, one to decommission), got {config.replicas}"
-        )
     ring = HashRing(
         range(initial), n_shards=config.shards, replication=config.replication
     )

@@ -24,7 +24,9 @@ import os
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
+from repro.experiments.kv_sweep import check_algorithms
 from repro.experiments.report import format_table, human_bytes
+from repro.kv.driver import check_recovery
 from repro.serve.client import KVClient
 from repro.serve.cluster import ProcessCluster
 from repro.serve.loadgen import LoadGenerator
@@ -56,6 +58,10 @@ class QuorumConfig:
     seed: int = 7
     #: Trace directory (``None`` disables); each cell gets a subdir.
     trace: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        check_algorithms([self.algorithm])
+        check_recovery(self.recovery)
 
     @property
     def majority(self) -> int:

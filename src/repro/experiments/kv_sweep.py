@@ -36,6 +36,7 @@ equal per-shard convergence.  The strategy ladder
 
 from __future__ import annotations
 
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple
@@ -43,7 +44,7 @@ from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple
 from repro.driver import Deployment, Stepped, describe
 from repro.experiments.report import format_table, human_bytes
 from repro.kv.antientropy import AntiEntropyConfig
-from repro.kv.driver import KV_ALGORITHMS, KVDriver
+from repro.kv.driver import KV_ALGORITHMS, KVDriver, check_recovery
 from repro.kv.ring import HashRing
 from repro.serve.deploy import build_cluster, open_tracer
 from repro.wal import WalConfig
@@ -103,6 +104,25 @@ class KVConfig:
     #: be re-derived from the trace alone.
     trace: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        if self.workload not in ("zipf", "retwis"):
+            raise ValueError(f"unknown kv workload {self.workload!r} (zipf | retwis)")
+        self.ring()
+        self.antientropy()
+        self.wal_config()
+        check_recovery(self.recovery)
+        if (
+            self.deployment is Stepped.PROC
+            and self.trace is not None
+            and os.path.isfile(self.trace)
+        ):
+            # Per-process trace files cannot share one JSONL sink;
+            # process clusters write a *directory* of them per cell.
+            raise ValueError(
+                "a proc deployment writes a trace directory (one file per "
+                f"replica process), but {self.trace!r} is an existing file"
+            )
+
     def ring(self) -> HashRing:
         return HashRing(
             range(self.replicas), n_shards=self.shards, replication=self.replication
@@ -118,16 +138,14 @@ class KVConfig:
                 zipf_coefficient=self.zipf,
                 seed=self.seed,
             )
-        if self.workload == "retwis":
-            return KVRetwisWorkload(
-                ring,
-                self.rounds,
-                self.ops_per_node,
-                users=self.users,
-                zipf_coefficient=self.zipf,
-                seed=self.seed,
-            )
-        raise ValueError(f"unknown kv workload {self.workload!r} (zipf | retwis)")
+        return KVRetwisWorkload(
+            ring,
+            self.rounds,
+            self.ops_per_node,
+            users=self.users,
+            zipf_coefficient=self.zipf,
+            seed=self.seed,
+        )
 
     def antientropy(self) -> AntiEntropyConfig:
         return AntiEntropyConfig(
@@ -139,6 +157,70 @@ class KVConfig:
 
     def wal_config(self) -> WalConfig:
         return WalConfig(compact_bytes=self.wal_compact_bytes)
+
+
+def check_algorithms(algorithms: Sequence[str]) -> None:
+    """``ValueError`` unless ``algorithms`` is a non-empty list of
+    :data:`~repro.kv.driver.KV_ALGORITHMS` names."""
+    unknown = [a for a in algorithms if a not in KV_ALGORITHMS]
+    if unknown or not algorithms:
+        detail = f"unknown algorithms {unknown}" if unknown else "no algorithms given"
+        raise ValueError(f"{detail} (known: {sorted(KV_ALGORITHMS)})")
+
+
+def check_faults(config: KVConfig, algorithm: str, modes: Sequence[str]) -> None:
+    """``ValueError`` unless the fault replay can run ``modes`` rows of
+    ``algorithm`` under ``config``."""
+    check_algorithms([algorithm])
+    if config.repair_interval < 1:
+        raise ValueError(
+            "the fault scenario depends on the recovery path: set "
+            "repair_interval >= 1 (0 disables repair entirely)"
+        )
+    unknown = [mode for mode in modes if mode not in RECOVERY_STRATEGIES]
+    if unknown or not modes:
+        detail = (
+            f"unknown recovery strategy {unknown[0]!r}"
+            if unknown
+            else "no recovery strategies given"
+        )
+        raise ValueError(f"{detail} (known: {', '.join(RECOVERY_STRATEGIES)})")
+
+
+@dataclass(frozen=True)
+class KVSweepConfig(KVConfig):
+    """``repro run kv-sweep``: each of ``algorithms`` on one workload replay."""
+
+    algorithms: Tuple[str, ...] = DEFAULT_ALGORITHMS
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        check_algorithms(self.algorithms)
+
+
+@dataclass(frozen=True)
+class KVFaultsConfig(KVConfig):
+    """``repro run kv-faults``: the fault replay of ``algorithm`` under
+    each of ``strategies``.
+
+    Each strategy row brings its own repair mode and recovery policy
+    (:data:`RECOVERY_STRATEGIES`), so ``repair_mode`` and ``recovery``
+    stay at their defaults here.
+    """
+
+    repair_interval: int = 4
+    repair_fanout: int = 8
+    algorithm: str = "delta-based-bp-rr"
+    strategies: Tuple[str, ...] = DEFAULT_STRATEGIES
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if (self.repair_mode, self.recovery) != (KVConfig.repair_mode, KVConfig.recovery):
+            raise ValueError(
+                "each fault-replay row sets its own repair_mode and recovery; "
+                "choose rows with strategies instead"
+            )
+        check_faults(self, self.algorithm, self.strategies)
 
 
 @dataclass(frozen=True)
@@ -384,18 +466,8 @@ def run_kv_repair_cell(
     byte-identical update traffic and divergence; only the recovery
     path differs.
     """
-    if config.repair_interval < 1:
-        raise ValueError(
-            "the fault scenario depends on the recovery path: set "
-            "repair_interval >= 1 (0 disables repair entirely)"
-        )
-    try:
-        repair_mode, recovery = RECOVERY_STRATEGIES[mode]
-    except KeyError:
-        raise ValueError(
-            f"unknown recovery strategy {mode!r} "
-            f"(known: {', '.join(RECOVERY_STRATEGIES)})"
-        ) from None
+    check_faults(config, algorithm, [mode])
+    repair_mode, recovery = RECOVERY_STRATEGIES[mode]
     if workload is None:
         workload = config.make_workload(config.ring())
     with measured_cell(
@@ -440,21 +512,13 @@ def _run_cells(config: KVConfig, labels: Sequence[str], run_one) -> Tuple[Any, D
             tracer.sink.close()
 
 
-def _check_algorithms(algorithms: Sequence[str]) -> None:
-    unknown = [a for a in algorithms if a not in KV_ALGORITHMS]
-    if unknown:
-        raise ValueError(
-            f"unknown algorithms {unknown} (known: {sorted(KV_ALGORITHMS)})"
-        )
-
-
 def run_kv_repair_comparison(
-    config: KVConfig = KVConfig(repair_interval=4, repair_fanout=8),
+    config: KVConfig = KVFaultsConfig(),
     algorithm: str = "delta-based-bp-rr",
     modes: Sequence[str] = DEFAULT_STRATEGIES,
 ) -> KVRepairComparison:
     """Replay the identical fault schedule under each recovery strategy."""
-    _check_algorithms([algorithm])
+    check_faults(config, algorithm, modes)
     workload, cells = _run_cells(
         config,
         modes,
@@ -476,7 +540,7 @@ def run_kv_sweep(
     algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
 ) -> KVSweepResult:
     """Sweep protocols over identical workload replays on one ring."""
-    _check_algorithms(algorithms)
+    check_algorithms(algorithms)
     workload, cells = _run_cells(
         config,
         algorithms,

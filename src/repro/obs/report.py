@@ -2,9 +2,9 @@
 
 Everything here operates on a decoded list of
 :class:`~repro.obs.trace.TraceEvent` — no simulator, no cluster.  That
-is the point: a ``--trace`` run leaves a JSONL file from which the
-byte totals of the kv_repair/kv_rebalance tables can be *re-derived
-and cross-checked* against the live counters, and
+is the point: a traced run (a kv config's ``trace`` field) leaves a
+JSONL file from which the byte totals of the kv_repair/kv_rebalance
+tables can be *re-derived and cross-checked* against the live counters, and
 ``python -m repro trace report`` renders a human timeline of what the
 run did, phase by phase.
 

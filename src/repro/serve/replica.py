@@ -48,6 +48,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.codec import decode, encode
+from repro.config import build_config
 from repro.kv.antientropy import AntiEntropyConfig
 from repro.kv.driver import KV_ALGORITHMS, check_recovery
 from repro.kv.ring import HashRing
@@ -108,15 +109,7 @@ class ReplicaOptions:
 
     @classmethod
     def from_json(cls, text: str) -> "ReplicaOptions":
-        fields = json.loads(text)
-        return cls(
-            **{
-                **fields,
-                "replicas": tuple(fields["replicas"]),
-                "antientropy": AntiEntropyConfig(**fields["antientropy"]),
-                "wal": WalConfig(**fields["wal"]),
-            }
-        )
+        return build_config(cls, json.loads(text))
 
 
 class PeerPlane(AsyncTcpTransport):

@@ -1,7 +1,7 @@
 """Determinism: identical runs produce identical measurements.
 
-EXPERIMENTS.md promises that every driver is reproducible — same
-seeds, same topology, same schedule ⇒ same tables.  These tests pin
+Every driver registered in ``repro.experiments.EXPERIMENTS`` is
+reproducible — same seeds, same topology, same schedule ⇒ same tables.  These tests pin
 that promise at the cluster level (message-by-message) and at the
 experiment level (the quantities the paper plots), for protocols with
 and without randomized inputs (message loss).

@@ -7,8 +7,16 @@ direction the curves move — not absolute magnitudes.
 
 import pytest
 
+from repro.config import build_config
+from repro.driver import Stepped
 from repro.experiments import (
     EXPERIMENTS,
+    KVConfig,
+    KVFaultsConfig,
+    KVRebalanceConfig,
+    KVSweepConfig,
+    QuorumConfig,
+    run_kv_rebalance,
     run_figure1,
     run_figure7,
     run_figure8,
@@ -256,6 +264,79 @@ class TestRegistry:
             "figure11",
             "figure12",
         }
-        assert paper_artifacts <= set(EXPERIMENTS)
+        run_all = {name for name, entry in EXPERIMENTS.items() if entry.in_all}
+        assert paper_artifacts <= run_all
         # Extensions beyond the paper's evaluation section.
-        assert set(EXPERIMENTS) - paper_artifacts == {"appendixb"}
+        assert run_all - paper_artifacts == {"appendixb"}
+        assert set(EXPERIMENTS) - run_all == {
+            "kv-sweep", "kv-faults", "kv-rebalance", "kv-quorum"
+        }
+
+    def test_every_scale_preset_is_a_value_of_the_config_type(self):
+        for name, entry in EXPERIMENTS.items():
+            assert "default" in entry.scales and "ci" in entry.scales, name
+            for preset in entry.scales.values():
+                assert type(preset) is entry.config, name
+            assert entry.scales["default"] == entry.config(), name
+
+
+class TestConfigsRefuseIllegalShapes:
+    """Every combination the former ``repro kv`` flags refused fails to
+    build as a config, so the library cannot run it either."""
+
+    def test_quorum_has_no_fault_rebalance_or_transport_switch(self):
+        for field in ("faults", "rebalance", "strategies", "deployment"):
+            with pytest.raises(ValueError, match=f"no field '{field}'"):
+                build_config(QuorumConfig, {field: "1"})
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: KVSweepConfig(algorithms=("merkle", "psychic")),
+            lambda: KVFaultsConfig(algorithm="psychic"),
+            lambda: KVRebalanceConfig(algorithm="psychic"),
+            lambda: QuorumConfig(algorithm="psychic"),
+        ],
+    )
+    def test_unknown_algorithm(self, build):
+        with pytest.raises(ValueError, match="unknown algorithms"):
+            build()
+
+    def test_empty_algorithm_list(self):
+        with pytest.raises(ValueError, match="no algorithms given"):
+            build_config(KVSweepConfig, {"algorithms": ""})
+
+    @pytest.mark.parametrize("config", [KVFaultsConfig, KVRebalanceConfig])
+    def test_one_scenario_replays_one_inner_protocol(self, config):
+        with pytest.raises(ValueError, match="unknown algorithms"):
+            build_config(config, {"algorithm": "state-based,delta-based-bp-rr"})
+
+    def test_rebalance_has_no_fault_switch(self):
+        with pytest.raises(ValueError, match="no field 'strategies'"):
+            build_config(KVRebalanceConfig, {"strategies": "wal"})
+
+    def test_rebalance_requires_repair(self):
+        with pytest.raises(ValueError, match="repair_interval >= 1"):
+            KVRebalanceConfig(repair_interval=0)
+
+    def test_rebalance_requires_digest_repair(self):
+        with pytest.raises(ValueError, match="repair_mode digest"):
+            KVRebalanceConfig(repair_mode="blanket")
+        # The library path runs the same check on a plain cell config.
+        with pytest.raises(ValueError, match="repair_mode digest"):
+            run_kv_rebalance(
+                KVConfig(repair_interval=4, repair_mode="blanket", recovery="wal")
+            )
+
+    def test_fault_rows_choose_their_own_repair_mode_and_recovery(self):
+        with pytest.raises(ValueError, match="choose rows with strategies"):
+            KVFaultsConfig(recovery="wal")
+        with pytest.raises(ValueError, match="recovery strategy 'psychic'"):
+            KVFaultsConfig(strategies=("digest", "psychic"))
+
+    def test_proc_trace_must_not_be_an_existing_file(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text("")
+        with pytest.raises(ValueError, match="existing file"):
+            KVConfig(deployment=Stepped.PROC, trace=str(path))
+        assert KVConfig(deployment=Stepped.TCP, trace=str(path)).trace == str(path)

@@ -14,7 +14,8 @@ import asyncio
 
 import pytest
 
-from repro.driver import FreeRun, Stepped, deployment_from_flags
+from repro.config import build_config
+from repro.driver import FreeRun, Stepped
 from repro.experiments.kv_sweep import KVConfig, build_cluster
 from repro.lattice import SetLattice
 from repro.net import (
@@ -159,23 +160,29 @@ class TestFreeRunTransport:
 
 
 class TestDeploymentIsClosed:
-    """The four deployments are the only spellings; the CLI's flag pair
-    maps onto them in one place, which is where a bad pair fails."""
+    """The four deployments are the only spellings; a config's
+    ``deployment`` field reads one of them or fails to build."""
+
+    @staticmethod
+    def deployment(value):
+        return build_config(KVConfig, {"deployment": value}).deployment
 
     @pytest.mark.parametrize("transport", ["tcp", "proc"])
     def test_free_off_the_simulator_is_a_usage_error(self, transport):
-        with pytest.raises(ValueError, match="cannot run over"):
-            deployment_from_flags(transport, "free")
+        # A free-running deployment names no transport: it is the event
+        # engine's, so a transport beside it does not build.
+        with pytest.raises(ValueError, match="FreeRun has no field 'transport'"):
+            self.deployment({"jitter": 0.1, "transport": transport})
 
     def test_unknown_execution_model_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown execution model"):
-            deployment_from_flags("sim", "fast")
+        with pytest.raises(ValueError, match="is none of"):
+            self.deployment("fast")
 
     def test_flag_pairs_map_to_the_four_deployments(self):
-        assert deployment_from_flags("sim") is Stepped.SIM
-        assert deployment_from_flags("tcp") is Stepped.TCP
-        assert deployment_from_flags("proc") is Stepped.PROC
-        assert deployment_from_flags("sim", "free", 0.1) == FreeRun(jitter=0.1)
+        assert self.deployment("sim") is Stepped.SIM
+        assert self.deployment("tcp") is Stepped.TCP
+        assert self.deployment("proc") is Stepped.PROC
+        assert self.deployment('{"jitter": 0.1}') == FreeRun(jitter=0.1)
         with pytest.raises(ValueError):
             Stepped("free")  # free-running is not a transport name
 

@@ -204,9 +204,10 @@ class TestTraceCli:
         stream = io.StringIO()
         code = main(
             [
-                "kv", "--replicas", "6", "--keys", "60", "--rounds", "4",
-                "--ops", "2", "--shards", "8", "--replication", "2",
-                "--trace", path,
+                "run", "kv-sweep", "--config",
+                '{"replicas": 6, "keys": 60, "rounds": 4, "ops_per_node": 2,'
+                ' "shards": 8, "replication": 2}',
+                "--set", f"trace={path}",
             ],
             stream=stream,
         )
