@@ -101,48 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    lint = commands.add_parser(
-        "lint",
-        help=(
-            "run the invariant linter (determinism, event-registry "
-            "completeness, async/exception hygiene) over source trees"
-        ),
-    )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        default=["src"],
-        help="files or directories to lint (default: src)",
-    )
-    lint.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format (default: text)",
-    )
-    lint.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule catalogue and exit",
-    )
-    lint.add_argument(
-        "--profile",
-        choices=("full", "relaxed"),
-        default="full",
-        help=(
-            "rule profile: full (CI gate on src) or relaxed "
-            "(det-rng + broad-except, for tests/ and benchmarks/)"
-        ),
-    )
-    lint.add_argument(
-        "--stats",
-        action="store_true",
-        help=(
-            "append a per-rule findings/suppressions table "
-            "to the report (text and JSON)"
-        ),
-    )
-
     serve = commands.add_parser(
         "serve-replica",
         help=(
@@ -178,42 +136,6 @@ def _config(name: str, entry: Experiment, args: argparse.Namespace):
     return build_config(entry.config, values, entry.scales[args.scale])
 
 
-def _run_lint(args: argparse.Namespace, stream) -> int:
-    """The ``repro lint`` subcommand; returns a process exit code.
-
-    0 = clean (every finding fixed or suppressed in place with a
-    reason), 1 = findings, 2 = usage problems (bad paths).
-    """
-    from repro.lint import (
-        load_project,
-        render_json,
-        render_text,
-        rule_catalogue,
-        rules_for_profile,
-        run_rules,
-    )
-
-    if args.list_rules:
-        for rule_id, summary in sorted(rule_catalogue().items()):
-            print(f"{rule_id}: {summary}", file=stream)
-        return 0
-    try:
-        project = load_project(args.paths)
-    except FileNotFoundError as exc:
-        print(f"repro lint: {exc}", file=sys.stderr)
-        return 2
-    rules = rules_for_profile(args.profile)
-    result = run_rules(project, rules)
-    render = render_json if args.format == "json" else render_text
-    stats_rules = (
-        [rule.id for rule in rules] + ["parse-error", "suppression"]
-        if args.stats
-        else None
-    )
-    print(render(result, stats_rules=stats_rules), file=stream)
-    return 0 if result.clean else 1
-
-
 def _emit(text: str, out_path: Optional[str], stream) -> None:
     print(text, file=stream)
     if out_path:
@@ -233,9 +155,6 @@ def main(argv: Optional[List[str]] = None, stream=None) -> int:
         # the reason on stderr, which the controller keeps as r###.log.
         ReplicaProcess(ReplicaOptions.from_json(args.options)).run()
         return 0
-
-    if args.command == "lint":
-        return _run_lint(args, stream)
 
     if args.command == "trace":
         from repro.obs import read_trace, render_report

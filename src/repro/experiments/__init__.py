@@ -41,13 +41,15 @@ from repro.experiments.figure11 import Figure11Result, run_figure11
 from repro.experiments.figure12 import Figure12Result, run_figure12
 from repro.experiments.table1 import Table1Result, run_table1
 from repro.experiments.table2 import Table2Result, run_table2
-from repro.experiments.grid import ALL_ALGORITHMS, BASELINE, run_grid
+from repro.experiments.grid import ALL_ALGORITHMS, BASELINE, paper_topologies, run_grid
 from repro.experiments.retwis_sweep import (
     PAPER_COEFFICIENTS,
     RetwisConfig,
     run_retwis_sweep,
 )
 from repro.serve.deploy import build_cluster
+from repro.sim.topology import partial_mesh
+from repro.workloads import GSetWorkload
 from repro.experiments.kv_sweep import (
     DEFAULT_ALGORITHMS,
     DEFAULT_STRATEGIES,
@@ -85,6 +87,10 @@ class MicroConfig:
     nodes: int = 15
     rounds: int = 30
 
+    def __post_init__(self) -> None:
+        paper_topologies(self.nodes)
+        GSetWorkload(self.nodes, self.rounds)
+
 
 @dataclass(frozen=True)
 class Table1Config:
@@ -99,6 +105,15 @@ class Figure9Config:
 
     sizes: Tuple[int, ...] = (8, 16, 32)
     rounds: int = 30
+
+    def __post_init__(self) -> None:
+        if len(self.sizes) < 2 or self.sizes[0] == self.sizes[-1]:
+            raise ValueError(
+                "sizes: the growth exponent needs a first and a last size that differ"
+            )
+        for n in self.sizes:
+            partial_mesh(n, 4)
+            GSetWorkload(n, self.rounds)
 
 
 @dataclass(frozen=True)

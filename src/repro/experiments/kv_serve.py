@@ -27,9 +27,11 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 from repro.experiments.kv_sweep import check_algorithms
 from repro.experiments.report import format_table, human_bytes
 from repro.kv.driver import check_recovery
+from repro.kv.ring import HashRing
 from repro.serve.client import KVClient
 from repro.serve.cluster import ProcessCluster
 from repro.serve.loadgen import LoadGenerator
+from repro.workloads.zipf import ZipfSampler
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +64,8 @@ class QuorumConfig:
     def __post_init__(self) -> None:
         check_algorithms([self.algorithm])
         check_recovery(self.recovery)
+        HashRing(range(self.replicas), n_shards=self.shards, replication=self.replication)
+        ZipfSampler(self.keys, self.zipf)  # the load generator's key sampler
 
     @property
     def majority(self) -> int:

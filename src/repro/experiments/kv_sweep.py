@@ -46,6 +46,7 @@ from repro.experiments.report import format_table, human_bytes
 from repro.kv.antientropy import AntiEntropyConfig
 from repro.kv.driver import KV_ALGORITHMS, KVDriver, check_recovery
 from repro.kv.ring import HashRing
+from repro.obs.trace import CELL_END, CELL_START
 from repro.serve.deploy import build_cluster, open_tracer
 from repro.wal import WalConfig
 from repro.workloads.kv import KVRetwisWorkload, KVZipfWorkload
@@ -107,7 +108,9 @@ class KVConfig:
     def __post_init__(self) -> None:
         if self.workload not in ("zipf", "retwis"):
             raise ValueError(f"unknown kv workload {self.workload!r} (zipf | retwis)")
-        self.ring()
+        if self.ops_per_node < 0:
+            raise ValueError(f"ops_per_node must be non-negative, got {self.ops_per_node}")
+        self.make_workload(self.ring())
         self.antientropy()
         self.wal_config()
         check_recovery(self.recovery)
@@ -343,10 +346,10 @@ def measured_cell(
     cluster = build_cluster(config, algorithm, tracer=tracer, label=label, **build)
     try:
         if cluster.tracer is not None:
-            cluster.tracer.emit("cell-start", label=label, extra=extra)
+            cluster.tracer.emit(CELL_START, label=label, extra=extra)
         yield cluster
         if cluster.tracer is not None:
-            cluster.tracer.emit("cell-end", label=label)
+            cluster.tracer.emit(CELL_END, label=label)
     finally:
         cluster.close()
         if own_tracer and tracer is not None:

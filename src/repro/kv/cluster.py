@@ -44,6 +44,7 @@ from repro.lattice.base import Lattice
 from repro.lattice.map_lattice import MapLattice
 from repro.obs.lag import ConvergenceProbe
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import LAG
 from repro.sim.network import Cluster, ClusterConfig, _normalize_trace
 from repro.sim.topology import Topology, full_mesh
 from repro.wal import ReplicaWal, Storage, WalConfig
@@ -294,7 +295,7 @@ class KVCluster(KVDriver, Cluster):
         round_index = self.rounds_run - 1
         for shard, lag in self._lag_probe.observe(round_index, agreement):
             self.tracer.emit(
-                "lag", round=round_index, shard=shard, extra={"rounds": lag}
+                LAG, round=round_index, shard=shard, extra={"rounds": lag}
             )
 
     # ------------------------------------------------------------------

@@ -51,6 +51,7 @@ from typing import (
 from repro.driver import ClusterDriver
 from repro.kv.ring import HashRing
 from repro.kv.store import KVRoutingError, KVUpdate
+from repro.obs.trace import RING_CHANGE
 from repro.sync import StateBased, keyed_bp_rr, keyed_classic
 from repro.sync.merkle import MerkleSync
 
@@ -439,7 +440,7 @@ class KVDriver(ClusterDriver):
         self.ring = new_ring
         if self.tracer is not None:
             self.tracer.emit(
-                "ring-change",
+                RING_CHANGE,
                 extra={
                     "added": added,
                     "removed": removed,

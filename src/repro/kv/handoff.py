@@ -38,6 +38,12 @@ from repro.codec import decode
 from repro.kv.antientropy import declare_counters
 from repro.kv.shard import Shard
 from repro.lattice.base import Lattice
+from repro.obs.trace import (
+    HANDOFF_ACK,
+    HANDOFF_FENCE,
+    HANDOFF_OFFER,
+    HANDOFF_SEGMENT,
+)
 from repro.sizes import SizeModel
 from repro.sync.digest import ROOT_BYTES
 from repro.sync.protocol import Message
@@ -181,7 +187,7 @@ class HandoffPlane:
 
     def fence(self, shard: Shard) -> None:
         """Seal a disowned shard's log so a re-add cannot resurrect it."""
-        self.store.trace("handoff-fence", shard=shard.id)
+        self.store.trace(HANDOFF_FENCE, shard=shard.id)
         shard.fence()
 
     def _on_ack(self, src: int, shard_id: int, message: Message) -> None:
@@ -189,7 +195,7 @@ class HandoffPlane:
         complete, root = message.payload
         self._count["handoff_metadata_bytes"].inc(message.metadata_bytes)
         self.store.trace(
-            "handoff-ack",
+            HANDOFF_ACK,
             shard=shard_id,
             peer=src,
             metadata_bytes=message.metadata_bytes,
@@ -249,7 +255,7 @@ class HandoffPlane:
     def _on_offer(self, src: int, shard_id: int, message: Message) -> Message:
         """Step 1 → 2: skip the segment when the roots already match."""
         root, _size_hint = message.payload
-        shard = self._arrive(src, shard_id, message, "handoff_offers", "handoff-offer")
+        shard = self._arrive(src, shard_id, message, "handoff_offers", HANDOFF_OFFER)
         if shard is None:
             return _ack_message(True, None)
         mine = shard.root()
@@ -267,7 +273,7 @@ class HandoffPlane:
             shard_id,
             message,
             "handoff_segments",
-            "handoff-segment",
+            HANDOFF_SEGMENT,
             records=len(message.payload),
         )
         if shard is None:

@@ -67,6 +67,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.kv.antientropy import declare_counters
 from repro.lattice.base import Lattice
+from repro.obs.trace import REPAIR_ABSORB, REPAIR_DIFF, REPAIR_PROBE
 from repro.sizes import SizeModel
 from repro.sync.digest import FINGERPRINT_BYTES, ROOT_BYTES
 from repro.sync.protocol import Message
@@ -332,7 +333,7 @@ class RepairPlane:
         self._account(message)
         match = shard.root() == message.payload
         self.store.trace(
-            "repair-probe",
+            REPAIR_PROBE,
             shard=shard_id,
             peer=src,
             metadata_bytes=message.metadata_bytes,
@@ -355,7 +356,7 @@ class RepairPlane:
             return None
         self._account(message)
         self.store.trace(
-            "repair-diff",
+            REPAIR_DIFF,
             shard=shard_id,
             peer=src,
             metadata_bytes=message.metadata_bytes,
@@ -379,7 +380,7 @@ class RepairPlane:
             self._count["repairs"].inc()
         absorbed = shard.absorb(delta, src, drain=False)
         self.store.trace(
-            "repair-absorb",
+            REPAIR_ABSORB,
             shard=shard_id,
             peer=src,
             payload_bytes=message.payload_bytes,

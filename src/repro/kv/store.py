@@ -64,7 +64,7 @@ from repro.kv.types import Schema
 from repro.lattice.base import Lattice
 from repro.lattice.map_lattice import MapLattice
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
+from repro.obs.trace import READ_REPAIR, Tracer
 from repro.sizes import SizeModel, DEFAULT_SIZE_MODEL
 from repro.sync.protocol import Message, Send, Synchronizer
 from repro.wal import ReplicaWal
@@ -325,7 +325,7 @@ class KVStore(Synchronizer):
                 absorbed_all = absorbed_all.join(absorbed)
             if self.tracer is not None:
                 self.tracer.emit(
-                    "read-repair",
+                    READ_REPAIR,
                     replica=self.replica,
                     shard=shard,
                     payload_bytes=piece.size_bytes(self.size_model),

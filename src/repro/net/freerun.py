@@ -38,6 +38,7 @@ from typing import Callable, Dict, Optional, Sequence
 from repro.driver import FreeRun
 from repro.net.clock import DriftClock
 from repro.net.sim import SimTransport
+from repro.obs.trace import ROUND
 from repro.sim.metrics import MetricsCollector
 from repro.sync.protocol import DeltaMutator
 
@@ -93,7 +94,7 @@ class FreeRunTransport(SimTransport):
         self.sample_memory(horizon)
         self._round += 1
         if self.tracer is not None:
-            self.tracer.emit("round", round=self._round - 1, time=horizon)
+            self.tracer.emit(ROUND, round=self._round - 1, time=horizon)
 
     # ------------------------------------------------------------------
     # The perpetual per-replica timers.

@@ -27,6 +27,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.net.clock import RoundStepClock, TickClock
 from repro.net.transport import Transport
+from repro.obs.trace import ROUND
 from repro.sim.events import EventQueue
 from repro.sim.metrics import MetricsCollector
 from repro.sync.protocol import DeltaMutator, Send
@@ -82,7 +83,7 @@ class SimTransport(Transport):
         self.sample_memory(end_of_round)
         self._round += 1
         if self.tracer is not None:
-            self.tracer.emit("round", round=self._round - 1, time=end_of_round)
+            self.tracer.emit(ROUND, round=self._round - 1, time=end_of_round)
 
     @property
     def rounds_run(self) -> int:

@@ -66,6 +66,7 @@ from repro.codec import decode_message, frame_message
 from repro.net import framing
 from repro.net.framing import LENGTH_PREFIX_BYTES
 from repro.net.transport import Transport, TransportStalled
+from repro.obs.trace import ROUND
 from repro.sim.metrics import MetricsCollector
 from repro.sync.protocol import Send
 
@@ -246,7 +247,7 @@ class AsyncTcpTransport(Transport):
         self.sample_memory(self.now)
         self._round += 1
         if self.tracer is not None:
-            self.tracer.emit("round", round=self._round - 1)
+            self.tracer.emit(ROUND, round=self._round - 1)
 
     async def _settle(self) -> None:
         """Flush the outbox and wait until no frame is in flight."""

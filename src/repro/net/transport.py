@@ -53,12 +53,23 @@ from typing import (
 )
 
 from repro.driver import partition_groups
+from repro.obs.trace import (
+    CRASH,
+    DELIVER,
+    HEAL,
+    MESSAGE_DROPPED,
+    MESSAGE_SEVERED,
+    PARTITION,
+    RECOVER,
+    SEND,
+    SEND_BLOCKED,
+    Tracer,
+)
 from repro.sim.metrics import MemorySample, MessageRecord, MetricsCollector
 from repro.sync.protocol import DeltaMutator, Send
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.net.runtime import ReplicaRuntime
-    from repro.obs.trace import Tracer
     from repro.sim.network import ClusterConfig
 
 
@@ -170,13 +181,13 @@ class Transport(ABC):
             raise ValueError(f"no such node {node}")
         self.down.add(node)
         if self.tracer is not None:
-            self.tracer.emit("crash", replica=node)
+            self.tracer.emit(CRASH, replica=node)
 
     def recover(self, node: int) -> None:
         """Bring a crashed node back into the cluster."""
         self.down.discard(node)
         if self.tracer is not None:
-            self.tracer.emit("recover", replica=node)
+            self.tracer.emit(RECOVER, replica=node)
 
     def partition(self, *groups: Iterable[int]) -> None:
         """Sever every link between nodes of different ``groups``.
@@ -187,7 +198,7 @@ class Transport(ABC):
         self._groups = partition_groups(groups, range(self.topology.n))
         if self.tracer is not None:
             self.tracer.emit(
-                "partition",
+                PARTITION,
                 extra={"groups": [sorted(group) for group in self._groups]},
             )
 
@@ -195,7 +206,7 @@ class Transport(ABC):
         """Restore full connectivity (crashed nodes stay down)."""
         self._groups = None
         if self.tracer is not None:
-            self.tracer.emit("heal")
+            self.tracer.emit(HEAL)
 
     @property
     def partitioned(self) -> bool:
@@ -244,7 +255,7 @@ class Transport(ABC):
             self.runtimes[src].note_send_blocked(send.dst)
             if self.tracer is not None:
                 self.tracer.emit(
-                    "send-blocked",
+                    SEND_BLOCKED,
                     replica=src,
                     peer=send.dst,
                     kind=send.message.kind,
@@ -280,7 +291,7 @@ class Transport(ABC):
             # with the same byte arguments as the MessageRecord above,
             # so trace-derived totals equal collector totals exactly.
             self.tracer.emit(
-                "send",
+                SEND,
                 replica=src,
                 peer=send.dst,
                 kind=send.message.kind,
@@ -296,7 +307,7 @@ class Transport(ABC):
             self.messages_dropped += 1
             if self.tracer is not None:
                 self.tracer.emit(
-                    "message-dropped",
+                    MESSAGE_DROPPED,
                     replica=src,
                     peer=send.dst,
                     kind=send.message.kind,
@@ -333,12 +344,12 @@ class Transport(ABC):
         undelivered tails without double-counting bytes.
         """
         if self.tracer is not None:
-            self.tracer.emit("deliver", replica=dst, peer=src, kind=kind)
+            self.tracer.emit(DELIVER, replica=dst, peer=src, kind=kind)
 
     def _trace_severed(self, src: int, dst: int, kind: str) -> None:
         """Emit the in-flight-kill event both transports share."""
         if self.tracer is not None:
-            self.tracer.emit("message-severed", replica=src, peer=dst, kind=kind)
+            self.tracer.emit(MESSAGE_SEVERED, replica=src, peer=dst, kind=kind)
 
     def sample_memory(self, at: float) -> None:
         """Record one resident-footprint sample per live replica."""

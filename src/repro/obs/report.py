@@ -19,7 +19,24 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.trace import TraceEvent
+from repro.obs.trace import (
+    CELL_START,
+    CRASH,
+    HANDOFF_ACK,
+    HANDOFF_OFFER,
+    HANDOFF_SEGMENT,
+    HEAL,
+    LAG,
+    MESSAGE_DROPPED,
+    PARTITION,
+    RECOVER,
+    REPAIR_ABSORB,
+    REPAIR_DIFF,
+    REPAIR_PROBE,
+    RING_CHANGE,
+    SEND,
+    TraceEvent,
+)
 
 
 def _table_helpers():
@@ -35,19 +52,19 @@ def _table_helpers():
 #: The scheduler batches inner repair messages into ``kv-batch``
 #: envelopes on the wire, so repair traffic is only visible at these
 #: deliver-side events — which carry the inner message's byte fields.
-REPAIR_EVENTS = ("repair-probe", "repair-diff", "repair-absorb")
+REPAIR_EVENTS = (REPAIR_PROBE, REPAIR_DIFF, REPAIR_ABSORB)
 
 #: Store-level events of live rebalancing's shard handoff protocol.
-HANDOFF_EVENTS = ("handoff-offer", "handoff-segment", "handoff-ack")
+HANDOFF_EVENTS = (HANDOFF_OFFER, HANDOFF_SEGMENT, HANDOFF_ACK)
 
 #: Event types that open a new phase in the timeline, and the phase
 #: label each one starts.
 _PHASE_MARKERS = {
-    "crash": "crash",
-    "recover": "recovery",
-    "partition": "partition",
-    "heal": "healed",
-    "ring-change": "rebalance",
+    CRASH: "crash",
+    RECOVER: "recovery",
+    PARTITION: "partition",
+    HEAL: "healed",
+    RING_CHANGE: "rebalance",
 }
 
 
@@ -66,7 +83,7 @@ def trace_totals(events: List[TraceEvent]) -> Dict[str, int]:
         "metadata_units": 0,
     }
     for event in events:
-        if event.type != "send":
+        if event.type != SEND:
             continue
         totals["messages"] += 1
         totals["payload_bytes"] += event.payload_bytes
@@ -80,7 +97,7 @@ def kind_totals(events: List[TraceEvent]) -> Dict[str, Dict[str, int]]:
     """Per-wire-kind send totals: ``{kind: {messages, payload_bytes, metadata_bytes}}``."""
     out: Dict[str, Dict[str, int]] = {}
     for event in events:
-        if event.type != "send":
+        if event.type != SEND:
             continue
         kind = event.kind or "?"
         bucket = out.setdefault(
@@ -106,7 +123,7 @@ def split_cells(
     current: List[TraceEvent] = []
     label: Optional[str] = None
     for event in events:
-        if event.type == "cell-start":
+        if event.type == CELL_START:
             if current:
                 cells.append((label, current))
             label = event.label
@@ -156,7 +173,7 @@ def _phase_row(label: str, events: List[TraceEvent]) -> List[object]:
         for e in events
         if e.type in HANDOFF_EVENTS
     )
-    dropped = sum(1 for e in events if e.type == "message-dropped")
+    dropped = sum(1 for e in events if e.type == MESSAGE_DROPPED)
     rounds = {e.round for e in events if e.round is not None}
     return [
         label,
@@ -172,7 +189,7 @@ def _phase_row(label: str, events: List[TraceEvent]) -> List[object]:
 
 def _lag_lines(events: List[TraceEvent]) -> List[str]:
     lags = sorted(
-        event.extra.get("rounds", 0) for event in events if event.type == "lag"
+        event.extra.get("rounds", 0) for event in events if event.type == LAG
     )
     if not lags:
         return []

@@ -30,44 +30,74 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
-#: Every event type the stack can emit.  ``decode_event`` accepts
-#: unknown types (forward compatibility for readers of old traces), but
-#: ``Tracer.emit`` rejects them — a typo in an emission site should fail
-#: the test that exercises it, not silently pollute the stream.
+# Every event type the stack can emit, one constant each.  Emitters and
+# readers import the constant by name (``from repro.obs.trace import
+# SEND``), so a misspelt event fails at import rather than in a traced
+# run.  ``decode_event`` accepts any type (readers of old traces),
+# while ``Tracer.emit`` rejects types outside :data:`EVENT_TYPES`.
+
+# transport
+ROUND = "round"  # a synchronization round completed
+SEND = "send"  # a message admitted to the wire (counted even if lost)
+DELIVER = "deliver"  # a message handed to the destination runtime
+MESSAGE_DROPPED = "message-dropped"  # admitted but lost to the loss model
+MESSAGE_SEVERED = "message-severed"  # in flight when the link went down
+SEND_BLOCKED = "send-blocked"  # refused admission (dead link / crashed peer)
+# faults and membership
+CRASH = "crash"
+RECOVER = "recover"
+PARTITION = "partition"
+HEAL = "heal"
+RING_CHANGE = "ring-change"  # replicas added/removed from the hash ring
+# digest-repair escalation (root probe → fingerprint diff → payload)
+REPAIR_PROBE = "repair-probe"
+REPAIR_DIFF = "repair-diff"
+REPAIR_ABSORB = "repair-absorb"
+# live rebalancing
+HANDOFF_OFFER = "handoff-offer"
+HANDOFF_SEGMENT = "handoff-segment"
+HANDOFF_ACK = "handoff-ack"
+HANDOFF_FENCE = "handoff-fence"
+# write-ahead log
+WAL_COMMIT = "wal-commit"
+WAL_COMPACT = "wal-compact"
+WAL_REPLAY = "wal-replay"
+# probes and experiment structure
+LAG = "lag"  # a shard's root-hash disagreement window closed
+CELL_START = "cell-start"  # an experiment cell began (label = algorithm/mode)
+CELL_END = "cell-end"
+# client front end (repro.serve)
+CLIENT_OP = "client-op"  # a client request served (kind = get/put/remove/...)
+READ_REPAIR = "read-repair"  # client-pushed repair state absorbed by a replica
+
+#: The catalogue, in declaration order.
 EVENT_TYPES = (
-    # transport
-    "round",            # a synchronization round completed
-    "send",             # a message admitted to the wire (counted even if lost)
-    "deliver",          # a message handed to the destination runtime
-    "message-dropped",  # admitted but lost to the loss model
-    "message-severed",  # in flight when the link went down
-    "send-blocked",     # refused admission (dead link / crashed peer)
-    # faults and membership
-    "crash",
-    "recover",
-    "partition",
-    "heal",
-    "ring-change",      # replicas added/removed from the hash ring
-    # digest-repair escalation (root probe → fingerprint diff → payload)
-    "repair-probe",
-    "repair-diff",
-    "repair-absorb",
-    # live rebalancing
-    "handoff-offer",
-    "handoff-segment",
-    "handoff-ack",
-    "handoff-fence",
-    # write-ahead log
-    "wal-commit",
-    "wal-compact",
-    "wal-replay",
-    # probes and experiment structure
-    "lag",              # a shard's root-hash disagreement window closed
-    "cell-start",       # an experiment cell began (label = algorithm/mode)
-    "cell-end",
-    # client front end (repro.serve)
-    "client-op",        # a client request served (kind = get/put/remove/...)
-    "read-repair",      # client-pushed repair state absorbed by a replica
+    ROUND,
+    SEND,
+    DELIVER,
+    MESSAGE_DROPPED,
+    MESSAGE_SEVERED,
+    SEND_BLOCKED,
+    CRASH,
+    RECOVER,
+    PARTITION,
+    HEAL,
+    RING_CHANGE,
+    REPAIR_PROBE,
+    REPAIR_DIFF,
+    REPAIR_ABSORB,
+    HANDOFF_OFFER,
+    HANDOFF_SEGMENT,
+    HANDOFF_ACK,
+    HANDOFF_FENCE,
+    WAL_COMMIT,
+    WAL_COMPACT,
+    WAL_REPLAY,
+    LAG,
+    CELL_START,
+    CELL_END,
+    CLIENT_OP,
+    READ_REPAIR,
 )
 
 _EVENT_TYPE_SET = frozenset(EVENT_TYPES)

@@ -42,6 +42,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import shutil
 import signal
 import socket
 import subprocess
@@ -73,6 +74,15 @@ from repro.kv.store import KVRoutingError, KVUpdate
 from repro.kv.types import Schema
 from repro.net import framing
 from repro.net.transport import TransportStalled
+from repro.obs.trace import (
+    CRASH,
+    HEAL,
+    PARTITION,
+    RECOVER,
+    ROUND,
+    FileTraceSink,
+    Tracer,
+)
 from repro.serve import frames
 from repro.serve.frames import FrameError, Request, Response
 from repro.serve.replica import HOST, ReplicaOptions, portfile_path
@@ -172,6 +182,9 @@ class _ProcMetrics:
 class ProcessCluster(KVDriver):
     """A cluster of one-replica OS processes behind the control plane."""
 
+    #: Until the constructor has validated its ring there is nothing to close.
+    _closed = True
+
     def __init__(
         self,
         n_replicas: int,
@@ -196,33 +209,14 @@ class ProcessCluster(KVDriver):
         self.settle_timeout_s = settle_timeout_s
         self.max_drain_rounds = max_drain_rounds
 
-        self._owns_run_dir = run_dir is None
-        self.run_dir = (
-            tempfile.mkdtemp(prefix="repro-serve-") if run_dir is None else run_dir
-        )
-        os.makedirs(self.run_dir, exist_ok=True)
-        self.trace_dir = trace_dir
-        self.tracer = None
-        if trace_dir is not None:
-            os.makedirs(self.trace_dir, exist_ok=True)
-            from repro.obs.trace import FileTraceSink, Tracer
-
-            # The controller's own stream carries the experiment
-            # structure (cell markers, faults, ring changes) that
-            # per-replica files cannot know about.
-            self.tracer = Tracer(
-                FileTraceSink(os.path.join(self.trace_dir, "controller.jsonl"))
-            )
-            epoch = time.monotonic()
-            self.tracer.bind(
-                lambda: (time.monotonic() - epoch) * 1000.0,
-                lambda: self.rounds_run,
-            )
-
+        # Refuse an impossible ring before any directory, trace file or
+        # process exists.
         self.replicas: List[int] = list(range(n_replicas))
         self.ring = HashRing(
             self.replicas, n_shards=shards, replication=replication
         )
+        self.trace_dir = trace_dir
+        self.tracer: Optional[Tracer] = None
         self.down: Set[int] = set()
         self.rounds_run = 0
         self.updates_skipped = 0
@@ -251,8 +245,27 @@ class ProcessCluster(KVDriver):
         #: still reaps the process, this only counts the misses.
         self.shutdown_errors = 0
 
+        #: A temp run dir is ours to remove at close; a caller's is not.
+        self._owns_run_dir = run_dir is None
+        self.run_dir = (
+            tempfile.mkdtemp(prefix="repro-serve-") if run_dir is None else run_dir
+        )
         self._closed = False
         try:
+            os.makedirs(self.run_dir, exist_ok=True)
+            if trace_dir is not None:
+                os.makedirs(trace_dir, exist_ok=True)
+                # The controller's own stream carries the experiment
+                # structure (cell markers, faults, ring changes) that
+                # per-replica files cannot know about.
+                self.tracer = Tracer(
+                    FileTraceSink(os.path.join(trace_dir, "controller.jsonl"))
+                )
+                epoch = time.monotonic()
+                self.tracer.bind(
+                    lambda: (time.monotonic() - epoch) * 1000.0,
+                    lambda: self.rounds_run,
+                )
             for replica in self.replicas:
                 self._spawn(replica)
             self._await_portfiles(self.replicas)
@@ -315,6 +328,8 @@ class ProcessCluster(KVDriver):
             while not os.path.exists(path):
                 proc = self._procs[replica]
                 if proc.poll() is not None:
+                    # The reason is in the replica's log: keep the dir.
+                    self._owns_run_dir = False
                     raise ReplicaDied(
                         f"replica {replica} exited with {proc.returncode} before "
                         f"publishing its ports; see {self.run_dir}/r{replica:03d}.log"
@@ -410,7 +425,7 @@ class ProcessCluster(KVDriver):
         self.rounds_run += 1
         self._sample()
         if self.tracer is not None:
-            self.tracer.emit("round", round=self.rounds_run - 1)
+            self.tracer.emit(ROUND, round=self.rounds_run - 1)
 
     def _counters(self, replica: int) -> Dict[str, int]:
         body = self._control(replica).request(frames.COUNTERS).body
@@ -497,7 +512,7 @@ class ProcessCluster(KVDriver):
         self._controls.pop(node).close()
         self.down.add(node)
         if self.tracer is not None:
-            self.tracer.emit("crash", replica=node)
+            self.tracer.emit(CRASH, replica=node)
         # Survivors refuse sends to the corpse immediately (blocked,
         # feeding suspicion) instead of timing out on dead sockets.
         self._wire_all()
@@ -512,7 +527,7 @@ class ProcessCluster(KVDriver):
         self.down.discard(node)
         if self.tracer is not None:
             self.tracer.emit(
-                "recover",
+                RECOVER,
                 replica=node,
                 extra={"replayed_shards": self.replayed_shards(node)},
             )
@@ -524,7 +539,7 @@ class ProcessCluster(KVDriver):
         self._groups = partition_groups(groups, self.replicas)
         if self.tracer is not None:
             self.tracer.emit(
-                "partition",
+                PARTITION,
                 extra={"groups": [sorted(group) for group in self._groups]},
             )
         self._wire_all()
@@ -532,7 +547,7 @@ class ProcessCluster(KVDriver):
     def heal(self) -> None:
         self._groups = None
         if self.tracer is not None:
-            self.tracer.emit("heal")
+            self.tracer.emit(HEAL)
         self._wire_all()
 
     # ------------------------------------------------------------------
@@ -668,6 +683,8 @@ class ProcessCluster(KVDriver):
                 proc.wait()
         if self.tracer is not None:
             self.tracer.close()
+        if self._owns_run_dir:
+            shutil.rmtree(self.run_dir, ignore_errors=True)
 
     def __enter__(self) -> "ProcessCluster":
         return self

@@ -58,6 +58,7 @@ from repro.lattice.map_lattice import MapLattice
 from repro.net import framing
 from repro.net.runtime import ReplicaRuntime
 from repro.net.tcp import AsyncTcpTransport
+from repro.obs.trace import CLIENT_OP, ROUND, FileTraceSink, Tracer
 from repro.serve import frames
 from repro.serve.frames import FrameError, Request, Response
 from repro.sim.metrics import MetricsCollector
@@ -263,8 +264,6 @@ class ReplicaProcess:
 
         self.tracer = None
         if options.trace_dir is not None:
-            from repro.obs.trace import FileTraceSink, Tracer
-
             path = os.path.join(options.trace_dir, f"r{options.replica:03d}.jsonl")
             self.tracer = Tracer(FileTraceSink(path), origin=options.replica)
             self.tracer.bind(lambda: self.peers.now, lambda: self.round)
@@ -448,7 +447,7 @@ class ReplicaProcess:
         await self.peers.flush()
         self.round += 1
         if self.tracer is not None:
-            self.tracer.emit("round", round=self.round - 1)
+            self.tracer.emit(ROUND, round=self.round - 1)
         return Response(request.id, body={"round": self.round})
 
     @_handles(frames.COUNTERS)
@@ -499,7 +498,7 @@ class ReplicaProcess:
     def _trace_client_op(self, kind: str, key: Any) -> None:
         if self.tracer is not None:
             self.tracer.emit(
-                "client-op",
+                CLIENT_OP,
                 replica=self.replica,
                 kind=kind,
                 label=str(key),

@@ -40,13 +40,11 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.trace import Tracer
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.codec import CodecError, Cursor, decode, encode, read_uvarint, write_uvarint
 from repro.lattice.base import Lattice
+from repro.obs.trace import WAL_COMMIT, WAL_COMPACT, WAL_REPLAY, Tracer
 from repro.wal.storage import MemoryStorage, Storage
 
 #: Bytes of the per-record checksum trailer.
@@ -125,8 +123,8 @@ class ShardLog:
 
     ``observer`` is the log's hook into the structured trace: a
     callable ``(event_type, nbytes)`` invoked on each group commit
-    (``"wal-commit"``, batch bytes) and successful compaction
-    (``"wal-compact"``, folded image bytes).  ``None`` — the default —
+    (:data:`~repro.obs.trace.WAL_COMMIT`, batch bytes) and successful
+    compaction (:data:`~repro.obs.trace.WAL_COMPACT`, folded image bytes).  ``None`` — the default —
     keeps the write path free of any tracing cost.
     """
 
@@ -237,7 +235,7 @@ class ShardLog:
         self._size += len(batch)
         self._staged.clear()
         if self.observer is not None:
-            self.observer("wal-commit", len(batch))
+            self.observer(WAL_COMMIT, len(batch))
         threshold = self.config.compact_bytes
         if threshold is not None and self._size > max(
             threshold, 2 * self._compact_floor
@@ -271,7 +269,7 @@ class ShardLog:
         self._size = len(record)
         self.compactions += 1
         if self.observer is not None:
-            self.observer("wal-compact", len(record))
+            self.observer(WAL_COMPACT, len(record))
         return True
 
     # ------------------------------------------------------------------
@@ -447,7 +445,7 @@ class ReplicaWal:
             self.replays += 1
             if self.tracer is not None:
                 self.tracer.emit(
-                    "wal-replay",
+                    WAL_REPLAY,
                     replica=self.replica,
                     shard=shard,
                     payload_bytes=log.size_bytes(),

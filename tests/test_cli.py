@@ -177,6 +177,10 @@ class TestRun:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["kv"])
 
+    def test_the_lint_subcommand_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["lint"])
+
 
 class TestOverrides:
     """``--set`` / ``--config`` reach the config or exit 2 with the reason."""
@@ -234,6 +238,7 @@ class TestOverrides:
             (["kv-sweep", "--set", "algorithms=merkle,psychic"], "unknown algorithms ['psychic']"),
             (["kv-faults", "--set", "repair_mode=digest"], "choose rows with strategies"),
             (["all", "--set", "rounds=3"], "Table1Config has no field 'rounds'"),
+            (["figure1", "--set", "nodes=0"], "degree 4 must be below node count 0"),
         ],
     )
     def test_illegal_configs_are_usage_errors(self, argv, reason, capsys):

@@ -11,10 +11,12 @@ from repro.config import build_config
 from repro.driver import Stepped
 from repro.experiments import (
     EXPERIMENTS,
+    Figure9Config,
     KVConfig,
     KVFaultsConfig,
     KVRebalanceConfig,
     KVSweepConfig,
+    MicroConfig,
     QuorumConfig,
     run_kv_rebalance,
     run_figure1,
@@ -333,6 +335,23 @@ class TestConfigsRefuseIllegalShapes:
             KVFaultsConfig(recovery="wal")
         with pytest.raises(ValueError, match="recovery strategy 'psychic'"):
             KVFaultsConfig(strategies=("digest", "psychic"))
+
+    @pytest.mark.parametrize(
+        "config, field, value, reason",
+        [
+            (KVSweepConfig, "keys", "0", "at least one rank"),
+            (KVSweepConfig, "ops_per_node", "-1", "ops_per_node must be non-negative"),
+            (MicroConfig, "nodes", "0", "below node count 0"),
+            (MicroConfig, "rounds", "-2", "rounds must be non-negative"),
+            (Figure9Config, "sizes", "", "first and a last size that differ"),
+            (Figure9Config, "sizes", "8", "first and a last size that differ"),
+            (QuorumConfig, "replicas", "1", "replication 3 exceeds replica count 1"),
+            (QuorumConfig, "keys", "0", "at least one rank"),
+        ],
+    )
+    def test_shapes_the_run_would_crash_on(self, config, field, value, reason):
+        with pytest.raises(ValueError, match=reason):
+            build_config(config, {field: value})
 
     def test_proc_trace_must_not_be_an_existing_file(self, tmp_path):
         path = tmp_path / "trace.jsonl"

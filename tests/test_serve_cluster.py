@@ -144,8 +144,8 @@ def test_sigkill_respawn_recovers_from_wal():
             assert client.get("gct:probe") == acked
 
 
-def test_wal_dir_flock_excludes_second_opener():
-    with make_cluster() as cluster:
+def test_wal_dir_flock_excludes_second_opener(tmp_path):
+    with make_cluster(run_dir=str(tmp_path)) as cluster:
         wal_dir = wal_path(cluster.run_dir, 0)
         assert os.path.isdir(wal_dir)
         live_pid = cluster._procs[0].pid
@@ -300,3 +300,62 @@ def test_malformed_options_stop_the_replica_with_the_reason_logged(
         ProcessCluster(1, shards=4, replication=1, run_dir=run_dir)
     with open(os.path.join(run_dir, "r000.log"), encoding="utf-8") as log:
         assert "tape" in log.read()
+
+
+class TestRunDirLifecycle:
+    """A temp run dir lives as long as its cluster; a caller's is left alone."""
+
+    @pytest.fixture
+    def tmp_root(self, tmp_path, monkeypatch):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        return tmp_path
+
+    def test_close_removes_the_owned_run_dir(self, tmp_root):
+        with ProcessCluster(1, shards=4, replication=1) as cluster:
+            run_dir = cluster.run_dir
+            assert os.path.dirname(run_dir) == str(tmp_root)
+            assert os.path.isfile(os.path.join(run_dir, "r000.log"))
+        assert not os.path.exists(run_dir)
+
+    def test_close_leaves_a_callers_run_dir(self, tmp_path):
+        run_dir = str(tmp_path / "run")
+        with ProcessCluster(1, shards=4, replication=1, run_dir=run_dir):
+            pass
+        assert os.path.isfile(os.path.join(run_dir, "r000.log"))
+
+    def test_impossible_ring_is_refused_before_any_resource(
+        self, tmp_root, monkeypatch
+    ):
+        import gc
+        import sys
+        import warnings
+
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        trace_dir = tmp_root / "trace"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="exceeds replica count 1"):
+                ProcessCluster(1, replication=3, trace_dir=str(trace_dir))
+            gc.collect()
+        assert os.listdir(tmp_root) == []
+        assert caught == [] and unraisable == []
+
+    def test_failed_start_keeps_the_dir_its_error_names(self, tmp_root, monkeypatch):
+        from repro.serve import ReplicaDied, ReplicaOptions
+
+        honest = ReplicaOptions.to_json
+        monkeypatch.setattr(
+            ReplicaOptions,
+            "to_json",
+            lambda self: honest(self).replace('"recovery": "wal"', '"recovery": "tape"'),
+        )
+        with pytest.raises(ReplicaDied) as excinfo:
+            ProcessCluster(1, shards=4, replication=1)
+        (run_dir,) = os.listdir(tmp_root)
+        log = os.path.join(tmp_root, run_dir, "r000.log")
+        assert log in str(excinfo.value)
+        with open(log, encoding="utf-8") as handle:
+            assert "tape" in handle.read()
