@@ -98,12 +98,10 @@ def findings(path, source, rules=RULES):
     return sorted(f for f in found if f[2] in rules)
 
 
-@pytest.mark.parametrize("tree, rules", [
-    ("src/repro", RULES), ("tests", RELAXED), ("benchmarks", RELAXED)])
+@pytest.mark.parametrize("tree, rules", [("src/repro", RULES), ("tests", RELAXED), ("benchmarks", RELAXED)])
 def test_tree_holds_the_invariants(tree, rules):
     paths = sorted((ROOT / tree).rglob("*.py"))
-    found = [f for p in paths
-             for f in findings(p.relative_to(ROOT).as_posix(), p.read_text(), rules)]
+    found = [f for p in paths for f in findings(p.relative_to(ROOT).as_posix(), p.read_text(), rules)]
     assert paths
     assert not found, "\n".join(f"{p}:{line}: {rule}" for p, line, rule in found)
 
@@ -111,13 +109,13 @@ def test_tree_holds_the_invariants(tree, rules):
 CORE, EDGE = "src/repro/sim/x.py", "src/repro/serve/x.py"
 CLOCK, ASYNC = "import time\nnow = time.time()\n", "import time\nasync def g(a):\n    {}\n"
 TRY = "def f(self):\n    try:\n        self.step()\n    except {}:\n        {}\n"
-BLOCK, CLEAN, BLOCKING_PAIRS = ["async-blocking"], [], sorted(n.rsplit(".", 1) for n in BLOCKING)
+BLOCK, CLEAN = ["async-blocking"], []
+BLOCKING_PAIRS, IMPURE_PAIRS = (sorted(n.split(".", 1) for n in names) for names in (BLOCKING, IMPURE))
 
 
 @pytest.mark.parametrize("path, source, expected", [
     # The two trees CI used to plant, each named by its rules.
-    (CORE, "import random\nimport time\nx = random.random() * time.time()\n",
-     ["det-clock", "det-rng"]),
+    (CORE, "import random\nimport time\nx = random.random() * time.time()\n", ["det-clock", "det-rng"]),
     (EDGE, ASYNC.format("time.sleep(1)"), BLOCK),
     (EDGE, "import random\nx = random.choice([1])\nrng = random.Random()\n", ["det-rng"] * 2),
     (EDGE, "from random import shuffle as mix\nmix([1])\n", ["det-rng"]),
@@ -136,12 +134,14 @@ BLOCK, CLEAN, BLOCKING_PAIRS = ["async-blocking"], [], sorted(n.rsplit(".", 1) f
     (EDGE, "from asyncio import sleep\n" + ASYNC.format("await sleep(0)"), CLEAN),
     (EDGE, ASYNC.format("class C:\n        def f(self):\n            time.sleep(1)"), CLEAN),
     (EDGE, "import time\ntime.sleep(0)\ndef settle(a):\n    time.sleep(0)\n    send_frame(a)\n", CLEAN),
-    # Every blocking callable, however imported or called.
+    # Every listed callable, however imported or called.
+    *[(EDGE, f"import random\nx = {n}()\n", ["det-rng"]) for n in sorted(GLOBAL_RNG)],
+    *[(CORE, f"import {m}\nx = {m}.{f}()\n", ["det-clock"]) for m, f in IMPURE_PAIRS],
+    *[(CORE, f"from {m} import {f.split('.')[0]}\nx = {f}()\n", ["det-clock"]) for m, f in IMPURE_PAIRS],
     *[(EDGE, f"import {m}\n" + ASYNC.format(f"{m}.{f}(a)"), BLOCK) for m, f in BLOCKING_PAIRS],
     *[(EDGE, f"from {m} import {f}\n" + ASYNC.format(f"{f}(a)"), BLOCK) for m, f in BLOCKING_PAIRS],
     *[(EDGE, ASYNC.format(f"{n}(a)\n    a.peer.{n}(a)"), BLOCK * 2) for n in sorted(BLOCKING_NAMES)],
-    *[(EDGE, TRY.format(kind, "pass"), ["broad-except"])
-      for kind in ("", "Exception", "(OSError, Exception)")],
+    *[(EDGE, TRY.format(kind, "pass"), ["broad-except"]) for kind in ("", "Exception", "(OSError, Exception)")],
     *[(EDGE, TRY.format(*handler), CLEAN) for handler in [
         ("OSError", "pass"), ("Exception", "raise"), ("Exception as exc", "self.last = repr(exc)"),
         ("Exception", "self.tracer.emit(CRASH)"), ("Exception", "warnings.warn('step failed')")]],
