@@ -45,11 +45,12 @@ from repro.experiments.grid import ALL_ALGORITHMS, BASELINE, paper_topologies, r
 from repro.experiments.retwis_sweep import (
     PAPER_COEFFICIENTS,
     RetwisConfig,
+    retwis_workload,
     run_retwis_sweep,
 )
 from repro.serve.deploy import build_cluster
 from repro.sim.topology import partial_mesh
-from repro.workloads import GSetWorkload
+from repro.workloads import GCounterWorkload, GSetWorkload
 from repro.experiments.kv_sweep import (
     DEFAULT_ALGORITHMS,
     DEFAULT_STRATEGIES,
@@ -98,6 +99,10 @@ class Table1Config:
 
     nodes: int = 15
 
+    def __post_init__(self) -> None:
+        # The run's other workloads refuse no other node count.
+        GCounterWorkload(self.nodes)
+
 
 @dataclass(frozen=True)
 class Figure9Config:
@@ -128,6 +133,13 @@ class RetwisSweepConfig(RetwisConfig):
     """Figures 11 and 12: the Retwis deployment and its Zipf coefficients."""
 
     coefficients: Tuple[float, ...] = (0.5, 1.0, 1.25, 1.5)
+
+    def __post_init__(self) -> None:
+        if not self.coefficients:
+            raise ValueError("coefficients: the sweep needs at least one Zipf coefficient")
+        partial_mesh(self.nodes, self.degree)
+        for coefficient in self.coefficients:
+            retwis_workload(self, coefficient)
 
 
 @dataclass(frozen=True)

@@ -199,6 +199,13 @@ class KVSweepConfig(KVConfig):
     def __post_init__(self) -> None:
         super().__post_init__()
         check_algorithms(self.algorithms)
+        if self.rounds < 1 or self.ops_per_node < 1:
+            # Every row is a byte ratio to BP+RR's bytes for the updates.
+            raise ValueError(
+                "kv-sweep compares the bytes each protocol spends on updates: "
+                f"rounds and ops_per_node must be positive, got {self.rounds} "
+                f"and {self.ops_per_node}"
+            )
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,18 @@ class RetwisRun:
 SweepKey = Tuple[float, str]
 
 
+def retwis_workload(config: RetwisConfig, coefficient: float) -> RetwisWorkload:
+    """The sweep's workload at one Zipf coefficient."""
+    return RetwisWorkload(
+        config.nodes,
+        users=config.users,
+        rounds=config.rounds,
+        ops_per_node=config.ops_per_node,
+        zipf_coefficient=coefficient,
+        seed=config.seed,
+    )
+
+
 def run_retwis_sweep(
     coefficients: Sequence[float] = PAPER_COEFFICIENTS,
     config: RetwisConfig = RetwisConfig(),
@@ -109,14 +121,7 @@ def _cached_sweep(
     for coefficient in coefficients:
         results = run_suite(
             RETWIS_ALGORITHMS,
-            lambda c=coefficient: RetwisWorkload(
-                config.nodes,
-                users=config.users,
-                rounds=config.rounds,
-                ops_per_node=config.ops_per_node,
-                zipf_coefficient=c,
-                seed=config.seed,
-            ),
+            lambda c=coefficient: retwis_workload(config, c),
             topology,
         )
         for label, result in results.items():

@@ -50,6 +50,11 @@ def _keyspace_novelty(before: MapLattice, after: MapLattice) -> MapLattice:
     message actually landed — instead of decomposing the whole shard
     state per delivered message, which would put O(shard) work on the
     hot path of every WAL-enabled run.
+
+    The ``after is before`` shortcut is sound because ``before`` was read
+    through ``inner.state``: a handed-out value is immutable to everyone,
+    its replica included, so a delivery that inflates the state makes a
+    new value instead of joining into ``before`` in place.
     """
     if after is before:
         return after.bottom_like()

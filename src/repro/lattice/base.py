@@ -15,11 +15,15 @@ descending chain condition.  Those two properties guarantee that every
 state has a *unique irredundant join decomposition* (Proposition 1),
 which is what makes the optimal deltas of Section III well defined.
 
-Values are immutable: every operation returns a new value.  This makes
-them safe to alias from delta buffers, message payloads, and replica
-states simultaneously, which the network simulator relies on, and it
-lets the digest index pair a value's cached fingerprints with its
-``decompose()`` order by object identity.  Immutability is a property
+Values are immutable to everyone but the one replica that built them:
+every operation returns a new value, except ``MapLattice.join_owned``,
+with which a delta-based replica joins a δ into a state it built and no
+one else has read (``repro.sync.protocol.Synchronizer.state``).  A value
+that has left its replica — read, buffered, sent — never changes.  This
+makes them safe to alias from delta buffers, message payloads, and
+replica states simultaneously, which the network simulator relies on,
+and it lets the digest index pair a value's cached fingerprints with
+its ``decompose()`` order by object identity.  Immutability is a property
 of the type: :class:`Frozen`, the base of :class:`Lattice`, of
 ``repro.causal.DotStore`` and of ``repro.causal.CausalContext``,
 refuses every attribute write and delete, so a subclass is frozen with

@@ -86,6 +86,20 @@ Then:
 * otherwise — ``other`` unsized, owed, or settled under another model —
   the ordinary lineage with every key of ``other`` touched and absent
   before.  ``other``'s own memo is read, never settled.
+
+Owned joins
+-----------
+``join`` copies ``self``'s dict, which on a replica's 1,000-key state
+costs more than a 7-key δ's whole merge.  ``join_owned`` runs the same
+merge (``_merge``: the union probe, the pointwise loop, the lineage)
+over ``self``'s own dict and re-memoises ``_size`` as the fresh value's
+would have been.  It is for the one caller that can prove no one else
+reaches ``self``: a delta-based replica storing a δ into the state it
+built itself and never handed out (``sync/deltabased.py``, lines
+18–20).  Every value that was ever handed out stays frozen, so caches
+keyed by identity stay right.  A lineage ``touched`` dict is never
+written in place here either: one carried over from an ancestor may be
+shared with it.
 """
 
 from __future__ import annotations
@@ -135,18 +149,33 @@ class MapLattice(Lattice):
         if not mine:
             return other
         merged = dict(mine)
+        return _fresh(merged, self._merge(merged, other))
+
+    def join_owned(self, other: "MapLattice") -> None:
+        """``self := self ⊔ other``, in place (see *Owned joins*).
+
+        Only for a value no one but its creator has seen, and never with
+        ``other is self``.
+        """
+        if other.entries:
+            object.__setattr__(self, "_size", self._merge(self.entries, other))
+
+    def _merge(self, merged: dict, other: "MapLattice") -> "_Size":
+        """Join ``other``'s bindings into ``merged`` — ``self``'s entries
+        or a copy of them — and return the result's ``_size``."""
+        theirs = other.entries
         size = self._size
         if (
             # A one-entry δ (every KV write) is never probed, and a δ on
             # bound keys fails the probe at its first key.
             len(theirs) > 1
-            and next(iter(theirs)) not in mine
-            and mine.keys().isdisjoint(theirs.keys())
+            and next(iter(theirs)) not in merged
+            and merged.keys().isdisjoint(theirs.keys())
         ):
             # A union (see *Disjoint operands*): no value of mine is rebound.
             merged.update(theirs)
             if size is _UNSIZED:
-                return _fresh(merged)
+                return _UNSIZED
             units, model, nbytes, touched = size
             their_units, their_model, their_bytes, owed = other._size
             if (
@@ -158,7 +187,7 @@ class MapLattice(Lattice):
                     units += their_units
                 if model is not None:
                     nbytes += their_bytes
-                return _fresh(merged, (units, model, nbytes, touched))
+                return (units, model, nbytes, touched)
             touched = dict.fromkeys(theirs)
         else:
             # Old values are owed only to a parent whose size is known or owed.
@@ -173,14 +202,14 @@ class MapLattice(Lattice):
                 if touched is not None and (current is None or not current.fixed_size):
                     touched[key] = current
             if touched is None:
-                return _fresh(merged)
+                return _UNSIZED
         units, model, nbytes, earlier = size
         if earlier:
             # The sized ancestor's values, not an unsized parent's, are owed.
             touched.update(earlier)
         if 2 * len(touched) > len(merged):
-            return _fresh(merged)
-        return _fresh(merged, (units, model, nbytes, touched))
+            return _UNSIZED
+        return (units, model, nbytes, touched)
 
     def leq(self, other: "MapLattice") -> bool:
         if len(self.entries) > len(other.entries):

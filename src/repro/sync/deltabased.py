@@ -46,7 +46,15 @@ line 5    ``DeltaBased.buffer`` — the δ-buffer ``Bᵢ``, a
           classic ``d ⋢ xᵢ``, written as the paper writes it:
           ``not part.leq(local)``; :meth:`DeltaBased.handle_message` and
           :meth:`DeltaBased.absorb_state` both run it
-18–20     ``DeltaBased._store`` — ``store(s, o)``
+18–20     ``DeltaBased._store`` — ``store(s, o)``.  Line 19's join
+          ``xᵢ := xᵢ ⊔ s`` is in place (``MapLattice.join_owned``)
+          while the replica owns ``xᵢ``: it built the value and no one
+          has read :attr:`~repro.sync.protocol.Synchronizer.state`
+          since (``local_update`` hands the δ-mutator ``_state`` and
+          ``_local`` reads it, neither ends ownership).  Otherwise the
+          join copies, and the replica owns the result only when it is
+          a ``MapLattice`` that is neither operand — a fresh dict no
+          one else has seen.  So the store costs O(|δ|), not O(|xᵢ|)
 ========  ==========================================================
 
 The paper varies Algorithm 1 along two further axes, and each is one
@@ -185,7 +193,7 @@ class DeltaBased(Synchronizer):
     # ------------------------------------------------------------------
 
     def local_update(self, delta_mutator: DeltaMutator) -> Lattice:
-        delta = delta_mutator(self.state)
+        delta = delta_mutator(self._state)
         if not delta.is_bottom:
             self._store(delta, self.replica)
         return delta
@@ -291,7 +299,14 @@ class DeltaBased(Synchronizer):
     # ------------------------------------------------------------------
 
     def _store(self, delta: Lattice, origin: int) -> None:
-        self.state = self.state.join(delta)
+        if self._owned and delta is not self._state:
+            self._state.join_owned(delta)
+        else:
+            joined = self._state.join(delta)
+            self._owned = (
+                isinstance(joined, MapLattice) and joined is not self._state and joined is not delta
+            )
+            self._state = joined
         for key, part in self._split(delta):
             self.buffer.add(key, part, origin)
 
@@ -305,7 +320,7 @@ class DeltaBased(Synchronizer):
 
     def _local(self, key: Hashable) -> Optional[Lattice]:
         """What a received part under ``key`` is compared against."""
-        return self.state
+        return self._state
 
     def _assemble(self, parts: Dict[Hashable, Lattice]) -> Lattice:
         """Parts back into one lattice value (``⊥`` when there are none)."""
@@ -399,7 +414,7 @@ class KeyedDeltaBased(DeltaBased):
         return delta.items()
 
     def _local(self, key: Hashable) -> Optional[Lattice]:
-        return self.state.get(key)
+        return self._state.get(key)
 
     def _assemble(self, parts: Dict[Hashable, Lattice]) -> Lattice:
         return MapLattice(parts)

@@ -131,8 +131,11 @@ class IncrementalDigest:
     and the echo) and :meth:`missing` (both repair deltas).  It
     exploits two library-wide invariants:
 
-    * lattice values are immutable, so an object-identity check is a
-      sound staleness signal, and
+    * lattice values are immutable to everyone but the one replica that
+      built them, and every state the index sees was handed out (read
+      through ``Synchronizer.state``, which ends the replica's in-place
+      joins), so an object-identity check is a sound staleness signal,
+      and
     * :meth:`MapLattice.join` reuses the value objects of untouched
       keys, so after an inflation only the touched keys'
       bindings are new objects (the same reuse

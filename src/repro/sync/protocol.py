@@ -40,6 +40,12 @@ from repro.lattice.base import Lattice
 from repro.sizes import SizeModel, DEFAULT_SIZE_MODEL
 
 #: A δ-mutator closure: current state → optimal delta to join in.
+#:
+#: A δ-mutator is a pure function that neither returns nor keeps its
+#: argument.  The δ may share the state's immutable values, but a
+#: delta-based replica hands the δ-mutator the one value it may still
+#: join into in place (see :attr:`Synchronizer.state`): a δ that *is*
+#: the state, or a reference kept past the call, would see it change.
 DeltaMutator = Callable[[Lattice], Lattice]
 
 
@@ -95,6 +101,14 @@ class Synchronizer(ABC):
     Subclasses set :attr:`name` to the label used in the paper's plots
     and implement the three event handlers plus memory accounting.
 
+    The replica *owns* the state value it built until someone else reads
+    it: :attr:`state` hands the value out (and assigning it replaces the
+    value), and either ends ownership.  While ``_owned`` holds, no one
+    but this replica can reach ``_state``, so a protocol may inflate it
+    in place (:meth:`repro.sync.deltabased.DeltaBased._store`); a value
+    once handed out never changes again.  The memory accessors read
+    ``_state`` and keep ownership.
+
     Args:
         replica: This replica's index in ``0..n_nodes-1``.
         neighbors: Indices of the replicas this node may talk to.
@@ -117,10 +131,22 @@ class Synchronizer(ABC):
     ) -> None:
         self.replica = replica
         self.neighbors = tuple(neighbors)
+        # Through the setter: the shared ``bottom`` is never owned.
         self.state = bottom
         self.bottom = bottom
         self.n_nodes = n_nodes
         self.size_model = size_model
+
+    @property
+    def state(self) -> Lattice:
+        """The replica's lattice state, handed out: it will not change."""
+        self._owned = False
+        return self._state
+
+    @state.setter
+    def state(self, value: Lattice) -> None:
+        self._state = value
+        self._owned = False
 
     # ------------------------------------------------------------------
     # Event handlers driven by the hosting runtime (any transport).
@@ -172,11 +198,11 @@ class Synchronizer(ABC):
 
     def state_units(self) -> int:
         """CRDT state size in the unit metric."""
-        return self.state.size_units()
+        return self._state.size_units()
 
     def state_bytes(self) -> int:
         """CRDT state size in bytes."""
-        return self.state.size_bytes(self.size_model)
+        return self._state.size_bytes(self.size_model)
 
     @abstractmethod
     def buffer_units(self) -> int:

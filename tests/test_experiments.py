@@ -18,6 +18,8 @@ from repro.experiments import (
     KVSweepConfig,
     MicroConfig,
     QuorumConfig,
+    RetwisSweepConfig,
+    Table1Config,
     run_kv_rebalance,
     run_figure1,
     run_figure7,
@@ -347,6 +349,13 @@ class TestConfigsRefuseIllegalShapes:
             (Figure9Config, "sizes", "8", "first and a last size that differ"),
             (QuorumConfig, "replicas", "1", "replication 3 exceeds replica count 1"),
             (QuorumConfig, "keys", "0", "at least one rank"),
+            (Table1Config, "nodes", "0", "at least one node"),
+            (RetwisSweepConfig, "nodes", "0", "below node count 0"),
+            (RetwisSweepConfig, "users", "0", "at least two users"),
+            (RetwisSweepConfig, "coefficients", "", "at least one Zipf coefficient"),
+            (RetwisSweepConfig, "coefficients", "1.0,-1", "Zipf coefficient must be non-negative"),
+            (KVSweepConfig, "ops_per_node", "0", "ops_per_node must be positive"),
+            (KVSweepConfig, "rounds", "0", "ops_per_node must be positive"),
         ],
     )
     def test_shapes_the_run_would_crash_on(self, config, field, value, reason):

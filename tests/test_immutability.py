@@ -3,7 +3,11 @@
 Optimal deltas, δ-buffers and shared messages alias the same value
 objects, and the digest index pairs a value's cached fingerprints with
 its ``decompose()`` order by object identity, so a value that changed
-after construction would corrupt state far from the write.  One base,
+after it left its replica would corrupt state far from the write.
+Values are immutable to everyone but the one replica that built them:
+a delta-based replica joins δs in place into a state no one has read
+yet (``MapLattice.join_owned``; ``test_owned_state.py`` checks that
+nothing it handed out changes).  One base,
 ``repro.lattice.base.Frozen``, refuses every attribute write and delete;
 this file checks every concrete value class against it.
 
