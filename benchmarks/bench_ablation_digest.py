@@ -12,7 +12,6 @@ import pytest
 
 from repro.crdt import GSet
 from repro.experiments.report import format_table
-from repro.sizes import SizeModel
 from repro.sync.digest import digest_driven_sync, full_state_sync, state_driven_sync
 
 
@@ -29,10 +28,9 @@ def diverged_replicas(shared: int, each: int, element_bytes: int = 40):
 
 
 def run_ablation(shared: int = 2000, each: int = 50):
-    model = SizeModel()
     a, b = diverged_replicas(shared, each)
     outcomes = [
-        strategy(a.state, b.state, model)
+        strategy(a.state, b.state)
         for strategy in (full_state_sync, state_driven_sync, digest_driven_sync)
     ]
     return outcomes

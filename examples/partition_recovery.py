@@ -17,7 +17,6 @@ Run with::
 """
 
 from repro import GMap, MaxInt
-from repro.sizes import SizeModel
 from repro.sync.digest import digest_driven_sync, full_state_sync, state_driven_sync
 
 PRODUCTS = 800
@@ -44,11 +43,10 @@ def build_diverged_datacenters():
 
 def main() -> None:
     east, west = build_diverged_datacenters()
-    model = SizeModel()
     print(f"catalogue: {PRODUCTS} products, {DIVERGENT_WRITES} divergent writes per side\n")
 
     strategies = (full_state_sync, state_driven_sync, digest_driven_sync)
-    outcomes = [s(east.state, west.state, model) for s in strategies]
+    outcomes = [s(east.state, west.state) for s in strategies]
 
     for outcome in outcomes:
         print(

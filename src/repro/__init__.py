@@ -90,7 +90,7 @@ from repro.sync import (
 )
 from repro.codec import decode, decode_message, encode, encode_message
 from repro.net import AsyncTcpTransport, ReplicaRuntime, SimTransport, Transport
-from repro.sim import Cluster, ClusterConfig, SizeModel, partial_mesh, tree, run_experiment
+from repro.sim import Cluster, ClusterConfig, partial_mesh, tree, run_experiment
 
 __version__ = "1.0.0"
 
@@ -155,7 +155,6 @@ __all__ = [
     # sim
     "Cluster",
     "ClusterConfig",
-    "SizeModel",
     "partial_mesh",
     "tree",
     "run_experiment",

@@ -18,12 +18,10 @@ the per-dot single-writer invariant holds, which every type in
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, Iterator
+from typing import Hashable, Iterator
 
+from repro import sizes
 from repro.lattice.base import Lattice
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sizes import SizeModel
 
 
 class _BottomType:
@@ -85,8 +83,8 @@ class Atom(Lattice):
     def size_units(self) -> int:
         return 0 if self.is_bottom else 1
 
-    def size_bytes(self, model: "SizeModel") -> int:
-        return 0 if self.is_bottom else model.sizeof(self.value)
+    def size_bytes(self) -> int:
+        return 0 if self.is_bottom else sizes.sizeof(self.value)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Atom) and self.value == other.value

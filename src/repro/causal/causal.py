@@ -31,14 +31,11 @@ during anti-entropy.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, Iterator, Set
+from typing import Hashable, Iterator, Set
 
 from repro.causal.dots import CausalContext, Dot, EMPTY_CONTEXT
 from repro.causal.stores import DotFun, DotMap, DotSet, DotStore
 from repro.lattice.base import Lattice
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sizes import SizeModel
 
 
 class Causal(Lattice):
@@ -136,8 +133,8 @@ class Causal(Lattice):
         """Store entries plus context entries (both cross the wire)."""
         return self.store.size_units() + self.context.size_units()
 
-    def size_bytes(self, model: "SizeModel") -> int:
-        return self.store.size_bytes(model) + self.context.size_bytes(model)
+    def size_bytes(self) -> int:
+        return self.store.size_bytes() + self.context.size_bytes()
 
     # ------------------------------------------------------------------
     # Diagnostics.

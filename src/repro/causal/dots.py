@@ -27,12 +27,10 @@ vector, which keeps equality and hashing canonical.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable, Iterable, Iterator, Mapping, NamedTuple, Set
+from typing import Dict, Hashable, Iterable, Iterator, Mapping, NamedTuple, Set
 
+from repro import sizes
 from repro.lattice.base import Frozen
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sizes import SizeModel
 
 
 class Dot(NamedTuple):
@@ -197,9 +195,9 @@ class CausalContext(Frozen):
         """Entries in the paper's unit metric: vector entries + cloud dots."""
         return len(self.compact) + len(self.cloud)
 
-    def size_bytes(self, model: "SizeModel") -> int:
+    def size_bytes(self) -> int:
         """Bytes: each vector entry and cloud dot is an (id, counter) pair."""
-        return (len(self.compact) + len(self.cloud)) * model.vector_entry_bytes()
+        return (len(self.compact) + len(self.cloud)) * sizes.VECTOR_ENTRY_BYTES
 
     # ------------------------------------------------------------------
     # Value semantics.

@@ -30,13 +30,11 @@ of.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Dict, FrozenSet, Hashable, Iterable, Iterator, Mapping, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, Mapping, Tuple
 
+from repro import sizes
 from repro.causal.dots import CausalContext, Dot
 from repro.lattice.base import Frozen, Lattice
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sizes import SizeModel
 
 
 class DotStore(Frozen, ABC):
@@ -102,7 +100,7 @@ class DotStore(Frozen, ABC):
         """Store size in the paper's entry metric."""
 
     @abstractmethod
-    def size_bytes(self, model: "SizeModel") -> int:
+    def size_bytes(self) -> int:
         """Approximate serialized size of the store."""
 
 
@@ -156,8 +154,8 @@ class DotSet(DotStore):
     def size_units(self) -> int:
         return len(self._dots)
 
-    def size_bytes(self, model: "SizeModel") -> int:
-        return len(self._dots) * model.vector_entry_bytes()
+    def size_bytes(self) -> int:
+        return len(self._dots) * sizes.VECTOR_ENTRY_BYTES
 
     def __contains__(self, dot: Dot) -> bool:
         return dot in self._dots
@@ -260,9 +258,9 @@ class DotFun(DotStore):
     def size_units(self) -> int:
         return sum(max(1, value.size_units()) for value in self.entries.values())
 
-    def size_bytes(self, model: "SizeModel") -> int:
+    def size_bytes(self) -> int:
         return sum(
-            model.vector_entry_bytes() + value.size_bytes(model)
+            sizes.VECTOR_ENTRY_BYTES + value.size_bytes()
             for value in self.entries.values()
         )
 
@@ -378,9 +376,9 @@ class DotMap(DotStore):
     def size_units(self) -> int:
         return sum(sub.size_units() for sub in self.entries.values())
 
-    def size_bytes(self, model: "SizeModel") -> int:
+    def size_bytes(self) -> int:
         return sum(
-            model.sizeof(key) + sub.size_bytes(model)
+            sizes.sizeof(key) + sub.size_bytes()
             for key, sub in self.entries.items()
         )
 

@@ -1,8 +1,8 @@
 """Binary wire codec for lattice states, deltas, and protocol messages.
 
-The evaluation harness *counts* serialized sizes through
-:class:`~repro.sizes.SizeModel`; a deployable library must also
-actually produce the bytes.  This module is a compact, dependency-free
+The evaluation harness *counts* serialized sizes in the paper's
+per-atom byte sizes (:mod:`repro.sizes`); a deployable library must
+also actually produce the bytes.  This module is a compact, dependency-free
 binary format covering every lattice shape in the library — the
 grow-only constructs, the composition constructs, and the causal
 (dot-store) family — with a round-trip guarantee::
@@ -655,7 +655,7 @@ class WireFrame:
     ``payload_bytes + metadata_bytes == len(data)``: the metadata share
     includes the envelope framing (kind tag, unit counters, section
     lengths), which is the documented overhead a real transport pays on
-    top of the size model's estimate.
+    top of the counted estimate (:mod:`repro.sizes`).
     """
 
     data: bytes

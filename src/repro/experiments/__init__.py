@@ -81,6 +81,16 @@ from repro.experiments.kv_serve import (
     run_kv_quorum_cell,
 )
 
+
+def _require_updates(**counts: int) -> None:
+    """Refuse a run that issues no update: every report compares what
+    the protocols spend on updates, and with none it prints ``inf``,
+    zeros or a division error."""
+    for name, count in counts.items():
+        if count < 1:
+            raise ValueError(f"{name} must be positive: the run compares the cost of updates, got {count}")
+
+
 @dataclass(frozen=True)
 class MicroConfig:
     """Figures 1, 7, 8, 10 and Appendix B: cluster size and update rounds."""
@@ -91,6 +101,7 @@ class MicroConfig:
     def __post_init__(self) -> None:
         paper_topologies(self.nodes)
         GSetWorkload(self.nodes, self.rounds)
+        _require_updates(rounds=self.rounds)
 
 
 @dataclass(frozen=True)
@@ -119,6 +130,7 @@ class Figure9Config:
         for n in self.sizes:
             partial_mesh(n, 4)
             GSetWorkload(n, self.rounds)
+        _require_updates(rounds=self.rounds)
 
 
 @dataclass(frozen=True)
@@ -140,6 +152,7 @@ class RetwisSweepConfig(RetwisConfig):
         partial_mesh(self.nodes, self.degree)
         for coefficient in self.coefficients:
             retwis_workload(self, coefficient)
+        _require_updates(rounds=self.rounds, ops_per_node=self.ops_per_node)
 
 
 @dataclass(frozen=True)

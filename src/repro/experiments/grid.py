@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
-from repro.sim.runner import ExperimentResult, run_suite
+from repro.sim.runner import ExperimentResult, ratio_table, run_suite
 from repro.sim.topology import Topology, partial_mesh, tree
 from repro.sync import ALGORITHMS
 from repro.workloads import make_micro_workload
@@ -39,18 +39,10 @@ class GridCell:
     results: Dict[str, ExperimentResult]
 
     def transmission_ratios(self) -> Dict[str, float]:
-        base = self.results[BASELINE].transmission_units()
-        return {
-            label: (result.transmission_units() / base if base else float("inf"))
-            for label, result in self.results.items()
-        }
+        return ratio_table(self.results, BASELINE, ExperimentResult.transmission_units)
 
     def memory_ratios(self) -> Dict[str, float]:
-        base = self.results[BASELINE].average_memory_units()
-        return {
-            label: (result.average_memory_units() / base if base else float("inf"))
-            for label, result in self.results.items()
-        }
+        return ratio_table(self.results, BASELINE, ExperimentResult.average_memory_units)
 
 
 @dataclass

@@ -23,7 +23,7 @@ ring keeps the movement itself minimal (``~replication/n`` of shards),
 which the report also verifies against the observed moved fraction.
 
 Every deployment runs the identical schedule through the same lines:
-the simulator counts size-model bytes, TCP and the process cluster
+the simulator counts :mod:`repro.sizes` bytes, TCP and the process cluster
 measured wire bytes of the :mod:`repro.codec` envelopes (the process
 controller sees root hashes, not states, so its naive baseline reads 0),
 and a free-running deployment really runs free.

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro import sizes
 from repro.codec import decode
 from repro.kv.antientropy import declare_counters
 from repro.kv.shard import Shard
@@ -44,7 +45,6 @@ from repro.obs.trace import (
     HANDOFF_OFFER,
     HANDOFF_SEGMENT,
 )
-from repro.sizes import SizeModel
 from repro.sync.digest import ROOT_BYTES
 from repro.sync.protocol import Message
 
@@ -57,26 +57,26 @@ if TYPE_CHECKING:
 HANDOFF_RETRY_TICKS = 4
 
 
-def _offer_message(shard: Shard, size_model: SizeModel) -> Message:
+def _offer_message(shard: Shard) -> Message:
     """Phase 1: announce the handoff with the source's root hash."""
     return Message(
         kind="kv-handoff-offer",
-        payload=(shard.root(), shard.state.size_bytes(size_model)),
+        payload=(shard.root(), shard.state.size_bytes()),
         payload_units=0,
         payload_bytes=0,
-        metadata_bytes=ROOT_BYTES + size_model.int_bytes,
+        metadata_bytes=ROOT_BYTES + sizes.INT_BYTES,
         metadata_units=1,
     )
 
 
-def _segment_message(shard: Shard, size_model: SizeModel) -> Message:
+def _segment_message(shard: Shard) -> Message:
     records = tuple(shard.segment())
     return Message(
         kind="kv-handoff-segment",
         payload=records,
         payload_units=shard.state.size_units(),
         payload_bytes=sum(len(body) for body in records),
-        metadata_bytes=size_model.int_bytes * (1 + len(records)),
+        metadata_bytes=sizes.INT_BYTES * (1 + len(records)),
         metadata_units=len(records),
     )
 
@@ -172,7 +172,7 @@ class HandoffPlane:
                 self._close(shard_id, dst, "handoffs_abandoned")
             else:
                 build = _offer_message if entry["phase"] == "offer" else _segment_message
-                wire.append((dst, shard_id, build(shard, self.store.size_model)))
+                wire.append((dst, shard_id, build(shard)))
         return wire
 
     def _close(self, shard_id: int, dst: int, outcome: str) -> None:

@@ -68,7 +68,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 from repro.kv.antientropy import declare_counters
 from repro.lattice.base import Lattice
 from repro.obs.trace import REPAIR_ABSORB, REPAIR_DIFF, REPAIR_PROBE
-from repro.sizes import SizeModel
 from repro.sync.digest import FINGERPRINT_BYTES, ROOT_BYTES
 from repro.sync.protocol import Message
 
@@ -102,12 +101,12 @@ def _diff_message(digest) -> Message:
     )
 
 
-def _repair_message(delta: Lattice, echo, size_model: SizeModel) -> Message:
+def _repair_message(delta: Lattice, echo) -> Message:
     return Message(
         kind="kv-repair",
         payload=(delta, echo),
         payload_units=delta.size_units(),
-        payload_bytes=delta.size_bytes(size_model),
+        payload_bytes=delta.size_bytes(),
         metadata_bytes=len(echo) * FINGERPRINT_BYTES if echo is not None else 0,
         metadata_units=len(echo) if echo is not None else 0,
     )
@@ -276,7 +275,7 @@ class RepairPlane:
             self._cursor += 1
             if shard.state.is_bottom:
                 continue
-            push = _repair_message(shard.state, None, self.store.size_model)
+            push = _repair_message(shard.state, None)
             wire.extend((dst, shard.id, push) for dst in shard.neighbors)
         return wire
 
@@ -398,7 +397,7 @@ class RepairPlane:
         return self._delta_reply(shard_id, src, back, None)
 
     def _delta_reply(self, shard_id: int, dst: int, delta: Lattice, echo) -> Message:
-        message = _repair_message(delta, echo, self.store.size_model)
+        message = _repair_message(delta, echo)
         if message.payload_bytes:
             self.note_delta_activity(shard_id, dst)
         return message

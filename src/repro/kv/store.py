@@ -55,6 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
+from repro import sizes
 from repro.kv.antientropy import AntiEntropyConfig, AntiEntropyScheduler
 from repro.kv.handoff import HandoffPlane
 from repro.kv.repair import RepairPlane
@@ -65,7 +66,6 @@ from repro.lattice.base import Lattice
 from repro.lattice.map_lattice import MapLattice
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import READ_REPAIR, Tracer
-from repro.sizes import SizeModel, DEFAULT_SIZE_MODEL
 from repro.sync.protocol import Message, Send, Synchronizer
 from repro.wal import ReplicaWal
 
@@ -99,7 +99,6 @@ class KVStore(Synchronizer):
         neighbors: Sequence[int],
         bottom: Lattice,
         n_nodes: int,
-        size_model: SizeModel = DEFAULT_SIZE_MODEL,
         *,
         ring: HashRing,
         inner_factory,
@@ -117,7 +116,6 @@ class KVStore(Synchronizer):
         self.neighbors = tuple(neighbors)
         self.bottom = bottom
         self.n_nodes = n_nodes
-        self.size_model = size_model
 
         self.ring = ring
         self.inner_factory = inner_factory
@@ -179,7 +177,6 @@ class KVStore(Synchronizer):
             neighbors=peers,
             bottom=self.bottom,
             n_nodes=self.n_nodes,
-            size_model=self.size_model,
         )
 
     def shard_root(self, shard: int) -> Optional[bytes]:
@@ -315,7 +312,7 @@ class KVStore(Synchronizer):
         for key, value in fragment.entries.items():
             by_shard.setdefault(self._route(key).id, {})[key] = value
         if payload_bytes is None:
-            payload_bytes = fragment.size_bytes(self.size_model)
+            payload_bytes = fragment.size_bytes()
         self.repair.note_read_repair(payload_bytes)
         absorbed_all = fragment.bottom_like()
         for shard in sorted(by_shard):
@@ -328,7 +325,7 @@ class KVStore(Synchronizer):
                     READ_REPAIR,
                     replica=self.replica,
                     shard=shard,
-                    payload_bytes=piece.size_bytes(self.size_model),
+                    payload_bytes=piece.size_bytes(),
                     payload_units=piece.size_units(),
                     extra={
                         "keys": len(piece.entries),
@@ -413,9 +410,8 @@ class KVStore(Synchronizer):
         """Frame shard messages for the wire, one batch per destination.
 
         Each framed shard message costs one shard tag
-        (``int_bytes``/one entry) on top of the inner accounting.
+        (``sizes.INT_BYTES``/one entry) on top of the inner accounting.
         """
-        tag_bytes = self.size_model.int_bytes
         grouped: Dict[int, List[Tuple[int, Message]]] = {}
         for dst, shard, inner in wire:
             grouped.setdefault(dst, []).append((shard, inner))
@@ -428,7 +424,7 @@ class KVStore(Synchronizer):
                     payload_units=sum(m.payload_units for _, m in entries),
                     payload_bytes=sum(m.payload_bytes for _, m in entries),
                     metadata_bytes=sum(m.metadata_bytes for _, m in entries)
-                    + tag_bytes * len(entries),
+                    + sizes.INT_BYTES * len(entries),
                     metadata_units=sum(m.metadata_units for _, m in entries)
                     + len(entries),
                 ),
@@ -588,7 +584,7 @@ class KVStore(Synchronizer):
 
     def state_bytes(self) -> int:
         return sum(
-            copy.state.size_bytes(self.size_model) for copy in self.shards.values()
+            copy.state.size_bytes() for copy in self.shards.values()
         )
 
     def buffer_units(self) -> int:
@@ -649,14 +645,12 @@ def kv_store_factory(
         neighbors: Sequence[int],
         bottom: Lattice,
         n_nodes: int,
-        size_model: SizeModel = DEFAULT_SIZE_MODEL,
     ) -> KVStore:
         return KVStore(
             replica=replica,
             neighbors=neighbors,
             bottom=bottom,
             n_nodes=n_nodes,
-            size_model=size_model,
             ring=ring() if callable(ring) else ring,
             inner_factory=inner_factory,
             schema=schema,

@@ -35,10 +35,7 @@ no code of its own.  Constructors fill their slots, and the few memos
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Iterable, Iterator, TypeVar
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.sizes import SizeModel
+from typing import Iterable, Iterator, TypeVar
 
 L = TypeVar("L", bound="Lattice")
 
@@ -71,8 +68,8 @@ class Lattice(Frozen, ABC):
 
     :attr:`fixed_size` is a class-level promise about size accounting:
     ``True`` means every non-bottom value of the class has the same
-    :meth:`size_units` and, under any one ``SizeModel``, the same
-    :meth:`size_bytes` (``MaxInt``, ``Bool``).  Rebinding a map key from
+    :meth:`size_units` and the same :meth:`size_bytes` (``MaxInt``,
+    ``Bool``).  Rebinding a map key from
     one such value to another then cannot change the map's size, which
     ``MapLattice``'s size lineage relies on.
     ``tests/test_lattice_shortcuts.py`` checks every class declaring it.
@@ -178,8 +175,9 @@ class Lattice(Frozen, ABC):
         """
 
     @abstractmethod
-    def size_bytes(self, model: "SizeModel") -> int:
-        """Approximate serialized payload size under a byte-size model.
+    def size_bytes(self) -> int:
+        """Approximate serialized payload size, in the paper's
+        per-atom byte sizes (:mod:`repro.sizes`).
 
         Used by the Retwis evaluation (Section V-C), where tweet
         identifiers and bodies have realistic byte sizes.

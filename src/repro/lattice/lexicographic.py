@@ -25,12 +25,9 @@ boundary cases the rule leaves implicit:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from repro.lattice.base import Lattice
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sizes import SizeModel
 
 
 class LexPair(Lattice):
@@ -101,10 +98,10 @@ class LexPair(Lattice):
             return 0 if self.first.is_bottom else 1
         return self.second.size_units()
 
-    def size_bytes(self, model: "SizeModel") -> int:
+    def size_bytes(self) -> int:
         if self.is_bottom:
             return 0
-        return self.first.size_bytes(model) + self.second.size_bytes(model)
+        return self.first.size_bytes() + self.second.size_bytes()
 
     def __eq__(self, other: object) -> bool:
         return (

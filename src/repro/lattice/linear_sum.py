@@ -18,12 +18,10 @@ join-irreducible — no finite join of ``Left`` values can cross into the
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
+from repro import sizes
 from repro.lattice.base import Lattice
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sizes import SizeModel
 
 LEFT = "Left"
 RIGHT = "Right"
@@ -108,10 +106,10 @@ class LinearSum(Lattice):
             return 1
         return self.value.size_units()
 
-    def size_bytes(self, model: "SizeModel") -> int:
+    def size_bytes(self) -> int:
         if self.is_bottom:
             return 0
-        return model.tag_bytes + self.value.size_bytes(model)
+        return sizes.TAG_BYTES + self.value.size_bytes()
 
     def __eq__(self, other: object) -> bool:
         return (

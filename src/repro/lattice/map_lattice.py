@@ -32,7 +32,7 @@ a 7-key δ is O(|state|) where the paper's cost model promises O(|Δ|).
 So a value produced by ``join`` from a parent whose size is known (or
 itself owed) remembers, instead of nothing:
 
-* the parent's ``(units, model, bytes)``, and
+* the parent's ``(units, bytes)``, and
 * for each key the join *touched* — bound anew, or bound to a value that
   is not the parent's own object — the parent's old value, ``None`` when
   the key was absent.  A redundant binding (``mine ⊔ theirs is mine``)
@@ -54,11 +54,10 @@ touched map forward by *copy* — the parent's is never written, so an
 unsized parent joined twice stays correct on both branches — and the
 oldest value per key wins.  It is dropped, back to the full sum, once
 the touched keys outnumber half the entries (where the sum is no
-dearer), and it is no help when bytes are asked under a different
-model.  Only old *values* are retained, each of which the
-parent's map would have kept alive anyway until the parent itself is
-released; a reference to the parent or to its ``entries`` dict would pin
-a whole second copy of every hot state.
+dearer).  Only old *values* are retained, each of which the parent's
+map would have kept alive anyway until the parent itself is released; a
+reference to the parent or to its ``entries`` dict would pin a whole
+second copy of every hot state.
 
 Disjoint operands.  When the operands share no key, no binding of
 ``self`` is rebound and ``∆(other, self)`` is ``other`` itself.  A state
@@ -76,16 +75,15 @@ one-entry ``other``: every KV write is one, the pointwise loop costs it
 no more than a probe would, and it leaves the same one-key lineage.
 Then:
 
-* ``other`` settled and knowing every total ``self``'s memo carries
-  (bytes under the same model) — the totals add.  If ``self`` is itself
-  owed, its touched map is carried over as it stands (it is never
-  written): those keys are still bound in the union to the values they
-  were owed for, so the union owes exactly what ``self`` owed.  A group
-  of sized key-disjoint parts is therefore born sized (owing one key
-  per one-entry part).
-* otherwise — ``other`` unsized, owed, or settled under another model —
-  the ordinary lineage with every key of ``other`` touched and absent
-  before.  ``other``'s own memo is read, never settled.
+* ``other`` settled and knowing every total ``self``'s memo carries —
+  the totals add.  If ``self`` is itself owed, its touched map is
+  carried over as it stands (it is never written): those keys are still
+  bound in the union to the values they were owed for, so the union
+  owes exactly what ``self`` owed.  A group of sized key-disjoint parts
+  is therefore born sized (owing one key per one-entry part).
+* otherwise — ``other`` unsized, owed, or missing a total ``self``
+  knows — the ordinary lineage with every key of ``other`` touched and
+  absent before.  ``other``'s own memo is read, never settled.
 
 Owned joins
 -----------
@@ -104,12 +102,10 @@ shared with it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, Iterator, Mapping, Optional, Tuple
+from typing import Hashable, Iterator, Mapping, Optional, Tuple
 
+from repro import sizes
 from repro.lattice.base import Lattice
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sizes import SizeModel
 
 
 class MapLattice(Lattice):
@@ -125,7 +121,7 @@ class MapLattice(Lattice):
     canonical-form invariant.
     """
 
-    #: ``_size`` is ``(units, model, bytes, touched)``.  With ``touched``
+    #: ``_size`` is ``(units, bytes, touched)``.  With ``touched``
     #: ``None`` the totals are this value's own, each ``None`` while
     #: unknown; otherwise they are the sized ancestor's and ``touched``
     #: maps every key joined since to the ancestor's value (see *Size
@@ -176,18 +172,18 @@ class MapLattice(Lattice):
             merged.update(theirs)
             if size is _UNSIZED:
                 return _UNSIZED
-            units, model, nbytes, touched = size
-            their_units, their_model, their_bytes, owed = other._size
+            units, nbytes, touched = size
+            their_units, their_bytes, owed = other._size
             if (
                 owed is None
                 and (units is None or their_units is not None)
-                and (model is None or their_model is model)
+                and (nbytes is None or their_bytes is not None)
             ):
                 if units is not None:
                     units += their_units
-                if model is not None:
+                if nbytes is not None:
                     nbytes += their_bytes
-                return (units, model, nbytes, touched)
+                return (units, nbytes, touched)
             touched = dict.fromkeys(theirs)
         else:
             # Old values are owed only to a parent whose size is known or owed.
@@ -203,13 +199,13 @@ class MapLattice(Lattice):
                     touched[key] = current
             if touched is None:
                 return _UNSIZED
-        units, model, nbytes, earlier = size
+        units, nbytes, earlier = size
         if earlier:
             # The sized ancestor's values, not an unsized parent's, are owed.
             touched.update(earlier)
         if 2 * len(touched) > len(merged):
             return _UNSIZED
-        return (units, model, nbytes, touched)
+        return (units, nbytes, touched)
 
     def leq(self, other: "MapLattice") -> bool:
         if len(self.entries) > len(other.entries):
@@ -253,44 +249,44 @@ class MapLattice(Lattice):
 
     def size_units(self) -> int:
         size = self._size
-        if size[3] is not None:
+        if size[2] is not None:
             size = self._settle(size)
         units = size[0]
         if units is None:
             units = sum(value.size_units() for value in self.entries.values())
-            self._remember(units, size[1], size[2])
+            self._remember(units, size[1])
         return units
 
-    def size_bytes(self, model: "SizeModel") -> int:
-        # One model at a time; experiments use one model.
+    def size_bytes(self) -> int:
         size = self._size
-        if size[3] is not None:
+        if size[2] is not None:
             size = self._settle(size)
-        if size[1] is model:
-            return size[2]
-        nbytes = 0
-        for key, value in self.entries.items():
-            nbytes += model.sizeof(key) + value.size_bytes(model)
-        self._remember(size[0], model, nbytes)
+        nbytes = size[1]
+        if nbytes is None:
+            sizeof = sizes.sizeof
+            nbytes = 0
+            for key, value in self.entries.items():
+                nbytes += sizeof(key) + value.size_bytes()
+            self._remember(size[0], nbytes)
         return nbytes
 
     def _settle(self, size: "_Size") -> "_Size":
         """Spend the lineage: the ancestor's totals moved by each touched key."""
-        units, model, nbytes, touched = size
+        units, nbytes, touched = size
         entries = self.entries
         for key, old in touched.items():
             new = entries[key]
             if units is not None:
                 units += new.size_units() - (0 if old is None else old.size_units())
-            if model is not None:
-                nbytes += new.size_bytes(model) - (
-                    -model.sizeof(key) if old is None else old.size_bytes(model)
+            if nbytes is not None:
+                nbytes += new.size_bytes() - (
+                    -sizes.sizeof(key) if old is None else old.size_bytes()
                 )
-        return self._remember(units, model, nbytes)
+        return self._remember(units, nbytes)
 
-    def _remember(self, units: int | None, model: "SizeModel | None", nbytes: int | None) -> "_Size":
-        size = (units, model, nbytes, None)
-        # A memo, not a mutation: the sizes are a pure function of (frozen entries, model).
+    def _remember(self, units: int | None, nbytes: int | None) -> "_Size":
+        size = (units, nbytes, None)
+        # A memo, not a mutation: the sizes are a pure function of the frozen entries.
         object.__setattr__(self, "_size", size)
         return size
 
@@ -332,9 +328,9 @@ class MapLattice(Lattice):
         return f"MapLattice({{{inner}}})"
 
 
-#: ``(units, model, bytes, touched)``; see ``MapLattice._size``.
-_Size = Tuple[Optional[int], Optional["SizeModel"], Optional[int], Optional[dict]]
-_UNSIZED: _Size = (None, None, None, None)
+#: ``(units, bytes, touched)``; see ``MapLattice._size``.
+_Size = Tuple[Optional[int], Optional[int], Optional[dict]]
+_UNSIZED: _Size = (None, None, None)
 
 
 def _fresh(entries: dict, size: _Size = _UNSIZED) -> MapLattice:

@@ -18,12 +18,10 @@ hash as usual for Python sets.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
+from repro import sizes
 from repro.lattice.base import Lattice
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sizes import SizeModel
 
 Dominates = Callable[[Hashable, Hashable], bool]
 
@@ -99,8 +97,8 @@ class MaxElements(Lattice):
     def size_units(self) -> int:
         return len(self.elements)
 
-    def size_bytes(self, model: "SizeModel") -> int:
-        return sum(model.sizeof(element) for element in self.elements)
+    def size_bytes(self) -> int:
+        return sum(sizes.sizeof(element) for element in self.elements)
 
     def __contains__(self, element: Hashable) -> bool:
         return element in self.elements

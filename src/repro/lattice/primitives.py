@@ -12,12 +12,10 @@ simply ``⇓c = {c}`` for ``c ≠ ⊥`` (Appendix C).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import Any, Iterator
 
+from repro import sizes
 from repro.lattice.base import Lattice
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sizes import SizeModel
 
 
 class MaxInt(Lattice):
@@ -63,8 +61,8 @@ class MaxInt(Lattice):
     def size_units(self) -> int:
         return 0 if self.value == 0 else 1
 
-    def size_bytes(self, model: "SizeModel") -> int:
-        return 0 if self.value == 0 else model.int_bytes
+    def size_bytes(self) -> int:
+        return 0 if self.value == 0 else sizes.INT_BYTES
 
     def increment(self, by: int = 1) -> "MaxInt":
         """Return a new value ``by`` steps up the chain (an inflation)."""
@@ -129,15 +127,15 @@ class Chain(Lattice):
     def size_units(self) -> int:
         return 0 if self.is_bottom else 1
 
-    def size_bytes(self, model: "SizeModel") -> int:
+    def size_bytes(self) -> int:
         if self.is_bottom:
             return 0
-        cached = self._bytes_cache
-        if cached is None or cached[0] is not model:
-            cached = (model, model.sizeof(self.value))
-            # A memo, not a mutation: byte size is a pure function of (frozen value, model).
-            object.__setattr__(self, "_bytes_cache", cached)
-        return cached[1]
+        nbytes = self._bytes_cache
+        if nbytes is None:
+            nbytes = sizes.sizeof(self.value)
+            # A memo, not a mutation: byte size is a pure function of the frozen value.
+            object.__setattr__(self, "_bytes_cache", nbytes)
+        return nbytes
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Chain) and self.value == other.value
@@ -185,8 +183,8 @@ class Bool(Lattice):
     def size_units(self) -> int:
         return 1 if self.value else 0
 
-    def size_bytes(self, model: "SizeModel") -> int:
-        return model.bool_bytes if self.value else 0
+    def size_bytes(self) -> int:
+        return sizes.BOOL_BYTES if self.value else 0
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Bool) and self.value == other.value

@@ -13,12 +13,9 @@ irreducibles with the other component at bottom::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from repro.lattice.base import Lattice
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sizes import SizeModel
 
 
 class PairLattice(Lattice):
@@ -67,8 +64,8 @@ class PairLattice(Lattice):
     def size_units(self) -> int:
         return self.first.size_units() + self.second.size_units()
 
-    def size_bytes(self, model: "SizeModel") -> int:
-        return self.first.size_bytes(model) + self.second.size_bytes(model)
+    def size_bytes(self) -> int:
+        return self.first.size_bytes() + self.second.size_bytes()
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -8,12 +8,10 @@ set difference.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, AbstractSet, Hashable, Iterable, Iterator
+from typing import AbstractSet, Hashable, Iterable, Iterator
 
+from repro import sizes
 from repro.lattice.base import Lattice
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sizes import SizeModel
 
 
 class SetLattice(Lattice):
@@ -63,13 +61,13 @@ class SetLattice(Lattice):
     def size_units(self) -> int:
         return len(self.elements)
 
-    def size_bytes(self, model: "SizeModel") -> int:
-        cached = self._bytes_cache
-        if cached is None or cached[0] is not model:
-            cached = (model, sum(model.sizeof(element) for element in self.elements))
-            # A memo, not a mutation: byte size is a pure function of (frozen elements, model).
-            object.__setattr__(self, "_bytes_cache", cached)
-        return cached[1]
+    def size_bytes(self) -> int:
+        nbytes = self._bytes_cache
+        if nbytes is None:
+            nbytes = sum(sizes.sizeof(element) for element in self.elements)
+            # A memo, not a mutation: byte size is a pure function of the frozen elements.
+            object.__setattr__(self, "_bytes_cache", nbytes)
+        return nbytes
 
     # ------------------------------------------------------------------
     # Set conveniences.

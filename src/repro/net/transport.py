@@ -82,7 +82,7 @@ class Transport(ABC):
 
     Args:
         config: The cluster configuration (topology, sync interval,
-            loss model, size model).
+            loss model).
         metrics: The shared collector that every transmitted message
             and memory sample is recorded into.
     """

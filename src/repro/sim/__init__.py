@@ -14,7 +14,6 @@ would, and measures the same quantities the paper measures:
   deterministic element-count proxy that is machine-independent.
 """
 
-from repro.sizes import SizeModel, DEFAULT_SIZE_MODEL
 from repro.sim.events import Event, EventQueue
 from repro.sim.topology import Topology, full_mesh, line, partial_mesh, ring, star, tree
 from repro.sim.metrics import MetricsCollector, NodeMetrics
@@ -22,8 +21,6 @@ from repro.sim.network import Cluster, ClusterConfig
 from repro.sim.runner import ExperimentResult, run_experiment
 
 __all__ = [
-    "SizeModel",
-    "DEFAULT_SIZE_MODEL",
     "Event",
     "EventQueue",
     "Topology",

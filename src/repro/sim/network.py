@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, 
 from repro.driver import ClusterDriver, Deployment, FreeRun, Stepped
 from repro.lattice.base import Lattice
 from repro.sim.metrics import MetricsCollector
-from repro.sizes import SizeModel, DEFAULT_SIZE_MODEL
 from repro.sim.topology import Topology
 from repro.sync.protocol import DeltaMutator, Send, Synchronizer
 
@@ -135,7 +134,6 @@ class ClusterConfig:
         latency_ms: One-way link latency; must be well below the
             interval (the paper's cluster had sub-millisecond LAN
             latency against a 1 s interval).
-        size_model: Byte accounting model.
         max_drain_rounds: Safety cap on synchronization-only rounds run
             after the workload ends while waiting for convergence.
     """
@@ -143,7 +141,6 @@ class ClusterConfig:
     topology: Topology
     sync_interval_ms: float = 1000.0
     latency_ms: float = 25.0
-    size_model: SizeModel = DEFAULT_SIZE_MODEL
     max_drain_rounds: int = 200
     #: Probability that any message is silently dropped in transit.
     #: The paper's Algorithm 1 assumes 0; the acked variant
@@ -164,10 +161,10 @@ class Cluster(ClusterDriver):
     """A set of replicas synchronizing over a topology.
 
     Args:
-        config: Simulation parameters (topology, interval, loss, sizes).
+        config: Simulation parameters (topology, interval, loss).
         factory: Synchronizer factory, called with keyword arguments
-            (``replica=``, ``neighbors=``, ``bottom=``, ``n_nodes=``,
-            ``size_model=``) for each node.
+            (``replica=``, ``neighbors=``, ``bottom=``, ``n_nodes=``)
+            for each node.
         bottom: The bottom element every replica starts from.
         transport: A :data:`~repro.driver.Deployment` other than
             ``Stepped.PROC`` (default ``Stepped.SIM``; ``"sim"`` and
@@ -229,7 +226,6 @@ class Cluster(ClusterDriver):
             neighbors=self.topology.neighbors(node),
             bottom=self._bottom,
             n_nodes=self.topology.n,
-            size_model=self.config.size_model,
         )
 
     # ------------------------------------------------------------------

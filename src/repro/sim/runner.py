@@ -16,7 +16,6 @@ from typing import Callable, Dict, Mapping, Sequence
 
 from repro.sim.metrics import MetricsCollector
 from repro.sim.network import Cluster, ClusterConfig
-from repro.sizes import SizeModel, DEFAULT_SIZE_MODEL
 from repro.sim.topology import Topology
 from repro.sync.protocol import Synchronizer
 from repro.workloads.base import Workload
@@ -86,7 +85,6 @@ def run_experiment(
     *,
     sync_interval_ms: float = 1000.0,
     latency_ms: float = 25.0,
-    size_model: SizeModel = DEFAULT_SIZE_MODEL,
     max_drain_rounds: int = 200,
 ) -> ExperimentResult:
     """Run one algorithm against one workload on one topology."""
@@ -94,7 +92,6 @@ def run_experiment(
         topology=topology,
         sync_interval_ms=sync_interval_ms,
         latency_ms=latency_ms,
-        size_model=size_model,
         max_drain_rounds=max_drain_rounds,
     )
     cluster = Cluster(config, factory, workload.bottom())

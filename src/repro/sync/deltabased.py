@@ -84,9 +84,9 @@ from __future__ import annotations
 
 from typing import Any, Collection, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro import sizes
 from repro.lattice.base import Lattice
 from repro.lattice.map_lattice import MapLattice
-from repro.sizes import SizeModel, DEFAULT_SIZE_MODEL
 from repro.sync.protocol import DeltaMutator, Message, Send, Synchronizer
 
 
@@ -148,9 +148,9 @@ class DeltaBuffer:
     def units(self) -> int:
         return sum(delta.size_units() for _, delta, _ in self)
 
-    def bytes(self, model: SizeModel) -> int:
+    def bytes(self) -> int:
         """Buffered δs plus the keys they are filed under (``None`` is free)."""
-        return sum(model.sizeof(key) + delta.size_bytes(model) for key, delta, _ in self)
+        return sum(sizes.sizeof(key) + delta.size_bytes() for key, delta, _ in self)
 
 
 class DeltaBased(Synchronizer):
@@ -176,12 +176,11 @@ class DeltaBased(Synchronizer):
         neighbors: Sequence[int],
         bottom: Lattice,
         n_nodes: int,
-        size_model: SizeModel = DEFAULT_SIZE_MODEL,
         *,
         bp: bool = False,
         rr: bool = False,
     ) -> None:
-        super().__init__(replica, neighbors, bottom, n_nodes, size_model)
+        super().__init__(replica, neighbors, bottom, n_nodes)
         self.bp = bp
         self.rr = rr
         #: Algorithm 1 line 5.  Classic mode simply ignores the origin
@@ -249,7 +248,7 @@ class DeltaBased(Synchronizer):
             payload=payload,
             payload_units=units,
             payload_bytes=payload_bytes,
-            metadata_bytes=seqs * self.size_model.int_bytes,
+            metadata_bytes=seqs * sizes.INT_BYTES,
             metadata_units=seqs,
         )
 
@@ -356,12 +355,12 @@ class DeltaBased(Synchronizer):
         return self.buffer.units()
 
     def buffer_bytes(self) -> int:
-        return self.buffer.bytes(self.size_model)
+        return self.buffer.bytes()
 
     def metadata_bytes(self) -> int:
         """Origin tags on buffer entries (BP) plus the channel's integers."""
-        tags = len(self.buffer) * self.size_model.id_bytes if self.bp else 0
-        return tags + self._channel_units() * self.size_model.int_bytes
+        tags = len(self.buffer) * sizes.ID_BYTES if self.bp else 0
+        return tags + self._channel_units() * sizes.INT_BYTES
 
     def metadata_units(self) -> int:
         """One entry per origin tag (BP) plus one per channel integer."""
@@ -401,14 +400,13 @@ class KeyedDeltaBased(DeltaBased):
         neighbors: Sequence[int],
         bottom: Lattice,
         n_nodes: int,
-        size_model: SizeModel = DEFAULT_SIZE_MODEL,
         *,
         bp: bool = False,
         rr: bool = False,
     ) -> None:
         if not isinstance(bottom, MapLattice):
             raise TypeError("KeyedDeltaBased replicates a MapLattice object store")
-        super().__init__(replica, neighbors, bottom, n_nodes, size_model, bp=bp, rr=rr)
+        super().__init__(replica, neighbors, bottom, n_nodes, bp=bp, rr=rr)
 
     def _split(self, delta: Lattice) -> Iterable[Tuple[Hashable, Lattice]]:
         return delta.items()
@@ -447,9 +445,8 @@ class DeltaBasedAcked(DeltaBased):
         neighbors: Sequence[int],
         bottom: Lattice,
         n_nodes: int,
-        size_model: SizeModel = DEFAULT_SIZE_MODEL,
     ) -> None:
-        super().__init__(replica, neighbors, bottom, n_nodes, size_model, bp=True, rr=True)
+        super().__init__(replica, neighbors, bottom, n_nodes, bp=True, rr=True)
         #: Per-neighbour acknowledged sequence numbers.
         self.acked: Dict[int, Set[int]] = {j: set() for j in self.neighbors}
 
@@ -462,7 +459,7 @@ class DeltaBasedAcked(DeltaBased):
                 payload=tuple(covered),
                 payload_units=0,
                 payload_bytes=0,
-                metadata_bytes=len(covered) * self.size_model.int_bytes,
+                metadata_bytes=len(covered) * sizes.INT_BYTES,
                 metadata_units=len(covered),
             )
             return [Send(dst=src, message=ack)]
@@ -520,9 +517,8 @@ def _factories(cls):
             neighbors: Sequence[int],
             bottom: Lattice,
             n_nodes: int,
-            size_model: SizeModel = DEFAULT_SIZE_MODEL,
         ):
-            return cls(replica, neighbors, bottom, n_nodes, size_model, bp=bp, rr=rr)
+            return cls(replica, neighbors, bottom, n_nodes, bp=bp, rr=rr)
 
         factory.__name__ = label.replace("-", "_")
         factory.name = label  # type: ignore[attr-defined]

@@ -36,7 +36,6 @@ from typing import Dict, FrozenSet, Hashable, Optional, Tuple
 
 from repro.lattice.base import Lattice, join_all
 from repro.lattice.map_lattice import MapLattice
-from repro.sizes import SizeModel, DEFAULT_SIZE_MODEL
 
 #: Bytes per digest fingerprint.
 FINGERPRINT_BYTES = 8
@@ -291,25 +290,21 @@ class DigestExchange:
     converged_state: Lattice
 
 
-def full_state_sync(
-    state_a: Lattice, state_b: Lattice, model: SizeModel = DEFAULT_SIZE_MODEL
-) -> DigestExchange:
+def full_state_sync(state_a: Lattice, state_b: Lattice) -> DigestExchange:
     """Baseline: bidirectional full-state exchange (2 full states)."""
     joined = state_a.join(state_b)
-    traffic = state_a.size_bytes(model) + state_b.size_bytes(model)
+    traffic = state_a.size_bytes() + state_b.size_bytes()
     return DigestExchange("full", messages=2, bytes_sent=traffic, converged_state=joined)
 
 
-def state_driven_sync(
-    state_a: Lattice, state_b: Lattice, model: SizeModel = DEFAULT_SIZE_MODEL
-) -> DigestExchange:
+def state_driven_sync(state_a: Lattice, state_b: Lattice) -> DigestExchange:
     """A ships its state; B replies with the optimal missing delta."""
     # Message 1: A → B, full state.
-    first = state_a.size_bytes(model)
+    first = state_a.size_bytes()
     b_after = state_b.join(state_a)
     # Message 2: B → A, ∆(x_B, x_A) — exactly what A lacks.
     back = state_b.delta(state_a)
-    second = back.size_bytes(model)
+    second = back.size_bytes()
     a_after = state_a.join(back)
     assert a_after == b_after, "state-driven sync must converge"
     return DigestExchange(
@@ -317,9 +312,7 @@ def state_driven_sync(
     )
 
 
-def digest_driven_sync(
-    state_a: Lattice, state_b: Lattice, model: SizeModel = DEFAULT_SIZE_MODEL
-) -> DigestExchange:
+def digest_driven_sync(state_a: Lattice, state_b: Lattice) -> DigestExchange:
     """Three-way sync where no message carries a full state."""
     # Message 1: A → B, digest of A.
     digest_a = digest_of(state_a)
@@ -327,11 +320,11 @@ def digest_driven_sync(
     # Message 2: B → A, B's digest plus the delta A misses, from one
     # pass over B's decomposition.
     digest_b, delta_for_a = digest_and_missing(state_b, digest_a)
-    second = delta_for_a.size_bytes(model) + len(digest_b) * FINGERPRINT_BYTES
+    second = delta_for_a.size_bytes() + len(digest_b) * FINGERPRINT_BYTES
     a_after = state_a.join(delta_for_a)
     # Message 3: A → B, the delta B misses.
     delta_for_b = delta_against_digest(state_a, digest_b)
-    third = delta_for_b.size_bytes(model)
+    third = delta_for_b.size_bytes()
     b_after = state_b.join(delta_for_b)
     assert a_after == b_after, "digest-driven sync must converge"
     return DigestExchange(

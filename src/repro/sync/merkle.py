@@ -39,7 +39,6 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.codec import decode, encode
 from repro.lattice.base import Lattice
-from repro.sizes import SizeModel, DEFAULT_SIZE_MODEL
 from repro.sync.protocol import DeltaMutator, Message, Send, Synchronizer
 
 #: Children per trie node: one hex nibble of the leaf hash.
@@ -118,9 +117,8 @@ class MerkleSync(Synchronizer):
         neighbors: Sequence[int],
         bottom: Lattice,
         n_nodes: int,
-        size_model: SizeModel = DEFAULT_SIZE_MODEL,
     ) -> None:
-        super().__init__(replica, neighbors, bottom, n_nodes, size_model)
+        super().__init__(replica, neighbors, bottom, n_nodes)
         #: Hash invocations performed; the related-work CPU proxy.
         self.hash_operations = 0
 

@@ -30,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set, Tuple
 
+from repro import sizes
 from repro.lattice.base import Lattice
-from repro.sizes import SizeModel, DEFAULT_SIZE_MODEL
 from repro.sync.protocol import DeltaMutator, Message, Send, Synchronizer
 
 #: Operation identity: (origin replica, per-origin sequence number).
@@ -79,9 +79,8 @@ class OpBased(Synchronizer):
         neighbors: Sequence[int],
         bottom: Lattice,
         n_nodes: int,
-        size_model: SizeModel = DEFAULT_SIZE_MODEL,
     ) -> None:
-        super().__init__(replica, neighbors, bottom, n_nodes, size_model)
+        super().__init__(replica, neighbors, bottom, n_nodes)
         #: Per-origin count of causally delivered operations.
         self.delivered: Dict[int, int] = {}
         #: Transmission buffer: op id → buffered envelope.
@@ -126,7 +125,7 @@ class OpBased(Synchronizer):
             if not outgoing:
                 continue
             units = sum(env.payload.size_units() for env in outgoing)
-            payload_bytes = sum(env.payload.size_bytes(self.size_model) for env in outgoing)
+            payload_bytes = sum(env.payload.size_bytes() for env in outgoing)
             metadata = sum(self._envelope_metadata_bytes(env) for env in outgoing)
             metadata_units = sum(1 + len(env.clock) for env in outgoing)
             sends.append(
@@ -221,13 +220,13 @@ class OpBased(Synchronizer):
         return self._buffer_units + waiting
 
     def buffer_bytes(self) -> int:
-        waiting = sum(env.payload.size_bytes(self.size_model) for _, env in self.pending)
+        waiting = sum(env.payload.size_bytes() for _, env in self.pending)
         return self._buffer_bytes + waiting
 
     def metadata_bytes(self) -> int:
         """Vector clocks on buffered/pending ops plus the delivered vector."""
         waiting = sum(self._envelope_metadata_bytes(env) for _, env in self.pending)
-        delivered_vector = self.size_model.vector_bytes(len(self.delivered))
+        delivered_vector = sizes.vector_bytes(len(self.delivered))
         return self._buffer_meta_bytes + waiting + delivered_vector
 
     def metadata_units(self) -> int:
@@ -241,7 +240,7 @@ class OpBased(Synchronizer):
         assert envelope.op_id not in self.buffer, "op ids are unique"
         self.buffer[envelope.op_id] = _BufferedOp(envelope, seen_by=seen_by)
         self._buffer_units += envelope.payload.size_units()
-        self._buffer_bytes += envelope.payload.size_bytes(self.size_model)
+        self._buffer_bytes += envelope.payload.size_bytes()
         self._buffer_meta_bytes += self._envelope_metadata_bytes(envelope)
         self._buffer_meta_units += 1 + len(envelope.clock)
 
@@ -250,11 +249,11 @@ class OpBased(Synchronizer):
         buffered = self.buffer.pop(op_id)
         envelope = buffered.envelope
         self._buffer_units -= envelope.payload.size_units()
-        self._buffer_bytes -= envelope.payload.size_bytes(self.size_model)
+        self._buffer_bytes -= envelope.payload.size_bytes()
         self._buffer_meta_bytes -= self._envelope_metadata_bytes(envelope)
         self._buffer_meta_units -= 1 + len(envelope.clock)
 
     def _envelope_metadata_bytes(self, envelope: OpEnvelope) -> int:
-        op_id = self.size_model.id_bytes + self.size_model.int_bytes
-        clock = self.size_model.vector_bytes(len(envelope.clock))
+        op_id = sizes.ID_BYTES + sizes.INT_BYTES
+        clock = sizes.vector_bytes(len(envelope.clock))
         return op_id + clock

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, ClassVar, List, Optional, Sequence
 
 from repro.lattice.base import Lattice
-from repro.sizes import SizeModel, DEFAULT_SIZE_MODEL
 
 #: A δ-mutator closure: current state → optimal delta to join in.
 #:
@@ -59,7 +58,7 @@ class Message:
         payload: Protocol-specific content.
         payload_units: Payload size in the paper's unit metric (set
             elements / map entries); metadata does not count.
-        payload_bytes: Payload size in bytes under the size model.
+        payload_bytes: Payload size in bytes (:mod:`repro.sizes`).
         metadata_bytes: Synchronization metadata in bytes — version
             vectors, version keys, sequence numbers, knowledge matrices.
         metadata_units: The same metadata in the paper's entry metric
@@ -116,7 +115,9 @@ class Synchronizer(ABC):
             initial state of every replica.
         n_nodes: Total number of replicas (vector-based protocols size
             their metadata with it).
-        size_model: Byte-size model for payload/metadata accounting.
+
+    Payload and metadata bytes are counted in the paper's per-atom
+    sizes, the constants of :mod:`repro.sizes`.
     """
 
     name: ClassVar[str] = "abstract"
@@ -127,7 +128,6 @@ class Synchronizer(ABC):
         neighbors: Sequence[int],
         bottom: Lattice,
         n_nodes: int,
-        size_model: SizeModel = DEFAULT_SIZE_MODEL,
     ) -> None:
         self.replica = replica
         self.neighbors = tuple(neighbors)
@@ -135,7 +135,6 @@ class Synchronizer(ABC):
         self.state = bottom
         self.bottom = bottom
         self.n_nodes = n_nodes
-        self.size_model = size_model
 
     @property
     def state(self) -> Lattice:
@@ -202,7 +201,7 @@ class Synchronizer(ABC):
 
     def state_bytes(self) -> int:
         """CRDT state size in bytes."""
-        return self._state.size_bytes(self.size_model)
+        return self._state.size_bytes()
 
     @abstractmethod
     def buffer_units(self) -> int:
@@ -237,8 +236,8 @@ class Synchronizer(ABC):
     # ------------------------------------------------------------------
 
     def _payload_sizes(self, value: Lattice) -> tuple[int, int]:
-        """(units, bytes) of a lattice payload under the size model."""
-        return value.size_units(), value.size_bytes(self.size_model)
+        """(units, bytes) of a lattice payload."""
+        return value.size_units(), value.size_bytes()
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(replica={self.replica})"
@@ -247,7 +246,7 @@ class Synchronizer(ABC):
 #: A callable building a synchronizer for one node of a cluster.
 #:
 #: Factories are invoked with keyword arguments — ``replica=``,
-#: ``neighbors=``, ``bottom=``, ``n_nodes=``, ``size_model=`` — so a
-#: runtime-built replica can never silently transpose positional
-#: arguments; every factory must use exactly these parameter names.
-SynchronizerFactory = Callable[[int, Sequence[int], Lattice, int, SizeModel], Synchronizer]
+#: ``neighbors=``, ``bottom=``, ``n_nodes=`` — so a runtime-built
+#: replica can never silently transpose positional arguments; every
+#: factory must use exactly these parameter names.
+SynchronizerFactory = Callable[[int, Sequence[int], Lattice, int], Synchronizer]

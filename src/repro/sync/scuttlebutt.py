@@ -32,8 +32,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro import sizes
 from repro.lattice.base import Lattice
-from repro.sizes import SizeModel, DEFAULT_SIZE_MODEL
 from repro.sync.protocol import DeltaMutator, Message, Send, Synchronizer
 
 #: A delta's identity: (origin replica, per-origin sequence number).
@@ -51,9 +51,8 @@ class Scuttlebutt(Synchronizer):
         neighbors: Sequence[int],
         bottom: Lattice,
         n_nodes: int,
-        size_model: SizeModel = DEFAULT_SIZE_MODEL,
     ) -> None:
-        super().__init__(replica, neighbors, bottom, n_nodes, size_model)
+        super().__init__(replica, neighbors, bottom, n_nodes)
         #: The delta key-value store: version → delta.
         self.store: Dict[Version, Lattice] = {}
         #: Knowledge summary: origin → highest (gap-free) seq known.
@@ -87,7 +86,7 @@ class Scuttlebutt(Synchronizer):
             payload=dict(self.vector),
             payload_units=0,
             payload_bytes=0,
-            metadata_bytes=self._vector_bytes(self.vector),
+            metadata_bytes=sizes.vector_bytes(len(self.vector)),
             metadata_units=len(self.vector),
         )
         return [Send(dst=neighbor, message=message) for neighbor in self.neighbors]
@@ -115,8 +114,8 @@ class Scuttlebutt(Synchronizer):
         if not missing:
             return []
         units = sum(delta.size_units() for _, delta in missing)
-        payload_bytes = sum(delta.size_bytes(self.size_model) for _, delta in missing)
-        version_keys = len(missing) * (self.size_model.id_bytes + self.size_model.int_bytes)
+        payload_bytes = sum(delta.size_bytes() for _, delta in missing)
+        version_keys = len(missing) * (sizes.ID_BYTES + sizes.INT_BYTES)
         message = Message(
             kind="deltas",
             payload=missing,
@@ -188,28 +187,25 @@ class Scuttlebutt(Synchronizer):
         previous = self.store.get(version)
         if previous is not None:  # pragma: no cover - versions are unique
             self._store_units -= previous.size_units()
-            self._store_bytes -= previous.size_bytes(self.size_model)
+            self._store_bytes -= previous.size_bytes()
         self.store[version] = delta
         self._store_units += delta.size_units()
-        self._store_bytes += delta.size_bytes(self.size_model)
+        self._store_bytes += delta.size_bytes()
 
     def _store_del(self, version: Version) -> None:
         """Remove a delta, keeping the incremental size counters exact."""
         delta = self.store.pop(version)
         self._store_units -= delta.size_units()
-        self._store_bytes -= delta.size_bytes(self.size_model)
+        self._store_bytes -= delta.size_bytes()
 
     def metadata_bytes(self) -> int:
         """Version keys on stored deltas plus the summary vector."""
-        version_keys = len(self.store) * (self.size_model.id_bytes + self.size_model.int_bytes)
-        return version_keys + self._vector_bytes(self.vector)
+        version_keys = len(self.store) * (sizes.ID_BYTES + sizes.INT_BYTES)
+        return version_keys + sizes.vector_bytes(len(self.vector))
 
     def metadata_units(self) -> int:
         """One entry per stored version key plus the summary vector."""
         return len(self.store) + len(self.vector)
-
-    def _vector_bytes(self, vector: Dict[int, int]) -> int:
-        return self.size_model.vector_bytes(len(vector))
 
 
 class ScuttlebuttGC(Scuttlebutt):
@@ -229,9 +225,8 @@ class ScuttlebuttGC(Scuttlebutt):
         neighbors: Sequence[int],
         bottom: Lattice,
         n_nodes: int,
-        size_model: SizeModel = DEFAULT_SIZE_MODEL,
     ) -> None:
-        super().__init__(replica, neighbors, bottom, n_nodes, size_model)
+        super().__init__(replica, neighbors, bottom, n_nodes)
         #: What we believe each node has seen: node → summary vector.
         self.knowledge: Dict[int, Dict[int, int]] = {node: {} for node in range(n_nodes)}
 
@@ -244,8 +239,8 @@ class ScuttlebuttGC(Scuttlebutt):
             payload={"vector": dict(self.vector), "knowledge": matrix},
             payload_units=0,
             payload_bytes=0,
-            metadata_bytes=self._vector_bytes(self.vector)
-            + self.size_model.vector_bytes(matrix_entries),
+            metadata_bytes=sizes.vector_bytes(len(self.vector))
+            + sizes.vector_bytes(matrix_entries),
             metadata_units=len(self.vector) + matrix_entries,
         )
         return [Send(dst=neighbor, message=message) for neighbor in self.neighbors]
@@ -286,7 +281,7 @@ class ScuttlebuttGC(Scuttlebutt):
 
     def metadata_bytes(self) -> int:
         matrix_entries = sum(len(vector) for vector in self.knowledge.values())
-        return super().metadata_bytes() + self.size_model.vector_bytes(matrix_entries)
+        return super().metadata_bytes() + sizes.vector_bytes(matrix_entries)
 
     def metadata_units(self) -> int:
         matrix_entries = sum(len(vector) for vector in self.knowledge.values())

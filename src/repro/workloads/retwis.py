@@ -128,6 +128,8 @@ class RetwisWorkload(Workload):
         super().__init__(n_nodes, rounds)
         if users < 2:
             raise ValueError("Retwis needs at least two users")
+        if ops_per_node < 0:
+            raise ValueError(f"ops_per_node must be non-negative, got {ops_per_node}")
         self.users = users
         self.ops_per_node = ops_per_node
         self.zipf_coefficient = zipf_coefficient

@@ -1,4 +1,4 @@
-"""Shared fixtures and hypothesis strategies for lattice values.
+"""Shared hypothesis strategies for lattice values.
 
 The strategies build arbitrary values of every lattice construct in the
 library, letting property tests assert the join-semilattice laws, the
@@ -11,7 +11,6 @@ can be joined.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import strategies as st
 
 from repro.lattice import (
@@ -25,7 +24,6 @@ from repro.lattice import (
     PairLattice,
     SetLattice,
 )
-from repro.sizes import SizeModel
 
 # ---------------------------------------------------------------------------
 # Primitive strategies.
@@ -80,14 +78,8 @@ any_lattice_family = st.sampled_from(sorted(ALL_LATTICE_STRATEGIES))
 
 
 # ---------------------------------------------------------------------------
-# Fixtures.
+# Hooks.
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture
-def size_model() -> SizeModel:
-    """The paper's byte-size constants."""
-    return SizeModel()
 
 
 def pytest_make_parametrize_id(config, val, argname):

@@ -9,8 +9,8 @@ dots would.
 
 from hypothesis import given, strategies as st
 
+from repro import sizes
 from repro.causal import CausalContext, Dot
-from repro.sizes import SizeModel
 
 REPLICAS = ["A", "B", "C"]
 
@@ -145,11 +145,10 @@ def test_union_laws(x, y, z):
 
 
 def test_size_counts_vector_entries_and_cloud_dots():
-    model = SizeModel()
     cc = CausalContext.from_dots([Dot("A", 1), Dot("A", 2), Dot("B", 3)])
     # A compacts to one vector entry; B3 stays in the cloud.
     assert cc.size_units() == 2
-    assert cc.size_bytes(model) == 2 * model.vector_entry_bytes()
+    assert cc.size_bytes() == 2 * sizes.VECTOR_ENTRY_BYTES
 
 
 def test_empty_context_is_free():

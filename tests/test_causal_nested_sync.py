@@ -69,8 +69,8 @@ def test_ormap_protocols_agree_on_final_state():
 
 
 def test_ormap_survives_lossy_channels_with_acked_deltas():
-    def factory(replica, neighbors, bottom, n_nodes, size_model):
-        return DeltaBasedAcked(replica, neighbors, bottom, n_nodes, size_model)
+    def factory(replica, neighbors, bottom, n_nodes):
+        return DeltaBasedAcked(replica, neighbors, bottom, n_nodes)
 
     cluster = ormap_cluster(factory, partial_mesh(8, 4), loss_rate=0.25)
     assert cluster.converged()

@@ -10,9 +10,9 @@ cover their composition.
 
 import pytest
 
+from repro import sizes
 from repro.causal import Atom, CausalContext, Dot, DotFun, DotMap, DotSet
 from repro.lattice.primitives import MaxInt
-from repro.sizes import SizeModel
 
 A1, A2, B1, B2 = Dot("A", 1), Dot("A", 2), Dot("B", 1), Dot("B", 2)
 
@@ -68,9 +68,8 @@ class TestDotSet:
         assert DotSet().leq_live(DotSet([A1]), ctx())
 
     def test_size_accounting(self):
-        model = SizeModel()
         assert DotSet([A1, B1]).size_units() == 2
-        assert DotSet([A1]).size_bytes(model) == model.vector_entry_bytes()
+        assert DotSet([A1]).size_bytes() == sizes.VECTOR_ENTRY_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +137,9 @@ class TestDotFun:
         assert left.join(right, ctx(A1), ctx(A1)).get(A1) == Atom("v")
 
     def test_size_accounting_includes_values(self):
-        model = SizeModel()
         store = DotFun({A1: Atom("xyz")})
         assert store.size_units() == 1
-        assert store.size_bytes(model) == model.vector_entry_bytes() + 3
+        assert store.size_bytes() == sizes.VECTOR_ENTRY_BYTES + 3
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +194,6 @@ class TestDotMap:
         assert nested.dots() == {A1, B2}
 
     def test_size_accounting_includes_keys(self):
-        model = SizeModel()
         store = DotMap({"xy": DotSet([A1])})
         assert store.size_units() == 1
-        assert store.size_bytes(model) == 2 + model.vector_entry_bytes()
+        assert store.size_bytes() == 2 + sizes.VECTOR_ENTRY_BYTES

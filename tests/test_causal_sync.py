@@ -180,8 +180,8 @@ def test_classic_tracks_state_based_on_mesh():
 
 
 def test_acked_delta_sync_converges_under_loss():
-    def factory(replica, neighbors, bottom, n_nodes, size_model):
-        return DeltaBasedAcked(replica, neighbors, bottom, n_nodes, size_model)
+    def factory(replica, neighbors, bottom, n_nodes):
+        return DeltaBasedAcked(replica, neighbors, bottom, n_nodes)
 
     topology = partial_mesh(8, 4)
     cluster = run_awset_churn(factory, topology, rounds=6, loss_rate=0.2)

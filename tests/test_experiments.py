@@ -356,6 +356,11 @@ class TestConfigsRefuseIllegalShapes:
             (RetwisSweepConfig, "coefficients", "1.0,-1", "Zipf coefficient must be non-negative"),
             (KVSweepConfig, "ops_per_node", "0", "ops_per_node must be positive"),
             (KVSweepConfig, "rounds", "0", "ops_per_node must be positive"),
+            (MicroConfig, "rounds", "0", "rounds must be positive"),
+            (Figure9Config, "rounds", "0", "rounds must be positive"),
+            (RetwisSweepConfig, "rounds", "0", "rounds must be positive"),
+            (RetwisSweepConfig, "ops_per_node", "0", "ops_per_node must be positive"),
+            (RetwisSweepConfig, "ops_per_node", "-3", "ops_per_node must be non-negative"),
         ],
     )
     def test_shapes_the_run_would_crash_on(self, config, field, value, reason):

@@ -26,7 +26,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.codec import decode_message, frame_message
 from repro.lattice import MapLattice, SetLattice
-from repro.sizes import SizeModel
 from repro.sync import DeltaBased, DeltaBasedAcked, KeyedDeltaBased
 from repro.sync.digest import (
     IncrementalDigest,
@@ -37,8 +36,6 @@ from repro.sync.digest import (
 from repro.sync.protocol import Message
 
 from conftest import ALL_LATTICE_STRATEGIES
-
-MODEL = SizeModel()
 
 
 def values_from(family: str, *, min_size=1, max_size=8):
@@ -216,7 +213,7 @@ def test_delta_sync_frames_never_stale(script):
     nodes = {
         r: DeltaBased(
             r, [n for n in range(3) if n != r], SetLattice(),
-            n_nodes=3, size_model=MODEL, bp=True, rr=True,
+            n_nodes=3, bp=True, rr=True,
         )
         for r in range(3)
     }
@@ -254,7 +251,7 @@ def test_keyed_sync_frames_never_stale_across_absorb(script):
     nodes = {
         r: KeyedDeltaBased(
             r, [n for n in range(3) if n != r], MapLattice(),
-            n_nodes=3, size_model=MODEL, bp=True, rr=True,
+            n_nodes=3, bp=True, rr=True,
         )
         for r in range(3)
     }
@@ -292,14 +289,14 @@ def gset_add(element):
 
 class TestSharedMessageFanOut:
     def test_untagged_neighbours_share_one_message_object(self):
-        a = DeltaBased(0, [1, 2, 3], SetLattice(), n_nodes=4, size_model=MODEL)
+        a = DeltaBased(0, [1, 2, 3], SetLattice(), n_nodes=4)
         a.local_update(gset_add("x"))
         sends = a.sync_messages()
         assert len(sends) == 3
         assert len({id(send.message) for send in sends}) == 1
 
     def test_bp_gives_the_tagged_neighbour_a_private_message(self):
-        a = DeltaBased(0, [1, 2, 3], SetLattice(), n_nodes=4, size_model=MODEL, bp=True)
+        a = DeltaBased(0, [1, 2, 3], SetLattice(), n_nodes=4, bp=True)
         a.handle_message(1, _delta_message(SetLattice({"from1"})))
         a.local_update(gset_add("mine"))
         by_dst = {send.dst: send.message for send in a.sync_messages()}
@@ -312,7 +309,7 @@ class TestSharedMessageFanOut:
 
     def test_keyed_untagged_neighbours_share_one_bundle(self):
         a = KeyedDeltaBased(
-            0, [1, 2, 3], MapLattice(), n_nodes=4, size_model=MODEL, bp=True, rr=True
+            0, [1, 2, 3], MapLattice(), n_nodes=4, bp=True, rr=True
         )
         a.local_update(lambda state: MapLattice({"k": SetLattice({"v"})}))
         sends = a.sync_messages()
@@ -321,7 +318,7 @@ class TestSharedMessageFanOut:
 
     def test_keyed_bp_excludes_the_origin_from_its_own_reflection(self):
         a = KeyedDeltaBased(
-            0, [1, 2], MapLattice(), n_nodes=3, size_model=MODEL, bp=True, rr=True
+            0, [1, 2], MapLattice(), n_nodes=3, bp=True, rr=True
         )
         a.handle_message(1, _keyed_message(MapLattice({"k": SetLattice({"theirs"})})))
         a.local_update(lambda state: MapLattice({"j": SetLattice({"ours"})}))
@@ -332,7 +329,7 @@ class TestSharedMessageFanOut:
         )
 
     def test_acked_neighbours_owed_the_same_entries_share_one_message(self):
-        a = DeltaBasedAcked(0, [1, 2, 3], SetLattice(), n_nodes=4, size_model=MODEL)
+        a = DeltaBasedAcked(0, [1, 2, 3], SetLattice(), n_nodes=4)
         a.local_update(gset_add("x"))
         sends = a.sync_messages()
         assert len(sends) == 3
@@ -351,14 +348,14 @@ class TestSharedMessageFanOut:
 
 def _delta_message(payload):
     """``payload`` as a δ-group message, built by a real sender."""
-    sender = DeltaBased(9, [0], SetLattice(), n_nodes=10, size_model=MODEL)
+    sender = DeltaBased(9, [0], SetLattice(), n_nodes=10)
     sender.local_update(lambda state: payload)
     [send] = sender.sync_messages()
     return send.message
 
 
 def _keyed_message(payload):
-    sender = KeyedDeltaBased(9, [0], MapLattice(), n_nodes=10, size_model=MODEL)
+    sender = KeyedDeltaBased(9, [0], MapLattice(), n_nodes=10)
     sender.local_update(lambda state: payload)
     [send] = sender.sync_messages()
     return send.message

@@ -306,7 +306,7 @@ class TestHandoffProtocol:
         complete — no segment bytes cross the wire."""
         store = make_store(shards=4)
         shard = next(iter(store.shards))
-        offer = _offer_message(store.shards[shard], store.size_model)
+        offer = _offer_message(store.shards[shard])
         reply = only_reply(store.handle_message(1, batch((shard, offer))))
         assert reply.kind == "kv-handoff-ack"
         complete, root = reply.payload

@@ -443,7 +443,6 @@ class TestDigestExchangeReadsTheIndex:
         b.update("aws:w", "add", "yb")
         state_a, state_b = a.shards[0].state, b.shards[0].state
         digest_a, digest_b = digest_of(state_a), digest_of(state_b)
-        model = a.size_model
 
         probe = self.probe_from(a)
         assert (probe.kind, probe.payload) == ("kv-digest", root_of(digest_a))
@@ -456,7 +455,7 @@ class TestDigestExchangeReadsTheIndex:
         repair = exchange_step(a, 1, diff)
         for_b = delta_against_digest(state_a, digest_b)
         assert (repair.kind, repair.payload) == ("kv-repair", (for_b, digest_a))
-        assert repair.payload_bytes == for_b.size_bytes(model)
+        assert repair.payload_bytes == for_b.size_bytes()
         assert repair.payload_units == for_b.size_units()
         assert repair.metadata_bytes == len(digest_a) * FINGERPRINT_BYTES
         # A wholly lacking value travels as the object the shard holds.
@@ -465,7 +464,7 @@ class TestDigestExchangeReadsTheIndex:
         back = exchange_step(b, 0, repair)
         for_a = delta_against_digest(state_b.join(for_b), digest_a)
         assert (back.kind, back.payload) == ("kv-repair", (for_a, None))
-        assert back.payload_bytes == for_a.size_bytes(model)
+        assert back.payload_bytes == for_a.size_bytes()
         assert back.metadata_bytes == 0
 
         assert exchange_step(a, 1, back) is None

@@ -21,17 +21,14 @@ from repro.codec import encode
 from repro.crdt import BCounter, Crdt
 from repro.kv.types import DEFAULT_PREFIXES, TYPE_REGISTRY
 from repro.lattice import MapLattice, MaxElements, MaxInt
-from repro.sizes import SizeModel
 from repro.sync import StateBased, keyed_bp_rr
-
-MODEL = SizeModel()
 
 
 def make_store(replica=0, n=4, replication=2, inner=keyed_bp_rr, **kwargs):
     ring = HashRing(range(n), replication=replication, n_shards=8)
     factory = kv_store_factory(ring, inner, **kwargs)
     neighbors = [i for i in range(n) if i != replica]
-    return ring, factory(replica, neighbors, MapLattice(), n, MODEL)
+    return ring, factory(replica, neighbors, MapLattice(), n)
 
 
 class TestSchema:
@@ -401,13 +398,13 @@ class TestStoreAsSynchronizer:
         ring = HashRing(range(2), replication=2, n_shards=4)
         factory = kv_store_factory(ring, keyed_bp_rr)
         with pytest.raises(TypeError, match="empty MapLattice"):
-            factory(0, [1], MapLattice({"k": MaxInt(1)}), 2, MODEL)
+            factory(0, [1], MapLattice({"k": MaxInt(1)}), 2)
 
     def test_disconnected_replica_group_rejected(self):
         ring = HashRing(range(3), replication=3, n_shards=2)
         factory = kv_store_factory(ring, keyed_bp_rr)
         with pytest.raises(ValueError, match="cannot reach co-owners"):
-            factory(0, [1], MapLattice(), 3, MODEL)  # replica 2 unreachable
+            factory(0, [1], MapLattice(), 3)  # replica 2 unreachable
 
     def test_memory_accounting_sums_shards(self):
         _, store = make_store(replica=0, n=2, replication=2)

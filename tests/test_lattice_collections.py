@@ -1,7 +1,7 @@
 """Unit tests for SetLattice, MapLattice, and MaxElements."""
 
+from repro import sizes
 from repro.lattice import MapLattice, MaxElements, MaxInt, SetLattice
-from repro.sizes import SizeModel
 
 
 class TestSetLattice:
@@ -48,8 +48,8 @@ class TestSetLattice:
     def test_size_units_counts_elements(self):
         assert SetLattice({"a", "b"}).size_units() == 2
 
-    def test_size_bytes_sums_elements(self, size_model):
-        assert SetLattice({"ab", "cde"}).size_bytes(size_model) == 5
+    def test_size_bytes_sums_elements(self):
+        assert SetLattice({"ab", "cde"}).size_bytes() == 5
 
     def test_value_query(self):
         assert SetLattice({"a"}).value() == frozenset({"a"})
@@ -108,9 +108,9 @@ class TestMapLattice:
         m = MapLattice({"x": SetLattice({"a", "b"}), "y": SetLattice({"c"})})
         assert m.size_units() == 3
 
-    def test_size_bytes_counts_keys_and_values(self, size_model):
+    def test_size_bytes_counts_keys_and_values(self):
         m = MapLattice({"ab": MaxInt(1)})
-        assert m.size_bytes(size_model) == 2 + size_model.int_bytes
+        assert m.size_bytes() == 2 + sizes.INT_BYTES
 
     def test_container_protocol(self):
         m = MapLattice({"x": MaxInt(1)})
@@ -166,7 +166,7 @@ class TestMaxElements:
         theirs = MaxElements({4}, dominates=_divides)
         assert sorted(mine.delta(theirs).elements) == [3]
 
-    def test_size_accounting(self, size_model):
+    def test_size_accounting(self):
         m = MaxElements({3, 4}, dominates=_divides)
         assert m.size_units() == 2
-        assert m.size_bytes(size_model) == 2 * size_model.int_bytes
+        assert m.size_bytes() == 2 * sizes.INT_BYTES

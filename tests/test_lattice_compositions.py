@@ -7,6 +7,7 @@ which is the form this library implements.
 
 import pytest
 
+from repro import sizes
 from repro.lattice import (
     Bool,
     LexPair,
@@ -47,10 +48,10 @@ class TestPairLattice:
         q = PairLattice(MaxInt(9), SetLattice({"b"}))
         assert p.delta(q) == PairLattice(MaxInt(0), SetLattice({"a"}))
 
-    def test_size_accounting(self, size_model):
+    def test_size_accounting(self):
         p = PairLattice(MaxInt(5), SetLattice({"ab"}))
         assert p.size_units() == 2
-        assert p.size_bytes(size_model) == size_model.int_bytes + 2
+        assert p.size_bytes() == sizes.INT_BYTES + 2
 
 
 class TestLexPair:

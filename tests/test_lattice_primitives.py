@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro import sizes
 from repro.lattice import Bool, Chain, MaxInt
-from repro.sizes import SizeModel
 
 
 class TestMaxInt:
@@ -53,9 +53,8 @@ class TestMaxInt:
         assert MaxInt(42).size_units() == 1
 
     def test_size_bytes(self):
-        model = SizeModel()
-        assert MaxInt(0).size_bytes(model) == 0
-        assert MaxInt(42).size_bytes(model) == model.int_bytes
+        assert MaxInt(0).size_bytes() == 0
+        assert MaxInt(42).size_bytes() == sizes.INT_BYTES
 
     def test_hash_consistency(self):
         assert hash(MaxInt(5)) == hash(MaxInt(5))
@@ -92,9 +91,9 @@ class TestChain:
         assert Chain(5, bottom=0).delta(Chain(2, bottom=0)) == Chain(5, bottom=0)
         assert Chain(2, bottom=0).delta(Chain(5, bottom=0)).is_bottom
 
-    def test_size_bytes_uses_value(self, size_model):
-        assert Chain("abcd", bottom="").size_bytes(size_model) == 4
-        assert Chain("", bottom="").size_bytes(size_model) == 0
+    def test_size_bytes_uses_value(self):
+        assert Chain("abcd", bottom="").size_bytes() == 4
+        assert Chain("", bottom="").size_bytes() == 0
 
 
 class TestBool:
@@ -119,7 +118,7 @@ class TestBool:
         assert Bool(True).delta(Bool(False)) == Bool(True)
         assert Bool(True).delta(Bool(True)) == Bool(False)
 
-    def test_size(self, size_model):
+    def test_size(self):
         assert Bool(False).size_units() == 0
         assert Bool(True).size_units() == 1
-        assert Bool(True).size_bytes(size_model) == size_model.bool_bytes
+        assert Bool(True).size_bytes() == sizes.BOOL_BYTES

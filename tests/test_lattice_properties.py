@@ -10,11 +10,8 @@ delta ``∆`` — the foundation the RR optimization rests on.
 from hypothesis import given, settings, strategies as st
 
 from repro.lattice import is_irredundant_decomposition, is_join_irreducible, join_all
-from repro.sizes import SizeModel
 
 from conftest import ALL_LATTICE_STRATEGIES
-
-MODEL = SizeModel()
 
 
 def pairs_from(family: str):
@@ -227,8 +224,8 @@ def test_size_units_equals_decomposition_size_for_flat_types(case):
 @given(family_and_value)
 def test_size_bytes_non_negative_and_bottom_free(case):
     _, x = case
-    assert x.size_bytes(MODEL) >= 0
-    assert x.bottom_like().size_bytes(MODEL) == 0
+    assert x.size_bytes() >= 0
+    assert x.bottom_like().size_bytes() == 0
 
 
 @given(family_and_pair)

@@ -2,8 +2,8 @@
 checked rather than trusted.
 
 * ``fixed_size`` (``lattice/base.py``): a class declaring it promises that
-  every non-bottom value has one ``size_units()`` and, under any one
-  ``SizeModel``, one ``size_bytes()``.  ``MapLattice.join`` then leaves a
+  every non-bottom value has one ``size_units()`` and one
+  ``size_bytes()``.  ``MapLattice.join`` then leaves a
   rebound key out of its size lineage.  The declaring classes are found,
   not listed, by walking every concrete ``Lattice`` subclass ``repro``
   defines, as ``tests/test_immutability.py`` does.
@@ -23,11 +23,8 @@ import repro  # defines every lattice class the walk can find
 from repro.codec import decode, encode
 from repro.lattice import Bool, MapLattice, MaxInt
 from repro.lattice.base import Lattice
-from repro.sizes import SizeModel
 
 from conftest import ALL_LATTICE_STRATEGIES
-
-MODELS = (SizeModel(), SizeModel(int_bytes=4, bool_bytes=2, id_bytes=16))
 
 
 def _lattice_classes():
@@ -44,7 +41,7 @@ FIXED_SIZE = [cls for cls in _lattice_classes() if cls.fixed_size]
 
 
 def _sizes(value: Lattice) -> tuple:
-    return (value.size_units(), *(value.size_bytes(model) for model in MODELS))
+    return value.size_units(), value.size_bytes()
 
 
 def test_the_walk_finds_the_declarations():

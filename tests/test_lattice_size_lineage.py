@@ -9,7 +9,7 @@ parent's total and the keys the join touched (``lattice/map_lattice.py``,
   agree with a cold rebuild of the same entries, whether the operands
   share keys (the pointwise loop) or not (the union, whose sizes add);
 * the counter-example to ``size(a ⊔ b) = size(b) + size(∆(a, b))``;
-* cost — counted in ``SizeModel.sizeof`` calls, never in seconds.
+* cost — counted in ``sizes.sizeof`` calls, never in seconds.
 """
 
 from __future__ import annotations
@@ -18,13 +18,11 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
+from repro import sizes
 from repro.causal import AWSet
 from repro.lattice import MapLattice, MaxInt, SetLattice, join_all
 from repro.lattice.base import Lattice
-from repro.sizes import SizeModel
 from repro.sync import DeltaBased
-
-MODELS = (SizeModel(), SizeModel(int_bytes=4, id_bytes=16))
 
 #: Strings, integers and tuples, so ``sizeof(key)`` differs per key.
 KEYS = ["k0", "key-one", "k2", "κλειδί", 4, 5, ("shard", 6), ("shard", 7), "k8", "k9", "k10", "k11"]
@@ -51,8 +49,7 @@ def loop_join(a: MapLattice, b: MapLattice) -> dict:
 def assert_sizes_exact(value: MapLattice) -> None:
     reference = cold(value)
     assert value.size_units() == reference.size_units()
-    for model in MODELS:
-        assert value.size_bytes(model) == reference.size_bytes(model)
+    assert value.size_bytes() == reference.size_bytes()
 
 
 def _awset_states() -> list:
@@ -84,10 +81,10 @@ def scripts(draw):
 
     ``("join", i, δ)`` appends ``pool[i] ⊔ δ`` with a fresh, unsized δ;
     ``("merge", i, j)`` appends ``pool[i] ⊔ pool[j]``, so either operand
-    may be settled (under either model), owed or unsized — and, while
+    may be settled, owed or unsized — and, while
     both are still the parts the pool opened with, key-disjoint.  Naming
     one ``i`` twice is a fork, of a sized or an unsized parent;
-    ``("units", i)`` and ``("bytes", i, m)`` are the size reads that
+    ``("units", i)`` and ``("bytes", i)`` are the size reads that
     settle a lineage.
     """
     values = FAMILIES[draw(st.sampled_from(sorted(FAMILIES)))]
@@ -108,7 +105,7 @@ def scripts(draw):
                 st.tuples(st.just("join"), index, deltas),
                 st.tuples(st.just("merge"), index, index),
                 st.tuples(st.just("units"), index),
-                st.tuples(st.just("bytes"), index, st.sampled_from(MODELS)),
+                st.tuples(st.just("bytes"), index),
             ),
             max_size=25,
         )
@@ -122,7 +119,7 @@ def test_sizes_equal_a_cold_rebuild_after_every_step(script, base_is_sized):
     base, parts, steps = script
     pool = [MapLattice(base)] + [MapLattice(part) for part in parts]
     if base_is_sized:
-        pool[0].size_bytes(MODELS[0])
+        pool[0].size_bytes()
     for step in steps:
         target = pool[step[1] % len(pool)]
         if step[0] in ("join", "merge"):
@@ -133,13 +130,13 @@ def test_sizes_equal_a_cold_rebuild_after_every_step(script, base_is_sized):
         elif step[0] == "units":
             assert target.size_units() == cold(target).size_units()
         else:
-            assert target.size_bytes(step[2]) == cold(target).size_bytes(step[2])
+            assert target.size_bytes() == cold(target).size_bytes()
     for value in pool:
         assert_sizes_exact(value)
 
 
 #: What a part may know of its own size when it is joined.
-KNOWLEDGE = ("nothing", "units", "bytes-0", "bytes-1", "both", "owed")
+KNOWLEDGE = ("nothing", "units", "bytes", "both", "owed")
 
 
 def _knowing(entries: dict, knows: str) -> MapLattice:
@@ -147,13 +144,13 @@ def _knowing(entries: dict, knows: str) -> MapLattice:
         # A sized ancestor joined with one more key: a lineage of one.
         last = next(reversed(entries))
         ancestor = MapLattice({key: value for key, value in entries.items() if key != last})
-        ancestor.size_units(), ancestor.size_bytes(MODELS[0])
+        ancestor.size_units(), ancestor.size_bytes()
         return ancestor.join(MapLattice({last: entries[last]}))
     value = MapLattice(entries)
     if knows in ("units", "both"):
         value.size_units()
-    if knows in ("bytes-0", "bytes-1", "both"):
-        value.size_bytes(MODELS[knows == "bytes-1"])
+    if knows in ("bytes", "both"):
+        value.size_bytes()
     return value
 
 
@@ -193,14 +190,13 @@ def test_a_union_keeps_the_order_the_loop_produced():
 
 def test_overwriting_join_is_not_the_sum_of_state_and_delta():
     """``{k↦1} ⊔ {k↦2}``: Δ is one unit, yet the state does not grow."""
-    model = MODELS[0]
     state = MapLattice({"k": MaxInt(1)})
-    assert (state.size_units(), state.size_bytes(model)) == (1, model.sizeof("k") + model.int_bytes)
+    assert (state.size_units(), state.size_bytes()) == (1, sizes.sizeof("k") + sizes.INT_BYTES)
     delta = MapLattice({"k": MaxInt(2)})
     assert delta.delta(state).size_units() == 1
     joined = state.join(delta)
     assert joined.size_units() == 1
-    assert joined.size_bytes(model) == model.sizeof("k") + model.int_bytes
+    assert joined.size_bytes() == sizes.sizeof("k") + sizes.INT_BYTES
 
 
 def test_wholly_novel_delta_is_the_same_object():
@@ -217,20 +213,23 @@ def test_wholly_novel_delta_is_the_same_object():
 # ---------------------------------------------------------------------------
 
 
-class CountingModel(SizeModel):
-    """A ``SizeModel`` that counts the atoms it is asked to size."""
-
-    calls = 0
-
-    def sizeof(self, value):
-        CountingModel.calls += 1
-        return super().sizeof(value)
-
-
 def _counted(read) -> int:
-    before = CountingModel.calls
-    read()
-    return CountingModel.calls - before
+    """The ``sizes.sizeof`` calls ``read()`` makes, counted by patching
+    the module attribute every caller reaches it through."""
+    calls = 0
+    sizeof = sizes.sizeof
+
+    def counting(value):
+        nonlocal calls
+        calls += 1
+        return sizeof(value)
+
+    sizes.sizeof = counting
+    try:
+        read()
+    finally:
+        sizes.sizeof = sizeof
+    return calls
 
 
 def _state(keys: int = 1000) -> MapLattice:
@@ -238,70 +237,65 @@ def _state(keys: int = 1000) -> MapLattice:
 
 
 def test_a_small_join_is_sized_in_calls_proportional_to_the_delta():
-    model = CountingModel()
     state = _state()
-    assert _counted(lambda: state.size_bytes(model)) == 1000
+    assert _counted(lambda: state.size_bytes()) == 1000
     # Three overwrites, four new keys.
     delta = MapLattice({f"key-{index:04d}": MaxInt(2) for index in range(997, 1004)})
     joined = state.join(delta)
     # The overwrites rebind fixed-size ``MaxInt``s: only the new keys are owed.
-    assert _counted(lambda: joined.size_bytes(model)) == 4
-    assert joined.size_bytes(model) == cold(joined).size_bytes(model)
+    assert _counted(lambda: joined.size_bytes()) == 4
+    assert joined.size_bytes() == cold(joined).size_bytes()
     assert joined.size_units() == 1004
 
 
 def test_a_redundant_state_sized_group_costs_only_what_it_teaches():
-    model = CountingModel()
     state = _state()
-    state.size_bytes(model)
+    state.size_bytes()
     # A full-state message (state-based, or classic's re-sent δ-group)
     # that is news in two bindings and one key.
     news = {"key-0007": MaxInt(2), "key-0500": MaxInt(3), "key-1000": MaxInt(1)}
     joined = state.join(MapLattice({**state.entries, **news}))
-    assert _counted(lambda: joined.size_bytes(model)) <= 3
-    assert joined.size_bytes(model) == cold(joined).size_bytes(model)
+    assert _counted(lambda: joined.size_bytes()) <= 3
+    assert joined.size_bytes() == cold(joined).size_bytes()
     assert joined.size_units() == 1001
 
 
 def test_chained_unsized_joins_settle_in_the_union_of_their_keys():
-    model = CountingModel()
     state = _state()
-    state.size_bytes(model)
+    state.size_bytes()
     touched = set()
     for step in range(5):
         # Consecutive δs overlap in one key and each adds one new key.
         keys = [f"key-{step * 2 + offset:04d}" for offset in range(3)] + [f"new-{step}"]
         touched.update(keys)
         state = state.join(MapLattice({key: MaxInt(step + 2) for key in keys}))
-    assert _counted(lambda: state.size_bytes(model)) <= len(touched)
-    assert state.size_bytes(model) == cold(state).size_bytes(model)
+    assert _counted(lambda: state.size_bytes()) <= len(touched)
+    assert state.size_bytes() == cold(state).size_bytes()
     assert state.size_units() == 1005
 
 
 def test_a_wide_join_falls_back_to_the_full_sum_and_stays_exact():
     """Sets are not fixed-size, so every rebinding is touched; 60 of them
     plus 20 new keys outnumber half of 120 entries."""
-    model = CountingModel()
     state = MapLattice({f"key-{index:04d}": SetLattice({"x"}) for index in range(100)})
-    state.size_bytes(model)
+    state.size_bytes()
     wide = MapLattice({f"key-{index:04d}": SetLattice({"y"}) for index in range(40, 120)})
     joined = state.join(wide)
     # The full sum: 120 keys, 60 fresh two-element sets, 20 fresh one-element sets.
-    assert _counted(lambda: joined.size_bytes(model)) == 120 + 60 * 2 + 20
-    assert joined.size_bytes(model) == cold(joined).size_bytes(model)
+    assert _counted(lambda: joined.size_bytes()) == 120 + 60 * 2 + 20
+    assert joined.size_bytes() == cold(joined).size_bytes()
     assert joined.size_units() == 60 * 2 + 60
 
 
 def test_rebinding_fixed_size_values_owes_nothing():
     """A ``MaxInt`` rebound to a larger ``MaxInt`` keeps its size, so a
     join that only raises counters leaves no lineage to walk."""
-    model = CountingModel()
     state = _state()
-    _sizes(state, model)
+    _sizes(state)
     # 600 rebindings would outnumber half the entries if they were touched.
     joined = state.join(_part(200, 600, value=2))
-    assert _counted(lambda: _sizes(joined, model)) == 0
-    assert _sizes(joined, model) == _sizes(cold(joined), model) == (1000, 1000 * (8 + 8))
+    assert _counted(lambda: _sizes(joined)) == 0
+    assert _sizes(joined) == _sizes(cold(joined)) == (1000, 1000 * (8 + 8))
 
 
 # ---------------------------------------------------------------------------
@@ -313,61 +307,56 @@ def _part(first: int, count: int, value: int = 1) -> MapLattice:
     return MapLattice({f"key-{index:04d}": MaxInt(value) for index in range(first, first + count)})
 
 
-def _sizes(value: MapLattice, model: SizeModel) -> tuple:
-    return value.size_units(), value.size_bytes(model)
+def _sizes(value: MapLattice) -> tuple:
+    return value.size_units(), value.size_bytes()
 
 
 def test_a_group_of_sized_disjoint_parts_is_born_sized():
-    model = CountingModel()
     parts = [_part(0, 2), _part(2, 19), _part(21, 30), _part(51, 23)]
-    assert _counted(lambda: [_sizes(part, model) for part in parts]) == 74
+    assert _counted(lambda: [_sizes(part) for part in parts]) == 74
     group = join_all(parts, MapLattice())
-    assert _counted(lambda: _sizes(group, model)) == 0
-    assert _sizes(group, model) == _sizes(cold(group), model) == (74, 74 * (8 + 8))
+    assert _counted(lambda: _sizes(group)) == 0
+    assert _sizes(group) == _sizes(cold(group)) == (74, 74 * (8 + 8))
 
 
 def test_a_one_entry_part_is_not_probed_and_owes_its_one_key():
     """A one-entry ``other`` takes the pointwise loop, as every KV write
     must at no extra cost; the group owes that key through later unions."""
-    model = CountingModel()
     parts = [_part(0, 19), _part(19, 1), _part(20, 30), _part(50, 1), _part(51, 23)]
     for part in parts:
-        _sizes(part, model)
+        _sizes(part)
     group = join_all(parts, MapLattice())
-    assert _counted(lambda: _sizes(group, model)) == 2
-    assert _sizes(group, model) == _sizes(cold(group), model)
+    assert _counted(lambda: _sizes(group)) == 2
+    assert _sizes(group) == _sizes(cold(group))
 
 
 def test_an_unsized_part_costs_its_own_keys_and_no_one_elses():
-    model = CountingModel()
     sized, unsized, last = _part(0, 40), _part(40, 5), _part(45, 20)
-    _sizes(sized, model), _sizes(last, model)
+    _sizes(sized), _sizes(last)
     group = sized.join(unsized).join(last)
-    assert _counted(lambda: _sizes(group, model)) == 5
-    assert _sizes(group, model) == _sizes(cold(group), model)
+    assert _counted(lambda: _sizes(group)) == 5
+    assert _sizes(group) == _sizes(cold(group))
     # Joining settled nothing behind the operand's back.
-    assert _counted(lambda: _sizes(unsized, model)) == 5
+    assert _counted(lambda: _sizes(unsized)) == 5
 
 
 def test_a_state_joined_with_novel_keys_carries_what_it_already_owed():
-    model = CountingModel()
     state = _state()
-    _sizes(state, model)
+    _sizes(state)
     owed = state.join(_part(500, 3, value=2))  # three overwrites, still owed
     novel = _part(2000, 4)
-    _sizes(novel, model)
+    _sizes(novel)
     grown = owed.join(novel)  # a union: totals add, the three stay owed
-    assert _counted(lambda: _sizes(grown, model)) == 0  # overwrites cost no ``sizeof``
-    assert _sizes(grown, model) == _sizes(cold(grown), model)
+    assert _counted(lambda: _sizes(grown)) == 0  # overwrites cost no ``sizeof``
+    assert _sizes(grown) == _sizes(cold(grown))
     assert grown.size_units() == 1004
-    assert _sizes(owed, model) == _sizes(cold(owed), model)
+    assert _sizes(owed) == _sizes(cold(owed))
 
 
 def test_a_local_delta_joined_into_four_groups_is_walked_once():
     """BP gives each of four neighbours a private group (everything but
     its own δ); the local δ is in all four and sized for the first."""
-    model = CountingModel()
-    node = DeltaBased(0, [1, 2, 3, 4], MapLattice(), n_nodes=5, size_model=model, bp=True, rr=True)
+    node = DeltaBased(0, [1, 2, 3, 4], MapLattice(), n_nodes=5, bp=True, rr=True)
     for neighbor in node.neighbors:
         node.absorb_state(_part(100 * neighbor, 19), src=neighbor)
     node.memory_bytes()  # the sample every received δ sits through
@@ -378,4 +367,4 @@ def test_a_local_delta_joined_into_four_groups_is_walked_once():
     for send in sends:
         group = send.message.payload
         assert len(group) == 3 * 19 + 6
-        assert (send.message.payload_units, send.message.payload_bytes) == _sizes(cold(group), model)
+        assert (send.message.payload_units, send.message.payload_bytes) == _sizes(cold(group))

@@ -17,17 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from repro import codec
+from repro import codec, sizes
 from repro.kv.types import TYPE_REGISTRY
 from repro.lattice import MapLattice, MaxInt, SetLattice
-from repro.sizes import SizeModel
 from repro.sync import DeltaBased, DeltaBasedAcked, KeyedDeltaBased
 from repro.sync.protocol import Message
 from repro.workloads import GCounterWorkload, GMapWorkload, GSetWorkload
 
 from test_kv_store import WRITES, seeded_value
 
-MODEL = SizeModel()
 KEYS = ("a", "b", "c", "d", "e")
 NEIGHBORS = (1, 2)
 
@@ -47,10 +45,10 @@ class Flat:
         self.bp, self.rr = bp, rr
 
     def make(self):
-        return DeltaBased(0, NEIGHBORS, MapLattice(), 3, MODEL, bp=self.bp, rr=self.rr)
+        return DeltaBased(0, NEIGHBORS, MapLattice(), 3, bp=self.bp, rr=self.rr)
 
     def message(self, payload):
-        return Message(self.kind, payload, payload.size_units(), payload.size_bytes(MODEL), 8, 1)
+        return Message(self.kind, payload, payload.size_units(), payload.size_bytes(), 8, 1)
 
     def shipped(self, message):
         return message.payload
@@ -63,7 +61,7 @@ class Keyed(Flat):
     values = st.frozensets(st.sampled_from("xyz"), min_size=1, max_size=2).map(SetLattice)
 
     def make(self):
-        return KeyedDeltaBased(0, NEIGHBORS, MapLattice(), 3, MODEL, bp=self.bp, rr=self.rr)
+        return KeyedDeltaBased(0, NEIGHBORS, MapLattice(), 3, bp=self.bp, rr=self.rr)
 
 
 class Acked(Flat):
@@ -75,11 +73,11 @@ class Acked(Flat):
         super().__init__(True, True)
 
     def make(self):
-        return DeltaBasedAcked(0, NEIGHBORS, MapLattice(), 3, MODEL)
+        return DeltaBasedAcked(0, NEIGHBORS, MapLattice(), 3)
 
     def message(self, payload):
         return Message(
-            self.kind, (payload, (0,)), payload.size_units(), payload.size_bytes(MODEL), 8, 1
+            self.kind, (payload, (0,)), payload.size_units(), payload.size_bytes(), 8, 1
         )
 
     def shipped(self, message):
@@ -170,7 +168,7 @@ class Run:
             for send in replica.sync_messages():
                 payload = harness.shipped(send.message)
                 assert send.message.payload_units == cold(payload).size_units()
-                assert send.message.payload_bytes == cold(payload).size_bytes(MODEL)
+                assert send.message.payload_bytes == cold(payload).size_bytes()
                 self.leave(payload)
             return
         else:
@@ -193,10 +191,10 @@ class Run:
         replica = self.replica
         state = cold(replica._state)
         assert replica.state_units() == state.size_units()
-        assert replica.state_bytes() == state.size_bytes(MODEL)
+        assert replica.state_bytes() == state.size_bytes()
         assert replica.buffer_units() == sum(cold(d).size_units() for _, d, _ in replica.buffer)
         assert replica.buffer_bytes() == sum(
-            MODEL.sizeof(key) + cold(d).size_bytes(MODEL) for key, d, _ in replica.buffer
+            sizes.sizeof(key) + cold(d).size_bytes() for key, d, _ in replica.buffer
         )
 
     def check_left_alone(self):

@@ -6,7 +6,6 @@ from repro.sim.metrics import MemorySample, MessageRecord, MetricsCollector
 from repro.sim.network import Cluster, ClusterConfig
 from repro.sim.runner import ratio_table, run_experiment, run_suite
 from repro.sim.topology import line, partial_mesh, tree
-from repro.sizes import SizeModel
 from repro.sync import (
     OpBased,
     Scuttlebutt,

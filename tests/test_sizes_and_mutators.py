@@ -2,10 +2,10 @@
 
 Two cross-cutting contracts:
 
-* :class:`~repro.sizes.SizeModel` prices every payload atom the
-  evaluation ships (Figure 9's 20 B identifiers, Retwis' 31 B/270 B
-  strings), and the wire codec's actual output should not undercut the
-  model by more than framing overhead explains;
+* :mod:`repro.sizes` prices every payload atom the evaluation ships
+  (Figure 9's 20 B identifiers, Retwis' 31 B/270 B strings), and the
+  wire codec's actual output should not undercut the counted size by
+  more than framing overhead explains;
 * ``optimal_delta_mutator`` must turn *any* inflationary mutator of
   *any* lattice family into its minimal δ-mutator — the paper's
   ``mδ(x) = ∆(m(x), x)`` recipe (Section III-B).
@@ -13,60 +13,54 @@ Two cross-cutting contracts:
 
 import pytest
 
+from repro import sizes
 from repro.crdt import optimal_delta_mutator
 from repro.codec import encode
 from repro.lattice import MapLattice, MaxInt, PairLattice, SetLattice
-from repro.sizes import DEFAULT_SIZE_MODEL, SizeModel
 
 
-class TestSizeModel:
+class TestSizes:
     def test_paper_constants(self):
-        assert DEFAULT_SIZE_MODEL.id_bytes == 20
-        assert DEFAULT_SIZE_MODEL.int_bytes == 8
-        assert DEFAULT_SIZE_MODEL.vector_entry_bytes() == 28
+        assert sizes.ID_BYTES == 20
+        assert sizes.INT_BYTES == 8
+        assert sizes.VECTOR_ENTRY_BYTES == 28
 
     def test_strings_count_utf8_bytes(self):
-        model = SizeModel()
-        assert model.sizeof("abc") == 3
-        assert model.sizeof("héllo") == 6  # é is two bytes
+        assert sizes.sizeof("abc") == 3
+        assert sizes.sizeof("héllo") == 6  # é is two bytes
 
     def test_every_string_is_its_utf8_length_subclasses_included(self):
         """ASCII strings are sized without an encoded copy; the answer
         is the encoded length for every string all the same."""
-        model = SizeModel()
 
         class Label(str):
             pass
 
         for text in ["", "key-0001", "κλειδί", "a\u00e9\u20ac\U0001f600", "\x7f\x80"]:
-            assert model.sizeof(text) == len(text.encode("utf-8"))
-            assert model.sizeof(Label(text)) == len(text.encode("utf-8"))
+            assert sizes.sizeof(text) == len(text.encode("utf-8"))
+            assert sizes.sizeof(Label(text)) == len(text.encode("utf-8"))
 
     def test_scalar_sizes(self):
-        model = SizeModel()
-        assert model.sizeof(None) == 0
-        assert model.sizeof(True) == model.bool_bytes
-        assert model.sizeof(12345) == model.int_bytes
-        assert model.sizeof(1.5) == model.int_bytes
-        assert model.sizeof(b"\x00\x01") == 2
+        assert sizes.sizeof(None) == 0
+        assert sizes.sizeof(True) == sizes.BOOL_BYTES
+        assert sizes.sizeof(12345) == sizes.INT_BYTES
+        assert sizes.sizeof(1.5) == sizes.INT_BYTES
+        assert sizes.sizeof(b"\x00\x01") == 2
 
     def test_composites_sum_their_parts(self):
-        model = SizeModel()
-        assert model.sizeof(("ab", 3)) == 2 + model.int_bytes
-        assert model.sizeof(frozenset({"a", "bc"})) == 3
+        assert sizes.sizeof(("ab", 3)) == 2 + sizes.INT_BYTES
+        assert sizes.sizeof(frozenset({"a", "bc"})) == 3
 
     def test_unknown_types_fall_back_to_repr(self):
-        model = SizeModel()
 
         class Opaque:
             def __repr__(self):
                 return "xxxx"
 
-        assert model.sizeof(Opaque()) == 4
+        assert sizes.sizeof(Opaque()) == 4
 
     def test_vector_bytes(self):
-        model = SizeModel()
-        assert model.vector_bytes(10) == 10 * 28
+        assert sizes.vector_bytes(10) == 10 * 28
 
     def test_codec_output_tracks_the_model(self):
         """Encoded payload content is at least the model's string bytes.
@@ -75,9 +69,8 @@ class TestSizeModel:
         so the model — which prices content only — must not exceed it
         by more than the per-atom framing allowance.
         """
-        model = SizeModel()
         state = SetLattice({"x" * 20, "y" * 20})
-        content = state.size_bytes(model)
+        content = state.size_bytes()
         framed = len(encode(state))
         assert framed >= content
         assert framed <= content + 3 * (2 + 8)  # tag + varint per atom + headers

@@ -3,14 +3,12 @@ and operation-based synchronization."""
 
 import pytest
 
+from repro import sizes
 from repro.lattice import MapLattice, MaxInt, SetLattice
-from repro.sizes import SizeModel
 from repro.sync.opbased import OpBased, OpEnvelope
 from repro.sync.protocol import Message
 from repro.sync.scuttlebutt import Scuttlebutt, ScuttlebuttGC
 from repro.sync.statebased import StateBased
-
-MODEL = SizeModel()
 
 
 def gset_add(element):
@@ -24,7 +22,7 @@ def gset_add(element):
 
 class TestStateBased:
     def test_sends_full_state_to_every_neighbor(self):
-        node = StateBased(0, [1, 2], SetLattice(), 3, MODEL)
+        node = StateBased(0, [1, 2], SetLattice(), 3)
         node.local_update(gset_add("x"))
         node.local_update(gset_add("y"))
         sends = node.sync_messages()
@@ -35,11 +33,11 @@ class TestStateBased:
             assert send.message.metadata_bytes == 0
 
     def test_does_not_send_bottom(self):
-        node = StateBased(0, [1], SetLattice(), 2, MODEL)
+        node = StateBased(0, [1], SetLattice(), 2)
         assert node.sync_messages() == []
 
     def test_receive_joins(self):
-        node = StateBased(0, [1], SetLattice(), 2, MODEL)
+        node = StateBased(0, [1], SetLattice(), 2)
         node.local_update(gset_add("x"))
         node.handle_message(
             1, Message("state", SetLattice({"y"}), 1, 1, 0)
@@ -47,7 +45,7 @@ class TestStateBased:
         assert node.state == SetLattice({"x", "y"})
 
     def test_no_memory_overhead(self):
-        node = StateBased(0, [1], SetLattice(), 2, MODEL)
+        node = StateBased(0, [1], SetLattice(), 2)
         node.local_update(gset_add("x"))
         assert node.buffer_units() == 0
         assert node.metadata_bytes() == 0
@@ -56,7 +54,7 @@ class TestStateBased:
     def test_retransmits_every_round(self):
         """Full state goes out even with nothing new — the cost the
         delta approach was invented to remove."""
-        node = StateBased(0, [1], SetLattice(), 2, MODEL)
+        node = StateBased(0, [1], SetLattice(), 2)
         node.local_update(gset_add("x"))
         first = node.sync_messages()
         second = node.sync_messages()
@@ -73,21 +71,21 @@ class TestScuttlebutt:
                         initiator.handle_message(responder.replica, reply.message)
 
     def test_versions_assigned_per_origin(self):
-        node = Scuttlebutt(0, [1], SetLattice(), 2, MODEL)
+        node = Scuttlebutt(0, [1], SetLattice(), 2)
         node.local_update(gset_add("x"))
         node.local_update(gset_add("y"))
         assert node.vector == {0: 2}
         assert set(node.store) == {(0, 1), (0, 2)}
 
     def test_bottom_delta_not_versioned(self):
-        node = Scuttlebutt(0, [1], SetLattice(), 2, MODEL)
+        node = Scuttlebutt(0, [1], SetLattice(), 2)
         node.local_update(gset_add("x"))
         node.local_update(gset_add("x"))  # duplicate
         assert node.vector == {0: 1}
 
     def test_digest_reply_contains_only_missing(self):
-        a = Scuttlebutt(0, [1], SetLattice(), 2, MODEL)
-        b = Scuttlebutt(1, [0], SetLattice(), 2, MODEL)
+        a = Scuttlebutt(0, [1], SetLattice(), 2)
+        b = Scuttlebutt(1, [0], SetLattice(), 2)
         a.local_update(gset_add("x"))
         self.wire(b, a)  # b's digest → a replies with x
         assert b.state == SetLattice({"x"})
@@ -97,15 +95,15 @@ class TestScuttlebutt:
         assert reply.message.payload_units == 1  # only y, not x again
 
     def test_digest_carries_metadata_only(self):
-        node = Scuttlebutt(0, [1], SetLattice(), 2, MODEL)
+        node = Scuttlebutt(0, [1], SetLattice(), 2)
         node.local_update(gset_add("x"))
         [digest] = node.sync_messages()
         assert digest.message.payload_units == 0
-        assert digest.message.metadata_bytes == MODEL.vector_entry_bytes()
+        assert digest.message.metadata_bytes == sizes.VECTOR_ENTRY_BYTES
 
     def test_store_never_pruned_without_gc(self):
-        a = Scuttlebutt(0, [1], SetLattice(), 2, MODEL)
-        b = Scuttlebutt(1, [0], SetLattice(), 2, MODEL)
+        a = Scuttlebutt(0, [1], SetLattice(), 2)
+        b = Scuttlebutt(1, [0], SetLattice(), 2)
         for i in range(5):
             a.local_update(gset_add(f"x{i}"))
             self.wire(b, a)
@@ -114,8 +112,8 @@ class TestScuttlebutt:
         assert len(b.store) == 5
 
     def test_convergence_two_nodes(self):
-        a = Scuttlebutt(0, [1], SetLattice(), 2, MODEL)
-        b = Scuttlebutt(1, [0], SetLattice(), 2, MODEL)
+        a = Scuttlebutt(0, [1], SetLattice(), 2)
+        b = Scuttlebutt(1, [0], SetLattice(), 2)
         a.local_update(gset_add("x"))
         b.local_update(gset_add("y"))
         self.wire(a, b)
@@ -133,7 +131,7 @@ class TestScuttlebuttGC:
                     nodes[reply.dst].handle_message(receiver.replica, reply.message)
 
     def test_prunes_once_everyone_has_seen(self):
-        nodes = [ScuttlebuttGC(i, [1 - i], SetLattice(), 2, MODEL) for i in range(2)]
+        nodes = [ScuttlebuttGC(i, [1 - i], SetLattice(), 2) for i in range(2)]
         nodes[0].local_update(gset_add("x"))
         for _ in range(4):
             self.full_round(nodes)
@@ -144,9 +142,9 @@ class TestScuttlebuttGC:
     def test_keeps_deltas_while_some_node_lags(self):
         # Line topology 0–1–2: node 2 only hears via node 1.
         nodes = [
-            ScuttlebuttGC(0, [1], SetLattice(), 3, MODEL),
-            ScuttlebuttGC(1, [0, 2], SetLattice(), 3, MODEL),
-            ScuttlebuttGC(2, [1], SetLattice(), 3, MODEL),
+            ScuttlebuttGC(0, [1], SetLattice(), 3),
+            ScuttlebuttGC(1, [0, 2], SetLattice(), 3),
+            ScuttlebuttGC(2, [1], SetLattice(), 3),
         ]
         nodes[0].local_update(gset_add("x"))
         # One exchange between 0 and 1 only.
@@ -159,8 +157,8 @@ class TestScuttlebuttGC:
 
     def test_matrix_metadata_grows_quadratically(self):
         """The GC digest carries a knowledge matrix: N² vector entries."""
-        small = ScuttlebuttGC(0, [1], SetLattice(), 2, MODEL)
-        big = ScuttlebuttGC(0, [1], SetLattice(), 8, MODEL)
+        small = ScuttlebuttGC(0, [1], SetLattice(), 2)
+        big = ScuttlebuttGC(0, [1], SetLattice(), 8)
         for node in (small, big):
             node.local_update(gset_add("x"))
         # Fake full knowledge so matrix entries are materialized.
@@ -175,27 +173,27 @@ class TestScuttlebuttGC:
 
 class TestOpBased:
     def test_local_update_buffers_op(self):
-        node = OpBased(0, [1], SetLattice(), 2, MODEL)
+        node = OpBased(0, [1], SetLattice(), 2)
         node.local_update(gset_add("x"))
         assert node.delivered == {0: 1}
         assert len(node.buffer) == 1
 
     def test_ops_carry_vector_clock_metadata(self):
-        node = OpBased(0, [1], SetLattice(), 2, MODEL)
+        node = OpBased(0, [1], SetLattice(), 2)
         node.local_update(gset_add("x"))
         [send] = node.sync_messages()
-        assert send.message.metadata_bytes >= MODEL.vector_entry_bytes()
+        assert send.message.metadata_bytes >= sizes.VECTOR_ENTRY_BYTES
         assert send.message.payload_units == 1
 
     def test_not_resent_to_same_neighbor(self):
-        node = OpBased(0, [1, 2], SetLattice(), 3, MODEL)
+        node = OpBased(0, [1, 2], SetLattice(), 3)
         node.local_update(gset_add("x"))
         first = node.sync_messages()
         assert {send.dst for send in first} == {1, 2}
         assert node.sync_messages() == []  # everyone marked as having it
 
     def test_causal_delivery_holds_out_of_order_op(self):
-        receiver = OpBased(1, [0], SetLattice(), 2, MODEL)
+        receiver = OpBased(1, [0], SetLattice(), 2)
         op1 = OpEnvelope(0, 1, {0: 1}, SetLattice({"a"}))
         op2 = OpEnvelope(0, 2, {0: 2}, SetLattice({"b"}))
         receiver.handle_message(0, _ops_message([op2]))
@@ -207,7 +205,7 @@ class TestOpBased:
 
     def test_cross_origin_causality(self):
         """An op that causally depends on another origin's op waits."""
-        receiver = OpBased(2, [0, 1], SetLattice(), 3, MODEL)
+        receiver = OpBased(2, [0, 1], SetLattice(), 3)
         op_a = OpEnvelope(0, 1, {0: 1}, SetLattice({"a"}))
         op_b = OpEnvelope(1, 1, {0: 1, 1: 1}, SetLattice({"b"}))  # saw op_a
         receiver.handle_message(1, _ops_message([op_b]))
@@ -216,7 +214,7 @@ class TestOpBased:
         assert receiver.state == SetLattice({"a", "b"})
 
     def test_duplicate_marks_seen_by(self):
-        receiver = OpBased(2, [0, 1], SetLattice(), 3, MODEL)
+        receiver = OpBased(2, [0, 1], SetLattice(), 3)
         op = OpEnvelope(0, 1, {0: 1}, SetLattice({"a"}))
         receiver.handle_message(0, _ops_message([op]))
         assert 0 in receiver.buffer[(0, 1)].seen_by
@@ -228,7 +226,7 @@ class TestOpBased:
         assert receiver.state == SetLattice({"a"})
 
     def test_buffer_pruned_when_all_neighbors_have_seen(self):
-        receiver = OpBased(2, [0, 1], SetLattice(), 3, MODEL)
+        receiver = OpBased(2, [0, 1], SetLattice(), 3)
         op = OpEnvelope(0, 1, {0: 1}, SetLattice({"a"}))
         receiver.handle_message(0, _ops_message([op]))
         receiver.handle_message(1, _ops_message([op]))
@@ -236,7 +234,7 @@ class TestOpBased:
 
     def test_exactly_once_no_reapplication(self):
         """A pruned-then-re-received op is not applied twice."""
-        receiver = OpBased(2, [0, 1], SetLattice(), 3, MODEL)
+        receiver = OpBased(2, [0, 1], SetLattice(), 3)
         op = OpEnvelope(0, 1, {0: 1}, SetLattice({"a"}))
         receiver.handle_message(0, _ops_message([op]))
         receiver.handle_message(1, _ops_message([op]))  # prunes
@@ -247,5 +245,5 @@ class TestOpBased:
 
 def _ops_message(envelopes):
     units = sum(e.payload.size_units() for e in envelopes)
-    payload_bytes = sum(e.payload.size_bytes(MODEL) for e in envelopes)
+    payload_bytes = sum(e.payload.size_bytes() for e in envelopes)
     return Message("ops", list(envelopes), units, payload_bytes, 0)

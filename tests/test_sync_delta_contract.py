@@ -19,10 +19,12 @@ executions in ``test_sync_deltabased.py``, per-object granularity in
 
 import pytest
 
-from repro import codec
+from repro import codec, sizes
+from repro.kv import KV_ALGORITHMS, HashRing, kv_store_factory
 from repro.lattice import MapLattice, MaxInt, SetLattice
-from repro.sizes import SizeModel
 from repro.sync import (
+    ALGORITHMS,
+    EXTRA_ALGORITHMS,
     DeltaBased,
     DeltaBasedAcked,
     KeyedDeltaBased,
@@ -35,9 +37,7 @@ from repro.sync import (
     keyed_classic,
     keyed_rr,
 )
-from repro.sync.protocol import Message
-
-MODEL = SizeModel()
+from repro.sync.protocol import Message, Synchronizer
 
 
 class Plain:
@@ -49,7 +49,7 @@ class Plain:
 
     def make(self, replica, neighbors, *, bp, rr):
         return DeltaBased(
-            replica, neighbors, SetLattice(), n_nodes=4, size_model=MODEL, bp=bp, rr=rr
+            replica, neighbors, SetLattice(), n_nodes=4, bp=bp, rr=rr
         )
 
     def content(self, *elements):
@@ -67,8 +67,8 @@ class Plain:
         """A δ-group message carrying ``elements``, as a neighbour sends it."""
         payload = self.content(*elements)
         return Message(
-            "delta", payload, payload.size_units(), payload.size_bytes(MODEL),
-            MODEL.int_bytes, 1,
+            "delta", payload, payload.size_units(), payload.size_bytes(),
+            sizes.INT_BYTES, 1,
         )
 
     def shipped(self, message):
@@ -86,7 +86,7 @@ class Keyed(Plain):
 
     def make(self, replica, neighbors, *, bp, rr):
         return KeyedDeltaBased(
-            replica, neighbors, MapLattice(), n_nodes=4, size_model=MODEL, bp=bp, rr=rr
+            replica, neighbors, MapLattice(), n_nodes=4, bp=bp, rr=rr
         )
 
     def content(self, *elements):
@@ -104,8 +104,8 @@ class Keyed(Plain):
     def inbound(self, *elements):
         payload = self.content(*elements)
         return Message(
-            "keyed-delta", payload, payload.size_units(), payload.size_bytes(MODEL),
-            MODEL.int_bytes, 1,
+            "keyed-delta", payload, payload.size_units(), payload.size_bytes(),
+            sizes.INT_BYTES, 1,
         )
 
 
@@ -114,11 +114,11 @@ class Gmap(Plain):
     so the δs RR buffers are key-disjoint maps."""
 
     label = "gmap"
-    wrapping_bytes = MODEL.int_bytes
+    wrapping_bytes = sizes.INT_BYTES
 
     def make(self, replica, neighbors, *, bp, rr):
         return DeltaBased(
-            replica, neighbors, MapLattice(), n_nodes=4, size_model=MODEL, bp=bp, rr=rr
+            replica, neighbors, MapLattice(), n_nodes=4, bp=bp, rr=rr
         )
 
     def content(self, *elements):
@@ -140,13 +140,13 @@ class Acked(Plain):
 
     def make(self, replica, neighbors, *, bp, rr):
         assert bp and rr, "the acked variant has no other configuration"
-        return DeltaBasedAcked(replica, neighbors, SetLattice(), n_nodes=4, size_model=MODEL)
+        return DeltaBasedAcked(replica, neighbors, SetLattice(), n_nodes=4)
 
     def inbound(self, *elements):
         payload = self.content(*elements)
         return Message(
             "delta-seq", (payload, (41,)), payload.size_units(),
-            payload.size_bytes(MODEL), MODEL.int_bytes, 1,
+            payload.size_bytes(), sizes.INT_BYTES, 1,
         )
 
     def shipped(self, message):
@@ -159,7 +159,7 @@ class Acked(Plain):
             _group, covered = send.message.payload
             node.handle_message(
                 send.dst,
-                Message("delta-ack", covered, 0, 0, len(covered) * MODEL.int_bytes, len(covered)),
+                Message("delta-ack", covered, 0, 0, len(covered) * sizes.INT_BYTES, len(covered)),
             )
 
 
@@ -251,7 +251,7 @@ def assert_sized_as_a_cold_rebuild(harness, sends):
         message = send.message
         rebuilt = codec.decode(codec.encode(harness.shipped(message)))
         assert message.payload_units == rebuilt.size_units()
-        assert message.payload_bytes == rebuilt.size_bytes(MODEL)
+        assert message.payload_bytes == rebuilt.size_bytes()
 
 
 @cases()
@@ -409,7 +409,7 @@ def test_origin_tags_cost_nothing_without_bp(harness, bp, rr):
     node = harness.make(0, [1, 2], bp=bp, rr=rr)
     node.local_update(harness.add("abcd"))
     assert node.metadata_units() == 2  # the two per-neighbour sequence numbers
-    assert node.metadata_bytes() == 2 * MODEL.int_bytes
+    assert node.metadata_bytes() == 2 * sizes.INT_BYTES
 
 
 # ----------------------------------------------------------------------
@@ -428,7 +428,26 @@ def test_origin_tags_cost_nothing_without_bp(harness, bp, rr):
 def test_factories_bind_flags_and_labels(factories, cls, bottom):
     labels = ["delta-based", "delta-based-bp", "delta-based-rr", "delta-based-bp-rr"]
     for factory, (bp, rr), label in zip(factories, FLAGS, labels):
-        node = factory(replica=0, neighbors=[1], bottom=bottom, n_nodes=2, size_model=MODEL)
+        node = factory(replica=0, neighbors=[1], bottom=bottom, n_nodes=2)
         assert type(node) is cls
         assert (node.bp, node.rr) == (bp, rr)
         assert factory.name == label
+
+
+#: Every registered factory, and a store's: a runtime builds each replica
+#: from ``replica=``, ``neighbors=``, ``bottom=`` and ``n_nodes=`` alone.
+EVERY_FACTORY = {
+    **{f"sync:{label}": factory for label, factory in ALGORITHMS.items()},
+    **{f"extra:{label}": factory for label, factory in EXTRA_ALGORITHMS.items()},
+    **{f"kv:{label}": factory for label, factory in KV_ALGORITHMS.items()},
+    "kv-store": kv_store_factory(HashRing(range(2), replication=2, n_shards=4), keyed_bp_rr),
+}
+
+
+@pytest.mark.parametrize("factory", EVERY_FACTORY.values(), ids=EVERY_FACTORY.keys())
+def test_every_factory_builds_from_exactly_the_four_keywords(factory):
+    node = factory(replica=0, neighbors=[1], bottom=MapLattice(), n_nodes=2)
+    assert isinstance(node, Synchronizer)
+    assert (node.replica, node.neighbors, node.n_nodes) == (0, (1,), 2)
+    with pytest.raises(TypeError):
+        factory(replica=0, neighbors=[1], bottom=MapLattice(), n_nodes=2, size_model=None)

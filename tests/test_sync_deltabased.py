@@ -5,8 +5,8 @@ replayed step by step, asserting exactly the redundant transmissions
 the paper underlines (BP) and overlines (RR).
 """
 
+from repro import sizes
 from repro.lattice import SetLattice
-from repro.sizes import SizeModel
 from repro.sync.deltabased import DeltaBased
 
 
@@ -23,7 +23,7 @@ def gset_add(element):
 
 def make(replica, neighbors, *, bp=False, rr=False):
     return DeltaBased(
-        replica, neighbors, SetLattice(), n_nodes=4, size_model=SizeModel(), bp=bp, rr=rr
+        replica, neighbors, SetLattice(), n_nodes=4, bp=bp, rr=rr
     )
 
 
@@ -149,5 +149,5 @@ class TestReliableChannelEnvelope:
         node.local_update(gset_add("x"))
         [send] = node.sync_messages()
         assert send.message.kind == "delta"
-        assert send.message.metadata_bytes == SizeModel().int_bytes
+        assert send.message.metadata_bytes == sizes.INT_BYTES
         assert send.message.metadata_units == 1

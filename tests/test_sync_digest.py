@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from repro.causal import AWSet
 from repro.crdt import GCounter, GSet
 from repro.lattice import MapLattice, MaxInt, SetLattice
-from repro.sizes import SizeModel
 from repro.sync.digest import (
     delta_against_digest,
     FINGERPRINT_BYTES,
@@ -20,8 +19,6 @@ from repro.sync.digest import (
 
 from conftest import ALL_LATTICE_STRATEGIES
 from test_causal_lattice import causal_states
-
-MODEL = SizeModel()
 
 
 def big_states(overlap=500, each=20):
@@ -84,40 +81,40 @@ class TestPairwiseSync:
         a, b = big_states()
         expected = a.join(b)
         for strategy in (full_state_sync, state_driven_sync, digest_driven_sync):
-            outcome = strategy(a, b, MODEL)
+            outcome = strategy(a, b)
             assert outcome.converged_state == expected
 
     def test_state_driven_cheaper_than_full(self):
         a, b = big_states()
-        assert state_driven_sync(a, b, MODEL).bytes_sent < full_state_sync(a, b, MODEL).bytes_sent
+        assert state_driven_sync(a, b).bytes_sent < full_state_sync(a, b).bytes_sent
 
     def test_digest_driven_cheapest_on_large_overlap(self):
         a, b = big_states()
-        digest = digest_driven_sync(a, b, MODEL)
-        state = state_driven_sync(a, b, MODEL)
+        digest = digest_driven_sync(a, b)
+        state = state_driven_sync(a, b)
         assert digest.bytes_sent < state.bytes_sent
 
     def test_message_counts_match_paper(self):
         """2 messages state-driven, 3 digest-driven (Section VI)."""
         a, b = big_states(overlap=5, each=2)
-        assert state_driven_sync(a, b, MODEL).messages == 2
-        assert digest_driven_sync(a, b, MODEL).messages == 3
+        assert state_driven_sync(a, b).messages == 2
+        assert digest_driven_sync(a, b).messages == 3
 
     def test_disjoint_states(self):
         a = SetLattice({"a"})
         b = SetLattice({"b"})
-        outcome = digest_driven_sync(a, b, MODEL)
+        outcome = digest_driven_sync(a, b)
         assert outcome.converged_state == SetLattice({"a", "b"})
 
     def test_identical_states_ship_no_payload(self):
         a = SetLattice({"x", "y"})
-        outcome = digest_driven_sync(a, a, MODEL)
+        outcome = digest_driven_sync(a, a)
         # Only the two digests travel; payload contributions are zero.
         assert outcome.bytes_sent == 2 * len(digest_of(a)) * 8
 
     def test_empty_states(self):
         a = SetLattice()
-        outcome = digest_driven_sync(a, a, MODEL)
+        outcome = digest_driven_sync(a, a)
         assert outcome.converged_state.is_bottom
         assert outcome.bytes_sent == 0
 
@@ -125,7 +122,7 @@ class TestPairwiseSync:
         a, b = GCounter("A"), GCounter("B")
         a.increment(3)
         b.increment(5)
-        outcome = digest_driven_sync(a.state, b.state, MODEL)
+        outcome = digest_driven_sync(a.state, b.state)
         merged = GCounter("X", state=outcome.converged_state)
         assert merged.value == 8
 
@@ -135,7 +132,7 @@ class TestPairwiseSync:
         for i in range(50):
             a.add(f"a-{i}")
             b.add(f"b-{i}")
-        outcome = digest_driven_sync(a.state, b.state, MODEL)
+        outcome = digest_driven_sync(a.state, b.state)
         assert len(outcome.converged_state.elements) == 100
 
 
@@ -169,12 +166,12 @@ def test_digest_driven_exchange_is_the_three_messages_of_section_vi(family):
     delta_for_a = delta_against_digest(b, digest_a)
     delta_for_b = delta_against_digest(a, digest_b)
     assert not delta_for_a.is_bottom and not delta_for_b.is_bottom
-    outcome = digest_driven_sync(a, b, MODEL)
+    outcome = digest_driven_sync(a, b)
     assert outcome.messages == 3
     assert outcome.bytes_sent == (
         len(digest_a) * FINGERPRINT_BYTES
-        + delta_for_a.size_bytes(MODEL)
+        + delta_for_a.size_bytes()
         + len(digest_b) * FINGERPRINT_BYTES
-        + delta_for_b.size_bytes(MODEL)
+        + delta_for_b.size_bytes()
     )
     assert outcome.converged_state == a.join(b)

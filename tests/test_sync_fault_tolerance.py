@@ -19,7 +19,6 @@ from repro.lattice import SetLattice
 from repro.sim.network import Cluster, ClusterConfig
 from repro.sim.runner import run_experiment
 from repro.sim.topology import line, partial_mesh, ring
-from repro.sizes import SizeModel
 from repro.sync import (
     DeltaBasedAcked,
     Scuttlebutt,
@@ -30,8 +29,6 @@ from repro.sync import (
 )
 from repro.sync.protocol import Message
 from repro.workloads import GSetWorkload
-
-MODEL = SizeModel()
 
 
 def gset_add(element):
@@ -47,8 +44,8 @@ class TestDuplication:
     """Channels may duplicate; joins are idempotent."""
 
     def deliver_twice(self, factory):
-        a = factory(0, [1], SetLattice(), 2, MODEL)
-        b = factory(1, [0], SetLattice(), 2, MODEL)
+        a = factory(0, [1], SetLattice(), 2)
+        b = factory(1, [0], SetLattice(), 2)
         a.local_update(gset_add("x"))
         for send in a.sync_messages():
             replies = b.handle_message(0, send.message)
@@ -78,8 +75,8 @@ class TestDuplication:
         assert len(b.buffer) == 1
 
     def test_scuttlebutt_versions_deduplicate(self):
-        a = Scuttlebutt(0, [1], SetLattice(), 2, MODEL)
-        b = Scuttlebutt(1, [0], SetLattice(), 2, MODEL)
+        a = Scuttlebutt(0, [1], SetLattice(), 2)
+        b = Scuttlebutt(1, [0], SetLattice(), 2)
         a.local_update(gset_add("x"))
         [digest] = b.sync_messages()
         [reply] = a.handle_message(1, digest.message)
@@ -92,8 +89,8 @@ class TestDuplication:
 class TestReordering:
     def test_delta_groups_commute(self):
         """Joining δ-groups in any order yields the same state."""
-        receiver_fwd = delta_bp_rr(1, [0], SetLattice(), 2, MODEL)
-        receiver_rev = delta_bp_rr(1, [0], SetLattice(), 2, MODEL)
+        receiver_fwd = delta_bp_rr(1, [0], SetLattice(), 2)
+        receiver_rev = delta_bp_rr(1, [0], SetLattice(), 2)
         first = Message("delta", SetLattice({"a"}), 1, 1, 8, 1)
         second = Message("delta", SetLattice({"b", "c"}), 2, 2, 8, 1)
         receiver_fwd.handle_message(0, first)
@@ -103,7 +100,7 @@ class TestReordering:
         assert receiver_fwd.state == receiver_rev.state == SetLattice({"a", "b", "c"})
 
     def test_stale_full_state_is_harmless(self):
-        node = StateBased(0, [1], SetLattice(), 2, MODEL)
+        node = StateBased(0, [1], SetLattice(), 2)
         node.handle_message(1, Message("state", SetLattice({"a", "b"}), 2, 2, 0))
         node.handle_message(1, Message("state", SetLattice({"a"}), 1, 1, 0))  # stale
         assert node.state == SetLattice({"a", "b"})
@@ -174,7 +171,7 @@ class TestAckedMechanics:
     ``test_sync_delta_contract.py``."""
 
     def test_buffer_retained_until_acked(self):
-        node = DeltaBasedAcked(0, [1, 2], SetLattice(), 3, MODEL)
+        node = DeltaBasedAcked(0, [1, 2], SetLattice(), 3)
         node.local_update(gset_add("x"))
         node.sync_messages()
         assert node.buffer  # unlike Algorithm 1, not cleared by sending
@@ -184,7 +181,7 @@ class TestAckedMechanics:
         assert not node.buffer
 
     def test_bp_entries_skip_origin_ack(self):
-        node = DeltaBasedAcked(0, [1, 2], SetLattice(), 3, MODEL)
+        node = DeltaBasedAcked(0, [1, 2], SetLattice(), 3)
         node.handle_message(
             1, Message("delta-seq", (SetLattice({"y"}), (41,)), 1, 1, 8, 1)
         )
@@ -198,7 +195,7 @@ class TestAckedMechanics:
         assert node.sync_messages() == []
 
     def test_receiver_acks_covered_seqs(self):
-        node = DeltaBasedAcked(0, [1], SetLattice(), 2, MODEL)
+        node = DeltaBasedAcked(0, [1], SetLattice(), 2)
         [ack] = node.handle_message(
             1, Message("delta-seq", (SetLattice({"y"}), (5, 6)), 1, 1, 16, 2)
         )
@@ -206,14 +203,14 @@ class TestAckedMechanics:
         assert ack.message.payload == (5, 6)
 
     def test_resend_until_acked(self):
-        node = DeltaBasedAcked(0, [1], SetLattice(), 2, MODEL)
+        node = DeltaBasedAcked(0, [1], SetLattice(), 2)
         node.local_update(gset_add("x"))
         first = node.sync_messages()
         second = node.sync_messages()  # no ack arrived: resend
         assert first[0].message.payload == second[0].message.payload
 
     def test_acks_for_retired_or_unknown_entries_are_harmless(self):
-        node = DeltaBasedAcked(0, [1], SetLattice(), 2, MODEL)
+        node = DeltaBasedAcked(0, [1], SetLattice(), 2)
         node.local_update(gset_add("x"))
         [send] = node.sync_messages()
         ack = Message("delta-ack", send.message.payload[1], 0, 0, 8, 1)
@@ -225,6 +222,6 @@ class TestAckedMechanics:
         assert resend.message.payload[0] == SetLattice({"y"})
 
     def test_unexpected_kind_is_a_typed_error(self):
-        node = DeltaBasedAcked(0, [1], SetLattice(), 2, MODEL)
+        node = DeltaBasedAcked(0, [1], SetLattice(), 2)
         with pytest.raises(ValueError, match="unexpected message kind"):
             node.handle_message(1, Message("delta", SetLattice({"x"}), 1, 1, 8, 1))

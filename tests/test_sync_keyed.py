@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro import sizes
 from repro.lattice import MapLattice, SetLattice
 from repro.sim.runner import run_experiment, run_suite
 from repro.sim.topology import partial_mesh
-from repro.sizes import SizeModel
 from repro.sync import (
     KeyedDeltaBased,
     keyed_bp,
@@ -16,8 +16,6 @@ from repro.sync import (
 from repro.sync.protocol import Message
 from repro.workloads import RetwisWorkload
 from repro.workloads.base import Workload
-
-MODEL = SizeModel()
 
 
 def store_add(key, element):
@@ -34,7 +32,7 @@ def store_add(key, element):
 
 def make(replica, neighbors, **flags):
     return KeyedDeltaBased(
-        replica, neighbors, MapLattice(), n_nodes=4, size_model=MODEL, **flags
+        replica, neighbors, MapLattice(), n_nodes=4, **flags
     )
 
 
@@ -44,8 +42,8 @@ def bundle(entries):
         "keyed-delta",
         payload,
         payload.size_units(),
-        payload.size_bytes(MODEL),
-        MODEL.int_bytes,
+        payload.size_bytes(),
+        sizes.INT_BYTES,
         1,
     )
 
@@ -57,7 +55,7 @@ class TestKeyedGranularity:
 
     def test_requires_map_state(self):
         with pytest.raises(TypeError):
-            KeyedDeltaBased(0, [1], SetLattice(), 2, MODEL)
+            KeyedDeltaBased(0, [1], SetLattice(), 2)
 
     def test_local_update_splits_per_object(self):
         node = make(0, [1])

@@ -15,7 +15,7 @@ BP+RR, the paper's best configuration (twenty rounds, then the drain):
 * ``MaxInt.size_units`` + ``MaxInt.size_bytes`` — the per-value size
   reads behind message sizes and memory samples.  Rebinding a counter
   owes no size (``fixed_size``, *Size lineage*).
-* ``SizeModel.sizeof`` — per-atom byte sizing.
+* ``sizes.sizeof`` — per-atom byte sizing.
 
 The transmitted bytes and the drain are pinned beside them: they are
 the paper's metric and must not move when the work does.
@@ -39,12 +39,12 @@ from collections import Counter
 
 import pytest
 
+from repro import sizes
 from repro.crdt import Crdt
 from repro.kv import AntiEntropyConfig, HashRing, KVCluster, KVStore, TypeSpec
 from repro.lattice import MaxInt
 from repro.sim.network import Cluster, ClusterConfig
 from repro.sim.topology import partial_mesh
-from repro.sizes import SizeModel
 from repro.sync import delta_bp_rr, keyed_bp_rr
 from repro.wal import log as wal_log
 from repro.workloads.kv import KVZipfWorkload
@@ -53,22 +53,18 @@ from repro.workloads.micro import GMapWorkload
 COUNTED = ("delta", "size_units", "size_bytes")
 
 
-class CountingModel(SizeModel):
-    """A ``SizeModel`` that counts the atoms it is asked to size."""
-
-    def __init__(self, counts: Counter) -> None:
-        super().__init__()
-        self.counts = counts
-
-    def sizeof(self, value):
-        self.counts["sizeof"] += 1
-        return super().sizeof(value)
-
-
 @pytest.fixture
-def counts():
-    """Count calls of ``COUNTED`` on ``MaxInt``; put the originals back."""
+def counts(monkeypatch):
+    """Count calls of ``COUNTED`` on ``MaxInt`` and of ``sizes.sizeof``;
+    put the originals back."""
     tally = Counter()
+    sizeof = sizes.sizeof
+
+    def counting_sizeof(value):
+        tally["sizeof"] += 1
+        return sizeof(value)
+
+    monkeypatch.setattr(sizes, "sizeof", counting_sizeof)
     originals = {name: vars(MaxInt)[name] for name in COUNTED}
 
     def counting(name, method):
@@ -90,7 +86,7 @@ def counts():
 
 def test_gmap_10_under_bp_rr(counts):
     workload = GMapWorkload(15, 10, 20)
-    config = ClusterConfig(topology=partial_mesh(15, 4), size_model=CountingModel(counts))
+    config = ClusterConfig(topology=partial_mesh(15, 4))
     cluster = Cluster(config, delta_bp_rr, workload.bottom())
     cluster.run_rounds(workload.rounds, workload.updates_for)
     drain = cluster.drain()
