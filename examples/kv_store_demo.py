@@ -22,7 +22,7 @@ Run with::
 
 from repro.experiments import KVConfig, run_kv_repair_comparison, run_kv_sweep
 from repro.kv import AntiEntropyConfig, HashRing, KVCluster
-from repro.sync import StateBased, keyed_bp_rr
+from repro.sync import keyed_bp_rr
 
 
 def main() -> None:

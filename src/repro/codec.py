@@ -800,39 +800,6 @@ def _read_ops(payload_in: Cursor, meta_in: Cursor):
     return envelopes
 
 
-def _write_seqs(out: bytearray, seqs) -> None:
-    write_uvarint(out, len(seqs))
-    for seq in seqs:
-        write_uvarint(out, seq)
-
-
-def _read_seqs(data: Cursor) -> tuple:
-    return tuple(read_uvarint(data) for _ in range(read_count(data)))
-
-
-def _write_delta_seq(payload, payload_out: bytearray, meta_out: bytearray) -> None:
-    group, covered = payload
-    _write_lattice(payload_out, group)
-    _write_seqs(meta_out, covered)
-
-
-# acked delta-based: δ-group + covered seqs
-@wire_kind("delta-seq", tag=6, writer=_write_delta_seq)
-def _read_delta_seq(payload_in: Cursor, meta_in: Cursor):
-    group = _read_lattice(payload_in)
-    return (group, _read_seqs(meta_in))
-
-
-def _write_delta_ack(payload, payload_out: bytearray, meta_out: bytearray) -> None:
-    _write_seqs(meta_out, payload)
-
-
-# acked delta-based: acknowledged seqs
-@wire_kind("delta-ack", tag=7, writer=_write_delta_ack)
-def _read_delta_ack(payload_in: Cursor, meta_in: Cursor):
-    return _read_seqs(meta_in)
-
-
 def _write_trie_nodes(payload, payload_out: bytearray, meta_out: bytearray) -> None:
     write_uvarint(meta_out, len(payload))
     for prefix, node_digest in payload:
@@ -841,7 +808,7 @@ def _write_trie_nodes(payload, payload_out: bytearray, meta_out: bytearray) -> N
 
 
 # Merkle descent: (prefix, digest) nodes
-@wire_kind("mt-node", tag=8, writer=_write_trie_nodes)
+@wire_kind("mt-node", tag=6, writer=_write_trie_nodes)
 def _read_trie_nodes(payload_in: Cursor, meta_in: Cursor):
     return tuple(
         (read_atom(meta_in), read_atom(meta_in)) for _ in range(read_count(meta_in))
@@ -862,9 +829,9 @@ def _write_trie_leaves(payload, payload_out: bytearray, meta_out: bytearray) -> 
 
 
 # Merkle bucket ship (expects complement reply)
-@wire_kind("mt-leaves", tag=9, writer=_write_trie_leaves)
+@wire_kind("mt-leaves", tag=7, writer=_write_trie_leaves)
 # Merkle bucket ship (final leg)
-@wire_kind("mt-leaves-final", tag=10, writer=_write_trie_leaves)
+@wire_kind("mt-leaves-final", tag=8, writer=_write_trie_leaves)
 def _read_trie_leaves(payload_in: Cursor, meta_in: Cursor):
     buckets = []
     for _ in range(read_count(meta_in)):
@@ -883,7 +850,7 @@ def _write_kv_digest(payload, payload_out: bytearray, meta_out: bytearray) -> No
 
 
 # store repair: root-hash divergence probe
-@wire_kind("kv-digest", tag=11, writer=_write_kv_digest)
+@wire_kind("kv-digest", tag=9, writer=_write_kv_digest)
 def _read_kv_digest(payload_in: Cursor, meta_in: Cursor):
     return read_atom(meta_in)
 
@@ -907,7 +874,7 @@ def _write_kv_diff(payload, payload_out: bytearray, meta_out: bytearray) -> None
 
 
 # store repair: fingerprint-digest escalation
-@wire_kind("kv-diff", tag=12, writer=_write_kv_diff)
+@wire_kind("kv-diff", tag=10, writer=_write_kv_diff)
 def _read_kv_diff(payload_in: Cursor, meta_in: Cursor):
     return _read_fingerprints(meta_in)
 
@@ -923,7 +890,7 @@ def _write_kv_repair(payload, payload_out: bytearray, meta_out: bytearray) -> No
 
 
 # store repair: (delta, echo digest | None)
-@wire_kind("kv-repair", tag=13, writer=_write_kv_repair)
+@wire_kind("kv-repair", tag=11, writer=_write_kv_repair)
 def _read_kv_repair(payload_in: Cursor, meta_in: Cursor):
     has_echo = meta_in.byte()
     echo = _read_fingerprints(meta_in) if has_echo else None
@@ -938,7 +905,7 @@ def _write_kv_batch(payload, payload_out: bytearray, meta_out: bytearray) -> Non
 
 
 # store framing: bundled (shard, message) pairs
-@wire_kind("kv-batch", tag=14, writer=_write_kv_batch)
+@wire_kind("kv-batch", tag=12, writer=_write_kv_batch)
 def _read_kv_batch(payload_in: Cursor, meta_in: Cursor):
     entries = []
     for _ in range(read_count(meta_in)):
@@ -954,7 +921,7 @@ def _write_kv_handoff_offer(payload, payload_out: bytearray, meta_out: bytearray
 
 
 # rebalance: shard handoff announcement (root, size hint)
-@wire_kind("kv-handoff-offer", tag=15, writer=_write_kv_handoff_offer)
+@wire_kind("kv-handoff-offer", tag=13, writer=_write_kv_handoff_offer)
 def _read_kv_handoff_offer(payload_in: Cursor, meta_in: Cursor):
     root = read_atom(meta_in)
     return (root, read_uvarint(meta_in))
@@ -970,7 +937,7 @@ def _write_kv_handoff_segment(payload, payload_out: bytearray, meta_out: bytearr
 
 
 # rebalance: compacted WAL segment (encoded delta records)
-@wire_kind("kv-handoff-segment", tag=16, writer=_write_kv_handoff_segment)
+@wire_kind("kv-handoff-segment", tag=14, writer=_write_kv_handoff_segment)
 def _read_kv_handoff_segment(payload_in: Cursor, meta_in: Cursor):
     return tuple(
         payload_in.take(read_uvarint(meta_in))
@@ -989,7 +956,7 @@ def _write_kv_handoff_ack(payload, payload_out: bytearray, meta_out: bytearray) 
 
 
 # rebalance: receiver verdict (complete flag, replayed root)
-@wire_kind("kv-handoff-ack", tag=17, writer=_write_kv_handoff_ack)
+@wire_kind("kv-handoff-ack", tag=15, writer=_write_kv_handoff_ack)
 def _read_kv_handoff_ack(payload_in: Cursor, meta_in: Cursor):
     complete = bool(meta_in.byte())
     has_root = meta_in.byte()

@@ -41,7 +41,7 @@ from repro.experiments.figure11 import Figure11Result, run_figure11
 from repro.experiments.figure12 import Figure12Result, run_figure12
 from repro.experiments.table1 import Table1Result, run_table1
 from repro.experiments.table2 import Table2Result, run_table2
-from repro.experiments.grid import ALL_ALGORITHMS, BASELINE, paper_topologies, run_grid
+from repro.experiments.grid import BASELINE, paper_topologies, run_grid
 from repro.experiments.retwis_sweep import (
     PAPER_COEFFICIENTS,
     RetwisConfig,
@@ -301,7 +301,6 @@ __all__ = [
     "Figure9Config",
     "Table2Config",
     "RetwisSweepConfig",
-    "ALL_ALGORITHMS",
     "BASELINE",
     "run_grid",
     "DEFAULT_ALGORITHMS",

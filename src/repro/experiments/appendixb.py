@@ -19,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.experiments.grid import ALL_ALGORITHMS, BASELINE, paper_topologies
+from repro.experiments.grid import BASELINE, paper_topologies
 from repro.experiments.report import format_table
 from repro.sim.runner import ExperimentResult, run_suite
+from repro.sync import ALGORITHMS
 from repro.workloads.causal import AWSetChurnWorkload
 
 
@@ -43,7 +44,7 @@ class AppendixBResult:
     def rows(self) -> List[Tuple[str, str, int, float]]:
         out = []
         for topology in ("tree", "mesh"):
-            for algorithm in sorted(ALL_ALGORITHMS):
+            for algorithm in sorted(ALGORITHMS):
                 out.append(
                     (
                         topology,
@@ -72,7 +73,7 @@ def run_appendixb(
     results: Dict[Tuple[str, str], ExperimentResult] = {}
     for topology_name, topology in paper_topologies(nodes).items():
         suite = run_suite(
-            ALL_ALGORITHMS,
+            ALGORITHMS,
             lambda: AWSetChurnWorkload(nodes, rounds, add_ratio=add_ratio),
             topology,
         )

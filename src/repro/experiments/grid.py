@@ -20,11 +20,6 @@ from repro.workloads import make_micro_workload
 #: The paper's evaluation baseline — everything is plotted against it.
 BASELINE = "delta-based-bp-rr"
 
-#: Every synchronization mechanism in the Section V-B comparison: the
-#: paper's label table itself, not a copy of it.
-ALL_ALGORITHMS: Dict[str, Callable] = ALGORITHMS
-
-
 def paper_topologies(nodes: int = 15) -> Dict[str, Topology]:
     """The two Figure 6 overlays at the requested size."""
     return {"tree": tree(nodes, 2), "mesh": partial_mesh(nodes, 4)}
@@ -91,7 +86,7 @@ def run_grid(
     the identical update schedule.
     """
     topologies = dict(topologies) if topologies else paper_topologies(nodes)
-    algorithms = dict(algorithms) if algorithms else dict(ALL_ALGORITHMS)
+    algorithms = dict(algorithms) if algorithms else dict(ALGORITHMS)
     grid = EvaluationGrid(nodes=nodes, rounds=rounds)
     for workload_name in workloads:
         for topo_name, topology in topologies.items():

@@ -11,7 +11,7 @@ the table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from repro.experiments.report import format_table
 from repro.lattice import MapLattice, SetLattice

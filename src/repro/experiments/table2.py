@@ -10,7 +10,6 @@ operations against synthetic states.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
 
 from repro.experiments.report import format_table
 from repro.lattice import MapLattice, SetLattice

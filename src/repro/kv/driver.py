@@ -252,7 +252,12 @@ class KVDriver(ClusterDriver):
         return owners[0]
 
     def update(self, key: Hashable, op: str, *args):
-        """Apply a typed write at the first live owner; return the δ."""
+        """Apply a typed write at the first live owner; return the δ.
+
+        Under a WAL recovery policy an in-process owner returns on
+        apply and the write is durable at its next tick; a replica
+        process commits before it replies.
+        """
         return self.apply_update(
             self._coordinator(key), KVUpdate(key, op, tuple(args))
         )

@@ -245,7 +245,12 @@ class KVStore(Synchronizer):
     # ------------------------------------------------------------------
 
     def update(self, key: Hashable, op: str, *args) -> Lattice:
-        """Apply a typed write locally; return the keyspace delta."""
+        """Apply a typed write locally; return the keyspace delta.
+
+        With a WAL the δ is only staged: it is durable at the next
+        tick's group commit (:meth:`sync_messages`), or at once where
+        the caller commits, as a replica process does before its ack.
+        """
         return self.local_update(KVUpdate(key, op, tuple(args)))
 
     def remove(self, key: Hashable) -> Lattice:

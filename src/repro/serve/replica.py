@@ -413,11 +413,21 @@ class ReplicaProcess:
             return True
         return False
 
+    def _commit(self) -> None:
+        """Acked means committed: a write's reply waits for its WAL record.
+
+        ``store.update`` only stages the δ, and the tick's group commit
+        may never come if the process is killed first.
+        """
+        if self.store.wal is not None:
+            self.store.wal.commit()
+
     @_handles(frames.PUT)
     def _handle_put(self, request: Request) -> Response:
         self.client_ops += 1
         self._trace_client_op("put", request.key)
         delta = self.store.update(request.key, request.op, *request.args)
+        self._commit()
         return Response(request.id, blob=encode(delta))
 
     @_handles(frames.REMOVE)
@@ -425,6 +435,7 @@ class ReplicaProcess:
         self.client_ops += 1
         self._trace_client_op("remove", request.key)
         delta = self.store.remove(request.key)
+        self._commit()
         return Response(request.id, blob=encode(delta))
 
     @_handles(frames.REPAIR)
@@ -435,6 +446,8 @@ class ReplicaProcess:
         absorbed = self.store.absorb_client_state(
             fragment, payload_bytes=len(request.blob)
         )
+        # A w > 1 write counts this reply as one of its acks.
+        self._commit()
         return Response(request.id, body={"absorbed": not absorbed.is_bottom})
 
     @_handles(frames.PING, frames.SHUTDOWN)

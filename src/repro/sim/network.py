@@ -143,8 +143,9 @@ class ClusterConfig:
     latency_ms: float = 25.0
     max_drain_rounds: int = 200
     #: Probability that any message is silently dropped in transit.
-    #: The paper's Algorithm 1 assumes 0; the acked variant
-    #: (:class:`repro.sync.deltabased.DeltaBasedAcked`) tolerates > 0.
+    #: The paper's Algorithm 1 assumes 0 and loses updates above it;
+    #: state-based tolerates any rate, and a kv store with digest
+    #: repair (:mod:`repro.kv.repair`) converges through it.
     loss_rate: float = 0.0
     #: Seed for the (deterministic) loss coin flips.
     loss_seed: int = 0

@@ -12,7 +12,7 @@ property the paper's ratio plots rely on).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Sequence
+from typing import Callable, Dict, Mapping
 
 from repro.sim.metrics import MetricsCollector
 from repro.sim.network import Cluster, ClusterConfig

@@ -19,7 +19,7 @@ with 50 nodes and degree 4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ interface so the simulator and benchmark harness can swap them freely:
 * ``delta-based`` — Algorithm 1: the classic algorithm plus the BP
   (avoid back-propagation) and RR (remove redundant state) optimizations
   in any combination (Section IV), plus its per-object instantiation
-  (Section V-C) and its lossy-channel extension with sequence numbers
-  and acks — all three in :mod:`repro.sync.deltabased`;
+  (Section V-C) — both in :mod:`repro.sync.deltabased`.  Like the
+  paper's Algorithm 1 it assumes reliable channels; on the kv path the
+  store's digest repair (:mod:`repro.kv.repair`) covers loss;
 * ``scuttlebutt`` / ``scuttlebutt-gc`` — anti-entropy reconciliation
   over a versioned delta store, with and without the safe-delete
   knowledge matrix (Section V-B);
@@ -26,10 +27,8 @@ from repro.sync.protocol import Message, Send, Synchronizer, SynchronizerFactory
 from repro.sync.statebased import StateBased
 from repro.sync.deltabased import (
     DeltaBased,
-    DeltaBasedAcked,
     KeyedDeltaBased,
     classic,
-    delta_acked_factory,
     delta_bp,
     delta_bp_rr,
     delta_rr,
@@ -63,7 +62,6 @@ ALGORITHMS = {
 #: Extension protocols beyond the paper's evaluated set.
 EXTRA_ALGORITHMS = {
     "merkle": MerkleSync,
-    "delta-based-acked": delta_acked_factory,
 }
 
 __all__ = [
@@ -80,8 +78,6 @@ __all__ = [
     "Scuttlebutt",
     "ScuttlebuttGC",
     "OpBased",
-    "DeltaBasedAcked",
-    "delta_acked_factory",
     "MerkleSync",
     "EXTRA_ALGORITHMS",
     "KeyedDeltaBased",

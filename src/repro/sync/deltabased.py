@@ -33,12 +33,11 @@ line 5    ``DeltaBased.buffer`` — the δ-buffer ``Bᵢ``, a
 9–13      :meth:`DeltaBased.sync_messages` — the periodic step: the
           BP filter of line 11 is :meth:`DeltaBuffer.pending`, the
           join of line 11 is ``_group_message`` over
-          :meth:`DeltaBuffer.joined`, line 13 (clear the buffer) is
-          ``_retire_sent``.  Each buffered δ is sized once in its
-          life and a δ-group by adding its parts: under RR the parts
-          are disjoint in irreducibles, and a join of key-disjoint
-          maps is a union (``lattice/map_lattice.py``, *Disjoint
-          operands*)
+          :meth:`DeltaBuffer.joined`, line 13 clears the buffer.
+          Each buffered δ is sized once in its life and a δ-group by
+          adding its parts: under RR the parts are disjoint in
+          irreducibles, and a join of key-disjoint maps is a union
+          (``lattice/map_lattice.py``, *Disjoint operands*)
 14–17     ``DeltaBased._receive`` — ``on receiveⱼ,ᵢ(d)``: line 15 is
           RR's ``∆(d, xᵢ)`` (a binding the replica holds as the same
           object costs one ``is``: ``lattice/map_lattice.py``,
@@ -57,8 +56,8 @@ line 5    ``DeltaBased.buffer`` — the δ-buffer ``Bᵢ``, a
           one else has seen.  So the store costs O(|δ|), not O(|xᵢ|)
 ========  ==========================================================
 
-The paper varies Algorithm 1 along two further axes, and each is one
-subclass that states *only* that axis:
+The paper varies Algorithm 1 along one further axis, and one subclass
+states *only* that axis:
 
 * **Granularity (Section V-C)** — :class:`KeyedDeltaBased`.  The Retwis
   deployment runs one instance of Algorithm 1 per object of a
@@ -67,22 +66,15 @@ subclass that states *only* that axis:
   ``_assemble`` (how parts re-form one lattice value) say so; the base
   class treats the whole state as a single part under the key ``None``.
 
-* **Channel (Section IV, last paragraph)** — :class:`DeltaBasedAcked`.
-  Algorithm 1 assumes reliable channels "for simplicity of
-  presentation"; the assumption is removed "by simply tagging each
-  entry in the δ-buffer with a unique sequence number, and by
-  exchanging acks between replicas", as originally proposed by Almeida
-  et al.  The hooks ``_settled`` (which entries a neighbour no longer
-  needs), ``_envelope`` (the payload and sequence numbers around a
-  δ-group), ``_retire_sent`` (whether sending retires entries) and
-  ``_channel_units`` (the channel's resident sequence state) say so;
-  the base class retires on send and accounts one sequence number per
-  neighbour for the extension.
+Channels are reliable, as Algorithm 1 assumes: on the kv path loss is
+the job of the store's digest repair (:mod:`repro.kv.repair`), and the
+sim :class:`~repro.sim.network.Cluster` under ``loss_rate`` shows
+Algorithm 1 alone losing the updates a dropped δ-group carried.
 """
 
 from __future__ import annotations
 
-from typing import Any, Collection, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro import sizes
 from repro.lattice.base import Lattice
@@ -91,53 +83,43 @@ from repro.sync.protocol import DeltaMutator, Message, Send, Synchronizer
 
 
 class DeltaBuffer:
-    """The δ-buffer ``Bᵢ``: sequence-numbered ``(key, δ, origin)`` entries.
+    """The δ-buffer ``Bᵢ``: ``(key, δ, origin)`` entries in insertion order.
 
     ``key`` names the part of the state the δ belongs to (``None`` when
-    the state is synchronized as a whole), ``origin`` is the replica
-    the δ came from (BP's tag), and the sequence number is what a
-    lossy-channel ack refers to.  Iterating yields the entries in
-    insertion order; sizes are summed when read, never kept as running
-    totals.
+    the state is synchronized as a whole) and ``origin`` is the replica
+    the δ came from (BP's tag).  Entries are addressed by position;
+    sizes are summed when read, never kept as running totals.
     """
 
-    __slots__ = ("entries", "_next_seq")
+    __slots__ = ("entries",)
 
     def __init__(self) -> None:
-        self.entries: Dict[int, Tuple[Hashable, Lattice, int]] = {}
-        self._next_seq = 0
+        self.entries: List[Tuple[Hashable, Lattice, int]] = []
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def __iter__(self):
-        return iter(self.entries.values())
+        return iter(self.entries)
 
     def add(self, key: Hashable, delta: Lattice, origin: int) -> None:
-        self.entries[self._next_seq] = (key, delta, origin)
-        self._next_seq += 1
+        self.entries.append((key, delta, origin))
 
-    def pending(
-        self, exclude: Optional[int], settled: Collection[int]
-    ) -> Tuple[int, ...]:
-        """Sequence numbers still owed to one neighbour, in order.
+    def pending(self, exclude: Optional[int]) -> Tuple[int, ...]:
+        """Positions of the entries owed to one neighbour, in order.
 
         Skips entries whose origin is ``exclude`` (BP; ``None`` excludes
-        nothing) and entries in ``settled`` (already acknowledged).
+        nothing).
         """
         return tuple(
-            [
-                seq
-                for seq, (_, _, origin) in self.entries.items()
-                if origin != exclude and seq not in settled
-            ]
+            [i for i, (_, _, origin) in enumerate(self.entries) if origin != exclude]
         )
 
-    def joined(self, seqs: Iterable[int]) -> Dict[Hashable, Lattice]:
-        """The entries ``seqs`` joined per key — one δ-group per part."""
+    def joined(self, positions: Iterable[int]) -> Dict[Hashable, Lattice]:
+        """The entries at ``positions`` joined per key — one δ-group per part."""
         parts: Dict[Hashable, Lattice] = {}
-        for seq in seqs:
-            key, delta, _ = self.entries[seq]
+        for i in positions:
+            key, delta, _ = self.entries[i]
             current = parts.get(key)
             parts[key] = delta if current is None else current.join(delta)
         return parts
@@ -211,45 +193,44 @@ class DeltaBased(Synchronizer):
         Neighbours owed the *same* entries receive the same δ-group, so
         they share one frozen message object, sized once and (on a real
         transport) encoded once; see :func:`repro.codec.frame_message`.
-        Only a neighbour whose pending set differs — it tagged an entry
-        (BP), or its acks differ — gets a private group.
+        Only a neighbour that tagged an entry (BP) gets a private group.
         """
         if not self.buffer:
             return []
         sends: List[Send] = []
         built: Dict[Tuple[int, ...], Message] = {}
         for neighbor in self.neighbors:
-            covered = self.buffer.pending(
-                neighbor if self.bp else None, self._settled(neighbor)
-            )
+            covered = self.buffer.pending(neighbor if self.bp else None)
             if not covered:
                 continue
             message = built.get(covered)
             if message is None:
                 message = built[covered] = self._group_message(covered)
             sends.append(Send(dst=neighbor, message=message))
-        self._retire_sent()
+        # Line 13: channels do not drop, so a sent entry is done.
+        self.buffer.clear()
         return sends
 
     def _group_message(self, covered: Tuple[int, ...]) -> Message:
-        """Line 11's join of the entries ``covered``, in its envelope.
+        """Line 11's join of the entries at ``covered``, as one message.
 
         Each entry is sized before the join: a memo hit for any δ that
         sat through a memory sample or is owed to an earlier group, and
         key-disjoint sized parts join into a group that is born sized.
+        The metadata is the paper's: one sequence number per δ-group,
+        which its Section IV says would make lossy channels safe.
         """
-        for seq in covered:
-            self._payload_sizes(self.buffer.entries[seq][1])
+        for i in covered:
+            self._payload_sizes(self.buffer.entries[i][1])
         group = self._assemble(self.buffer.joined(covered))
-        payload, seqs = self._envelope(group, covered)
         units, payload_bytes = self._payload_sizes(group)
         return Message(
             kind=self.kind,
-            payload=payload,
+            payload=group,
             payload_units=units,
             payload_bytes=payload_bytes,
-            metadata_bytes=seqs * sizes.INT_BYTES,
-            metadata_units=seqs,
+            metadata_bytes=sizes.INT_BYTES,
+            metadata_units=1,
         )
 
     # ------------------------------------------------------------------
@@ -326,28 +307,6 @@ class DeltaBased(Synchronizer):
         return parts.get(None, self.bottom)
 
     # ------------------------------------------------------------------
-    # Channel: reliable, so sending retires (DeltaBasedAcked differs).
-    # ------------------------------------------------------------------
-
-    def _settled(self, neighbor: int) -> Collection[int]:
-        """Sequence numbers ``neighbor`` no longer needs to be sent."""
-        return ()
-
-    def _envelope(self, group: Lattice, covered: Tuple[int, ...]) -> Tuple[Any, int]:
-        """The message payload around ``group`` and how many sequence
-        numbers of metadata it carries: the bare δ-group, accounted one
-        sequence number for the lossy-channel extension."""
-        return group, 1
-
-    def _retire_sent(self) -> None:
-        """Line 13: channels do not drop, so a sent entry is done."""
-        self.buffer.clear()
-
-    def _channel_units(self) -> int:
-        """Resident channel state: one sequence number per neighbour."""
-        return len(self.neighbors)
-
-    # ------------------------------------------------------------------
     # Memory accounting.
     # ------------------------------------------------------------------
 
@@ -358,14 +317,15 @@ class DeltaBased(Synchronizer):
         return self.buffer.bytes()
 
     def metadata_bytes(self) -> int:
-        """Origin tags on buffer entries (BP) plus the channel's integers."""
+        """Origin tags on buffer entries (BP) plus one sequence number
+        per neighbour, the paper's accounting for lossy channels."""
         tags = len(self.buffer) * sizes.ID_BYTES if self.bp else 0
-        return tags + self._channel_units() * sizes.INT_BYTES
+        return tags + len(self.neighbors) * sizes.INT_BYTES
 
     def metadata_units(self) -> int:
-        """One entry per origin tag (BP) plus one per channel integer."""
+        """One entry per origin tag (BP) plus one per neighbour."""
         tags = len(self.buffer) if self.bp else 0
-        return tags + self._channel_units()
+        return tags + len(self.neighbors)
 
 
 class KeyedDeltaBased(DeltaBased):
@@ -418,87 +378,6 @@ class KeyedDeltaBased(DeltaBased):
         return MapLattice(parts)
 
 
-class DeltaBasedAcked(DeltaBased):
-    """Algorithm 1 over lossy channels: the acknowledgement-pruned buffer.
-
-    Always BP+RR — no site ever configured it otherwise.
-
-    * The δ-group sent to neighbour ``j`` joins the entries ``j`` has
-      not acknowledged and lists the sequence numbers it covers
-      (``delta-seq``);
-    * the receiver runs the ordinary receive rule, then acknowledges
-      the covered sequence numbers (``delta-ack``);
-    * an entry leaves the buffer once every neighbour that needs it has
-      acknowledged it, instead of when it is sent.
-
-    Losing a message merely delays convergence: the unacknowledged
-    entries ride along with the next synchronization step.  Duplicates
-    are harmless (joins are idempotent; acks are set unions).
-    """
-
-    name = "delta-based-acked"
-    kind = "delta-seq"
-
-    def __init__(
-        self,
-        replica: int,
-        neighbors: Sequence[int],
-        bottom: Lattice,
-        n_nodes: int,
-    ) -> None:
-        super().__init__(replica, neighbors, bottom, n_nodes, bp=True, rr=True)
-        #: Per-neighbour acknowledged sequence numbers.
-        self.acked: Dict[int, Set[int]] = {j: set() for j in self.neighbors}
-
-    def handle_message(self, src: int, message: Message) -> List[Send]:
-        if message.kind == self.kind:
-            group, covered = message.payload
-            self._receive(group, src, self.rr)
-            ack = Message(
-                kind="delta-ack",
-                payload=tuple(covered),
-                payload_units=0,
-                payload_bytes=0,
-                metadata_bytes=len(covered) * sizes.INT_BYTES,
-                metadata_units=len(covered),
-            )
-            return [Send(dst=src, message=ack)]
-        if message.kind == "delta-ack":
-            self._acknowledge(src, message.payload)
-            return []
-        raise ValueError(f"unexpected message kind {message.kind!r}")
-
-    def _acknowledge(self, neighbor: int, seqs: Sequence[int]) -> None:
-        """Record the acks; drop entries every relevant neighbour has acked.
-
-        The entry's origin neighbour never needs to ack — BP never
-        sends the entry back to it.
-        """
-        self.acked[neighbor].update(seqs)
-        done = [
-            seq
-            for seq, (_, _, origin) in self.buffer.entries.items()
-            if all(seq in self.acked[j] for j in self.neighbors if j != origin)
-        ]
-        for seq in done:
-            del self.buffer.entries[seq]
-        for acks in self.acked.values():
-            acks.difference_update(done)
-
-    def _settled(self, neighbor: int) -> Collection[int]:
-        return self.acked[neighbor]
-
-    def _envelope(self, group: Lattice, covered: Tuple[int, ...]) -> Tuple[Any, int]:
-        return (group, covered), len(covered)
-
-    def _retire_sent(self) -> None:
-        """Sending proves nothing on a lossy channel; acks retire."""
-
-    def _channel_units(self) -> int:
-        """A sequence number per entry plus every recorded ack."""
-        return len(self.buffer) + sum(len(acks) for acks in self.acked.values())
-
-
 #: The paper's plot labels for Algorithm 1's four configurations → (bp, rr).
 VARIANTS = {
     "delta-based": (False, False),
@@ -531,5 +410,3 @@ def _factories(cls):
 classic, delta_bp, delta_rr, delta_bp_rr = _factories(DeltaBased)
 #: The same four, per object of a ``MapLattice`` store.
 keyed_classic, keyed_bp, keyed_rr, keyed_bp_rr = _factories(KeyedDeltaBased)
-#: The acked variant takes no flags, so the class is its own factory.
-delta_acked_factory = DeltaBasedAcked

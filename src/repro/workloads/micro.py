@@ -20,7 +20,7 @@ events per replica.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence
+from typing import Dict, List, Sequence
 
 from repro.lattice.base import Lattice
 from repro.lattice.map_lattice import MapLattice

@@ -34,7 +34,7 @@ Facebook's key-value workload analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.lattice.base import Lattice

@@ -14,8 +14,6 @@ the agreement of the optimized ``delta``/``leq`` fast paths with the
 generic definitions they shortcut.
 """
 
-import random
-
 from hypothesis import given, settings, strategies as st
 
 from repro.causal import AWSet, Causal, CausalMVRegister, CCounter, EWFlag, RWSet

@@ -2,8 +2,9 @@
 
 The deep composition case: an observed-remove map whose values are
 themselves causal CRDTs (AW-sets, registers), replicated through the
-paper's protocols — with message loss on the acked variant — plus the
-delta-algebra identities that make buffered δ-group joins safe.
+paper's protocols — with message loss under state-based, which carries
+everything on every exchange — plus the delta-algebra identities that
+make buffered δ-group joins safe.
 """
 
 import random
@@ -18,8 +19,7 @@ from repro.causal import (
 )
 from repro.sim.network import Cluster, ClusterConfig
 from repro.sim.topology import partial_mesh, tree
-from repro.sync import ALGORITHMS
-from repro.sync import DeltaBasedAcked
+from repro.sync import ALGORITHMS, StateBased
 
 
 def ormap_cluster(factory, topology, rounds=6, seed=29, loss_rate=0.0):
@@ -68,11 +68,8 @@ def test_ormap_protocols_agree_on_final_state():
     assert reference.nodes[0].state == candidate.nodes[0].state
 
 
-def test_ormap_survives_lossy_channels_with_acked_deltas():
-    def factory(replica, neighbors, bottom, n_nodes):
-        return DeltaBasedAcked(replica, neighbors, bottom, n_nodes)
-
-    cluster = ormap_cluster(factory, partial_mesh(8, 4), loss_rate=0.25)
+def test_ormap_survives_lossy_channels_under_state_based():
+    cluster = ormap_cluster(StateBased, partial_mesh(8, 4), loss_rate=0.25)
     assert cluster.converged()
     assert cluster.messages_dropped > 0
 

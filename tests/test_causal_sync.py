@@ -13,17 +13,17 @@ import random
 import pytest
 
 from repro.causal import AWSet, Causal, CCounter, EWFlag
+from repro.kv import AntiEntropyConfig, HashRing, KVCluster, KVUpdate
 from repro.sim.network import Cluster, ClusterConfig
 from repro.sim.topology import full_mesh, partial_mesh, tree
-from repro.sync import ALGORITHMS
-from repro.sync import DeltaBasedAcked
+from repro.sync import ALGORITHMS, keyed_bp_rr
 
 PROTOCOLS = sorted(ALGORITHMS)
 
 
-def run_awset_churn(factory, topology, rounds=6, seed=11, loss_rate=0.0):
+def run_awset_churn(factory, topology, rounds=6, seed=11):
     """Random adds/removes of a small element pool on every node."""
-    config = ClusterConfig(topology=topology, loss_rate=loss_rate, loss_seed=seed)
+    config = ClusterConfig(topology=topology)
     cluster = Cluster(config, factory, Causal.map_bottom())
     rng = random.Random(seed)
     elements = [f"e{i}" for i in range(10)]
@@ -175,16 +175,27 @@ def test_classic_tracks_state_based_on_mesh():
 
 
 # ---------------------------------------------------------------------------
-# Lossy channels: the acked δ-buffer carries causal states too.
+# Lossy channels: on the kv path digest repair carries causal states too.
 # ---------------------------------------------------------------------------
 
 
-def test_acked_delta_sync_converges_under_loss():
-    def factory(replica, neighbors, bottom, n_nodes):
-        return DeltaBasedAcked(replica, neighbors, bottom, n_nodes)
-
-    topology = partial_mesh(8, 4)
-    cluster = run_awset_churn(factory, topology, rounds=6, loss_rate=0.2)
+def test_awset_churn_on_the_kv_path_converges_under_loss():
+    ring = HashRing(range(8), n_shards=8, replication=3)
+    cluster = KVCluster(
+        ring,
+        keyed_bp_rr,
+        antientropy=AntiEntropyConfig(repair_interval=2, repair_fanout=8, repair_mode="digest"),
+        config=ClusterConfig(full_mesh(8), loss_rate=0.2, loss_seed=11),
+    )
+    rng = random.Random(11)
+    for _ in range(6):
+        for _ in range(8):
+            key = f"aws:{rng.randrange(4)}"
+            op = "add" if rng.random() < 0.65 else "remove"
+            update = KVUpdate(key, op, (f"e{rng.randrange(10)}",))
+            cluster.apply_update(rng.choice(ring.owners(key)), update)
+        cluster.run_round(updates=None)
+    cluster.drain()
     assert cluster.converged()
     assert cluster.messages_dropped > 0
 

@@ -111,7 +111,7 @@ def test_a_substituted_byte_in_a_frame_decodes_canonically_or_is_rejected(data):
 def test_fingerprints_that_could_not_be_sent_on_are_rejected():
     # kv-diff, two fingerprints, the second an empty str: decodable atom by
     # atom, but the writer orders fingerprints as byte strings.
-    meta = b"\x0c\x00\x00\x02\x06\x01\x01\x05\x00"
+    meta = b"\x0a\x00\x00\x02\x06\x01\x01\x05\x00"
     with pytest.raises(CodecError, match="byte strings"):
         decode_message(envelope(b"", meta))
 
@@ -149,15 +149,14 @@ SIZED_FRAMES = [
     ("digest vector", b"", b"\x03\x00\x00\x00"),
     ("deltas", b"", b"\x04\x00\x00"),
     ("ops", b"", b"\x05\x00\x00"),
-    ("delta-ack seqs", b"", b"\x07\x00\x00"),
-    ("mt-node", b"", b"\x08\x00\x00"),
-    ("mt-leaves buckets", b"", b"\x09\x00\x00"),
-    ("mt-leaves leaves", b"", b"\x09\x00\x00\x01\x05\x00"),
-    ("mt-leaves blob length", b"ab", b"\x09\x00\x00\x01\x05\x00\x01\x06\x00"),
-    ("kv-diff fingerprints", b"", b"\x0c\x00\x00"),
-    ("kv-batch entries", b"", b"\x0e\x00\x00"),
-    ("kv-handoff-segment bodies", b"", b"\x10\x00\x00"),
-    ("kv-handoff-segment body length", b"ab", b"\x10\x00\x00\x01"),
+    ("mt-node", b"", b"\x06\x00\x00"),
+    ("mt-leaves buckets", b"", b"\x07\x00\x00"),
+    ("mt-leaves leaves", b"", b"\x07\x00\x00\x01\x05\x00"),
+    ("mt-leaves blob length", b"ab", b"\x07\x00\x00\x01\x05\x00\x01\x06\x00"),
+    ("kv-diff fingerprints", b"", b"\x0a\x00\x00"),
+    ("kv-batch entries", b"", b"\x0c\x00\x00"),
+    ("kv-handoff-segment bodies", b"", b"\x0e\x00\x00"),
+    ("kv-handoff-segment body length", b"ab", b"\x0e\x00\x00\x01"),
 ]
 
 
@@ -224,13 +223,13 @@ def test_deep_nesting_is_a_codec_error_not_a_recursion_error(blob):
     with pytest.raises(CodecError, match="nesting too deep"):
         decode(blob)
     # The same blob as the δ of a keyed-delta inside a kv-batch.
-    batch = envelope(blob, b"\x0e\x00\x00\x01\x00" + b"\x02\x00\x00")
+    batch = envelope(blob, b"\x0c\x00\x00\x01\x00" + b"\x02\x00\x00")
     with pytest.raises(CodecError, match="nesting too deep"):
         decode_message(batch)
 
 
 def test_deeply_nested_batches_are_a_codec_error():
-    meta = b"\x0e\x00\x00\x01\x00" * 5000 + b"\x07\x00\x00\x00"
+    meta = b"\x0c\x00\x00\x01\x00" * 5000 + b"\x07\x00\x00\x00"
     with pytest.raises(CodecError, match="nesting too deep"):
         decode_message(envelope(b"", meta))
 

@@ -42,7 +42,7 @@ from repro.net.sim import SimTransport
 from repro.sim.metrics import MetricsCollector
 from repro.sim.network import Cluster, ClusterConfig
 from repro.sim.topology import full_mesh, partial_mesh
-from repro.sync import ALGORITHMS, MerkleSync, delta_acked_factory, keyed_bp_rr
+from repro.sync import ALGORITHMS, EXTRA_ALGORITHMS, keyed_bp_rr
 from repro.sync.opbased import OpEnvelope
 from repro.sync.protocol import Message, Send
 from repro.workloads import GSetWorkload
@@ -85,8 +85,6 @@ REPRESENTATIVES = {
         OpEnvelope(origin=0, seq=1, clock={0: 1}, payload=SetLattice({"a"})),
         OpEnvelope(origin=2, seq=3, clock={0: 1, 2: 3}, payload=MaxInt(5)),
     ],
-    "delta-seq": (SetLattice({"a", "b"}), (1, 2, 5)),
-    "delta-ack": (3, 4, 7),
     "mt-node": (("", b"d" * 20), ("a3", b"e" * 20)),
     "mt-leaves": (("a", ((b"h" * 20, encode(MaxInt(3))),)),),
     "mt-leaves-final": (
@@ -162,9 +160,9 @@ class TestEveryKindRoundTrips:
         assert decoded.payload_bytes == len(encode(payload))
 
     def test_metadata_only_kinds_measure_zero_payload(self):
-        """Digests, vectors, acks, and probes are pure metadata on the
+        """Digests, vectors, and probes are pure metadata on the
         wire, matching the paper's payload/metadata split."""
-        for kind in ("digest", "delta-ack", "mt-node", "kv-digest", "kv-diff"):
+        for kind in ("digest", "mt-node", "kv-digest", "kv-diff"):
             frame = frame_message(make_message(kind, REPRESENTATIVES[kind]))
             assert frame.payload_bytes == 0, kind
 
@@ -262,9 +260,7 @@ class CodecRoundtripTransport(SimTransport):
                 self.kinds_seen.add(inner.kind)
 
 
-PROTOCOLS = dict(ALGORITHMS)
-PROTOCOLS["merkle"] = MerkleSync
-PROTOCOLS["delta-based-acked"] = delta_acked_factory
+PROTOCOLS = {**ALGORITHMS, **EXTRA_ALGORITHMS}
 
 EXPECTED_KINDS = {
     "state-based": {"state"},
@@ -276,7 +272,6 @@ EXPECTED_KINDS = {
     "scuttlebutt-gc": {"digest", "deltas"},
     "op-based": {"ops"},
     "merkle": {"mt-node", "mt-leaves"},
-    "delta-based-acked": {"delta-seq", "delta-ack"},
 }
 
 

@@ -8,12 +8,13 @@ and without randomized inputs (message loss).
 """
 
 from repro.causal import Causal
+from repro.kv import AntiEntropyConfig, HashRing, KVCluster
 from repro.sim.network import Cluster, ClusterConfig
 from repro.sim.runner import run_experiment
-from repro.sim.topology import partial_mesh
-from repro.sync import ALGORITHMS
-from repro.sync import delta_acked_factory
+from repro.sim.topology import full_mesh, partial_mesh
+from repro.sync import ALGORITHMS, keyed_bp_rr
 from repro.workloads import AWSetChurnWorkload, GSetWorkload
+from repro.workloads.kv import KVZipfWorkload
 
 
 def _message_trace(cluster):
@@ -23,12 +24,28 @@ def _message_trace(cluster):
     ]
 
 
-def _run_churn_cluster(loss_rate=0.0):
+def _run_churn_cluster():
     workload = AWSetChurnWorkload(8, rounds=6, seed=3)
     cluster = Cluster(
-        ClusterConfig(topology=partial_mesh(8, 4), loss_rate=loss_rate, loss_seed=11),
-        ALGORITHMS["delta-based-bp-rr"] if loss_rate == 0.0 else delta_acked_factory,
+        ClusterConfig(topology=partial_mesh(8, 4)),
+        ALGORITHMS["delta-based-bp-rr"],
         Causal.map_bottom(),
+    )
+    cluster.run_rounds(workload.rounds, workload.updates_for)
+    cluster.drain()
+    return cluster
+
+
+def _run_lossy_store():
+    """A mixed-type store (causal ``aws:`` keys included) over lossy
+    links, with digest repair refilling what the losses took."""
+    ring = HashRing(range(8), n_shards=8, replication=3)
+    workload = KVZipfWorkload(ring, 6, 3, keys=48, seed=3)
+    cluster = KVCluster(
+        ring,
+        keyed_bp_rr,
+        antientropy=AntiEntropyConfig(repair_interval=2, repair_fanout=8, repair_mode="digest"),
+        config=ClusterConfig(full_mesh(8), loss_rate=0.2, loss_seed=11),
     )
     cluster.run_rounds(workload.rounds, workload.updates_for)
     cluster.drain()
@@ -43,10 +60,11 @@ def test_identical_runs_emit_identical_message_traces():
 
 
 def test_loss_pattern_is_seeded_and_reproducible():
-    first = _run_churn_cluster(loss_rate=0.2)
-    second = _run_churn_cluster(loss_rate=0.2)
+    first = _run_lossy_store()
+    second = _run_lossy_store()
     assert first.messages_dropped == second.messages_dropped > 0
     assert _message_trace(first) == _message_trace(second)
+    assert first.merged_keyspace() == second.merged_keyspace()
 
 
 def test_experiment_results_are_reproducible():

@@ -26,14 +26,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.codec import decode_message, frame_message
 from repro.lattice import MapLattice, SetLattice
-from repro.sync import DeltaBased, DeltaBasedAcked, KeyedDeltaBased
+from repro.sync import DeltaBased, KeyedDeltaBased
 from repro.sync.digest import (
     IncrementalDigest,
     delta_against_digest,
     digest_of,
     root_of,
 )
-from repro.sync.protocol import Message
 
 from conftest import ALL_LATTICE_STRATEGIES
 
@@ -327,23 +326,6 @@ class TestSharedMessageFanOut:
         assert by_dst[2].payload == MapLattice(
             {"k": SetLattice({"theirs"}), "j": SetLattice({"ours"})}
         )
-
-    def test_acked_neighbours_owed_the_same_entries_share_one_message(self):
-        a = DeltaBasedAcked(0, [1, 2, 3], SetLattice(), n_nodes=4)
-        a.local_update(gset_add("x"))
-        sends = a.sync_messages()
-        assert len(sends) == 3
-        assert len({id(send.message) for send in sends}) == 1
-        # Neighbour 1 acks; a new entry arrives.  1 is now owed less
-        # than 2 and 3, who still share one message between them.
-        _group, covered = sends[0].message.payload
-        a.handle_message(1, Message("delta-ack", covered, 0, 0, 8, 1))
-        a.local_update(gset_add("y"))
-        by_dst = {send.dst: send.message for send in a.sync_messages()}
-        assert by_dst[1].payload[0] == SetLattice({"y"})
-        assert by_dst[2].payload[0] == SetLattice({"x", "y"})
-        assert by_dst[2] is by_dst[3]
-        assert by_dst[1] is not by_dst[2]
 
 
 def _delta_message(payload):

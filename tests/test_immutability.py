@@ -23,7 +23,7 @@ import inspect
 
 import pytest
 
-import repro  # defines every value class the walk can find
+import repro  # noqa: F401 -- defines every value class the walk can find
 from repro.causal import AWSet, Atom, Causal, CausalContext, Dot, DotFun, DotMap, DotSet, DotStore
 from repro.lattice import (
     Bool,

@@ -28,7 +28,6 @@ from repro.kv import (
     KVCluster,
     KVRoutingError,
     KVStore,
-    KVUpdate,
 )
 from repro.lattice.map_lattice import MapLattice
 from repro.sim.network import ClusterConfig

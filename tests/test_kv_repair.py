@@ -12,6 +12,8 @@ delta-based replica buffers them for onward propagation, instead of the
 old silent ``inner.state = inner.state.join(...)`` bypass.
 """
 
+import random
+
 import pytest
 
 from repro.kv import (
@@ -22,6 +24,8 @@ from repro.kv import (
     KVUpdate,
 )
 from repro.lattice import MapLattice, SetLattice
+from repro.sim.network import ClusterConfig
+from repro.sim.topology import full_mesh
 from repro.sync import (
     MerkleSync,
     Scuttlebutt,
@@ -169,6 +173,71 @@ def test_faults_reconcile_under_repair(algorithm, mode):
         assert cluster.value(f"aws:{i}") == frozenset({f"e{i}"})
 
     scuttlebutt_bookkeeping_consistent(cluster)
+
+
+def lossy_cluster(loss_rate, seed, antientropy):
+    """Eight rounds of ``aws:``/``cnt:``/``set:`` writes at random owners
+    over links that drop each message with probability ``loss_rate``.
+
+    Returns the cluster and what its ``cnt:`` and ``set:`` keys must
+    read once nothing is lost: the sums and unions of the writes.
+    """
+    ring = HashRing(range(6), n_shards=16, replication=3)
+    config = ClusterConfig(full_mesh(6), loss_rate=loss_rate, loss_seed=seed)
+    cluster = KVCluster(ring, keyed_bp_rr, antientropy=antientropy, config=config)
+    rng = random.Random(seed)
+    counts, sets = {}, {}
+    for _ in range(8):
+        for _ in range(12):
+            kind = rng.choice(("aws", "cnt", "set"))
+            key = f"{kind}:{rng.randrange(6)}"
+            if kind == "aws":
+                op, arg = ("add" if rng.random() < 0.7 else "remove"), f"e{rng.randrange(8)}"
+            elif kind == "cnt":
+                op, arg = "increment", 1 + rng.randrange(3)
+                counts[key] = counts.get(key, 0) + arg
+            else:
+                op, arg = "add", f"s{rng.randrange(20)}"
+                sets.setdefault(key, set()).add(arg)
+            cluster.apply_update(rng.choice(ring.owners(key)), KVUpdate(key, op, (arg,)))
+        cluster.run_round(updates=None)
+    expected = {**counts, **{key: frozenset(elements) for key, elements in sets.items()}}
+    return cluster, expected
+
+
+#: (loss rate, seed, drain rounds, messages dropped), pinned: the loss
+#: flips are seeded per edge and no hash order reaches them.
+LOSSY_RUNS = [
+    (0.05, 1, 1, 11),
+    (0.05, 2, 1, 8),
+    (0.05, 3, 0, 17),
+    (0.2, 1, 3, 49),
+    (0.2, 2, 4, 71),
+    (0.2, 3, 15, 95),
+]
+
+
+@pytest.mark.parametrize("loss_rate,seed,drain_rounds,dropped", LOSSY_RUNS)
+def test_digest_repair_carries_the_store_through_message_loss(
+    loss_rate, seed, drain_rounds, dropped
+):
+    """Algorithm 1 assumes reliable channels; on the kv path digest
+    repair is what refills a replica whose δ-group was dropped."""
+    cluster, expected = lossy_cluster(
+        loss_rate, seed, AntiEntropyConfig(repair_mode="digest", **REPAIR)
+    )
+    assert cluster.drain() == drain_rounds
+    assert cluster.messages_dropped == dropped
+    assert cluster.converged()
+    for key, value in expected.items():
+        assert cluster.value(key) == value, key
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_without_repair_a_lossy_store_never_converges(seed):
+    cluster, _ = lossy_cluster(0.2, seed, AntiEntropyConfig())
+    with pytest.raises(RuntimeError, match="no convergence"):
+        cluster.drain()
 
 
 class TestAbsorbState:

@@ -7,9 +7,7 @@ from repro.kv import (
     HashRing,
     KVCluster,
     KVRoutingError,
-    KVStore,
     KVTypeError,
-    KVUpdate,
     Schema,
     TypeSpec,
     kv_store_factory,

@@ -6,8 +6,6 @@ decompositions of a GCounter and a GSet state), and the Appendix C
 PNCounter decomposition.
 """
 
-import pytest
-
 from repro.lattice import (
     MapLattice,
     MaxInt,

@@ -19,7 +19,7 @@ import inspect
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro  # defines every lattice class the walk can find
+import repro  # noqa: F401 -- defines every lattice class the walk can find
 from repro.codec import decode, encode
 from repro.lattice import Bool, MapLattice, MaxInt
 from repro.lattice.base import Lattice

@@ -20,7 +20,7 @@ import pytest
 from repro import codec, sizes
 from repro.kv.types import TYPE_REGISTRY
 from repro.lattice import MapLattice, MaxInt, SetLattice
-from repro.sync import DeltaBased, DeltaBasedAcked, KeyedDeltaBased
+from repro.sync import DeltaBased, KeyedDeltaBased
 from repro.sync.protocol import Message
 from repro.workloads import GCounterWorkload, GMapWorkload, GSetWorkload
 
@@ -50,9 +50,6 @@ class Flat:
     def message(self, payload):
         return Message(self.kind, payload, payload.size_units(), payload.size_bytes(), 8, 1)
 
-    def shipped(self, message):
-        return message.payload
-
 
 class Keyed(Flat):
     """``KeyedDeltaBased``: one Algorithm 1 instance per object key."""
@@ -64,31 +61,10 @@ class Keyed(Flat):
         return KeyedDeltaBased(0, NEIGHBORS, MapLattice(), 3, bp=self.bp, rr=self.rr)
 
 
-class Acked(Flat):
-    """``DeltaBasedAcked``: entries retire on acknowledgement."""
-
-    kind = "delta-seq"
-
-    def __init__(self):
-        super().__init__(True, True)
-
-    def make(self):
-        return DeltaBasedAcked(0, NEIGHBORS, MapLattice(), 3)
-
-    def message(self, payload):
-        return Message(
-            self.kind, (payload, (0,)), payload.size_units(), payload.size_bytes(), 8, 1
-        )
-
-    def shipped(self, message):
-        return message.payload[0]
-
-
 HARNESSES = [
     *(Flat(bp, rr) for bp in (False, True) for rr in (False, True)),
     Keyed(True, True),
     Keyed(False, False),
-    Acked(),
 ]
 
 
@@ -107,7 +83,6 @@ def steps(harness):
             # A neighbour sends back something that left this replica:
             # its values are the replica's own objects.
             st.tuples(st.just("echo"), st.sampled_from(NEIGHBORS), st.integers(0, 30)),
-            st.tuples(st.just("ack"), st.sampled_from(NEIGHBORS)),
             st.just(("read",)),
             st.just(("sync",)),
             st.just(("sample",)),
@@ -155,18 +130,13 @@ class Run:
         elif name == "absorb":
             self.put_in(op[2])
             replica.absorb_state(op[2], op[1])
-        elif name == "ack":
-            if isinstance(replica, DeltaBasedAcked):
-                seqs = tuple(replica.buffer.entries)
-                replica.handle_message(op[1], Message("delta-ack", seqs, 0, 0, 8 * len(seqs), 0))
-            return
         elif name == "read":
             self.leave(replica.state)
             assert not replica._owned
             return
         elif name == "sync":
             for send in replica.sync_messages():
-                payload = harness.shipped(send.message)
+                payload = send.message.payload
                 assert send.message.payload_units == cold(payload).size_units()
                 assert send.message.payload_bytes == cold(payload).size_bytes()
                 self.leave(payload)
@@ -223,7 +193,7 @@ def _put(key, value):
     return lambda state: MapLattice({key: value}).delta(state)
 
 
-@pytest.mark.parametrize("harness", [Flat(True, True), Keyed(True, True), Acked()], ids=_label)
+@pytest.mark.parametrize("harness", [Flat(True, True), Keyed(True, True)], ids=_label)
 def test_stores_keep_one_state_object_until_a_read(harness):
     replica = harness.make()
     value = SetLattice({"x"}) if isinstance(replica, KeyedDeltaBased) else MaxInt(1)

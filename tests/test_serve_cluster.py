@@ -144,6 +144,24 @@ def test_sigkill_respawn_recovers_from_wal():
             assert client.get("gct:probe") == acked
 
 
+@pytest.mark.parametrize("replication,w", [(1, 1), (2, 2)], ids=["w1", "w2"])
+def test_an_acked_write_survives_sigkill_of_every_owner(replication, w):
+    """A write the client saw acknowledged is in every acking owner's
+    WAL: killing all owners before the next tick loses none of it."""
+    with ProcessCluster(2, shards=4, replication=replication, recovery="wal") as cluster:
+        with make_client(cluster, shards=4, replication=replication, w=w) as client:
+            client.put("gct:x", "increment", 5)
+            cluster.run_round(None)
+            client.put("gct:x", "increment", 7)
+            for replica in (0, 1):
+                cluster.crash(replica, lose_state=True)
+            for replica in (0, 1):
+                cluster.recover(replica)
+            # Read each owner before any tick: only its own log speaks.
+            for owner in cluster.ring.owners("gct:x"):
+                assert cluster.value("gct:x", read_replica=owner) == 12, owner
+
+
 def test_wal_dir_flock_excludes_second_opener(tmp_path):
     with make_cluster(run_dir=str(tmp_path)) as cluster:
         wal_dir = wal_path(cluster.run_dir, 0)

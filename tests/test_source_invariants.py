@@ -3,8 +3,11 @@
 det-rng: no process-global ``random.*`` draw or unseeded ``random.Random()``; det-clock: no
 wall clock, OS entropy or environment read in the deterministic core; async-blocking: no
 blocking call directly in an ``async def`` (nested defs run elsewhere); broad-except: a broad
-handler re-raises, uses the bound exception or records the failure.  ``tests/`` and
-``benchmarks/`` may read clocks and block, so they hold det-rng and broad-except only.
+handler re-raises, uses the bound exception or records the failure; unused-import: every
+imported name is read, listed in ``__all__`` or named in a string annotation (``__init__.py``
+re-exports, ``__future__`` and ``# noqa: F401`` lines are exempt).  ``tests/`` and
+``benchmarks/`` may read clocks and block, so they hold det-rng and broad-except only, and
+``tests/`` unused-import too.
 """
 
 import ast
@@ -74,9 +77,32 @@ def _handled(handler):
         for n in ast.walk(ast.Module(body=handler.body, type_ignores=[])))
 
 
+def _unused_imports(path, tree, lines):
+    if path.endswith("__init__.py"):  # a package's imports are its re-exports
+        return []
+    bound, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update((a.asname or a.name, node.lineno) for a in node.names if a.name != "*")
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and "__all__" in [getattr(t, "id", None) for t in node.targets]:
+            used.update(e.value for e in getattr(node.value, "elts", ()) if isinstance(e, ast.Constant))
+        for note in filter(None, (getattr(node, "returns", None), getattr(node, "annotation", None))):
+            texts = [n.value for n in ast.walk(note) if isinstance(getattr(n, "value", None), str)]
+            used.update(n.id for text in texts for n in ast.walk(ast.parse(text, mode="eval"))
+                        if isinstance(n, ast.Name))
+    return [(path, line, "unused-import") for name, line in bound.items()
+            if name not in used and "# noqa: F401" not in lines[line - 1]]
+
+
 def findings(path, source, rules=RULES):
     """``(path, line, rule)`` for every violation in one module."""
     tree, found = ast.parse(source, path), []
+    if "unused-import" in rules:
+        found += _unused_imports(path, tree, source.splitlines())
     aliases = _aliases(tree)
     core = any(fragment in path for fragment in DETERMINISTIC_CORE)
     for node in ast.walk(tree):
@@ -98,7 +124,8 @@ def findings(path, source, rules=RULES):
     return sorted(f for f in found if f[2] in rules)
 
 
-@pytest.mark.parametrize("tree, rules", [("src/repro", RULES), ("tests", RELAXED), ("benchmarks", RELAXED)])
+@pytest.mark.parametrize("tree, rules", [
+    ("src/repro", (*RULES, "unused-import")), ("tests", (*RELAXED, "unused-import")), ("benchmarks", RELAXED)])
 def test_tree_holds_the_invariants(tree, rules):
     paths = sorted((ROOT / tree).rglob("*.py"))
     found = [f for p in paths for f in findings(p.relative_to(ROOT).as_posix(), p.read_text(), rules)]
@@ -148,3 +175,21 @@ BLOCKING_PAIRS, IMPURE_PAIRS = (sorted(n.split(".", 1) for n in names) for names
 ])
 def test_rule_triggers_and_near_misses(path, source, expected):
     assert [rule for _, _, rule in findings(path, source)] == expected
+
+
+UNUSED = ["unused-import"]
+
+
+@pytest.mark.parametrize("path, source, expected", [
+    (EDGE, "import os\n", UNUSED),
+    (EDGE, "import os.path\nfrom typing import List, Tuple\nx: List[int] = []\n", UNUSED * 2),
+    (EDGE, "from repro.kv import KVStore as Store\n'''A Store, the KVStore.'''\n", UNUSED),
+    (EDGE, "import os.path\nx = os.path.sep\n", CLEAN),
+    (EDGE, "from typing import List\ndef f(a: 'List[int]') -> 'List[int]':\n    return a\n", CLEAN),
+    (EDGE, "from repro.kv import KVStore\n__all__ = ['KVStore']\n", CLEAN),
+    (EDGE, "from __future__ import annotations\n", CLEAN),
+    (EDGE, "import repro  # noqa: F401 -- registers the types\n", CLEAN),
+    ("src/repro/kv/__init__.py", "from repro.kv.store import KVStore\n", CLEAN),
+])
+def test_unused_import_triggers_and_near_misses(path, source, expected):
+    assert [rule for _, _, rule in findings(path, source, UNUSED)] == expected

@@ -1,10 +1,8 @@
 """Unit tests for the baseline protocols: state-based, Scuttlebutt (±GC),
 and operation-based synchronization."""
 
-import pytest
-
 from repro import sizes
-from repro.lattice import MapLattice, MaxInt, SetLattice
+from repro.lattice import SetLattice
 from repro.sync.opbased import OpBased, OpEnvelope
 from repro.sync.protocol import Message
 from repro.sync.scuttlebutt import Scuttlebutt, ScuttlebuttGC

@@ -1,20 +1,18 @@
-"""One contract for Algorithm 1, run over all three delta-based classes.
+"""One contract for Algorithm 1, run over both delta-based classes.
 
-``DeltaBased``, ``KeyedDeltaBased`` and ``DeltaBasedAcked`` execute the
-same receive rule, ``store`` and per-neighbour group build; they differ
-only in granularity (one part vs one part per object) and channel
-(retire on send vs retire on ack).  Every test here is written against
-*behaviour* — what the next ``sync_messages()`` ships, and to whom —
-through a small harness per class that says how that class spells a
-set of elements, an inbound δ-group and a settled channel.  ``DeltaBased``
+``DeltaBased`` and ``KeyedDeltaBased`` execute the same receive rule,
+``store`` and per-neighbour group build; they differ only in
+granularity (one part vs one part per object).  Every test here is
+written against *behaviour* — what the next ``sync_messages()`` ships,
+and to whom — through a small harness per class that says how that
+class spells a set of elements and an inbound δ-group.  ``DeltaBased``
 runs twice, over a grow-only set and over Table I's GMap, whose δ-groups
 are the key-disjoint unions ``MapLattice.join`` assembles and sizes by
 addition.
 
 Class-specific behaviour stays with its class: the paper's Figure 4/5
 executions in ``test_sync_deltabased.py``, per-object granularity in
-``test_sync_keyed.py``, the ack exchange in
-``test_sync_fault_tolerance.py``.
+``test_sync_keyed.py``.
 """
 
 import pytest
@@ -26,7 +24,6 @@ from repro.sync import (
     ALGORITHMS,
     EXTRA_ALGORITHMS,
     DeltaBased,
-    DeltaBasedAcked,
     KeyedDeltaBased,
     classic,
     delta_bp,
@@ -70,12 +67,6 @@ class Plain:
             "delta", payload, payload.size_units(), payload.size_bytes(),
             sizes.INT_BYTES, 1,
         )
-
-    def shipped(self, message):
-        return message.payload
-
-    def settle(self, node, sends):
-        """Reliable channel: sending already retired the entries."""
 
 
 class Keyed(Plain):
@@ -133,39 +124,8 @@ class Gmap(Plain):
         return mutator
 
 
-class Acked(Plain):
-    """``DeltaBasedAcked`` over a grow-only set (always BP+RR)."""
-
-    label = "acked"
-
-    def make(self, replica, neighbors, *, bp, rr):
-        assert bp and rr, "the acked variant has no other configuration"
-        return DeltaBasedAcked(replica, neighbors, SetLattice(), n_nodes=4)
-
-    def inbound(self, *elements):
-        payload = self.content(*elements)
-        return Message(
-            "delta-seq", (payload, (41,)), payload.size_units(),
-            payload.size_bytes(), sizes.INT_BYTES, 1,
-        )
-
-    def shipped(self, message):
-        group, _covered = message.payload
-        return group
-
-    def settle(self, node, sends):
-        """Lossy channel: entries retire once every recipient has acked."""
-        for send in sends:
-            _group, covered = send.message.payload
-            node.handle_message(
-                send.dst,
-                Message("delta-ack", covered, 0, 0, len(covered) * sizes.INT_BYTES, len(covered)),
-            )
-
-
 FLAGS = [(False, False), (True, False), (False, True), (True, True)]
 CASES = [(harness, bp, rr) for harness in (Plain(), Keyed(), Gmap()) for bp, rr in FLAGS]
-CASES.append((Acked(), True, True))
 
 
 def case_id(case):
@@ -180,19 +140,12 @@ def cases(condition=lambda bp, rr: True):
     )
 
 
-def shipped_to(harness, sends, dst):
+def shipped_to(sends, dst):
     """What ``sends`` carries to ``dst`` — None when nothing was sent."""
     for send in sends:
         if send.dst == dst:
-            return harness.shipped(send.message)
+            return send.message.payload
     return None
-
-
-def flush(harness, node):
-    """One synchronization step, with its channel settled."""
-    sends = node.sync_messages()
-    harness.settle(node, sends)
-    return sends
 
 
 # ----------------------------------------------------------------------
@@ -213,16 +166,16 @@ def test_local_update_inflates_state_and_is_shipped_to_every_neighbour(harness, 
     assert delta == harness.content("x")
     assert node.state == harness.content("x")
     assert node.buffer
-    sends = flush(harness, node)
-    assert shipped_to(harness, sends, 1) == harness.content("x")
-    assert shipped_to(harness, sends, 2) == harness.content("x")
+    sends = node.sync_messages()
+    assert shipped_to(sends, 1) == harness.content("x")
+    assert shipped_to(sends, 2) == harness.content("x")
 
 
 @cases()
 def test_buffer_is_empty_once_the_channel_settles(harness, bp, rr):
     node = harness.make(0, [1, 2], bp=bp, rr=rr)
     node.local_update(harness.add("x"))
-    flush(harness, node)
+    node.sync_messages()
     assert not node.buffer
     assert node.sync_messages() == []
 
@@ -241,15 +194,15 @@ def test_updates_between_two_steps_travel_as_one_group(harness, bp, rr):
     node.local_update(harness.add("x"))
     node.local_update(harness.add("y"))
     [send] = node.sync_messages()
-    assert harness.shipped(send.message) == harness.content("x", "y")
+    assert send.message.payload == harness.content("x", "y")
 
 
-def assert_sized_as_a_cold_rebuild(harness, sends):
+def assert_sized_as_a_cold_rebuild(sends):
     """Every δ-group is accounted at what a receiver decoding it would count."""
     assert sends
     for send in sends:
         message = send.message
-        rebuilt = codec.decode(codec.encode(harness.shipped(message)))
+        rebuilt = codec.decode(codec.encode(message.payload))
         assert message.payload_units == rebuilt.size_units()
         assert message.payload_bytes == rebuilt.size_bytes()
 
@@ -267,16 +220,16 @@ def test_every_group_is_sized_as_a_cold_rebuild_of_it(harness, bp, rr):
     node.handle_message(2, harness.inbound("shared", "from-2"))
     node.memory_bytes()
     node.local_update(harness.add("late"))
-    sends = flush(harness, node)
-    assert_sized_as_a_cold_rebuild(harness, sends)
+    sends = node.sync_messages()
+    assert_sized_as_a_cold_rebuild(sends)
     assert {send.dst for send in sends} == {1, 2, 3}
-    assert shipped_to(harness, sends, 3) == harness.content(
+    assert shipped_to(sends, 3) == harness.content(
         "mine", "from-1", "shared", "from-2", "late"
     )
     # The next step's groups are built from fresh entries only.
     node.handle_message(3, harness.inbound("from-3", "late"))
     node.local_update(harness.add("last"))
-    assert_sized_as_a_cold_rebuild(harness, flush(harness, node))
+    assert_sized_as_a_cold_rebuild(node.sync_messages())
 
 
 @cases()
@@ -284,7 +237,7 @@ def test_a_buffer_of_one_unsized_local_delta_ships_at_its_cold_size(harness, bp,
     """No sample, no earlier group: the step itself sizes the δ."""
     node = harness.make(0, [1, 2], bp=bp, rr=rr)
     node.local_update(harness.add("only"))
-    assert_sized_as_a_cold_rebuild(harness, flush(harness, node))
+    assert_sized_as_a_cold_rebuild(node.sync_messages())
 
 
 # ----------------------------------------------------------------------
@@ -296,7 +249,7 @@ def receive_overlapping_group(harness, bp, rr):
     """Replica 0 (neighbours 1, 2) holds x; 1 sends it the group {x, y}."""
     node = harness.make(0, [1, 2], bp=bp, rr=rr)
     node.local_update(harness.add("x"))
-    flush(harness, node)
+    node.sync_messages()
     node.handle_message(1, harness.inbound("x", "y"))
     assert node.state == harness.content("x", "y")
     return node.sync_messages()
@@ -307,7 +260,7 @@ def test_dominated_group_is_dropped(harness, bp, rr):
     """Line 16, either variant: nothing new means nothing is buffered."""
     node = harness.make(0, [1, 2], bp=bp, rr=rr)
     node.local_update(harness.add("x"))
-    flush(harness, node)
+    node.sync_messages()
     node.handle_message(1, harness.inbound("x"))
     assert not node.buffer
     assert node.sync_messages() == []
@@ -317,14 +270,14 @@ def test_dominated_group_is_dropped(harness, bp, rr):
 def test_rr_forwards_the_extraction_not_the_group(harness, bp, rr):
     """Line 15: only ∆(d, xᵢ) = {y} is stored, so only {y} moves on."""
     sends = receive_overlapping_group(harness, bp, rr)
-    assert shipped_to(harness, sends, 2) == harness.content("y")
+    assert shipped_to(sends, 2) == harness.content("y")
 
 
 @cases(lambda bp, rr: not rr)
 def test_classic_forwards_the_whole_group(harness, bp, rr):
     """Line 16 classic: {x, y} ⋢ xᵢ, so x is re-buffered redundantly."""
     sends = receive_overlapping_group(harness, bp, rr)
-    assert shipped_to(harness, sends, 2) == harness.content("x", "y")
+    assert shipped_to(sends, 2) == harness.content("x", "y")
 
 
 @cases(lambda bp, rr: bp)
@@ -336,7 +289,7 @@ def test_bp_never_echoes_a_group_to_its_origin(harness, bp, rr):
 @cases(lambda bp, rr: not bp)
 def test_without_bp_the_origin_gets_its_own_group_back(harness, bp, rr):
     sends = receive_overlapping_group(harness, bp, rr)
-    assert shipped_to(harness, sends, 1) == shipped_to(harness, sends, 2)
+    assert shipped_to(sends, 1) == shipped_to(sends, 2)
 
 
 @cases(lambda bp, rr: bp)
@@ -345,8 +298,8 @@ def test_bp_mixes_local_and_foreign_entries_per_neighbour(harness, bp, rr):
     node.handle_message(1, harness.inbound("theirs"))
     node.local_update(harness.add("mine"))
     sends = node.sync_messages()
-    assert shipped_to(harness, sends, 1) == harness.content("mine")
-    assert shipped_to(harness, sends, 2) == harness.content("theirs", "mine")
+    assert shipped_to(sends, 1) == harness.content("mine")
+    assert shipped_to(sends, 2) == harness.content("theirs", "mine")
 
 
 # ----------------------------------------------------------------------
@@ -365,7 +318,7 @@ def test_absorbed_state_is_buffered_tagged_and_forwarded_not_echoed(harness, bp,
     assert len(node.buffer) == 1
     sends = node.sync_messages()
     assert {send.dst for send in sends} == {2}
-    assert shipped_to(harness, sends, 2) == harness.content("x")
+    assert shipped_to(sends, 2) == harness.content("x")
 
 
 @cases()
@@ -380,10 +333,10 @@ def test_absorbed_state_without_a_source_goes_to_every_neighbour(harness, bp, rr
 def test_absorb_extracts_only_the_novelty_whatever_rr_says(harness, bp, rr):
     node = harness.make(0, [1, 2], bp=bp, rr=rr)
     node.local_update(harness.add("x"))
-    flush(harness, node)
+    node.sync_messages()
     assert node.absorb_state(harness.content("x", "y"), src=1) == harness.content("y")
     assert node.absorb_state(harness.content("x", "y"), src=1).is_bottom
-    assert shipped_to(harness, node.sync_messages(), 2) == harness.content("y")
+    assert shipped_to(node.sync_messages(), 2) == harness.content("y")
 
 
 # ----------------------------------------------------------------------
@@ -398,8 +351,7 @@ def test_memory_accounting(harness, bp, rr):
     assert node.buffer_units() == 1
     assert node.buffer_bytes() == harness.wrapping_bytes + 4
     assert node.metadata_bytes() > 0
-    # 1 origin tag (BP) + 1 sequence number (per neighbour on a reliable
-    # channel, per entry on an acked one).
+    # 1 origin tag (BP) + 1 sequence number per neighbour.
     assert node.metadata_units() == 2
     assert node.memory_units() == node.state_units() + 1 + 2
 

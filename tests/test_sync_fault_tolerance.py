@@ -9,24 +9,16 @@ verify the tolerance claims and the boundary:
 * state-based and Scuttlebutt converge under heavy *loss* (they carry
   or re-derive everything on every exchange);
 * classic clear-the-buffer delta-based genuinely loses updates under
-  loss — and the paper's suggested fix (sequence numbers + acks,
-  :class:`~repro.sync.deltabased.DeltaBasedAcked`) restores convergence.
+  loss; on the kv path digest repair restores convergence
+  (``test_kv_repair.py``).
 """
 
 import pytest
 
 from repro.lattice import SetLattice
 from repro.sim.network import Cluster, ClusterConfig
-from repro.sim.runner import run_experiment
-from repro.sim.topology import line, partial_mesh, ring
-from repro.sync import (
-    DeltaBasedAcked,
-    Scuttlebutt,
-    StateBased,
-    classic,
-    delta_acked_factory,
-    delta_bp_rr,
-)
+from repro.sim.topology import ring
+from repro.sync import Scuttlebutt, StateBased, classic, delta_bp_rr
 from repro.sync.protocol import Message
 from repro.workloads import GSetWorkload
 
@@ -66,11 +58,6 @@ class TestDuplication:
 
     def test_delta_bp_rr(self):
         a, b = self.deliver_twice(delta_bp_rr)
-        assert b.state == SetLattice({"x"})
-        assert len(b.buffer) == 1
-
-    def test_acked_variant(self):
-        a, b = self.deliver_twice(delta_acked_factory)
         assert b.state == SetLattice({"x"})
         assert len(b.buffer) == 1
 
@@ -138,90 +125,8 @@ class TestLoss:
         assert cluster.converged()
         assert cluster.nodes[0].state.size_units() == 6 * 8
 
-    def test_acked_delta_converges_under_loss(self):
-        """The paper's sequence-number-and-ack extension at work."""
-        cluster = self.run_lossy(delta_acked_factory)
-        assert cluster.converged()
-        assert cluster.nodes[0].state.size_units() == 6 * 8
-        # Buffers fully drain once the (also lossy) acks get through.
-        for _ in range(100):
-            if all(not node.buffer for node in cluster.nodes):
-                break
-            cluster.run_round(updates=None)
-        assert all(not node.buffer for node in cluster.nodes)
-
     def test_clear_buffer_delta_loses_updates_under_loss(self):
         """Algorithm 1 without acks genuinely needs reliable channels:
         a dropped δ-group is gone once the sender clears its buffer."""
         with pytest.raises(RuntimeError, match="no convergence"):
             self.run_lossy(delta_bp_rr, max_drain=60)
-
-    def test_acked_without_loss_matches_bp_rr_payload(self):
-        """With no loss, acking changes bookkeeping, not payloads."""
-        topo = partial_mesh(6, 2)
-        plain = run_experiment(delta_bp_rr, GSetWorkload(6, 6), topo)
-        acked = run_experiment(delta_acked_factory, GSetWorkload(6, 6), topo)
-        assert acked.converged and plain.converged
-        assert acked.payload_units() <= plain.payload_units() * 1.6
-
-
-class TestAckedMechanics:
-    """The ack exchange itself; the Algorithm 1 mechanics the acked
-    class shares with the other two are in
-    ``test_sync_delta_contract.py``."""
-
-    def test_buffer_retained_until_acked(self):
-        node = DeltaBasedAcked(0, [1, 2], SetLattice(), 3)
-        node.local_update(gset_add("x"))
-        node.sync_messages()
-        assert node.buffer  # unlike Algorithm 1, not cleared by sending
-        node.handle_message(1, Message("delta-ack", (0,), 0, 0, 8, 1))
-        assert node.buffer  # neighbour 2 has not acked yet
-        node.handle_message(2, Message("delta-ack", (0,), 0, 0, 8, 1))
-        assert not node.buffer
-
-    def test_bp_entries_skip_origin_ack(self):
-        node = DeltaBasedAcked(0, [1, 2], SetLattice(), 3)
-        node.handle_message(
-            1, Message("delta-seq", (SetLattice({"y"}), (41,)), 1, 1, 8, 1)
-        )
-        # The entry came from neighbour 1, so only neighbour 2 is sent
-        # it — and only neighbour 2 must ack it.
-        [send] = node.sync_messages()
-        assert send.dst == 2
-        _group, covered = send.message.payload
-        node.handle_message(2, Message("delta-ack", covered, 0, 0, 8, 1))
-        assert not node.buffer
-        assert node.sync_messages() == []
-
-    def test_receiver_acks_covered_seqs(self):
-        node = DeltaBasedAcked(0, [1], SetLattice(), 2)
-        [ack] = node.handle_message(
-            1, Message("delta-seq", (SetLattice({"y"}), (5, 6)), 1, 1, 16, 2)
-        )
-        assert ack.message.kind == "delta-ack"
-        assert ack.message.payload == (5, 6)
-
-    def test_resend_until_acked(self):
-        node = DeltaBasedAcked(0, [1], SetLattice(), 2)
-        node.local_update(gset_add("x"))
-        first = node.sync_messages()
-        second = node.sync_messages()  # no ack arrived: resend
-        assert first[0].message.payload == second[0].message.payload
-
-    def test_acks_for_retired_or_unknown_entries_are_harmless(self):
-        node = DeltaBasedAcked(0, [1], SetLattice(), 2)
-        node.local_update(gset_add("x"))
-        [send] = node.sync_messages()
-        ack = Message("delta-ack", send.message.payload[1], 0, 0, 8, 1)
-        node.handle_message(1, ack)
-        node.handle_message(1, ack)  # duplicate ack of a retired entry
-        assert not node.buffer
-        node.local_update(gset_add("y"))
-        [resend] = node.sync_messages()
-        assert resend.message.payload[0] == SetLattice({"y"})
-
-    def test_unexpected_kind_is_a_typed_error(self):
-        node = DeltaBasedAcked(0, [1], SetLattice(), 2)
-        with pytest.raises(ValueError, match="unexpected message kind"):
-            node.handle_message(1, Message("delta", SetLattice({"x"}), 1, 1, 8, 1))
