@@ -63,8 +63,7 @@ class Keyed(Flat):
 
 HARNESSES = [
     *(Flat(bp, rr) for bp in (False, True) for rr in (False, True)),
-    Keyed(True, True),
-    Keyed(False, False),
+    *(Keyed(bp, rr) for bp in (False, True) for rr in (False, True)),
 ]
 
 
