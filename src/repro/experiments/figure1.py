@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.experiments.report import format_table
+from repro.net.clock import SYNC_INTERVAL_MS
 from repro.sim.runner import ExperimentResult, run_suite
 from repro.sim.topology import partial_mesh
 from repro.sync import StateBased, classic
@@ -29,8 +30,8 @@ class Figure1Result:
     results: Dict[str, ExperimentResult]
 
     def cumulative_series(self, label: str) -> List[Tuple[float, int]]:
-        """Cumulative elements sent over time (left plot)."""
-        return self.results[label].metrics.cumulative_units_series(1000.0)
+        """Cumulative elements sent per sync interval (left plot)."""
+        return self.results[label].metrics.cumulative_units_series(SYNC_INTERVAL_MS)
 
     def transmission_ratio(self) -> float:
         """Classic delta-based transmission relative to state-based."""

@@ -48,7 +48,6 @@ from repro.kv.driver import KV_ALGORITHMS, KVDriver, check_recovery
 from repro.kv.ring import HashRing
 from repro.obs.trace import CELL_END, CELL_START
 from repro.serve.deploy import build_cluster, open_tracer
-from repro.wal import WalConfig
 from repro.workloads.kv import KVRetwisWorkload, KVZipfWorkload
 
 DEFAULT_ALGORITHMS: Tuple[str, ...] = (
@@ -96,8 +95,6 @@ class KVConfig:
     #: Lose-state recovery policy (``repair`` | ``wal`` | ``wal+repair``).
     #: The WAL policies give every store a durable per-shard delta log.
     recovery: str = "repair"
-    #: Per-shard log compaction threshold (``None`` disables).
-    wal_compact_bytes: Optional[int] = 64 * 1024
     #: Structured-trace output path (JSONL); ``None`` disables tracing.
     #: One file covers the whole driver run — each cell is bracketed by
     #: ``cell-start``/``cell-end`` events, so ``repro trace report``
@@ -112,7 +109,6 @@ class KVConfig:
             raise ValueError(f"ops_per_node must be non-negative, got {self.ops_per_node}")
         self.make_workload(self.ring())
         self.antientropy()
-        self.wal_config()
         check_recovery(self.recovery)
         if (
             self.deployment is Stepped.PROC
@@ -157,9 +153,6 @@ class KVConfig:
             repair_fanout=self.repair_fanout,
             repair_mode=self.repair_mode,
         )
-
-    def wal_config(self) -> WalConfig:
-        return WalConfig(compact_bytes=self.wal_compact_bytes)
 
 
 def check_algorithms(algorithms: Sequence[str]) -> None:

@@ -60,19 +60,19 @@ from repro.kv.store import (
     kv_store_factory,
 )
 from repro.kv.types import (
-    DEFAULT_PREFIXES,
+    PREFIXES,
     KVTypeError,
-    Schema,
     TYPE_REGISTRY,
     TypeSpec,
     register_type,
+    spec_for,
+    type_of,
     type_spec,
 )
 
 __all__ = [
     "AntiEntropyConfig",
     "AntiEntropyScheduler",
-    "DEFAULT_PREFIXES",
     "HashRing",
     "RebalanceReport",
     "KVCluster",
@@ -82,9 +82,9 @@ __all__ = [
     "KVStore",
     "KVTypeError",
     "KVUpdate",
+    "PREFIXES",
     "RECOVERY_POLICIES",
     "REPAIR_MODES",
-    "Schema",
     "Shard",
     "TYPE_REGISTRY",
     "TypeSpec",
@@ -92,6 +92,8 @@ __all__ = [
     "kv_store_factory",
     "plan_rebalance",
     "register_type",
+    "spec_for",
     "stable_hash",
+    "type_of",
     "type_spec",
 ]

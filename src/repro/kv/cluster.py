@@ -39,15 +39,14 @@ from repro.kv.antientropy import AntiEntropyConfig
 from repro.kv.driver import KVDriver, ShardCopy, check_recovery
 from repro.kv.ring import HashRing
 from repro.kv.store import kv_store_factory
-from repro.kv.types import Schema
 from repro.lattice.base import Lattice
 from repro.lattice.map_lattice import MapLattice
 from repro.obs.lag import ConvergenceProbe
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import LAG
 from repro.sim.network import Cluster, ClusterConfig, _normalize_trace
-from repro.sim.topology import Topology, full_mesh
-from repro.wal import ReplicaWal, Storage, WalConfig
+from repro.sim.topology import full_mesh
+from repro.wal import ReplicaWal, Storage
 
 
 class KVCluster(KVDriver, Cluster):
@@ -61,12 +60,12 @@ class KVCluster(KVDriver, Cluster):
             :meth:`decommission_replica` leaves behind).
         inner_factory: Synchronizer factory run per shard per owner
             (any entry of :data:`repro.sync.ALGORITHMS` or friends).
-        topology: Overlay connecting the replicas; defaults to a full
-            mesh, the common case for a store whose replica groups are
-            ring-scattered.  Every replica group must be connected.
-        schema: Key typing; defaults to the prefix conventions.
         antientropy: Scheduler knobs (budget, batching, repair).
-        config: Full simulation config; overrides ``topology``.
+        config: Full simulation config; its topology is the overlay
+            connecting the replicas, and every replica group must be
+            connected.  Defaults to a full mesh over ``0..max replica``,
+            the common case for a store whose replica groups are
+            ring-scattered.
         transport: The deployment (see :class:`~repro.sim.network.
             Cluster`): ``Stepped.SIM`` (default), ``Stepped.TCP``, a
             ``FreeRun``, their names ``"sim"``/``"tcp"``, or a
@@ -79,7 +78,6 @@ class KVCluster(KVDriver, Cluster):
             backends (defaults to one in-memory store per replica, so
             the simulator stays deterministic and fast; inject
             :class:`~repro.wal.FileStorage` for real segment files).
-        wal_config: Log knobs (compaction threshold).
         trace: Structured tracing (see :class:`~repro.sim.network.
             Cluster`); here the tracer additionally reaches the stores
             (repair escalations, handoff protocol), the WALs
@@ -91,36 +89,29 @@ class KVCluster(KVDriver, Cluster):
         ring: HashRing,
         inner_factory,
         *,
-        topology: Optional[Topology] = None,
-        schema: Optional[Schema] = None,
         antientropy: Optional[AntiEntropyConfig] = None,
         config: Optional[ClusterConfig] = None,
         transport: Union[Deployment, str, Transport] = Stepped.SIM,
         recovery: str = "repair",
         wal_storage: Optional[Callable[[int], Storage]] = None,
-        wal_config: Optional[WalConfig] = None,
         trace=None,
     ) -> None:
         if config is None:
-            if topology is None:
-                # One node per index up to the highest ring member: rings
-                # over a contiguous 0..n-1 get the historical mesh, rings
-                # over a subset still get every member a seat.
-                topology = full_mesh(max(ring.replicas) + 1)
-            config = ClusterConfig(topology=topology)
+            # One node per index up to the highest ring member: rings
+            # over a contiguous 0..n-1 get the historical mesh, rings
+            # over a subset still get every member a seat.
+            config = ClusterConfig(topology=full_mesh(max(ring.replicas) + 1))
         out_of_range = [r for r in ring.replicas if not 0 <= r < config.topology.n]
         if out_of_range:
             raise ValueError(
                 "the ring must place shards on the topology's node indices "
                 f"0..{config.topology.n - 1}, got out-of-range {out_of_range}"
             )
-        if check_recovery(recovery) == "repair" and (
-            wal_storage is not None or wal_config is not None
-        ):
+        if check_recovery(recovery) == "repair" and wal_storage is not None:
             # Silently accepting the storage would let a caller believe
             # their writes are durable while no log is ever created.
             raise ValueError(
-                "wal_storage/wal_config require a WAL recovery policy "
+                "wal_storage requires a WAL recovery policy "
                 f"(recovery='wal' or 'wal+repair'), got recovery={recovery!r}"
             )
         self.ring = ring
@@ -133,7 +124,6 @@ class KVCluster(KVDriver, Cluster):
         #: the log surviving the crash is the whole point.
         self._wals: Dict[int, ReplicaWal] = {}
         self._wal_storage = wal_storage
-        self._wal_config = wal_config if wal_config is not None else WalConfig()
         # Normalized *before* super().__init__: the store factory below
         # closes over the tracer, and the base constructor builds every
         # store.  Passing the built Tracer up keeps one shared instance.
@@ -156,7 +146,6 @@ class KVCluster(KVDriver, Cluster):
             # live rebalance must open on the *current* placement.
             lambda: self.ring,
             inner_factory,
-            schema=schema,
             antientropy=antientropy,
             wal_provider=self._wal_for if recovery != "repair" else None,
             registry_provider=self._registry_for,
@@ -180,12 +169,7 @@ class KVCluster(KVDriver, Cluster):
             storage = (
                 self._wal_storage(replica) if self._wal_storage is not None else None
             )
-            self._wals[replica] = ReplicaWal(
-                replica,
-                storage=storage,
-                config=self._wal_config,
-                tracer=self.tracer,
-            )
+            self._wals[replica] = ReplicaWal(replica, storage=storage, tracer=self.tracer)
         return self._wals[replica]
 
     def _restore_for(self, node: int):

@@ -26,6 +26,10 @@ import hashlib
 from bisect import bisect_right
 from typing import Dict, Hashable, List, Sequence, Tuple
 
+#: Virtual nodes per replica on the ring; more smooth the load
+#: distribution at the cost of a larger ring.
+VNODES = 64
+
 
 def _position(token: str) -> int:
     """A point on the ring: the first 8 bytes of SHA-1, big-endian."""
@@ -45,8 +49,6 @@ class HashRing:
             indices of the simulated cluster).
         n_shards: Number of hash buckets the keyspace is split into.
         replication: Owners per shard (the replication factor).
-        vnodes: Virtual nodes per replica; more vnodes smooth the load
-            distribution at the cost of a larger ring.
 
     >>> ring = HashRing(range(4), n_shards=16, replication=2)
     >>> ring.owners("user:42") == ring.owners("user:42")   # deterministic
@@ -61,7 +63,6 @@ class HashRing:
         *,
         n_shards: int = 32,
         replication: int = 3,
-        vnodes: int = 64,
     ) -> None:
         replicas = sorted(set(replicas))
         if not replicas:
@@ -74,16 +75,13 @@ class HashRing:
             )
         if n_shards < 1:
             raise ValueError("need at least one shard")
-        if vnodes < 1:
-            raise ValueError("need at least one virtual node per replica")
         self.replicas: Tuple[int, ...] = tuple(replicas)
         self.n_shards = n_shards
         self.replication = replication
-        self.vnodes = vnodes
 
         points: List[Tuple[int, int]] = []
         for replica in self.replicas:
-            for vnode in range(vnodes):
+            for vnode in range(VNODES):
                 points.append((_position(f"replica:{replica}#{vnode}"), replica))
         points.sort()
         self._positions = [position for position, _ in points]
@@ -145,7 +143,6 @@ class HashRing:
             self.replicas + (replica,),
             n_shards=self.n_shards,
             replication=self.replication,
-            vnodes=self.vnodes,
         )
 
     def without_replica(self, replica: int) -> "HashRing":
@@ -173,7 +170,6 @@ class HashRing:
             remaining,
             n_shards=self.n_shards,
             replication=self.replication,
-            vnodes=self.vnodes,
         )
 
     def moved_shards(self, other: "HashRing") -> List[int]:
@@ -206,5 +202,5 @@ class HashRing:
     def __repr__(self) -> str:
         return (
             f"HashRing(replicas={len(self.replicas)}, shards={self.n_shards}, "
-            f"replication={self.replication}, vnodes={self.vnodes})"
+            f"replication={self.replication})"
         )

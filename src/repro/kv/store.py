@@ -16,7 +16,7 @@ The store itself does four jobs and delegates the rest:
 * **routing** — key → shard → :class:`Shard`, or
   :class:`KVRoutingError`;
 * **the typed API** — ``update`` / ``remove`` / ``get`` resolve the
-  key's type through the :class:`~repro.kv.types.Schema`, compute the
+  key's type by its prefix (:func:`~repro.kv.types.spec_for`), compute the
   optimal δ of the mutation against the key's current value, and hand
   the one-key keyspace delta to :meth:`Shard.write`;
 * **wire packaging** — outwardly the store is itself a
@@ -61,7 +61,7 @@ from repro.kv.handoff import HandoffPlane
 from repro.kv.repair import RepairPlane
 from repro.kv.ring import HashRing
 from repro.kv.shard import Shard
-from repro.kv.types import Schema
+from repro.kv.types import spec_for
 from repro.lattice.base import Lattice
 from repro.lattice.map_lattice import MapLattice
 from repro.obs.metrics import MetricsRegistry
@@ -102,7 +102,6 @@ class KVStore(Synchronizer):
         *,
         ring: HashRing,
         inner_factory,
-        schema: Optional[Schema] = None,
         antientropy: Optional[AntiEntropyConfig] = None,
         wal: Optional[ReplicaWal] = None,
         registry: Optional[MetricsRegistry] = None,
@@ -128,7 +127,6 @@ class KVStore(Synchronizer):
         #: Wire messages that arrived for a shard the current ring does
         #: not place here — in-flight traffic outrun by a rebalance.
         self.stale_shard_messages = 0
-        self.schema = schema if schema is not None else Schema()
         #: This replica's metrics registry — the single observability
         #: namespace the runtime's ``metrics`` view exposes.  A cluster
         #: passes one that outlives store rebuilds; standalone stores
@@ -269,7 +267,7 @@ class KVStore(Synchronizer):
         its current value (``None`` or bottom for a no-op).
         """
         copy = self._route(key)
-        spec = self.schema.spec_for(key)
+        spec = spec_for(key)
 
         def mutator(keyspace: MapLattice) -> MapLattice:
             delta = key_delta(spec, keyspace.get(key))
@@ -281,7 +279,7 @@ class KVStore(Synchronizer):
 
     def get(self, key: Hashable) -> Any:
         """The typed query-side value of ``key`` at this replica."""
-        spec = self.schema.spec_for(key)
+        spec = spec_for(key)
         current = self._route(key).state.get(key)
         return spec.read(current if current is not None else spec.bottom())
 
@@ -615,7 +613,6 @@ def kv_store_factory(
     ring,
     inner_factory,
     *,
-    schema: Optional[Schema] = None,
     antientropy: Optional[AntiEntropyConfig] = None,
     wal_provider=None,
     registry_provider=None,
@@ -658,7 +655,6 @@ def kv_store_factory(
             n_nodes=n_nodes,
             ring=ring() if callable(ring) else ring,
             inner_factory=inner_factory,
-            schema=schema,
             antientropy=antientropy,
             wal=wal_provider(replica) if wal_provider is not None else None,
             registry=(

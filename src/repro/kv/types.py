@@ -11,9 +11,9 @@ lattice value: every write funnels through the paper's δ-mutator
 discipline (Section III-B), no client object is built, and any
 synchronizer in :mod:`repro.sync` can carry the result.
 
-A :class:`Schema` decides which type a key holds.  The binding must be
-a pure function of the key (every replica resolves it identically
-without coordination), so the default convention types keys by prefix:
+A key's prefix decides which type it holds (:func:`type_of` over the
+one table :data:`PREFIXES`).  The binding is a pure function of the key,
+so every replica resolves it identically without coordination:
 ``cnt:balance`` is a PNCounter, ``aws:cart`` an add-wins set, and the
 Retwis prefixes (``flw:``/``wal:``/``tln:``) map onto the store's
 set/map types so the paper's application workload runs unchanged.
@@ -27,6 +27,7 @@ subclass with a ``bottom``, ``@delta_mutator`` functions
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Callable, Dict, Hashable, Mapping, Optional, Type
 
 from repro.causal import AWSet, CausalMVRegister, CCounter, EWFlag, RWSet
@@ -141,8 +142,10 @@ for _spec in (
     register_type(_spec)
 
 
-#: Prefix conventions shared by the workloads, examples, and tests.
-DEFAULT_PREFIXES: Mapping[str, str] = {
+#: The one key-typing table: a key ``"<prefix>:<rest>"`` holds the type
+#: named by its prefix.  Typing is a pure function of the key, so every
+#: replica — in this process or another — resolves it identically.
+PREFIXES: Mapping[str, str] = MappingProxyType({
     "gct": "gcounter",
     "cnt": "pncounter",
     "set": "gset",
@@ -158,51 +161,18 @@ DEFAULT_PREFIXES: Mapping[str, str] = {
     "flw": "gset",
     "wal": "gmap",
     "tln": "gmap",
-}
+})
 
 
-class Schema:
-    """Pure key → type resolution, identical at every replica.
+def type_of(key: Hashable) -> str:
+    """The type name ``key`` resolves to through :data:`PREFIXES`."""
+    if isinstance(key, str):
+        prefix, separator, _ = key.partition(":")
+        if separator and prefix in PREFIXES:
+            return PREFIXES[prefix]
+    raise KVTypeError(f"cannot type key {key!r}: no known prefix")
 
-    Resolution order: an explicit per-key binding, then the key's
-    prefix (the part before ``separator``), then the default type.
-    Bindings added with :meth:`bind` after deployment must be applied
-    at every replica — the schema itself is not replicated.
-    """
 
-    def __init__(
-        self,
-        prefixes: Mapping[str, str] | None = None,
-        *,
-        default: str | None = None,
-        separator: str = ":",
-    ) -> None:
-        self._prefixes = dict(DEFAULT_PREFIXES if prefixes is None else prefixes)
-        self._default = default
-        self._separator = separator
-        self._bindings: Dict[Hashable, str] = {}
-
-    def bind(self, key: Hashable, type_name: str) -> None:
-        """Pin one key to a type, overriding prefix resolution."""
-        type_spec(type_name)  # validate eagerly
-        self._bindings[key] = type_name
-
-    def type_of(self, key: Hashable) -> str:
-        """The type name ``key`` resolves to."""
-        bound = self._bindings.get(key)
-        if bound is not None:
-            return bound
-        if isinstance(key, str) and self._separator in key:
-            prefix = key.split(self._separator, 1)[0]
-            name = self._prefixes.get(prefix)
-            if name is not None:
-                return name
-        if self._default is not None:
-            return self._default
-        raise KVTypeError(
-            f"schema cannot type key {key!r}: no binding, no known prefix, no default"
-        )
-
-    def spec_for(self, key: Hashable) -> TypeSpec:
-        """The :class:`TypeSpec` governing ``key``."""
-        return type_spec(self.type_of(key))
+def spec_for(key: Hashable) -> TypeSpec:
+    """The :class:`TypeSpec` governing ``key``."""
+    return type_spec(type_of(key))

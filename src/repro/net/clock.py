@@ -23,6 +23,11 @@ run two execution models:
 A clock is attached to every :class:`~repro.net.runtime.ReplicaRuntime`
 at bind time; transports read timer targets exclusively through that
 per-runtime seam, never from their own config arithmetic.
+
+The timing itself is fixed, as in the paper's one deployment: the sync
+interval (:data:`SYNC_INTERVAL_MS`), the simulated link latency
+(:data:`LATENCY_MS`) and the per-node stagger (:data:`STAGGER_MS`) are
+constants of this module, not settings of a cluster.
 """
 
 from __future__ import annotations
@@ -31,9 +36,19 @@ import random
 from abc import ABC, abstractmethod
 from typing import Dict, Tuple
 
-#: Per-node timer stagger in milliseconds.  Microscopic relative to any
-#: plausible interval, it exists only to give "simultaneous" events a
-#: stable total order in the event queue.
+#: Period of every node's synchronization timer in milliseconds: the
+#: paper's deployment synchronizes once per second (Section V-A).
+SYNC_INTERVAL_MS = 1000.0
+
+#: One-way link latency of the simulated network in milliseconds.  A
+#: round trip fits well inside one interval, as on the paper's cluster
+#: (sub-millisecond LAN latency against a 1 s interval), so a barrier
+#: round settles every exchange it starts.
+LATENCY_MS = 25.0
+
+#: Per-node timer stagger in milliseconds.  Microscopic relative to the
+#: interval, it exists only to give "simultaneous" events a stable total
+#: order in the event queue.
 STAGGER_MS = 1e-3
 
 
@@ -75,18 +90,14 @@ class RoundStepClock(TickClock):
 
     barrier = True
 
-    def __init__(self, interval_ms: float, stagger: float = STAGGER_MS) -> None:
-        self.interval_ms = interval_ms
-        self.stagger = stagger
-
     def update_at(self, round: int, node: int) -> float:
-        return round * self.interval_ms + node * self.stagger
+        return round * SYNC_INTERVAL_MS + node * STAGGER_MS
 
     def sync_at(self, tick: int, node: int) -> float:
-        return tick * self.interval_ms + self.interval_ms / 2 + node * self.stagger
+        return tick * SYNC_INTERVAL_MS + SYNC_INTERVAL_MS / 2 + node * STAGGER_MS
 
     def interval_end(self, round: int) -> float:
-        return round * self.interval_ms + self.interval_ms - self.stagger
+        return round * SYNC_INTERVAL_MS + SYNC_INTERVAL_MS - STAGGER_MS
 
 
 class DriftClock(TickClock):
@@ -102,26 +113,17 @@ class DriftClock(TickClock):
     point within that interval instead of at the interval base.
 
     Deterministic: the whole timeline is a pure function of
-    ``(seed, interval, jitter)``, so free-running experiments remain
-    exactly replayable.
+    ``(seed, jitter)``, so free-running experiments remain exactly
+    replayable.
     """
 
     barrier = False
 
-    def __init__(
-        self,
-        interval_ms: float,
-        *,
-        jitter: float = 0.05,
-        seed: int = 0,
-        stagger: float = STAGGER_MS,
-    ) -> None:
+    def __init__(self, *, jitter: float = 0.05, seed: int = 0) -> None:
         if not 0.0 <= jitter < 1.0:
             raise ValueError(f"jitter must be in [0, 1), got {jitter}")
-        self.interval_ms = interval_ms
         self.jitter = jitter
         self.seed = seed
-        self.stagger = stagger
         self._timers: Dict[int, Tuple[float, float]] = {}
 
     def _timer(self, node: int) -> Tuple[float, float]:
@@ -130,8 +132,8 @@ class DriftClock(TickClock):
         if timer is None:
             stride = 1_000_003
             rng = random.Random(self.seed * stride + node)
-            phase = self.interval_ms * rng.random()
-            period = self.interval_ms * (
+            phase = SYNC_INTERVAL_MS * rng.random()
+            period = SYNC_INTERVAL_MS * (
                 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
             )
             timer = (phase, period)
@@ -140,11 +142,11 @@ class DriftClock(TickClock):
 
     def update_at(self, round: int, node: int) -> float:
         phase, _ = self._timer(node)
-        return round * self.interval_ms + phase
+        return round * SYNC_INTERVAL_MS + phase
 
     def sync_at(self, tick: int, node: int) -> float:
         phase, period = self._timer(node)
         return phase + tick * period
 
     def interval_end(self, round: int) -> float:
-        return round * self.interval_ms + self.interval_ms - self.stagger
+        return round * SYNC_INTERVAL_MS + SYNC_INTERVAL_MS - STAGGER_MS

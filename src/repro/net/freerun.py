@@ -26,7 +26,8 @@ recovered node does not snap back into alignment with anyone else.
 
 Determinism is fully preserved — the timeline is a pure function of
 the :class:`~repro.driver.FreeRun` value's ``(seed, jitter)``, the
-``sync_interval_ms`` and the workload — so
+fixed interval (:data:`~repro.net.clock.SYNC_INTERVAL_MS`) and the
+workload — so
 free-running experiments replay exactly, like everything else in the
 harness.
 """
@@ -48,9 +49,7 @@ class FreeRunTransport(SimTransport):
 
     def __init__(self, config, metrics: MetricsCollector, drift: FreeRun) -> None:
         super().__init__(config, metrics)
-        self.clock = DriftClock(
-            config.sync_interval_ms, jitter=drift.jitter, seed=drift.seed
-        )
+        self.clock = DriftClock(jitter=drift.jitter, seed=drift.seed)
         #: Ticks fired so far per node (the next tick's index).
         self._ticks: Dict[int, int] = {}
         self._armed = False

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from repro.net.clock import RoundStepClock, TickClock
+from repro.net.clock import LATENCY_MS, RoundStepClock, TickClock
 from repro.net.transport import Transport
 from repro.obs.trace import ROUND
 from repro.sim.events import EventQueue
@@ -44,7 +44,7 @@ class SimTransport(Transport):
         #: transport drives barrier-stepped rounds; a subclass swaps in
         #: another clock to change the execution model without touching
         #: the event engine.
-        self.clock: TickClock = RoundStepClock(self.config.sync_interval_ms)
+        self.clock: TickClock = RoundStepClock()
 
     def bind(self, runtimes) -> None:
         super().bind(runtimes)
@@ -142,7 +142,7 @@ class SimTransport(Transport):
             ):
                 continue
             self.queue.schedule_in(
-                self.config.latency_ms,
+                LATENCY_MS,
                 self._deliver_action,
                 payload=(src, send.dst, send.message),
             )

@@ -42,7 +42,7 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 from repro.codec import decode, encode
 from repro.kv.driver import Unavailable
 from repro.kv.ring import HashRing
-from repro.kv.types import Schema
+from repro.kv.types import spec_for
 from repro.lattice.base import Lattice
 from repro.lattice.map_lattice import MapLattice
 from repro.serve import frames
@@ -124,7 +124,6 @@ class KVClient:
         self.w = w
         self.read_repair = read_repair
         self.route = route
-        self.schema = Schema()
         self._rng = random.Random(seed)
         self._addresses = dict(addresses)
         self._timeout_s = timeout_s
@@ -263,7 +262,7 @@ class KVClient:
     def get(self, key: Hashable) -> Any:
         """The typed value of ``key`` from the join of ``r`` replies."""
         joined = self.get_lattice(key)
-        spec = self.schema.spec_for(key)
+        spec = spec_for(key)
         return spec.read(joined if joined is not None else spec.bottom())
 
     def get_lattice(self, key: Hashable) -> Optional[Lattice]:

@@ -71,7 +71,7 @@ from repro.kv.antientropy import AntiEntropyConfig
 from repro.kv.driver import KVDriver, ShardCopy, check_recovery
 from repro.kv.ring import HashRing
 from repro.kv.store import KVRoutingError, KVUpdate
-from repro.kv.types import Schema
+from repro.kv.types import spec_for
 from repro.net import framing
 from repro.net.transport import TransportStalled
 from repro.obs.trace import (
@@ -87,7 +87,6 @@ from repro.serve import frames
 from repro.serve.frames import FrameError, Request, Response
 from repro.serve.replica import HOST, ReplicaOptions, portfile_path
 from repro.sync.digest import root_of
-from repro.wal import WalConfig
 
 #: Seconds between COUNTERS polls while settling a round.
 _POLL_INTERVAL_S = 0.01
@@ -97,8 +96,6 @@ _STABLE_POLLS = 2
 _SEVERED_POLLS = 20
 #: STAT totals that must outlive the process that counted them.
 _FOLDED_STATS = ("messages", "payload_bytes", "metadata_bytes", "client_ops")
-#: Key typing for controller-side reads (the prefix conventions).
-_SCHEMA = Schema()
 #: What ROOTS reports for a shard nobody has written (hex, as on the wire).
 _EMPTY_ROOT = root_of(frozenset()).hex()
 
@@ -194,7 +191,6 @@ class ProcessCluster(KVDriver):
         algorithm: str = "delta-based-bp-rr",
         antientropy: Optional[AntiEntropyConfig] = None,
         recovery: str = "wal",
-        wal_config: Optional[WalConfig] = None,
         run_dir: Optional[str] = None,
         trace_dir: Optional[str] = None,
         spawn_timeout_s: float = 30.0,
@@ -204,13 +200,13 @@ class ProcessCluster(KVDriver):
         self.algorithm = algorithm
         self.antientropy = antientropy if antientropy is not None else AntiEntropyConfig()
         self.recovery = check_recovery(recovery)
-        self.wal_config = wal_config if wal_config is not None else WalConfig()
         self.spawn_timeout_s = spawn_timeout_s
         self.settle_timeout_s = settle_timeout_s
+        # Refuse a drain cap no drain can reach, and an impossible ring,
+        # before any directory, trace file or process exists.
+        if max_drain_rounds < 1:
+            raise ValueError(f"max_drain_rounds must be >= 1, got {max_drain_rounds}")
         self.max_drain_rounds = max_drain_rounds
-
-        # Refuse an impossible ring before any directory, trace file or
-        # process exists.
         self.replicas: List[int] = list(range(n_replicas))
         self.ring = HashRing(
             self.replicas, n_shards=shards, replication=replication
@@ -297,7 +293,6 @@ class ProcessCluster(KVDriver):
             algorithm=self.algorithm,
             antientropy=self.antientropy,
             recovery=self.recovery,
-            wal=self.wal_config,
             trace_dir=self.trace_dir,
         )
         cmd = [
@@ -604,7 +599,7 @@ class ProcessCluster(KVDriver):
 
     def _read(self, owner: int, key: Hashable) -> Any:
         blob = self._control(owner).request(frames.GET, key=key).blob
-        spec = _SCHEMA.spec_for(key)
+        spec = spec_for(key)
         return spec.read(decode(blob) if blob else spec.bottom())
 
     def pending_handoffs(self) -> int:

@@ -65,7 +65,6 @@ def build_cluster(
     ring = ring if ring is not None else config.ring()
     antientropy = antientropy if antientropy is not None else config.antientropy()
     recovery = recovery if recovery is not None else config.recovery
-    wal_config = config.wal_config() if recovery != "repair" else None
     if config.deployment is Stepped.PROC:
         return ProcessCluster(
             len(ring.replicas),
@@ -74,7 +73,6 @@ def build_cluster(
             algorithm=algorithm,
             antientropy=antientropy,
             recovery=recovery,
-            wal_config=wal_config,
             trace_dir=(
                 os.path.join(config.trace, label or algorithm)
                 if config.trace is not None
@@ -88,6 +86,5 @@ def build_cluster(
         antientropy=antientropy,
         transport=config.deployment,
         recovery=recovery,
-        wal_config=wal_config,
         trace=tracer,
     )

@@ -73,7 +73,7 @@ VERB_NAMES = {
 # Response statuses.
 OK = 0x00
 ERR_ROUTING = 0x01      # the key is not owned by the addressed replica
-ERR_TYPE = 0x02         # the typed operation was rejected by the schema
+ERR_TYPE = 0x02         # the typed operation was rejected by the key's type
 ERR_BAD_REQUEST = 0x03  # unparseable / unknown verb
 ERR_INTERNAL = 0x04     # anything else; message carries the repr
 

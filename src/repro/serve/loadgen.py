@@ -141,7 +141,7 @@ class LoadGenerator:
         self.failed_ops = 0
 
     def _draw_write(self, key: str) -> Tuple[str, Tuple[Any, ...]]:
-        """A schema-valid op for the key's prefix (the sweep's mix)."""
+        """A valid op for the type of the key's prefix (the sweep's mix)."""
         prefix = key[:3]
         rng = self._rng
         self._clock += 1

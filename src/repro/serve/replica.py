@@ -53,7 +53,6 @@ from repro.kv.antientropy import AntiEntropyConfig
 from repro.kv.driver import KV_ALGORITHMS, check_recovery
 from repro.kv.ring import HashRing
 from repro.kv.store import KVRoutingError, KVStore
-from repro.kv.types import Schema
 from repro.lattice.map_lattice import MapLattice
 from repro.net import framing
 from repro.net.runtime import ReplicaRuntime
@@ -64,7 +63,7 @@ from repro.serve.frames import FrameError, Request, Response
 from repro.sim.metrics import MetricsCollector
 from repro.sim.network import ClusterConfig
 from repro.sim.topology import Topology
-from repro.wal import FileStorage, ReplicaWal, WalConfig
+from repro.wal import FileStorage, ReplicaWal
 
 HOST = AsyncTcpTransport.HOST
 
@@ -96,7 +95,6 @@ class ReplicaOptions:
     #: ``repair`` keeps no WAL; ``wal`` replays and trusts the log;
     #: ``wal+repair`` replays and marks every δ-path suspect.
     recovery: str
-    wal: WalConfig
     #: Directory for this process's trace file (``None`` = off); the
     #: file is named ``r{replica:03d}.jsonl`` and stamped with
     #: ``origin=replica`` so a directory of them merges offline.
@@ -278,12 +276,7 @@ class ReplicaProcess:
             self.storage = FileStorage(
                 wal_path(options.run_dir, options.replica), lock=True
             )
-            wal = ReplicaWal(
-                options.replica,
-                storage=self.storage,
-                config=options.wal,
-                tracer=self.tracer,
-            )
+            wal = ReplicaWal(options.replica, storage=self.storage, tracer=self.tracer)
 
         self.store = KVStore(
             replica=options.replica,
@@ -296,7 +289,6 @@ class ReplicaProcess:
                 replication=options.replication,
             ),
             inner_factory=KV_ALGORITHMS[options.algorithm],
-            schema=Schema(),
             antientropy=options.antientropy,
             wal=wal,
             tracer=self.tracer,

@@ -127,20 +127,18 @@ def _normalize_trace(trace) -> Optional["Tracer"]:
 class ClusterConfig:
     """Simulation parameters.
 
+    The timing is not a parameter: every node synchronizes once per
+    :data:`~repro.net.clock.SYNC_INTERVAL_MS` and every link delivers
+    after :data:`~repro.net.clock.LATENCY_MS`, the paper's one
+    deployment.
+
     Attributes:
         topology: The overlay graph (Figure 6).
-        sync_interval_ms: Period of each node's synchronization timer;
-            the paper synchronizes every second.
-        latency_ms: One-way link latency; must be well below the
-            interval (the paper's cluster had sub-millisecond LAN
-            latency against a 1 s interval).
         max_drain_rounds: Safety cap on synchronization-only rounds run
             after the workload ends while waiting for convergence.
     """
 
     topology: Topology
-    sync_interval_ms: float = 1000.0
-    latency_ms: float = 25.0
     max_drain_rounds: int = 200
     #: Probability that any message is silently dropped in transit.
     #: The paper's Algorithm 1 assumes 0 and loses updates above it;
@@ -151,10 +149,14 @@ class ClusterConfig:
     loss_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.latency_ms * 2 >= self.sync_interval_ms:
+        # A drop rate of 1 or more loses every message and a negative one
+        # runs as 0; a drain cap below 1 is never reached, so a run that
+        # does not converge would drain forever.
+        if not 0.0 <= self.loss_rate < 1.0:
+            raise ValueError(f"loss_rate must be in [0, 1), got {self.loss_rate}")
+        if self.max_drain_rounds < 1:
             raise ValueError(
-                "round-trip latency must fit inside the sync interval: "
-                f"{self.latency_ms}ms vs {self.sync_interval_ms}ms"
+                f"max_drain_rounds must be >= 1, got {self.max_drain_rounds}"
             )
 
 

@@ -82,19 +82,9 @@ def run_experiment(
     factory: Callable[..., Synchronizer],
     workload: Workload,
     topology: Topology,
-    *,
-    sync_interval_ms: float = 1000.0,
-    latency_ms: float = 25.0,
-    max_drain_rounds: int = 200,
 ) -> ExperimentResult:
     """Run one algorithm against one workload on one topology."""
-    config = ClusterConfig(
-        topology=topology,
-        sync_interval_ms=sync_interval_ms,
-        latency_ms=latency_ms,
-        max_drain_rounds=max_drain_rounds,
-    )
-    cluster = Cluster(config, factory, workload.bottom())
+    cluster = Cluster(ClusterConfig(topology=topology), factory, workload.bottom())
     cluster.run_rounds(workload.rounds, workload.updates_for)
     drain_rounds = cluster.drain()
     algorithm = getattr(factory, "name", getattr(factory, "__name__", str(factory)))
@@ -115,7 +105,6 @@ def run_suite(
     factories: Mapping[str, Callable[..., Synchronizer]],
     workload_factory: Callable[[], Workload],
     topology: Topology,
-    **kwargs,
 ) -> Dict[str, ExperimentResult]:
     """Sweep algorithms over identical workload replays.
 
@@ -124,7 +113,7 @@ def run_suite(
     """
     results: Dict[str, ExperimentResult] = {}
     for label, factory in factories.items():
-        result = run_experiment(factory, workload_factory(), topology, **kwargs)
+        result = run_experiment(factory, workload_factory(), topology)
         results[label] = result
     return results
 

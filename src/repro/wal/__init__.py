@@ -14,8 +14,8 @@ representation of a replica's shard state:
 * **replay** — ``⊔ decode(record)`` over the log rebuilds the shard
   state exactly; order does not matter because join is associative,
   commutative, and idempotent;
-* **compact** — when a log outgrows its threshold, its records are
-  replaced by the single record of their join.  There is no
+* **compact** — when a log outgrows ``repro.wal.log.COMPACT_BYTES``
+  (64 KiB), its records are replaced by the single record of their join.  There is no
   log-structured-merge machinery because *compaction is the lattice
   join*: ``replay(compact(log)) == replay(log)`` is a theorem of the
   lattice, not a property the implementation has to fight for.  The
@@ -37,7 +37,6 @@ from repro.wal.log import (
     CRC_BYTES,
     ReplicaWal,
     ShardLog,
-    WalConfig,
     WalFencedError,
     pack_record,
     unpack_records,
@@ -52,7 +51,6 @@ __all__ = [
     "ShardLog",
     "Storage",
     "StorageLockError",
-    "WalConfig",
     "WalFencedError",
     "pack_record",
     "unpack_records",

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.codec import CodecError, Cursor, decode, encode, read_uvarint, write_uvarint
@@ -49,6 +48,11 @@ from repro.wal.storage import MemoryStorage, Storage
 
 #: Bytes of the per-record checksum trailer.
 CRC_BYTES = 4
+
+#: Once a shard log's committed size exceeds this, the next commit folds
+#: it into the single record of its join (:meth:`ShardLog.compact`).
+#: Read at commit time, so a test may patch it on the module.
+COMPACT_BYTES = 64 * 1024
 
 
 class WalFencedError(RuntimeError):
@@ -100,24 +104,6 @@ def unpack_records(data: bytes) -> Tuple[List[bytes], int, bool]:
     return [body for body, _ in records], clean, corrupt
 
 
-@dataclass(frozen=True)
-class WalConfig:
-    """Durability knobs shared by every shard log of a replica.
-
-    Attributes:
-        compact_bytes: Once a shard log's committed size exceeds this,
-            the next commit folds it into the single record of its
-            join (``None`` disables automatic compaction; explicit
-            :meth:`ShardLog.compact` still works).
-    """
-
-    compact_bytes: Optional[int] = 64 * 1024
-
-    def __post_init__(self) -> None:
-        if self.compact_bytes is not None and self.compact_bytes < 1:
-            raise ValueError("compact_bytes must be positive (or None)")
-
-
 class ShardLog:
     """Append-only log of deltas for one shard of one replica.
 
@@ -132,13 +118,11 @@ class ShardLog:
         self,
         storage: Storage,
         name: str,
-        config: WalConfig = WalConfig(),
         *,
         observer: Optional[Callable[[str, int], None]] = None,
     ) -> None:
         self.storage = storage
         self.name = name
-        self.config = config
         self.observer = observer
         #: Delta values staged since the last group commit, in staging
         #: order; :meth:`commit` encodes them.
@@ -236,10 +220,7 @@ class ShardLog:
         self._staged.clear()
         if self.observer is not None:
             self.observer(WAL_COMMIT, len(batch))
-        threshold = self.config.compact_bytes
-        if threshold is not None and self._size > max(
-            threshold, 2 * self._compact_floor
-        ):
+        if self._size > max(COMPACT_BYTES, 2 * self._compact_floor):
             self.compact()
         return len(batch)
 
@@ -372,13 +353,11 @@ class ReplicaWal:
         self,
         replica: int,
         storage: Optional[Storage] = None,
-        config: WalConfig = WalConfig(),
         *,
         tracer: Optional["Tracer"] = None,
     ) -> None:
         self.replica = replica
         self.storage = storage if storage is not None else MemoryStorage()
-        self.config = config
         #: Structured trace destination; shard logs get per-shard
         #: observer closures over it (``None`` = tracing off).
         self.tracer = tracer
@@ -407,9 +386,7 @@ class ReplicaWal:
         entry = self._logs.get(shard)
         if entry is None:
             name = f"r{self.replica:03d}-s{shard:05d}.wal"
-            entry = ShardLog(
-                self.storage, name, self.config, observer=self._observer_for(shard)
-            )
+            entry = ShardLog(self.storage, name, observer=self._observer_for(shard))
             self._logs[shard] = entry
         return entry
 

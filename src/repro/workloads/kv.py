@@ -70,7 +70,7 @@ class _RoutedWorkload(Workload):
 class KVZipfWorkload(_RoutedWorkload):
     """Mixed-type keyspace under Zipf-skewed key popularity.
 
-    Keys cycle through the schema's prefix conventions —
+    Keys cycle through the key-typing prefixes —
     ``gct:`` (GCounter), ``set:`` (GSet), ``reg:`` (LWWRegister),
     ``aws:`` (AWSet), ``cnt:`` (PNCounter) — so one schedule exercises
     grow-only, lexicographic, and causal synchronization at once.

@@ -20,6 +20,7 @@ from repro.driver import Stepped
 from repro.experiments import KVConfig, build_cluster
 from repro.kv import HashRing, KVUpdate, RebalanceReport, plan_rebalance
 from repro.kv.driver import ShardCopy
+from repro.wal.log import COMPACT_BYTES
 
 SEATS, SHARDS, REPLICATION = 5, 8, 2
 BACKENDS = (Stepped.SIM, Stepped.TCP, Stepped.PROC)
@@ -281,27 +282,23 @@ def test_deliver_events_name_their_receiver(tmp_path, deployment):
 @pytest.mark.parametrize(
     "deployment", (Stepped.SIM, Stepped.PROC), ids=lambda d: d.value
 )
-@pytest.mark.parametrize("compact_bytes", (None, 16 * 1024), ids=("off", "16KiB"))
-def test_wal_compaction_follows_the_config(deployment, compact_bytes):
+def test_wal_compaction_fires_at_compact_bytes(deployment):
+    """Every replica, in this process or its own, compacts at the one
+    constant threshold: never while its log is within it, and once past it."""
     config = KVConfig(
-        replicas=2,
-        shards=1,
-        replication=1,
-        recovery="wal",
-        wal_compact_bytes=compact_bytes,
-        deployment=deployment,
+        replicas=2, shards=1, replication=1, recovery="wal", deployment=deployment
     )
     cluster = build_cluster(config, "delta-based-bp-rr")
+    seen = []
     try:
         for r in range(6):
             for i in range(100):
                 cluster.update(f"set:{i % 7}", "add", f"{r:02d}-{i:03d}-" + "x" * 290)
             cluster.run_round(None)
-        stats = cluster.wal_stats()
+            seen.append(cluster.wal_stats())
     finally:
         cluster.close()
-    assert stats["wal_committed_bytes"] > 64 * 1024
-    if compact_bytes is None:
-        assert stats["wal_compactions"] == 0
-    else:
-        assert stats["wal_compactions"] > 0
+    within = [s for s in seen if s["wal_committed_bytes"] <= COMPACT_BYTES]
+    assert within and all(s["wal_compactions"] == 0 for s in within)
+    assert seen[-1]["wal_committed_bytes"] > COMPACT_BYTES
+    assert seen[-1]["wal_compactions"] > 0

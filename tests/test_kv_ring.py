@@ -54,7 +54,7 @@ class TestPlacement:
 
     def test_load_is_spread(self):
         """No replica owns a wildly disproportionate shard share."""
-        ring = HashRing(range(8), n_shards=256, replication=3, vnodes=128)
+        ring = HashRing(range(8), n_shards=256, replication=3)
         counts = [len(ring.shards_owned_by(r)) for r in ring.replicas]
         expected = 256 * 3 / 8
         assert max(counts) < 2.5 * expected

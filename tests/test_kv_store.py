@@ -8,7 +8,6 @@ from repro.kv import (
     KVCluster,
     KVRoutingError,
     KVTypeError,
-    Schema,
     TypeSpec,
     kv_store_factory,
     register_type,
@@ -17,7 +16,7 @@ from repro.kv import (
 from repro.causal import AWSet, DWFlag, ORMap
 from repro.codec import encode
 from repro.crdt import BCounter, Crdt
-from repro.kv.types import DEFAULT_PREFIXES, TYPE_REGISTRY
+from repro.kv.types import PREFIXES, TYPE_REGISTRY, type_of
 from repro.lattice import MapLattice, MaxElements, MaxInt
 from repro.sync import StateBased, keyed_bp_rr
 
@@ -29,29 +28,18 @@ def make_store(replica=0, n=4, replication=2, inner=keyed_bp_rr, **kwargs):
     return ring, factory(replica, neighbors, MapLattice(), n)
 
 
-class TestSchema:
+class TestKeyTyping:
     def test_prefix_resolution(self):
-        schema = Schema()
-        assert schema.type_of("cnt:balance") == "pncounter"
-        assert schema.type_of("aws:cart") == "awset"
-        assert schema.type_of("flw:0000042") == "gset"
-
-    def test_explicit_binding_wins(self):
-        schema = Schema()
-        schema.bind("cnt:weird", "gcounter")
-        assert schema.type_of("cnt:weird") == "gcounter"
+        assert type_of("cnt:balance") == "pncounter"
+        assert type_of("aws:cart") == "awset"
+        assert type_of("flw:0000042") == "gset"
 
     def test_unresolvable_key(self):
         with pytest.raises(KVTypeError, match="cannot type"):
-            Schema().type_of("mystery")
+            type_of("mystery")
 
-    def test_default_type(self):
-        schema = Schema(default="lwwregister")
-        assert schema.type_of("anything") == "lwwregister"
-
-    def test_unknown_type_rejected_eagerly(self):
-        with pytest.raises(KVTypeError, match="unknown CRDT type"):
-            Schema().bind("k", "no-such-type")
+    def test_every_prefix_names_a_registered_type(self):
+        assert set(PREFIXES.values()) <= set(TYPE_REGISTRY)
 
 
 class TestTypeSpecs:
@@ -153,7 +141,7 @@ REGISTERED_OPS = [(name, op) for name, (_, ops) in WRITES.items() for op in sort
 def seeded_value(name):
     """A one-replica store's value for ``name``'s key after its seed write."""
     seed, _ = WRITES[name]
-    key = next(p for p, bound in DEFAULT_PREFIXES.items() if bound == name) + ":k"
+    key = next(p for p, bound in PREFIXES.items() if bound == name) + ":k"
     _, store = make_store(replica=0, n=2, replication=2)
     store.update(key, *seed)
     return key, store

@@ -124,14 +124,12 @@ class TestWalRecoveryConverges:
 
     def test_wal_knobs_without_a_wal_policy_are_rejected(self):
         """Silently ignoring the storage would fake durability."""
-        from repro.wal import MemoryStorage, WalConfig
+        from repro.wal import MemoryStorage
 
         with pytest.raises(ValueError, match="wal_storage"):
             build_cluster(
                 recovery="repair", wal_storage=lambda replica: MemoryStorage()
             )
-        with pytest.raises(ValueError, match="wal_storage"):
-            build_cluster(recovery="repair", wal_config=WalConfig())
 
 
 class TestWalBeatsRemoteRepair:

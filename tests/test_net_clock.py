@@ -36,7 +36,7 @@ class TestRoundStepClock:
     def test_reproduces_the_pre_seam_arithmetic(self):
         """Expression-for-expression identity with the old run_round
         formulas — equality of floats, not approximation."""
-        clock = RoundStepClock(1000.0)
+        clock = RoundStepClock()
         for rnd in (0, 1, 7, 123):
             for node in (0, 1, 5):
                 assert clock.update_at(rnd, node) == rnd * 1000.0 + node * STAGGER_MS
@@ -47,24 +47,24 @@ class TestRoundStepClock:
             assert clock.interval_end(rnd) == rnd * 1000.0 + 1000.0 - STAGGER_MS
 
     def test_is_the_barrier_model(self):
-        assert RoundStepClock(1000.0).barrier is True
+        assert RoundStepClock().barrier is True
 
 
 class TestDriftClock:
     def test_deterministic_per_seed(self):
-        a = DriftClock(1000.0, jitter=0.05, seed=3)
-        b = DriftClock(1000.0, jitter=0.05, seed=3)
+        a = DriftClock(jitter=0.05, seed=3)
+        b = DriftClock(jitter=0.05, seed=3)
         assert [a.sync_at(k, 2) for k in range(5)] == [
             b.sync_at(k, 2) for k in range(5)
         ]
 
     def test_nodes_have_private_timelines(self):
-        clock = DriftClock(1000.0, jitter=0.05, seed=0)
+        clock = DriftClock(jitter=0.05, seed=0)
         phases = {clock.sync_at(0, node) for node in range(8)}
         assert len(phases) == 8  # no two replicas tick together
 
     def test_period_stays_within_jitter_bounds(self):
-        clock = DriftClock(1000.0, jitter=0.1, seed=1)
+        clock = DriftClock(jitter=0.1, seed=1)
         for node in range(8):
             period = clock.sync_at(1, node) - clock.sync_at(0, node)
             assert 900.0 <= period <= 1100.0
@@ -73,7 +73,7 @@ class TestDriftClock:
             assert period != 1000.0
 
     def test_zero_jitter_means_nominal_period_with_phase_only(self):
-        clock = DriftClock(1000.0, jitter=0.0, seed=5)
+        clock = DriftClock(jitter=0.0, seed=5)
         for node in range(4):
             assert clock.sync_at(3, node) - clock.sync_at(2, node) == 1000.0
 
@@ -81,7 +81,7 @@ class TestDriftClock:
         """Two drifting timers change their relative offset every tick —
         the property that distinguishes free-running from a fixed
         stagger of the same lockstep grid."""
-        clock = DriftClock(1000.0, jitter=0.05, seed=0)
+        clock = DriftClock(jitter=0.05, seed=0)
         offsets = {
             round(clock.sync_at(k, 0) - clock.sync_at(k, 1), 6) for k in range(10)
         }
@@ -89,12 +89,12 @@ class TestDriftClock:
 
     def test_rejects_silly_jitter(self):
         with pytest.raises(ValueError):
-            DriftClock(1000.0, jitter=1.0)
+            DriftClock(jitter=1.0)
         with pytest.raises(ValueError):
-            DriftClock(1000.0, jitter=-0.1)
+            DriftClock(jitter=-0.1)
 
     def test_is_not_the_barrier_model(self):
-        assert DriftClock(1000.0).barrier is False
+        assert DriftClock().barrier is False
 
 
 class TestFreeRunTransport:

@@ -18,13 +18,15 @@ from hypothesis import strategies as st
 import pytest
 
 from repro import codec, sizes
+from repro.causal import AWSet, DWFlag, ORMap
+from repro.crdt import BCounter, InsufficientRights
 from repro.kv.types import TYPE_REGISTRY
 from repro.lattice import MapLattice, MaxInt, SetLattice
 from repro.sync import DeltaBased, KeyedDeltaBased
 from repro.sync.protocol import Message
 from repro.workloads import GCounterWorkload, GMapWorkload, GSetWorkload
 
-from test_kv_store import WRITES, seeded_value
+from test_kv_store import WRITES, _bcounter, _carts, _dwflag, seeded_value
 
 KEYS = ("a", "b", "c", "d", "e")
 NEIGHBORS = (1, 2)
@@ -245,6 +247,85 @@ def test_registered_delta_mutators_leave_their_argument_alone(name, op):
     delta = TYPE_REGISTRY[name].crdt.mutators[op](0, state, *args)
     assert delta is not state
     assert (repr(state), codec.encode(state)) == snapshot
+
+
+# ----------------------------------------------------------------------
+# Optimality (Section III-B): a δ-mutator returns exactly Δ(m(x), x).
+# ----------------------------------------------------------------------
+
+
+def assert_optimal(state, delta):
+    """``δ`` is the optimal delta of its own inflation of ``state``: it
+    holds no part of ``state``, and it is ⊥ exactly when nothing grew."""
+    inflated = state.join(delta)
+    assert delta == inflated.delta(state)
+    assert delta.is_bottom == (inflated == state)
+
+
+#: Where each mutator is applied: the seeded value, ⊥, and the seeded
+#: value after the same write (where a repeat of an idempotent write
+#: must come back ⊥).
+POINTS = ("seeded", "bottom", "rewritten")
+
+#: Mutators no registered type serves: label → (declaring type, seeded
+#: state, the δ-function at replica "A").
+UNREGISTERED_MUTATORS = {
+    "bcounter.increment": (BCounter, _bcounter, lambda x: BCounter.increment("A", x, 3)),
+    "bcounter.decrement": (BCounter, _bcounter, lambda x: BCounter.decrement("A", x, 4)),
+    "bcounter.transfer": (
+        BCounter, _bcounter, lambda x: BCounter.transfer("A", x, 5, "B")
+    ),
+    "dwflag.enable": (DWFlag, _dwflag, lambda x: DWFlag.enable("A", x)),
+    "dwflag.disable": (DWFlag, _dwflag, lambda x: DWFlag.disable("A", x)),
+    "ormap.update": (
+        ORMap, _carts, lambda x: ORMap.update("A", x, "cart", AWSet, "add", "eggs")
+    ),
+    "ormap.update-absent-key": (
+        ORMap, _carts, lambda x: ORMap.update("A", x, "list", AWSet, "add", "x")
+    ),
+    "ormap.remove": (ORMap, _carts, lambda x: ORMap.remove("A", x, "cart")),
+    "ormap.clear": (ORMap, _carts, lambda x: ORMap.clear("A", x)),
+}
+
+#: Writes ⊥ cannot take: their type's precondition refuses them.
+REFUSED_AT_BOTTOM = {
+    "twopset.remove": KeyError,
+    "bcounter.decrement": InsufficientRights,
+    "bcounter.transfer": InsufficientRights,
+}
+
+
+def _check_optimal_at(point, label, bottom, seeded, mutate):
+    if point == "bottom" and label in REFUSED_AT_BOTTOM:
+        with pytest.raises(REFUSED_AT_BOTTOM[label]):
+            mutate(bottom)
+        return
+    state = bottom if point == "bottom" else seeded
+    if point == "rewritten":
+        state = state.join(mutate(state))
+    assert_optimal(state, mutate(state))
+
+
+@pytest.mark.parametrize("point", POINTS)
+@pytest.mark.parametrize("name,op", REGISTERED)
+def test_registered_delta_mutators_are_optimal(name, op, point):
+    key, store = seeded_value(name)
+    spec = TYPE_REGISTRY[name]
+    args, _ = WRITES[name][1][op]
+    _check_optimal_at(
+        point,
+        f"{name}.{op}",
+        spec.bottom(),
+        store.value_lattice(key),
+        lambda x: spec.crdt.mutators[op](0, x, *args),
+    )
+
+
+@pytest.mark.parametrize("point", POINTS)
+@pytest.mark.parametrize("label", sorted(UNREGISTERED_MUTATORS))
+def test_unregistered_delta_mutators_are_optimal(label, point):
+    crdt, seeded, mutate = UNREGISTERED_MUTATORS[label]
+    _check_optimal_at(point, label, crdt.bottom(), seeded(), mutate)
 
 
 TABLE_I = [

@@ -281,7 +281,6 @@ def test_trace_dir_merges_per_process_files(tmp_path):
 
 def test_replica_options_cross_the_process_boundary_whole():
     from repro.serve import ReplicaOptions
-    from repro.wal import WalConfig
 
     options = ReplicaOptions(
         replica=2,
@@ -292,7 +291,6 @@ def test_replica_options_cross_the_process_boundary_whole():
         algorithm="delta-based-bp-rr",
         antientropy=REPAIR,
         recovery="wal+repair",
-        wal=WalConfig(compact_bytes=None),
         trace_dir=None,
     )
     assert ReplicaOptions.from_json(options.to_json()) == options
@@ -343,8 +341,17 @@ class TestRunDirLifecycle:
             pass
         assert os.path.isfile(os.path.join(run_dir, "r000.log"))
 
+    @pytest.mark.parametrize(
+        "fields, reason",
+        (
+            ({"replication": 3}, "exceeds replica count 1"),
+            ({"replication": 1, "max_drain_rounds": 0}, "max_drain_rounds"),
+            ({"replication": 1, "max_drain_rounds": -1}, "max_drain_rounds"),
+        ),
+        ids=("ring", "drain-0", "drain-negative"),
+    )
     def test_impossible_ring_is_refused_before_any_resource(
-        self, tmp_root, monkeypatch
+        self, tmp_root, monkeypatch, fields, reason
     ):
         import gc
         import sys
@@ -355,8 +362,8 @@ class TestRunDirLifecycle:
         trace_dir = tmp_root / "trace"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(ValueError, match="exceeds replica count 1"):
-                ProcessCluster(1, replication=3, trace_dir=str(trace_dir))
+            with pytest.raises(ValueError, match=reason):
+                ProcessCluster(1, trace_dir=str(trace_dir), **fields)
             gc.collect()
         assert os.listdir(tmp_root) == []
         assert caught == [] and unraisable == []

@@ -147,9 +147,9 @@ class TestReadReplicaErrorPaths:
         assert joined is not None
         for reply in replies:
             assert reply is None or reply.leq(joined)
-        from repro.kv.types import Schema
+        from repro.kv.types import spec_for
 
-        read = Schema().spec_for("set:pin").read(joined)
+        read = spec_for("set:pin").read(joined)
         assert "left" in read and "v" in read
 
 

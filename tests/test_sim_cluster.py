@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.net.clock import LATENCY_MS, SYNC_INTERVAL_MS
 from repro.sim.metrics import MemorySample, MessageRecord, MetricsCollector
 from repro.sim.network import Cluster, ClusterConfig
 from repro.sim.runner import ratio_table, run_experiment, run_suite
@@ -84,8 +85,27 @@ class TestMetricsCollector:
 
 class TestClusterConfig:
     def test_latency_must_fit_in_interval(self):
-        with pytest.raises(ValueError):
-            ClusterConfig(line(2), sync_interval_ms=100.0, latency_ms=60.0)
+        assert LATENCY_MS * 2 < SYNC_INTERVAL_MS
+
+    @pytest.mark.parametrize(
+        "fields, reason",
+        (
+            ({"loss_rate": 1.5}, "loss_rate"),
+            ({"loss_rate": 1.0}, "loss_rate"),
+            ({"loss_rate": -0.5}, "loss_rate"),
+            ({"max_drain_rounds": 0}, "max_drain_rounds"),
+            ({"max_drain_rounds": -1}, "max_drain_rounds"),
+        ),
+        ids=("loss-above-1", "loss-1", "loss-negative", "drain-0", "drain-negative"),
+    )
+    def test_refuses_what_no_run_can_use(self, fields, reason):
+        with pytest.raises(ValueError, match=reason):
+            ClusterConfig(line(2), **fields)
+
+    def test_accepts_the_edges_of_the_ranges(self):
+        config = ClusterConfig(line(2), loss_rate=0.0, max_drain_rounds=1)
+        assert (config.loss_rate, config.max_drain_rounds) == (0.0, 1)
+        assert ClusterConfig(line(2), loss_rate=0.99).loss_rate == 0.99
 
 
 class TestClusterBasics:

@@ -140,7 +140,14 @@ BLOCK, CLEAN = ["async-blocking"], []
 BLOCKING_PAIRS, IMPURE_PAIRS = (sorted(n.split(".", 1) for n in names) for names in (BLOCKING, IMPURE))
 
 
-@pytest.mark.parametrize("path, source, expected", [
+def row_ids(rows):
+    """One-line ids, ``<rules>-<n>`` (``clean-<n>`` for a near miss): a
+    row's source spans lines, so it cannot name the row."""
+    return [f"{'+'.join(dict.fromkeys(expected)) or 'clean'}-{n}"
+            for n, (_, _, expected) in enumerate(rows)]
+
+
+RULE_ROWS = [
     # The two trees CI used to plant, each named by its rules.
     (CORE, "import random\nimport time\nx = random.random() * time.time()\n", ["det-clock", "det-rng"]),
     (EDGE, ASYNC.format("time.sleep(1)"), BLOCK),
@@ -172,7 +179,10 @@ BLOCKING_PAIRS, IMPURE_PAIRS = (sorted(n.split(".", 1) for n in names) for names
     *[(EDGE, TRY.format(*handler), CLEAN) for handler in [
         ("OSError", "pass"), ("Exception", "raise"), ("Exception as exc", "self.last = repr(exc)"),
         ("Exception", "self.tracer.emit(CRASH)"), ("Exception", "warnings.warn('step failed')")]],
-])
+]
+
+
+@pytest.mark.parametrize("path, source, expected", RULE_ROWS, ids=row_ids(RULE_ROWS))
 def test_rule_triggers_and_near_misses(path, source, expected):
     assert [rule for _, _, rule in findings(path, source)] == expected
 
@@ -180,7 +190,7 @@ def test_rule_triggers_and_near_misses(path, source, expected):
 UNUSED = ["unused-import"]
 
 
-@pytest.mark.parametrize("path, source, expected", [
+UNUSED_ROWS = [
     (EDGE, "import os\n", UNUSED),
     (EDGE, "import os.path\nfrom typing import List, Tuple\nx: List[int] = []\n", UNUSED * 2),
     (EDGE, "from repro.kv import KVStore as Store\n'''A Store, the KVStore.'''\n", UNUSED),
@@ -190,6 +200,9 @@ UNUSED = ["unused-import"]
     (EDGE, "from __future__ import annotations\n", CLEAN),
     (EDGE, "import repro  # noqa: F401 -- registers the types\n", CLEAN),
     ("src/repro/kv/__init__.py", "from repro.kv.store import KVStore\n", CLEAN),
-])
+]
+
+
+@pytest.mark.parametrize("path, source, expected", UNUSED_ROWS, ids=row_ids(UNUSED_ROWS))
 def test_unused_import_triggers_and_near_misses(path, source, expected):
     assert [rule for _, _, rule in findings(path, source, UNUSED)] == expected

@@ -33,7 +33,6 @@ from repro.wal import (
     MemoryStorage,
     ReplicaWal,
     ShardLog,
-    WalConfig,
     pack_record,
     unpack_records,
 )
@@ -82,7 +81,7 @@ def test_replay_is_the_join_of_appended_deltas(family, data):
 def test_compaction_preserves_replay(family, data):
     """The acceptance property: replay(compact(log)) == replay(log)."""
     deltas = data.draw(delta_batches(family))
-    wal = ReplicaWal(0, config=WalConfig(compact_bytes=None))
+    wal = ReplicaWal(0)
     for delta in deltas:
         wal.append(3, delta)
     wal.commit()
@@ -166,7 +165,7 @@ def test_committed_image_is_the_records_of_the_staged_values(family, data):
     their encodings, in staging order — the record format of a log that
     was fed encoded bytes."""
     deltas = data.draw(delta_batches(family))
-    log = ShardLog(MemoryStorage(), "s.wal", WalConfig(compact_bytes=None))
+    log = ShardLog(MemoryStorage(), "s.wal")
     for delta in deltas:
         log.stage(delta)
     expected = b"".join(pack_record(encode(delta)) for delta in deltas)
@@ -316,8 +315,9 @@ class TestCorruptTail:
 
 
 class TestCompaction:
-    def test_threshold_triggers_compaction_on_commit(self):
-        wal = ReplicaWal(0, config=WalConfig(compact_bytes=64))
+    def test_threshold_triggers_compaction_on_commit(self, monkeypatch):
+        monkeypatch.setattr(wal_log, "COMPACT_BYTES", 64)
+        wal = ReplicaWal(0)
         for i in range(12):
             wal.append(0, SetLattice({f"element-{i}"}))
         wal.commit()
@@ -329,7 +329,7 @@ class TestCompaction:
     def test_compaction_shrinks_redundant_logs(self):
         """Overlapping deltas (the common case: RR extraction off, or
         repeated repair absorptions) fold into one small image."""
-        wal = ReplicaWal(0, config=WalConfig(compact_bytes=None))
+        wal = ReplicaWal(0)
         for _ in range(20):
             wal.append(0, MapLattice({"k": SetLattice({"v"})}))
         wal.commit()
@@ -349,8 +349,9 @@ class TestCompaction:
         """A joined image larger than the threshold must not trigger a
         fresh decode-join-encode on every subsequent commit; the
         trigger waits until the log doubles past the last image."""
+        monkeypatch.setattr(wal_log, "COMPACT_BYTES", 64)
         elements = {f"element-{i:04d}" for i in range(30)}
-        wal = ReplicaWal(0, config=WalConfig(compact_bytes=64))
+        wal = ReplicaWal(0)
         for element in sorted(elements):
             wal.append(0, SetLattice({element}))
         wal.commit()
@@ -374,7 +375,7 @@ class TestCompaction:
         temp file behind and the original records intact; recovery
         ignores the temp file and replays the full log."""
         storage = FileStorage(str(tmp_path))
-        wal = ReplicaWal(0, storage=storage, config=WalConfig(compact_bytes=None))
+        wal = ReplicaWal(0, storage=storage)
         deltas = [SetLattice({f"e{i}"}) for i in range(6)]
         for delta in deltas:
             wal.append(0, delta)
@@ -476,10 +477,6 @@ class TestStorageLock:
 
 
 class TestConfig:
-    def test_compact_threshold_validated(self):
-        with pytest.raises(ValueError, match="compact_bytes"):
-            WalConfig(compact_bytes=0)
-
     def test_shard_log_repr_and_size_cache(self):
         log = ShardLog(MemoryStorage(), "r000-s00000.wal")
         assert "r000-s00000.wal" in repr(log)
