@@ -98,6 +98,8 @@ _SEVERED_POLLS = 20
 _FOLDED_STATS = ("messages", "payload_bytes", "metadata_bytes", "client_ops")
 #: What ROOTS reports for a shard nobody has written (hex, as on the wire).
 _EMPTY_ROOT = root_of(frozenset()).hex()
+#: Sync-only rounds ``drain()`` runs before it declares the run stuck.
+_MAX_DRAIN_ROUNDS = 64
 
 
 class ReplicaDied(RuntimeError):
@@ -195,18 +197,14 @@ class ProcessCluster(KVDriver):
         trace_dir: Optional[str] = None,
         spawn_timeout_s: float = 30.0,
         settle_timeout_s: float = 30.0,
-        max_drain_rounds: int = 64,
     ) -> None:
         self.algorithm = algorithm
         self.antientropy = antientropy if antientropy is not None else AntiEntropyConfig()
         self.recovery = check_recovery(recovery)
         self.spawn_timeout_s = spawn_timeout_s
         self.settle_timeout_s = settle_timeout_s
-        # Refuse a drain cap no drain can reach, and an impossible ring,
-        # before any directory, trace file or process exists.
-        if max_drain_rounds < 1:
-            raise ValueError(f"max_drain_rounds must be >= 1, got {max_drain_rounds}")
-        self.max_drain_rounds = max_drain_rounds
+        # Refuse an impossible ring before any directory, trace file or
+        # process exists.
         self.replicas: List[int] = list(range(n_replicas))
         self.ring = HashRing(
             self.replicas, n_shards=shards, replication=replication
@@ -348,6 +346,10 @@ class ProcessCluster(KVDriver):
         if replica in self.down:
             raise ReplicaDied(f"replica {replica} is down")
         return self._controls[replica]
+
+    @property
+    def max_drain_rounds(self) -> int:
+        return _MAX_DRAIN_ROUNDS
 
     @property
     def live(self) -> List[int]:

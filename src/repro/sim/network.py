@@ -150,8 +150,9 @@ class ClusterConfig:
 
     def __post_init__(self) -> None:
         # A drop rate of 1 or more loses every message and a negative one
-        # runs as 0; a drain cap below 1 is never reached, so a run that
-        # does not converge would drain forever.
+        # runs as 0.  A negative drain cap is never reached, so a run that
+        # does not converge would drain forever; a cap of 0 forbids every
+        # drain round, which makes it useless.
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError(f"loss_rate must be in [0, 1), got {self.loss_rate}")
         if self.max_drain_rounds < 1:

@@ -166,36 +166,50 @@ def _carts():
     return _seeded(ORMap("A"), ("update", "cart", AWSet, "add", "milk"))
 
 
-#: Mutators no registered type serves, called as δ-functions: label →
-#: (the δ at replica "A" against a seeded state, ``encode(δ).hex()``).
+#: Mutators no registered type serves, called as δ-functions at replica
+#: "A": label → (declaring type, seeded state, δ-function,
+#: ``encode(δ).hex()`` against the seeded state).
 UNREGISTERED = {
     "bcounter.increment": (
-        lambda: BCounter.increment("A", _bcounter(), 3),
+        BCounter,
+        _bcounter,
+        lambda x: BCounter.increment("A", x, 3),
         "15140105014115100d10001400",
     ),
     "bcounter.decrement": (
-        lambda: BCounter.decrement("A", _bcounter(), 4),
+        BCounter,
+        _bcounter,
+        lambda x: BCounter.decrement("A", x, 4),
         "15140105014115100010041400",
     ),
     "bcounter.transfer": (
-        lambda: BCounter.transfer("A", _bcounter(), 5, "B"),
+        BCounter,
+        _bcounter,
+        lambda x: BCounter.transfer("A", x, 5, "B"),
         "151400140107020501410501421005",
     ),
-    "dwflag.enable": (lambda: DWFlag.enable("A", _dwflag()), "200100010501410100"),
+    "dwflag.enable": (
+        DWFlag, _dwflag, lambda x: DWFlag.enable("A", x), "200100010501410100"
+    ),
     "dwflag.disable": (
-        lambda: DWFlag.disable("A", _dwflag()),
-        "20010105014102010501410200",
+        DWFlag, _dwflag, lambda x: DWFlag.disable("A", x), "20010105014102010501410200"
     ),
     "ormap.update": (
-        lambda: ORMap.update("A", _carts(), "cart", AWSet, "add", "eggs"),
+        ORMap,
+        _carts,
+        lambda x: ORMap.update("A", x, "cart", AWSet, "add", "eggs"),
         "2003010504636172740301050465676773010105014102000105014102",
     ),
     "ormap.update-absent-key": (
-        lambda: ORMap.update("A", _carts(), "list", AWSet, "add", "x"),
+        ORMap,
+        _carts,
+        lambda x: ORMap.update("A", x, "list", AWSet, "add", "x"),
         "20030105046c6973740301050178010105014102000105014102",
     ),
-    "ormap.remove": (lambda: ORMap.remove("A", _carts(), "cart"), "200300010501410100"),
-    "ormap.clear": (lambda: ORMap.clear("A", _carts()), "200300010501410100"),
+    "ormap.remove": (
+        ORMap, _carts, lambda x: ORMap.remove("A", x, "cart"), "200300010501410100"
+    ),
+    "ormap.clear": (ORMap, _carts, lambda x: ORMap.clear("A", x), "200300010501410100"),
 }
 
 
@@ -216,8 +230,8 @@ class TestDeltaGolden:
 
     @pytest.mark.parametrize("label", sorted(UNREGISTERED))
     def test_unregistered_mutator(self, label):
-        compute, expected = UNREGISTERED[label]
-        assert encode(compute()).hex() == expected
+        _, seeded, mutate, expected = UNREGISTERED[label]
+        assert encode(mutate(seeded())).hex() == expected
 
 
 class TestAWriteJoinsItsDeltaOnce:

@@ -18,15 +18,14 @@ from hypothesis import strategies as st
 import pytest
 
 from repro import codec, sizes
-from repro.causal import AWSet, DWFlag, ORMap
-from repro.crdt import BCounter, InsufficientRights
+from repro.crdt import InsufficientRights
 from repro.kv.types import TYPE_REGISTRY
 from repro.lattice import MapLattice, MaxInt, SetLattice
 from repro.sync import DeltaBased, KeyedDeltaBased
 from repro.sync.protocol import Message
 from repro.workloads import GCounterWorkload, GMapWorkload, GSetWorkload
 
-from test_kv_store import WRITES, _bcounter, _carts, _dwflag, seeded_value
+from test_kv_store import UNREGISTERED, WRITES, seeded_value
 
 KEYS = ("a", "b", "c", "d", "e")
 NEIGHBORS = (1, 2)
@@ -267,26 +266,6 @@ def assert_optimal(state, delta):
 #: must come back ⊥).
 POINTS = ("seeded", "bottom", "rewritten")
 
-#: Mutators no registered type serves: label → (declaring type, seeded
-#: state, the δ-function at replica "A").
-UNREGISTERED_MUTATORS = {
-    "bcounter.increment": (BCounter, _bcounter, lambda x: BCounter.increment("A", x, 3)),
-    "bcounter.decrement": (BCounter, _bcounter, lambda x: BCounter.decrement("A", x, 4)),
-    "bcounter.transfer": (
-        BCounter, _bcounter, lambda x: BCounter.transfer("A", x, 5, "B")
-    ),
-    "dwflag.enable": (DWFlag, _dwflag, lambda x: DWFlag.enable("A", x)),
-    "dwflag.disable": (DWFlag, _dwflag, lambda x: DWFlag.disable("A", x)),
-    "ormap.update": (
-        ORMap, _carts, lambda x: ORMap.update("A", x, "cart", AWSet, "add", "eggs")
-    ),
-    "ormap.update-absent-key": (
-        ORMap, _carts, lambda x: ORMap.update("A", x, "list", AWSet, "add", "x")
-    ),
-    "ormap.remove": (ORMap, _carts, lambda x: ORMap.remove("A", x, "cart")),
-    "ormap.clear": (ORMap, _carts, lambda x: ORMap.clear("A", x)),
-}
-
 #: Writes ⊥ cannot take: their type's precondition refuses them.
 REFUSED_AT_BOTTOM = {
     "twopset.remove": KeyError,
@@ -322,9 +301,9 @@ def test_registered_delta_mutators_are_optimal(name, op, point):
 
 
 @pytest.mark.parametrize("point", POINTS)
-@pytest.mark.parametrize("label", sorted(UNREGISTERED_MUTATORS))
+@pytest.mark.parametrize("label", sorted(UNREGISTERED))
 def test_unregistered_delta_mutators_are_optimal(label, point):
-    crdt, seeded, mutate = UNREGISTERED_MUTATORS[label]
+    crdt, seeded, mutate, _ = UNREGISTERED[label]
     _check_optimal_at(point, label, crdt.bottom(), seeded(), mutate)
 
 
