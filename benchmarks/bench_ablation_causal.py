@@ -22,17 +22,15 @@ can trim.
 
 import pytest
 
-from repro.experiments.appendixb import run_appendixb
+from repro.experiments import MicroConfig, run_appendixb
 
 from conftest import MICRO_ROUNDS
 
 
 @pytest.mark.benchmark(group="ablation-causal")
 def test_causal_churn_ablation(benchmark, report_sink):
-    rounds = max(10, MICRO_ROUNDS // 2)
-    result = benchmark.pedantic(
-        run_appendixb, kwargs=dict(nodes=15, rounds=rounds), rounds=1, iterations=1
-    )
+    config = MicroConfig(nodes=15, rounds=max(10, MICRO_ROUNDS // 2))
+    result = benchmark.pedantic(run_appendixb, args=(config,), rounds=1, iterations=1)
     report_sink("ablation_causal", result.render())
 
     # The Figure 1 anomaly: classic delta is no better than state-based.

@@ -14,26 +14,14 @@ import pytest
 
 from conftest import retwis_config
 from repro.experiments.report import format_table
+from repro.experiments.retwis_sweep import retwis_workload
 from repro.sim.runner import run_suite
 from repro.sim.topology import partial_mesh
 from repro.sync import classic, delta_bp_rr, keyed_bp_rr, keyed_classic
-from repro.workloads import RetwisWorkload
 
 
 def run_granularity_ablation(zipf: float = 0.5):
     config = retwis_config()
-    topology = partial_mesh(config.nodes, config.degree)
-
-    def workload():
-        return RetwisWorkload(
-            config.nodes,
-            users=config.users,
-            rounds=config.rounds,
-            ops_per_node=config.ops_per_node,
-            zipf_coefficient=zipf,
-            seed=config.seed,
-        )
-
     return run_suite(
         {
             "classic / whole-store": classic,
@@ -41,8 +29,8 @@ def run_granularity_ablation(zipf: float = 0.5):
             "bp+rr / whole-store": delta_bp_rr,
             "bp+rr / per-object": keyed_bp_rr,
         },
-        workload,
-        topology,
+        lambda: retwis_workload(config, zipf),
+        partial_mesh(config.nodes, config.degree),
     )
 
 

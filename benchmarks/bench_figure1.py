@@ -8,14 +8,14 @@ processing-time ratio of delta-based with respect to state-based.
 import pytest
 
 from conftest import MICRO_ROUNDS
-from repro.experiments import run_figure1
+from repro.experiments import MicroConfig, run_figure1
 
 
 @pytest.mark.benchmark(group="figure1")
 def test_figure1(benchmark, report_sink):
     result = benchmark.pedantic(
         run_figure1,
-        kwargs=dict(nodes=15, rounds=MICRO_ROUNDS),
+        args=(MicroConfig(nodes=15, rounds=MICRO_ROUNDS),),
         rounds=1,
         iterations=1,
     )

@@ -7,7 +7,7 @@ GMap 100 %, asserting the Section V-B.3 claims.
 import pytest
 
 from conftest import GMAP_ROUNDS
-from repro.experiments import run_figure10
+from repro.experiments import MicroConfig, run_figure10
 from repro.experiments.figure10 import FIGURE10_WORKLOADS
 
 
@@ -15,7 +15,7 @@ from repro.experiments.figure10 import FIGURE10_WORKLOADS
 def test_figure10(benchmark, report_sink):
     result = benchmark.pedantic(
         run_figure10,
-        kwargs=dict(nodes=15, rounds=GMAP_ROUNDS),
+        args=(MicroConfig(nodes=15, rounds=GMAP_ROUNDS),),
         rounds=1,
         iterations=1,
     )

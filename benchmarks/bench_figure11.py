@@ -10,17 +10,17 @@ import pytest
 
 from conftest import retwis_config
 from repro.experiments import run_figure11
-from repro.experiments.retwis_sweep import PAPER_COEFFICIENTS
 
 
 @pytest.mark.benchmark(group="figure11")
 def test_figure11(benchmark, report_sink):
     result = benchmark.pedantic(
         run_figure11,
-        kwargs=dict(coefficients=PAPER_COEFFICIENTS, config=retwis_config()),
+        args=(retwis_config(),),
         rounds=1,
         iterations=1,
     )
+    coefficients = result.config.coefficients
     report_sink("figure11", result.render())
 
     # Low contention: updates spread across objects, few concurrent
@@ -29,7 +29,7 @@ def test_figure11(benchmark, report_sink):
     assert result.bandwidth_gap(0.5) < 2.5
 
     # The classic/BP+RR gap widens monotonically in contention.
-    gaps = [result.bandwidth_gap(c) for c in PAPER_COEFFICIENTS]
+    gaps = [result.bandwidth_gap(c) for c in coefficients]
     assert gaps[-1] > 2 * gaps[0]
     assert gaps == sorted(gaps)
 
@@ -44,5 +44,5 @@ def test_figure11(benchmark, report_sink):
 
     # Classic's bandwidth keeps rising with the coefficient — the
     # unsustainable trajectory the paper calls out.
-    classic_bw = [result.bandwidth(c, "delta-based") for c in PAPER_COEFFICIENTS]
+    classic_bw = [result.bandwidth(c, "delta-based") for c in coefficients]
     assert classic_bw[-1] > classic_bw[0]

@@ -9,24 +9,24 @@ import pytest
 
 from conftest import retwis_config
 from repro.experiments import run_figure12
-from repro.experiments.retwis_sweep import PAPER_COEFFICIENTS
 
 
 @pytest.mark.benchmark(group="figure12")
 def test_figure12(benchmark, report_sink):
     result = benchmark.pedantic(
         run_figure12,
-        kwargs=dict(coefficients=PAPER_COEFFICIENTS, config=retwis_config()),
+        args=(retwis_config(),),
         rounds=1,
         iterations=1,
     )
+    coefficients = result.config.coefficients
     report_sink("figure12", result.render())
 
     # The overhead grows with contention (paper: 0.4x → 5.5x → 7.9x).
-    proxies = [result.cpu_ratio_proxy(c) for c in PAPER_COEFFICIENTS]
+    proxies = [result.cpu_ratio_proxy(c) for c in coefficients]
     assert proxies == sorted(proxies)
-    assert result.overhead_proxy(PAPER_COEFFICIENTS[0]) < result.overhead_proxy(
-        PAPER_COEFFICIENTS[-1]
+    assert result.overhead_proxy(coefficients[0]) < result.overhead_proxy(
+        coefficients[-1]
     )
     # At high contention classic pays a multiple of BP+RR's work.
     assert result.cpu_ratio_proxy(1.5) > 2.0

@@ -7,14 +7,14 @@ delta-based BP+RR, asserting every qualitative claim of Section V-B.1.
 import pytest
 
 from conftest import MICRO_ROUNDS
-from repro.experiments import run_figure7
+from repro.experiments import MicroConfig, run_figure7
 
 
 @pytest.mark.benchmark(group="figure7")
 def test_figure7(benchmark, report_sink):
     result = benchmark.pedantic(
         run_figure7,
-        kwargs=dict(nodes=15, rounds=MICRO_ROUNDS),
+        args=(MicroConfig(nodes=15, rounds=MICRO_ROUNDS),),
         rounds=1,
         iterations=1,
     )

@@ -7,7 +7,7 @@ both topologies, asserting the Section V-B.1 trends.
 import pytest
 
 from conftest import GMAP_ROUNDS
-from repro.experiments import run_figure8
+from repro.experiments import MicroConfig, run_figure8
 from repro.experiments.figure8 import GMAP_WORKLOADS
 
 
@@ -15,7 +15,7 @@ from repro.experiments.figure8 import GMAP_WORKLOADS
 def test_figure8(benchmark, report_sink):
     result = benchmark.pedantic(
         run_figure8,
-        kwargs=dict(nodes=15, rounds=GMAP_ROUNDS),
+        args=(MicroConfig(nodes=15, rounds=GMAP_ROUNDS),),
         rounds=1,
         iterations=1,
     )

@@ -10,14 +10,14 @@ in the vector-based protocols' traffic.
 import pytest
 
 from conftest import FIGURE9_ROUNDS, FIGURE9_SIZES
-from repro.experiments import run_figure9
+from repro.experiments import Figure9Config, run_figure9
 
 
 @pytest.mark.benchmark(group="figure9")
 def test_figure9(benchmark, report_sink):
     result = benchmark.pedantic(
         run_figure9,
-        kwargs=dict(sizes=FIGURE9_SIZES, rounds=FIGURE9_ROUNDS),
+        args=(Figure9Config(sizes=FIGURE9_SIZES, rounds=FIGURE9_ROUNDS),),
         rounds=1,
         iterations=1,
     )

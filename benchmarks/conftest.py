@@ -6,15 +6,22 @@ to ``benchmarks/results/<artifact>.txt`` so a plain
 ``pytest benchmarks/ --benchmark-only`` run leaves the full evaluation
 on disk.
 
-Scale knobs: the defaults reproduce the paper's topology sizes with
-reduced round counts so the whole suite completes in minutes.  Set
+Scale: each bench hands its runner one value of the config type
+``repro run`` builds for that artifact, sized by the knobs below.  The
+defaults reproduce the paper's topology sizes with reduced round counts
+so the whole suite completes in minutes.  Set
 ``REPRO_BENCH_SCALE=paper`` for the full 100-events-per-replica runs
 and the 50-node / 10 000-user Retwis deployment.
+
+This file imports nothing from ``repro`` at module level: pytest also
+loads it for ``benchmarks/perf/tests``, which run without ``src`` on
+the path.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -34,11 +41,12 @@ FIGURE9_ROUNDS = {"quick": 25, "paper": 100}[SCALE]
 
 
 def retwis_config():
-    from repro.experiments.retwis_sweep import RetwisConfig
+    """The Retwis deployment at every Zipf coefficient of Section V-C."""
+    from repro.experiments import RetwisConfig, RetwisSweepConfig
+    from repro.experiments.retwis_sweep import PAPER_COEFFICIENTS
 
-    if SCALE == "paper":
-        return RetwisConfig.paper_scale()
-    return RetwisConfig(nodes=20, degree=4, users=500, rounds=30, ops_per_node=8)
+    deployment = RetwisConfig.paper_scale() if SCALE == "paper" else RetwisConfig()
+    return RetwisSweepConfig(**asdict(deployment), coefficients=PAPER_COEFFICIENTS)
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,9 @@ import sys
 
 from repro.causal import Causal
 from repro.experiments import (
-    KVConfig,
+    KVFaultsConfig,
+    KVRebalanceConfig,
+    KVSweepConfig,
     run_kv_rebalance,
     run_kv_repair_comparison,
     run_kv_sweep,
@@ -80,8 +82,14 @@ def micro_fingerprint(algorithm: str) -> str:
 
 def kv_sweep_fingerprint() -> str:
     result = run_kv_sweep(
-        KVConfig(replicas=8, keys=200, rounds=8, ops_per_node=4, seed=7),
-        algorithms=("state-based", "delta-based-bp-rr"),
+        KVSweepConfig(
+            replicas=8,
+            keys=200,
+            rounds=8,
+            ops_per_node=4,
+            seed=7,
+            algorithms=("state-based", "delta-based-bp-rr"),
+        )
     )
     hasher = hashlib.sha256()
     for label, cell in result.cells.items():
@@ -91,7 +99,7 @@ def kv_sweep_fingerprint() -> str:
 
 def kv_repair_fingerprint() -> str:
     result = run_kv_repair_comparison(
-        KVConfig(
+        KVFaultsConfig(
             replicas=8,
             keys=200,
             rounds=9,
@@ -99,8 +107,8 @@ def kv_repair_fingerprint() -> str:
             repair_interval=3,
             repair_fanout=8,
             seed=7,
-        ),
-        modes=("blanket", "digest", "wal"),
+            strategies=("blanket", "digest", "wal"),
+        )
     )
     hasher = hashlib.sha256()
     for label, cell in result.cells.items():
@@ -111,7 +119,7 @@ def kv_repair_fingerprint() -> str:
 def kv_rebalance_fingerprint() -> str:
     """The membership flow: planner choices show up as handoff bytes."""
     result = run_kv_rebalance(
-        KVConfig(
+        KVRebalanceConfig(
             replicas=6,
             keys=200,
             rounds=9,
@@ -119,8 +127,6 @@ def kv_rebalance_fingerprint() -> str:
             shards=16,
             repair_interval=3,
             repair_fanout=8,
-            repair_mode="digest",
-            recovery="wal",
             seed=7,
         )
     )

@@ -20,7 +20,12 @@ Run with::
     python examples/kv_store_demo.py
 """
 
-from repro.experiments import KVConfig, run_kv_repair_comparison, run_kv_sweep
+from repro.experiments import (
+    KVFaultsConfig,
+    KVSweepConfig,
+    run_kv_repair_comparison,
+    run_kv_sweep,
+)
 from repro.kv import AntiEntropyConfig, HashRing, KVCluster
 from repro.sync import keyed_bp_rr
 
@@ -80,8 +85,10 @@ def main() -> None:
           f"aws:cart = {sorted(cluster.value('aws:cart'))}")
 
     # --- 5. Bytes on the wire: state-based vs delta BP+RR. ------------
-    config = KVConfig(replicas=6, keys=200, rounds=8, ops_per_node=4, shards=16)
-    sweep = run_kv_sweep(config, ("state-based", "delta-based-bp-rr"))
+    sweep = run_kv_sweep(
+        KVSweepConfig(replicas=6, keys=200, rounds=8, ops_per_node=4, shards=16,
+                      algorithms=("state-based", "delta-based-bp-rr"))
+    )
     state = sweep.total_bytes("state-based")
     delta = sweep.total_bytes("delta-based-bp-rr")
     print(f"\nsame workload, 6 replicas, 200 keys:")
@@ -91,8 +98,9 @@ def main() -> None:
 
     # --- 6. Repair bytes: blanket push vs divergence-driven digests. --
     faults = run_kv_repair_comparison(
-        KVConfig(replicas=6, keys=200, rounds=9, ops_per_node=4, shards=16,
-                 repair_interval=3, repair_fanout=8)
+        KVFaultsConfig(replicas=6, keys=200, rounds=9, ops_per_node=4, shards=16,
+                       repair_interval=3, repair_fanout=8,
+                       strategies=("blanket", "digest"))
     )
     blanket = faults.cell("blanket")
     digest = faults.cell("digest")

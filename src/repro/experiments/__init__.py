@@ -23,34 +23,33 @@ measure the same synchronizers inside the sharded store.
 :data:`EXPERIMENTS` registers all of them for ``repro list`` and
 ``repro run``: each entry pairs a frozen config type, whose own
 validation refuses every illegal shape, with its scale presets and a
-run function.  Every ``run_*`` function also accepts scale parameters
-defaulting to interactive-friendly sizes; the benchmark harness passes
-the paper's sizes where practical.  All runs are deterministic.
+run function.  Every ``run_*`` function takes exactly one argument, a
+value of its entry's config type, and reads every setting from it;
+the config type lives in the module of the runner that reads it.  All
+runs are deterministic.
 """
 
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, Mapping, Tuple
+from typing import Any, Callable, Dict, Mapping
 
 from repro.experiments.appendixb import AppendixBResult, run_appendixb
 from repro.experiments.figure1 import Figure1Result, run_figure1
 from repro.experiments.figure7 import Figure7Result, run_figure7
 from repro.experiments.figure8 import Figure8Result, run_figure8
-from repro.experiments.figure9 import Figure9Result, run_figure9
+from repro.experiments.figure9 import Figure9Config, Figure9Result, run_figure9
 from repro.experiments.figure10 import Figure10Result, run_figure10
 from repro.experiments.figure11 import Figure11Result, run_figure11
 from repro.experiments.figure12 import Figure12Result, run_figure12
-from repro.experiments.table1 import Table1Result, run_table1
-from repro.experiments.table2 import Table2Result, run_table2
-from repro.experiments.grid import BASELINE, paper_topologies, run_grid
+from repro.experiments.table1 import Table1Config, Table1Result, run_table1
+from repro.experiments.table2 import Table2Config, Table2Result, run_table2
+from repro.experiments.grid import BASELINE, MicroConfig, run_grid
 from repro.experiments.retwis_sweep import (
     PAPER_COEFFICIENTS,
     RetwisConfig,
-    retwis_workload,
+    RetwisSweepConfig,
     run_retwis_sweep,
 )
 from repro.serve.deploy import build_cluster
-from repro.sim.topology import partial_mesh
-from repro.workloads import GCounterWorkload, GSetWorkload
 from repro.experiments.kv_sweep import (
     DEFAULT_ALGORITHMS,
     DEFAULT_STRATEGIES,
@@ -80,79 +79,6 @@ from repro.experiments.kv_serve import (
     run_kv_quorum,
     run_kv_quorum_cell,
 )
-
-
-def _require_updates(**counts: int) -> None:
-    """Refuse a run that issues no update: every report compares what
-    the protocols spend on updates, and with none it prints ``inf``,
-    zeros or a division error."""
-    for name, count in counts.items():
-        if count < 1:
-            raise ValueError(f"{name} must be positive: the run compares the cost of updates, got {count}")
-
-
-@dataclass(frozen=True)
-class MicroConfig:
-    """Figures 1, 7, 8, 10 and Appendix B: cluster size and update rounds."""
-
-    nodes: int = 15
-    rounds: int = 30
-
-    def __post_init__(self) -> None:
-        paper_topologies(self.nodes)
-        GSetWorkload(self.nodes, self.rounds)
-        _require_updates(rounds=self.rounds)
-
-
-@dataclass(frozen=True)
-class Table1Config:
-    """Table I: the cluster size the workload definitions are checked on."""
-
-    nodes: int = 15
-
-    def __post_init__(self) -> None:
-        # The run's other workloads refuse no other node count.
-        GCounterWorkload(self.nodes)
-
-
-@dataclass(frozen=True)
-class Figure9Config:
-    """Figure 9: the cluster sizes swept and the update rounds of each."""
-
-    sizes: Tuple[int, ...] = (8, 16, 32)
-    rounds: int = 30
-
-    def __post_init__(self) -> None:
-        if len(self.sizes) < 2 or self.sizes[0] == self.sizes[-1]:
-            raise ValueError(
-                "sizes: the growth exponent needs a first and a last size that differ"
-            )
-        for n in self.sizes:
-            partial_mesh(n, 4)
-            GSetWorkload(n, self.rounds)
-        _require_updates(rounds=self.rounds)
-
-
-@dataclass(frozen=True)
-class Table2Config:
-    """Table II: how many Retwis operations are generated and measured."""
-
-    ops: int = 20_000
-
-
-@dataclass(frozen=True)
-class RetwisSweepConfig(RetwisConfig):
-    """Figures 11 and 12: the Retwis deployment and its Zipf coefficients."""
-
-    coefficients: Tuple[float, ...] = (0.5, 1.0, 1.25, 1.5)
-
-    def __post_init__(self) -> None:
-        if not self.coefficients:
-            raise ValueError("coefficients: the sweep needs at least one Zipf coefficient")
-        partial_mesh(self.nodes, self.degree)
-        for coefficient in self.coefficients:
-            retwis_workload(self, coefficient)
-        _require_updates(rounds=self.rounds, ops_per_node=self.ops_per_node)
 
 
 @dataclass(frozen=True)
@@ -188,42 +114,38 @@ _RETWIS_SCALES = {
 }
 
 
-def _micro(description: str, run: Callable[..., Any]) -> Experiment:
-    return Experiment(
-        description,
-        MicroConfig,
-        _MICRO_SCALES,
-        lambda config: run(nodes=config.nodes, rounds=config.rounds),
-    )
-
-
-def _retwis(description: str, run: Callable[..., Any]) -> Experiment:
-    return Experiment(
-        description,
-        RetwisSweepConfig,
-        _RETWIS_SCALES,
-        lambda config: run(config.coefficients, config),
-    )
-
-
 #: Every experiment ``repro list`` names and ``repro run`` runs: the
 #: paper's artifacts (``in_all``) and the kv store scenarios.
 EXPERIMENTS: Dict[str, Experiment] = {
-    "appendixb": _micro(
-        "the Figure 7 grid on causal add/remove data (OR-set)", run_appendixb
+    "appendixb": Experiment(
+        "the Figure 7 grid on causal add/remove data (OR-set)",
+        MicroConfig,
+        _MICRO_SCALES,
+        run_appendixb,
     ),
-    "figure1": _micro(
-        "classic delta ≈ state-based on a 15-node mesh (GSet)", run_figure1
+    "figure1": Experiment(
+        "classic delta ≈ state-based on a 15-node mesh (GSet)",
+        MicroConfig,
+        _MICRO_SCALES,
+        run_figure1,
     ),
     "table1": Experiment(
         "micro-benchmark definitions (workload registry)",
         Table1Config,
         {"ci": Table1Config(nodes=8), "default": Table1Config(), "paper": Table1Config()},
-        lambda config: run_table1(nodes=config.nodes),
+        run_table1,
     ),
-    "figure7": _micro("transmission ratios, GSet & GCounter, tree + mesh", run_figure7),
-    "figure8": _micro(
-        "transmission ratios, GMap 10/30/60/100%, tree + mesh", run_figure8
+    "figure7": Experiment(
+        "transmission ratios, GSet & GCounter, tree + mesh",
+        MicroConfig,
+        _MICRO_SCALES,
+        run_figure7,
+    ),
+    "figure8": Experiment(
+        "transmission ratios, GMap 10/30/60/100%, tree + mesh",
+        MicroConfig,
+        _MICRO_SCALES,
+        run_figure8,
     ),
     "figure9": Experiment(
         "metadata bytes per node vs cluster size",
@@ -233,17 +155,29 @@ EXPERIMENTS: Dict[str, Experiment] = {
             "default": Figure9Config(),
             "paper": Figure9Config(sizes=(8, 16, 32, 48), rounds=100),
         },
-        lambda config: run_figure9(sizes=config.sizes, rounds=config.rounds),
+        run_figure9,
     ),
-    "figure10": _micro("memory ratios vs BP+RR on the mesh", run_figure10),
+    "figure10": Experiment(
+        "memory ratios vs BP+RR on the mesh", MicroConfig, _MICRO_SCALES, run_figure10
+    ),
     "table2": Experiment(
         "Retwis workload characterization",
         Table2Config,
         dict.fromkeys(("ci", "default", "paper"), Table2Config()),
-        lambda config: run_table2(ops=config.ops),
+        run_table2,
     ),
-    "figure11": _retwis("Retwis bandwidth & memory vs Zipf contention", run_figure11),
-    "figure12": _retwis("CPU overhead of classic vs BP+RR (Retwis)", run_figure12),
+    "figure11": Experiment(
+        "Retwis bandwidth & memory vs Zipf contention",
+        RetwisSweepConfig,
+        _RETWIS_SCALES,
+        run_figure11,
+    ),
+    "figure12": Experiment(
+        "CPU overhead of classic vs BP+RR (Retwis)",
+        RetwisSweepConfig,
+        _RETWIS_SCALES,
+        run_figure12,
+    ),
     "kv-sweep": Experiment(
         "synchronization protocols over the sharded kv store",
         KVSweepConfig,
@@ -251,7 +185,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
             "ci": KVSweepConfig(replicas=8, keys=200, rounds=8, ops_per_node=4),
             "default": KVSweepConfig(),
         },
-        lambda config: run_kv_sweep(config, config.algorithms),
+        run_kv_sweep,
         in_all=False,
     ),
     "kv-faults": Experiment(
@@ -263,9 +197,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
             ),
             "default": KVFaultsConfig(),
         },
-        lambda config: run_kv_repair_comparison(
-            config, config.algorithm, config.strategies
-        ),
+        run_kv_repair_comparison,
         in_all=False,
     ),
     "kv-rebalance": Experiment(
@@ -278,7 +210,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
             ),
             "default": KVRebalanceConfig(),
         },
-        lambda config: run_kv_rebalance(config, config.algorithm),
+        run_kv_rebalance,
         in_all=False,
     ),
     "kv-quorum": Experiment(

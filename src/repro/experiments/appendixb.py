@@ -19,11 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.experiments.grid import BASELINE, paper_topologies
+from repro.experiments.grid import BASELINE, MicroConfig, paper_topologies
 from repro.experiments.report import format_table
 from repro.sim.runner import ExperimentResult, run_suite
 from repro.sync import ALGORITHMS
 from repro.workloads.causal import AWSetChurnWorkload
+
+#: Share of the churn workload's operations that are adds.
+ADD_RATIO = 0.7
 
 
 @dataclass
@@ -32,7 +35,6 @@ class AppendixBResult:
 
     nodes: int
     rounds: int
-    add_ratio: float
     results: Dict[Tuple[str, str], ExperimentResult]
 
     def units(self, topology: str, algorithm: str) -> int:
@@ -60,25 +62,23 @@ class AppendixBResult:
             ("topology", "algorithm", "units", f"ratio vs {BASELINE}"),
             self.rows(),
             title=(
-                f"Appendix B — AWSet churn (add ratio {self.add_ratio}), "
+                f"Appendix B — AWSet churn (add ratio {ADD_RATIO}), "
                 f"{self.nodes} nodes, {self.rounds} events/node"
             ),
         )
 
 
-def run_appendixb(
-    nodes: int = 15, rounds: int = 30, add_ratio: float = 0.7
-) -> AppendixBResult:
+def run_appendixb(config: MicroConfig) -> AppendixBResult:
     """Run the full protocol grid over the AWSet churn workload."""
     results: Dict[Tuple[str, str], ExperimentResult] = {}
-    for topology_name, topology in paper_topologies(nodes).items():
+    for topology_name, topology in paper_topologies(config.nodes).items():
         suite = run_suite(
             ALGORITHMS,
-            lambda: AWSetChurnWorkload(nodes, rounds, add_ratio=add_ratio),
+            lambda: AWSetChurnWorkload(
+                config.nodes, config.rounds, add_ratio=ADD_RATIO
+            ),
             topology,
         )
         for algorithm, result in suite.items():
             results[(topology_name, algorithm)] = result
-    return AppendixBResult(
-        nodes=nodes, rounds=rounds, add_ratio=add_ratio, results=results
-    )
+    return AppendixBResult(nodes=config.nodes, rounds=config.rounds, results=results)

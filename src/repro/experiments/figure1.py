@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from repro.experiments.grid import MESH_DEGREE, MicroConfig
 from repro.experiments.report import format_table
 from repro.net.clock import SYNC_INTERVAL_MS
 from repro.sim.runner import ExperimentResult, run_suite
@@ -64,7 +65,10 @@ class Figure1Result:
         table = format_table(
             ("time", "state-based (elems)", "delta-based (elems)"),
             rows,
-            title=f"Figure 1 — GSet on partial mesh({self.nodes}, 4), {self.rounds} events/node",
+            title=(
+                f"Figure 1 — GSet on partial mesh({self.nodes}, {MESH_DEGREE}), "
+                f"{self.rounds} events/node"
+            ),
         )
         summary = (
             f"\ntransmission(delta)/transmission(state) = {self.transmission_ratio():.3f}"
@@ -74,12 +78,11 @@ class Figure1Result:
         return table + summary
 
 
-def run_figure1(nodes: int = 15, rounds: int = 100, degree: int = 4) -> Figure1Result:
+def run_figure1(config: MicroConfig) -> Figure1Result:
     """Reproduce the Figure 1 experiment."""
-    topology = partial_mesh(nodes, degree)
     results = run_suite(
         {"state-based": StateBased, "delta-based": classic},
-        lambda: GSetWorkload(nodes, rounds),
-        topology,
+        lambda: GSetWorkload(config.nodes, config.rounds),
+        partial_mesh(config.nodes, MESH_DEGREE),
     )
-    return Figure1Result(nodes=nodes, rounds=rounds, results=results)
+    return Figure1Result(nodes=config.nodes, rounds=config.rounds, results=results)

@@ -20,7 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.experiments.grid import BASELINE, EvaluationGrid, run_grid
+from repro.experiments.grid import (
+    BASELINE,
+    MESH_DEGREE,
+    EvaluationGrid,
+    MicroConfig,
+    run_grid,
+)
 from repro.experiments.report import format_table
 from repro.sim.topology import partial_mesh
 
@@ -42,18 +48,18 @@ class Figure10Result:
             ("workload", "topology", "algorithm", "avg units", f"ratio vs {BASELINE}"),
             self.rows(),
             title=(
-                f"Figure 10 — average memory, mesh({self.grid.nodes}, 4), "
+                f"Figure 10 — average memory, mesh({self.grid.nodes}, {MESH_DEGREE}), "
                 f"{self.grid.rounds} events/node"
             ),
         )
 
 
-def run_figure10(nodes: int = 15, rounds: int = 100) -> Figure10Result:
+def run_figure10(config: MicroConfig) -> Figure10Result:
     """Reproduce the Figure 10 memory sweep (mesh only, as in the paper)."""
     grid = run_grid(
         FIGURE10_WORKLOADS,
-        nodes=nodes,
-        rounds=rounds,
-        topologies={"mesh": partial_mesh(nodes, 4)},
+        nodes=config.nodes,
+        rounds=config.rounds,
+        topologies={"mesh": partial_mesh(config.nodes, MESH_DEGREE)},
     )
     return Figure10Result(grid)

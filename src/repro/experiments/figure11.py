@@ -16,13 +16,12 @@ widens by orders of magnitude.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.experiments.report import format_table, human_bytes
 from repro.experiments.retwis_sweep import (
-    PAPER_COEFFICIENTS,
-    RetwisConfig,
     RetwisRun,
+    RetwisSweepConfig,
     SweepKey,
     run_retwis_sweep,
 )
@@ -30,8 +29,7 @@ from repro.experiments.retwis_sweep import (
 
 @dataclass
 class Figure11Result:
-    config: RetwisConfig
-    coefficients: Sequence[float]
+    config: RetwisSweepConfig
     runs: Dict[SweepKey, RetwisRun]
 
     def bandwidth(self, coefficient: float, algorithm: str) -> float:
@@ -47,7 +45,7 @@ class Figure11Result:
 
     def rows(self) -> List[Tuple]:
         out = []
-        for coefficient in self.coefficients:
+        for coefficient in self.config.coefficients:
             for algorithm in ("delta-based", "delta-based-bp-rr"):
                 run = self.runs[(coefficient, algorithm)]
                 first, second = run.halves()
@@ -75,10 +73,6 @@ class Figure11Result:
         )
 
 
-def run_figure11(
-    coefficients: Sequence[float] = PAPER_COEFFICIENTS,
-    config: RetwisConfig = RetwisConfig(),
-) -> Figure11Result:
+def run_figure11(config: RetwisSweepConfig) -> Figure11Result:
     """Reproduce the Figure 11 contention sweep."""
-    runs = run_retwis_sweep(coefficients, config)
-    return Figure11Result(config=config, coefficients=tuple(coefficients), runs=runs)
+    return Figure11Result(config=config, runs=run_retwis_sweep(config))

@@ -19,13 +19,12 @@ The *overhead* is ``ratio − 1``, matching the paper's phrasing
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.experiments.report import format_table
 from repro.experiments.retwis_sweep import (
-    PAPER_COEFFICIENTS,
-    RetwisConfig,
     RetwisRun,
+    RetwisSweepConfig,
     SweepKey,
     run_retwis_sweep,
 )
@@ -33,8 +32,7 @@ from repro.experiments.retwis_sweep import (
 
 @dataclass
 class Figure12Result:
-    config: RetwisConfig
-    coefficients: Sequence[float]
+    config: RetwisSweepConfig
     runs: Dict[SweepKey, RetwisRun]
 
     def cpu_ratio_wall(self, coefficient: float) -> float:
@@ -63,7 +61,7 @@ class Figure12Result:
                 self.cpu_ratio_proxy(coefficient),
                 self.overhead_proxy(coefficient),
             )
-            for coefficient in self.coefficients
+            for coefficient in self.config.coefficients
         ]
 
     def render(self) -> str:
@@ -77,10 +75,6 @@ class Figure12Result:
         )
 
 
-def run_figure12(
-    coefficients: Sequence[float] = PAPER_COEFFICIENTS,
-    config: RetwisConfig = RetwisConfig(),
-) -> Figure12Result:
+def run_figure12(config: RetwisSweepConfig) -> Figure12Result:
     """Reproduce the Figure 12 CPU comparison (reuses the Figure 11 runs)."""
-    runs = run_retwis_sweep(coefficients, config)
-    return Figure12Result(config=config, coefficients=tuple(coefficients), runs=runs)
+    return Figure12Result(config=config, runs=run_retwis_sweep(config))

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.experiments.grid import BASELINE, EvaluationGrid, run_grid
+from repro.experiments.grid import BASELINE, EvaluationGrid, MicroConfig, run_grid
 from repro.experiments.report import format_table
 
 
@@ -43,6 +43,8 @@ class Figure7Result:
         )
 
 
-def run_figure7(nodes: int = 15, rounds: int = 100) -> Figure7Result:
+def run_figure7(config: MicroConfig) -> Figure7Result:
     """Reproduce the Figure 7 sweep: GSet and GCounter × tree and mesh."""
-    return Figure7Result(run_grid(("gset", "gcounter"), nodes=nodes, rounds=rounds))
+    return Figure7Result(
+        run_grid(("gset", "gcounter"), nodes=config.nodes, rounds=config.rounds)
+    )

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.experiments.grid import BASELINE, EvaluationGrid, run_grid
+from repro.experiments.grid import BASELINE, EvaluationGrid, MicroConfig, run_grid
 from repro.experiments.report import format_table
 
 GMAP_WORKLOADS = ("gmap-10", "gmap-30", "gmap-60", "gmap-100")
@@ -46,6 +46,8 @@ class Figure8Result:
         )
 
 
-def run_figure8(nodes: int = 15, rounds: int = 100) -> Figure8Result:
+def run_figure8(config: MicroConfig) -> Figure8Result:
     """Reproduce the Figure 8 sweep over the four GMap contention levels."""
-    return Figure8Result(run_grid(GMAP_WORKLOADS, nodes=nodes, rounds=rounds))
+    return Figure8Result(
+        run_grid(GMAP_WORKLOADS, nodes=config.nodes, rounds=config.rounds)
+    )

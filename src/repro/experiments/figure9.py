@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+from repro.experiments.grid import MESH_DEGREE, require_updates
 from repro.experiments.report import ascii_chart, format_table, human_bytes
 from repro.sim.runner import ExperimentResult, run_suite
 from repro.sim.topology import partial_mesh
@@ -33,6 +34,24 @@ FIGURE9_ALGORITHMS = {
     "op-based": OpBased,
     "delta-based-bp-rr": delta_bp_rr,
 }
+
+
+@dataclass(frozen=True)
+class Figure9Config:
+    """Figure 9: the cluster sizes swept and the update rounds of each."""
+
+    sizes: Tuple[int, ...] = (8, 16, 32)
+    rounds: int = 30
+
+    def __post_init__(self) -> None:
+        if len(self.sizes) < 2 or self.sizes[0] == self.sizes[-1]:
+            raise ValueError(
+                "sizes: the growth exponent needs a first and a last size that differ"
+            )
+        for n in self.sizes:
+            partial_mesh(n, MESH_DEGREE)
+            GSetWorkload(n, self.rounds)
+        require_updates(rounds=self.rounds)
 
 
 @dataclass
@@ -82,7 +101,10 @@ class Figure9Result:
         table = format_table(
             ("nodes", "algorithm", "metadata/node", "metadata share"),
             self.rows(),
-            title=f"Figure 9 — metadata per node (GSet, mesh degree 4, {self.rounds} events/node)",
+            title=(
+                f"Figure 9 — metadata per node (GSet, mesh degree {MESH_DEGREE}, "
+                f"{self.rounds} events/node)"
+            ),
         )
         slopes = "\n".join(
             f"  {label:20s} growth exponent ≈ {self.growth_exponent(label):.2f}"
@@ -105,17 +127,15 @@ class Figure9Result:
         )
 
 
-def run_figure9(
-    sizes: Sequence[int] = (8, 16, 32), rounds: int = 30, degree: int = 4
-) -> Figure9Result:
+def run_figure9(config: Figure9Config) -> Figure9Result:
     """Reproduce the Figure 9 metadata sweep."""
     results: Dict[Tuple[int, str], ExperimentResult] = {}
-    for n in sizes:
+    for n in config.sizes:
         suite = run_suite(
             FIGURE9_ALGORITHMS,
-            lambda n=n: GSetWorkload(n, rounds),
-            partial_mesh(n, degree),
+            lambda n=n: GSetWorkload(n, config.rounds),
+            partial_mesh(n, MESH_DEGREE),
         )
         for label, result in suite.items():
             results[(n, label)] = result
-    return Figure9Result(sizes=tuple(sizes), rounds=rounds, results=results)
+    return Figure9Result(sizes=config.sizes, rounds=config.rounds, results=results)

@@ -15,14 +15,40 @@ from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 from repro.sim.runner import ExperimentResult, ratio_table, run_suite
 from repro.sim.topology import Topology, partial_mesh, tree
 from repro.sync import ALGORITHMS
-from repro.workloads import make_micro_workload
+from repro.workloads import GSetWorkload, make_micro_workload
 
 #: The paper's evaluation baseline — everything is plotted against it.
 BASELINE = "delta-based-bp-rr"
 
-def paper_topologies(nodes: int = 15) -> Dict[str, Topology]:
+#: Neighbours per node of every partial mesh in Section V (Figure 6).
+MESH_DEGREE = 4
+
+
+def paper_topologies(nodes: int) -> Dict[str, Topology]:
     """The two Figure 6 overlays at the requested size."""
-    return {"tree": tree(nodes, 2), "mesh": partial_mesh(nodes, 4)}
+    return {"tree": tree(nodes, 2), "mesh": partial_mesh(nodes, MESH_DEGREE)}
+
+
+def require_updates(**counts: int) -> None:
+    """Refuse a run that issues no update: every report compares what
+    the protocols spend on updates, and with none it prints ``inf``,
+    zeros or a division error."""
+    for name, count in counts.items():
+        if count < 1:
+            raise ValueError(f"{name} must be positive: the run compares the cost of updates, got {count}")
+
+
+@dataclass(frozen=True)
+class MicroConfig:
+    """Figures 1, 7, 8, 10 and Appendix B: cluster size and update rounds."""
+
+    nodes: int = 15
+    rounds: int = 30
+
+    def __post_init__(self) -> None:
+        paper_topologies(self.nodes)
+        GSetWorkload(self.nodes, self.rounds)
+        require_updates(rounds=self.rounds)
 
 
 @dataclass

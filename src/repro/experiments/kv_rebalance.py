@@ -51,36 +51,15 @@ _HANDOFF_KEYS = (
 )
 
 
-def check_rebalance(config: KVConfig, algorithm: str) -> None:
-    """``ValueError`` unless the rebalance replay can run ``algorithm``
-    under ``config``.
+@dataclass(frozen=True)
+class KVRebalanceConfig(KVConfig):
+    """``repro run kv-rebalance``: the rebalance replay of ``algorithm``.
 
     Handoff gaps re-converge through repair, and the handoff
     warm-path/suspicion machinery expects digest probes; the initial
     ring leaves one seat spare to add and still has a member to
     decommission above the replication factor.
     """
-    check_algorithms([algorithm])
-    if config.repair_interval < 1:
-        raise ValueError(
-            "live rebalancing requires the repair path: set "
-            "repair_interval >= 1 (0 disables repair entirely)"
-        )
-    if config.repair_mode != "digest":
-        raise ValueError(
-            "live rebalancing is divergence-driven end to end and requires "
-            f"repair_mode digest, got {config.repair_mode!r}"
-        )
-    if config.replicas - 1 < config.replication + 1:
-        raise ValueError(
-            f"need at least replication+2 = {config.replication + 2} topology "
-            f"nodes (one spare to add, one to decommission), got {config.replicas}"
-        )
-
-
-@dataclass(frozen=True)
-class KVRebalanceConfig(KVConfig):
-    """``repro run kv-rebalance``: the rebalance replay of ``algorithm``."""
 
     repair_interval: int = 4
     repair_fanout: int = 8
@@ -90,7 +69,22 @@ class KVRebalanceConfig(KVConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        check_rebalance(self, self.algorithm)
+        check_algorithms([self.algorithm])
+        if self.repair_interval < 1:
+            raise ValueError(
+                "live rebalancing requires the repair path: set "
+                "repair_interval >= 1 (0 disables repair entirely)"
+            )
+        if self.repair_mode != "digest":
+            raise ValueError(
+                "live rebalancing is divergence-driven end to end and requires "
+                f"repair_mode digest, got {self.repair_mode!r}"
+            )
+        if self.replicas - 1 < self.replication + 1:
+            raise ValueError(
+                f"need at least replication+2 = {self.replication + 2} topology "
+                f"nodes (one spare to add, one to decommission), got {self.replicas}"
+            )
 
 
 @dataclass(frozen=True)
@@ -127,7 +121,7 @@ class RebalancePhase:
 class KVRebalanceResult:
     """The whole rebalance replay: add, decommission, convergence."""
 
-    config: KVConfig
+    config: KVRebalanceConfig
     algorithm: str
     workload: str
     total_updates: int
@@ -240,19 +234,16 @@ def _phase_measurement(
     )
 
 
-def run_kv_rebalance(
-    config: KVConfig = KVRebalanceConfig(),
-    algorithm: str = "delta-based-bp-rr",
-) -> KVRebalanceResult:
-    """One deterministic replay: traffic → add → traffic → decommission →
-    traffic → drain, with every shard movement shipped by handoff.
+def run_kv_rebalance(config: KVRebalanceConfig) -> KVRebalanceResult:
+    """One deterministic replay of ``config.algorithm``: traffic → add →
+    traffic → decommission → traffic → drain, with every shard movement
+    shipped by handoff.
 
     The cluster has ``config.replicas`` seats but the initial ring
     covers only the first ``replicas - 1`` — the spare seat is what
     :meth:`~repro.kv.driver.KVDriver.add_replica` fills mid-run.
-    ``config`` must pass :func:`check_rebalance`.
     """
-    check_rebalance(config, algorithm)
+    algorithm = config.algorithm
     initial = config.replicas - 1
     ring = HashRing(
         range(initial), n_shards=config.shards, replication=config.replication

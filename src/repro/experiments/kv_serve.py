@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.experiments.kv_sweep import check_algorithms
 from repro.experiments.report import format_table, human_bytes
@@ -231,20 +231,10 @@ def run_kv_quorum_cell(
         cluster.close()
 
 
-def run_kv_quorum(
-    config: QuorumConfig = QuorumConfig(),
-    settings: Optional[Sequence[str]] = None,
-) -> KVQuorumResult:
+def run_kv_quorum(config: QuorumConfig) -> KVQuorumResult:
     """Run the identical seeded client load under each quorum setting."""
-    table = _quorum_settings(config)
-    chosen = tuple(table) if settings is None else tuple(settings)
-    unknown = [label for label in chosen if label not in table]
-    if unknown:
-        raise ValueError(
-            f"unknown quorum settings {unknown} (known: {list(table)})"
-        )
-    cells: Dict[str, QuorumCell] = {}
-    for label in chosen:
-        r, w, route = table[label]
-        cells[label] = run_kv_quorum_cell(config, label, r, w, route)
+    cells = {
+        label: run_kv_quorum_cell(config, label, r, w, route)
+        for label, (r, w, route) in _quorum_settings(config).items()
+    }
     return KVQuorumResult(config=config, cells=cells)

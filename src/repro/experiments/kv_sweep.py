@@ -515,38 +515,31 @@ def _run_cells(config: KVConfig, labels: Sequence[str], run_one) -> Tuple[Any, D
             tracer.sink.close()
 
 
-def run_kv_repair_comparison(
-    config: KVConfig = KVFaultsConfig(),
-    algorithm: str = "delta-based-bp-rr",
-    modes: Sequence[str] = DEFAULT_STRATEGIES,
-) -> KVRepairComparison:
-    """Replay the identical fault schedule under each recovery strategy."""
-    check_faults(config, algorithm, modes)
+def run_kv_repair_comparison(config: KVFaultsConfig) -> KVRepairComparison:
+    """Replay the identical fault schedule under each of
+    ``config.strategies``."""
     workload, cells = _run_cells(
         config,
-        modes,
+        config.strategies,
         lambda mode, workload, tracer: run_kv_repair_cell(
-            config, algorithm, mode, workload, tracer=tracer
+            config, config.algorithm, mode, workload, tracer=tracer
         ),
     )
     return KVRepairComparison(
         config=config,
-        algorithm=algorithm,
+        algorithm=config.algorithm,
         workload=workload.name,
         total_updates=workload.total_updates(),
         cells=cells,
     )
 
 
-def run_kv_sweep(
-    config: KVConfig = KVConfig(),
-    algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
-) -> KVSweepResult:
-    """Sweep protocols over identical workload replays on one ring."""
-    check_algorithms(algorithms)
+def run_kv_sweep(config: KVSweepConfig) -> KVSweepResult:
+    """Sweep ``config.algorithms`` over identical workload replays on
+    one ring."""
     workload, cells = _run_cells(
         config,
-        algorithms,
+        config.algorithms,
         lambda algorithm, workload, tracer: run_kv_cell(
             config, algorithm, workload, tracer=tracer
         ),

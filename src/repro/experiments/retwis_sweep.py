@@ -3,15 +3,16 @@
 Both figures are computed from the same runs — classic delta-based and
 delta-based BP+RR replaying identical Retwis schedules at Zipf
 coefficients from 0.5 to 1.5 — so the sweep is executed once and cached
-per parameterization.
+per :class:`RetwisSweepConfig`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
+from repro.experiments.grid import require_updates
 from repro.sim.metrics import MetricsCollector
 from repro.sim.runner import ExperimentResult, run_suite
 from repro.sim.topology import partial_mesh
@@ -104,21 +105,27 @@ def retwis_workload(config: RetwisConfig, coefficient: float) -> RetwisWorkload:
     )
 
 
-def run_retwis_sweep(
-    coefficients: Sequence[float] = PAPER_COEFFICIENTS,
-    config: RetwisConfig = RetwisConfig(),
-) -> Dict[SweepKey, RetwisRun]:
-    """Run the sweep; results keyed by (coefficient, algorithm)."""
-    return _cached_sweep(tuple(coefficients), config)
+@dataclass(frozen=True)
+class RetwisSweepConfig(RetwisConfig):
+    """Figures 11 and 12: the Retwis deployment and its Zipf coefficients."""
+
+    coefficients: Tuple[float, ...] = (0.5, 1.0, 1.25, 1.5)
+
+    def __post_init__(self) -> None:
+        if not self.coefficients:
+            raise ValueError("coefficients: the sweep needs at least one Zipf coefficient")
+        partial_mesh(self.nodes, self.degree)
+        for coefficient in self.coefficients:
+            retwis_workload(self, coefficient)
+        require_updates(rounds=self.rounds, ops_per_node=self.ops_per_node)
 
 
 @lru_cache(maxsize=4)
-def _cached_sweep(
-    coefficients: Tuple[float, ...], config: RetwisConfig
-) -> Dict[SweepKey, RetwisRun]:
+def run_retwis_sweep(config: RetwisSweepConfig) -> Dict[SweepKey, RetwisRun]:
+    """Run the sweep; results keyed by (coefficient, algorithm)."""
     out: Dict[SweepKey, RetwisRun] = {}
     topology = partial_mesh(config.nodes, config.degree)
-    for coefficient in coefficients:
+    for coefficient in config.coefficients:
         results = run_suite(
             RETWIS_ALGORITHMS,
             lambda c=coefficient: retwis_workload(config, c),

@@ -18,6 +18,17 @@ from repro.lattice import MapLattice, SetLattice
 from repro.workloads import GCounterWorkload, GMapWorkload, GSetWorkload
 
 
+@dataclass(frozen=True)
+class Table1Config:
+    """Table I: the cluster size the workload definitions are checked on."""
+
+    nodes: int = 15
+
+    def __post_init__(self) -> None:
+        # The run's other workloads refuse no other node count.
+        GCounterWorkload(self.nodes)
+
+
 @dataclass
 class Table1Row:
     benchmark: str
@@ -44,8 +55,9 @@ class Table1Result:
         )
 
 
-def run_table1(nodes: int = 15) -> Table1Result:
+def run_table1(config: Table1Config) -> Table1Result:
     """Verify each Table I definition against the workload generators."""
+    nodes = config.nodes
     rows: List[Table1Row] = []
 
     counter = GCounterWorkload(nodes)

@@ -16,6 +16,16 @@ from repro.lattice import MapLattice, SetLattice
 from repro.workloads import RetwisWorkload
 from repro.workloads.retwis import followers_key
 
+#: Seed of the generated schedule the mix is measured on.
+SEED = 7
+
+
+@dataclass(frozen=True)
+class Table2Config:
+    """Table II: how many Retwis operations are generated and measured."""
+
+    ops: int = 20_000
+
 
 @dataclass
 class Table2Result:
@@ -61,12 +71,12 @@ class Table2Result:
         )
 
 
-def run_table2(ops: int = 20_000, seed: int = 7) -> Table2Result:
+def run_table2(config: Table2Config) -> Table2Result:
     """Measure the generated mix and verify the update-count rules."""
     nodes, per_node = 10, 10
-    rounds = max(1, ops // (nodes * per_node))
+    rounds = max(1, config.ops // (nodes * per_node))
     workload = RetwisWorkload(
-        nodes, users=1000, rounds=rounds, ops_per_node=per_node, seed=seed
+        nodes, users=1000, rounds=rounds, ops_per_node=per_node, seed=SEED
     )
     stats = workload.stats
 

@@ -5,6 +5,11 @@ Each test runs the driver at a size small enough for CI and asserts the
 direction the curves move — not absolute magnitudes.
 """
 
+import inspect
+import signal
+import typing
+from dataclasses import replace
+
 import pytest
 
 from repro.config import build_config
@@ -20,7 +25,11 @@ from repro.experiments import (
     QuorumConfig,
     RetwisSweepConfig,
     Table1Config,
+    Table2Config,
+    run_kv_quorum,
     run_kv_rebalance,
+    run_kv_repair_comparison,
+    run_kv_sweep,
     run_figure1,
     run_figure7,
     run_figure8,
@@ -31,37 +40,34 @@ from repro.experiments import (
     run_table1,
     run_table2,
 )
-from repro.experiments.retwis_sweep import RetwisConfig
 
 
 @pytest.fixture(scope="module")
 def figure1():
-    return run_figure1(nodes=15, rounds=15)
+    return run_figure1(MicroConfig(nodes=15, rounds=15))
 
 
 @pytest.fixture(scope="module")
 def figure7():
-    return run_figure7(nodes=15, rounds=12)
+    return run_figure7(MicroConfig(nodes=15, rounds=12))
 
 
 @pytest.fixture(scope="module")
 def figure9():
-    return run_figure9(sizes=(8, 16), rounds=10)
+    return run_figure9(Figure9Config(sizes=(8, 16), rounds=10))
 
 
 @pytest.fixture(scope="module")
 def figure10():
-    return run_figure10(nodes=15, rounds=12)
+    return run_figure10(MicroConfig(nodes=15, rounds=12))
 
 
 @pytest.fixture(scope="module")
 def retwis_results():
-    config = RetwisConfig(nodes=8, users=120, rounds=10, ops_per_node=4)
-    coefficients = (0.5, 1.5)
-    return (
-        run_figure11(coefficients=coefficients, config=config),
-        run_figure12(coefficients=coefficients, config=config),
+    config = RetwisSweepConfig(
+        nodes=8, users=120, rounds=10, ops_per_node=4, coefficients=(0.5, 1.5)
     )
+    return run_figure11(config), run_figure12(config)
 
 
 class TestFigure1:
@@ -84,7 +90,7 @@ class TestFigure1:
 
 class TestTable1:
     def test_all_rows_verified(self):
-        result = run_table1()
+        result = run_table1(Table1Config())
         assert result.all_verified()
         assert "GMap 100%" in result.render()
 
@@ -137,7 +143,7 @@ class TestFigure7:
 class TestFigure8:
     @pytest.fixture(scope="class")
     def figure8(self):
-        return run_figure8(nodes=15, rounds=12)
+        return run_figure8(MicroConfig(nodes=15, rounds=12))
 
     def test_rr_crucial_on_mesh_for_every_contention(self, figure8):
         for workload in ("gmap-10", "gmap-30", "gmap-60", "gmap-100"):
@@ -220,7 +226,7 @@ class TestFigure10:
 
 class TestTable2:
     def test_mix_and_rules(self):
-        result = run_table2(ops=5000)
+        result = run_table2(Table2Config(ops=5000))
         assert result.mix_close_to_paper()
         assert result.update_rules_hold()
 
@@ -326,11 +332,6 @@ class TestConfigsRefuseIllegalShapes:
     def test_rebalance_requires_digest_repair(self):
         with pytest.raises(ValueError, match="repair_mode digest"):
             KVRebalanceConfig(repair_mode="blanket")
-        # The library path runs the same check on a plain cell config.
-        with pytest.raises(ValueError, match="repair_mode digest"):
-            run_kv_rebalance(
-                KVConfig(repair_interval=4, repair_mode="blanket", recovery="wal")
-            )
 
     def test_fault_rows_choose_their_own_repair_mode_and_recovery(self):
         with pytest.raises(ValueError, match="choose rows with strategies"):
@@ -373,3 +374,111 @@ class TestConfigsRefuseIllegalShapes:
         with pytest.raises(ValueError, match="existing file"):
             KVConfig(deployment=Stepped.PROC, trace=str(path))
         assert KVConfig(deployment=Stepped.TCP, trace=str(path)).trace == str(path)
+
+
+def _ci(name):
+    return EXPERIMENTS[name].scales["ci"]
+
+
+class TestRunnersReadTheirConfig:
+    """Each runner takes its entry's config and nothing else, and every
+    field of that config reaches the run."""
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_run_takes_exactly_its_config(self, name):
+        entry = EXPERIMENTS[name]
+        [parameter] = inspect.signature(entry.run).parameters.values()
+        assert parameter.default is inspect.Parameter.empty
+        assert typing.get_type_hints(entry.run)[parameter.name] is entry.config
+
+    def test_kv_sweep_runs_exactly_the_configured_algorithms(self):
+        config = replace(_ci("kv-sweep"), algorithms=("merkle", "state-based"))
+        result = run_kv_sweep(config)
+        assert tuple(result.cells) == config.algorithms
+
+    def test_kv_faults_runs_exactly_the_configured_strategies(self):
+        config = replace(_ci("kv-faults"), strategies=("wal", "digest"))
+        result = run_kv_repair_comparison(config)
+        assert tuple(result.cells) == config.strategies
+
+    def test_kv_rebalance_replays_the_configured_algorithm(self):
+        config = replace(_ci("kv-rebalance"), algorithm="delta-based")
+        result = run_kv_rebalance(config)
+        assert result.algorithm == "delta-based"
+        assert "delta-based inner protocol" in result.render()
+        assert result.converged
+
+
+class TestKVScenarios:
+    """The kv entries at their ci presets, through the one-argument
+    runners: the store-scale counterpart of Figure 11, the recovery
+    ladder, and quorum reads on replica processes."""
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        return run_kv_sweep(_ci("kv-sweep"))
+
+    def test_every_protocol_converges(self, sweep):
+        for label, cell in sweep.cells.items():
+            assert cell.converged, label
+
+    def test_bp_rr_ships_the_fewest_payload_bytes(self, sweep):
+        assert sweep.payload_bytes("delta-based-bp-rr") < sweep.payload_bytes(
+            "state-based"
+        )
+        assert sweep.payload_bytes("delta-based-bp-rr") <= sweep.payload_bytes(
+            "delta-based"
+        )
+
+    def test_merkle_pays_for_localization_in_metadata(self, sweep):
+        merkle = sweep.cell("merkle")
+        assert merkle.metadata_bytes > merkle.payload_bytes
+
+    def test_retwis_under_a_send_budget_defers_and_still_converges(self):
+        config = replace(
+            _ci("kv-sweep"),
+            workload="retwis",
+            budget_bytes=16 * 1024,
+            algorithms=("state-based", "delta-based-bp-rr"),
+        )
+        result = run_kv_sweep(config)
+        assert all(cell.converged for cell in result.cells.values())
+        assert result.cell("state-based").deferred > 0
+        assert result.payload_bytes("delta-based-bp-rr") < result.payload_bytes(
+            "state-based"
+        )
+
+    def test_recovery_ladder_with_digests_counted(self):
+        result = run_kv_repair_comparison(_ci("kv-faults"))
+        blanket, digest = result.cell("blanket"), result.cell("digest")
+        verified = result.cell("wal+repair")
+        assert all(cell.converged for cell in result.cells.values())
+        # Digest repair stays cheaper than blanket pushes with its digest
+        # metadata included, and the verified replay never re-ships
+        # full states the way blanket does.
+        assert digest.repair_bytes < blanket.repair_bytes
+        assert verified.repair_payload_bytes < blanket.repair_payload_bytes
+
+    def test_majority_quorum_closes_the_staleness_random_reads_show(self):
+        config = _ci("kv-quorum")
+
+        def on_alarm(signum, frame):
+            raise TimeoutError("kv-quorum at the ci preset exceeded 180s")
+
+        # Replica processes: a wedged one ends the test, not the suite.
+        previous = signal.signal(signal.SIGALRM, on_alarm)
+        signal.alarm(180)
+        try:
+            result = run_kv_quorum(config)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        for cell in result.cells.values():
+            assert cell.failed_ops == 0, cell.label
+            assert cell.ops == config.batches * config.ops_per_batch, cell.label
+        loose, strict = result.cell("r1-random"), result.cell("majority")
+        assert loose.stale_session_reads > 0
+        assert strict.stale_session_reads == 0
+        assert strict.server_read_repairs >= strict.divergent_reads
+        assert strict.read_repair_payload_bytes > 0
+        assert loose.read_repair_payload_bytes == 0

@@ -9,6 +9,7 @@ transmission ordering on causal data at CI scale.
 import pytest
 
 from repro.experiments.appendixb import run_appendixb
+from repro.experiments.grid import MicroConfig
 from repro.sim.runner import run_experiment
 from repro.sim.topology import partial_mesh
 from repro.sync import ALGORITHMS
@@ -60,7 +61,7 @@ class TestAWSetChurnWorkload:
 class TestAppendixBDriver:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_appendixb(nodes=8, rounds=8)
+        return run_appendixb(MicroConfig(nodes=8, rounds=8))
 
     def test_covers_the_full_grid(self, result):
         assert set(result.results) == {
