@@ -14,9 +14,9 @@ Each type is a declaration in the style of :mod:`repro.crdt`: a
 and ``@query`` functions ``state → value``.  The δs several types share
 are written once in :mod:`repro.causal.causal`: ``cover_observed``
 (clearing a set or map, resetting a counter, lowering a flag) and
-``cover_key`` (removing one set element or map key).  A declared type
-registers with the key-value store through
-:func:`repro.kv.register_type`.
+``cover_key`` (removing one set element or map key).  The key-value
+store serves a declared type through a :class:`repro.kv.TypeSpec` in
+its key-typing table, :data:`repro.kv.PREFIXES`.
 
 Data types:
 

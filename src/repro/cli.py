@@ -133,7 +133,7 @@ def _config(name: str, entry: Experiment, args: argparse.Namespace):
         if not equals:
             raise ValueError(f"--set takes FIELD=VALUE, got {item!r}")
         values[field] = value
-    return build_config(entry.config, values, entry.scales[args.scale])
+    return build_config(entry.config, {**entry.scales[args.scale], **values})
 
 
 def _emit(text: str, out_path: Optional[str], stream) -> None:

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import fields, is_dataclass, replace
-from typing import Any, Mapping, Optional, Union, get_args, get_origin, get_type_hints
+from dataclasses import fields, is_dataclass
+from typing import Any, Mapping, Union, get_args, get_origin, get_type_hints
 
 _NONE_SPELLINGS = (None, "null", "none")
 
 
-def build_config(cls: type, values: Mapping[str, Any], base: Optional[Any] = None):
-    """``cls`` from ``values`` (over ``base``'s fields when given).
+def build_config(cls: type, values: Mapping[str, Any]):
+    """``cls`` from ``values``; an omitted field takes its default.
 
     Raises ``ValueError`` naming the field for a value that does not
     read as its annotation, an unknown field, or whatever the
@@ -43,7 +43,7 @@ def build_config(cls: type, values: Mapping[str, Any], base: Optional[Any] = Non
             typed[name] = _coerce(hints[name], value)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{name}: {exc}") from None
-    return replace(base, **typed) if base is not None else cls(**typed)
+    return cls(**typed)
 
 
 def _coerce(hint: Any, value: Any) -> Any:

@@ -8,8 +8,9 @@ plain functions ``(replica, state, *args) → δ`` marked
 produces ``m(x)``; and its queries, plain functions ``state → value``
 marked ``@query``.  ``GCounter.increment(replica, state)`` is the
 δ-function itself; ``GCounter("A").increment()`` joins its δ in place.
-A declared type plugs into the key-value store through
-:func:`repro.kv.register_type`.
+The key-value store serves a declared type through a
+:class:`repro.kv.TypeSpec` in its key-typing table,
+:data:`repro.kv.PREFIXES`.
 
 The types mirror the paper's catalogue:
 

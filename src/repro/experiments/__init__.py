@@ -22,8 +22,9 @@ measure the same synchronizers inside the sharded store.
 
 :data:`EXPERIMENTS` registers all of them for ``repro list`` and
 ``repro run``: each entry pairs a frozen config type, whose own
-validation refuses every illegal shape, with its scale presets and a
-run function.  Every ``run_*`` function takes exactly one argument, a
+validation refuses every illegal shape, with its scale presets (plain
+field values, built and validated only for the run that picks one) and
+a run function.  Every ``run_*`` function takes exactly one argument, a
 value of its entry's config type, and reads every setting from it;
 the config type lives in the module of the runner that reads it.  All
 runs are deterministic.
@@ -86,31 +87,28 @@ class Experiment:
     """One registered experiment: ``run(config)`` renders a report.
 
     ``scales`` maps each preset name (``ci``: seconds, ``default``,
-    ``paper``: the paper's deployment) to a ``config`` value; ``in_all``
+    ``paper``: the paper's deployment) to the field values it sets on
+    ``config`` — the shape ``--config`` takes, so
+    ``build_config(config, {**preset, **values})`` builds a run; ``in_all``
     marks the paper artifacts ``repro run all`` regenerates.
     """
 
     description: str
     config: type
-    scales: Mapping[str, Any]
+    scales: Mapping[str, Mapping[str, Any]]
     run: Callable[[Any], Any]
     in_all: bool = True
 
 
-_MICRO_SCALES = {
-    "ci": MicroConfig(nodes=8, rounds=10),
-    "default": MicroConfig(),
-    "paper": MicroConfig(rounds=100),
-}
+_MICRO_SCALES = {"ci": {"nodes": 8, "rounds": 10}, "default": {}, "paper": {"rounds": 100}}
 
 _RETWIS_SCALES = {
-    "ci": RetwisSweepConfig(
-        nodes=10, users=120, rounds=10, ops_per_node=6, coefficients=(0.5, 1.0, 1.5)
-    ),
-    "default": RetwisSweepConfig(),
-    "paper": RetwisSweepConfig(
-        **asdict(RetwisConfig.paper_scale()), coefficients=PAPER_COEFFICIENTS
-    ),
+    "ci": {
+        "nodes": 10, "users": 120, "rounds": 10, "ops_per_node": 6,
+        "coefficients": (0.5, 1.0, 1.5),
+    },
+    "default": {},
+    "paper": {**asdict(RetwisConfig.paper_scale()), "coefficients": PAPER_COEFFICIENTS},
 }
 
 
@@ -132,7 +130,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "table1": Experiment(
         "micro-benchmark definitions (workload registry)",
         Table1Config,
-        {"ci": Table1Config(nodes=8), "default": Table1Config(), "paper": Table1Config()},
+        {"ci": {"nodes": 8}, "default": {}, "paper": {}},
         run_table1,
     ),
     "figure7": Experiment(
@@ -151,9 +149,9 @@ EXPERIMENTS: Dict[str, Experiment] = {
         "metadata bytes per node vs cluster size",
         Figure9Config,
         {
-            "ci": Figure9Config(sizes=(8, 16), rounds=10),
-            "default": Figure9Config(),
-            "paper": Figure9Config(sizes=(8, 16, 32, 48), rounds=100),
+            "ci": {"sizes": (8, 16), "rounds": 10},
+            "default": {},
+            "paper": {"sizes": (8, 16, 32, 48), "rounds": 100},
         },
         run_figure9,
     ),
@@ -163,7 +161,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "table2": Experiment(
         "Retwis workload characterization",
         Table2Config,
-        dict.fromkeys(("ci", "default", "paper"), Table2Config()),
+        dict.fromkeys(("ci", "default", "paper"), {}),
         run_table2,
     ),
     "figure11": Experiment(
@@ -181,10 +179,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "kv-sweep": Experiment(
         "synchronization protocols over the sharded kv store",
         KVSweepConfig,
-        {
-            "ci": KVSweepConfig(replicas=8, keys=200, rounds=8, ops_per_node=4),
-            "default": KVSweepConfig(),
-        },
+        {"ci": {"replicas": 8, "keys": 200, "rounds": 8, "ops_per_node": 4}, "default": {}},
         run_kv_sweep,
         in_all=False,
     ),
@@ -192,10 +187,11 @@ EXPERIMENTS: Dict[str, Experiment] = {
         "recovery strategies on one seeded partition + crash replay",
         KVFaultsConfig,
         {
-            "ci": KVFaultsConfig(
-                replicas=8, keys=200, rounds=9, ops_per_node=4, repair_interval=3
-            ),
-            "default": KVFaultsConfig(),
+            "ci": {
+                "replicas": 8, "keys": 200, "rounds": 9, "ops_per_node": 4,
+                "repair_interval": 3,
+            },
+            "default": {},
         },
         run_kv_repair_comparison,
         in_all=False,
@@ -204,11 +200,11 @@ EXPERIMENTS: Dict[str, Experiment] = {
         "live add + decommission: WAL-segment handoff vs full-state transfer",
         KVRebalanceConfig,
         {
-            "ci": KVRebalanceConfig(
-                replicas=6, keys=120, rounds=6, ops_per_node=3, shards=12,
-                replication=2, repair_interval=3,
-            ),
-            "default": KVRebalanceConfig(),
+            "ci": {
+                "replicas": 6, "keys": 120, "rounds": 6, "ops_per_node": 3,
+                "shards": 12, "replication": 2, "repair_interval": 3,
+            },
+            "default": {},
         },
         run_kv_rebalance,
         in_all=False,
@@ -216,10 +212,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "kv-quorum": Experiment(
         "client latency vs staleness under read quorums (replica processes)",
         QuorumConfig,
-        {
-            "ci": QuorumConfig(keys=24, batches=3, ops_per_batch=20),
-            "default": QuorumConfig(),
-        },
+        {"ci": {"keys": 24, "batches": 3, "ops_per_batch": 20}, "default": {}},
         run_kv_quorum,
         in_all=False,
     ),

@@ -62,12 +62,8 @@ from repro.kv.store import (
 from repro.kv.types import (
     PREFIXES,
     KVTypeError,
-    TYPE_REGISTRY,
     TypeSpec,
-    register_type,
     spec_for,
-    type_of,
-    type_spec,
 )
 
 __all__ = [
@@ -86,14 +82,10 @@ __all__ = [
     "RECOVERY_POLICIES",
     "REPAIR_MODES",
     "Shard",
-    "TYPE_REGISTRY",
     "TypeSpec",
     "Unavailable",
     "kv_store_factory",
     "plan_rebalance",
-    "register_type",
     "spec_for",
     "stable_hash",
-    "type_of",
-    "type_spec",
 ]

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.obs.metrics import Counter, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.sync.protocol import Send
 
 #: Valid values of :attr:`AntiEntropyConfig.repair_mode`.
@@ -38,20 +38,6 @@ REPAIR_MODES = ("blanket", "digest")
 #: Registry namespace of every counter the scheduler, the repair plane
 #: and the handoff plane keep (``KVDriver.scheduler_stats`` sums it).
 COUNTER_PREFIX = "scheduler."
-
-
-def declare_counters(
-    registry: MetricsRegistry, names: Sequence[str]
-) -> Dict[str, Counter]:
-    """Get-or-create ``scheduler.<name>`` for each name, eagerly.
-
-    Each owner declares its counters as one tuple of names; creating
-    them at construction means a snapshot (or the cluster's stats sum)
-    sees every key from tick zero, and on a registry that outlives
-    store rebuilds the counts of a ``crash(lose_state=True)``
-    incarnation carry over.
-    """
-    return {name: registry.counter(COUNTER_PREFIX + name) for name in names}
 
 
 @dataclass(frozen=True)
@@ -131,7 +117,7 @@ class AntiEntropyScheduler:
         #: Bytes planned by the last :meth:`plan` call (handoff pacing
         #: reads it to honour the same per-tick budget).
         self.spent = 0
-        self._count = declare_counters(self.registry, self.COUNTERS)
+        self._count = self.registry.counters(COUNTER_PREFIX, self.COUNTERS)
 
     def apply_membership(self, shard_ids: Sequence[int]) -> None:
         """Swap the hosted-shard set after a ring rebalance."""

@@ -169,7 +169,12 @@ class KVCluster(KVDriver, Cluster):
             storage = (
                 self._wal_storage(replica) if self._wal_storage is not None else None
             )
-            self._wals[replica] = ReplicaWal(replica, storage=storage, tracer=self.tracer)
+            self._wals[replica] = ReplicaWal(
+                replica,
+                storage=storage,
+                registry=self._registry_for(replica),
+                tracer=self.tracer,
+            )
         return self._wals[replica]
 
     def _restore_for(self, node: int):
@@ -300,9 +305,9 @@ class KVCluster(KVDriver, Cluster):
         return lambda owner, shard: nodes[owner].shards[shard].state
 
     def _registry_snapshots(self):
-        # The registries — like the WALs, whose counters they expose as
-        # ``wal.*`` views — survive ``crash(lose_state=True)`` rebuilds,
-        # so the sums need no retired-counter bookkeeping.
+        # The registries — like the WALs, whose ``wal.*`` counters they
+        # hold — survive ``crash(lose_state=True)`` rebuilds, so the
+        # sums need no retired-counter bookkeeping.
         return [registry.snapshot() for registry in self._registries.values()]
 
     def merged_keyspace(self) -> MapLattice:

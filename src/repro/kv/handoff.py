@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro import sizes
 from repro.codec import decode
-from repro.kv.antientropy import declare_counters
+from repro.kv.antientropy import COUNTER_PREFIX
 from repro.kv.shard import Shard
 from repro.lattice.base import Lattice
 from repro.obs.trace import (
@@ -114,7 +114,7 @@ class HandoffPlane:
         #: pending handoff from.  Fenced and dropped once the gaining
         #: owner acknowledges.
         self.retained: Dict[int, Shard] = {}
-        self._count = declare_counters(store.registry, self.COUNTERS)
+        self._count = store.registry.counters(COUNTER_PREFIX, self.COUNTERS)
         #: inner wire kind → handler, merged into the store's demux table.
         self.handlers = {
             "kv-handoff-offer": self._on_offer,

@@ -65,7 +65,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.kv.antientropy import declare_counters
+from repro.kv.antientropy import COUNTER_PREFIX
 from repro.lattice.base import Lattice
 from repro.obs.trace import REPAIR_ABSORB, REPAIR_DIFF, REPAIR_PROBE
 from repro.sync.digest import FINGERPRINT_BYTES, ROOT_BYTES
@@ -152,7 +152,7 @@ class RepairPlane:
         self._last_probe: Dict[Path, int] = {}
         #: δ-paths whose peer refused a send (crash / severed link).
         self._suspect: Set[Path] = set()
-        self._count = declare_counters(store.registry, self.COUNTERS)
+        self._count = store.registry.counters(COUNTER_PREFIX, self.COUNTERS)
         self._index_paths()
         #: inner wire kind → handler, merged into the store's demux table.
         self.handlers = {

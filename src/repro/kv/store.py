@@ -128,10 +128,13 @@ class KVStore(Synchronizer):
         #: not place here — in-flight traffic outrun by a rebalance.
         self.stale_shard_messages = 0
         #: This replica's metrics registry — the single observability
-        #: namespace the runtime's ``metrics`` view exposes.  A cluster
-        #: passes one that outlives store rebuilds; standalone stores
-        #: get a private one.
-        self.registry = registry if registry is not None else MetricsRegistry()
+        #: namespace the runtime's ``metrics`` view exposes, and the one
+        #: the WAL counts in.  A cluster passes one that outlives store
+        #: rebuilds; a standalone store shares its WAL's, or gets a
+        #: private one.
+        if registry is None:
+            registry = wal.registry if wal is not None else MetricsRegistry()
+        self.registry = registry
         #: Structured trace destination (``None`` = tracing off).
         self.tracer = tracer
         #: shard id → this replica's hosted copy of that shard.
@@ -149,11 +152,6 @@ class KVStore(Synchronizer):
         #: inner wire kind → handler for the kinds that are not the
         #: inner protocol's own (those go to :meth:`Shard.deliver`).
         self._exchanges = {**self.repair.handlers, **self.handoff.handlers}
-        if self.wal is not None:
-            # Read-through: wal counters surface in registry snapshots
-            # under ``wal.*`` without being double-kept (re-registering
-            # after a rebuild just re-binds the same surviving log).
-            self.registry.register_view("wal", self.wal.stats)
 
     def _peers(self, shard: int) -> Tuple[int, ...]:
         """The shard's co-owners, verified reachable over the overlay."""

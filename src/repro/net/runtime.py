@@ -65,9 +65,9 @@ class ReplicaRuntime:
     def metrics(self) -> Optional["MetricsRegistry"]:
         """This replica's metrics registry, when its protocol keeps one.
 
-        The sharded kv store binds its scheduler counters (and a WAL
-        view) into a per-replica :class:`~repro.obs.metrics.
-        MetricsRegistry`; plain synchronizers have none.  This is the
+        The sharded kv store keeps its scheduler and WAL counters in a
+        per-replica :class:`~repro.obs.metrics.MetricsRegistry`; plain
+        synchronizers have none.  This is the
         single observability surface per replica — the cluster-level
         ``scheduler_stats()``/``wal_stats()`` adapters read through it.
         """

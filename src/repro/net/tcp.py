@@ -70,19 +70,18 @@ from repro.obs.trace import ROUND
 from repro.sim.metrics import MetricsCollector
 from repro.sync.protocol import Send
 
+#: Seconds a round may go without delivery progress before the settle
+#: raises :class:`~repro.net.transport.TransportStalled`.  Read when a
+#: round settles, so a test may patch it on the module.
+SETTLE_TIMEOUT_S = 30.0
+
 
 class AsyncTcpTransport(Transport):
     """Length-prefixed protocol envelopes over localhost TCP sockets."""
 
     HOST = "127.0.0.1"
 
-    def __init__(
-        self,
-        config,
-        metrics: MetricsCollector,
-        *,
-        settle_timeout_s: float = 30.0,
-    ) -> None:
+    def __init__(self, config, metrics: MetricsCollector) -> None:
         super().__init__(config, metrics)
         self._loop = asyncio.new_event_loop()
         self._round = 0
@@ -104,7 +103,6 @@ class AsyncTcpTransport(Transport):
         #: Shutdown scheduled by a re-entrant close() (loop running).
         self._deferred_shutdown: Optional[asyncio.Task] = None
         self._epoch = time.monotonic()
-        self._settle_timeout_s = settle_timeout_s
 
     # ------------------------------------------------------------------
     # Wiring: sockets come up when the runtimes bind.
@@ -267,9 +265,7 @@ class AsyncTcpTransport(Transport):
                 return
             self._progress.clear()
             try:
-                await asyncio.wait_for(
-                    self._progress.wait(), timeout=self._settle_timeout_s
-                )
+                await asyncio.wait_for(self._progress.wait(), timeout=SETTLE_TIMEOUT_S)
             except asyncio.TimeoutError:
                 stalled = ", ".join(
                     f"replica {dst} ({count} frame{'s' if count != 1 else ''})"
@@ -277,7 +273,7 @@ class AsyncTcpTransport(Transport):
                 )
                 raise TransportStalled(
                     f"round {self._round}: no delivery progress for "
-                    f"{self._settle_timeout_s}s with {self._pending} frame(s) "
+                    f"{SETTLE_TIMEOUT_S}s with {self._pending} frame(s) "
                     f"in flight; stalled at {stalled or 'unknown receivers'}"
                 ) from None
 

@@ -1,20 +1,18 @@
 """The metrics registry: named counters, gauges, and histograms.
 
-Before this module, every layer kept its own ad-hoc counter dicts —
-the anti-entropy scheduler's ``stats()``, the WAL's ``stats()``, the
-cluster's retired-counter bookkeeping for rebuilt replicas — and the
-experiment drivers stitched them together by key convention.  The
-registry replaces that with one namespace per replica:
+One namespace per replica holds every count it keeps: the
+anti-entropy scheduler, the repair and handoff planes (``scheduler.*``)
+and the write-ahead log (``wal.*``) all increment counters of the
+replica's one registry, and the cluster drivers sum those namespaces
+across replicas.
 
 * instruments are **created once and found again**: asking for an
   existing name returns the same object, which is what lets a store
   rebuilt by ``crash(lose_state=True)`` re-bind to the counters its
   predecessor incremented instead of resetting them (the registry,
   like the WAL, deliberately outlives the store incarnation);
-* ``snapshot()`` is **deterministic**: names are sorted, values are
-  plain numbers, and registered *views* (read-through adapters over
-  legacy counter dicts, e.g. the WAL's) are merged under their prefix —
-  so two seeded runs produce byte-identical exports.
+* ``snapshot()`` is **deterministic**: names are sorted and values are
+  plain numbers, so two seeded runs produce byte-identical exports.
 
 The instruments are deliberately minimal — this is measurement for a
 deterministic reproduction, not a live telemetry pipeline.
@@ -22,7 +20,7 @@ deterministic reproduction, not a live telemetry pipeline.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Union
+from typing import Dict, List, Sequence, Union
 
 Number = Union[int, float]
 
@@ -99,10 +97,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._instruments: Dict[str, object] = {}
-        #: prefix → zero-arg callable returning a counter dict; merged
-        #: into snapshots read-through, so legacy ``stats()`` surfaces
-        #: (the WAL's) appear in the registry without double-keeping.
-        self._views: Dict[str, Callable[[], Mapping[str, Number]]] = {}
 
     def _get(self, name: str, kind: type):
         instrument = self._instruments.get(name)
@@ -120,6 +114,17 @@ class MetricsRegistry:
         """Get-or-create the named counter."""
         return self._get(name, Counter)
 
+    def counters(self, prefix: str, names: Sequence[str]) -> Dict[str, Counter]:
+        """Get-or-create ``prefix + name`` for each name, keyed by name.
+
+        Each owner declares its counters as one tuple of names; creating
+        them at construction means a snapshot (or a cluster's stats sum)
+        sees every key from the start, and on a registry that outlives
+        store rebuilds the counts of a ``crash(lose_state=True)``
+        incarnation carry over.
+        """
+        return {name: self.counter(prefix + name) for name in names}
+
     def gauge(self, name: str) -> Gauge:
         """Get-or-create the named gauge."""
         return self._get(name, Gauge)
@@ -128,21 +133,11 @@ class MetricsRegistry:
         """Get-or-create the named histogram."""
         return self._get(name, Histogram)
 
-    def register_view(
-        self, prefix: str, provider: Callable[[], Mapping[str, Number]]
-    ) -> None:
-        """Merge ``provider()`` under ``prefix.`` at snapshot time.
-
-        Re-registering a prefix replaces the provider — a rebuilt store
-        re-binding its (surviving) WAL view is the expected case.
-        """
-        self._views[prefix] = provider
-
     def names(self) -> List[str]:
         return sorted(self._instruments)
 
     def snapshot(self) -> Dict[str, Number]:
-        """Every instrument and view as ``{name: value}``, sorted.
+        """Every instrument as ``{name: value}``, sorted.
 
         Histograms export as ``name.count`` / ``name.sum`` /
         ``name.min`` / ``name.max`` so the result stays a flat mapping
@@ -157,9 +152,6 @@ class MetricsRegistry:
                 out[f"{name}.max"] = instrument.max
             else:
                 out[name] = instrument.value  # type: ignore[attr-defined]
-        for prefix, provider in self._views.items():
-            for key, value in provider().items():
-                out[f"{prefix}.{key}"] = value
         return dict(sorted(out.items()))
 
     def __repr__(self) -> str:

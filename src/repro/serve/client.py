@@ -110,7 +110,6 @@ class KVClient:
         read_repair: bool = True,
         route: str = "primary",
         seed: int = 0,
-        timeout_s: float = 30.0,
     ) -> None:
         members = sorted(addresses) if replicas is None else sorted(replicas)
         self.ring = HashRing(members, n_shards=shards, replication=replication)
@@ -126,7 +125,6 @@ class KVClient:
         self.route = route
         self._rng = random.Random(seed)
         self._addresses = dict(addresses)
-        self._timeout_s = timeout_s
         self._connections: Dict[int, ControlClient] = {}
         #: key → join of every value this client has observed (written
         #: deltas and read replies) — the session-monotonicity baseline.
@@ -162,9 +160,7 @@ class KVClient:
             address = self._addresses.get(replica)
             if address is None:
                 raise ConnectionError(f"no address for replica {replica}")
-            client = ControlClient(
-                address[0], address[1], timeout_s=self._timeout_s
-            )
+            client = ControlClient(address[0], address[1])
             self._connections[replica] = client
         return client
 

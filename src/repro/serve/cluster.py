@@ -100,6 +100,13 @@ _FOLDED_STATS = ("messages", "payload_bytes", "metadata_bytes", "client_ops")
 _EMPTY_ROOT = root_of(frozenset()).hex()
 #: Sync-only rounds ``drain()`` runs before it declares the run stuck.
 _MAX_DRAIN_ROUNDS = 64
+#: Seconds a spawned replica may take to publish its ports.
+_SPAWN_TIMEOUT_S = 30.0
+#: Seconds a round may take to reach quiescence.
+_SETTLE_TIMEOUT_S = 30.0
+#: Socket timeout of one client/control connection (``KVClient`` dials
+#: replicas through :class:`ControlClient` too).
+_REQUEST_TIMEOUT_S = 30.0
 
 
 class ReplicaDied(RuntimeError):
@@ -122,15 +129,14 @@ def raise_for_status(response: Response) -> Response:
 class ControlClient:
     """One synchronous client/control connection to a replica process."""
 
-    def __init__(self, host: str, port: int, *, timeout_s: float = 30.0) -> None:
+    def __init__(self, host: str, port: int) -> None:
         self.address = (host, port)
-        self.timeout_s = timeout_s
         self._sock: Optional[socket.socket] = None
         self._ids = itertools.count(1)
 
     def _connection(self) -> socket.socket:
         if self._sock is None:
-            sock = socket.create_connection(self.address, timeout=self.timeout_s)
+            sock = socket.create_connection(self.address, timeout=_REQUEST_TIMEOUT_S)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._sock = sock
         return self._sock
@@ -195,14 +201,10 @@ class ProcessCluster(KVDriver):
         recovery: str = "wal",
         run_dir: Optional[str] = None,
         trace_dir: Optional[str] = None,
-        spawn_timeout_s: float = 30.0,
-        settle_timeout_s: float = 30.0,
     ) -> None:
         self.algorithm = algorithm
         self.antientropy = antientropy if antientropy is not None else AntiEntropyConfig()
         self.recovery = check_recovery(recovery)
-        self.spawn_timeout_s = spawn_timeout_s
-        self.settle_timeout_s = settle_timeout_s
         # Refuse an impossible ring before any directory, trace file or
         # process exists.
         self.replicas: List[int] = list(range(n_replicas))
@@ -315,7 +317,7 @@ class ProcessCluster(KVDriver):
             log.close()
 
     def _await_portfiles(self, replicas: Sequence[int]) -> None:
-        deadline = time.monotonic() + self.spawn_timeout_s
+        deadline = time.monotonic() + _SPAWN_TIMEOUT_S
         for replica in replicas:
             path = portfile_path(self.run_dir, replica)
             while not os.path.exists(path):
@@ -330,7 +332,7 @@ class ProcessCluster(KVDriver):
                 if time.monotonic() > deadline:
                     raise TransportStalled(
                         f"replica {replica} did not publish ports within "
-                        f"{self.spawn_timeout_s}s"
+                        f"{_SPAWN_TIMEOUT_S}s"
                     )
                 time.sleep(0.01)
             with open(path, "r", encoding="utf-8") as handle:
@@ -338,9 +340,7 @@ class ProcessCluster(KVDriver):
 
     def _connect(self, replica: int) -> None:
         ports = self._ports[replica]
-        self._controls[replica] = ControlClient(
-            HOST, ports["client_port"], timeout_s=self.settle_timeout_s
-        )
+        self._controls[replica] = ControlClient(HOST, ports["client_port"])
 
     def _control(self, replica: int) -> ControlClient:
         if replica in self.down:
@@ -436,7 +436,7 @@ class ProcessCluster(KVDriver):
 
     def _settle(self) -> None:
         """Poll until the peer plane is quiescent (see module doc)."""
-        deadline = time.monotonic() + self.settle_timeout_s
+        deadline = time.monotonic() + _SETTLE_TIMEOUT_S
         previous: Optional[Dict[int, Dict[str, int]]] = None
         stable = 0
         while True:
@@ -467,7 +467,7 @@ class ProcessCluster(KVDriver):
             if time.monotonic() > deadline:
                 raise TransportStalled(
                     f"round {self.rounds_run}: no quiescence within "
-                    f"{self.settle_timeout_s}s (sent={sent}, "
+                    f"{_SETTLE_TIMEOUT_S}s (sent={sent}, "
                     f"delivered={delivered}, severed={self._severed_total})"
                 )
             time.sleep(_POLL_INTERVAL_S)

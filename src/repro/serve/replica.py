@@ -57,6 +57,7 @@ from repro.lattice.map_lattice import MapLattice
 from repro.net import framing
 from repro.net.runtime import ReplicaRuntime
 from repro.net.tcp import AsyncTcpTransport
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import CLIENT_OP, ROUND, FileTraceSink, Tracer
 from repro.serve import frames
 from repro.serve.frames import FrameError, Request, Response
@@ -267,6 +268,9 @@ class ReplicaProcess:
             self.tracer.bind(lambda: self.peers.now, lambda: self.round)
             self.peers.tracer = self.tracer
 
+        # The one counter namespace of this process: the store's planes
+        # and the WAL count in it, and STAT reports it.
+        registry = MetricsRegistry()
         self.storage: Optional[FileStorage] = None
         wal: Optional[ReplicaWal] = None
         if options.recovery != "repair":
@@ -276,7 +280,12 @@ class ReplicaProcess:
             self.storage = FileStorage(
                 wal_path(options.run_dir, options.replica), lock=True
             )
-            wal = ReplicaWal(options.replica, storage=self.storage, tracer=self.tracer)
+            wal = ReplicaWal(
+                options.replica,
+                storage=self.storage,
+                registry=registry,
+                tracer=self.tracer,
+            )
 
         self.store = KVStore(
             replica=options.replica,
@@ -291,6 +300,7 @@ class ReplicaProcess:
             inner_factory=KV_ALGORITHMS[options.algorithm],
             antientropy=options.antientropy,
             wal=wal,
+            registry=registry,
             tracer=self.tracer,
         )
         self.runtime = ReplicaRuntime(self.store, self.peers.metrics)

@@ -43,6 +43,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.codec import CodecError, Cursor, decode, encode, read_uvarint, write_uvarint
 from repro.lattice.base import Lattice
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import WAL_COMMIT, WAL_COMPACT, WAL_REPLAY, Tracer
 from repro.wal.storage import MemoryStorage, Storage
 
@@ -53,6 +54,20 @@ CRC_BYTES = 4
 #: it into the single record of its join (:meth:`ShardLog.compact`).
 #: Read at commit time, so a test may patch it on the module.
 COMPACT_BYTES = 64 * 1024
+
+#: The ``wal.*`` counters every shard log of a replica adds to
+#: (``KVDriver.wal_stats`` sums the namespace, prefix stripped).
+SHARD_COUNTERS = (
+    "wal_records",
+    "wal_commits",
+    "wal_committed_bytes",
+    "wal_compactions",
+    "wal_corrupt_tails",
+    "wal_discarded_records",
+    "wal_fences",
+)
+#: The replica-level counters: bytes and shards restored by replay.
+REPLAY_COUNTERS = ("wal_replayed_bytes", "wal_replays")
 
 
 class WalFencedError(RuntimeError):
@@ -107,11 +122,15 @@ def unpack_records(data: bytes) -> Tuple[List[bytes], int, bool]:
 class ShardLog:
     """Append-only log of deltas for one shard of one replica.
 
-    ``observer`` is the log's hook into the structured trace: a
-    callable ``(event_type, nbytes)`` invoked on each group commit
-    (:data:`~repro.obs.trace.WAL_COMMIT`, batch bytes) and successful
-    compaction (:data:`~repro.obs.trace.WAL_COMPACT`, folded image bytes).  ``None`` — the default —
-    keeps the write path free of any tracing cost.
+    ``registry`` holds the log's :data:`SHARD_COUNTERS` (a private one
+    when omitted); the shard logs of one replica share its registry, so
+    the counters sum over them.  ``observer`` is the log's hook into the
+    structured trace: a callable ``(event_type, nbytes)`` invoked on
+    each group commit (:data:`~repro.obs.trace.WAL_COMMIT`, batch
+    bytes) and successful compaction
+    (:data:`~repro.obs.trace.WAL_COMPACT`, folded image bytes).
+    ``None`` — the default — keeps the write path free of any tracing
+    cost.
     """
 
     def __init__(
@@ -119,10 +138,12 @@ class ShardLog:
         storage: Storage,
         name: str,
         *,
+        registry: Optional[MetricsRegistry] = None,
         observer: Optional[Callable[[str, int], None]] = None,
     ) -> None:
         self.storage = storage
         self.name = name
+        self.registry = registry if registry is not None else MetricsRegistry()
         self.observer = observer
         #: Delta values staged since the last group commit, in staging
         #: order; :meth:`commit` encodes them.
@@ -146,14 +167,7 @@ class ShardLog:
         #: the log was truncated and refuses appends until the shard is
         #: owned here again (:meth:`unfence`).
         self.fenced = False
-        # Counters surfaced through ReplicaWal.stats().
-        self.records_committed = 0
-        self.commits = 0
-        self.committed_bytes = 0
-        self.compactions = 0
-        self.corrupt_tails_dropped = 0
-        self.records_discarded = 0
-        self.fences = 0
+        self._count = self.registry.counters("wal.", SHARD_COUNTERS)
 
     # ------------------------------------------------------------------
     # The write path: stage, group-commit, compact.
@@ -176,7 +190,7 @@ class ShardLog:
     def discard_staged(self) -> int:
         """Drop staged-but-uncommitted records (what a crash loses)."""
         dropped = len(self._staged)
-        self.records_discarded += dropped
+        self._count["wal_discarded_records"].inc(dropped)
         self._staged.clear()
         return dropped
 
@@ -212,9 +226,9 @@ class ShardLog:
             # reject never ends up in front of freshly committed ones.
             self.replay()
         self.storage.append(self.name, batch)
-        self.records_committed += len(self._staged)
-        self.commits += 1
-        self.committed_bytes += len(batch)
+        self._count["wal_records"].inc(len(self._staged))
+        self._count["wal_commits"].inc()
+        self._count["wal_committed_bytes"].inc(len(batch))
         # replay always ran first, so _size is set.
         self._size += len(batch)
         self._staged.clear()
@@ -248,7 +262,7 @@ class ShardLog:
             return False
         self.storage.replace(self.name, record)
         self._size = len(record)
-        self.compactions += 1
+        self._count["wal_compactions"].inc()
         if self.observer is not None:
             self.observer(WAL_COMPACT, len(record))
         return True
@@ -291,7 +305,7 @@ class ShardLog:
             self._tail_validated = True
             self._compact_floor = 0
         self.fenced = True
-        self.fences += 1
+        self._count["wal_fences"].inc()
 
     def unfence(self) -> None:
         """Reopen the log: the replica owns the shard again."""
@@ -325,16 +339,13 @@ class ShardLog:
             decoded_end = end
         if corrupt:
             self.storage.replace(self.name, data[:clean])
-            self.corrupt_tails_dropped += 1
+            self._count["wal_corrupt_tails"].inc()
         self._size = clean
         self._tail_validated = True
         return state
 
     def __repr__(self) -> str:
-        return (
-            f"ShardLog(name={self.name!r}, committed={self.records_committed}, "
-            f"staged={len(self._staged)})"
-        )
+        return f"ShardLog(name={self.name!r}, staged={len(self._staged)})"
 
 
 class ReplicaWal:
@@ -347,6 +358,10 @@ class ReplicaWal:
     therefore models losing memory and process state while the log
     device survives, which is the failure the paper's join-decomposition
     argument makes cheap to recover from.
+
+    Every count lands in ``registry`` under ``wal.*`` — the replica's
+    :class:`~repro.obs.metrics.MetricsRegistry`, which the scheduler
+    counts in too (a private one when omitted).
     """
 
     def __init__(
@@ -354,18 +369,19 @@ class ReplicaWal:
         replica: int,
         storage: Optional[Storage] = None,
         *,
+        registry: Optional[MetricsRegistry] = None,
         tracer: Optional["Tracer"] = None,
     ) -> None:
         self.replica = replica
         self.storage = storage if storage is not None else MemoryStorage()
+        self.registry = registry if registry is not None else MetricsRegistry()
         #: Structured trace destination; shard logs get per-shard
         #: observer closures over it (``None`` = tracing off).
         self.tracer = tracer
         self._logs: Dict[int, ShardLog] = {}
-        #: Committed log bytes consumed by recovery replays.
-        self.replayed_bytes = 0
-        #: Shards restored by recovery replays.
-        self.replays = 0
+        # Every wal.* key is declared up front, so a snapshot holds them
+        # all before the first shard log opens.
+        self._count = self.registry.counters("wal.", SHARD_COUNTERS + REPLAY_COUNTERS)
 
     def _observer_for(self, shard: int) -> Optional[Callable[[str, int], None]]:
         if self.tracer is None:
@@ -386,7 +402,12 @@ class ReplicaWal:
         entry = self._logs.get(shard)
         if entry is None:
             name = f"r{self.replica:03d}-s{shard:05d}.wal"
-            entry = ShardLog(self.storage, name, observer=self._observer_for(shard))
+            entry = ShardLog(
+                self.storage,
+                name,
+                registry=self.registry,
+                observer=self._observer_for(shard),
+            )
             self._logs[shard] = entry
         return entry
 
@@ -418,8 +439,8 @@ class ReplicaWal:
         log = self.log(shard)
         state = log.replay()
         if state is not None:
-            self.replayed_bytes += log.size_bytes()
-            self.replays += 1
+            self._count["wal_replayed_bytes"].inc(log.size_bytes())
+            self._count["wal_replays"].inc()
             if self.tracer is not None:
                 self.tracer.emit(
                     WAL_REPLAY,
@@ -454,31 +475,6 @@ class ReplicaWal:
     def unfence(self, shard: int) -> None:
         """Reopen the shard's log when ownership returns to this replica."""
         self.log(shard).unfence()
-
-    def stats(self) -> Dict[str, int]:
-        """Counters for the experiment reports, summed over shard logs."""
-        totals = {
-            "wal_records": 0,
-            "wal_commits": 0,
-            "wal_committed_bytes": 0,
-            "wal_size_bytes": 0,
-            "wal_compactions": 0,
-            "wal_corrupt_tails": 0,
-            "wal_discarded_records": 0,
-            "wal_fences": 0,
-            "wal_replayed_bytes": self.replayed_bytes,
-            "wal_replays": self.replays,
-        }
-        for log in self._logs.values():
-            totals["wal_records"] += log.records_committed
-            totals["wal_commits"] += log.commits
-            totals["wal_committed_bytes"] += log.committed_bytes
-            totals["wal_size_bytes"] += log.size_bytes()
-            totals["wal_compactions"] += log.compactions
-            totals["wal_corrupt_tails"] += log.corrupt_tails_dropped
-            totals["wal_discarded_records"] += log.records_discarded
-            totals["wal_fences"] += log.fences
-        return totals
 
     def __repr__(self) -> str:
         return f"ReplicaWal(replica={self.replica}, shards={sorted(self._logs)})"

@@ -213,7 +213,7 @@ class TestOverrides:
         assert code == 0
         (config,) = seen
         assert config.rounds == 3
-        assert config.nodes == EXPERIMENTS["figure11"].scales["ci"].nodes
+        assert config.nodes == EXPERIMENTS["figure11"].scales["ci"]["nodes"]
 
     def test_set_wins_over_config_over_scale(self, monkeypatch):
         seen = self.capture(monkeypatch, "figure7")

@@ -8,16 +8,14 @@ from repro.kv import (
     KVCluster,
     KVRoutingError,
     KVTypeError,
-    TypeSpec,
+    PREFIXES,
     kv_store_factory,
-    register_type,
-    type_spec,
+    spec_for,
 )
 from repro.causal import AWSet, DWFlag, ORMap
 from repro.codec import encode
-from repro.crdt import BCounter, Crdt
-from repro.kv.types import PREFIXES, TYPE_REGISTRY, type_of
-from repro.lattice import MapLattice, MaxElements, MaxInt
+from repro.crdt import BCounter
+from repro.lattice import MapLattice, MaxInt
 from repro.sync import StateBased, keyed_bp_rr
 
 
@@ -28,51 +26,46 @@ def make_store(replica=0, n=4, replication=2, inner=keyed_bp_rr, **kwargs):
     return ring, factory(replica, neighbors, MapLattice(), n)
 
 
+#: Every storable type, once: the distinct specs of the key-typing table.
+SPECS = {spec.name: spec for spec in PREFIXES.values()}
+
+
 class TestKeyTyping:
     def test_prefix_resolution(self):
-        assert type_of("cnt:balance") == "pncounter"
-        assert type_of("aws:cart") == "awset"
-        assert type_of("flw:0000042") == "gset"
+        assert spec_for("cnt:balance").name == "pncounter"
+        assert spec_for("aws:cart").name == "awset"
+        assert spec_for("flw:0000042") is spec_for("set:tags")
 
     def test_unresolvable_key(self):
         with pytest.raises(KVTypeError, match="cannot type"):
-            type_of("mystery")
+            spec_for("mystery")
 
-    def test_every_prefix_names_a_registered_type(self):
-        assert set(PREFIXES.values()) <= set(TYPE_REGISTRY)
+    def test_the_table_is_read_only(self):
+        with pytest.raises(TypeError):
+            PREFIXES["new"] = SPECS["gset"]
 
+    @pytest.mark.parametrize("prefix", sorted(PREFIXES))
+    def test_every_typed_bottom_encodes(self, prefix):
+        """The WAL encodes a write's δ only at the next group commit, so
+        a type without a wire format must fail here, not a tick after
+        its first write."""
+        encode(PREFIXES[prefix].bottom())
 
 class TestTypeSpecs:
     def test_unknown_operation(self):
         with pytest.raises(KVTypeError, match="no operation"):
-            type_spec("gcounter").apply("A", None, "decrement", 1)
+            SPECS["gcounter"].apply("A", None, "decrement", 1)
 
     def test_grow_only_types_cannot_be_removed(self):
         with pytest.raises(KVTypeError, match="grow-only"):
-            type_spec("gset").remove_delta("A", None)
+            SPECS["gset"].remove_delta("A", None)
 
     def test_apply_does_not_mutate_the_input_state(self):
-        spec = type_spec("gcounter")
+        spec = SPECS["gcounter"]
         state = spec.bottom()
         delta = spec.apply("A", state, "increment", 3)
         assert state.is_bottom
         assert spec.read(delta) == 3
-
-    def test_a_type_without_a_wire_format_is_refused_at_registration(self):
-        """The WAL encodes a write's δ only at the next group commit, so
-        registration is where an unencodable type must fail."""
-
-        class Antichain(Crdt):
-            __slots__ = ()
-            bottom = staticmethod(
-                lambda: MaxElements(dominates=lambda x, y: x % y == 0)
-            )
-
-        registered = dict(TYPE_REGISTRY)
-        spec = TypeSpec("antichain", Antichain, lambda state: state)
-        with pytest.raises(KVTypeError, match="no wire format"):
-            register_type(spec)
-        assert TYPE_REGISTRY == registered
 
 
 #: type → (the write seeding a value, {mutator: (arguments that inflate
@@ -141,7 +134,7 @@ REGISTERED_OPS = [(name, op) for name, (_, ops) in WRITES.items() for op in sort
 def seeded_value(name):
     """A one-replica store's value for ``name``'s key after its seed write."""
     seed, _ = WRITES[name]
-    key = next(p for p, bound in PREFIXES.items() if bound == name) + ":k"
+    key = next(p for p, spec in PREFIXES.items() if spec.name == name) + ":k"
     _, store = make_store(replica=0, n=2, replication=2)
     store.update(key, *seed)
     return key, store
@@ -225,7 +218,7 @@ class TestDeltaGolden:
     def test_registered_mutator(self, name, op):
         key, store = seeded_value(name)
         args, expected = WRITES[name][1][op]
-        delta = type_spec(name).apply(0, store.value_lattice(key), op, *args)
+        delta = SPECS[name].apply(0, store.value_lattice(key), op, *args)
         assert encode(delta).hex() == expected
 
     @pytest.mark.parametrize("label", sorted(UNREGISTERED))
@@ -242,7 +235,7 @@ class TestAWriteJoinsItsDeltaOnce:
 
     def test_every_registered_mutator_is_covered(self):
         assert {name: set(ops) for name, (_, ops) in WRITES.items()} == {
-            name: set(spec.crdt.mutators) for name, spec in TYPE_REGISTRY.items()
+            name: set(spec.crdt.mutators) for name, spec in SPECS.items()
         }
 
     @pytest.mark.parametrize("name,op", REGISTERED_OPS)
@@ -251,7 +244,7 @@ class TestAWriteJoinsItsDeltaOnce:
         args, _ = WRITES[name][1][op]
         current = store.value_lattice(key)
         # The δ as the type's declared δ-mutator computes it.
-        expected = getattr(type_spec(name).crdt, op)(0, current, *args)
+        expected = getattr(SPECS[name].crdt, op)(0, current, *args)
         assert not expected.is_bottom
 
         joins = []

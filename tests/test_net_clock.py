@@ -24,6 +24,7 @@ from repro.net import (
     FreeRunTransport,
     RoundStepClock,
 )
+from repro.net import tcp
 from repro.net.clock import STAGGER_MS
 from repro.net.transport import TransportStalled
 from repro.sim.metrics import MetricsCollector
@@ -207,10 +208,9 @@ class TestDeploymentIsClosed:
 
 
 class TestTransportStalledDiagnostics:
-    def test_stall_names_the_round_and_the_stalled_replicas(self):
-        transport = AsyncTcpTransport(
-            ClusterConfig(line(2)), MetricsCollector(2), settle_timeout_s=0.05
-        )
+    def test_stall_names_the_round_and_the_stalled_replicas(self, monkeypatch):
+        monkeypatch.setattr(tcp, "SETTLE_TIMEOUT_S", 0.05)
+        transport = AsyncTcpTransport(ClusterConfig(line(2)), MetricsCollector(2))
         try:
             transport._round = 7
             transport._pending = 3

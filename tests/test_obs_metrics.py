@@ -53,19 +53,12 @@ class TestRegistry:
         assert snapshot["c.count"] == 1
         assert snapshot["c.sum"] == 4
 
-    def test_views_merge_under_their_prefix(self):
-        registry = MetricsRegistry()
-        registry.register_view("wal", lambda: {"records": 5})
-        assert registry.snapshot()["wal.records"] == 5
-        # Re-registering replaces (a rebuilt store re-binding its view).
-        registry.register_view("wal", lambda: {"records": 9})
-        assert registry.snapshot()["wal.records"] == 9
 
 
 class TestSchedulerAdapter:
     """scheduler.stats() is the replica's ``scheduler.*`` registry namespace."""
 
-    def make_store(self, registry=None):
+    def make_store(self, registry=None, wal=None):
         from repro.kv import AntiEntropyConfig, HashRing, KVStore
         from repro.lattice import MapLattice
         from repro.sync import keyed_bp_rr
@@ -79,6 +72,7 @@ class TestSchedulerAdapter:
             inner_factory=keyed_bp_rr,
             antientropy=AntiEntropyConfig(repair_interval=2, repair_mode="digest"),
             registry=registry,
+            wal=wal,
         )
 
     @staticmethod
@@ -114,6 +108,43 @@ class TestSchedulerAdapter:
         second = self.make_store(registry)
         self.probe(second, 36)
         assert second.scheduler.stats()["repair_metadata_bytes"] == 100
+
+
+class TestWalCounters:
+    """The WAL counts in its replica's registry, under ``wal.*``."""
+
+    def test_every_wal_count_is_a_registry_counter_from_construction(self):
+        from repro.lattice import SetLattice
+        from repro.wal import ReplicaWal
+        from repro.wal.log import REPLAY_COUNTERS, SHARD_COUNTERS
+
+        registry = MetricsRegistry()
+        wal = ReplicaWal(0, registry=registry)
+        assert registry.names() == sorted(
+            f"wal.{name}" for name in SHARD_COUNTERS + REPLAY_COUNTERS
+        )
+        assert all(type(registry.counter(name)) is Counter for name in registry.names())
+        wal.append(0, SetLattice({"a"}))
+        wal.append(1, SetLattice({"b"}))
+        wal.commit()
+        wal.replay(0)
+        snapshot = registry.snapshot()
+        # The shard logs add to the replica's one counter per name.
+        assert (snapshot["wal.wal_commits"], snapshot["wal.wal_records"]) == (2, 2)
+        assert snapshot["wal.wal_replays"] == 1
+        assert snapshot["wal.wal_replayed_bytes"] == wal.log(0).size_bytes()
+
+    def test_a_standalone_store_counts_in_its_wals_registry(self):
+        from repro.wal import ReplicaWal
+
+        wal = ReplicaWal(0)
+        store = TestSchedulerAdapter().make_store(wal=wal)
+        assert store.registry is wal.registry
+        store.update("set:a", "add", "x")
+        store.sync_messages()  # the tick's group commit
+        snapshot = store.registry.snapshot()
+        assert snapshot["wal.wal_commits"] == 1
+        assert snapshot["scheduler.ticks"] == 1
 
 
 class TestSeriesHelpers:

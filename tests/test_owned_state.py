@@ -19,13 +19,12 @@ import pytest
 
 from repro import codec, sizes
 from repro.crdt import InsufficientRights
-from repro.kv.types import TYPE_REGISTRY
 from repro.lattice import MapLattice, MaxInt, SetLattice
 from repro.sync import DeltaBased, KeyedDeltaBased
 from repro.sync.protocol import Message
 from repro.workloads import GCounterWorkload, GMapWorkload, GSetWorkload
 
-from test_kv_store import UNREGISTERED, WRITES, seeded_value
+from test_kv_store import SPECS, UNREGISTERED, WRITES, seeded_value
 
 KEYS = ("a", "b", "c", "d", "e")
 NEIGHBORS = (1, 2)
@@ -234,7 +233,7 @@ def test_assigning_the_state_ends_ownership():
 # ----------------------------------------------------------------------
 
 
-REGISTERED = [(name, op) for name, spec in TYPE_REGISTRY.items() for op in sorted(spec.crdt.mutators)]
+REGISTERED = [(name, op) for name, spec in SPECS.items() for op in sorted(spec.crdt.mutators)]
 
 
 @pytest.mark.parametrize("name,op", REGISTERED)
@@ -243,7 +242,7 @@ def test_registered_delta_mutators_leave_their_argument_alone(name, op):
     state = store.value_lattice(key)
     snapshot = (repr(state), codec.encode(state))
     args, _ = WRITES[name][1][op]
-    delta = TYPE_REGISTRY[name].crdt.mutators[op](0, state, *args)
+    delta = SPECS[name].crdt.mutators[op](0, state, *args)
     assert delta is not state
     assert (repr(state), codec.encode(state)) == snapshot
 
@@ -289,7 +288,7 @@ def _check_optimal_at(point, label, bottom, seeded, mutate):
 @pytest.mark.parametrize("name,op", REGISTERED)
 def test_registered_delta_mutators_are_optimal(name, op, point):
     key, store = seeded_value(name)
-    spec = TYPE_REGISTRY[name]
+    spec = SPECS[name]
     args, _ = WRITES[name][1][op]
     _check_optimal_at(
         point,

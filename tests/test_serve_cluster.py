@@ -162,6 +162,38 @@ def test_an_acked_write_survives_sigkill_of_every_owner(replication, w):
                 assert cluster.value("gct:x", read_replica=owner) == 12, owner
 
 
+def test_a_respawn_folds_each_wal_count_once():
+    """The ``wal.*`` sums hold counters only: a killed incarnation's
+    counts fold in once, and its successor's replay reads exactly the
+    log bytes the predecessor left on disk."""
+    with ProcessCluster(2, shards=4, replication=2, recovery="wal") as cluster:
+        with make_client(cluster, shards=4, replication=2) as client:
+            for i in range(20):
+                client.put(f"gct:{i}", "increment", 1)
+            for _ in range(2):
+                cluster.run_round(None)
+            before = cluster.wal_stats()
+            cluster.crash(1, lose_state=True)
+            logs = wal_path(cluster.run_dir, 1)
+            on_disk = sum(
+                os.path.getsize(os.path.join(logs, name))
+                for name in os.listdir(logs)
+                if name.endswith(".wal")
+            )
+            cluster.recover(1)
+            after = cluster.wal_stats()
+    assert on_disk > 0
+    assert set(after) == {
+        "wal_committed_bytes", "wal_replayed_bytes", "wal_records",
+        "wal_compactions", "wal_discarded_records", "wal_fences",
+        "wal_replays", "wal_commits", "wal_corrupt_tails",
+    }
+    assert after["wal_replayed_bytes"] == before["wal_replayed_bytes"] + on_disk
+    # Recovery replays and writes nothing: the dead incarnation's
+    # commits are counted once, by the fold.
+    assert after["wal_committed_bytes"] == before["wal_committed_bytes"]
+
+
 def test_wal_dir_flock_excludes_second_opener(tmp_path):
     with make_cluster(run_dir=str(tmp_path)) as cluster:
         wal_dir = wal_path(cluster.run_dir, 0)

@@ -5,9 +5,9 @@ wall clock, OS entropy or environment read in the deterministic core; async-bloc
 blocking call directly in an ``async def`` (nested defs run elsewhere); broad-except: a broad
 handler re-raises, uses the bound exception or records the failure; unused-import: every
 imported name is read, listed in ``__all__`` or named in a string annotation (``__init__.py``
-re-exports, ``__future__`` and ``# noqa: F401`` lines are exempt).  ``tests/`` and
-``benchmarks/`` may read clocks and block, so they hold det-rng and broad-except only, and
-``tests/`` unused-import too.
+re-exports, ``__future__`` and ``# noqa: F401`` lines are exempt).  ``examples/`` holds all
+five.  ``tests/`` and ``benchmarks/`` may read clocks and block, so they hold det-rng,
+broad-except and unused-import only.
 """
 
 import ast
@@ -17,7 +17,9 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 RULES = ("det-rng", "det-clock", "async-blocking", "broad-except")
-RELAXED = ("det-rng", "broad-except")
+RELAXED = ("det-rng", "broad-except", "unused-import")
+#: Known findings in files that may not change here, each waiting for its own fix.
+EXEMPT = {("benchmarks/perf/run.py", 43, "unused-import")}  # its unused ``List``
 GLOBAL_RNG = {f"random.{name}" for name in (
     "random randint randrange choice choices shuffle sample uniform triangular betavariate "
     "expovariate gammavariate gauss lognormvariate normalvariate vonmisesvariate "
@@ -125,10 +127,12 @@ def findings(path, source, rules=RULES):
 
 
 @pytest.mark.parametrize("tree, rules", [
-    ("src/repro", (*RULES, "unused-import")), ("tests", (*RELAXED, "unused-import")), ("benchmarks", RELAXED)])
+    ("src/repro", (*RULES, "unused-import")), ("tests", RELAXED), ("benchmarks", RELAXED),
+    ("examples", (*RULES, "unused-import"))])
 def test_tree_holds_the_invariants(tree, rules):
     paths = sorted((ROOT / tree).rglob("*.py"))
-    found = [f for p in paths for f in findings(p.relative_to(ROOT).as_posix(), p.read_text(), rules)]
+    found = [f for p in paths for f in findings(p.relative_to(ROOT).as_posix(), p.read_text(), rules)
+             if f not in EXEMPT]
     assert paths
     assert not found, "\n".join(f"{p}:{line}: {rule}" for p, line, rule in found)
 

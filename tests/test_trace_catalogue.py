@@ -29,7 +29,7 @@ TRACE_SMOKE = dict(
 def _experiment(tmp_path, name, scale, **fields):
     entry = EXPERIMENTS[name]
     path = str(tmp_path / f"{name}.jsonl")
-    entry.run(build_config(entry.config, {**fields, "trace": path}, entry.scales[scale]))
+    entry.run(build_config(entry.config, {**entry.scales[scale], **fields, "trace": path}))
     return read_trace(path)
 
 

@@ -51,6 +51,12 @@ def delta_batches(family):
     return st.lists(ALL_LATTICE_STRATEGIES[family], min_size=1, max_size=8)
 
 
+def count(owner, name):
+    """A ``wal.*`` counter of a log's or a replica WAL's registry (every
+    test here writes one shard, so the replica's sums are the log's)."""
+    return owner.registry.counter("wal." + name).value
+
+
 def join_all(deltas):
     state = deltas[0]
     for delta in deltas[1:]:
@@ -132,7 +138,7 @@ class TestGroupCommit:
         assert wal.discard_staged() == 1
         wal.commit()
         assert wal.replay(0) == SetLattice({"durable"})
-        assert wal.stats()["wal_discarded_records"] == 1
+        assert count(wal, "wal_discarded_records") == 1
 
     def test_commit_batches_one_append_per_shard(self):
         storage = MemoryStorage()
@@ -140,8 +146,8 @@ class TestGroupCommit:
         for i in range(5):
             wal.append(1, SetLattice({f"e{i}"}))
         wal.commit()
-        assert wal.log(1).commits == 1
-        assert wal.log(1).records_committed == 5
+        assert count(wal, "wal_commits") == 1
+        assert count(wal, "wal_records") == 5
 
     def test_shards_have_independent_logs(self):
         wal = ReplicaWal(0)
@@ -171,7 +177,10 @@ def test_committed_image_is_the_records_of_the_staged_values(family, data):
     expected = b"".join(pack_record(encode(delta)) for delta in deltas)
     assert log.commit() == len(expected)
     assert log.storage.read(log.name) == expected
-    assert (log.records_committed, log.committed_bytes) == (len(deltas), len(expected))
+    assert (count(log, "wal_records"), count(log, "wal_committed_bytes")) == (
+        len(deltas),
+        len(expected),
+    )
     assert log.replay() == join_all(deltas)
 
 
@@ -186,7 +195,7 @@ class TestEncodeAtCommit:
         with pytest.raises(UnsupportedType):
             log.commit()
         assert log.storage.read(log.name) == image
-        assert (log.records_committed, log.commits) == (1, 1)
+        assert (count(log, "wal_records"), count(log, "wal_commits")) == (1, 1)
         assert log.staged_records == 2
         assert log.discard_staged() == 2
         assert log.commit() == 0
@@ -224,7 +233,7 @@ class TestCorruptTail:
         wal.storage.replace(log.name, image[:-3])  # tear the last record
         log._size = None
         assert wal.replay(0) == SetLattice({"a", "b"})
-        assert log.corrupt_tails_dropped == 1
+        assert count(log, "wal_corrupt_tails") == 1
 
     def test_bit_flip_in_tail_is_caught_by_crc(self):
         wal, log = self.committed("a", "b")
@@ -233,7 +242,7 @@ class TestCorruptTail:
         wal.storage.replace(log.name, bytes(image))
         log._size = None
         assert wal.replay(0) == SetLattice({"a"})
-        assert log.corrupt_tails_dropped == 1
+        assert count(log, "wal_corrupt_tails") == 1
 
     def test_junk_appended_after_commit_is_dropped(self):
         wal, log = self.committed("a")
@@ -249,7 +258,7 @@ class TestCorruptTail:
         wal.append(0, SetLattice({"c"}))
         wal.commit()
         assert wal.replay(0) == SetLattice({"a", "b", "c"})
-        assert log.corrupt_tails_dropped == 1
+        assert count(log, "wal_corrupt_tails") == 1
 
     def test_unpack_reports_the_clean_prefix(self):
         records = pack_record(b"one") + pack_record(b"two")
@@ -271,7 +280,7 @@ class TestCorruptTail:
         reopened.append(0, SetLattice({"b"}))
         reopened.commit()  # must truncate the junk before appending
         assert reopened.replay(0) == SetLattice({"a", "b"})
-        assert reopened.log(0).corrupt_tails_dropped == 1
+        assert count(reopened, "wal_corrupt_tails") == 1
 
     def test_crc_valid_but_undecodable_record_ends_the_prefix(self):
         """A record that passes its checksum but no longer decodes must
@@ -281,7 +290,7 @@ class TestCorruptTail:
         wal.append(0, SetLattice({"after"}))
         wal.commit()  # commits behind the bad record
         assert wal.replay(0) == SetLattice({"a", "b"})  # prefix only
-        assert log.corrupt_tails_dropped == 1
+        assert count(log, "wal_corrupt_tails") == 1
         # The bad record (and what sat behind it) was truncated away, so
         # later commits land on a clean image again.
         wal.append(0, SetLattice({"c"}))
@@ -299,7 +308,7 @@ class TestCorruptTail:
         reopened.append(0, SetLattice({"after-reopen"}))
         reopened.commit()
         assert reopened.replay(0) == SetLattice({"a", "b", "after-reopen"})
-        assert reopened.log(0).corrupt_tails_dropped == 1
+        assert count(reopened, "wal_corrupt_tails") == 1
 
     def test_whole_log_corrupt_replays_to_nothing(self):
         wal, log = self.committed("a")
@@ -322,8 +331,8 @@ class TestCompaction:
             wal.append(0, SetLattice({f"element-{i}"}))
         wal.commit()
         log = wal.log(0)
-        assert log.compactions >= 1
-        assert log.size_bytes() <= log.committed_bytes
+        assert count(log, "wal_compactions") >= 1
+        assert log.size_bytes() <= count(log, "wal_committed_bytes")
         assert wal.replay(0) == SetLattice({f"element-{i}" for i in range(12)})
 
     def test_compaction_shrinks_redundant_logs(self):
@@ -356,7 +365,7 @@ class TestCompaction:
             wal.append(0, SetLattice({element}))
         wal.commit()
         log = wal.log(0)
-        assert log.compactions == 1  # folded once on the way in...
+        assert count(log, "wal_compactions") == 1  # folded once on the way in...
         assert log.size_bytes() > 64  # ...and the image stays oversized
         assert log._compact_floor == log.size_bytes()
 
@@ -389,7 +398,7 @@ class TestCompaction:
         recovered = ReplicaWal(0, storage=FileStorage(str(tmp_path)))
         state = recovered.replay(0)
         assert state == SetLattice({f"e{i}" for i in range(6)})
-        assert recovered.log(0).records_committed == 0  # reopened, not rewritten
+        assert count(recovered, "wal_records") == 0  # reopened, not rewritten
         # And the interrupted compaction can simply run again.
         assert recovered.compact(0)
         assert recovered.replay(0) == state
