@@ -1,8 +1,9 @@
 """Ablation — synchronization granularity for multi-object stores.
 
-DESIGN.md calls out a key modelling decision for the Retwis deployment:
-Algorithm 1 must run *per object* (as in the paper's 30 000-CRDT
-deployment), not over one store-wide composed CRDT.  This bench
+The Retwis deployment rests on one modelling decision: Algorithm 1
+must run *per object* (as in the paper's 30 000-CRDT deployment, and as
+``repro.sync.keyed_classic`` / ``keyed_bp_rr`` do), not over one
+store-wide composed CRDT.  This bench
 quantifies why: with a store-wide inflation check, one hot object drags
 every cold object's δ-groups back into the buffer, so classic collapses
 even at low contention; with per-object checks, classic only pays for

@@ -19,9 +19,9 @@ rights of replica ``i`` are::
 
 Every mutator checks the rights invariant before producing a delta, and
 every delta is optimal (one map entry), so the type drops into any of
-the library's synchronizers.  This is the ``bcounter`` extension listed
-in DESIGN.md §3.2; the single-writer discipline per map entry is the
-same one Appendix B of the paper invokes for lexicographic counters.
+the library's synchronizers.  The single-writer discipline per map
+entry is the same one Appendix B of the paper invokes for lexicographic
+counters.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ Four pieces, all optional and all off by default:
 * :mod:`repro.obs.trace` — the structured JSONL event stream
   (:class:`Tracer` writing to a :class:`TraceSink`);
 * :mod:`repro.obs.metrics` — the per-replica
-  :class:`MetricsRegistry` of counters/gauges/histograms that the
-  scheduler and WAL stats now live in;
+  :class:`MetricsRegistry` of counters that the scheduler and WAL
+  stats live in;
 * :mod:`repro.obs.lag` — the :class:`ConvergenceProbe` sampling
   per-shard root-hash agreement;
 * :mod:`repro.obs.report` — post-processing that re-derives the
@@ -14,7 +14,7 @@ Four pieces, all optional and all off by default:
 """
 
 from repro.obs.lag import ConvergenceProbe
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.report import (
     kind_totals,
     render_report,
@@ -40,8 +40,6 @@ __all__ = [
     "Counter",
     "EVENT_TYPES",
     "FileTraceSink",
-    "Gauge",
-    "Histogram",
     "MemoryTraceSink",
     "MetricsRegistry",
     "TraceEvent",

@@ -483,12 +483,13 @@ class ProcessCluster(KVDriver):
     # Faults.
     # ------------------------------------------------------------------
 
-    def crash(self, node: int, *, lose_state: bool = True) -> None:
+    def crash(self, node: int, *, lose_state: bool) -> None:
         """SIGKILL the replica process.
 
         A real process death always loses memory and staged WAL
-        records; ``lose_state`` exists for driver compatibility and
-        must be True — a warm crash has no process-level analogue.
+        records; ``lose_state`` is required on every backend, so a call
+        says which crash it means, and here it must be True — a warm
+        crash has no process-level analogue.
         The WAL directory survives on disk, which is exactly the
         ``lose_state=True``-with-durable-disk model of the in-process
         harness.

@@ -327,15 +327,17 @@ class Cluster(ClusterDriver):
     # Fault injection: crashes and network partitions.
     # ------------------------------------------------------------------
 
-    def crash(self, node: int, lose_state: bool = False) -> None:
+    def crash(self, node: int, *, lose_state: bool) -> None:
         """Take ``node`` down: it stops ticking, sending, and receiving.
 
-        With ``lose_state`` the replica loses its in-memory state and is
-        rebuilt fresh; what the rebuilt replica comes back *holding* is
-        the recovery policy's call (:meth:`_restore_for`) — the base
-        cluster has no durable layer, so it restarts from bottom and
-        leans entirely on protocol-level repair.  Without ``lose_state``
-        it resumes from the state it crashed with (process restart).
+        ``lose_state`` has no default, so every call says which crash it
+        means.  With ``lose_state=True`` the replica loses its in-memory
+        state and is rebuilt fresh; what the rebuilt replica comes back
+        *holding* is the recovery policy's call (:meth:`_restore_for`) —
+        the base cluster has no durable layer, so it restarts from
+        bottom and leans entirely on protocol-level repair.  With
+        ``lose_state=False`` it resumes from the state it crashed with
+        (a warm restart).
         """
         self.transport.crash(node)
         if lose_state:

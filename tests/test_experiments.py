@@ -106,8 +106,9 @@ class TestFigure7:
         state = figure7.ratio("gset", "mesh", "state-based")
         assert classic > 0.9 * state
 
-    def test_bp_suffices_on_tree(self, figure7):
-        assert figure7.ratio("gset", "tree", "delta-based-bp") == 1.0
+    @pytest.mark.parametrize("workload", ["gset", "gcounter"])
+    def test_bp_suffices_on_tree(self, figure7, workload):
+        assert figure7.ratio(workload, "tree", "delta-based-bp") == 1.0
 
     def test_bp_has_little_effect_on_mesh(self, figure7):
         bp = figure7.ratio("gset", "mesh", "delta-based-bp")

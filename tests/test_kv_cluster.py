@@ -12,6 +12,7 @@ through the scheduler's repair pushes.
 
 from collections import defaultdict
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.kv import AntiEntropyConfig, HashRing, KVCluster, KVUpdate
@@ -105,7 +106,7 @@ def test_crash_and_recover_converges(scenario):
     victim = next(
         r for r in reversed(ring.replicas) if r != ring.coordinator("set:9")
     )
-    cluster.crash(victim)
+    cluster.crash(victim, lose_state=False)
     cluster.update("set:9", "add", "while-down")
     cluster.run_round(updates=None)
     assert cluster.converged()  # judged over live replicas only
@@ -189,7 +190,7 @@ class TestFaultBookkeeping:
         ring = HashRing(range(4), n_shards=4, replication=2)
         cluster = KVCluster(ring, keyed_bp_rr)
         owner = ring.coordinator("set:x")
-        cluster.crash(owner)
+        cluster.crash(owner, lose_state=False)
         cluster.run_round(
             lambda node: (KVUpdate("set:x", "add", ("lost",)),)
             if node == owner
@@ -197,13 +198,18 @@ class TestFaultBookkeeping:
         )
         assert cluster.updates_skipped == 1
 
+    def test_a_crash_must_say_whether_it_loses_state(self):
+        cluster = KVCluster(HashRing(range(2), n_shards=2, replication=2), keyed_bp_rr)
+        with pytest.raises(TypeError, match="lose_state"):
+            cluster.crash(0)
+
 
 class TestRouting:
     def test_updates_route_to_live_owners(self):
         ring = HashRing(range(4), n_shards=8, replication=2)
         cluster = KVCluster(ring, keyed_bp_rr)
         first, second = ring.owners("cnt:x")
-        cluster.crash(first)
+        cluster.crash(first, lose_state=False)
         cluster.update("cnt:x", "increment", 4)
         assert cluster.value("cnt:x") == 4  # served by the second owner
 
@@ -214,7 +220,7 @@ class TestRouting:
         ring = HashRing(range(3), n_shards=4, replication=1)
         cluster = KVCluster(ring, keyed_bp_rr)
         [only_owner] = ring.owners("cnt:x")
-        cluster.crash(only_owner)
+        cluster.crash(only_owner, lose_state=False)
         with pytest.raises(Unavailable):
             cluster.update("cnt:x", "increment")
 
@@ -291,7 +297,7 @@ class TestReadReplica:
         from repro.kv import Unavailable
 
         owner = ring.owners("set:pin")[0]
-        cluster.crash(owner)
+        cluster.crash(owner, lose_state=False)
         with pytest.raises(Unavailable):
             cluster.value("set:pin", read_replica=owner)
         # The unpinned read still finds a live owner.

@@ -152,7 +152,7 @@ class TestLiveAdd:
             cluster.add_replica(9)
         with pytest.raises(ValueError, match="already a member"):
             cluster.add_replica(2)
-        cluster.crash(4)
+        cluster.crash(4, lose_state=False)
         with pytest.raises(ValueError, match="crashed node 4"):
             cluster.add_replica(4)
 
@@ -244,7 +244,7 @@ class TestLiveDecommission:
             for shard in owned
         }
         assert any(size > 0 for size in sizes.values())
-        cluster.crash(victim)
+        cluster.crash(victim, lose_state=False)
         report = cluster.decommission_replica(victim)
         # rf=1: no live old owner — every moved shard is unsourced.
         assert report.unsourced

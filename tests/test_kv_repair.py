@@ -450,7 +450,7 @@ class TestRepairByteAccounting:
             cluster.run_round(updates=None)
         base = cluster.scheduler_stats()["repair_payload_bytes"]
         assert base > 0
-        cluster.crash(1)
+        cluster.crash(1, lose_state=False)
         for _ in range(3):
             cluster.run_round(updates=None)
         assert cluster.messages_blocked > 0

@@ -21,6 +21,8 @@ is transport-independent:
   the ratio is asserted inside the documented band below.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.driver import Stepped
@@ -150,8 +152,10 @@ class TestLossScheduleIsTrafficPure:
         )
 
 
-def test_tcp_survives_the_fault_schedule():
-    """Partition + heal + crash(lose_state) + recover over real sockets."""
+@pytest.mark.parametrize("mode", ["digest", "wal"])
+def test_tcp_survives_the_fault_schedule(mode):
+    """Partition + heal + crash(lose_state) + recover over real sockets,
+    counted as the simulator counts the same schedule."""
     from repro.experiments.kv_sweep import KVConfig, run_kv_repair_cell
 
     config = KVConfig(
@@ -163,9 +167,14 @@ def test_tcp_survives_the_fault_schedule():
         replication=2,
         repair_interval=2,
         repair_fanout=8,
-        deployment=Stepped.TCP,
     )
-    cell = run_kv_repair_cell(config, "delta-based-bp-rr", "digest")
-    assert cell.converged
-    assert cell.probes > 0
-    assert cell.repair_payload_bytes > 0
+    sim = run_kv_repair_cell(config, "delta-based-bp-rr", mode)
+    tcp = run_kv_repair_cell(
+        replace(config, deployment=Stepped.TCP), "delta-based-bp-rr", mode
+    )
+    assert tcp.converged and sim.converged
+    assert tcp.probes > 0
+    assert tcp.repair_payload_bytes > 0
+    assert (tcp.wal_replayed_bytes > 0) == (mode == "wal")
+    for field in ("drain_rounds", "repairs", "probes", "wal_replayed_bytes"):
+        assert getattr(tcp, field) == getattr(sim, field), field

@@ -170,7 +170,7 @@ class TestTcpTransport:
         cluster = Cluster(ClusterConfig(line(2)), Watchful, SetLattice(), "tcp")
         try:
             cluster.apply_update(0, lambda state: SetLattice({"a"}))
-            cluster.crash(1)
+            cluster.crash(1, lose_state=False)
             cluster.run_round(updates=None)
             assert cluster.messages_blocked > 0
             assert (0, 1) in notified
@@ -196,7 +196,7 @@ class TestTcpTransport:
     def test_updates_on_down_nodes_are_skipped(self):
         cluster = Cluster(ClusterConfig(line(2)), StateBased, SetLattice(), "tcp")
         try:
-            cluster.crash(0)
+            cluster.crash(0, lose_state=False)
             cluster.run_round(lambda node: [lambda s: SetLattice({"x"})])
             assert cluster.updates_skipped == 1
         finally:

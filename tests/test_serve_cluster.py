@@ -97,6 +97,12 @@ def test_cluster_converges_under_client_load():
             assert report.ops == 45
 
 
+
+def test_a_crash_must_say_whether_it_loses_state():
+    # The signature refuses the call before any process is touched.
+    with pytest.raises(TypeError, match="lose_state"):
+        ProcessCluster.crash(object.__new__(ProcessCluster), 0)
+
 def test_sigkill_respawn_recovers_from_wal():
     errors = []
     with make_cluster() as cluster:

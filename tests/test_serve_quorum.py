@@ -122,7 +122,7 @@ class TestReadReplicaErrorPaths:
     def test_crashed_pin_is_unavailable_and_names_the_replica(self):
         ring, cluster = self.make()
         owner = ring.owners("set:pin")[0]
-        cluster.crash(owner)
+        cluster.crash(owner, lose_state=False)
         with pytest.raises(Unavailable) as excinfo:
             cluster.value("set:pin", read_replica=owner)
         assert f"read replica {owner} of key 'set:pin' is down" in str(

@@ -171,7 +171,7 @@ class TestFaultCounters:
         # Dispatch while the link is up, crash before delivery: the
         # in-flight message dies to the fault, not to network loss.
         cluster._dispatch(0, cluster.nodes[0].sync_messages())
-        cluster.crash(1)
+        cluster.crash(1, lose_state=False)
         cluster.queue.run(until=cluster.queue.now + 1000.0)
         assert cluster.messages_severed == 1
         assert cluster.messages_dropped == 0
@@ -185,7 +185,7 @@ class TestFaultCounters:
 
         cluster = Cluster(ClusterConfig(line(2)), Watchful, GSetWorkload(2, 1).bottom())
         cluster.apply_update(0, GSetWorkload(2, 1).updates_for(0, 0)[0])
-        cluster.crash(1)
+        cluster.crash(1, lose_state=False)
         cluster.run_round(updates=None)
         assert cluster.messages_blocked > 0
         assert (0, 1) in notified

@@ -53,7 +53,7 @@ def _crash_in_flight():
     cluster, sink = _gset_pair()
     cluster.apply_update(0, GSetWorkload(2, 1).updates_for(0, 0)[0])
     cluster._dispatch(0, cluster.nodes[0].sync_messages())
-    cluster.crash(1)
+    cluster.crash(1, lose_state=False)
     cluster.queue.run(until=cluster.queue.now + 1000.0)
     return read_trace(sink)
 
