@@ -7,12 +7,29 @@ of ``∆`` uniformly across all types.  Strategies for a given lattice
 always draw from one fixed parameterization (same key space, same
 bottoms), so any two generated values belong to the *same* lattice and
 can be joined.
+
+Causal states are the exception: a dot names one event of one
+execution, so two states drawn from independent runs reuse dots for
+different events, and their join fails (``Atom`` refuses two values
+under one dot) or means nothing.  A causal family therefore draws an
+execution over three replicas first and every value it hands out from
+that one run; :func:`lattice_lists` is how a test asks for several
+values of one family that may be joined.
 """
 
 from __future__ import annotations
 
 from hypothesis import strategies as st
 
+from repro.causal import (
+    AWSet,
+    CausalMVRegister,
+    CCounter,
+    DWFlag,
+    EWFlag,
+    ORMap,
+    RWSet,
+)
 from repro.lattice import (
     Bool,
     Chain,
@@ -59,6 +76,97 @@ max_elements = st.frozensets(
     st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24]), max_size=4
 ).map(lambda s: MaxElements(s, dominates=_divides))
 
+# ---------------------------------------------------------------------------
+# Causal strategies: every state one random execution passes through.
+# ---------------------------------------------------------------------------
+
+REPLICAS = ("A", "B", "C")
+_ARGS = ("x", "y", "z")
+#: The nested map's keys, one per value type, named by a script argument.
+_ORMAP_KEYS = dict(zip(_ARGS, ("set", "reg", "map")))
+
+
+def _executions(bottom, mutators):
+    """Each draw: the states of one run of a script over three replicas.
+
+    A script step either runs ``mutators[i](replica, state, arg)`` at one
+    replica and joins the δ in, or merges one replica's state into
+    another's; the pool holds ⊥ and the state after every step.
+    """
+    step = st.one_of(
+        st.tuples(
+            st.integers(0, len(mutators) - 1),
+            st.sampled_from(REPLICAS),
+            st.sampled_from(_ARGS),
+        ),
+        st.tuples(st.none(), st.sampled_from(REPLICAS), st.sampled_from(REPLICAS)),
+    )
+
+    def run(script):
+        states = dict.fromkeys(REPLICAS, bottom)
+        pool = [bottom]
+        for op, replica, arg in script:
+            if op is None:
+                states[arg] = states[arg].join(states[replica])
+                pool.append(states[arg])
+            else:
+                state = states[replica]
+                states[replica] = state.join(mutators[op](replica, state, arg))
+                pool.append(states[replica])
+        return pool
+
+    return st.lists(step, max_size=14).map(run)
+
+
+#: Causal family → one execution's states (AWSet, RWSet, both flags, the
+#: multi-value register, the causal counter and a map nesting an AWSet,
+#: a register and a map of flags).
+CAUSAL_EXECUTIONS = {
+    "AWSet": _executions(
+        AWSet.bottom(),
+        (AWSet.add, AWSet.remove, lambda replica, state, _: AWSet.clear(replica, state)),
+    ),
+    "RWSet": _executions(RWSet.bottom(), (RWSet.add, RWSet.remove)),
+    "EWFlag": _executions(
+        EWFlag.bottom(),
+        (
+            lambda replica, state, _: EWFlag.enable(replica, state),
+            lambda replica, state, _: EWFlag.disable(replica, state),
+        ),
+    ),
+    "DWFlag": _executions(
+        DWFlag.bottom(),
+        (
+            lambda replica, state, _: DWFlag.disable(replica, state),
+            lambda replica, state, _: DWFlag.enable(replica, state),
+        ),
+    ),
+    "MVRegister": _executions(CausalMVRegister.bottom(), (CausalMVRegister.write,)),
+    "CCounter": _executions(
+        CCounter.bottom(),
+        (
+            lambda replica, state, _: CCounter.increment(replica, state),
+            lambda replica, state, _: CCounter.reset(replica, state),
+        ),
+    ),
+    "ORMap": _executions(
+        ORMap.bottom(),
+        (
+            lambda replica, state, arg: ORMap.update(replica, state, "set", AWSet, "add", arg),
+            lambda replica, state, arg: ORMap.update(replica, state, "set", AWSet, "remove", arg),
+            lambda replica, state, arg: ORMap.update(
+                replica, state, "reg", CausalMVRegister, "write", arg
+            ),
+            lambda replica, state, arg: ORMap.update(
+                replica, state, "map", ORMap, "update", arg, EWFlag, "enable"
+            ),
+            lambda replica, state, arg: ORMap.update(replica, state, "map", ORMap, "remove", arg),
+            lambda replica, state, arg: ORMap.remove(replica, state, _ORMAP_KEYS[arg]),
+            lambda replica, state, _: ORMap.clear(replica, state),
+        ),
+    ),
+}
+
 #: Every lattice construct, each drawn from one consistent parameterization.
 ALL_LATTICE_STRATEGIES = {
     "MaxInt": max_ints,
@@ -72,7 +180,24 @@ ALL_LATTICE_STRATEGIES = {
     "LexPair": lex_pairs,
     "LinearSum": linear_sums,
     "MaxElements": max_elements,
+    **{
+        family: executions.flatmap(st.sampled_from)
+        for family, executions in CAUSAL_EXECUTIONS.items()
+    },
 }
+
+
+def lattice_lists(family: str, *, min_size: int, max_size: int):
+    """Values of one family that may be joined with each other.
+
+    A causal family draws them all from one execution (see the module
+    docstring); every other family draws them independently.
+    """
+    if family in CAUSAL_EXECUTIONS:
+        return CAUSAL_EXECUTIONS[family].flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=min_size, max_size=max_size)
+        )
+    return st.lists(ALL_LATTICE_STRATEGIES[family], min_size=min_size, max_size=max_size)
 
 any_lattice_family = st.sampled_from(sorted(ALL_LATTICE_STRATEGIES))
 

@@ -34,13 +34,11 @@ from repro.sync.digest import (
     root_of,
 )
 
-from conftest import ALL_LATTICE_STRATEGIES
+from conftest import ALL_LATTICE_STRATEGIES, lattice_lists
 
 
 def values_from(family: str, *, min_size=1, max_size=8):
-    return st.lists(
-        ALL_LATTICE_STRATEGIES[family], min_size=min_size, max_size=max_size
-    )
+    return lattice_lists(family, min_size=min_size, max_size=max_size)
 
 
 family_and_values = st.sampled_from(sorted(ALL_LATTICE_STRATEGIES)).flatmap(

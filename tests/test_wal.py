@@ -40,7 +40,7 @@ from repro.wal import log as wal_log
 from repro.wal import storage as wal_storage
 from repro.wal.storage import StorageLockError
 
-from conftest import ALL_LATTICE_STRATEGIES
+from conftest import ALL_LATTICE_STRATEGIES, lattice_lists
 
 #: MaxElements has no wire format (its order is an arbitrary function).
 SERIALIZABLE_FAMILIES = sorted(set(ALL_LATTICE_STRATEGIES) - {"MaxElements"})
@@ -48,7 +48,7 @@ SERIALIZABLE_FAMILIES = sorted(set(ALL_LATTICE_STRATEGIES) - {"MaxElements"})
 
 def delta_batches(family):
     """1-8 deltas of one family — a shard's worth of WAL appends."""
-    return st.lists(ALL_LATTICE_STRATEGIES[family], min_size=1, max_size=8)
+    return lattice_lists(family, min_size=1, max_size=8)
 
 
 def count(owner, name):
