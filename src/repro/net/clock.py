@@ -20,9 +20,9 @@ run two execution models:
   barrier to settle to.  This is the paper's actual deployment shape:
   nodes synchronize "every second" by their own clock, not in lockstep.
 
-A clock is attached to every :class:`~repro.net.runtime.ReplicaRuntime`
-at bind time; transports read timer targets exclusively through that
-per-runtime seam, never from their own config arithmetic.
+An event-driven transport holds one clock for all its replicas and
+reads every timer target from it (``clock.update_at(round, node)``,
+``clock.sync_at(tick, node)``), never from its own config arithmetic.
 
 The timing itself is fixed, as in the paper's one deployment: the sync
 interval (:data:`SYNC_INTERVAL_MS`), the simulated link latency

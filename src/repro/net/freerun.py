@@ -83,7 +83,7 @@ class FreeRunTransport(SimTransport):
                 if not mutators:
                     continue
                 self.queue.schedule(
-                    self.runtimes[node].clock.update_at(self._round, node),
+                    self.clock.update_at(self._round, node),
                     self._update_action,
                     payload=(node, tuple(mutators)),
                 )
@@ -102,7 +102,7 @@ class FreeRunTransport(SimTransport):
     def _arm(self, node: int) -> None:
         tick = self._ticks.get(node, 0)
         self.queue.schedule(
-            self.runtimes[node].clock.sync_at(tick, node),
+            self.clock.sync_at(tick, node),
             self._tick_action,
             payload=node,
         )

@@ -26,7 +26,6 @@ from repro.sim.metrics import MetricsCollector
 from repro.sync.protocol import DeltaMutator, Message, Synchronizer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.net.clock import TickClock
     from repro.net.transport import Transport
     from repro.obs.metrics import MetricsRegistry
 
@@ -48,13 +47,6 @@ class ReplicaRuntime:
         self.synchronizer = synchronizer
         self.collector = collector
         self.transport: Optional["Transport"] = None
-        #: This replica's step policy (:class:`~repro.net.clock.
-        #: TickClock`), attached by the transport at bind time.  The
-        #: transport reads every timer target through this seam — when
-        #: the replica's workload updates land, when its periodic
-        #: synchronization timer fires — so the same event engine can
-        #: run barrier-stepped rounds or free-running drifting timers.
-        self.clock: Optional["TickClock"] = None
 
     @property
     def replica(self) -> int:

@@ -40,16 +40,12 @@ class SimTransport(Transport):
         super().__init__(config, metrics)
         self.queue = EventQueue()
         self._round = 0
-        #: The step policy every bound runtime shares.  The base
+        #: The step policy of every replica: when its workload updates
+        #: land and when its synchronization timer fires.  The base
         #: transport drives barrier-stepped rounds; a subclass swaps in
         #: another clock to change the execution model without touching
         #: the event engine.
         self.clock: TickClock = RoundStepClock()
-
-    def bind(self, runtimes) -> None:
-        super().bind(runtimes)
-        for runtime in self.runtimes.values():
-            runtime.clock = self.clock
 
     # ------------------------------------------------------------------
     # Driving the simulation.
@@ -66,14 +62,14 @@ class SimTransport(Transport):
                 if not mutators:
                     continue
                 self.queue.schedule(
-                    self.runtimes[node].clock.update_at(self._round, node),
+                    self.clock.update_at(self._round, node),
                     self._update_action,
                     payload=(node, tuple(mutators)),
                 )
 
         for node in range(self.topology.n):
             self.queue.schedule(
-                self.runtimes[node].clock.sync_at(self._round, node),
+                self.clock.sync_at(self._round, node),
                 self._sync_action,
                 payload=node,
             )

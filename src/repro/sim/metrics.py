@@ -69,13 +69,8 @@ class MemorySample:
 
 @dataclass
 class NodeMetrics:
-    """Per-node aggregates, accumulated as the simulation runs."""
+    """Per-node processing cost, accumulated as the simulation runs."""
 
-    messages_sent: int = 0
-    payload_units_sent: int = 0
-    payload_bytes_sent: int = 0
-    metadata_bytes_sent: int = 0
-    messages_received: int = 0
     processing_units: int = 0
     processing_seconds: float = 0.0
 
@@ -97,12 +92,6 @@ class MetricsCollector:
 
     def record_message(self, record: MessageRecord) -> None:
         self.messages.append(record)
-        sender = self.per_node[record.src]
-        sender.messages_sent += 1
-        sender.payload_units_sent += record.payload_units
-        sender.payload_bytes_sent += record.payload_bytes
-        sender.metadata_bytes_sent += record.metadata_bytes
-        self.per_node[record.dst].messages_received += 1
 
     def record_processing(self, node: int, units: int, seconds: float) -> None:
         entry = self.per_node[node]
