@@ -17,11 +17,11 @@ writing a driver script::
 The registry is :data:`repro.experiments.EXPERIMENTS`; each entry's
 frozen config type names the fields ``--set`` and ``--config`` accept
 and refuses every illegal combination (exit 2 with the reason).  Each
-run prints the same plain-text table the corresponding
-``benchmarks/bench_*.py`` target produces.  ``--scale`` selects the
-entry's preset: ``ci`` (seconds, shape-preserving), ``default`` (the
-config's defaults), and ``paper`` (the paper's full 15/50-node
-deployments; minutes; paper artifacts only).
+run prints one plain-text table; ``tests/test_experiments.py`` asserts
+the paper's claims on the same runners at small sizes.  ``--scale``
+selects the entry's preset: ``ci`` (seconds, shape-preserving),
+``default`` (the config's defaults), and ``paper`` (the paper's full
+15/50-node deployments; minutes; ``run all`` entries only).
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ Driver         Paper artifact
 ``figure11``   Fig. 11 — Retwis bandwidth and memory vs Zipf contention
 ``figure12``   Fig. 12 — Retwis CPU overhead of classic vs BP+RR
 ``appendixb``  App. B — the Figure 7 grid on causal (add/remove) data
+``ablations``  pairwise digest sync; Algorithm 1 per object vs per store
 =============  ===========================================================
 
 The kv store scenarios (``kv_sweep``, ``kv_rebalance``, ``kv_serve``)
@@ -33,6 +34,14 @@ runs are deterministic.
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, Mapping
 
+from repro.experiments.ablations import (
+    DigestAblationConfig,
+    DigestAblationResult,
+    GranularityConfig,
+    GranularityResult,
+    run_ablation_digest,
+    run_ablation_granularity,
+)
 from repro.experiments.appendixb import AppendixBResult, run_appendixb
 from repro.experiments.figure1 import Figure1Result, run_figure1
 from repro.experiments.figure7 import Figure7Result, run_figure7
@@ -102,11 +111,10 @@ class Experiment:
 
 _MICRO_SCALES = {"ci": {"nodes": 8, "rounds": 10}, "default": {}, "paper": {"rounds": 100}}
 
+_RETWIS_CI = {"nodes": 10, "users": 120, "rounds": 10, "ops_per_node": 6}
+
 _RETWIS_SCALES = {
-    "ci": {
-        "nodes": 10, "users": 120, "rounds": 10, "ops_per_node": 6,
-        "coefficients": (0.5, 1.0, 1.5),
-    },
+    "ci": {**_RETWIS_CI, "coefficients": (0.5, 1.0, 1.5)},
     "default": {},
     "paper": {**asdict(RetwisConfig.paper_scale()), "coefficients": PAPER_COEFFICIENTS},
 }
@@ -115,6 +123,18 @@ _RETWIS_SCALES = {
 #: Every experiment ``repro list`` names and ``repro run`` runs: the
 #: paper's artifacts (``in_all``) and the kv store scenarios.
 EXPERIMENTS: Dict[str, Experiment] = {
+    "ablation-digest": Experiment(
+        "full-state vs state-driven vs digest-driven sync after a partition",
+        DigestAblationConfig,
+        {"ci": {"shared": 500, "each": 20}, "default": {}, "paper": {}},
+        run_ablation_digest,
+    ),
+    "ablation-granularity": Experiment(
+        "Algorithm 1 per object vs over the whole store (Retwis)",
+        GranularityConfig,
+        {"ci": _RETWIS_CI, "default": {}, "paper": asdict(RetwisConfig.paper_scale())},
+        run_ablation_granularity,
+    ),
     "appendixb": Experiment(
         "the Figure 7 grid on causal add/remove data (OR-set)",
         MicroConfig,
@@ -221,6 +241,12 @@ EXPERIMENTS: Dict[str, Experiment] = {
 __all__ = [
     "EXPERIMENTS",
     "Experiment",
+    "DigestAblationConfig",
+    "DigestAblationResult",
+    "GranularityConfig",
+    "GranularityResult",
+    "run_ablation_digest",
+    "run_ablation_granularity",
     "MicroConfig",
     "Table1Config",
     "Figure9Config",

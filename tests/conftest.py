@@ -118,36 +118,25 @@ def _executions(bottom, mutators):
     return st.lists(step, max_size=14).map(run)
 
 
+def _argless(mutator):
+    """A script step running a δ-mutator that takes no argument."""
+    return lambda replica, state, _: mutator(replica, state)
+
+
 #: Causal family → one execution's states (AWSet, RWSet, both flags, the
 #: multi-value register, the causal counter and a map nesting an AWSet,
 #: a register and a map of flags).
 CAUSAL_EXECUTIONS = {
     "AWSet": _executions(
         AWSet.bottom(),
-        (AWSet.add, AWSet.remove, lambda replica, state, _: AWSet.clear(replica, state)),
+        (AWSet.add, AWSet.remove, _argless(AWSet.clear)),
     ),
     "RWSet": _executions(RWSet.bottom(), (RWSet.add, RWSet.remove)),
-    "EWFlag": _executions(
-        EWFlag.bottom(),
-        (
-            lambda replica, state, _: EWFlag.enable(replica, state),
-            lambda replica, state, _: EWFlag.disable(replica, state),
-        ),
-    ),
-    "DWFlag": _executions(
-        DWFlag.bottom(),
-        (
-            lambda replica, state, _: DWFlag.disable(replica, state),
-            lambda replica, state, _: DWFlag.enable(replica, state),
-        ),
-    ),
+    "EWFlag": _executions(EWFlag.bottom(), (_argless(EWFlag.enable), _argless(EWFlag.disable))),
+    "DWFlag": _executions(DWFlag.bottom(), (_argless(DWFlag.disable), _argless(DWFlag.enable))),
     "MVRegister": _executions(CausalMVRegister.bottom(), (CausalMVRegister.write,)),
     "CCounter": _executions(
-        CCounter.bottom(),
-        (
-            lambda replica, state, _: CCounter.increment(replica, state),
-            lambda replica, state, _: CCounter.reset(replica, state),
-        ),
+        CCounter.bottom(), (_argless(CCounter.increment), _argless(CCounter.reset))
     ),
     "ORMap": _executions(
         ORMap.bottom(),
@@ -162,7 +151,7 @@ CAUSAL_EXECUTIONS = {
             ),
             lambda replica, state, arg: ORMap.update(replica, state, "map", ORMap, "remove", arg),
             lambda replica, state, arg: ORMap.remove(replica, state, _ORMAP_KEYS[arg]),
-            lambda replica, state, _: ORMap.clear(replica, state),
+            _argless(ORMap.clear),
         ),
     ),
 }

@@ -37,13 +37,14 @@ class TestList:
         ):
             assert artifact in output
 
-    def test_lists_all_fourteen_and_marks_the_run_all_ten(self):
+    def test_lists_all_sixteen_and_marks_the_run_all_twelve(self):
         _, output = run_cli("list")
         rows = [line.split() for line in output.splitlines()[:-1]]
         assert sorted(row[0] for row in rows) == sorted(EXPERIMENTS)
-        assert len(rows) == 14
+        assert len(rows) == 16
         marked = {row[0] for row in rows if row[1] == "*"}
         assert marked == {
+            "ablation-digest", "ablation-granularity",
             "appendixb", "figure1", "figure7", "figure8", "figure9",
             "figure10", "figure11", "figure12", "table1", "table2",
         }
@@ -237,7 +238,7 @@ class TestOverrides:
             (["kv-faults", "--set", "rebalance=1"], "no field 'rebalance'"),
             (["kv-sweep", "--set", "algorithms=merkle,psychic"], "unknown algorithms ['psychic']"),
             (["kv-faults", "--set", "repair_mode=digest"], "choose rows with strategies"),
-            (["all", "--set", "rounds=3"], "Table1Config has no field 'rounds'"),
+            (["all", "--set", "rounds=3"], "DigestAblationConfig has no field 'rounds'"),
             (["figure1", "--set", "nodes=0"], "degree 4 must be below node count 0"),
         ],
     )

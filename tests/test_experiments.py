@@ -26,6 +26,9 @@ from repro.experiments import (
     RetwisSweepConfig,
     Table1Config,
     Table2Config,
+    run_ablation_digest,
+    run_ablation_granularity,
+    run_appendixb,
     run_kv_quorum,
     run_kv_rebalance,
     run_kv_repair_comparison,
@@ -40,6 +43,7 @@ from repro.experiments import (
     run_table1,
     run_table2,
 )
+from repro.experiments.figure8 import GMAP_WORKLOADS
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +86,12 @@ class TestFigure1:
         totals = [units for _, units in series]
         assert totals == sorted(totals)
 
+    @pytest.mark.parametrize("label", ["state-based", "delta-based"])
+    def test_series_grow_through_the_second_half(self, figure1, label):
+        """The set always grows, so both series still climb at the end."""
+        series = figure1.cumulative_series(label)
+        assert series[-1][1] > series[len(series) // 2][1]
+
     def test_render(self, figure1):
         text = figure1.render()
         assert "Figure 1" in text
@@ -119,6 +129,7 @@ class TestFigure7:
         rr = figure7.ratio("gset", "mesh", "delta-based-rr")
         bp = figure7.ratio("gset", "mesh", "delta-based-bp")
         assert rr < 0.3 * bp
+        assert rr < 0.3 * figure7.ratio("gset", "mesh", "delta-based")
 
     def test_scuttlebutt_beats_classic_on_gset(self, figure7):
         assert figure7.ratio("gset", "mesh", "scuttlebutt") < figure7.ratio(
@@ -164,22 +175,47 @@ class TestFigure8:
         )
         assert 0.0 < reduction < 0.6
 
+    @pytest.mark.parametrize("workload", GMAP_WORKLOADS)
+    def test_bp_near_optimal_and_ahead_of_rr_on_tree(self, figure8, workload):
+        """At mid contention a small residue remains that only RR trims:
+        two nodes bumping one key from one base produce identical entries
+        from two origins, and BP deduplicates provenance, not content."""
+        bp = figure8.ratio(workload, "tree", "delta-based-bp")
+        assert bp <= 1.25
+        assert bp < figure8.ratio(workload, "tree", "delta-based-rr")
+
+    @pytest.mark.parametrize("workload", ["gmap-10", "gmap-100"])
+    def test_bp_exactly_optimal_on_tree_at_the_extremes(self, figure8, workload):
+        assert figure8.ratio(workload, "tree", "delta-based-bp") == 1.0
+
+    def test_scuttlebutt_saves_at_low_contention(self, figure8):
+        assert figure8.reduction_vs_state_based("gmap-10", "mesh", "scuttlebutt") > 0.2
+
 
 class TestFigure9:
     def test_delta_metadata_share_is_small(self, figure9):
-        assert figure9.metadata_fraction(16, "delta-based-bp-rr") < 0.15
+        assert figure9.metadata_fraction(16, "delta-based-bp-rr") < 0.12
 
     def test_vector_protocols_metadata_dominates(self, figure9):
         for label in ("scuttlebutt", "scuttlebutt-gc", "op-based"):
             assert figure9.metadata_fraction(16, label) > 0.6
 
+    @pytest.mark.parametrize("label", ["scuttlebutt-gc", "op-based"])
+    def test_metadata_is_nearly_all_gc_and_op_based_traffic(self, figure9, label):
+        """The paper measures 99 % and 97 % at 32 nodes."""
+        assert figure9.metadata_fraction(16, label) > 0.9
+
     def test_growth_shapes(self, figure9):
         assert 0.7 < figure9.growth_exponent("scuttlebutt") < 1.5
         assert figure9.growth_exponent("scuttlebutt-gc") > 1.5
+        assert figure9.growth_exponent("op-based") > 1.2
         assert figure9.growth_exponent("delta-based-bp-rr") < 0.5
 
     def test_gc_metadata_heavier_than_plain(self, figure9):
         assert figure9.metadata_per_node(16, "scuttlebutt-gc") > figure9.metadata_per_node(
+            16, "scuttlebutt"
+        )
+        assert figure9.metadata_per_node(16, "delta-based-bp-rr") < figure9.metadata_per_node(
             16, "scuttlebutt"
         )
 
@@ -190,8 +226,15 @@ class TestFigure10:
             assert figure10.memory_ratio(workload, "state-based") <= 1.0
 
     def test_classic_overhead_over_bp_rr(self, figure10):
-        for workload in ("gset", "gmap-10"):
+        """Classic and BP hold fatter δ-buffers than BP+RR."""
+        for workload in ("gset", "gmap-10", "gmap-100"):
             assert figure10.memory_ratio(workload, "delta-based") > 1.0
+            assert figure10.memory_ratio(workload, "delta-based-bp") > 1.0
+
+    def test_scuttlebutt_gc_prunes_on_gmap10(self, figure10):
+        assert figure10.memory_ratio("gmap-10", "scuttlebutt-gc") < figure10.memory_ratio(
+            "gmap-10", "scuttlebutt"
+        )
 
     def test_scuttlebutt_memory_only_deteriorates_without_gc(self, figure10):
         """"As long as new updates exist, the memory consumption for
@@ -231,6 +274,11 @@ class TestTable2:
         assert result.mix_close_to_paper()
         assert result.update_rules_hold()
 
+    def test_mix_and_rules_at_the_ci_preset(self):
+        result = run_table2(_ci("table2"))
+        assert result.mix_close_to_paper()
+        assert result.update_rules_hold()
+
 
 class TestFigures11And12:
     def test_gap_widens_with_contention(self, retwis_results):
@@ -262,6 +310,119 @@ class TestFigures11And12:
         assert "Figure 12" in figure12.render()
 
 
+class TestFigures11And12AtTheCiPreset:
+    """Three coefficients, so the trends are checked for order, not
+    only at the two ends.  Both figures read one cached sweep."""
+
+    @pytest.fixture(scope="class")
+    def figures(self):
+        config = _ci("figure11")
+        return config.coefficients, run_figure11(config), run_figure12(config)
+
+    def test_gap_more_than_doubles_and_never_shrinks(self, figures):
+        coefficients, figure11, _ = figures
+        gaps = [figure11.bandwidth_gap(c) for c in coefficients]
+        assert gaps[-1] > 2 * gaps[0]
+        assert gaps == sorted(gaps)
+
+    def test_classic_bandwidth_rises_with_contention(self, figures):
+        """The unsustainable trajectory the paper calls out."""
+        coefficients, figure11, _ = figures
+        assert figure11.bandwidth(coefficients[-1], "delta-based") > figure11.bandwidth(
+            coefficients[0], "delta-based"
+        )
+
+    def test_cpu_overhead_never_shrinks_with_contention(self, figures):
+        """Paper: 0.4x → 5.5x → 7.9x."""
+        coefficients, _, figure12 = figures
+        proxies = [figure12.cpu_ratio_proxy(c) for c in coefficients]
+        assert proxies == sorted(proxies)
+        assert figure12.overhead_proxy(coefficients[0]) < figure12.overhead_proxy(
+            coefficients[-1]
+        )
+
+    def test_classic_pays_a_multiple_at_high_contention(self, figures):
+        _, _, figure12 = figures
+        assert figure12.cpu_ratio_proxy(1.5) > 2.0
+
+    def test_wall_clock_agrees_in_direction(self, figures):
+        _, _, figure12 = figures
+        assert figure12.cpu_ratio_wall(1.5) > 0.8 * figure12.cpu_ratio_wall(0.5)
+
+
+class TestAppendixB:
+    """The Figure 7 grid on AWSet churn keeps the paper's ordering."""
+
+    @pytest.fixture(scope="class")
+    def appendixb(self):
+        return run_appendixb(_ci("appendixb"))
+
+    def test_classic_no_better_than_state_based_on_mesh(self, appendixb):
+        assert appendixb.units("mesh", "delta-based") > 0.8 * appendixb.units(
+            "mesh", "state-based"
+        )
+
+    def test_rr_beats_bp_on_mesh(self, appendixb):
+        assert appendixb.units("mesh", "delta-based-rr") < appendixb.units(
+            "mesh", "delta-based-bp"
+        )
+
+    @pytest.mark.parametrize("topology", ["tree", "mesh"])
+    def test_bp_rr_is_the_best_delta_variant(self, appendixb, topology):
+        assert appendixb.ratio(topology, "delta-based") >= 1.0
+        assert appendixb.ratio(topology, "delta-based-bp") >= 1.0
+        assert appendixb.ratio(topology, "delta-based-rr") >= 1.0
+
+    def test_bp_close_to_but_not_at_the_optimum_on_tree(self, appendixb):
+        """Re-adds and removals cover previously-shipped dots; that slice
+        of context is redundant downstream even without cycles, and only
+        RR trims it."""
+        assert appendixb.ratio("tree", "delta-based-bp") <= 1.3
+        assert appendixb.units("tree", "delta-based-bp") < appendixb.units(
+            "tree", "delta-based-rr"
+        )
+
+    def test_vector_baselines_still_pay_metadata(self, appendixb):
+        assert appendixb.ratio("mesh", "scuttlebutt-gc") > appendixb.ratio(
+            "mesh", "delta-based-bp-rr"
+        )
+
+
+class TestAblations:
+    @pytest.fixture(scope="class")
+    def pairwise(self):
+        return run_ablation_digest(_ci("ablation-digest"))
+
+    @pytest.fixture(scope="class")
+    def granularity(self):
+        return run_ablation_granularity(_ci("ablation-granularity"))
+
+    def test_every_pairwise_strategy_converges_to_one_state(self, pairwise):
+        full, state, digest = pairwise.outcomes
+        assert full.converged_state == state.converged_state == digest.converged_state
+
+    def test_digest_beats_state_driven_beats_full_exchange(self, pairwise):
+        full, state, digest = pairwise.outcomes
+        assert state.bytes_sent < full.bytes_sent
+        assert digest.bytes_sent < state.bytes_sent
+
+    def test_message_counts(self, pairwise):
+        assert [o.messages for o in pairwise.outcomes] == [2, 2, 3]
+
+    def test_every_granularity_converges(self, granularity):
+        assert all(result.converged for result in granularity.results.values())
+
+    def test_whole_store_classic_collapses_at_low_contention(self, granularity):
+        """The modelling choice the paper's Fig. 11 numbers depend on."""
+        whole = granularity.transmission_bytes(0.5, "classic / whole-store")
+        assert whole > 2 * granularity.transmission_bytes(0.5, "classic / per-object")
+
+    def test_bp_rr_barely_cares(self, granularity):
+        """∆ extraction is already per irreducible."""
+        whole = granularity.transmission_bytes(0.5, "bp+rr / whole-store")
+        assert whole < 1.5 * granularity.transmission_bytes(0.5, "bp+rr / per-object")
+
+
 class TestRegistry:
     def test_every_paper_artifact_has_a_driver(self):
         paper_artifacts = {
@@ -278,7 +439,9 @@ class TestRegistry:
         run_all = {name for name, entry in EXPERIMENTS.items() if entry.in_all}
         assert paper_artifacts <= run_all
         # Extensions beyond the paper's evaluation section.
-        assert run_all - paper_artifacts == {"appendixb"}
+        assert run_all - paper_artifacts == {
+            "appendixb", "ablation-digest", "ablation-granularity"
+        }
         assert set(EXPERIMENTS) - run_all == {
             "kv-sweep", "kv-faults", "kv-rebalance", "kv-quorum"
         }
