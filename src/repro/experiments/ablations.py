@@ -23,7 +23,7 @@ from typing import Dict, Tuple
 from repro.crdt import GSet
 from repro.experiments.grid import require_updates
 from repro.experiments.report import format_table
-from repro.experiments.retwis_sweep import RetwisSweepConfig, retwis_workload
+from repro.experiments.retwis_sweep import RetwisConfig, retwis_workload
 from repro.sim.runner import ExperimentResult, run_suite
 from repro.sim.topology import partial_mesh
 from repro.sync import classic, delta_bp_rr, keyed_bp_rr, keyed_classic
@@ -36,6 +36,10 @@ from repro.sync.digest import (
 
 #: Every set element is padded to this many bytes (tweet-sized values).
 ELEMENT_BYTES = 40
+
+#: The granularity ablation's Zipf coefficient: the low-contention end of
+#: Section V-C, where per-object classic is near optimal.
+ZIPF = 0.5
 
 GRANULARITY_ALGORITHMS = {
     "classic / whole-store": classic,
@@ -97,39 +101,44 @@ def run_ablation_digest(config: DigestAblationConfig) -> DigestAblationResult:
 
 
 @dataclass(frozen=True)
-class GranularityConfig(RetwisSweepConfig):
-    """The Retwis deployment, at low contention unless told otherwise."""
+class GranularityConfig(RetwisConfig):
+    """The Retwis deployment, replayed at Zipf :data:`ZIPF`."""
 
-    coefficients: Tuple[float, ...] = (0.5,)
+    def __post_init__(self) -> None:
+        partial_mesh(self.nodes, self.degree)
+        retwis_workload(self, ZIPF)
+        require_updates(rounds=self.rounds, ops_per_node=self.ops_per_node)
 
 
 @dataclass
 class GranularityResult:
     config: GranularityConfig
-    results: Dict[Tuple[float, str], ExperimentResult]
+    results: Dict[str, ExperimentResult]
 
-    def transmission_bytes(self, zipf: float, label: str) -> int:
-        return self.results[(zipf, label)].transmission_bytes()
+    def transmission_bytes(self, label: str) -> int:
+        return self.results[label].transmission_bytes()
 
     def render(self) -> str:
         return format_table(
-            ("zipf", "algorithm / granularity", "bytes transmitted", "converged"),
+            ("algorithm / granularity", "bytes transmitted", "converged"),
             [
-                (zipf, label, result.transmission_bytes(), result.converged)
-                for (zipf, label), result in sorted(self.results.items())
+                (label, result.transmission_bytes(), result.converged)
+                for label, result in self.results.items()
             ],
-            title=f"Ablation — Algorithm 1 granularity on Retwis ({self.config.nodes} nodes)",
+            title=(
+                f"Ablation — Algorithm 1 granularity on Retwis "
+                f"({self.config.nodes} nodes, Zipf {ZIPF})"
+            ),
         )
 
 
 def run_ablation_granularity(config: GranularityConfig) -> GranularityResult:
-    """Run classic and BP+RR whole-store and per-object at each coefficient."""
-    topology = partial_mesh(config.nodes, config.degree)
-    results: Dict[Tuple[float, str], ExperimentResult] = {}
-    for zipf in config.coefficients:
-        suite = run_suite(
-            GRANULARITY_ALGORITHMS, lambda z=zipf: retwis_workload(config, z), topology
-        )
-        for label, result in suite.items():
-            results[(zipf, label)] = result
-    return GranularityResult(config, results)
+    """Run classic and BP+RR, each whole-store and per-object."""
+    return GranularityResult(
+        config,
+        run_suite(
+            GRANULARITY_ALGORITHMS,
+            lambda: retwis_workload(config, ZIPF),
+            partial_mesh(config.nodes, config.degree),
+        ),
+    )

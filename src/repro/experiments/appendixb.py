@@ -6,7 +6,7 @@ exact Figure 7 protocol grid — every synchronization mechanism on the
 tree and mesh of Figure 6 — over an add-wins OR-set churn workload,
 where deltas must carry causal-context tombstones, not just payload.
 
-Expected shape (checked by ``tests/test_experiments.py::TestAppendixB``):
+Expected shape (checked by ``tests/test_workloads_causal.py::TestAppendixBDriver``):
 the paper's ordering is preserved — classic ≈ state-based on the mesh,
 RR dominant with cycles, BP+RR best — with one new, quantified effect:
 on the acyclic tree BP alone no longer matches BP+RR exactly (it does

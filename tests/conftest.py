@@ -86,21 +86,25 @@ _ARGS = ("x", "y", "z")
 _ORMAP_KEYS = dict(zip(_ARGS, ("set", "reg", "map")))
 
 
+def scripts(kinds):
+    """Op/merge scripts over three replicas.
+
+    A step ``(kind, replica, arg)`` runs operation ``kind`` at one
+    replica; ``(None, src, dst)`` merges ``src``'s state into ``dst``.
+    """
+    step = st.one_of(
+        st.tuples(st.sampled_from(kinds), st.sampled_from(REPLICAS), st.sampled_from(_ARGS)),
+        st.tuples(st.none(), st.sampled_from(REPLICAS), st.sampled_from(REPLICAS)),
+    )
+    return st.lists(step, max_size=14)
+
+
 def _executions(bottom, mutators):
     """Each draw: the states of one run of a script over three replicas.
 
-    A script step either runs ``mutators[i](replica, state, arg)`` at one
-    replica and joins the δ in, or merges one replica's state into
-    another's; the pool holds ⊥ and the state after every step.
+    Operation ``i`` runs ``mutators[i](replica, state, arg)`` and joins
+    the δ in; the pool holds ⊥ and the state after every step.
     """
-    step = st.one_of(
-        st.tuples(
-            st.integers(0, len(mutators) - 1),
-            st.sampled_from(REPLICAS),
-            st.sampled_from(_ARGS),
-        ),
-        st.tuples(st.none(), st.sampled_from(REPLICAS), st.sampled_from(REPLICAS)),
-    )
 
     def run(script):
         states = dict.fromkeys(REPLICAS, bottom)
@@ -115,7 +119,7 @@ def _executions(bottom, mutators):
                 pool.append(states[replica])
         return pool
 
-    return st.lists(step, max_size=14).map(run)
+    return scripts(range(len(mutators))).map(run)
 
 
 def _argless(mutator):
@@ -188,7 +192,13 @@ def lattice_lists(family: str, *, min_size: int, max_size: int):
         )
     return st.lists(ALL_LATTICE_STRATEGIES[family], min_size=min_size, max_size=max_size)
 
-any_lattice_family = st.sampled_from(sorted(ALL_LATTICE_STRATEGIES))
+
+def causal_states(n=1):
+    """``n`` states of one causal family, drawn from one execution."""
+    states = st.sampled_from(sorted(CAUSAL_EXECUTIONS)).flatmap(
+        lambda family: lattice_lists(family, min_size=n, max_size=n)
+    )
+    return states.map(lambda picks: picks[0] if n == 1 else tuple(picks))
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ al., the ``DeltaCRDT.py`` of SNIPPETS.md) as plainly as Python allows:
 Each mutator is written again from its type's docstring: a fresh dot is
 one above the highest counter the replica's context holds, and the
 covered dots go into the δ's context.  Both implementations replay the
-same op/merge scripts over three replicas — the scripts
-``test_causal_lattice.py`` draws its reachable states from — and after
+same op/merge scripts over three replicas — ``conftest.scripts``, the
+ones every causal family draws its reachable states from — and after
 every step each replica's dots, values and context must agree.
 """
 
@@ -27,7 +27,7 @@ from repro.causal import DotFun as StoreFun
 from repro.causal import DotMap as StoreMap
 from repro.causal import DotSet as StoreSet
 
-from test_causal_lattice import REPLICAS, _ops
+from conftest import REPLICAS, scripts
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +248,8 @@ def replay(family, ops):
     oracle = {name: Replica(name, bottom()) for name in REPLICAS}
     for op in ops:
         kind, name, arg = op
-        if kind == "merge":
-            # ("merge", src, dst): dst joins src's whole state.
+        if kind is None:
+            # (None, src, dst): dst joins src's whole state.
             crdts[arg].merge(crdts[name])
             oracle[arg].merge(oracle[name])
         else:
@@ -262,7 +262,7 @@ def replay(family, ops):
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_causal_types_agree_with_the_naive_oracle(family):
-    @given(_ops(tuple(FAMILIES[family][2])))
+    @given(scripts(tuple(FAMILIES[family][2])))
     def check(ops):
         replay(family, ops)
 

@@ -16,7 +16,9 @@ from repro.config import build_config
 from repro.driver import Stepped
 from repro.experiments import (
     EXPERIMENTS,
+    DigestAblationConfig,
     Figure9Config,
+    GranularityConfig,
     KVConfig,
     KVFaultsConfig,
     KVRebalanceConfig,
@@ -28,7 +30,6 @@ from repro.experiments import (
     Table2Config,
     run_ablation_digest,
     run_ablation_granularity,
-    run_appendixb,
     run_kv_quorum,
     run_kv_rebalance,
     run_kv_repair_comparison,
@@ -68,9 +69,10 @@ def figure10():
 
 @pytest.fixture(scope="module")
 def retwis_results():
-    config = RetwisSweepConfig(
-        nodes=8, users=120, rounds=10, ops_per_node=4, coefficients=(0.5, 1.5)
-    )
+    """Both figures read one cached sweep at the ``ci`` preset: three
+    coefficients, so the trends are checked for order, not only at the
+    two ends."""
+    config = _ci("figure11")
     return run_figure11(config), run_figure12(config)
 
 
@@ -289,6 +291,19 @@ class TestFigures11And12:
         figure11, _ = retwis_results
         assert figure11.bandwidth_gap(0.5) < 2.5
 
+    def test_gap_more_than_doubles_and_never_shrinks(self, retwis_results):
+        figure11, _ = retwis_results
+        gaps = [figure11.bandwidth_gap(c) for c in figure11.config.coefficients]
+        assert gaps[-1] > 2 * gaps[0]
+        assert gaps == sorted(gaps)
+
+    def test_classic_bandwidth_rises_with_contention(self, retwis_results):
+        """The unsustainable trajectory the paper calls out."""
+        figure11, _ = retwis_results
+        assert figure11.bandwidth(1.5, "delta-based") > figure11.bandwidth(
+            0.5, "delta-based"
+        )
+
     def test_memory_gap_widens(self, retwis_results):
         figure11, _ = retwis_results
         low = figure11.memory(0.5, "delta-based") / figure11.memory(
@@ -300,9 +315,24 @@ class TestFigures11And12:
         assert high > low
 
     def test_cpu_overhead_grows_with_contention(self, retwis_results):
+        """Paper: 0.4x → 5.5x → 7.9x."""
         _, figure12 = retwis_results
+        proxies = [figure12.cpu_ratio_proxy(c) for c in figure12.config.coefficients]
+        assert proxies == sorted(proxies)
         assert figure12.cpu_ratio_proxy(1.5) > figure12.cpu_ratio_proxy(0.5)
+        assert figure12.overhead_proxy(1.5) > figure12.overhead_proxy(0.5)
         assert figure12.overhead_proxy(1.5) > 0.5
+
+    def test_classic_pays_a_multiple_at_high_contention(self, retwis_results):
+        _, figure12 = retwis_results
+        assert figure12.cpu_ratio_proxy(1.5) > 2.0
+
+    @pytest.mark.wallclock
+    def test_wall_clock_agrees_in_direction(self, retwis_results):
+        """Timed, so deselected from the default run (see pyproject.toml);
+        ``pytest -m wallclock`` runs it."""
+        _, figure12 = retwis_results
+        assert figure12.cpu_ratio_wall(1.5) > 0.8 * figure12.cpu_ratio_wall(0.5)
 
     def test_renders(self, retwis_results):
         figure11, figure12 = retwis_results
@@ -310,117 +340,31 @@ class TestFigures11And12:
         assert "Figure 12" in figure12.render()
 
 
-class TestFigures11And12AtTheCiPreset:
-    """Three coefficients, so the trends are checked for order, not
-    only at the two ends.  Both figures read one cached sweep."""
-
-    @pytest.fixture(scope="class")
-    def figures(self):
-        config = _ci("figure11")
-        return config.coefficients, run_figure11(config), run_figure12(config)
-
-    def test_gap_more_than_doubles_and_never_shrinks(self, figures):
-        coefficients, figure11, _ = figures
-        gaps = [figure11.bandwidth_gap(c) for c in coefficients]
-        assert gaps[-1] > 2 * gaps[0]
-        assert gaps == sorted(gaps)
-
-    def test_classic_bandwidth_rises_with_contention(self, figures):
-        """The unsustainable trajectory the paper calls out."""
-        coefficients, figure11, _ = figures
-        assert figure11.bandwidth(coefficients[-1], "delta-based") > figure11.bandwidth(
-            coefficients[0], "delta-based"
-        )
-
-    def test_cpu_overhead_never_shrinks_with_contention(self, figures):
-        """Paper: 0.4x → 5.5x → 7.9x."""
-        coefficients, _, figure12 = figures
-        proxies = [figure12.cpu_ratio_proxy(c) for c in coefficients]
-        assert proxies == sorted(proxies)
-        assert figure12.overhead_proxy(coefficients[0]) < figure12.overhead_proxy(
-            coefficients[-1]
-        )
-
-    def test_classic_pays_a_multiple_at_high_contention(self, figures):
-        _, _, figure12 = figures
-        assert figure12.cpu_ratio_proxy(1.5) > 2.0
-
-    def test_wall_clock_agrees_in_direction(self, figures):
-        _, _, figure12 = figures
-        assert figure12.cpu_ratio_wall(1.5) > 0.8 * figure12.cpu_ratio_wall(0.5)
-
-
-class TestAppendixB:
-    """The Figure 7 grid on AWSet churn keeps the paper's ordering."""
-
-    @pytest.fixture(scope="class")
-    def appendixb(self):
-        return run_appendixb(_ci("appendixb"))
-
-    def test_classic_no_better_than_state_based_on_mesh(self, appendixb):
-        assert appendixb.units("mesh", "delta-based") > 0.8 * appendixb.units(
-            "mesh", "state-based"
-        )
-
-    def test_rr_beats_bp_on_mesh(self, appendixb):
-        assert appendixb.units("mesh", "delta-based-rr") < appendixb.units(
-            "mesh", "delta-based-bp"
-        )
-
-    @pytest.mark.parametrize("topology", ["tree", "mesh"])
-    def test_bp_rr_is_the_best_delta_variant(self, appendixb, topology):
-        assert appendixb.ratio(topology, "delta-based") >= 1.0
-        assert appendixb.ratio(topology, "delta-based-bp") >= 1.0
-        assert appendixb.ratio(topology, "delta-based-rr") >= 1.0
-
-    def test_bp_close_to_but_not_at_the_optimum_on_tree(self, appendixb):
-        """Re-adds and removals cover previously-shipped dots; that slice
-        of context is redundant downstream even without cycles, and only
-        RR trims it."""
-        assert appendixb.ratio("tree", "delta-based-bp") <= 1.3
-        assert appendixb.units("tree", "delta-based-bp") < appendixb.units(
-            "tree", "delta-based-rr"
-        )
-
-    def test_vector_baselines_still_pay_metadata(self, appendixb):
-        assert appendixb.ratio("mesh", "scuttlebutt-gc") > appendixb.ratio(
-            "mesh", "delta-based-bp-rr"
-        )
-
-
 class TestAblations:
-    @pytest.fixture(scope="class")
-    def pairwise(self):
-        return run_ablation_digest(_ci("ablation-digest"))
+    """The digest ablation's claims are ``test_sync_digest.py::TestPairwiseSync``'s,
+    on states of the ``ci`` preset's size; here it only has to run."""
 
     @pytest.fixture(scope="class")
     def granularity(self):
         return run_ablation_granularity(_ci("ablation-granularity"))
 
-    def test_every_pairwise_strategy_converges_to_one_state(self, pairwise):
-        full, state, digest = pairwise.outcomes
-        assert full.converged_state == state.converged_state == digest.converged_state
-
-    def test_digest_beats_state_driven_beats_full_exchange(self, pairwise):
-        full, state, digest = pairwise.outcomes
-        assert state.bytes_sent < full.bytes_sent
-        assert digest.bytes_sent < state.bytes_sent
-
-    def test_message_counts(self, pairwise):
-        assert [o.messages for o in pairwise.outcomes] == [2, 2, 3]
+    def test_digest_ablation_runs_every_strategy(self):
+        text = run_ablation_digest(_ci("ablation-digest")).render()
+        for strategy in ("full", "state-driven", "digest-driven"):
+            assert strategy in text
 
     def test_every_granularity_converges(self, granularity):
         assert all(result.converged for result in granularity.results.values())
 
     def test_whole_store_classic_collapses_at_low_contention(self, granularity):
         """The modelling choice the paper's Fig. 11 numbers depend on."""
-        whole = granularity.transmission_bytes(0.5, "classic / whole-store")
-        assert whole > 2 * granularity.transmission_bytes(0.5, "classic / per-object")
+        whole = granularity.transmission_bytes("classic / whole-store")
+        assert whole > 2 * granularity.transmission_bytes("classic / per-object")
 
     def test_bp_rr_barely_cares(self, granularity):
         """∆ extraction is already per irreducible."""
-        whole = granularity.transmission_bytes(0.5, "bp+rr / whole-store")
-        assert whole < 1.5 * granularity.transmission_bytes(0.5, "bp+rr / per-object")
+        whole = granularity.transmission_bytes("bp+rr / whole-store")
+        assert whole < 1.5 * granularity.transmission_bytes("bp+rr / per-object")
 
 
 class TestRegistry:
@@ -533,6 +477,11 @@ class TestConfigsRefuseIllegalShapes:
             (RetwisSweepConfig, "rounds", "0", "rounds must be positive"),
             (RetwisSweepConfig, "ops_per_node", "0", "ops_per_node must be positive"),
             (RetwisSweepConfig, "ops_per_node", "-3", "ops_per_node must be non-negative"),
+            (GranularityConfig, "nodes", "0", "below node count 0"),
+            (GranularityConfig, "users", "0", "at least two users"),
+            (GranularityConfig, "rounds", "0", "rounds must be positive"),
+            (DigestAblationConfig, "shared", "-1", "shared must be non-negative"),
+            (DigestAblationConfig, "each", "0", "each must be positive"),
         ],
     )
     def test_shapes_the_run_would_crash_on(self, config, field, value, reason):

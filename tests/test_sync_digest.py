@@ -17,12 +17,12 @@ from repro.sync.digest import (
     state_driven_sync,
 )
 
-from conftest import ALL_LATTICE_STRATEGIES
-from test_causal_lattice import causal_states
+from conftest import ALL_LATTICE_STRATEGIES, causal_states
 
 
 def big_states(overlap=500, each=20):
-    """Two large GSet states sharing most elements."""
+    """Two large GSet states sharing most elements (by default the
+    ``ablation-digest`` experiment's ``ci`` preset: 500 shared, 20 each)."""
     common = {f"shared-{i:05d}-padding-padding" for i in range(overlap)}
     a = SetLattice(common | {f"only-a-{i:05d}-padding-pad" for i in range(each)})
     b = SetLattice(common | {f"only-b-{i:05d}-padding-pad" for i in range(each)})
@@ -72,7 +72,7 @@ def test_key_fingerprints_is_the_singleton_map_reference(key, value):
 
 @given(KEYS, causal_states())
 def test_key_fingerprints_on_reachable_causal_states(key, value):
-    """AWSet/RWSet/EWFlag/MVReg/CCounter states, removes included."""
+    """Every causal family's reachable states, removes included."""
     assert key_fingerprints(key, value) == reference_key_fingerprints(key, value)
 
 
@@ -97,6 +97,7 @@ class TestPairwiseSync:
     def test_message_counts_match_paper(self):
         """2 messages state-driven, 3 digest-driven (Section VI)."""
         a, b = big_states(overlap=5, each=2)
+        assert full_state_sync(a, b).messages == 2
         assert state_driven_sync(a, b).messages == 2
         assert digest_driven_sync(a, b).messages == 3
 
