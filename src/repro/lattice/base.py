@@ -71,7 +71,8 @@ class Lattice(Frozen, ABC):
     :meth:`size_units` and the same :meth:`size_bytes` (``MaxInt``,
     ``Bool``).  Rebinding a map key from
     one such value to another then cannot change the map's size, which
-    ``MapLattice``'s size lineage relies on.
+    ``MapLattice``'s size lineage relies on, and ``MapLattice.delta``
+    sizes a run of such values by asking one of them.
     ``tests/test_lattice_shortcuts.py`` checks every class declaring it.
     """
 

@@ -59,6 +59,17 @@ map would have kept alive anyway until the parent itself is released; a
 reference to the parent or to its ``entries`` dict would pin a whole
 second copy of every hot state.
 
+Born sized.  ``delta`` keeps a binding only after looking at it, so it
+adds up ``sizeof(key)`` and the kept value's ``(units, bytes)`` on the
+way and returns its result with both totals known.  The first
+``fixed_size`` class it keeps is asked once per call, and its bindings
+counted.  RR's ``∆(d, xᵢ)`` (Algorithm 1,
+line 15) is therefore sized where it is made: the memory sample reads
+it as a memo, and storing it into a state it shares no key with adds
+totals (*Disjoint operands*) instead of leaving its keys owed.  A
+``delta`` that keeps everything returns ``self`` and remembers the
+totals as its own.
+
 Disjoint operands.  When the operands share no key, no binding of
 ``self`` is rebound and ``∆(other, self)`` is ``other`` itself.  A state
 meeting only new keys is such a join, and so are the joins that build a
@@ -232,6 +243,10 @@ class MapLattice(Lattice):
         theirs = other.entries
         out: dict[Hashable, Lattice] = {}
         filtered = False
+        # The result is born sized (see *Born sized*).
+        sizeof = sizes.sizeof
+        units = nbytes = count = 0
+        fixed_class = None
         for key, value in self.entries.items():
             known = theirs.get(key)
             if known is not None:
@@ -242,10 +257,22 @@ class MapLattice(Lattice):
                         continue
                     value = diff
             out[key] = value
+            nbytes += sizeof(key)
+            if value.__class__ is fixed_class:
+                count += 1
+            elif fixed_class is None and value.fixed_size:
+                fixed_class, fixed, count = value.__class__, value, 1
+            else:
+                units += value.size_units()
+                nbytes += value.size_bytes()
+        if count:
+            units += count * fixed.size_units()
+            nbytes += count * fixed.size_bytes()
         if not filtered:
-            # Wholly novel: the same value, its size memo still warm.
+            # Wholly novel: the same value, and the totals are its own.
+            self._remember(units, nbytes)
             return self
-        return _fresh(out) if out else _EMPTY
+        return _fresh(out, (units, nbytes, None)) if out else _EMPTY
 
     def size_units(self) -> int:
         size = self._size

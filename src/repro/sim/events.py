@@ -5,18 +5,21 @@ tiebreaker, so that two events scheduled for the same instant always
 fire in scheduling order.  Determinism matters: every experiment in the
 benchmark suite must produce identical traces across runs and machines,
 so that the paper's figures are exactly regenerable.
+
+An :class:`Event` is a ``NamedTuple``: immutable, cheap to build, and
+ordered on the heap by tuple comparison in C.  ``seq`` is unique per
+queue, so two events never get as far as comparing ``action`` or
+``payload`` (which need not support ``<``).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 
-@dataclass(frozen=True, order=True)
-class Event:
+class Event(NamedTuple):
     """A scheduled event: fires at ``time`` with a stable tiebreak order.
 
     Attributes:
@@ -28,8 +31,8 @@ class Event:
 
     time: float
     seq: int
-    action: Callable[["Event"], None] = field(compare=False)
-    payload: Any = field(default=None, compare=False)
+    action: Callable[["Event"], None]
+    payload: Any = None
 
 
 class EventQueue:
@@ -65,7 +68,7 @@ class EventQueue:
         """
         if time < self._now:
             raise ValueError(f"cannot schedule at {time} before current time {self._now}")
-        event = Event(time=time, seq=next(self._counter), action=action, payload=payload)
+        event = Event(time, next(self._counter), action, payload)
         heapq.heappush(self._heap, event)
         return event
 

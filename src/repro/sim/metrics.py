@@ -15,20 +15,21 @@ The paper's evaluation measures three quantities (Section V):
 
 Every message and memory sample is kept as a record, so experiment
 drivers can slice series over time (Figure 1's time axis, Figure 11's
-first/second-half split) without re-running simulations.
+first/second-half split) without re-running simulations.  A record is
+a ``NamedTuple``: immutable, and built once per message and per sample
+for a fraction of a frozen dataclass's cost.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from repro.sim.series import bucket_series, cumulative, partition_at
 
 
-@dataclass(frozen=True)
-class MessageRecord:
+class MessageRecord(NamedTuple):
     """One message on the wire."""
 
     time: float
@@ -45,8 +46,7 @@ class MessageRecord:
         return self.payload_units + self.metadata_units
 
 
-@dataclass(frozen=True)
-class MemorySample:
+class MemorySample(NamedTuple):
     """One node's resident footprint at a sample instant."""
 
     time: float
@@ -160,25 +160,14 @@ class MetricsCollector:
         """Split records into before/after ``time`` (Figure 11 halves)."""
         first = MetricsCollector(self.n_nodes)
         second = MetricsCollector(self.n_nodes)
-        early, late = partition_at(self.messages, time, time=lambda r: r.time)
-        for record in early:
-            first.record_message(record)
-        for record in late:
-            second.record_message(record)
-        early, late = partition_at(self.memory, time, time=lambda s: s.time)
-        for sample in early:
-            first.record_memory(sample)
-        for sample in late:
-            second.record_memory(sample)
+        first.messages, second.messages = partition_at(self.messages, time, time=lambda r: r.time)
+        first.memory, second.memory = partition_at(self.memory, time, time=lambda s: s.time)
         return first, second
 
     def last_time(self) -> float:
-        latest = 0.0
-        if self.messages:
-            latest = max(latest, self.messages[-1].time)
-        if self.memory:
-            latest = max(latest, self.memory[-1].time)
-        return latest
+        return max(
+            (records[-1].time for records in (self.messages, self.memory) if records), default=0.0
+        )
 
     # ------------------------------------------------------------------
     # Memory aggregates (Figure 10/11).

@@ -34,10 +34,11 @@ line 5    ``DeltaBased.buffer`` — the δ-buffer ``Bᵢ``, a
           BP filter of line 11 is :meth:`DeltaBuffer.pending`, the
           join of line 11 is ``_group_message`` over
           :meth:`DeltaBuffer.joined`, line 13 clears the buffer.
-          Each buffered δ is sized once in its life and a δ-group by
-          adding its parts: under RR the parts are disjoint in
-          irreducibles, and a join of key-disjoint maps is a union
-          (``lattice/map_lattice.py``, *Disjoint operands*)
+          Each buffered δ is born sized by RR's Δ; a local δ on
+          first read.  A δ-group is sized by adding its parts: under
+          RR the parts are disjoint in irreducibles, and a join of
+          key-disjoint maps is a union (``lattice/map_lattice.py``,
+          *Born sized*, *Disjoint operands*)
 14–17     ``DeltaBased._receive`` — ``on receiveⱼ,ᵢ(d)``: line 15 is
           RR's ``∆(d, xᵢ)`` (a binding the replica holds as the same
           object costs one ``is``: ``lattice/map_lattice.py``,
@@ -214,9 +215,10 @@ class DeltaBased(Synchronizer):
     def _group_message(self, covered: Tuple[int, ...]) -> Message:
         """Line 11's join of the entries at ``covered``, as one message.
 
-        Each entry is sized before the join: a memo hit for any δ that
-        sat through a memory sample or is owed to an earlier group, and
-        key-disjoint sized parts join into a group that is born sized.
+        Each entry is sized before the join: a memo hit for a δ RR's Δ
+        made, one that sat through a memory sample or one owed to an
+        earlier group, and key-disjoint sized parts join into a group
+        that is born sized.
         The metadata is the paper's: one sequence number per δ-group,
         which its Section IV says would make lossy channels safe.
         """

@@ -80,7 +80,9 @@ class TestFigure1:
     def test_classic_delta_no_better_than_state_based(self, figure1):
         assert figure1.transmission_ratio() > 0.9
 
+    @pytest.mark.wallclock
     def test_delta_has_cpu_overhead(self, figure1):
+        """Timed, so deselected from the default run (see pyproject.toml)."""
         assert figure1.cpu_ratio_wall() > 1.0
 
     def test_series_monotone(self, figure1):

@@ -9,6 +9,9 @@ parent's total and the keys the join touched (``lattice/map_lattice.py``,
   agree with a cold rebuild of the same entries, whether the operands
   share keys (the pointwise loop) or not (the union, whose sizes add);
 * the counter-example to ``size(a ⊔ b) = size(b) + size(∆(a, b))``;
+* born sizes — the totals ``delta`` sums on its walk equal the ones a
+  fresh map of the same bindings sums from scratch, for every value
+  family of ``conftest.ALL_LATTICE_STRATEGIES``;
 * cost — counted in ``sizes.sizeof`` calls, never in seconds.
 """
 
@@ -16,13 +19,16 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import sizes
 from repro.causal import AWSet
-from repro.lattice import MapLattice, MaxInt, SetLattice, join_all
+from repro.lattice import Bool, MapLattice, MaxInt, SetLattice, join_all
 from repro.lattice.base import Lattice
 from repro.sync import DeltaBased
+
+from conftest import ALL_LATTICE_STRATEGIES, lattice_lists
 
 #: Strings, integers and tuples, so ``sizeof(key)`` differs per key.
 KEYS = ["k0", "key-one", "k2", "κλειδί", 4, 5, ("shard", 6), ("shard", 7), "k8", "k9", "k10", "k11"]
@@ -206,6 +212,60 @@ def test_wholly_novel_delta_is_the_same_object():
     partly = MapLattice({"a": MaxInt(2), "c": MaxInt(1)})
     assert partly.delta(state) == MapLattice({"c": MaxInt(1)})
     assert MapLattice({"a": MaxInt(3)}).delta(state).is_bottom
+
+
+# ---------------------------------------------------------------------------
+# Born sized: ``delta`` sums the bindings it keeps.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def delta_operands(draw, family):
+    """``(a, b)`` over one family's joinable values: shared keys, some of
+    them bound to the very same object, and ``a``'s memo cold, sized or
+    owed through a lineage."""
+    pool = draw(lattice_lists(family, min_size=1, max_size=6))
+    bindings = st.dictionaries(st.sampled_from(KEYS[:8]), st.sampled_from(pool), max_size=6)
+    a, b = MapLattice(draw(bindings)), MapLattice(draw(bindings))
+    memo = draw(st.sampled_from(("cold", "sized", "owed")))
+    if memo == "sized":
+        _sizes(a)
+    elif memo == "owed":
+        _sizes(a)
+        a = a.join(MapLattice(draw(bindings)))
+    return a, b
+
+
+def _from_scratch(value: MapLattice) -> tuple:
+    """``value``'s totals, summed by a fresh map with no memo at any depth."""
+    return _sizes(cold(MapLattice(dict(value.entries))))
+
+
+@pytest.mark.parametrize("family", sorted(ALL_LATTICE_STRATEGIES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_delta_is_born_with_the_sizes_a_cold_rebuild_sums(family, data):
+    a, b = data.draw(delta_operands(family))
+    expected = _from_scratch(a)
+    d = a.delta(b)
+    if d is a:
+        # Unfiltered: the walk's totals may fill ``a``'s memo, never skew it.
+        units, nbytes, owed = a._size
+        if owed is None:
+            assert units in (None, expected[0]) and nbytes in (None, expected[1])
+        assert _sizes(a) == expected
+    elif not d.is_bottom:
+        assert d._size == (*_from_scratch(d), None)
+
+
+def test_a_delta_over_mixed_value_classes_is_born_with_exact_sizes():
+    """Two ``fixed_size`` classes and a sized one under one map: the
+    first fixed class is counted, the rest are asked binding by binding."""
+    mixed = MapLattice(
+        {"a": MaxInt(2), "b": Bool(True), "c": MaxInt(3), "d": SetLattice({"x", "yy"}), "e": Bool(True)}
+    )
+    d = mixed.delta(MapLattice({"a": MaxInt(5)}))
+    assert d._size == (*_from_scratch(d), None) == (5, 4 + 8 + 2 * 1 + 3, None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Unit tests for the event queue and the overlay topologies."""
+"""Unit tests for the event queue, the simulator's records and the
+overlay topologies."""
 
 import pytest
 
-from repro.sim.events import EventQueue
+from repro.sim.events import Event, EventQueue
+from repro.sim.metrics import MemorySample, MessageRecord
 from repro.sim.topology import (
     Topology,
     full_mesh,
@@ -84,6 +86,33 @@ class TestEventQueue:
         q.schedule(1.0, cascade)
         q.run()
         assert fired == [1.0, 2.0, 3.0]
+
+    def test_ties_never_compare_actions_or_payloads(self):
+        """Same-time events pop in scheduling order even when neither
+        their actions nor their payloads support ``<``."""
+        q = EventQueue()
+        fired = []
+        for tag in range(6):
+            q.schedule(2.0, lambda e: fired.append(e.payload["tag"]), payload={"tag": tag})
+            q.schedule(1.0, lambda e, tag=tag: fired.append(-tag))
+        q.run()
+        assert fired == [0, -1, -2, -3, -4, -5, 0, 1, 2, 3, 4, 5]
+
+
+RECORDS = [
+    Event(1.0, 0, print, {"payload": 1}),
+    MessageRecord(1.0, 0, 1, "delta", 5, 50, 8),
+    MemorySample(1.0, 0, 10, 5, 100, 50, 7),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
+def test_records_are_immutable(record):
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        record.extra = None
 
 
 class TestPartialMesh:

@@ -14,8 +14,11 @@ BP+RR, the paper's best configuration (twenty rounds, then the drain):
   (``lattice/map_lattice.py``, *Aliased bindings*).
 * ``MaxInt.size_units`` + ``MaxInt.size_bytes`` — the per-value size
   reads behind message sizes and memory samples.  Rebinding a counter
-  owes no size (``fixed_size``, *Size lineage*).
-* ``sizes.sizeof`` — per-atom byte sizing.
+  owes no size (``fixed_size``, *Size lineage*), and RR's Δ is born
+  sized, asking ``MaxInt`` once per call rather than once per binding.
+* ``sizes.sizeof`` — per-atom byte sizing.  A born-sized δ that shares
+  no key with the state joins it by adding totals, so its keys are not
+  sized a second time when the state is read.
 
 The transmitted bytes and the drain are pinned beside them: they are
 the paper's metric and must not move when the work does.
@@ -98,8 +101,8 @@ def test_gmap_10_under_bp_rr(counts):
         "sizeof": counts["sizeof"],
     } == {
         "MaxInt.delta": 14_000,
-        "MaxInt size reads": 89_200,
-        "sizeof": 45_908,
+        "MaxInt size reads": 12_016,
+        "sizeof": 34_008,
     }
 
 
