@@ -63,7 +63,8 @@ class Figure9Result:
     results: Dict[Tuple[int, str], ExperimentResult]
 
     def metadata_per_node(self, n: int, algorithm: str) -> float:
-        return self.results[(n, algorithm)].metrics.metadata_bytes_per_node()
+        metrics = self.results[(n, algorithm)].metrics
+        return metrics.total_metadata_bytes() / metrics.n_nodes
 
     def metadata_fraction(self, n: int, algorithm: str) -> float:
         return self.results[(n, algorithm)].metadata_fraction()

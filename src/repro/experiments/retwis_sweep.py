@@ -84,7 +84,8 @@ class RetwisRun:
 
     def bandwidth_per_node_per_sec(self) -> float:
         seconds = max(self.result.duration_ms / 1000.0, 1e-9)
-        return self.result.metrics.bytes_per_node() / seconds
+        metrics = self.result.metrics
+        return metrics.total_bytes() / metrics.n_nodes / seconds
 
     def memory_bytes_per_node(self) -> float:
         return self.result.metrics.average_memory_bytes()

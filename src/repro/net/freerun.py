@@ -92,8 +92,8 @@ class FreeRunTransport(SimTransport):
         self.queue.run(until=horizon)
         self.sample_memory(horizon)
         self._round += 1
-        if self.tracer is not None:
-            self.tracer.emit(ROUND, round=self._round - 1, time=horizon)
+        if self.metrics.tracer is not None:
+            self.metrics.tracer.emit(ROUND, round=self._round - 1, time=horizon)
 
     # ------------------------------------------------------------------
     # The perpetual per-replica timers.

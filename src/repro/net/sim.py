@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.net.clock import LATENCY_MS, RoundStepClock, TickClock
 from repro.net.transport import Transport
-from repro.obs.trace import ROUND
+from repro.obs.trace import MESSAGE_SEVERED, ROUND
 from repro.sim.events import EventQueue
 from repro.sim.metrics import MetricsCollector
 from repro.sync.protocol import DeltaMutator, Send
@@ -78,8 +78,8 @@ class SimTransport(Transport):
         self.queue.run(until=end_of_round)
         self.sample_memory(end_of_round)
         self._round += 1
-        if self.tracer is not None:
-            self.tracer.emit(ROUND, round=self._round - 1, time=end_of_round)
+        if self.metrics.tracer is not None:
+            self.metrics.tracer.emit(ROUND, round=self._round - 1, time=end_of_round)
 
     @property
     def rounds_run(self) -> int:
@@ -114,8 +114,7 @@ class SimTransport(Transport):
         if not self.link_up(src, dst):
             # The destination crashed — or the link was severed — while
             # the message was in flight.
-            self.messages_severed += 1
-            self._trace_severed(src, dst, message.kind)
+            self.metrics.record_loss(MESSAGE_SEVERED, src, dst, message.kind)
             return
         self._trace_deliver(src, dst, message.kind)
         self.runtimes[dst].deliver(src, message)

@@ -34,10 +34,10 @@ TransportStalled` instead of a hang.
 
 Fault injection mirrors the simulator's fail-stop model without socket
 churn: a crashed or partitioned peer refuses sends at the sender
-(``messages_blocked``, with ``note_send_blocked`` feeding suspicion
+(``send-blocked``, with ``note_send_blocked`` feeding suspicion
 into divergence-driven repair).  Because faults are injected between
 rounds and every round settles to quiescence, no frame can be caught
-in flight by a fault here — ``messages_severed`` stays 0 on TCP (its
+in flight by a fault here — ``message-severed`` stays 0 on TCP (its
 delivery-side check is defensive), unlike the simulator, where
 latency can carry a reply across a fault boundary.  ``loss_rate``
 eats transmitted frames at the sender through the shared per-edge
@@ -66,7 +66,7 @@ from repro.codec import decode_message, frame_message
 from repro.net import framing
 from repro.net.framing import LENGTH_PREFIX_BYTES
 from repro.net.transport import Transport, TransportStalled
-from repro.obs.trace import ROUND
+from repro.obs.trace import MESSAGE_SEVERED, ROUND
 from repro.sim.metrics import MetricsCollector
 from repro.sync.protocol import Send
 
@@ -183,8 +183,7 @@ class AsyncTcpTransport(Transport):
             # Defensive only: faults are injected between rounds and
             # rounds settle to quiescence, so under the current drivers
             # no frame is ever caught in flight (see module docstring).
-            self.messages_severed += 1
-            self._trace_severed(src, dst, message.kind)
+            self.metrics.record_loss(MESSAGE_SEVERED, src, dst, message.kind)
         else:
             self._trace_deliver(src, dst, message.kind)
             self.runtimes[dst].deliver(src, message)
@@ -244,8 +243,8 @@ class AsyncTcpTransport(Transport):
         self._loop.run_until_complete(self._settle())
         self.sample_memory(self.now)
         self._round += 1
-        if self.tracer is not None:
-            self.tracer.emit(ROUND, round=self._round - 1)
+        if self.metrics.tracer is not None:
+            self.metrics.tracer.emit(ROUND, round=self._round - 1)
 
     async def _settle(self) -> None:
         """Flush the outbox and wait until no frame is in flight."""

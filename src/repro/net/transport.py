@@ -12,8 +12,10 @@ asyncio TCP sockets, and in a replica process of its own:
 * **send** — :meth:`Transport.send` ships a batch of outbound messages
   produced by one replica; the transport validates addressing against
   the overlay topology, applies loss and fault rules, and accounts
-  every message that actually crosses the wire in the shared
-  :class:`~repro.sim.metrics.MetricsCollector`.
+  every message that actually crosses the wire — and every send the
+  network loses or refuses — in the shared
+  :class:`~repro.sim.metrics.MetricsCollector`, the one place a wire
+  event is recorded and traced.
 * **deliver callback** — arriving messages re-enter protocol code only
   through :meth:`ReplicaRuntime.deliver`, never by the transport
   touching a synchronizer directly.
@@ -31,10 +33,9 @@ asyncio TCP sockets, and in a replica process of its own:
   :meth:`partition`, and :meth:`heal` manipulate shared fault state (a
   replica process receives the same down set and partition groups by
   WIRE from its controller); :meth:`link_up` answers whether a message
-  can currently travel, and
-  the four counters (``messages_dropped`` / ``messages_severed`` /
-  ``messages_blocked`` / ``updates_skipped``) keep loss, fault kills,
-  refused sends, and lost client operations separately observable.
+  can currently travel.  Loss, fault kills and refused sends are
+  counted apart in the collector's ``losses`` (under their trace event
+  types), and ``updates_skipped`` counts lost client operations.
 """
 
 from __future__ import annotations
@@ -58,12 +59,9 @@ from repro.obs.trace import (
     DELIVER,
     HEAL,
     MESSAGE_DROPPED,
-    MESSAGE_SEVERED,
     PARTITION,
     RECOVER,
-    SEND,
     SEND_BLOCKED,
-    Tracer,
 )
 from repro.sim.metrics import MemorySample, MessageRecord, MetricsCollector
 from repro.sync.protocol import DeltaMutator, Send
@@ -83,8 +81,9 @@ class Transport(ABC):
     Args:
         config: The cluster configuration (topology, sync interval,
             loss model).
-        metrics: The shared collector that every transmitted message
-            and memory sample is recorded into.
+        metrics: The shared collector that every transmitted, lost or
+            refused message and every memory sample is recorded into;
+            its ``tracer`` is the transport's too.
     """
 
     def __init__(self, config: "ClusterConfig", metrics: MetricsCollector) -> None:
@@ -93,26 +92,12 @@ class Transport(ABC):
         self.metrics = metrics
         #: The replica runtimes hosted here, keyed by replica id.
         self.runtimes: Dict[int, "ReplicaRuntime"] = {}
-        #: Transmitted messages eaten by random network loss
-        #: (``loss_rate`` coin flips) — actual packet loss.
-        self.messages_dropped = 0
-        #: In-flight messages killed because their destination crashed
-        #: or the link was severed mid-transit.  Kept separate from
-        #: ``messages_dropped`` so fault experiments can report network
-        #: loss and fault-induced kills independently.
-        self.messages_severed = 0
-        #: Sends refused before transmission (down peer / severed link).
-        self.messages_blocked = 0
         #: Workload updates discarded because their node was down.
         self.updates_skipped = 0
         #: Nodes currently crashed: they neither tick nor receive.
         self.down: set = set()
         #: Active partition as disjoint node groups (``None`` = healthy).
         self._groups: Optional[Tuple[FrozenSet[int], ...]] = None
-        #: Structured trace sink, attached by the cluster when tracing
-        #: is enabled.  ``None`` (the default) must stay ``None`` — a
-        #: single attribute check is the entire disabled-tracing cost.
-        self.tracer: Optional["Tracer"] = None
         #: Per-edge loss streams, created lazily by :meth:`_edge_rng`.
         #: The k-th flip on edge ``(src, dst)`` is a pure function of
         #: ``(loss_seed, src, dst, k)`` — never of the order the
@@ -180,14 +165,14 @@ class Transport(ABC):
         if not 0 <= node < self.topology.n:
             raise ValueError(f"no such node {node}")
         self.down.add(node)
-        if self.tracer is not None:
-            self.tracer.emit(CRASH, replica=node)
+        if self.metrics.tracer is not None:
+            self.metrics.tracer.emit(CRASH, replica=node)
 
     def recover(self, node: int) -> None:
         """Bring a crashed node back into the cluster."""
         self.down.discard(node)
-        if self.tracer is not None:
-            self.tracer.emit(RECOVER, replica=node)
+        if self.metrics.tracer is not None:
+            self.metrics.tracer.emit(RECOVER, replica=node)
 
     def partition(self, *groups: Iterable[int]) -> None:
         """Sever every link between nodes of different ``groups``.
@@ -196,8 +181,8 @@ class Transport(ABC):
         ``partition([0, 1])`` isolates nodes 0-1 from everyone else.
         """
         self._groups = partition_groups(groups, range(self.topology.n))
-        if self.tracer is not None:
-            self.tracer.emit(
+        if self.metrics.tracer is not None:
+            self.metrics.tracer.emit(
                 PARTITION,
                 extra={"groups": [sorted(group) for group in self._groups]},
             )
@@ -205,8 +190,8 @@ class Transport(ABC):
     def heal(self) -> None:
         """Restore full connectivity (crashed nodes stay down)."""
         self._groups = None
-        if self.tracer is not None:
-            self.tracer.emit(HEAL)
+        if self.metrics.tracer is not None:
+            self.metrics.tracer.emit(HEAL)
 
     @property
     def partitioned(self) -> bool:
@@ -251,15 +236,8 @@ class Transport(ABC):
             # send is not recorded as transmission.  The sender does
             # learn the peer is unreachable — the signal stores feed
             # into divergence-driven repair scheduling.
-            self.messages_blocked += 1
             self.runtimes[src].note_send_blocked(send.dst)
-            if self.tracer is not None:
-                self.tracer.emit(
-                    SEND_BLOCKED,
-                    replica=src,
-                    peer=send.dst,
-                    kind=send.message.kind,
-                )
+            self.metrics.record_loss(SEND_BLOCKED, src, send.dst, send.message.kind)
             return False
         return True
 
@@ -270,9 +248,11 @@ class Transport(ABC):
 
         ``payload_bytes``/``metadata_bytes`` are whatever the transport
         measures (size-model estimates on the simulator, wire bytes on
-        TCP); units always come from the message.  Returns ``False``
-        when the network ate the message — it was transmitted (and
-        counted) but must not be delivered.
+        TCP); units always come from the message.  The record is made
+        before the loss coin flip, so the collector (and its ``send``
+        trace line) counts a lost message too.  Returns ``False`` when
+        the network ate the message — it was transmitted (and counted)
+        but must not be delivered.
         """
         self.metrics.record_message(
             MessageRecord(
@@ -286,32 +266,11 @@ class Transport(ABC):
                 metadata_units=send.message.metadata_units,
             )
         )
-        if self.tracer is not None:
-            # Emitted at the same point — before the loss coin flip —
-            # with the same byte arguments as the MessageRecord above,
-            # so trace-derived totals equal collector totals exactly.
-            self.tracer.emit(
-                SEND,
-                replica=src,
-                peer=send.dst,
-                kind=send.message.kind,
-                payload_bytes=payload_bytes,
-                metadata_bytes=metadata_bytes,
-                payload_units=send.message.payload_units,
-                metadata_units=send.message.metadata_units,
-            )
         if (
             self.config.loss_rate > 0.0
             and self._edge_rng(src, send.dst).random() < self.config.loss_rate
         ):
-            self.messages_dropped += 1
-            if self.tracer is not None:
-                self.tracer.emit(
-                    MESSAGE_DROPPED,
-                    replica=src,
-                    peer=send.dst,
-                    kind=send.message.kind,
-                )
+            self.metrics.record_loss(MESSAGE_DROPPED, src, send.dst, send.message.kind)
             return False
         return True
 
@@ -343,13 +302,8 @@ class Transport(ABC):
         what kind, when — so the trace can show one-way latency and
         undelivered tails without double-counting bytes.
         """
-        if self.tracer is not None:
-            self.tracer.emit(DELIVER, replica=dst, peer=src, kind=kind)
-
-    def _trace_severed(self, src: int, dst: int, kind: str) -> None:
-        """Emit the in-flight-kill event both transports share."""
-        if self.tracer is not None:
-            self.tracer.emit(MESSAGE_SEVERED, replica=src, peer=dst, kind=kind)
+        if self.metrics.tracer is not None:
+            self.metrics.tracer.emit(DELIVER, replica=dst, peer=src, kind=kind)
 
     def sample_memory(self, at: float) -> None:
         """Record one resident-footprint sample per live replica."""

@@ -16,7 +16,6 @@ Four pieces, all optional and all off by default:
 from repro.obs.lag import ConvergenceProbe
 from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.report import (
-    kind_totals,
     render_report,
     segment_phases,
     split_cells,
@@ -47,7 +46,6 @@ __all__ = [
     "Tracer",
     "decode_event",
     "encode_event",
-    "kind_totals",
     "read_trace",
     "read_trace_dir",
     "render_report",

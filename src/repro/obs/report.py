@@ -8,11 +8,12 @@ tables can be *re-derived and cross-checked* against the live counters, and
 ``python -m repro trace report`` renders a human timeline of what the
 run did, phase by phase.
 
-The only totals source is the ``send`` event, which the transport
-emits at the exact point it records a :class:`MessageRecord` — before
-the loss coin flip — so trace-derived totals equal
-``MetricsCollector`` totals by construction, on the simulated and the
-real TCP transport alike.
+The only totals source is the ``send`` event.  The collector writes
+it from the :class:`~repro.sim.metrics.MessageRecord` it keeps, in the
+same call (before the loss coin flip), and :func:`trace_totals` folds
+those events with the collector's own fold — so trace-derived totals
+equal ``MetricsCollector.totals()`` on the simulated and the real TCP
+transport alike.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from repro.obs.trace import (
     SEND,
     TraceEvent,
 )
+from repro.sim.series import wire_totals
 
 
 def _table_helpers():
@@ -71,42 +73,12 @@ _PHASE_MARKERS = {
 def trace_totals(events: List[TraceEvent]) -> Dict[str, int]:
     """Transmission totals re-derived from ``send`` events alone.
 
-    Keys mirror the :class:`MetricsCollector` aggregates they must
-    match: ``messages``, ``payload_bytes``, ``metadata_bytes``,
+    The fold is :func:`repro.sim.series.wire_totals`, the one behind
+    :meth:`MetricsCollector.totals`, so the keys and sums are the
+    collector's: ``messages``, ``payload_bytes``, ``metadata_bytes``,
     ``payload_units``, ``metadata_units``.
     """
-    totals = {
-        "messages": 0,
-        "payload_bytes": 0,
-        "metadata_bytes": 0,
-        "payload_units": 0,
-        "metadata_units": 0,
-    }
-    for event in events:
-        if event.type != SEND:
-            continue
-        totals["messages"] += 1
-        totals["payload_bytes"] += event.payload_bytes
-        totals["metadata_bytes"] += event.metadata_bytes
-        totals["payload_units"] += event.payload_units
-        totals["metadata_units"] += event.metadata_units
-    return totals
-
-
-def kind_totals(events: List[TraceEvent]) -> Dict[str, Dict[str, int]]:
-    """Per-wire-kind send totals: ``{kind: {messages, payload_bytes, metadata_bytes}}``."""
-    out: Dict[str, Dict[str, int]] = {}
-    for event in events:
-        if event.type != SEND:
-            continue
-        kind = event.kind or "?"
-        bucket = out.setdefault(
-            kind, {"messages": 0, "payload_bytes": 0, "metadata_bytes": 0}
-        )
-        bucket["messages"] += 1
-        bucket["payload_bytes"] += event.payload_bytes
-        bucket["metadata_bytes"] += event.metadata_bytes
-    return out
+    return wire_totals(event for event in events if event.type == SEND)
 
 
 def split_cells(

@@ -58,7 +58,7 @@ from repro.net import framing
 from repro.net.runtime import ReplicaRuntime
 from repro.net.tcp import AsyncTcpTransport
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import CLIENT_OP, ROUND, FileTraceSink, Tracer
+from repro.obs.trace import CLIENT_OP, ROUND, SEND_BLOCKED, FileTraceSink, Tracer
 from repro.serve import frames
 from repro.serve.frames import FrameError, Request, Response
 from repro.sim.metrics import MetricsCollector
@@ -266,7 +266,7 @@ class ReplicaProcess:
             path = os.path.join(options.trace_dir, f"r{options.replica:03d}.jsonl")
             self.tracer = Tracer(FileTraceSink(path), origin=options.replica)
             self.tracer.bind(lambda: self.peers.now, lambda: self.round)
-            self.peers.tracer = self.tracer
+            self.peers.metrics.tracer = self.tracer
 
         # The one counter namespace of this process: the store's planes
         # and the WAL count in it, and STAT reports it.
@@ -472,7 +472,7 @@ class ReplicaProcess:
             body={
                 "sent": self.peers.frames_sent,
                 "delivered": self.peers.frames_delivered,
-                "blocked": self.peers.messages_blocked,
+                "blocked": self.peers.metrics.losses[SEND_BLOCKED],
             },
         )
 
@@ -571,10 +571,8 @@ class ReplicaProcess:
             "replica": self.replica,
             "pid": os.getpid(),
             "round": self.round,
-            "messages": self.peers.metrics.message_count,
-            "payload_bytes": self.peers.metrics.total_payload_bytes(),
-            "metadata_bytes": self.peers.metrics.total_metadata_bytes(),
-            "blocked": self.peers.messages_blocked,
+            **self.peers.metrics.totals(),
+            "blocked": self.peers.metrics.losses[SEND_BLOCKED],
             "client_ops": self.client_ops,
             "pending_handoffs": self.store.handoff.pending(),
             "replayed_shards": self.replayed_shards,

@@ -18,15 +18,30 @@ drivers can slice series over time (Figure 1's time axis, Figure 11's
 first/second-half split) without re-running simulations.  A record is
 a ``NamedTuple``: immutable, and built once per message and per sample
 for a fraction of a frozen dataclass's cost.
+
+The collector is the one place a wire event is recorded.
+:meth:`MetricsCollector.record_message` keeps the record and, when the
+run is traced, writes the ``send`` line from that same record;
+:meth:`MetricsCollector.record_loss` counts a dropped, severed or
+refused send under its trace event type and writes that event.  The
+trace, the loss counts and the transmission totals therefore read one
+record, and :func:`repro.sim.series.wire_totals` is the one fold behind
+both :meth:`MetricsCollector.totals` and
+:func:`repro.obs.report.trace_totals`.  Memory samples keep a list of
+their own, and processing costs a tally per node.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.sim.series import bucket_series, cumulative, partition_at
+from repro.obs.trace import SEND
+from repro.sim.series import bucket_series, cumulative, partition_at, wire_totals
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.trace import Tracer
 
 
 class MessageRecord(NamedTuple):
@@ -76,12 +91,23 @@ class NodeMetrics:
 
 
 class MetricsCollector:
-    """Collects message records, memory samples, and processing costs."""
+    """Collects message records, losses, memory samples, and processing costs."""
 
     def __init__(self, n_nodes: int) -> None:
         self.n_nodes = n_nodes
+        #: Structured trace sink, attached by the cluster (or replica
+        #: process) when tracing is enabled; the transport reads it from
+        #: here, so the tracer has one holder.  ``None`` (the default)
+        #: must stay ``None``: one attribute check is the entire
+        #: disabled-tracing cost.
+        self.tracer: Optional["Tracer"] = None
         self.messages: List[MessageRecord] = []
         self.memory: List[MemorySample] = []
+        #: Sends the network lost or refused, keyed by their trace event
+        #: type: ``message-dropped`` (the loss model ate it),
+        #: ``message-severed`` (a fault killed it in flight) and
+        #: ``send-blocked`` (refused before it reached the wire).
+        self.losses: Counter = Counter()
         #: Keyed by replica id, created at a node's first record: a
         #: replica process learns of seats added after it booted.
         self.per_node: Dict[int, NodeMetrics] = defaultdict(NodeMetrics)
@@ -91,7 +117,26 @@ class MetricsCollector:
     # ------------------------------------------------------------------
 
     def record_message(self, record: MessageRecord) -> None:
+        """Keep one transmitted message; trace it as its ``send``."""
         self.messages.append(record)
+        if self.tracer is not None:
+            self.tracer.emit(
+                SEND,
+                time=record.time,
+                replica=record.src,
+                peer=record.dst,
+                kind=record.kind,
+                payload_bytes=record.payload_bytes,
+                metadata_bytes=record.metadata_bytes,
+                payload_units=record.payload_units,
+                metadata_units=record.metadata_units,
+            )
+
+    def record_loss(self, type: str, src: int, dst: int, kind: str) -> None:
+        """Count one lost or refused ``src → dst`` send; trace it as ``type``."""
+        self.losses[type] += 1
+        if self.tracer is not None:
+            self.tracer.emit(type, replica=src, peer=dst, kind=kind)
 
     def record_processing(self, node: int, units: int, seconds: float) -> None:
         entry = self.per_node[node]
@@ -105,19 +150,13 @@ class MetricsCollector:
     # Transmission aggregates.
     # ------------------------------------------------------------------
 
+    def totals(self) -> Dict[str, int]:
+        """``messages`` and the payload/metadata byte and unit sums."""
+        return wire_totals(self.messages)
+
     @property
     def message_count(self) -> int:
         return len(self.messages)
-
-    def total_payload_units(self) -> int:
-        return sum(r.payload_units for r in self.messages)
-
-    def total_metadata_units(self) -> int:
-        return sum(r.metadata_units for r in self.messages)
-
-    def total_transmission_units(self) -> int:
-        """Payload plus metadata entries — the Figure 7/8 metric."""
-        return self.total_payload_units() + self.total_metadata_units()
 
     def total_payload_bytes(self) -> int:
         return sum(r.payload_bytes for r in self.messages)
@@ -132,12 +171,6 @@ class MetricsCollector:
         """Share of all transmitted bytes that is metadata (Figure 9)."""
         total = self.total_bytes()
         return self.total_metadata_bytes() / total if total else 0.0
-
-    def metadata_bytes_per_node(self) -> float:
-        return self.total_metadata_bytes() / self.n_nodes
-
-    def bytes_per_node(self) -> float:
-        return self.total_bytes() / self.n_nodes
 
     # ------------------------------------------------------------------
     # Time-sliced views.
@@ -183,18 +216,6 @@ class MetricsCollector:
         if not self.memory:
             return 0.0
         return sum(sample.total_bytes for sample in self.memory) / len(self.memory)
-
-    def peak_memory_bytes(self) -> int:
-        return max((sample.total_bytes for sample in self.memory), default=0)
-
-    def final_memory_units(self) -> float:
-        """Mean resident units over the last sample of every node."""
-        latest: Dict[int, MemorySample] = {}
-        for sample in self.memory:
-            latest[sample.node] = sample
-        if not latest:
-            return 0.0
-        return sum(sample.total_units for sample in latest.values()) / len(latest)
 
     # ------------------------------------------------------------------
     # Processing aggregates (Figures 1 and 12).

@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, 
 
 from repro.driver import ClusterDriver, Deployment, FreeRun, Stepped
 from repro.lattice.base import Lattice
+from repro.obs.trace import MESSAGE_DROPPED, MESSAGE_SEVERED, SEND_BLOCKED
 from repro.sim.metrics import MetricsCollector
 from repro.sim.topology import Topology
 from repro.sync.protocol import DeltaMutator, Send, Synchronizer
@@ -201,8 +202,8 @@ class Cluster(ClusterDriver):
         if isinstance(transport, (str, Stepped, FreeRun)):
             transport = _build_transport(transport, config)
         self.transport = transport
-        #: Shared collector: the transport records messages and memory
-        #: samples, the runtimes record processing costs.
+        #: Shared collector: the transport records messages, losses and
+        #: memory samples, the runtimes record processing costs.
         self.metrics = transport.metrics
         if self.tracer is not None:
             # Bind the trace clock to the transport so every event
@@ -210,7 +211,7 @@ class Cluster(ClusterDriver):
             self.tracer.bind(
                 lambda: self.transport.now, lambda: self.transport.rounds_run
             )
-            transport.tracer = self.tracer
+            self.metrics.tracer = self.tracer
         self.runtimes: List[ReplicaRuntime] = [
             ReplicaRuntime(self._build_synchronizer(node), self.metrics)
             for node in range(config.topology.n)
@@ -259,17 +260,17 @@ class Cluster(ClusterDriver):
     @property
     def messages_dropped(self) -> int:
         """Transmitted messages eaten by random network loss."""
-        return self.transport.messages_dropped
+        return self.metrics.losses[MESSAGE_DROPPED]
 
     @property
     def messages_severed(self) -> int:
         """In-flight messages killed by a crash or severed link."""
-        return self.transport.messages_severed
+        return self.metrics.losses[MESSAGE_SEVERED]
 
     @property
     def messages_blocked(self) -> int:
         """Sends refused before transmission (down peer / severed link)."""
-        return self.transport.messages_blocked
+        return self.metrics.losses[SEND_BLOCKED]
 
     @property
     def updates_skipped(self) -> int:

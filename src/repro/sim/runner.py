@@ -46,11 +46,12 @@ class ExperimentResult:
         metadata Scuttlebutt and op-based ship, which is what makes them
         lose on the GCounter despite their precise payloads.
         """
-        return self.metrics.total_transmission_units()
+        totals = self.metrics.totals()
+        return totals["payload_units"] + totals["metadata_units"]
 
     def payload_units(self) -> int:
         """Transmitted payload entries only."""
-        return self.metrics.total_payload_units()
+        return self.metrics.totals()["payload_units"]
 
     def transmission_bytes(self) -> int:
         """Total bytes (payload + metadata) — Figures 9, 11."""

@@ -1,16 +1,16 @@
 """Shared time-series helpers over timestamped records.
 
 :class:`repro.sim.metrics.MetricsCollector` slices its message records
-into windows and halves for the paper's time-axis plots; trace
-post-processing (:mod:`repro.obs.report`) needs the exact same slicing
-over :class:`repro.obs.trace.TraceEvent` streams **without re-running
-the simulation**.  Both go through these three generic helpers, keyed
-by an extractor, so the bucketing and split logic exists once.
+into windows and halves for the paper's time-axis plots, and totals
+them; trace post-processing (:mod:`repro.obs.report`) needs the exact
+same slicing and totals over :class:`repro.obs.trace.TraceEvent`
+streams **without re-running the simulation**.  Both go through these
+generic helpers, so the bucketing, split and totals logic exists once.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Sequence, Tuple, TypeVar, Union
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple, TypeVar, Union
 
 T = TypeVar("T")
 Number = Union[int, float]
@@ -63,3 +63,26 @@ def partition_at(
     for item in items:
         (before if time(item) < cutoff else after).append(item)
     return before, after
+
+
+def wire_totals(records: Iterable) -> Dict[str, int]:
+    """Message count and byte and unit sums over wire records.
+
+    A :class:`~repro.sim.metrics.MessageRecord` and a ``send`` trace
+    event carry the same four size fields, so this one fold gives both
+    the collector's totals and the totals re-derived from a trace file.
+    """
+    totals = {
+        "messages": 0,
+        "payload_bytes": 0,
+        "metadata_bytes": 0,
+        "payload_units": 0,
+        "metadata_units": 0,
+    }
+    for record in records:
+        totals["messages"] += 1
+        totals["payload_bytes"] += record.payload_bytes
+        totals["metadata_bytes"] += record.metadata_bytes
+        totals["payload_units"] += record.payload_units
+        totals["metadata_units"] += record.metadata_units
+    return totals

@@ -58,7 +58,7 @@ def run_kv(transport, inner, *, repair_mode=None, rounds=5):
             "drain": drain_rounds,
             "keyspace": cluster.merged_keyspace(),
             "messages": cluster.metrics.message_count,
-            "payload_units": cluster.metrics.total_payload_units(),
+            "payload_units": cluster.metrics.totals()["payload_units"],
             "payload_bytes": cluster.metrics.total_payload_bytes(),
             "total_bytes": cluster.metrics.total_bytes(),
             "probes": cluster.scheduler_stats()["probes"],

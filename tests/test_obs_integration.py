@@ -1,14 +1,16 @@
 """Tracing threaded through the stack: exactness, no-op, CLI.
 
-The load-bearing invariant: the transport emits the ``send`` trace
-event at the exact point it records a :class:`MessageRecord` — before
-the loss coin flip, with the same byte arguments — so byte totals
-re-derived from the trace file alone equal the live collector's totals,
-on the simulated and the real TCP transport alike.
+The load-bearing invariant: the collector writes the ``send`` trace
+event from the :class:`MessageRecord` it keeps — before the loss coin
+flip — and counts each lost or refused send as it writes its event, so
+byte totals and loss counts re-derived from the trace file alone equal
+the live collector's, on the simulated and the real TCP transport
+alike.
 """
 
 import io
 import os
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -29,7 +31,9 @@ from repro.obs import (
     split_cells,
     trace_totals,
 )
-from repro.sync import ALGORITHMS
+from repro.sim import Cluster, ClusterConfig, partial_mesh
+from repro.sync import ALGORITHMS, StateBased
+from repro.workloads import GSetWorkload
 
 SMALL = KVConfig(
     replicas=6,
@@ -86,6 +90,41 @@ class TestTraceTotalsMatchCollector:
             assert first.read() == second.read()
 
 
+@pytest.mark.parametrize("transport", ["sim", "tcp"])
+def test_every_send_ends_once(transport):
+    """Each ``send`` ends in exactly one ``deliver``, ``message-dropped``
+    or ``message-severed`` on its ``(src, dst, kind)``, through loss, a
+    partition and a crash; refused sends are never sent."""
+    sink = MemoryTraceSink()
+    config = ClusterConfig(partial_mesh(6, 2), loss_rate=0.2, loss_seed=3)
+    workload = GSetWorkload(6, rounds=6)
+    cluster = Cluster(config, StateBased, workload.bottom(), transport, trace=sink)
+    try:
+        cluster.run_rounds(2, workload.updates_for)
+        cluster.partition([0, 1, 2])
+        cluster.run_round(lambda node: workload.updates_for(node, 2))
+        cluster.heal()
+        cluster.crash(4, lose_state=False)
+        cluster.run_round(lambda node: workload.updates_for(node, 3))
+        cluster.recover(4)
+        cluster.drain()
+        totals = cluster.metrics.totals()
+        blocked = cluster.messages_blocked
+    finally:
+        cluster.close()
+    events = read_trace(sink)
+    sent = Counter((e.replica, e.peer, e.kind) for e in events if e.type == "send")
+    ended = Counter(
+        (e.peer, e.replica, e.kind) if e.type == "deliver" else (e.replica, e.peer, e.kind)
+        for e in events
+        if e.type in ("deliver", "message-dropped", "message-severed")
+    )
+    assert sent == ended
+    kinds = Counter(e.type for e in events)
+    assert kinds["message-dropped"] > 0 and kinds["send-blocked"] == blocked > 0
+    assert trace_totals(events) == totals
+
+
 class TestDisabledTracingIsANoOp:
     def test_no_tracer_anywhere(self):
         ring = HashRing(replicas=(0, 1, 2), n_shards=8)
@@ -96,7 +135,7 @@ class TestDisabledTracingIsANoOp:
         )
         try:
             assert cluster.tracer is None
-            assert cluster.transport.tracer is None
+            assert cluster.metrics.tracer is None
             assert cluster._lag_probe is None
             for node in cluster.nodes:
                 assert node.tracer is None

@@ -1,8 +1,11 @@
 """Integration tests for the simulated cluster and the experiment runner."""
 
+from collections import Counter
+
 import pytest
 
 from repro.net.clock import LATENCY_MS, SYNC_INTERVAL_MS
+from repro.obs import MemoryTraceSink, read_trace
 from repro.sim.metrics import MemorySample, MessageRecord, MetricsCollector
 from repro.sim.network import Cluster, ClusterConfig
 from repro.sim.runner import ratio_table, run_experiment, run_suite
@@ -36,7 +39,7 @@ class TestMetricsCollector:
         metrics = MetricsCollector(3)
         metrics.record_message(MessageRecord(10.0, 0, 1, "delta", 5, 50, 8))
         metrics.record_message(MessageRecord(20.0, 1, 2, "delta", 3, 30, 8))
-        assert metrics.total_payload_units() == 8
+        assert metrics.totals()["payload_units"] == 8
         assert metrics.total_payload_bytes() == 80
         assert metrics.total_metadata_bytes() == 16
         assert metrics.total_bytes() == 96
@@ -62,8 +65,8 @@ class TestMetricsCollector:
         metrics.record_message(MessageRecord(100.0, 0, 1, "d", 2, 2, 0))
         metrics.record_message(MessageRecord(5000.0, 0, 1, "d", 3, 3, 0))
         first, second = metrics.split_at(1000.0)
-        assert first.total_payload_units() == 2
-        assert second.total_payload_units() == 3
+        assert first.totals()["payload_units"] == 2
+        assert second.totals()["payload_units"] == 3
 
     def test_memory_averages(self):
         metrics = MetricsCollector(1)
@@ -71,8 +74,6 @@ class TestMetricsCollector:
         metrics.record_memory(MemorySample(1.0, 0, 20, 5, 200, 50, 7))
         assert metrics.average_memory_units() == 20.0
         assert metrics.average_memory_bytes() == (157 + 257) / 2
-        assert metrics.peak_memory_bytes() == 257
-        assert metrics.final_memory_units() == 25.0
 
     def test_empty_collector(self):
         metrics = MetricsCollector(1)
@@ -153,18 +154,34 @@ class TestClusterBasics:
 
 
 class TestFaultCounters:
-    """Loss drops, fault kills, and refused sends are distinct events."""
+    """Loss drops, fault kills, and refused sends are distinct events.
+
+    Each run is traced, and each count must equal the number of its
+    events in the trace: both are read from one collector record.
+    """
+
+    @staticmethod
+    def counts_match_the_trace(cluster, sink):
+        events = Counter(event.type for event in read_trace(sink))
+        assert cluster.messages_dropped == events["message-dropped"]
+        assert cluster.messages_severed == events["message-severed"]
+        assert cluster.messages_blocked == events["send-blocked"]
 
     def test_loss_counts_as_dropped_not_severed(self):
+        sink = MemoryTraceSink()
         config = ClusterConfig(line(2), loss_rate=0.5, loss_seed=3)
-        cluster = Cluster(config, StateBased, GSetWorkload(2, 1).bottom())
+        cluster = Cluster(config, StateBased, GSetWorkload(2, 1).bottom(), trace=sink)
         workload = GSetWorkload(2, rounds=6)
         cluster.run_rounds(6, workload.updates_for)
         assert cluster.messages_dropped > 0
         assert cluster.messages_severed == 0
+        self.counts_match_the_trace(cluster, sink)
 
     def test_in_flight_kill_counts_as_severed_not_dropped(self):
-        cluster = Cluster(ClusterConfig(line(2)), StateBased, GSetWorkload(2, 1).bottom())
+        sink = MemoryTraceSink()
+        cluster = Cluster(
+            ClusterConfig(line(2)), StateBased, GSetWorkload(2, 1).bottom(), trace=sink
+        )
         cluster.apply_update(0, GSetWorkload(2, 1).updates_for(0, 0)[0])
         # Dispatch while the link is up, crash before delivery: the
         # in-flight message dies to the fault, not to network loss.
@@ -173,6 +190,7 @@ class TestFaultCounters:
         cluster.queue.run(until=cluster.queue.now + 1000.0)
         assert cluster.messages_severed == 1
         assert cluster.messages_dropped == 0
+        self.counts_match_the_trace(cluster, sink)
 
     def test_refused_send_notifies_the_sender(self):
         notified = []
@@ -181,12 +199,16 @@ class TestFaultCounters:
             def note_send_blocked(self, dst):
                 notified.append((self.replica, dst))
 
-        cluster = Cluster(ClusterConfig(line(2)), Watchful, GSetWorkload(2, 1).bottom())
+        sink = MemoryTraceSink()
+        cluster = Cluster(
+            ClusterConfig(line(2)), Watchful, GSetWorkload(2, 1).bottom(), trace=sink
+        )
         cluster.apply_update(0, GSetWorkload(2, 1).updates_for(0, 0)[0])
         cluster.crash(1, lose_state=False)
         cluster.run_round(updates=None)
         assert cluster.messages_blocked > 0
         assert (0, 1) in notified
+        self.counts_match_the_trace(cluster, sink)
 
 
 class TestRunnerSuite:
